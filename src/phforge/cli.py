@@ -335,7 +335,7 @@ def cmd_synth(cfg: ProblemConfig, out_path: str, force: bool) -> int:
 def _build_bundle(cfg, problem, space, slice_, results, achieved, curve, cert, hull, attempts):
     poses = sample_motion(problem.a_poly, curve, cfg.samples)
     speed = speed_function(curve)
-    speeds = [speed.eval_float(t) for t in angle_parameters(cfg.samples)]
+    speeds = speed.eval_floats(angle_parameters(cfg.samples)).tolist()
     closure = closure_point(curve)
     return {
         "schema": BUNDLE_SCHEMA,
@@ -437,7 +437,7 @@ def load_bundle(path: str) -> Bundle:
 
 def _sample_positions(bundle: Bundle, n: int):
     params = angle_parameters(n)
-    return params, [bundle.curve.eval_float(t) for t in params]
+    return params, bundle.curve.eval_floats(params).tolist()
 
 
 def _write_csv(rows, header, out_path):
@@ -481,7 +481,7 @@ def _write_svg(bundle: Bundle, n: int, out_path):
     params, positions = _sample_positions(bundle, n)
     speed = speed_function(bundle.curve)
     angles = [2.0 * math.pi * j / n for j in range(n)]
-    speeds = [speed.eval_float(t) for t in params]
+    speeds = speed.eval_floats(params).tolist()
 
     px, py = _project(positions, bundle.config.view)
     w, h, pad = 640.0, 880.0, 40.0

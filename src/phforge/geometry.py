@@ -1,10 +1,11 @@
 """Projective-line geometry: indicatrix, speed, hull test, framing motion.
 
 The curve parameter lives on the projective line, identified with the unit
-circle; every float evaluation switches charts at |t| = 1 so the closure
-point t = infinity is an ordinary point.  Exact identities (unit norm of the
-tangent indicatrix, rationality of the speed) are verified in exact
-arithmetic; sampling and the convex-hull test are the only floating parts.
+circle; every float evaluation goes through ``polynomial.two_chart_eval``,
+which switches charts at |t| = 1 so the closure point t = infinity is an
+ordinary point.  Exact identities (unit norm of the tangent indicatrix,
+rationality of the speed) are verified in exact arithmetic; sampling and the
+convex-hull test are the only floating parts.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NonPythagoreanError
-from .polynomial import Polynomial, poly_sqrt
+from .polynomial import Polynomial, poly_sqrt, two_chart_eval, two_chart_quotients
 from .quaternion import QI, QuaternionPolynomial, rotate_vector
 from .ratfunc import RationalFunction
 from .synthesis import RationalCurve
@@ -93,17 +94,17 @@ class TangentIndicatrix:
         self.homogeneous_degree = homogeneous_degree
 
     def evaluate(self, t: float) -> np.ndarray:
-        d = self.homogeneous_degree
-        if not math.isinf(t) and abs(t) <= 1.0:
-            den = self.den.eval_float(t)
-            return np.array([n.eval_float(t) for n in self.nums]) / den
-        s = 0.0 if math.isinf(t) else 1.0 / t
-        den = self.den.reversed_padded(d).eval_float(s)
-        return np.array([n.reversed_padded(d).eval_float(s) for n in self.nums]) / den
+        return two_chart_quotients(self.nums, self.den, self.homogeneous_degree, [t])[:, 0]
 
     def sample(self, n: int) -> tuple[list[float], np.ndarray]:
         params = angle_parameters(n)
-        return params, np.array([self.evaluate(t) for t in params])
+        vals = two_chart_quotients(self.nums, self.den, self.homogeneous_degree, params)
+        # row-major: the hull test's matrix products round differently on a transposed view
+        return params, np.ascontiguousarray(vals.T)
+
+
+# (1 + t^2) / 2 = -dt/dtheta, the circle-chart weight of the parameter speed
+_HALF_CIRCLE = Polynomial((Fraction(1, 2), 0, Fraction(1, 2)))
 
 
 def tangent_indicatrix(a: QuaternionPolynomial) -> TangentIndicatrix:
@@ -129,9 +130,7 @@ def speed_function(c: RationalCurve) -> RationalFunction:
     den = poly_sqrt(ssq.denominator)
     if num is None or den is None:
         raise NonPythagoreanError("squared speed is not a rational square")
-    sigma = RationalFunction(num, den)
-    half_circle = RationalFunction(Polynomial((Fraction(1, 2), 0, Fraction(1, 2))))
-    speed = sigma * half_circle
+    speed = RationalFunction(num, den) * _HALF_CIRCLE
     if speed.numerator.leading() < 0:
         speed = -speed
     return speed
@@ -250,51 +249,48 @@ class FramePose:
         return np.array(self.frame).T  # columns t, b, c
 
 
-def _quat_rotate(q: tuple[float, float, float, float], v: tuple[float, float, float]):
-    w, x, y, z = q
-    vx, vy, vz = v
-    # q v q* for unit q, expanded
-    tx = 2.0 * (y * vz - z * vy)
-    ty = 2.0 * (z * vx - x * vz)
-    tz = 2.0 * (x * vy - y * vx)
-    return (
-        vx + w * tx + (y * tz - z * ty),
-        vy + w * ty + (z * tx - x * tz),
-        vz + w * tz + (x * ty - y * tx),
-    )
+def _motion(a: QuaternionPolynomial, c: RationalCurve, ts: list[float]):
+    """Unit generator values, frame columns and positions at the parameters ts.
 
-
-def _eval_generator(a: QuaternionPolynomial, t: float):
-    """Float quaternion value of A at t, second chart for |t| > 1.
-
-    In the second chart the value is s^deg(A) A(1/s), a nonzero multiple of
-    A(t); all frame formulas are scale invariant, so this is equivalent and
-    stable.
+    A is evaluated homogeneously, a nonzero multiple of A(t) in the second
+    chart; all frame formulas are scale invariant, so this is equivalent and
+    stable.  Returns arrays q[4, n], frame[column, axis, n], position[n, 3].
     """
-    if not math.isinf(t) and abs(t) <= 1.0:
-        return a.eval_float(t)
-    s = 0.0 if math.isinf(t) else 1.0 / t
-    w = x = y = z = 0.0
-    for c in a.coeffs:  # ascending: value = sum c_k s^(deg-k)
-        w = w * s + float(c.w)
-        x = x * s + float(c.x)
-        y = y * s + float(c.y)
-        z = z * s + float(c.z)
-    return (w, x, y, z)
+    vals = two_chart_eval(a.component_polys(), a.degree, ts)
+    w, x, y, z = vals
+    norm = np.sqrt(w * w + x * x + y * y + z * z)
+    if not norm.all():
+        raise ZeroDivisionError(f"generator vanishes at t = {ts[int(np.argmin(norm))]}")
+    q = vals / norm
+    w, x, y, z = q
+    frame = []
+    for vx, vy, vz in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
+        # q v q* for unit q, expanded
+        tx = 2.0 * (y * vz - z * vy)
+        ty = 2.0 * (z * vx - x * vz)
+        tz = 2.0 * (x * vy - y * vx)
+        frame.append(
+            (
+                vx + w * tx + (y * tz - z * ty),
+                vy + w * ty + (z * tx - x * tz),
+                vz + w * tz + (x * ty - y * tx),
+            )
+        )
+    return q, np.array(frame), c.eval_floats(ts)
+
+
+def _poses(ts, q, frame, positions) -> list[FramePose]:
+    return [
+        FramePose(t, tuple(p), tuple(r), tuple(map(tuple, f)))
+        for t, p, r, f in zip(
+            ts, positions.tolist(), q.T.tolist(), frame.transpose(2, 0, 1).tolist()
+        )
+    ]
 
 
 def euler_rodriguez_pose(a: QuaternionPolynomial, c: RationalCurve, t: float) -> FramePose:
     """Pose of the framing motion at parameter t (inf allowed)."""
-    qw, qx, qy, qz = _eval_generator(a, t)
-    norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-    if norm == 0.0:
-        raise ZeroDivisionError(f"generator vanishes at t = {t}")
-    q = (qw / norm, qx / norm, qy / norm, qz / norm)
-    frame = tuple(
-        _quat_rotate(q, v) for v in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    )
-    position = tuple(c.eval_float(t))
-    return FramePose(t, position, q, frame)
+    return _poses([t], *_motion(a, c, [t]))[0]
 
 
 def sample_motion(a: QuaternionPolynomial, c: RationalCurve, n: int) -> list[FramePose]:
@@ -306,22 +302,16 @@ def sample_motion(a: QuaternionPolynomial, c: RationalCurve, n: int) -> list[Fra
     """
     if n < 2:
         raise ValueError("at least 2 poses required")
-    poses = []
-    prev = None
-    for t in angle_parameters(n):
-        pose = euler_rodriguez_pose(a, c, t)
-        if prev is not None:
-            dot = sum(p * q for p, q in zip(prev.rotation, pose.rotation))
-            if dot < 0.0:
-                pose = FramePose(
-                    pose.parameter,
-                    pose.position,
-                    tuple(-v for v in pose.rotation),
-                    pose.frame,
-                )
-        poses.append(pose)
-        prev = pose
-    return poses
+    ts = angle_parameters(n)
+    q, frame, positions = _motion(a, c, ts)
+    prod = q[:, :-1] * q[:, 1:]
+    sign = 1.0
+    signs = [sign]
+    for dot in (prod[0] + prod[1] + prod[2] + prod[3]).tolist():
+        # flip when the rotation points away from the aligned previous one
+        sign = -1.0 if sign * dot < 0.0 else 1.0
+        signs.append(sign)
+    return _poses(ts, q * np.array(signs), frame, positions)
 
 
 def closure_integral(c: RationalCurve, samples: int = 2048) -> tuple[float, float, float]:
@@ -331,35 +321,9 @@ def closure_integral(c: RationalCurve, samples: int = 2048) -> tuple[float, floa
     periodic trapezoid rule; for a closed bounded curve the exact value is
     zero componentwise, so the return value is a closure diagnostic.
     """
-    thetas = 2.0 * math.pi * np.arange(samples) / samples
-    ts = np.array([parameter_of_angle(float(th)) for th in thetas])
-    near = np.isfinite(ts) & (np.abs(ts) <= 1.0)
-    far = ~near
-    ss = np.zeros(samples)
-    ss[far] = np.where(np.isinf(ts[far]), 0.0, 1.0 / ts[far])
-
-    out = []
-    for comp in c.hodograph():
-        vals = np.zeros(samples)
-        if not comp.is_zero:
-            nc = np.array(comp.numerator.float_coeffs())
-            dc = np.array(comp.denominator.float_coeffs())
-            gap = comp.denominator.degree - comp.numerator.degree
-            # r'(t) (1+t^2)/2 in the near chart
-            tn = ts[near]
-            vals[near] = (
-                np.polynomial.polynomial.polyval(tn, nc)
-                / np.polynomial.polynomial.polyval(tn, dc)
-                * (1.0 + tn * tn)
-                / 2.0
-            )
-            # second chart: s^(gap-2) (1+s^2) rev_n(s) / (2 rev_d(s))
-            sf = ss[far]
-            rev_n = np.polynomial.polynomial.polyval(sf, nc[::-1])
-            rev_d = np.polynomial.polynomial.polyval(sf, dc[::-1])
-            with np.errstate(invalid="ignore"):
-                power = np.where(sf == 0.0, float(gap == 2), sf ** (gap - 2))
-            vals[far] = power * (1.0 + sf * sf) * rev_n / (2.0 * rev_d)
-        # dt/dtheta = -(1+t^2)/2; the sign flips orientation only
-        out.append(-2.0 * math.pi * float(np.mean(vals)))
-    return tuple(out)
+    ts = angle_parameters(samples)
+    # dt/dtheta = -(1+t^2)/2; the sign flips orientation only
+    return tuple(
+        -2.0 * math.pi * float(np.mean((h * _HALF_CIRCLE).eval_floats(ts)))
+        for h in c.hodograph()
+    )

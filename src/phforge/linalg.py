@@ -31,10 +31,6 @@ def rref(rows: list[list[Fraction]]):
     return m, pivots
 
 
-def rank(rows) -> int:
-    return len(rref(rows)[1])
-
-
 def nullspace(rows: list[list[Fraction]], ncols: int | None = None):
     """Kernel basis with the standard free-variable convention.
 
@@ -85,10 +81,6 @@ def span_contains(basis: list[list[Fraction]], v: list[Fraction]) -> bool:
     cols = [list(b) for b in basis]
     rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(v))]
     return solve(rows, list(v)) is not None
-
-
-def spans_equal(a: list[list[Fraction]], b: list[list[Fraction]]) -> bool:
-    return all(span_contains(a, v) for v in b) and all(span_contains(b, v) for v in a)
 
 
 def primitive_integer_vector(v: list[Fraction]) -> list[int]:

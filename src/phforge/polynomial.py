@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .rationals import GaussianRational
 
 
@@ -193,12 +195,6 @@ class Polynomial:
             return Fraction(0) if not isinstance(x, GaussianRational) else GaussianRational(0)
         return acc
 
-    def eval_float(self, t: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + float(c)
-        return acc
-
     def float_coeffs(self) -> list[float]:
         return [float(c) for c in self.coeffs]
 
@@ -210,18 +206,6 @@ class Polynomial:
 
     def map_coeffs(self, fn) -> "Polynomial":
         return Polynomial([fn(c) for c in self.coeffs])
-
-    def reversed_padded(self, degree: int) -> "Polynomial":
-        """Coefficient reversal relative to ``degree``: t^degree * p(1/t).
-
-        Used for evaluation in the second chart of the projective line.
-        """
-        if degree < self.degree:
-            raise ValueError("padding degree below polynomial degree")
-        rev = [Fraction(0)] * (degree + 1)
-        for i, c in enumerate(self.coeffs):
-            rev[degree - i] = c
-        return Polynomial(rev)
 
     def homogeneous_eval(self, p: "Polynomial", q: "Polynomial", degree: int) -> "Polynomial":
         """Evaluate the degree-homogenized polynomial at polynomials (p, q).
@@ -259,6 +243,50 @@ class Polynomial:
             else:
                 parts.append(f"{c}*t^{i}")
         return "Polynomial(" + " + ".join(parts) + ")"
+
+
+def two_chart_eval(polys, degree: int, ts) -> np.ndarray:
+    """Float values of polynomials homogenized to ``degree`` on the projective line.
+
+    Entry [i, j] is p_i(t_j) when |t_j| <= 1 and s^degree p_i(1/s) with
+    s = 1/t_j otherwise (s = 0 at t = +-inf).  The two charts differ by the
+    factor t^degree shared by every row, so quotients and normalized columns
+    do not depend on the chart, and the closure point t = infinity is an
+    ordinary point.  Horner's rule runs with |t| <= 1 or |s| < 1 only.
+    """
+    ts = np.asarray(ts, dtype=float)
+    coeffs = np.zeros((degree + 1, len(polys), 1))  # [power, poly, broadcast over ts]
+    for i, p in enumerate(polys):
+        if p.degree > degree:
+            raise ValueError("homogenization degree below polynomial degree")
+        coeffs[: p.degree + 1, i, 0] = p.float_coeffs()
+    near = np.abs(ts) <= 1.0
+    out = np.empty((len(polys), ts.size))
+    # Horner starts at the highest power: c_degree of t, or c_0 of s
+    for mask, x, order in ((near, ts[near], coeffs[::-1]), (~near, 1.0 / ts[~near], coeffs)):
+        if not x.size:
+            continue  # keeps single-point calls cheap
+        acc = np.zeros((len(polys), x.size))
+        for c in order:
+            acc = acc * x + c
+        out[:, mask] = acc
+    return out
+
+
+def two_chart_quotients(nums, den: Polynomial, degree: int, ts) -> np.ndarray:
+    """Float values of nums[i] / den at ts via ``two_chart_eval``.
+
+    Raises ZeroDivisionError at a finite pole and OverflowError where the
+    quotient is unbounded at t = +-inf.
+    """
+    ts = np.asarray(ts, dtype=float)
+    *vals, den_vals = two_chart_eval((*nums, den), degree, ts)
+    if not den_vals.all():
+        t = float(ts[np.argmin(den_vals != 0.0)])
+        if math.isinf(t):
+            raise OverflowError("unbounded rational function at infinity")
+        raise ZeroDivisionError(f"pole at t = {t}")
+    return np.array(vals) / den_vals
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -203,15 +203,6 @@ class QuaternionPolynomial:
             acc = acc * Fraction(t) + c if acc else c
         return acc
 
-    def eval_float(self, t: float) -> tuple[float, float, float, float]:
-        w = x = y = z = 0.0
-        for c in reversed(self.coeffs):
-            w = w * t + float(c.w)
-            x = x * t + float(c.x)
-            y = y * t + float(c.y)
-            z = z * t + float(c.z)
-        return (w, x, y, z)
-
     def __repr__(self):
         return f"QuaternionPolynomial({list(self.coeffs)!r})"
 

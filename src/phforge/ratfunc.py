@@ -13,12 +13,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import RationalityError
 from .polynomial import (
     Polynomial,
     modular_inverse,
     poly_gcd,
     squarefree_decomposition,
+    two_chart_quotients,
 )
 
 _INF = float("inf")
@@ -148,30 +151,13 @@ class RationalFunction:
             raise ZeroDivisionError(f"pole at t = {t}")
         return self.numerator(Fraction(t)) / den
 
+    def eval_floats(self, ts) -> np.ndarray:
+        """Two-chart float values at the parameters ts (inf allowed)."""
+        d = max(self.numerator.degree, self.denominator.degree)
+        return two_chart_quotients((self.numerator,), self.denominator, d, ts)[0]
+
     def eval_float(self, t: float) -> float:
-        """Two-chart float evaluation, stable for large |t| (including inf)."""
-        if self.is_zero:
-            return 0.0
-        dn, dd = self.numerator.degree, self.denominator.degree
-        if math.isinf(t):
-            s = 0.0
-        elif abs(t) <= 1.0:
-            return self.numerator.eval_float(t) / self.denominator.eval_float(t)
-        else:
-            s = 1.0 / t
-        gap = dd - dn
-        if math.isinf(t) and gap > 0:
-            return 0.0
-        if gap < 0:
-            raise OverflowError("unbounded rational function at infinity")
-        # Horner over ascending coefficients evaluates the reversed polynomial
-        num_rev = 0.0
-        for c in self.numerator.coeffs:
-            num_rev = num_rev * s + float(c)
-        den_rev = 0.0
-        for c in self.denominator.coeffs:
-            den_rev = den_rev * s + float(c)
-        return (s**gap) * num_rev / den_rev
+        return float(self.eval_floats([t])[0])
 
     def __repr__(self):
         return f"RationalFunction({self.numerator!r}, {self.denominator!r})"

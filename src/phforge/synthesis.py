@@ -13,9 +13,11 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 
+import numpy as np
+
 from . import linalg
 from .errors import DegreeError
-from .polynomial import Polynomial, poly_gcd
+from .polynomial import Polynomial, poly_gcd, two_chart_quotients
 from .quaternion import QI, QuaternionPolynomial, is_i_reduced, rotate_vector
 from .ratfunc import (
     PoleStructure,
@@ -223,8 +225,12 @@ class RationalCurve:
         dv = self.den(tv)
         return tuple(n(tv) / dv for n in self.nums)
 
+    def eval_floats(self, ts) -> np.ndarray:
+        """Two-chart float positions at the parameters ts (inf allowed), one row each."""
+        return two_chart_quotients(self.nums, self.den, self.den.degree, ts).T
+
     def eval_float(self, t: float):
-        return tuple(RationalFunction(n, self.den).eval_float(t) for n in self.nums)
+        return tuple(self.eval_floats([t])[0].tolist())
 
     def translate(self, vec) -> "RationalCurve":
         nums = tuple(n + Fraction(v) * self.den for n, v in zip(self.nums, vec))

@@ -24,6 +24,7 @@ from phforge import (
     residue_at,
     synthesize_curve,
 )
+from phforge.linalg import span_contains
 
 
 def generator_deg3() -> QP:
@@ -40,6 +41,11 @@ def generator_deg3() -> QP:
 
 def poles_single(b, c, mult) -> PoleStructure:
     return PoleStructure((QuadraticFactor(b, c, mult),))
+
+
+def spans_equal(a, b) -> bool:
+    """Whether two lists of exact vectors span the same space."""
+    return all(span_contains(a, v) for v in b) and all(span_contains(b, v) for v in a)
 
 
 # Printed reference curves over the denominator 798960 (t^2+4)^5.

@@ -16,6 +16,7 @@ from phforge import (
     SynthesisProblem,
     build_residue_system,
     closure_integral,
+    closure_point,
     convex_hull_contains_origin,
     euler_rodriguez_pose,
     reparameterize,
@@ -230,6 +231,34 @@ class TestSampleMotion:
         prob, curve = reference_curve()
         with pytest.raises(ValueError):
             sample_motion(prob.a_poly, curve, 1)
+
+    def test_positions_exact_across_chart_boundary(self):
+        # angle 0 is t = inf; angles pi/2 and 3pi/2 round to |t| just below 1,
+        # so the exact chart edges t = +-1 and their neighbours are added
+        prob, curve = reference_curve()
+        poses = sample_motion(prob.a_poly, curve, 2048)
+        edges = [1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(-1.0, -2.0)]
+        ts = [p.parameter for p in poses] + edges
+        assert math.isinf(ts[0]) and abs(ts[512]) == abs(ts[1536]) == math.nextafter(1.0, 0.0)
+        limit = closure_point(curve)
+        exact = np.array(
+            [
+                [float(v) for v in (limit if math.isinf(t) else curve.evaluate(F(t)))]
+                for t in ts
+            ]
+        )
+        sampled = np.vstack([[p.position for p in poses], curve.eval_floats(edges)])
+        err = np.linalg.norm(sampled - exact, axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(exact, axis=1))
+        for pose in poses:
+            single = euler_rodriguez_pose(prob.a_poly, curve, pose.parameter)
+            assert (single.position, single.frame) == (pose.position, pose.frame)
+            assert single.rotation in (pose.rotation, tuple(-v for v in pose.rotation))
+
+    def test_vanishing_generator_rejected(self):
+        # A = t vanishes at t = 0, the parameter of angle pi for even n
+        with pytest.raises(ZeroDivisionError):
+            sample_motion(QP([Quaternion.of(0), QONE]), circle_curve(), 4)
 
 
 class TestClosureIntegral:

@@ -18,10 +18,9 @@ from phforge import (
     sturm_real_root_count,
     synthesize_curve,
 )
-from phforge.linalg import spans_equal
 from phforge.quaternion import QJ, QONE
 
-from helpers import MU0, MU2, generator_deg3, poles_single
+from helpers import MU0, MU2, generator_deg3, poles_single, spans_equal
 
 # the three symmetric matrices spanning the residue-compatible Gram slice
 # for the degree-3 generator with denominator (t^2+4)^6

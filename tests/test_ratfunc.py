@@ -166,6 +166,13 @@ class TestReparameterize:
         assert mobius_jacobian(0, 1, 1, 0) == RF(P([-1]), P([0, 0, 1]))
 
 
+def test_eval_float_unbounded_only_at_infinity():
+    f = RF(P([0, 1]))
+    assert [f.eval_float(t) for t in (0.5, 2.0, -3.0)] == [0.5, 2.0, -3.0]
+    with pytest.raises(OverflowError):
+        f.eval_float(float("inf"))
+
+
 class TestPartialFractions:
     def test_two_factor_split_and_resum(self):
         m1 = P([1, 0, 1]) ** 2
