@@ -68,6 +68,12 @@ def _rational(value, where: str) -> Fraction:
         raise ParseError(str(exc), where) from None
 
 
+def _quaternion(entry, where: str) -> Quaternion:
+    if not isinstance(entry, list) or len(entry) != 4:
+        raise ParseError("expected [w,x,y,z]", where)
+    return Quaternion(*(_rational(v, f"{where}[{j}]") for j, v in enumerate(entry)))
+
+
 def parse_config(data) -> ProblemConfig:
     """Validate a config mapping; error messages carry the offending field."""
     if not isinstance(data, dict):
@@ -75,14 +81,7 @@ def parse_config(data) -> ProblemConfig:
     quat = data.get("quaternion")
     if not isinstance(quat, list) or not quat:
         raise ParseError("expected a nonempty array of [w,x,y,z] entries", "quaternion")
-    coeffs = []
-    for i, entry in enumerate(quat):
-        if not isinstance(entry, list) or len(entry) != 4:
-            raise ParseError("expected [w,x,y,z]", f"quaternion[{i}]")
-        coeffs.append(
-            Quaternion(*(_rational(v, f"quaternion[{i}][{j}]") for j, v in enumerate(entry)))
-        )
-    a_poly = QuaternionPolynomial(coeffs)
+    a_poly = QuaternionPolynomial([_quaternion(e, f"quaternion[{i}]") for i, e in enumerate(quat)])
     if a_poly.is_zero:
         raise ParseError("zero polynomial", "quaternion")
 
@@ -419,19 +418,22 @@ def load_bundle(path: str) -> Bundle:
     nums = curve_raw.get("numerators")
     if not isinstance(nums, list) or len(nums) != 3:
         raise ParseError("expected three numerators", "curve.numerators")
-    curve = RationalCurve(
-        tuple(_poly_from_rats(n, f"curve.numerators[{i}]") for i, n in enumerate(nums)),
-        _poly_from_rats(curve_raw.get("denominator"), "curve.denominator"),
-        generator=cfg.a_poly,
-        poles=cfg.poles,
-        mu=_poly_from_rats(data["mu"], "mu") if "mu" in data else None,
-    )
+    nums = tuple(_poly_from_rats(n, f"curve.numerators[{i}]") for i, n in enumerate(nums))
+    den = _poly_from_rats(curve_raw.get("denominator"), "curve.denominator")
+    mu = _poly_from_rats(data["mu"], "mu") if "mu" in data else None
+    try:
+        curve = RationalCurve(nums, den, generator=cfg.a_poly, poles=cfg.poles, mu=mu)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(str(exc), "curve") from None
+    gen_raw = data.get("generator", {})
+    if not isinstance(gen_raw, dict):
+        raise ParseError("expected an object", "generator")
+    entries = gen_raw.get("coefficients") or []
+    if not isinstance(entries, list):
+        raise ParseError("expected an array of [w,x,y,z] entries", "generator.coefficients")
     gen = QuaternionPolynomial(
-        [
-            Quaternion(*(_rational(v, f"generator[{i}]") for v in entry))
-            for i, entry in enumerate(data.get("generator", {}).get("coefficients", []))
-        ]
-    ) if data.get("generator", {}).get("coefficients") else cfg.a_poly
+        [_quaternion(e, f"generator.coefficients[{i}]") for i, e in enumerate(entries)]
+    ) if entries else cfg.a_poly
     return Bundle(cfg, curve, gen, data)
 
 

@@ -1,10 +1,10 @@
 """Exact univariate rational-function calculus.
 
-Residues at irreducible quadratic poles are computed inside the extension
-field Q[t]/(Q(t)), so no irrational or floating complex numbers appear
-anywhere.  Rational antiderivatives come from Hermite reduction, which only
-needs gcd arithmetic and therefore works without root finding; real-root
-counting is Sturm's method over the rationals.
+Residues at irreducible quadratic poles come from a truncated Laurent
+series over the extension field Q[t]/(Q(t)), so no irrational or floating
+complex numbers appear anywhere.  Rational antiderivatives come from
+Hermite reduction, which only needs gcd arithmetic and therefore works
+without root finding; real-root counting is Sturm's method over Q.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .errors import RationalityError
 from .polynomial import (
     Polynomial,
     modular_inverse,
+    poly_ext_gcd,
     poly_gcd,
     squarefree_decomposition,
     two_chart_quotients,
@@ -282,67 +283,67 @@ class ExtensionElement:
             return self._like(self.r0 / other, self.r1 / other)
         return self * other.inverse()
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self._like(1, 0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     @property
     def is_zero(self) -> bool:
         return self.r0 == 0 and self.r1 == 0
 
-    @classmethod
-    def from_polynomial(cls, p: Polynomial, factor: QuadraticFactor) -> "ExtensionElement":
-        r = p % factor.poly()
-        return cls(r.coefficient(0), r.coefficient(1), factor.b, factor.c)
+
+def _strip_factor(p: Polynomial, q: Polynomial) -> tuple[Polynomial, int]:
+    """(s, m) with p = q^m s and q not dividing s; p must be nonzero."""
+    m = 0
+    while True:
+        quo, rem = divmod(p, q)
+        if not rem.is_zero:
+            return p, m
+        p, m = quo, m + 1
+
+
+def _times_shift(h: list, a: ExtensionElement) -> list:
+    """The series h times (a + x), truncated to len(h) terms."""
+    return [h[0] * a] + [h[i] * a + h[i - 1] for i in range(1, len(h))]
+
+
+def _series_mul(f: list, g: list) -> list:
+    """Product of two truncated series of equal length."""
+    return [sum(f[i] * g[n - i] for i in range(n + 1)) for n in range(len(f))]
+
+
+def _shifted_taylor(p: Polynomial, q: QuadraticFactor, n: int) -> list:
+    """p(theta + x) mod x^n by Horner's rule, theta the class of t in Q[t]/(Q)."""
+    theta = ExtensionElement(Fraction(0), Fraction(1), q.b, q.c)
+    out = [theta * 0] * n
+    for c in reversed(p.coeffs):
+        out = _times_shift(out, theta)
+        out[0] = out[0] + c
+    return out
+
+
+def _pole_series(s: Polynomial, q: QuadraticFactor, m: int) -> list:
+    """Taylor coefficients at theta of 1/((t - theta')^m s(t)), mod x^m.
+
+    theta' = -b - theta is the other root of Q, so t - theta' = x + 2 theta + b
+    at t = theta + x; s must be coprime to Q.  For f = N / (Q^m s) the residue
+    at theta is coefficient m - 1 of N(theta + x) times this series.
+    """
+    den = _shifted_taylor(s, q, m)
+    for _ in range(m):
+        den = _times_shift(den, ExtensionElement(q.b, Fraction(2), q.b, q.c))
+    out = [den[0].inverse()]
+    for n in range(1, m):
+        out.append(-sum(den[i] * out[n - i] for i in range(1, n + 1)) * out[0])
+    return out
 
 
 def residue_at(f: RationalFunction, q: QuadraticFactor) -> ExtensionElement:
-    """Residue of f at the root z of Q inside Q[t]/(Q(t)).
+    """Residue of f at the root theta of Q inside Q[t]/(Q(t)).
 
-    With m the multiplicity of Q in the reduced denominator, the residue is
-    (1/(m-1)!) d^{m-1}/dt^{m-1}[f (t-z)^m] at z.  Writing the denominator as
-    Q^m s with gcd(s, Q) = 1 and h = num/s, the Leibniz rule turns this into
-    a finite sum of h^(k)(theta) against derivatives of (t - zbar)^{-m},
-    where z - zbar = 2 theta + b.  The residue at zbar is the conjugate and
-    is not computed separately.
+    Read off the local series at theta (``_pole_series``) for the reduced
+    denominator Q^m s.  The residue at the other root is the conjugate.
     """
-    Q = q.poly()
-    s = f.denominator
-    m = 0
-    while True:
-        quo, rem = divmod(s, Q)
-        if rem.is_zero:
-            s, m = quo, m + 1
-        else:
-            break
+    s, m = _strip_factor(f.denominator, q.poly())
     if m == 0:
         raise ValueError("quadratic is not a factor of the denominator")
-
-    theta = ExtensionElement(Fraction(0), Fraction(1), q.b, q.c)
-    s_at = ExtensionElement.from_polynomial(s, q)
-    inv_s = s_at.inverse()
-    dd_inv = (theta * 2 + q.b).inverse()  # 1/(z - zbar)
-
-    acc = ExtensionElement(Fraction(0), Fraction(0), q.b, q.c)
-    num_k = f.numerator  # h^(k) = num_k / s^(k+1)
-    fact = math.factorial(m - 1)
-    for k in range(m):
-        j = m - 1 - k
-        rising = math.prod(range(m, m + j))
-        coeff = Fraction(math.comb(m - 1, k) * (-1) ** j * rising, fact)
-        h_at = ExtensionElement.from_polynomial(num_k, q) * inv_s ** (k + 1)
-        acc = acc + h_at * coeff * dd_inv ** (2 * m - 1 - k)
-        if k + 1 < m:
-            num_k = num_k.derivative() * s - num_k * s.derivative() * (k + 1)
-    return acc
+    return _series_mul(_shifted_taylor(f.numerator, q, m), _pole_series(s, q, m))[-1]
 
 
 def sturm_real_root_count(p: Polynomial, lo=None, hi=None) -> int:
@@ -399,8 +400,6 @@ def _split_coprime(num: Polynomial, moduli: list[Polynomial]):
     rest = Polynomial.one()
     for m in moduli[1:]:
         rest = rest * m
-    from .polynomial import poly_ext_gcd
-
     g, u, v = poly_ext_gcd(m0, rest)
     if g.degree != 0:
         raise ValueError("moduli are not pairwise coprime")

@@ -20,13 +20,16 @@ from .errors import DegreeError
 from .polynomial import Polynomial, poly_gcd, two_chart_quotients
 from .quaternion import QI, QuaternionPolynomial, is_i_reduced, rotate_vector
 from .ratfunc import (
+    ExtensionElement,
     PoleStructure,
     QuadraticFactor,
     RationalFunction,
     hermite_antiderivative,
-    residue_at,
+    residue_at,  # noqa: F401  kept: perfbench's traced run patches this name here
     sturm_real_root_count,
 )
+from .ratfunc import _pole_series, _series_mul, _shifted_taylor, _split_coprime
+from .ratfunc import _strip_factor, _times_shift
 
 
 class SynthesisProblem:
@@ -114,33 +117,29 @@ class SolutionSpace:
         return self.combination(y)
 
 
-def _residue_row_pair(f: RationalFunction, q: QuadraticFactor):
-    """Residue of f at q's root, or zero when the pole cancelled entirely."""
-    try:
-        r = residue_at(f, q)
-        return r.r0, r.r1
-    except ValueError:
-        return Fraction(0), Fraction(0)
-
-
 def build_residue_system(p: SynthesisProblem) -> SolutionSpace:
     """Assemble the residue-vanishing conditions and their exact kernel.
 
-    For each factor, each of the three hodograph components contributes two
-    real linear equations (the two extension-field coordinates of the
-    residue); all rows are kept and the kernel is computed by exact
+    For each factor Q^M of alpha, one local series g at the root theta of Q
+    (``ratfunc._pole_series``) gives every residue: that of t^k w_c / alpha
+    is coefficient M - 1 of (theta + x)^k w_c(theta + x) g.  Each hodograph
+    component gives two real rows per factor (the two extension-field
+    coordinates); all rows are kept and the kernel is computed by exact
     elimination.  The trivial all-zero numerator is never part of the basis.
     """
     ncols = p.m + 1
     rows = []
     for q in p.poles.factors:
+        g = _pole_series(p.alpha.exact_div(q.poly() ** q.multiplicity), q, q.multiplicity)
+        theta = ExtensionElement(Fraction(0), Fraction(1), q.b, q.c)
         for wc in p.hodograph_dir:
+            h = _series_mul(_shifted_taylor(wc, q, q.multiplicity), g)
             entries = []
-            for k in range(ncols):
-                f = RationalFunction(Polynomial.monomial(k) * wc, p.alpha)
-                entries.append(_residue_row_pair(f, q))
-            rows.append([e[0] for e in entries])
-            rows.append([e[1] for e in entries])
+            for _ in range(ncols):
+                entries.append(h[-1])
+                h = _times_shift(h, theta)
+            rows.append([e.r0 for e in entries])
+            rows.append([e.r1 for e in entries])
     kernel = linalg.nullspace(rows, ncols)
     basis = [
         Polynomial(linalg.primitive_integer_vector(vec)) for vec in kernel
@@ -341,21 +340,12 @@ def elementary_decomposition(c: RationalCurve, poles: PoleStructure | None = Non
     used = []
     rest = c.den
     for f in poles.factors:
-        q = f.poly()
-        k = 0
-        while True:
-            quo, rem = divmod(rest, q)
-            if rem.is_zero:
-                rest, k = quo, k + 1
-            else:
-                break
+        rest, k = _strip_factor(rest, f.poly())
         if k:
-            moduli.append(q**k)
+            moduli.append(f.poly() ** k)
             used.append(QuadraticFactor(f.b, f.c, k))
     if rest.degree != 0:
         raise ValueError("denominator has factors outside the pole structure")
-
-    from .ratfunc import _split_coprime
 
     per_factor = [[] for _ in moduli]
     poly_parts = []

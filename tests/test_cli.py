@@ -181,10 +181,27 @@ class TestSampleExports:
     def test_unknown_format_exit_4(self, bundle_path, capsys):
         assert main(["sample", "--config", bundle_path, "--format", "gif"]) == 4
 
-    def test_corrupt_bundle_exit_4(self, tmp_path, capsys):
+    def test_corrupt_bundle_exit_4(self, bundle_path, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{]")
         assert main(["sample", "--config", str(bad)]) == 4
+        with open(bundle_path) as fh:
+            good = json.load(fh)
+        corruptions = [
+            ("curve", ("curve", "denominator"), ["-1", "0", "1"]),  # real roots
+            ("curve", ("curve", "denominator"), ["0"]),
+            ("curve", ("curve", "numerators"), [["0"] * 20 + ["1"], ["0"], ["0"]]),  # unbounded
+            ("generator.coefficients[0]", ("generator", "coefficients"), [["1", "0", "0"]]),
+            ("generator.coefficients[0]", ("generator", "coefficients"), [5]),
+            ("generator.coefficients", ("generator", "coefficients"), 5),
+        ]
+        for field, (outer, inner), value in corruptions:
+            data = json.loads(json.dumps(good))
+            data[outer][inner] = value
+            bad.write_text(json.dumps(data))
+            capsys.readouterr()
+            assert main(["sample", "--config", str(bad), "--samples", "16"]) == 4, (outer, inner, value)
+            assert f"{field}:" in capsys.readouterr().err
 
 
 class TestFrames:

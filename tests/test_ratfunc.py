@@ -38,6 +38,23 @@ class TestResidues:
         res = residue_at(RF(P([0, 1]), P([1, 0, 1])), Q_UNIT)
         assert res.r0 == F(1, 2) and res.r1 == 0
 
+    def test_two_factor_denominator(self):
+        # f = N / ((t^2+1)^2 (t^2+4)): the residue at i is d/dt[N / ((t+i)^2 (t^2+4))]
+        # at t = i, which gives -i/36 for N = 1 and -1/18 for N = t
+        den = P([1, 0, 1]) ** 2 * P([4, 0, 1])
+        q = QuadraticFactor(0, 1, 2)
+        assert residue_at(RF(P([1]), den), q) == ExtensionElement(F(0), F(-1, 36), F(0), F(1))
+        assert residue_at(RF(P([0, 1]), den), q) == ExtensionElement(F(-1, 18), F(0), F(0), F(1))
+        # deg f <= -2, so the residues at all four roots sum to zero; the pair
+        # at the roots of t^2 + b t + c sums to 2 r0 - b r1
+        factors = (QuadraticFactor(1, 3, 3), QuadraticFactor(0, 5, 2))
+        den = PoleStructure(factors).alpha()
+        rng = random.Random(5)
+        for _ in range(5):
+            f = RF(P([rng.randint(-9, 9) for _ in range(den.degree - 1)]), den)
+            pairs = [residue_at(f, q) for q in factors]
+            assert sum(2 * r.r0 - q.b * r.r1 for r, q in zip(pairs, factors)) == 0
+
     def test_reference_numerator_annihilates_residues(self):
         # mu = -89 t^2 + 7036 makes all hodograph residues vanish at (t^2+4)^5
         w = rotate_vector(generator_deg3(), QI).vector_polys()

@@ -7,6 +7,7 @@ from phforge import (
     PoleStructure,
     Polynomial as P,
     QuadraticFactor,
+    Quaternion,
     QuaternionPolynomial as QP,
     RationalCurve,
     RationalFunction as RF,
@@ -35,6 +36,32 @@ from helpers import (
 
 def problem(mult):
     return SynthesisProblem(generator_deg3(), poles_single(0, 4, mult))
+
+
+def two_factor_problem(a_poly, mult_a, mult_b):
+    poles = PoleStructure((QuadraticFactor(0, 4, mult_a), QuadraticFactor(1, 3, mult_b)))
+    return SynthesisProblem(a_poly, poles)
+
+
+# Primitive kernel bases (ascending coefficients), recorded from a
+# per-monomial Leibniz-rule residue computation.
+KERNEL_DEG3_64_34 = (
+    (5975755558416, 9049087612848, 15089408508252, 12001869219960, 10023007226000,
+     4696234691879, 2332305660272, 574279986583, 160100129900, 6551319390),
+    (6283788617988, 6215557754064, 6557110888431, 3365291673540, 971213725610,
+     5696068442, -314237458339, -117024956486, -36111228070, 0, 3275659695),
+    (26161715979504, 11402584352112, 2042175004068, -10568266581000, -17448195991040,
+     -9518983180229, -6392915813312, -1356796905073, -491718330140, 0, 0, -6551319390),
+    (1104468650898984, 1442968077183552, 2153805234315498, 1581611610436680,
+     1190808868281115, 521742174524266, 232259103006868, 51745694109062,
+     12623987696905, 0, 0, 0, 3275659695),
+)
+KERNEL_PLANAR_44_33 = (
+    (19524568, -25294316, -12302810, -23934473, -9980213, -4522613, -1072668),
+    (53555336, -278025220, -140835310, -173294491, -51600295, -10372699, 0, 3218004),
+    (353751176, -1713995260, -316159510, -1011029365, -84864157, -121530805, 0, 0,
+     -3218004),
+)
 
 
 class TestResidueSystem:
@@ -81,6 +108,25 @@ class TestResidueSystem:
         space6 = build_residue_system(problem(6))
         lifted = space5.basis[0] * P([4, 0, 1])
         assert space6.contains(lifted)
+
+    def test_two_factor_kernel_pinned(self):
+        prob = two_factor_problem(generator_deg3(), 6, 4)
+        space = build_residue_system(prob)
+        assert tuple(mu.coeffs for mu in space.basis) == KERNEL_DEG3_64_34
+        for mu in space.basis:
+            synthesize_curve(prob, mu)  # Hermite reduction: no log terms left
+
+    def test_planar_generator_kernel_pinned(self):
+        # A = t^2 + k t + (1 + 2k): A i A* has z component 0, so every entry
+        # of those rows is the residue of a function with no pole at all
+        a_poly = QP([Quaternion.of(1, 0, 0, 2), Quaternion.of(0, 0, 0, 1), Quaternion.of(1)])
+        prob = two_factor_problem(a_poly, 4, 3)
+        assert prob.hodograph_dir[2].is_zero
+        space = build_residue_system(prob)
+        assert space.dimension == 3
+        assert tuple(mu.coeffs for mu in space.basis) == KERNEL_PLANAR_44_33
+        for mu in space.basis:
+            synthesize_curve(prob, mu)
 
     def test_degree_bookkeeping_rejected(self):
         with pytest.raises(DegreeError):
