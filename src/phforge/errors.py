@@ -21,7 +21,9 @@ class RationalityError(PhforgeError):
     """Integration would produce non-rational (log/arctan) terms.
 
     ``remainders`` holds ``(factor, numerator)`` pairs: the squarefree
-    denominator factors whose residual fraction did not vanish.
+    denominator factors whose residual fraction did not vanish.  From
+    ``synthesize_curve`` the factors are the quadratics of alpha, one pair
+    per pole factor and hodograph component that leaves a remainder.
     """
 
     def __init__(self, message: str, remainders=()):

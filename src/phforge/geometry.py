@@ -118,19 +118,24 @@ def tangent_indicatrix(a: QuaternionPolynomial) -> TangentIndicatrix:
 def speed_function(c: RationalCurve) -> RationalFunction:
     """Circle-chart speed L(t) = |r'(t)| (1 + t^2) / 2, exactly rational.
 
-    Raises NonPythagoreanError when |r'|^2 is not the square of a rational
-    function.  The sign is normalized so the numerator has positive leading
-    coefficient; for regular curves this is the everywhere-positive branch.
+    With r = (N_x, N_y, N_z) / den, |r'|^2 = S / den^4 for the polynomial
+    S = sum (N_i' den - N_i den')^2, so |r'| is rational exactly when S is a
+    polynomial square; the whole computation stays over den.  Raises
+    NonPythagoreanError when it is not.  The sign is normalized so the
+    numerator has positive leading coefficient; for regular curves this is
+    the everywhere-positive branch.
     """
-    hx, hy, hz = c.hodograph()
-    ssq = hx * hx + hy * hy + hz * hz
+    dd = c.den.derivative()
+    ssq = Polynomial.zero()
+    for n in c.nums:
+        h = n.derivative() * c.den - n * dd
+        ssq = ssq + h * h
     if ssq.is_zero:
         return RationalFunction.zero()
-    num = poly_sqrt(ssq.numerator)
-    den = poly_sqrt(ssq.denominator)
-    if num is None or den is None:
+    root = poly_sqrt(ssq)
+    if root is None:
         raise NonPythagoreanError("squared speed is not a rational square")
-    speed = RationalFunction(num, den) * _HALF_CIRCLE
+    speed = RationalFunction(root * _HALF_CIRCLE, c.den * c.den)
     if speed.numerator.leading() < 0:
         speed = -speed
     return speed

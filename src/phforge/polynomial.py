@@ -366,7 +366,11 @@ def _sqrt_fraction(x: Fraction):
 
 
 def poly_sqrt(p: Polynomial):
-    """Exact square root of a Fraction-coefficient polynomial, or None."""
+    """Exact square root of a Fraction-coefficient polynomial, or None.
+
+    The coefficients of q come top-down, each from one coefficient of p
+    (O(d^2) operations); the final check q*q == p rejects non-squares.
+    """
     if p.is_zero:
         return Polynomial.zero()
     n = p.degree
@@ -376,13 +380,12 @@ def poly_sqrt(p: Polynomial):
     if s is None:
         return None
     d = n // 2
-    q = Polynomial.monomial(d, s)
+    q = [Fraction(0)] * d + [s]
+    # coefficient d + i of q*q is 2 s q_i plus products of q_{i+1..d-1}
     for i in range(d - 1, -1, -1):
-        r = p - q * q
-        if r.is_zero:
-            break
-        coeff = r.coefficient(d + i) / (2 * s)
-        q = q + Polynomial.monomial(i, coeff)
-    if (p - q * q).is_zero:
-        return q
+        cross = sum(q[j] * q[d + i - j] for j in range(i + 1, d))
+        q[i] = (p.coeffs[d + i] - cross) / (2 * s)
+    root = Polynomial(q)
+    if root * root == p:
+        return root
     return None

@@ -19,7 +19,6 @@ from .errors import RationalityError
 from .polynomial import (
     Polynomial,
     modular_inverse,
-    poly_ext_gcd,
     poly_gcd,
     squarefree_decomposition,
     two_chart_quotients,
@@ -386,30 +385,22 @@ def sturm_real_root_count(p: Polynomial, lo=None, hi=None) -> int:
     return variations(lo_key) - variations(hi_key)
 
 
-def _split_coprime(num: Polynomial, moduli: list[Polynomial]):
-    """num / prod(moduli) = poly + sum A_i / M_i with deg A_i < deg M_i.
+def _split_coprime(nums, moduli: list[Polynomial]):
+    """num / prod(moduli) = poly + sum A_i / M_i with deg A_i < deg M_i, per num.
 
-    The moduli must be pairwise coprime; returns (poly_part, [A_i]).
+    The moduli must be pairwise coprime.  The inverse of each cofactor
+    prod(M_j, j != i) modulo M_i is computed once for all numerators, since
+    num = poly * prod(moduli) + sum A_i * cofactor_i gives A_i = num / cofactor_i
+    mod M_i.  Returns [(poly_part, [A_i])], one pair per numerator.
     """
-    if not moduli:
-        return num, []
-    if len(moduli) == 1:
-        q, r = divmod(num, moduli[0])
-        return q, [r]
-    m0 = moduli[0]
-    rest = Polynomial.one()
-    for m in moduli[1:]:
-        rest = rest * m
-    g, u, v = poly_ext_gcd(m0, rest)
-    if g.degree != 0:
-        raise ValueError("moduli are not pairwise coprime")
-    u = u * (1 / g.leading())
-    v = v * (1 / g.leading())
-    # num/(m0*rest) = num*v/m0 + num*u/rest
-    q1, a0 = divmod(num * v, m0)
-    rest_num = num * u + q1 * rest
-    poly_part, parts = _split_coprime(rest_num, moduli[1:])
-    return poly_part, [a0] + parts
+    prod = Polynomial.one()
+    for m in moduli:
+        prod = prod * m
+    inverses = [modular_inverse(prod.exact_div(m), m) for m in moduli]
+    return [
+        (num // prod, [(num % m * inv) % m for m, inv in zip(moduli, inverses)])
+        for num in nums
+    ]
 
 
 def partial_fractions(f: RationalFunction, moduli: list[Polynomial]):
@@ -423,16 +414,56 @@ def partial_fractions(f: RationalFunction, moduli: list[Polynomial]):
         prod = prod * m
     if prod.is_zero or prod.monic() != f.denominator:
         raise ValueError("moduli product does not match the denominator")
-    poly_part, parts = _split_coprime(f.numerator * prod.leading(), moduli)
+    [(poly_part, parts)] = _split_coprime([f.numerator * prod.leading()], moduli)
     return poly_part, [RationalFunction(a, m) for a, m in zip(parts, moduli)]
+
+
+def _hermite_reduce(nums, factors):
+    """(D, [N_i]) with N_i / D an antiderivative of nums[i] / prod s^k, D = prod s^(k-1).
+
+    ``factors`` are (s, k) pairs with s monic, squarefree and pairwise
+    coprime, and every nums[i] / prod s^k must be proper.  Hermite reduction
+    (Bronstein, *Symbolic Integration I*, ch. 2) strips one multiplicity of s
+    per step: b = -a ((j-1) s')^-1 mod s makes a/s^j - (b/s^(j-1))' a multiple
+    of 1/s^(j-1).  The split and the inverses of (j-1) s' are computed once
+    per factor for all numerators, and each antiderivative is summed as the
+    plain polynomial sum b_j s^(k-j) over s^(k-1), with no gcd.  A nonzero
+    remainder over a squarefree s is a log/arctan term and raises
+    RationalityError, with one (s, remainder) pair per factor and numerator.
+    """
+    splits = _split_coprime(nums, [s**k for s, k in factors])
+    den = Polynomial.one()
+    for s, k in factors:
+        den = den * s ** (k - 1)
+    out = [Polynomial.zero()] * len(nums)
+    remainders = []
+    for i, (s, k) in enumerate(factors):
+        ds = s.derivative()
+        steps = [(ds * (j - 1), modular_inverse(ds * (j - 1), s)) for j in range(k, 1, -1)]
+        cofactor = den.exact_div(s ** (k - 1))
+        for n, (_, parts) in enumerate(splits):
+            a, acc, power = parts[i], Polynomial.zero(), Polynomial.one()
+            for dsj, inv in steps:
+                b = (-a * inv) % s
+                acc = acc + b * power
+                power = power * s
+                a = (a + b * dsj - b.derivative() * s).exact_div(s)
+            if not a.is_zero:
+                remainders.append((s, a))
+            out[n] = out[n] + acc * cofactor
+    if remainders:
+        raise RationalityError(
+            "nonzero residues: antiderivative is not rational", remainders
+        )
+    return den, out
 
 
 def hermite_antiderivative(f: RationalFunction) -> RationalFunction:
     """Rational antiderivative g with g' = f and g(0) = 0.
 
     Works over Q with gcd arithmetic only (no root finding): Yun's squarefree
-    decomposition splits the denominator, and repeated reduction steps strip
-    one multiplicity at a time.  If after full reduction a fraction with
+    decomposition splits the denominator, and ``_hermite_reduce`` strips one
+    multiplicity at a time.  If after full reduction a fraction with
     squarefree denominator remains, the antiderivative has log/arctan parts;
     this is exactly the nonzero-residue case and raises RationalityError.
     """
@@ -440,32 +471,13 @@ def hermite_antiderivative(f: RationalFunction) -> RationalFunction:
     if den.degree > 0 and sturm_real_root_count(den) != 0:
         raise ValueError("denominator has real roots")
     poly_quot, rem = divmod(f.numerator, den)
-    result = RationalFunction(poly_quot.antiderivative())
-    if rem.is_zero:
-        return result - result.evaluate(Fraction(0))
-
-    _, squarefree = squarefree_decomposition(den)
-    moduli = [s**i for s, i in squarefree]
-    extra_poly, parts = _split_coprime(rem, moduli)
-    if not extra_poly.is_zero:
-        raise AssertionError("proper fraction produced a polynomial part")
-
-    remainders = []
-    for (s, mult), a in zip(squarefree, parts):
-        ds = s.derivative()
-        for k in range(mult, 1, -1):
-            inv = modular_inverse(ds * (k - 1), s)
-            b = (-a * inv) % s
-            result = result + RationalFunction(b, s ** (k - 1))
-            a = (a + b * ds * (k - 1) - b.derivative() * s).exact_div(s)
-        if not a.is_zero:
-            remainders.append((s, a))
-
-    if remainders:
-        raise RationalityError(
-            "nonzero residues: antiderivative is not rational", remainders
-        )
-    result = result - result.evaluate(Fraction(0))
+    num, anti_den = poly_quot.antiderivative(), Polynomial.one()
+    if not rem.is_zero:
+        _, squarefree = squarefree_decomposition(den)
+        anti_den, (rest,) = _hermite_reduce([rem], squarefree)
+        num = num * anti_den + rest
+    shift = num(Fraction(0)) / anti_den(Fraction(0))
+    result = RationalFunction(num - anti_den * shift, anti_den)
     if not (result.derivative() == f):
         raise AssertionError("antiderivative verification failed")
     return result

@@ -24,12 +24,12 @@ from .ratfunc import (
     PoleStructure,
     QuadraticFactor,
     RationalFunction,
-    hermite_antiderivative,
+    hermite_antiderivative,  # noqa: F401  kept: perfbench's traced run patches this name here
     residue_at,  # noqa: F401  kept: perfbench's traced run patches this name here
     sturm_real_root_count,
 )
-from .ratfunc import _pole_series, _series_mul, _shifted_taylor, _split_coprime
-from .ratfunc import _strip_factor, _times_shift
+from .ratfunc import _hermite_reduce, _pole_series, _series_mul, _shifted_taylor
+from .ratfunc import _split_coprime, _strip_factor, _times_shift
 
 
 class SynthesisProblem:
@@ -231,12 +231,6 @@ class RationalCurve:
     def eval_float(self, t: float):
         return tuple(self.eval_floats([t])[0].tolist())
 
-    def translate(self, vec) -> "RationalCurve":
-        nums = tuple(n + Fraction(v) * self.den for n, v in zip(self.nums, vec))
-        return RationalCurve(
-            nums, self.den, generator=self.generator, poles=self.poles, mu=self.mu
-        )
-
     def __add__(self, other: "RationalCurve") -> "RationalCurve":
         if not isinstance(other, RationalCurve):
             return NotImplemented
@@ -279,49 +273,40 @@ class RationalCurve:
 def synthesize_curve(p: SynthesisProblem, mu: Polynomial) -> RationalCurve:
     """Integrate the hodograph (mu/alpha) A i A* into a curve with r(0) = 0.
 
+    One Hermite reduction over the factors Q^M of alpha integrates all three
+    components over the common denominator D = prod Q^(M-1); the result is
+    checked exactly against the hodograph before RationalCurve reduces it.
     Raises RationalityError when mu violates the zero-residue conditions.
     Negative values of mu are permitted here; regularity is certified
     separately.
     """
     if mu.degree > p.m:
         raise DegreeError(f"deg mu = {mu.degree} exceeds m = {p.m}")
-    if mu.is_zero:
-        return RationalCurve(
-            (Polynomial.zero(),) * 3,
-            Polynomial.one(),
-            generator=p.a_poly,
-            poles=p.poles,
-            mu=mu,
-        )
-    comps = []
-    for wc in p.hodograph_dir:
-        f = RationalFunction(mu * wc, p.alpha)
-        comps.append(hermite_antiderivative(f))
-    curve = RationalCurve.from_components(
-        *comps, generator=p.a_poly, poles=p.poles, mu=mu
-    )
-    origin = curve.evaluate(Fraction(0))
-    if any(origin):
-        curve = curve.translate(tuple(-v for v in origin))
-    return curve
+    flows = [mu * wc for wc in p.hodograph_dir]
+    den, nums = _hermite_reduce(flows, [(q.poly(), q.multiplicity) for q in p.poles.factors])
+    nums = [n - den * (n(Fraction(0)) / den(Fraction(0))) for n in nums]
+    dd = den.derivative()
+    for n, flow in zip(nums, flows):
+        # (N/D)' = mu w_c / alpha, cleared of denominators
+        if (n.derivative() * den - n * dd) * p.alpha != flow * den * den:
+            raise AssertionError("hodograph verification failed")
+    return RationalCurve(nums, den, generator=p.a_poly, poles=p.poles, mu=mu)
 
 
 def closure_point(c: RationalCurve):
     """The common limit of the curve for t -> +infinity and t -> -infinity.
 
-    For a reduced bounded component this is the ratio of leading coefficients
-    (zero when the numerator degree is smaller); both directional limits
-    agree by rationality.
+    For a bounded component this is the ratio of leading coefficients (zero
+    when the numerator degree is smaller); a common monic factor of numerator
+    and denominator changes neither, so no gcd is taken.  Both directional
+    limits agree by rationality.
     """
     out = []
-    for comp in c.components():
-        if comp.is_zero:
-            out.append(Fraction(0))
-            continue
-        gap = comp.denominator.degree - comp.numerator.degree
+    for n in c.nums:
+        gap = c.den.degree - n.degree
         if gap < 0:
             raise ValueError("component is unbounded at infinity")
-        out.append(Fraction(0) if gap > 0 else comp.numerator.leading() / comp.denominator.leading())
+        out.append(n.leading() / c.den.leading() if gap == 0 else Fraction(0))
     return tuple(out)
 
 
@@ -347,13 +332,9 @@ def elementary_decomposition(c: RationalCurve, poles: PoleStructure | None = Non
     if rest.degree != 0:
         raise ValueError("denominator has factors outside the pole structure")
 
-    per_factor = [[] for _ in moduli]
-    poly_parts = []
-    for n in c.nums:
-        poly_part, parts = _split_coprime(n, moduli)
-        poly_parts.append(poly_part)
-        for i, a in enumerate(parts):
-            per_factor[i].append(a)
+    splits = _split_coprime(c.nums, moduli)
+    poly_parts = [poly_part for poly_part, _ in splits]
+    per_factor = [[parts[i] for _, parts in splits] for i in range(len(moduli))]
     out = []
     for i, m in enumerate(moduli):
         out.append(

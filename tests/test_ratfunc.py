@@ -19,7 +19,9 @@ from phforge import (
     rotate_vector,
     sturm_real_root_count,
 )
+from phforge.polynomial import poly_sqrt
 from phforge.quaternion import QI
+from phforge.ratfunc import _hermite_reduce
 
 from helpers import generator_deg3
 
@@ -115,6 +117,54 @@ class TestHermite:
         f = RF(P([3, 0, 3]), P([1]))
         g = hermite_antiderivative(f)
         assert g == RF(P([0, 3, 0, 1]), P([1]))
+
+    def test_shared_core_matches_per_fraction(self):
+        # numerators over (t^2+t+3)^3 (t^2+5)^2: a derivative with both poles,
+        # one sharing (t^2+5)^2 with the denominator, and zero
+        s1, s2 = P([3, 1, 1]), P([5, 0, 1])
+        den = s1**3 * s2**2
+        g = P([1, -2, 0, 3, 1])
+        d = s1**2 * s2
+        h = P([2, 0, -1])
+        nums = [
+            (g.derivative() * d - g * d.derivative()).exact_div(s1),
+            (h.derivative() * s1 - h * s1.derivative() * 2) * s2**2,
+            P([]),
+        ]
+        anti_den, outs = _hermite_reduce(nums, [(s1, 3), (s2, 2)])
+        assert anti_den == d
+        for n, out in zip(nums, outs):
+            anti = RF(out, anti_den)
+            assert anti - anti.evaluate(F(0)) == hermite_antiderivative(RF(n, den))
+
+    def test_shared_core_reports_remainder_per_factor(self):
+        # adding 1/(t^2+t+3) leaves a log/arctan term over that factor only
+        s1, s2 = P([3, 1, 1]), P([5, 0, 1])
+        with pytest.raises(RationalityError) as err:
+            _hermite_reduce([P([]), s1**2 * s2**2], [(s1, 3), (s2, 2)])
+        assert [s for s, _ in err.value.remainders] == [s1]
+
+
+class TestPolySqrt:
+    def test_squares_recovered(self):
+        for q in (
+            P([3, -2, 0, 5]),
+            P([F(1, 3), 0, 0, F(-2, 7), F(5, 2)]),
+            P([F(-1, 4), 0, F(9, 8)]),
+            P([7]),
+        ):
+            assert poly_sqrt(q * q) == q
+        assert poly_sqrt(P([1, 2, -3]) ** 2) == P([-1, -2, 3])
+        assert poly_sqrt(P([])) == P([])
+
+    def test_non_squares_rejected(self):
+        q = P([3, -2, 0, 5])
+        # the top half matches q^2, so only the final check rejects these
+        assert poly_sqrt(q * q + 1) is None
+        assert poly_sqrt(q * q + P([0, 1])) is None
+        assert poly_sqrt(P([0, 0, 0, 1])) is None  # odd degree
+        assert poly_sqrt(P([1, 0, 2])) is None  # leading 2 is not a square
+        assert poly_sqrt(P([1, 0, -1])) is None
 
 
 class TestSturm:

@@ -16,8 +16,11 @@ from phforge import (
     build_residue_system,
     closure_point,
     elementary_decomposition,
+    speed_function,
+    sturm_real_root_count,
     synthesize_curve,
 )
+from phforge.geometry import _HALF_CIRCLE
 from phforge.linalg import rref
 from phforge.quaternion import QI, QONE
 
@@ -156,8 +159,24 @@ class TestSynthesizeCurve:
         assert curve.evaluate(F(7)) == (0, 0, 0)
 
     def test_nonkernel_numerator_raises(self):
-        with pytest.raises(RationalityError):
-            synthesize_curve(problem(6), P([1]))
+        two_factor = two_factor_problem(generator_deg3(), 6, 4)
+        for prob, mu in ((problem(6), P([1])), (two_factor, P([1, 0, 1]))):
+            assert not build_residue_system(prob).contains(mu)
+            with pytest.raises(RationalityError) as err:
+                synthesize_curve(prob, mu)
+            assert err.value.remainders
+
+    def test_speed_closed_form(self):
+        # |r'| (1+t^2)/2 = mu |A|^2 / alpha (1+t^2)/2 for mu > 0: one pole factor,
+        # and two factors with mu off the single-factor subspace MU0 (t^2+t+3)^4
+        prob2 = two_factor_problem(generator_deg3(), 6, 4)
+        mu2 = MU0 * P([3, 1, 1]) ** 4 + build_residue_system(prob2).basis[0] * F(1, 10**10)
+        for prob, mu in ((problem(6), MU0), (prob2, mu2)):
+            assert sturm_real_root_count(mu) == 0 and mu.leading() > 0
+            curve = synthesize_curve(prob, mu)
+            expected = RF(mu * prob.a_poly.norm_poly(), prob.alpha) * RF(_HALF_CIRCLE)
+            assert speed_function(curve) == expected
+        assert curve.den.degree == 16  # both factors survive in the curve
 
     def test_starts_at_origin(self):
         curve = synthesize_curve(problem(6), MU0)
