@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import EmptyKernelError, ParseError, PhforgeError, RationalityError
+from .errors import ParseError, PhforgeError, RationalityError
 from .geometry import (
     angle_parameters,
     convex_hull_contains_origin,
@@ -194,13 +194,26 @@ def _finite_or_str(x: float):
     return x
 
 
-def _dump_json(obj, out_path: str | None):
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+def _emit(text: str, out_path: str | None):
+    """Write text to out_path, or to stdout when no path is given."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _dump_json(obj, out_path: str | None):
+    _emit(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n", out_path)
+
+
+def _pose_dict(p) -> dict:
+    return {
+        "parameter": _finite_or_str(p.parameter),
+        "position": list(p.position),
+        "rotation": list(p.rotation),
+        "frame": [list(col) for col in p.frame],
+    }
 
 
 # -- check -----------------------------------------------------------------
@@ -281,10 +294,7 @@ def cmd_synth(cfg: ProblemConfig, out_path: str, force: bool) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        slice_ = build_gram_slice(space)
-    except EmptyKernelError:
-        return 2
+    slice_ = build_gram_slice(space)
 
     rng = random.Random(cfg.seed)
     results, attempts_log = [], []
@@ -316,16 +326,12 @@ def cmd_synth(cfg: ProblemConfig, out_path: str, force: bool) -> int:
                 break
         results.append(found if found is not None else base)
 
-    curves = [synthesize_curve(problem, r.witness_mu) for r in results]
-    if len(curves) == 1:
-        curve = curves[0] * cfg.weights[0]
-    else:
-        curve = average_solutions(curves, cfg.weights)
-    cert = certify_regular(curve.mu)
+    mu = average_solutions([r.witness_mu for r in results], cfg.weights)
+    cert = certify_regular(mu)
     if not cert:
         print("combined numerator failed the exact regularity certificate", file=sys.stderr)
         return 3
-
+    curve = synthesize_curve(problem, mu)
     bundle = _build_bundle(cfg, problem, space, slice_, results, achieved, curve, cert, hull, attempts_log)
     _dump_json(bundle, out_path)
     return 0
@@ -376,15 +382,7 @@ def _build_bundle(cfg, problem, space, slice_, results, achieved, curve, cert, h
             "angles": [2.0 * math.pi * j / cfg.samples for j in range(cfg.samples)],
             "parameters": [_finite_or_str(p.parameter) for p in poses],
             "positions": [list(p.position) for p in poses],
-            "poses": [
-                {
-                    "parameter": _finite_or_str(p.parameter),
-                    "position": list(p.position),
-                    "rotation": list(p.rotation),
-                    "frame": [list(col) for col in p.frame],
-                }
-                for p in poses
-            ],
+            "poses": [_pose_dict(p) for p in poses],
             "speed": speeds,
         },
     }
@@ -422,7 +420,7 @@ def load_bundle(path: str) -> Bundle:
     den = _poly_from_rats(curve_raw.get("denominator"), "curve.denominator")
     mu = _poly_from_rats(data["mu"], "mu") if "mu" in data else None
     try:
-        curve = RationalCurve(nums, den, generator=cfg.a_poly, poles=cfg.poles, mu=mu)
+        curve = RationalCurve(nums, den, poles=cfg.poles, mu=mu)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(str(exc), "curve") from None
     gen_raw = data.get("generator", {})
@@ -446,24 +444,14 @@ def _write_csv(rows, header, out_path):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", out_path)
 
 
 def _write_obj(positions, out_path):
     lines = [f"v {repr(x)} {repr(y)} {repr(z)}" for x, y, z in positions]
     closed = " ".join(str(i + 1) for i in range(len(positions)))
     lines.append(f"l {closed} 1")
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", out_path)
 
 
 def _project(positions, view):
@@ -523,12 +511,7 @@ def _write_svg(bundle: Bundle, n: int, out_path):
         'font-family="sans-serif" font-size="14">speed polar plot</text>',
         "</svg>",
     ]
-    text = "\n".join(parts) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(parts) + "\n", out_path)
 
 
 def cmd_sample(bundle: Bundle, n: int, fmt: str, out_path) -> int:
@@ -557,18 +540,7 @@ def cmd_sample(bundle: Bundle, n: int, fmt: str, out_path) -> int:
 def cmd_frames(bundle: Bundle, n: int, fmt: str, out_path) -> int:
     poses = sample_motion(bundle.generator, bundle.curve, n)
     if fmt == "json":
-        _dump_json(
-            [
-                {
-                    "parameter": _finite_or_str(p.parameter),
-                    "position": list(p.position),
-                    "rotation": list(p.rotation),
-                    "frame": [list(col) for col in p.frame],
-                }
-                for p in poses
-            ],
-            out_path,
-        )
+        _dump_json([_pose_dict(p) for p in poses], out_path)
     elif fmt == "csv":
         rows = []
         for p in poses:

@@ -50,10 +50,6 @@ class Polynomial:
         return cls((1,))
 
     @classmethod
-    def x(cls) -> "Polynomial":
-        return cls((0, 1))
-
-    @classmethod
     def constant(cls, c) -> "Polynomial":
         return cls((c,))
 

@@ -23,7 +23,7 @@ from . import linalg
 from .errors import EmptyKernelError
 from .polynomial import Polynomial
 from .ratfunc import sturm_real_root_count
-from .synthesis import RationalCurve, SolutionSpace
+from .synthesis import SolutionSpace
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible-numerically"
@@ -65,12 +65,11 @@ class GramSlice:
     of the slice therefore satisfies the zero-residue conditions exactly.
     """
 
-    def __init__(self, dimension: int, basis_matrices, kernel_basis):
+    def __init__(self, dimension: int, basis_matrices):
         self.dimension = dimension
         self.basis_matrices = tuple(
             tuple(tuple(Fraction(v) for v in row) for row in mat) for mat in basis_matrices
         )
-        self.kernel_basis = tuple(kernel_basis)
 
     @property
     def slice_dimension(self) -> int:
@@ -149,7 +148,7 @@ def build_gram_slice(space: SolutionSpace, m: int | None = None) -> GramSlice:
         raise AssertionError(
             f"slice dimension {len(mats)} does not match expected {expected}"
         )
-    return GramSlice(n, mats, space.basis)
+    return GramSlice(n, mats)
 
 
 @dataclass(frozen=True)
@@ -320,12 +319,6 @@ def sdp_feasible_point(
     )
 
 
-def min_eigenvalue(g: GramSlice, x) -> float:
-    """Smallest eigenvalue of the slice matrix at coordinates x (floats)."""
-    m = np.einsum("a,aij->ij", np.array([float(v) for v in x]), g.float_basis())
-    return float(np.linalg.eigvalsh((m + m.T) / 2)[0])
-
-
 def sos_decomposition(mat) -> list[tuple[Fraction, Polynomial]]:
     """Exact LDL^T split of a positive definite rational Gram matrix.
 
@@ -353,22 +346,21 @@ def sos_decomposition(mat) -> list[tuple[Fraction, Polynomial]]:
     return out
 
 
-def average_solutions(curves, weights) -> RationalCurve:
-    """Positively weighted sum of solution curves sharing one generator.
+def average_solutions(mus, weights) -> Polynomial:
+    """Positively weighted sum of speed numerators from one residue kernel.
 
-    With a common pole structure the numerators add, so regular summands
-    yield a regular sum.
+    The curve integrated from mu is linear in mu, so ``synthesize_curve`` of
+    the sum equals the same weighted sum of the solution curves; strictly
+    positive numerators form a convex cone, so regular summands give a
+    regular sum.
     """
-    curves = list(curves)
+    mus = list(mus)
     weights = [Fraction(w) for w in weights]
-    if not curves or len(curves) != len(weights):
-        raise ValueError("one positive weight per curve required")
+    if not mus or len(mus) != len(weights):
+        raise ValueError("one positive weight per numerator required")
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be positive")
-    gen = curves[0].generator
-    if gen is None or any(c.generator != gen for c in curves):
-        raise ValueError("curves do not share a generator")
-    out = curves[0] * weights[0]
-    for c, w in zip(curves[1:], weights[1:]):
-        out = out + c * w
+    out = Polynomial.zero()
+    for mu, w in zip(mus, weights):
+        out = out + mu * w
     return out

@@ -30,10 +30,6 @@ class Quaternion:
     def scalar(cls, w) -> "Quaternion":
         return cls.of(w)
 
-    @classmethod
-    def vector(cls, x, y, z) -> "Quaternion":
-        return cls.of(0, x, y, z)
-
     def __add__(self, other: "Quaternion") -> "Quaternion":
         return Quaternion(self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z)
 

@@ -64,10 +64,6 @@ class RationalFunction:
     def constant(cls, c) -> "RationalFunction":
         return cls(Polynomial.constant(c))
 
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> "RationalFunction":
-        return cls(p)
-
     @property
     def is_zero(self) -> bool:
         return self.numerator.is_zero

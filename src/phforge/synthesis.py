@@ -61,9 +61,6 @@ class SynthesisProblem:
         self.alpha = poles.alpha()
         self.hodograph_dir = rotate_vector(a_poly, QI).vector_polys()
 
-    def kappa(self, mu: Polynomial) -> RationalFunction:
-        return RationalFunction(mu, self.alpha)
-
     def __repr__(self):
         return f"SynthesisProblem(deg A={self.a_poly.degree}, alpha deg={self.alpha.degree}, m={self.m})"
 
@@ -155,9 +152,9 @@ class RationalCurve:
     limits t -> +/-infinity exist and agree.
     """
 
-    __slots__ = ("nums", "den", "generator", "poles", "mu")
+    __slots__ = ("nums", "den", "poles", "mu")
 
-    def __init__(self, nums, den: Polynomial, *, generator=None, poles=None, mu=None):
+    def __init__(self, nums, den: Polynomial, *, poles=None, mu=None):
         nums = tuple(nums)
         if len(nums) != 3:
             raise ValueError("three components required")
@@ -182,7 +179,6 @@ class RationalCurve:
                 raise ValueError("unbounded component: numerator degree exceeds denominator")
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "mu", mu)
 
@@ -231,30 +227,11 @@ class RationalCurve:
     def eval_float(self, t: float):
         return tuple(self.eval_floats([t])[0].tolist())
 
-    def __add__(self, other: "RationalCurve") -> "RationalCurve":
-        if not isinstance(other, RationalCurve):
-            return NotImplemented
-        comps = [a + b for a, b in zip(self.components(), other.components())]
-        same_gen = self.generator == other.generator and self.generator is not None
-        same_poles = same_gen and self.poles == other.poles and self.poles is not None
-        mu = (
-            self.mu + other.mu
-            if same_poles and self.mu is not None and other.mu is not None
-            else None
-        )
-        return RationalCurve.from_components(
-            *comps,
-            generator=self.generator if same_gen else None,
-            poles=self.poles if same_poles else None,
-            mu=mu,
-        )
-
     def __mul__(self, scalar) -> "RationalCurve":
         f = Fraction(scalar)
         return RationalCurve(
             tuple(n * f for n in self.nums),
             self.den,
-            generator=self.generator,
             poles=self.poles,
             mu=self.mu * f if self.mu is not None else None,
         )
@@ -290,7 +267,7 @@ def synthesize_curve(p: SynthesisProblem, mu: Polynomial) -> RationalCurve:
         # (N/D)' = mu w_c / alpha, cleared of denominators
         if (n.derivative() * den - n * dd) * p.alpha != flow * den * den:
             raise AssertionError("hodograph verification failed")
-    return RationalCurve(nums, den, generator=p.a_poly, poles=p.poles, mu=mu)
+    return RationalCurve(nums, den, poles=p.poles, mu=mu)
 
 
 def closure_point(c: RationalCurve):
@@ -337,16 +314,7 @@ def elementary_decomposition(c: RationalCurve, poles: PoleStructure | None = Non
     per_factor = [[parts[i] for _, parts in splits] for i in range(len(moduli))]
     out = []
     for i, m in enumerate(moduli):
-        out.append(
-            RationalCurve(
-                tuple(per_factor[i]),
-                m,
-                generator=c.generator,
-                poles=PoleStructure((used[i],)),
-            )
-        )
+        out.append(RationalCurve(tuple(per_factor[i]), m, poles=PoleStructure((used[i],))))
     if any(not p.is_zero for p in poly_parts):
-        out.append(
-            RationalCurve(tuple(poly_parts), Polynomial.one(), generator=c.generator)
-        )
+        out.append(RationalCurve(tuple(poly_parts), Polynomial.one()))
     return out

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from phforge import certify_regular
+from phforge import SynthesisProblem, certify_regular, synthesize_curve
 from phforge.cli import load_bundle, main
 from phforge.polynomial import Polynomial as P
 from phforge.rationals import parse_rational
@@ -138,6 +138,10 @@ class TestSynth:
         bundle = json.loads(open(out).read())
         mu = P([parse_rational(v) for v in bundle["mu"]])
         assert certify_regular(mu)
+        # the averaged numerator integrates to the bundle's curve
+        loaded = load_bundle(out)
+        problem = SynthesisProblem(loaded.generator, loaded.config.poles)
+        assert synthesize_curve(problem, mu) == loaded.curve
 
 
 class TestSampleExports:

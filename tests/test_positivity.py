@@ -209,16 +209,12 @@ class TestSosDecomposition:
 
 
 class TestAverageSolutions:
-    def setup_method(self):
-        self.prob = SynthesisProblem(generator_deg3(), poles_single(0, 4, 6))
-        self.r0 = synthesize_curve(self.prob, MU0)
-        self.r2 = synthesize_curve(self.prob, MU2)
-
     def test_single_curve_identity(self):
-        out = average_solutions([self.r0], [F(1)])
-        assert all(
-            (a - b).is_zero for a, b in zip(out.components(), self.r0.components())
-        )
+        prob = SynthesisProblem(generator_deg3(), poles_single(0, 4, 6))
+        out = average_solutions([MU0], [F(1)])
+        assert out == MU0
+        assert synthesize_curve(prob, out) == synthesize_curve(prob, MU0)
+        assert average_solutions([MU0], [F(5, 2)]) == MU0 * F(5, 2)
 
     def test_small_perturbation_stays_regular(self):
         # bisect for the largest eps with mu0 + eps*mu2 root-free, then take half
@@ -231,23 +227,21 @@ class TestAverageSolutions:
                 hi = mid
         eps = lo / 2
         assert eps > 0
-        mixed = average_solutions([self.r0, self.r2], [F(1), eps])
-        assert certify_regular(mixed.mu)
+        assert certify_regular(average_solutions([MU0, MU2], [F(1), eps]))
 
     def test_equal_weights_of_regular_curves_regular(self):
-        other = synthesize_curve(self.prob, MU0 + MU2 * F(1, 100))
-        assert certify_regular(other.mu)
-        out = average_solutions([self.r0, other], [F(1), F(1)])
-        assert certify_regular(out.mu)
-        assert out.mu == MU0 * 2 + MU2 * F(1, 100)
+        other = MU0 + MU2 * F(1, 100)
+        assert certify_regular(other)
+        out = average_solutions([MU0, other], [F(1), F(1)])
+        assert certify_regular(out)
+        assert out == MU0 * 2 + MU2 * F(1, 100)
 
-    def test_mismatched_generator_rejected(self):
-        other_prob = SynthesisProblem(QP([QJ, QONE]), poles_single(0, 1, 2))
-        space = build_residue_system(other_prob)
-        circle = synthesize_curve(other_prob, space.basis[0])
-        with pytest.raises(ValueError):
-            average_solutions([self.r0, circle], [F(1), F(1)])
+    def test_one_weight_per_numerator_required(self):
+        for mus, weights in (([MU0, MU2], [F(1)]), ([MU0], [F(1), F(1)]), ([], [])):
+            with pytest.raises(ValueError):
+                average_solutions(mus, weights)
 
     def test_nonpositive_weights_rejected(self):
-        with pytest.raises(ValueError):
-            average_solutions([self.r0], [F(0)])
+        for w in (F(0), F(-1)):
+            with pytest.raises(ValueError):
+                average_solutions([MU0], [w])

@@ -178,6 +178,19 @@ class TestSynthesizeCurve:
             assert speed_function(curve) == expected
         assert curve.den.degree == 16  # both factors survive in the curve
 
+    def test_linear_in_numerator(self):
+        # the weighted average in `synth` integrates one summed numerator
+        a, b = F(3, 2), F(-2, 7)
+        prob2 = two_factor_problem(generator_deg3(), 6, 4)
+        for prob, (mu1, mu2) in (
+            (problem(6), (MU0, MU2)),
+            (prob2, build_residue_system(prob2).basis[:2]),
+        ):
+            r1, r2 = synthesize_curve(prob, mu1), synthesize_curve(prob, mu2)
+            mixed = synthesize_curve(prob, mu1 * a + mu2 * b)
+            for c, c1, c2 in zip(mixed.components(), r1.components(), r2.components()):
+                assert c == c1 * a + c2 * b
+
     def test_starts_at_origin(self):
         curve = synthesize_curve(problem(6), MU0)
         assert curve.evaluate(F(0)) == (0, 0, 0)
@@ -229,12 +242,8 @@ class TestElementaryDecomposition:
         )
         parts = elementary_decomposition(curve)
         assert len(parts) == 2
-        summed = parts[0]
-        for p in parts[1:]:
-            summed = summed + p
-        assert all(
-            (a - b).is_zero for a, b in zip(summed.components(), curve.components())
-        )
+        summed = [sum(comps, RF.zero()) for comps in zip(*(p.components() for p in parts))]
+        assert summed == list(curve.components())
 
     def test_single_factor_identity(self):
         poles = poles_single(0, 1, 2)
@@ -249,12 +258,8 @@ class TestElementaryDecomposition:
         # one quadratic factor, plus the constant part from r(0) = 0
         elem = [p for p in parts if p.den.degree > 0]
         assert len(elem) == 1
-        summed = parts[0]
-        for p in parts[1:]:
-            summed = summed + p
-        assert all(
-            (a - b).is_zero for a, b in zip(summed.components(), curve.components())
-        )
+        summed = [sum(comps, RF.zero()) for comps in zip(*(p.components() for p in parts))]
+        assert summed == list(curve.components())
 
     def test_unknown_poles_rejected(self):
         curve = RationalCurve((P([0, 1]), P([1]), P([0])), P([1, 0, 1]))
