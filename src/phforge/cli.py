@@ -74,6 +74,13 @@ def _quaternion(entry, where: str) -> Quaternion:
     return Quaternion(*(_rational(v, f"{where}[{j}]") for j, v in enumerate(entry)))
 
 
+def _margin(value: float, where: str) -> float:
+    # an infinite margin would make the relaxation ladder endless
+    if not (math.isfinite(value) and value > 0):
+        raise ParseError("margin must be positive and finite", where)
+    return value
+
+
 def parse_config(data) -> ProblemConfig:
     """Validate a config mapping; error messages carry the offending field."""
     if not isinstance(data, dict):
@@ -114,11 +121,10 @@ def parse_config(data) -> ProblemConfig:
     cfg = ProblemConfig(a_poly, poles)
     if "margin" in opts:
         try:
-            cfg.margin = float(opts["margin"])
+            margin = float(opts["margin"])
         except (TypeError, ValueError):
             raise ParseError("margin must be a number", "options.margin") from None
-        if not (cfg.margin > 0):
-            raise ParseError("margin must be positive", "options.margin")
+        cfg.margin = _margin(margin, "options.margin")
     if "samples" in opts:
         if not isinstance(opts["samples"], int) or opts["samples"] < 16:
             raise ParseError("samples must be an integer >= 16", "options.samples")
@@ -262,17 +268,6 @@ def _relaxation_margins(margin: float):
     return out
 
 
-def _solve_feasible(slice_, margin: float, bias=None):
-    """Try the requested margin first, then geometric relaxation to the floor."""
-    tried = []
-    for m in _relaxation_margins(margin):
-        res = sdp_feasible_point(slice_, m, objective_bias=bias)
-        tried.append((m, res.status, res.min_eigenvalue))
-        if res.is_feasible:
-            return res, m, tried
-    return res, None, tried
-
-
 def cmd_synth(cfg: ProblemConfig, out_path: str, force: bool) -> int:
     reduced, right = i_reduce(cfg.a_poly)
     T = tangent_indicatrix(reduced)
@@ -297,9 +292,8 @@ def cmd_synth(cfg: ProblemConfig, out_path: str, force: bool) -> int:
     slice_ = build_gram_slice(space)
 
     rng = random.Random(cfg.seed)
-    results, attempts_log = [], []
-    base, achieved, tried = _solve_feasible(slice_, cfg.margin)
-    attempts_log.extend(tried)
+    base = sdp_feasible_point(slice_, _relaxation_margins(cfg.margin))
+    achieved = base.margin
     if not base.is_feasible:
         print(
             "no strictly positive numerator found "
@@ -307,7 +301,7 @@ def cmd_synth(cfg: ProblemConfig, out_path: str, force: bool) -> int:
             file=sys.stderr,
         )
         return 3
-    results.append(base)
+    results = [base]
     # additional solutions for weighted averaging: bias the objective so the
     # central path lands on different interior points, sized against the
     # base witness so the perturbation is a fraction of the margin scale
@@ -332,7 +326,9 @@ def cmd_synth(cfg: ProblemConfig, out_path: str, force: bool) -> int:
         print("combined numerator failed the exact regularity certificate", file=sys.stderr)
         return 3
     curve = synthesize_curve(problem, mu)
-    bundle = _build_bundle(cfg, problem, space, slice_, results, achieved, curve, cert, hull, attempts_log)
+    bundle = _build_bundle(
+        cfg, problem, space, slice_, results, achieved, curve, cert, hull, base.relaxation_log
+    )
     _dump_json(bundle, out_path)
     return 0
 
@@ -611,9 +607,7 @@ def main(argv=None) -> int:
         if args.command == "synth":
             cfg = load_config(args.config)
             if args.margin is not None:
-                if args.margin <= 0:
-                    raise ParseError("margin must be positive", "--margin")
-                cfg.margin = args.margin
+                cfg.margin = _margin(args.margin, "--margin")
             if args.samples:
                 cfg.samples = args.samples
             if args.seed is not None:

@@ -7,15 +7,20 @@ so they carve a linear slice out of the symmetric matrices; finding a
 positive definite point in that slice is a semidefinite feasibility problem.
 
 The solver here is a small, dense, self-contained barrier interior point
-(matrix dimension stays around ten).  Floating output is never trusted: the
-witness is rationalized and strict positivity is re-certified exactly with
-a Sturm count.
+(matrix dimension stays around ten).  One call computes one central path for
+a whole ladder of margins; a margin only decides at which point of that path
+the exact gate is tried.  Floating output is never trusted: the witness is
+rationalized and strict positivity is re-certified exactly with a Sturm
+count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 
@@ -63,6 +68,8 @@ class GramSlice:
     ``basis_matrices`` span exactly the symmetric matrices whose antidiagonal
     sums give a numerator polynomial inside the kernel; every rational point
     of the slice therefore satisfies the zero-residue conditions exactly.
+    The read-only ``float_basis`` and each basis matrix's numerator
+    (``numerators``) are computed once, here.
     """
 
     def __init__(self, dimension: int, basis_matrices):
@@ -70,6 +77,11 @@ class GramSlice:
         self.basis_matrices = tuple(
             tuple(tuple(Fraction(v) for v in row) for row in mat) for mat in basis_matrices
         )
+        self.float_basis = np.array(
+            [[[float(v) for v in row] for row in mat] for mat in self.basis_matrices]
+        )
+        self.float_basis.flags.writeable = False
+        self.numerators = tuple(self.mu_of_matrix(mat) for mat in self.basis_matrices)
 
     @property
     def slice_dimension(self) -> int:
@@ -96,12 +108,11 @@ class GramSlice:
         return Polynomial(coeffs)
 
     def mu_of(self, x) -> Polynomial:
-        return self.mu_of_matrix(self.matrix_of(x))
-
-    def float_basis(self) -> np.ndarray:
-        return np.array(
-            [[[float(v) for v in row] for row in mat] for mat in self.basis_matrices]
-        )
+        """The numerator of ``matrix_of(x)``: sum x_k * numerators[k]."""
+        out = Polynomial.zero()
+        for xk, num in zip(x, self.numerators):
+            out = out + num * Fraction(xk)
+        return out
 
 
 def build_gram_slice(space: SolutionSpace, m: int | None = None) -> GramSlice:
@@ -153,11 +164,14 @@ def build_gram_slice(space: SolutionSpace, m: int | None = None) -> GramSlice:
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    """Outcome of one semidefinite feasibility search.
+    """Outcome of one semidefinite feasibility search over a margin ladder.
 
     ``feasible`` status always comes with an exact certificate: the witness
     coordinates are rationalized and the induced numerator re-verified by a
     Sturm count, so a floating solver cannot produce a false positive.
+    ``margin`` is the ladder margin that certified (None unless feasible);
+    ``relaxation_log`` holds one ``(margin, status, min_eigenvalue)`` entry
+    per margin tried, in order.
     """
 
     status: str
@@ -166,6 +180,8 @@ class FeasibilityResult:
     witness_mu: Polynomial | None
     min_eigenvalue: float
     certificate: RegularityCertificate | None = None
+    margin: float | None = None
+    relaxation_log: tuple = ()
 
     @property
     def is_feasible(self) -> bool:
@@ -177,71 +193,18 @@ def rationalize(values, max_denominator: int = 10**6):
     return tuple(Fraction(float(v)).limit_denominator(max_denominator) for v in values)
 
 
-def sdp_feasible_point(
-    g: GramSlice,
-    margin: float = 1e-3,
-    *,
-    objective_bias=None,
-    max_outer: int = 60,
-    max_newton: int = 40,
-    max_denominator: int = 10**6,
-) -> FeasibilityResult:
-    """Search the slice for M with lambda_min >= margin under trace(M) = 1.
+def _central_path(basis, traces, t_norm2, bias, max_outer, max_newton):
+    """Yield ``(best_x, best_lam)`` at the start and after each outer step.
 
-    The solver maximizes s subject to M(x) - s*I >= 0 and trace M(x) = 1 by
-    a log-det barrier method with Newton steps (a dense self-contained
-    interior point; any method achieving the eigenvalue bound conforms
-    equally).  It exits as soon as the central path crosses the requested
-    margin.  On success the witness is rationalized (continued fractions,
-    denominators up to ``max_denominator``) and gated by the exact Sturm
-    certificate, so the floating search is never trusted.  Falling short of
-    the margin yields ``indeterminate`` with the best achieved eigenvalue,
-    which is not a proof of infeasibility.
-
-    ``objective_bias`` adds a small linear term b.x to the maximized s and
-    steers the solver to different interior points, the analogue of solving
-    the feasibility problem with different cost functions.
+    The barrier path maximizes s subject to M(x) - s*I >= 0 and
+    trace M(x) = 1 (plus the bias term); it does not depend on any margin.
+    ``best_x`` is replaced, never mutated, so every snapshot stays valid.
     """
-    if margin <= 0:
-        raise ValueError("margin must be positive")
-    if g.slice_dimension == 0:
-        return FeasibilityResult(INFEASIBLE, None, None, None, float("-inf"))
-    raw = g.float_basis()
-    # Frobenius normalization only conditions the float search; exact
-    # coordinates are recovered in the original basis before certification.
-    scale = np.sqrt(np.einsum("aij,aij->a", raw, raw))
-    basis = raw / scale[:, None, None]
-    traces = np.einsum("aii->a", basis)
-    t_norm2 = float(traces @ traces)
-    if t_norm2 == 0.0:
-        # no trace-normalized point exists in the slice
-        return FeasibilityResult(INFEASIBLE, None, None, None, float("-inf"))
     d, n, _ = basis.shape
-    bias = np.zeros(d)
-    if objective_bias is not None:
-        # given in original slice coordinates; x_orig = x_scaled / scale
-        bias = np.asarray([float(v) for v in objective_bias]) / scale
 
     def matrix(x):
         m = np.einsum("a,aij->ij", x, basis)
         return (m + m.T) / 2
-
-    def exact_gate(x_scaled, lam):
-        x_orig = np.asarray(x_scaled) / scale
-        for limit in (max_denominator, max_denominator**2):
-            x_exact = rationalize(x_orig, limit)
-            mu = g.mu_of(x_exact)
-            cert = certify_regular(mu)
-            if cert:
-                return FeasibilityResult(
-                    FEASIBLE,
-                    tuple(float(v) for v in x_orig),
-                    x_exact,
-                    mu,
-                    float(lam),
-                    cert,
-                )
-        return None
 
     x = traces / t_norm2
     m_now = matrix(x)
@@ -249,10 +212,10 @@ def sdp_feasible_point(
     s = lam0 - 0.1 * (abs(lam0) + 1.0)
     best_lam = lam0
     best_x = x.copy()
+    yield best_x, best_lam
     a_eq = np.concatenate([traces, [0.0]])
     eye = np.eye(n)
     t_bar = 1.0
-    gated = False
     for _ in range(max_outer):
         for _ in range(max_newton):
             slack = m_now - s * eye
@@ -298,25 +261,137 @@ def sdp_feasible_point(
                 best_lam, best_x = lam, x.copy()
             if decrement < 1e-16:
                 break
-        if not gated and best_lam >= margin:
-            result = exact_gate(best_x, best_lam)
-            if result is not None:
-                return result
-            gated = True
+        yield best_x, best_lam
         if n / t_bar < 1e-13:
             break
         t_bar *= 20.0
-    if best_lam >= margin:
-        result = exact_gate(best_x, best_lam)
-        if result is not None:
-            return result
-    return FeasibilityResult(
-        INDETERMINATE,
-        tuple(map(float, best_x / scale)),
-        None,
-        None,
-        float(best_lam),
-    )
+
+
+def sdp_feasible_point(
+    g: GramSlice,
+    margin: float | Sequence[float] = 1e-3,
+    *,
+    objective_bias=None,
+    max_outer: int = 60,
+    max_newton: int = 40,
+    max_denominator: int = 10**6,
+) -> FeasibilityResult:
+    """Search the slice for M with lambda_min >= margin under trace(M) = 1.
+
+    The solver maximizes s subject to M(x) - s*I >= 0 and trace M(x) = 1 by
+    a log-det barrier method with Newton steps (a dense self-contained
+    interior point; any method achieving the eigenvalue bound conforms
+    equally).  ``margin`` is one positive finite margin or a ladder of them,
+    tried in order until one certifies; the call computes one central path
+    for the whole ladder, and only as far as the ladder reads it.  A margin
+    only places the exact gate: at the first outer step whose best point
+    reaches it, and if that fails, at the end of the path.  The gate
+    rationalizes the witness (continued fractions, denominators up to
+    ``max_denominator``, then its square) and certifies it with the exact
+    Sturm count, so the floating search is never trusted; each point is
+    gated at most once per call.  A margin the path never reaches, or whose
+    gates fail, yields ``indeterminate`` with the best achieved eigenvalue,
+    which is not a proof of infeasibility.  The result is the first
+    feasible margin's, else the last margin's, with the log of every margin
+    tried.
+
+    ``objective_bias`` adds a small linear term b.x to the maximized s and
+    steers the solver to different interior points, the analogue of solving
+    the feasibility problem with different cost functions.  It needs one
+    entry per slice coordinate.
+    """
+    margins = (margin,) if isinstance(margin, Real) else tuple(margin)
+    if not margins or not all(math.isfinite(m) and m > 0 for m in margins):
+        raise ValueError("margins must be positive and finite")
+    if objective_bias is not None and len(objective_bias) != g.slice_dimension:
+        raise ValueError(
+            f"objective_bias has {len(objective_bias)} entries, "
+            f"the slice has dimension {g.slice_dimension}"
+        )
+
+    def infeasible():
+        log = tuple((m, INFEASIBLE, float("-inf")) for m in margins)
+        return FeasibilityResult(
+            INFEASIBLE, None, None, None, float("-inf"), relaxation_log=log
+        )
+
+    if g.slice_dimension == 0:
+        return infeasible()
+    raw = g.float_basis
+    # Frobenius normalization only conditions the float search; exact
+    # coordinates are recovered in the original basis before certification.
+    scale = np.sqrt(np.einsum("aij,aij->a", raw, raw))
+    basis = raw / scale[:, None, None]
+    traces = np.einsum("aii->a", basis)
+    t_norm2 = float(traces @ traces)
+    if t_norm2 == 0.0:
+        # no trace-normalized point exists in the slice
+        return infeasible()
+    bias = np.zeros(len(basis))
+    if objective_bias is not None:
+        # given in original slice coordinates; x_orig = x_scaled / scale
+        bias = np.asarray([float(v) for v in objective_bias]) / scale
+
+    steps = _central_path(basis, traces, t_norm2, bias, max_outer, max_newton)
+    path = [next(steps)]  # snapshots computed so far; path[0] is the start
+
+    def first_reaching(m):
+        """The first outer-step snapshot whose best eigenvalue reaches m."""
+        k = 1
+        while True:
+            if k == len(path):
+                snapshot = next(steps, None)
+                if snapshot is None:
+                    return None
+                path.append(snapshot)
+            if path[k][1] >= m:
+                return path[k]
+            k += 1
+
+    gates = {}
+
+    def exact_gate(x_scaled, lam):
+        # best_lam rises strictly whenever best_x moves, so it names the point
+        if lam not in gates:
+            gates[lam] = None
+            x_orig = np.asarray(x_scaled) / scale
+            for limit in (max_denominator, max_denominator**2):
+                x_exact = rationalize(x_orig, limit)
+                mu = g.mu_of(x_exact)
+                cert = certify_regular(mu)
+                if cert:
+                    gates[lam] = FeasibilityResult(
+                        FEASIBLE,
+                        tuple(float(v) for v in x_orig),
+                        x_exact,
+                        mu,
+                        float(lam),
+                        cert,
+                    )
+                    break
+        return gates[lam]
+
+    log = []
+    for m in margins:
+        snapshot = first_reaching(m)
+        result = exact_gate(*snapshot) if snapshot is not None else None
+        if result is None:
+            path.extend(steps)
+            best_x, best_lam = path[-1]
+            if best_lam >= m:
+                result = exact_gate(best_x, best_lam)
+        if result is None:
+            result = FeasibilityResult(
+                INDETERMINATE,
+                tuple(map(float, best_x / scale)),
+                None,
+                None,
+                float(best_lam),
+            )
+        log.append((m, result.status, result.min_eigenvalue))
+        if result.is_feasible:
+            return replace(result, margin=m, relaxation_log=tuple(log))
+    return replace(result, relaxation_log=tuple(log))
 
 
 def sos_decomposition(mat) -> list[tuple[Fraction, Polynomial]]:

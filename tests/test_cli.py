@@ -111,6 +111,19 @@ class TestSynth:
         cfg = write_config(tmp_path, with_multiplicity(5))
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 3
 
+    def test_non_finite_margin_exit_4(self, tmp_path, capsys):
+        # an infinite margin would relax forever: inf / 10 stays above the floor
+        out = str(tmp_path / "o.json")
+        cfg = tmp_path / "margin.json"
+        for value in ('"inf"', "1e400", '"nan"', '"-inf"'):
+            cfg.write_text(json.dumps(EX2_CONFIG).replace('"margin": 0.001', f'"margin": {value}'))
+            assert main(["synth", "--config", str(cfg), "--out", out]) == 4, value
+            assert "options.margin" in capsys.readouterr().err
+        cfg = write_config(tmp_path, EX2_CONFIG)
+        for value in ("nan", "inf"):
+            assert main(["synth", "--config", cfg, "--out", out, "--margin", value]) == 4, value
+            assert "--margin" in capsys.readouterr().err
+
     def test_hull_gate_exit_3_and_force(self, tmp_path, capsys):
         raw = {
             "quaternion": [["1", "0", "0", "0"]],

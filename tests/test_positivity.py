@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 
 from phforge import (
     EmptyKernelError,
+    PoleStructure,
     Polynomial as P,
+    QuadraticFactor,
     QuaternionPolynomial as QP,
     SynthesisProblem,
     average_solutions,
@@ -36,6 +39,22 @@ def reference_slice():
         SynthesisProblem(generator_deg3(), poles_single(0, 4, 6))
     )
     return space, build_gram_slice(space)
+
+
+def generator_slice(*factors):
+    """The reference generator's Gram slice for poles (t^2 + b t + c)^m."""
+    poles = PoleStructure(tuple(QuadraticFactor(b, c, m) for b, c, m in factors))
+    return build_gram_slice(build_residue_system(SynthesisProblem(generator_deg3(), poles)))
+
+
+@pytest.fixture(scope="module")
+def two_factor_slice():
+    return generator_slice((0, 4, 6), (1, 3, 4))
+
+
+@pytest.fixture(scope="module")
+def single_factor_slice():
+    return generator_slice((0, 4, 10))
 
 
 def combine(mats, x):
@@ -75,6 +94,17 @@ class TestGramSlice:
         slice_ = build_gram_slice(space)
         assert slice_.dimension == 1 and slice_.slice_dimension == 1
         assert slice_.mu_of((F(3),)) == P([3]) * slice_.mu_of((F(1),)).coefficient(0)
+
+    def test_mu_of_matches_matrix_route(self, two_factor_slice):
+        rng = random.Random(11)
+        for _ in range(5):
+            x = [
+                F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+                for _ in range(two_factor_slice.slice_dimension)
+            ]
+            x[rng.randrange(len(x))] = F(0)
+            expected = two_factor_slice.mu_of_matrix(two_factor_slice.matrix_of(x))
+            assert two_factor_slice.mu_of(x) == expected
 
     def test_empty_kernel_is_infeasible_by_construction(self):
         space = build_residue_system(
@@ -170,6 +200,72 @@ class TestFeasibility:
             [(a + b) / 2 for a, b in zip(r1, r2)] for r1, r2 in zip(mat1, mat2)
         ]
         assert eigvals(mid)[0] >= min(lam1, lam2) - 1e-12
+
+
+LADDER = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+
+
+def one_margin_at_a_time(slice_, margins, bias=None):
+    """Reference ladder: a separate single-margin call per margin."""
+    log = []
+    for m in margins:
+        res = sdp_feasible_point(slice_, m, objective_bias=bias)
+        log.append((m, res.status, res.min_eigenvalue))
+        if res.is_feasible:
+            break
+    return res, tuple(log)
+
+
+class TestRelaxationLadder:
+    @pytest.mark.parametrize("slice_name", ["two_factor_slice", "single_factor_slice"])
+    def test_one_call_matches_separate_calls(self, slice_name, request):
+        slice_ = request.getfixturevalue(slice_name)
+        ladder = sdp_feasible_point(slice_, LADDER)
+        single, log = one_margin_at_a_time(slice_, LADDER)
+        assert ladder.relaxation_log == log
+        assert ladder.status == single.status
+        assert ladder.witness_x == single.witness_x
+        assert ladder.witness_x_exact == single.witness_x_exact
+        assert ladder.witness_mu == single.witness_mu
+        assert ladder.margin == (log[-1][0] if single.is_feasible else None)
+
+    def test_gate_at_first_step_reaching_margin(self, single_factor_slice):
+        # 1e-6 certifies at the first outer step whose best eigenvalue reaches
+        # it, before the end of the path, whose best eigenvalue 1e-3 reports
+        res = sdp_feasible_point(single_factor_slice, (1e-3, 1e-6))
+        (_, _, lam_end), (_, status, lam) = res.relaxation_log
+        assert status == "feasible"
+        assert 1e-6 <= lam < lam_end
+
+    def test_biased_call_matches_separate_calls(self, single_factor_slice):
+        base = sdp_feasible_point(single_factor_slice, LADDER)
+        assert base.is_feasible
+        rng = random.Random(3)
+        bias = [rng.gauss(0.0, 1.0) * 0.5 * base.margin / (abs(v) + 1.0) for v in base.witness_x]
+        ladder = sdp_feasible_point(single_factor_slice, LADDER, objective_bias=bias)
+        single, log = one_margin_at_a_time(single_factor_slice, LADDER, bias)
+        assert ladder.relaxation_log == log
+        assert ladder.witness_x_exact == single.witness_x_exact
+        assert ladder.witness_mu == single.witness_mu
+
+    def test_single_margin_is_a_one_step_ladder(self):
+        _, slice_ = reference_slice()
+        res = sdp_feasible_point(slice_, 1e-4)
+        assert res.margin == 1e-4
+        assert res.relaxation_log == ((1e-4, "feasible", res.min_eigenvalue),)
+
+    def test_non_finite_or_non_positive_margins_rejected(self):
+        _, slice_ = reference_slice()
+        for margin in (math.inf, math.nan, 0.0, -1e-3, (1e-3, math.inf), (1e-3, math.nan), ()):
+            with pytest.raises(ValueError):
+                sdp_feasible_point(slice_, margin)
+
+    def test_bias_needs_one_entry_per_coordinate(self):
+        _, slice_ = reference_slice()
+        assert slice_.slice_dimension == 3
+        for bias in ([1e-6], [1e-6] * 2, [1e-6] * 4):
+            with pytest.raises(ValueError, match="objective_bias"):
+                sdp_feasible_point(slice_, 1e-4, objective_bias=bias)
 
 
 class TestCertificates:
