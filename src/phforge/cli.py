@@ -81,6 +81,12 @@ def _margin(value: float, where: str) -> float:
     return value
 
 
+def _samples(value: int, where: str) -> int:
+    if not isinstance(value, int) or value < 16:
+        raise ParseError("samples must be an integer >= 16", where)
+    return value
+
+
 def parse_config(data) -> ProblemConfig:
     """Validate a config mapping; error messages carry the offending field."""
     if not isinstance(data, dict):
@@ -126,9 +132,7 @@ def parse_config(data) -> ProblemConfig:
             raise ParseError("margin must be a number", "options.margin") from None
         cfg.margin = _margin(margin, "options.margin")
     if "samples" in opts:
-        if not isinstance(opts["samples"], int) or opts["samples"] < 16:
-            raise ParseError("samples must be an integer >= 16", "options.samples")
-        cfg.samples = opts["samples"]
+        cfg.samples = _samples(opts["samples"], "options.samples")
     if "seed" in opts:
         if not isinstance(opts["seed"], int):
             raise ParseError("seed must be an integer", "options.seed")
@@ -144,7 +148,12 @@ def parse_config(data) -> ProblemConfig:
         v = opts["view"]
         if not isinstance(v, list) or len(v) != 3:
             raise ParseError("view must be [x, y, z]", "options.view")
-        cfg.view = tuple(float(c) for c in v)
+        try:
+            cfg.view = tuple(float(c) for c in v)
+        except (TypeError, ValueError):
+            raise ParseError("view entries must be numbers", "options.view") from None
+        if not all(math.isfinite(c) for c in cfg.view):
+            raise ParseError("view entries must be finite", "options.view")
         if all(c == 0.0 for c in cfg.view):
             raise ParseError("view direction must be nonzero", "options.view")
     return cfg
@@ -601,15 +610,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "check":
             cfg = load_config(args.config)
-            if args.samples:
-                cfg.samples = args.samples
+            if args.samples is not None:
+                cfg.samples = _samples(args.samples, "--samples")
             return cmd_check(cfg, args.out)
         if args.command == "synth":
             cfg = load_config(args.config)
             if args.margin is not None:
                 cfg.margin = _margin(args.margin, "--margin")
-            if args.samples:
-                cfg.samples = args.samples
+            if args.samples is not None:
+                cfg.samples = _samples(args.samples, "--samples")
             if args.seed is not None:
                 cfg.seed = args.seed
             return cmd_synth(cfg, args.out, args.force)

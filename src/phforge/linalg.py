@@ -3,11 +3,22 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def rref(rows: list[list[Fraction]]):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    m = [list(map(Fraction, r)) for r in rows]
+    """Reduced row echelon form; returns (rows, pivot_columns).
+
+    Fraction-free Gauss-Jordan: each row is cleared of denominators once and
+    eliminated over the integers, kept primitive after every update; the
+    RREF is unique, so dividing each pivot row by its pivot at the end gives
+    the same rows as elimination over Q.
+    """
+    m = []
+    for row in rows:
+        row = list(map(Fraction, row))
+        den = lcm(*[v.denominator for v in row])
+        m.append([v.numerator * (den // v.denominator) for v in row])
     if not m:
         return [], []
     ncols = len(m[0])
@@ -18,17 +29,19 @@ def rref(rows: list[list[Fraction]]):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
+        pv, prow = m[r][c], m[r]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f != 0:
+                row = [pv * a - f * b for a, b in zip(m[i], prow)]
+                g = gcd(*row)
+                m[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    red = [[Fraction(a, row[c]) for a in row] for row, c in zip(m, pivots)]
+    return red + [[Fraction(0)] * ncols for _ in m[len(pivots):]], pivots
 
 
 def nullspace(rows: list[list[Fraction]], ncols: int | None = None):
@@ -85,8 +98,6 @@ def span_contains(basis: list[list[Fraction]], v: list[Fraction]) -> bool:
 
 def primitive_integer_vector(v: list[Fraction]) -> list[int]:
     """Scale a rational vector to coprime integers with positive first nonzero."""
-    from math import gcd, lcm
-
     denoms = [f.denominator for f in v]
     scale = lcm(*denoms) if denoms else 1
     ints = [int(f * scale) for f in v]

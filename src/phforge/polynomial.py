@@ -1,16 +1,22 @@
-"""Dense univariate polynomial arithmetic over an exact field.
+"""Dense univariate polynomial arithmetic over Q, and over Q(i) for i-reduction.
 
-Coefficients are stored ascending by degree and are either ``Fraction`` or
-``GaussianRational``; every algorithm below uses only field operations, so
-both coefficient domains share one implementation.  Degrees in this package
-stay small (tens), so the dense representation and classical algorithms are
-the right tool.
+Coefficients are stored ascending by degree as canonical ``Fraction`` or
+``GaussianRational`` values.  Over Q the kernels run fraction-free: a
+coefficient tuple becomes one integer vector over its lcm denominator
+(``_integer_vector``), products are integer schoolbook convolutions, division
+is integer (lazy pseudo-)division, and ``poly_gcd`` is a primitive
+polynomial remainder sequence (Collins 1967; Brown & Traub 1971), so only
+the output coefficients are normalised as ``Fraction``.  The field loops
+remain for ``GaussianRational`` coefficients, which only
+``quaternion.i_reduce`` uses.  Degrees in this package stay small (tens), so
+the dense representation and classical algorithms are the right tool.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -23,6 +29,86 @@ def _coerce_scalar(c):
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"exact coefficient required, got {type(c).__name__}")
+
+
+def _integer_vector(coeffs):
+    """(ints, den) with coeffs[k] = ints[k] / den, den > 0 the lcm of the denominators.
+
+    None when a coefficient is a ``GaussianRational``: those take the field loops.
+    """
+    if GaussianRational in map(type, coeffs):
+        return None
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _primitive(v: list[int]) -> list[int]:
+    """v divided by its content, signs kept."""
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    """Schoolbook product of nonempty integer vectors, one dot product per coefficient."""
+    rb = b[::-1]
+    n, m = len(a), len(b)
+    out = []
+    for k in range(n + m - 1):
+        lo, hi = max(0, k - m + 1), min(k, n - 1) + 1
+        out.append(sum(map(mul, a[lo:hi], rb[m - 1 - k + lo : m - 1 - k + hi])))
+    return out
+
+
+def _int_divmod(a: list[int], b: list[int]):
+    """(s, q, r) with s a = q b + r, s > 0 and len(r) < len(b), all integer.
+
+    Lazy pseudo-division: at a step whose leading term lead(b) does not
+    divide, the partial remainder and quotient are scaled by
+    |lead(b)| / gcd, so s = 1 when lead(b) = +-1 (plain integer division) and
+    s stays a positive divisor of |lead(b)|^(deg a - deg b + 1).  r carries
+    no trailing zeros; b must be nonzero without trailing zeros.
+    """
+    lead, db = b[-1], len(b) - 1
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    s = 1
+    for k in range(len(a) - 1 - db, -1, -1):
+        top = r[k + db]
+        if not top:
+            continue
+        scale = abs(lead) // math.gcd(top, lead)
+        if scale != 1:
+            r = [x * scale for x in r]
+            q = [x * scale for x in q]
+            s *= scale
+            top *= scale
+        f = top // lead
+        q[k] = f
+        r[k : k + db + 1] = [x - f * y for x, y in zip(r[k : k + db + 1], b)]
+    del r[db:]
+    while r and not r[-1]:
+        r.pop()
+    return s, q, r
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of integer vectors by the primitive PRS; [] when both are zero."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_int_divmod(a, b)[2])
+    return a
+
+
+def _from_integers(ints, den: int) -> "Polynomial":
+    """The polynomial sum ints[k] / den t^k, built without coercion; den != 0."""
+    cs = list(ints)
+    while cs and not cs[-1]:
+        cs.pop()
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "coeffs", tuple([Fraction(c, den) for c in cs]))
+    return p
 
 
 class Polynomial:
@@ -120,11 +206,14 @@ class Polynomial:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Polynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(out)
+        a, b = _integer_vector(self.coeffs), _integer_vector(other.coeffs)
+        if a is None or b is None:
+            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, x in enumerate(self.coeffs):
+                for j, y in enumerate(other.coeffs):
+                    out[i + j] = out[i + j] + x * y
+            return Polynomial(out)
+        return _from_integers(_int_mul(a[0], b[0]), a[1] * b[1])
 
     __rmul__ = __mul__
 
@@ -145,6 +234,16 @@ class Polynomial:
             other = Polynomial((other,))
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
+        if self.degree < other.degree:
+            return Polynomial.zero(), self
+        a, b = _integer_vector(self.coeffs), _integer_vector(other.coeffs)
+        if a is not None and b is not None:
+            # other = content bp / db with bp primitive, and s ai = q bp + r, so
+            # self = ai / da = (q db / (s da content)) other + r / (s da)
+            (ai, da), (bi, db) = a, b
+            content = math.gcd(*bi)
+            s, q, r = _int_divmod(ai, [x // content for x in bi])
+            return _from_integers([x * db for x in q], s * da * content), _from_integers(r, s * da)
         q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
         rem = list(self.coeffs)
         dlead = other.leading()
@@ -286,7 +385,11 @@ def two_chart_quotients(nums, den: Polynomial, degree: int, ts) -> np.ndarray:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor via the Euclidean algorithm."""
+    """Monic greatest common divisor: primitive PRS over Q, Euclid over Q(i)."""
+    ai, bi = _integer_vector(a.coeffs), _integer_vector(b.coeffs)
+    if ai is not None and bi is not None:
+        g = _int_gcd(ai[0], bi[0])
+        return _from_integers(g, g[-1]) if g else Polynomial.zero()
     while not b.is_zero:
         a, b = b, (a % b)
         if not b.is_zero:
@@ -296,29 +399,28 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic()
 
 
-def poly_ext_gcd(a: Polynomial, b: Polynomial):
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = a, b
-    s0, s1 = Polynomial.one(), Polynomial.zero()
-    t0, t1 = Polynomial.zero(), Polynomial.one()
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero:
-        return r0, s0, t0
-    lead = r0.leading()
-    inv = 1 / lead
-    return r0 * inv, s0 * inv, t0 * inv
-
-
 def modular_inverse(a: Polynomial, modulus: Polynomial) -> Polynomial:
-    """Inverse of a modulo a coprime modulus."""
-    g, s, _ = poly_ext_gcd(a, modulus)
-    if g.degree != 0:
+    """Inverse of a modulo a coprime modulus, both over Q.
+
+    Extended primitive PRS over the integer vectors A and M of a and the
+    modulus, tracking only A's cofactor: each remainder is r_i = s_i A mod M,
+    and r_i and s_i are divided by their common content.  The last nonzero
+    remainder is a constant c, so a^-1 = s a_den / c mod the modulus.
+    """
+    (r0, a_den), (m, _) = _integer_vector(a.coeffs), _integer_vector(modulus.coeffs)
+    r1, s0, s1 = m, [1], []
+    while r1:
+        scale, q, r = _int_divmod(r0, r1)
+        s = [scale * x for x in s0] + [0] * max(len(q) + len(s1) - 1 - len(s0), 0)
+        if q and s1:
+            for i, x in enumerate(_int_mul(q, s1)):
+                s[i] -= x
+        g = math.gcd(*r, *s)  # nonzero: r_i and s_i never vanish together
+        r0, r1, s0, s1 = r1, [x // g for x in r], s1, [x // g for x in s]
+    if len(r0) != 1:
         raise ValueError("element not invertible modulo the given polynomial")
-    return (s * (1 / g.leading())) % modulus
+    scale, _, rem = _int_divmod(s0, m)
+    return _from_integers([x * a_den for x in rem], r0[0] * scale)
 
 
 def squarefree_decomposition(p: Polynomial):

@@ -1,10 +1,12 @@
 """Exact univariate rational-function calculus.
 
 Residues at irreducible quadratic poles come from a truncated Laurent
-series over the extension field Q[t]/(Q(t)), so no irrational or floating
+series over the extension field Q[t]/(Q(t)), kept as integer pairs over
+Z[phi] with one denominator per series, so no irrational or floating
 complex numbers appear anywhere.  Rational antiderivatives come from
 Hermite reduction, which only needs gcd arithmetic and therefore works
-without root finding; real-root counting is Sturm's method over Q.
+without root finding; real-root counting is Sturm's method, with the chain
+computed as a signed primitive polynomial remainder sequence over Z.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ import numpy as np
 from .errors import RationalityError
 from .polynomial import (
     Polynomial,
+    _int_divmod,
+    _int_gcd,
+    _integer_vector,
+    _primitive,
     modular_inverse,
     poly_gcd,
     squarefree_decomposition,
@@ -293,84 +299,150 @@ def _strip_factor(p: Polynomial, q: Polynomial) -> tuple[Polynomial, int]:
         p, m = quo, m + 1
 
 
-def _times_shift(h: list, a: ExtensionElement) -> list:
-    """The series h times (a + x), truncated to len(h) terms."""
-    return [h[0] * a] + [h[i] * a + h[i - 1] for i in range(1, len(h))]
+class _LocalSeries:
+    """Series mod x^n at t = theta + x, theta a root of t^2 + b t + c, over Z[phi].
 
-
-def _series_mul(f: list, g: list) -> list:
-    """Product of two truncated series of equal length."""
-    return [sum(f[i] * g[n - i] for i in range(n + 1)) for n in range(len(f))]
-
-
-def _shifted_taylor(p: Polynomial, q: QuadraticFactor, n: int) -> list:
-    """p(theta + x) mod x^n by Horner's rule, theta the class of t in Q[t]/(Q)."""
-    theta = ExtensionElement(Fraction(0), Fraction(1), q.b, q.c)
-    out = [theta * 0] * n
-    for c in reversed(p.coeffs):
-        out = _times_shift(out, theta)
-        out[0] = out[0] + c
-    return out
-
-
-def _pole_series(s: Polynomial, q: QuadraticFactor, m: int) -> list:
-    """Taylor coefficients at theta of 1/((t - theta')^m s(t)), mod x^m.
-
-    theta' = -b - theta is the other root of Q, so t - theta' = x + 2 theta + b
-    at t = theta + x; s must be coprime to Q.  For f = N / (Q^m s) the residue
-    at theta is coefficient m - 1 of N(theta + x) times this series.
+    phi = e theta, with e the common denominator of b and c, satisfies
+    phi^2 + B phi + C = 0 with the integers B = e b and C = e^2 c, so a series
+    is a pair (terms, den): terms[k] = (u, v) stands for (u + v phi) x^k / den,
+    with one positive integer denominator per series.  No Fraction arithmetic
+    happens until ``last`` reads a coefficient out.
     """
-    den = _shifted_taylor(s, q, m)
-    for _ in range(m):
-        den = _times_shift(den, ExtensionElement(q.b, Fraction(2), q.b, q.c))
-    out = [den[0].inverse()]
-    for n in range(1, m):
-        out.append(-sum(den[i] * out[n - i] for i in range(1, n + 1)) * out[0])
-    return out
+
+    def __init__(self, q: QuadraticFactor, n: int):
+        self.n = n
+        self.e = e = math.lcm(q.b.denominator, q.c.denominator)
+        self.B = q.b.numerator * (e // q.b.denominator)
+        self.C = q.c.numerator * (e // q.c.denominator) * e
+
+    def _mul(self, x, y):
+        (u, v), (s, w) = x, y
+        vw = v * w
+        return u * s - self.C * vw, u * w + v * s - self.B * vw
+
+    def _dot(self, xs, ys):
+        """sum xs[i] ys[i] over Z[phi]."""
+        acc_u = acc_v = 0
+        for x, y in zip(xs, ys):
+            u, v = self._mul(x, y)
+            acc_u += u
+            acc_v += v
+        return acc_u, acc_v
+
+    def _times_linear(self, h: list, a) -> list:
+        """The terms h times (a + e x), truncated to len(h) terms."""
+        e, out = self.e, [self._mul(h[0], a)]
+        for prev, cur in zip(h, h[1:]):
+            u, v = self._mul(cur, a)
+            out.append((u + e * prev[0], v + e * prev[1]))
+        return out
+
+    def taylor(self, p: Polynomial):
+        """p(theta + x) by Horner's rule in phi + e x = e (theta + x)."""
+        ints, den = _integer_vector(p.coeffs)
+        terms = [(0, 0)] * self.n
+        for k, c in enumerate(reversed(ints)):
+            terms = self._times_linear(terms, (0, 1))
+            terms[0] = (terms[0][0] + c * self.e**k, terms[0][1])
+        return terms, den * self.e ** max(len(ints) - 1, 0)
+
+    def pole(self, s: Polynomial):
+        """1/((t - theta')^n s(t)); s must be coprime to Q.
+
+        theta' = -b - theta is the other root of Q, so t - theta' =
+        (2 phi + B + e x) / e at t = theta + x.  For f = N / (Q^n s) the
+        residue at theta is ``last(product(taylor(N), pole(s)))``.  The
+        inverse of a series U whose leading term has norm N has n-th term
+        W_n / N^(n+1) with W_0 = conj(U_0) and
+        W_n = -conj(U_0) sum_{i=1..n} U_i W_(n-i) N^(i-1).
+        """
+        u, den = self.taylor(s)
+        for _ in range(self.n):
+            u = self._times_linear(u, (self.B, 2))
+        den *= self.e**self.n
+        u0, v0 = u[0]
+        conj = (u0 - self.B * v0, -v0)
+        norm = u0 * u0 - self.B * u0 * v0 + self.C * v0 * v0  # > 0: Q has no real root
+        powers = [norm**i for i in range(self.n + 1)]
+        w = [conj]
+        for k in range(1, self.n):
+            scaled = [(x * p, y * p) for (x, y), p in zip(reversed(w), powers)]
+            x, y = self._mul(conj, self._dot(u[1 : k + 1], scaled))
+            w.append((-x, -y))
+        scales = [den * powers[self.n - 1 - k] for k in range(self.n)]
+        return [(x * f, y * f) for (x, y), f in zip(w, scales)], powers[self.n]
+
+    def product(self, f, g):
+        """The product of two series."""
+        (fa, fd), (ga, gd) = f, g
+        return [self._dot(fa[: k + 1], ga[k::-1]) for k in range(self.n)], fd * gd
+
+    def times_theta(self, h):
+        """The series h times (theta + x) = (phi + e x) / e."""
+        terms, den = h
+        return self._times_linear(terms, (0, 1)), den * self.e
+
+    def last(self, h) -> tuple[Fraction, Fraction]:
+        """(r0, r1) with coefficient n - 1 of h equal to r0 + r1 theta."""
+        (u, v), den = h[0][-1], h[1]
+        return Fraction(u, den), Fraction(v * self.e, den)
 
 
 def residue_at(f: RationalFunction, q: QuadraticFactor) -> ExtensionElement:
     """Residue of f at the root theta of Q inside Q[t]/(Q(t)).
 
-    Read off the local series at theta (``_pole_series``) for the reduced
+    Read off the local series at theta (``_LocalSeries``) for the reduced
     denominator Q^m s.  The residue at the other root is the conjugate.
     """
     s, m = _strip_factor(f.denominator, q.poly())
     if m == 0:
         raise ValueError("quadratic is not a factor of the denominator")
-    return _series_mul(_shifted_taylor(f.numerator, q, m), _pole_series(s, q, m))[-1]
+    series = _LocalSeries(q, m)
+    r0, r1 = series.last(series.product(series.taylor(f.numerator), series.pole(s)))
+    return ExtensionElement(r0, r1, q.b, q.c)
+
+
+def _int_derivative(v: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(v)][1:]
 
 
 def sturm_real_root_count(p: Polynomial, lo=None, hi=None) -> int:
     """Distinct real roots of p in (lo, hi]; None endpoints mean -/+infinity.
 
-    Multiple roots are counted once (the squarefree part is used).
+    Multiple roots are counted once (the squarefree part is used).  The
+    Sturm chain is a signed primitive PRS on p's integer vector: every
+    pseudo-remainder and primitive part differs from the Euclidean
+    remainder by a positive factor only, so the sign variations, and
+    therefore the counts, are those of the classical chain.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return 0
-    g = poly_gcd(p, p.derivative())
-    if g.degree > 0:
-        p = p.exact_div(g)
-    chain = [p, p.derivative()]
-    while chain[-1].degree > 0:
-        r = chain[-2] % chain[-1]
-        if r.is_zero:
+    ints, _ = _integer_vector(p.coeffs)
+    g = _int_gcd(ints, _int_derivative(ints))
+    if len(g) > 1:
+        ints = _int_divmod(ints, g)[1]
+    chain = [_primitive(ints), _primitive(_int_derivative(ints))]
+    while len(chain[-1]) > 1:
+        r = _int_divmod(chain[-2], chain[-1])[2]
+        if not r:
             break
-        chain.append(-r)
+        chain.append([-c for c in _primitive(r)])
 
-    def sign_at(poly: Polynomial, x) -> int:
-        if poly.is_zero:
-            return 0
-        lead = poly.leading()
+    def sign_at(v: list[int], x) -> int:
         if x is None:  # -infinity
-            sgn = 1 if poly.degree % 2 == 0 else -1
-            return sgn if lead > 0 else -sgn
+            sgn = 1 if len(v) % 2 else -1
+            return sgn if v[-1] > 0 else -sgn
         if isinstance(x, float) and math.isinf(x):  # +infinity
-            return 1 if lead > 0 else -1
-        v = poly(Fraction(x))
-        return (v > 0) - (v < 0)
+            return 1 if v[-1] > 0 else -1
+        # d^deg v(n/d) by Horner's rule, d > 0
+        n, d = x.numerator, x.denominator
+        acc, dk = 0, 1
+        for c in reversed(v):
+            acc = acc * n + c * dk
+            dk *= d
+        return (acc > 0) - (acc < 0)
 
     def variations(x) -> int:
         signs = [s for s in (sign_at(c, x) for c in chain) if s != 0]

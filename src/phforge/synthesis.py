@@ -20,7 +20,6 @@ from .errors import DegreeError
 from .polynomial import Polynomial, poly_gcd, two_chart_quotients
 from .quaternion import QI, QuaternionPolynomial, is_i_reduced, rotate_vector
 from .ratfunc import (
-    ExtensionElement,
     PoleStructure,
     QuadraticFactor,
     RationalFunction,
@@ -28,8 +27,7 @@ from .ratfunc import (
     residue_at,  # noqa: F401  kept: perfbench's traced run patches this name here
     sturm_real_root_count,
 )
-from .ratfunc import _hermite_reduce, _pole_series, _series_mul, _shifted_taylor
-from .ratfunc import _split_coprime, _strip_factor, _times_shift
+from .ratfunc import _hermite_reduce, _LocalSeries, _split_coprime, _strip_factor
 
 
 class SynthesisProblem:
@@ -118,7 +116,7 @@ def build_residue_system(p: SynthesisProblem) -> SolutionSpace:
     """Assemble the residue-vanishing conditions and their exact kernel.
 
     For each factor Q^M of alpha, one local series g at the root theta of Q
-    (``ratfunc._pole_series``) gives every residue: that of t^k w_c / alpha
+    (``ratfunc._LocalSeries.pole``) gives every residue: that of t^k w_c / alpha
     is coefficient M - 1 of (theta + x)^k w_c(theta + x) g.  Each hodograph
     component gives two real rows per factor (the two extension-field
     coordinates); all rows are kept and the kernel is computed by exact
@@ -127,16 +125,16 @@ def build_residue_system(p: SynthesisProblem) -> SolutionSpace:
     ncols = p.m + 1
     rows = []
     for q in p.poles.factors:
-        g = _pole_series(p.alpha.exact_div(q.poly() ** q.multiplicity), q, q.multiplicity)
-        theta = ExtensionElement(Fraction(0), Fraction(1), q.b, q.c)
+        series = _LocalSeries(q, q.multiplicity)
+        g = series.pole(p.alpha.exact_div(q.poly() ** q.multiplicity))
         for wc in p.hodograph_dir:
-            h = _series_mul(_shifted_taylor(wc, q, q.multiplicity), g)
+            h = series.product(series.taylor(wc), g)
             entries = []
             for _ in range(ncols):
-                entries.append(h[-1])
-                h = _times_shift(h, theta)
-            rows.append([e.r0 for e in entries])
-            rows.append([e.r1 for e in entries])
+                entries.append(series.last(h))
+                h = series.times_theta(h)
+            rows.append([r0 for r0, _ in entries])
+            rows.append([r1 for _, r1 in entries])
     kernel = linalg.nullspace(rows, ncols)
     basis = [
         Polynomial(linalg.primitive_integer_vector(vec)) for vec in kernel

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import numpy as np
 
 from phforge import (
+    ExtensionElement,
     PoleStructure,
     Polynomial as P,
     QuadraticFactor,
@@ -259,3 +260,177 @@ def run_property_suite(problems) -> dict:
         if not tangency_holds(problem, curve):
             fails["f"] += 1
     return fails
+
+
+# -- Fraction reference kernels ------------------------------------------------
+# The field algorithms that ran one Fraction per coefficient before the exact
+# core moved to integer vectors; the kernel tests compare against them.
+
+
+def ref_mul(a: P, b: P) -> P:
+    """Schoolbook product over Fraction."""
+    if a.is_zero or b.is_zero:
+        return P.zero()
+    out = [F(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return P(out)
+
+
+def ref_divmod(a: P, b: P):
+    """Field long division over Fraction."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [F(0)] * max(len(a.coeffs) - len(b.coeffs) + 1, 0)
+    rem = list(a.coeffs)
+    dlead, dn = b.leading(), b.degree
+    while len(rem) - 1 >= dn and rem:
+        k = len(rem) - 1 - dn
+        f = rem[-1] / dlead
+        q[k] = f
+        for i, c in enumerate(b.coeffs):
+            rem[k + i] = rem[k + i] - f * c
+        while rem and not rem[-1]:
+            rem.pop()
+    return P(q), P(rem)
+
+
+def ref_gcd(a: P, b: P) -> P:
+    """Monic gcd by the Euclidean algorithm over Fraction."""
+    while not b.is_zero:
+        a, b = b, ref_divmod(a, b)[1]
+        if not b.is_zero:
+            b = P([c / b.leading() for c in b.coeffs])
+    if a.is_zero:
+        return a
+    return P([c / a.leading() for c in a.coeffs])
+
+
+def ref_sturm_count(p: P, lo=None, hi=None) -> int:
+    """Distinct real roots in (lo, hi] from a Fraction Sturm chain."""
+    if p.degree == 0:
+        return 0
+    g = ref_gcd(p, p.derivative())
+    if g.degree > 0:
+        p = ref_divmod(p, g)[0]
+    chain = [p, p.derivative()]
+    while chain[-1].degree > 0:
+        r = ref_divmod(chain[-2], chain[-1])[1]
+        if r.is_zero:
+            break
+        chain.append(-r)
+
+    def sign_at(poly, x):
+        lead = poly.leading()
+        if x is None:  # -infinity
+            sgn = 1 if poly.degree % 2 == 0 else -1
+            return sgn if lead > 0 else -sgn
+        if x == math.inf:
+            return 1 if lead > 0 else -1
+        v = poly(F(x))
+        return (v > 0) - (v < 0)
+
+    def variations(x):
+        signs = [s for s in (sign_at(c, x) for c in chain) if s != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+
+    return variations(lo) - variations(math.inf if hi is None else hi)
+
+
+def _ref_times_shift(h, a):
+    """The series h times (a + x), truncated to len(h) terms."""
+    return [h[0] * a] + [h[i] * a + h[i - 1] for i in range(1, len(h))]
+
+
+def _ref_series_mul(f, g):
+    return [sum(f[i] * g[n - i] for i in range(n + 1)) for n in range(len(f))]
+
+
+def _ref_theta(q: QuadraticFactor) -> ExtensionElement:
+    return ExtensionElement(F(0), F(1), q.b, q.c)
+
+
+def _ref_shifted_taylor(p: P, q: QuadraticFactor, n: int):
+    """p(theta + x) mod x^n over ExtensionElement."""
+    out = [_ref_theta(q) * 0] * n
+    for c in reversed(p.coeffs):
+        out = _ref_times_shift(out, _ref_theta(q))
+        out[0] = out[0] + c
+    return out
+
+
+def _ref_pole_series(s: P, q: QuadraticFactor, m: int):
+    """1/((t - theta')^m s(t)) at t = theta + x, mod x^m, over ExtensionElement."""
+    den = _ref_shifted_taylor(s, q, m)
+    for _ in range(m):
+        den = _ref_times_shift(den, ExtensionElement(q.b, F(2), q.b, q.c))
+    out = [den[0].inverse()]
+    for n in range(1, m):
+        out.append(-sum(den[i] * out[n - i] for i in range(1, n + 1)) * out[0])
+    return out
+
+
+def ref_residue_at(f: RF, q: QuadraticFactor) -> ExtensionElement:
+    """Residue of f at theta from the ExtensionElement series."""
+    s, m = f.denominator, 0
+    while True:
+        quo, rem = ref_divmod(s, q.poly())
+        if not rem.is_zero:
+            break
+        s, m = quo, m + 1
+    if m == 0:
+        raise ValueError("quadratic is not a factor of the denominator")
+    num = _ref_shifted_taylor(f.numerator, q, m)
+    return _ref_series_mul(num, _ref_pole_series(s, q, m))[-1]
+
+
+def ref_residue_rows(problem: SynthesisProblem):
+    """The zero-residue constraint rows from the ExtensionElement series."""
+    rows = []
+    for q in problem.poles.factors:
+        s = ref_divmod(problem.alpha, q.poly() ** q.multiplicity)[0]
+        g = _ref_pole_series(s, q, q.multiplicity)
+        for wc in problem.hodograph_dir:
+            h = _ref_series_mul(_ref_shifted_taylor(wc, q, q.multiplicity), g)
+            entries = []
+            for _ in range(problem.m + 1):
+                entries.append(h[-1])
+                h = _ref_times_shift(h, _ref_theta(q))
+            rows.append([e.r0 for e in entries])
+            rows.append([e.r1 for e in entries])
+    return rows
+
+
+def ref_rref(rows):
+    """Gauss-Jordan over Fraction; returns (rows, pivot_columns)."""
+    m = [list(map(F, r)) for r in rows]
+    if not m:
+        return [], []
+    pivots, r = [], 0
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def ref_modular_inverse(a: P, modulus: P) -> P:
+    """Inverse of a modulo a coprime modulus by the extended Euclid over Fraction."""
+    r0, r1, s0, s1 = a, modulus, P.one(), P.zero()
+    while not r1.is_zero:
+        q, r = ref_divmod(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 - ref_mul(q, s1)
+    if r0.degree != 0:
+        raise ValueError("element not invertible modulo the given polynomial")
+    return ref_divmod(s0 * (1 / r0.leading()), modulus)[1]

@@ -75,6 +75,22 @@ class TestCheck:
         assert main(["check", "--config", cfg]) == 4
         assert "poles" in capsys.readouterr().err
 
+    def test_bad_view_exit_4(self, tmp_path, capsys):
+        for view in (["a", 1, 2], [None, 1, 2], [1, 2, "inf"], [1e400, 0, 0], [1, "nan", 2]):
+            raw = json.loads(json.dumps(EX2_CONFIG))
+            raw["options"]["view"] = view
+            assert main(["check", "--config", write_config(tmp_path, raw)]) == 4, view
+            assert "options.view" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "synth"])
+    def test_too_few_samples_exit_4(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, EX2_CONFIG)
+        for value in ("0", "3", "-5"):
+            argv = [command, "--config", cfg, "--samples", value, "--out", str(tmp_path / "o.json")]
+            assert main(argv) == 4, value
+            assert "--samples" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
 
 class TestSynth:
     def test_success_with_certificate(self, bundle_path):
