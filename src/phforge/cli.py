@@ -81,9 +81,21 @@ def _margin(value: float, where: str) -> float:
     return value
 
 
-def _samples(value: int, where: str) -> int:
-    if not isinstance(value, int) or value < 16:
-        raise ParseError("samples must be an integer >= 16", where)
+def _is_integer(value) -> bool:
+    """An int that is not a bool: JSON true and false load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _float(value) -> float:
+    """float(value), refusing JSON true and false, which float() reads as 1 and 0."""
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    return float(value)
+
+
+def _samples(value: int, where: str, minimum: int = 16) -> int:
+    if not _is_integer(value) or value < minimum:
+        raise ParseError(f"samples must be an integer >= {minimum}", where)
     return value
 
 
@@ -110,7 +122,7 @@ def parse_config(data) -> ProblemConfig:
         if c is None:
             raise ParseError("missing field c", f"poles[{i}].c")
         mult = entry.get("multiplicity", 1)
-        if not isinstance(mult, int) or mult < 1:
+        if not _is_integer(mult) or mult < 1:
             raise ParseError("multiplicity must be a positive integer", f"poles[{i}].multiplicity")
         try:
             factors.append(QuadraticFactor(b, c, mult))
@@ -127,14 +139,14 @@ def parse_config(data) -> ProblemConfig:
     cfg = ProblemConfig(a_poly, poles)
     if "margin" in opts:
         try:
-            margin = float(opts["margin"])
+            margin = _float(opts["margin"])
         except (TypeError, ValueError):
             raise ParseError("margin must be a number", "options.margin") from None
         cfg.margin = _margin(margin, "options.margin")
     if "samples" in opts:
         cfg.samples = _samples(opts["samples"], "options.samples")
     if "seed" in opts:
-        if not isinstance(opts["seed"], int):
+        if not _is_integer(opts["seed"]):
             raise ParseError("seed must be an integer", "options.seed")
         cfg.seed = opts["seed"]
     if "weights" in opts:
@@ -149,7 +161,7 @@ def parse_config(data) -> ProblemConfig:
         if not isinstance(v, list) or len(v) != 3:
             raise ParseError("view must be [x, y, z]", "options.view")
         try:
-            cfg.view = tuple(float(c) for c in v)
+            cfg.view = tuple(_float(c) for c in v)
         except (TypeError, ValueError):
             raise ParseError("view entries must be numbers", "options.view") from None
         if not all(math.isfinite(c) for c in cfg.view):
@@ -622,10 +634,10 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 cfg.seed = args.seed
             return cmd_synth(cfg, args.out, args.force)
-        if args.command == "sample":
-            return cmd_sample(load_bundle(args.config), args.samples, args.format, args.out)
-        if args.command == "frames":
-            return cmd_frames(load_bundle(args.config), args.samples, args.format, args.out)
+        if args.command in ("sample", "frames"):
+            n = _samples(args.samples, "--samples", minimum=2)
+            export = cmd_sample if args.command == "sample" else cmd_frames
+            return export(load_bundle(args.config), n, args.format, args.out)
         raise ParseError(f"unknown command {args.command!r}")
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

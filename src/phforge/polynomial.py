@@ -1,54 +1,50 @@
 """Dense univariate polynomial arithmetic over Q, and over Q(i) for i-reduction.
 
-Coefficients are stored ascending by degree as canonical ``Fraction`` or
-``GaussianRational`` values.  Over Q the kernels run fraction-free: a
-coefficient tuple becomes one integer vector over its lcm denominator
-(``_integer_vector``), products are integer schoolbook convolutions, division
-is integer (lazy pseudo-)division, and ``poly_gcd`` is a primitive
-polynomial remainder sequence (Collins 1967; Brown & Traub 1971), so only
-the output coefficients are normalised as ``Fraction``.  The field loops
-remain for ``GaussianRational`` coefficients, which only
-``quaternion.i_reduce`` uses.  Degrees in this package stay small (tens), so
-the dense representation and classical algorithms are the right tool.
+A polynomial over Q is one integer vector over one denominator: ``ints``
+holds the coefficients ascending by degree, times ``den``.  The pair is
+canonical: ``ints`` is a tuple without trailing zeros, ``den > 0`` and
+``gcd(den, *ints) == 1``, and the zero polynomial is ``((), 1)``, so equal
+polynomials have equal pairs.  Every operation over Q runs on the pair:
+sums and scalar products are integer vector operations, products are integer
+schoolbook convolutions, division is integer (lazy pseudo-)division, and
+``poly_gcd`` is a primitive polynomial remainder sequence (Collins 1967;
+Brown & Traub 1971).  ``Fraction`` values are built only at the edges:
+``coeffs``, ``leading``, ``coefficient`` and evaluation.  A polynomial with
+a ``GaussianRational`` coefficient, which only ``quaternion.i_reduce``
+builds, keeps its field coefficients and the field loops.  Degrees in this
+package stay small (tens), so the dense representation and classical
+algorithms are the right tool.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
 from .rationals import GaussianRational
 
-
-def _coerce_scalar(c):
-    if isinstance(c, (Fraction, GaussianRational)):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"exact coefficient required, got {type(c).__name__}")
+_SCALARS = (int, Fraction, GaussianRational)
 
 
-def _integer_vector(coeffs):
-    """(ints, den) with coeffs[k] = ints[k] / den, den > 0 the lcm of the denominators.
-
-    None when a coefficient is a ``GaussianRational``: those take the field loops.
-    """
-    if GaussianRational in map(type, coeffs):
-        return None
-    den = math.lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _primitive(v: list[int]) -> list[int]:
+def _primitive(v):
     """v divided by its content, signs kept."""
     g = math.gcd(*v)
     return [x // g for x in v] if g > 1 else v
 
 
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
+def _int_add(a, b) -> list[int]:
+    """Sum of integer vectors of any lengths."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(map(add, a, b))
+    out.extend(a[len(b) :])
+    return out
+
+
+def _int_mul(a, b) -> list[int]:
     """Schoolbook product of nonempty integer vectors, one dot product per coefficient."""
     rb = b[::-1]
     n, m = len(a), len(b)
@@ -59,7 +55,7 @@ def _int_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _int_divmod(a: list[int], b: list[int]):
+def _int_divmod(a, b):
     """(s, q, r) with s a = q b + r, s > 0 and len(r) < len(b), all integer.
 
     Lazy pseudo-division: at a step whose leading term lead(b) does not
@@ -91,7 +87,7 @@ def _int_divmod(a: list[int], b: list[int]):
     return s, q, r
 
 
-def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+def _int_gcd(a, b):
     """Primitive gcd of integer vectors by the primitive PRS; [] when both are zero."""
     a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
@@ -101,26 +97,56 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _from_integers(ints, den: int) -> "Polynomial":
-    """The polynomial sum ints[k] / den t^k, built without coercion; den != 0."""
-    cs = list(ints)
-    while cs and not cs[-1]:
-        cs.pop()
+def _pair(ints: tuple, den: int) -> "Polynomial":
+    """The polynomial with the canonical pair (ints, den), built without checks."""
     p = object.__new__(Polynomial)
-    object.__setattr__(p, "coeffs", tuple([Fraction(c, den) for c in cs]))
+    object.__setattr__(p, "ints", ints)
+    object.__setattr__(p, "den", den)
     return p
 
 
-class Polynomial:
-    """Immutable dense polynomial; the zero polynomial has degree -1."""
+def _canonical(ints: list[int], den: int) -> "Polynomial":
+    """The polynomial sum ints[k] / den t^k; den != 0."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if den < 0:
+        ints, den = [-x for x in ints], -den
+    if den != 1:
+        g = math.gcd(den, *ints)
+        if g != 1:
+            ints, den = [x // g for x in ints], den // g
+    return _pair(tuple(ints), den)
 
-    __slots__ = ("coeffs",)
+
+class Polynomial:
+    """Immutable dense polynomial; the zero polynomial has degree -1.
+
+    Over Q it is the canonical pair (``ints``, ``den``) described in the
+    module docstring, and ``coeffs`` is the tuple of canonical ``Fraction``
+    coefficients, built on first read.  With a ``GaussianRational``
+    coefficient, ``ints`` and ``den`` are None and ``coeffs`` is the tuple of
+    field coefficients.
+    """
+
+    __slots__ = ("ints", "den", "_coeffs")
 
     def __init__(self, coeffs=()):
-        cs = [_coerce_scalar(c) for c in coeffs]
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, _SCALARS):
+                raise TypeError(f"exact coefficient required, got {type(c).__name__}")
         while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        if any(isinstance(c, GaussianRational) for c in cs):
+            fcs = tuple(c if isinstance(c, GaussianRational) else Fraction(c) for c in cs)
+            object.__setattr__(self, "ints", None)
+            object.__setattr__(self, "den", None)
+            object.__setattr__(self, "_coeffs", fcs)
+            return
+        # reduced Fractions over their lcm have content coprime to it
+        den = math.lcm(*[c.denominator for c in cs])
+        object.__setattr__(self, "ints", tuple([c.numerator * (den // c.denominator) for c in cs]))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Polynomial is immutable")
@@ -129,11 +155,11 @@ class Polynomial:
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls(())
+        return _pair((), 1)
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls((1,))
+        return _pair((1,), 1)
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
@@ -146,47 +172,72 @@ class Polynomial:
     # -- basics ------------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """Coefficients ascending by degree, as canonical Fractions over Q."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            den = self.den
+            cs = tuple([Fraction(x, den) for x in self.ints])
+            object.__setattr__(self, "_coeffs", cs)
+            return cs
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        ints = self.ints
+        return (len(ints) if ints is not None else len(self._coeffs)) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        ints = self.ints
+        return not (ints if ints is not None else self._coeffs)
 
     def leading(self):
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        if self.ints is None:
+            return self._coeffs[-1]
+        return Fraction(self.ints[-1], self.den)
 
     def coefficient(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
+        cs = self.coeffs
+        return cs[k] if 0 <= k < len(cs) else Fraction(0)
 
     def __bool__(self):
         return not self.is_zero
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction, GaussianRational)):
+            if self.ints is None or other.ints is None:
+                return self.coeffs == other.coeffs
+            return self.ints == other.ints and self.den == other.den
+        if isinstance(other, _SCALARS):
             return self == Polynomial((other,))
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        if self.ints is None:
+            # equal to a polynomial over Q only when every imaginary part is zero
+            return hash(Polynomial([c.re if isinstance(c, GaussianRational) else c for c in self._coeffs]))
+        return hash((self.ints, self.den))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, _SCALARS):
             other = Polynomial((other,))
-        if not isinstance(other, Polynomial):
+        elif not isinstance(other, Polynomial):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
+        a, b = self.ints, other.ints
+        if a is None or b is None:
+            n = max(self.degree, other.degree) + 1
+            return Polynomial([self.coefficient(i) + other.coefficient(i) for i in range(n)])
+        da, db = self.den, other.den
+        if da == db:
+            return _canonical(_int_add(a, b), da)
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        return _canonical(_int_add([x * fa for x in a], [x * fb for x in b]), da * fa)
 
     __radd__ = __add__
 
@@ -197,23 +248,31 @@ class Polynomial:
         return (-self) + other
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        if self.ints is None:
+            return Polynomial([-c for c in self._coeffs])
+        return _pair(tuple([-x for x in self.ints]), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return Polynomial([c * other for c in self.coeffs])
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero()
-        a, b = _integer_vector(self.coeffs), _integer_vector(other.coeffs)
-        if a is None or b is None:
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        a = self.ints
+        if isinstance(other, Polynomial):
+            b = other.ints
+            if a is not None and b is not None:
+                if not a or not b:
+                    return Polynomial.zero()
+                return _canonical(_int_mul(a, b), self.den * other.den)
+            if self.is_zero or other.is_zero:
+                return Polynomial.zero()
+            out = [Fraction(0)] * (self.degree + other.degree + 1)
             for i, x in enumerate(self.coeffs):
                 for j, y in enumerate(other.coeffs):
                     out[i + j] = out[i + j] + x * y
             return Polynomial(out)
-        return _from_integers(_int_mul(a[0], b[0]), a[1] * b[1])
+        if a is not None and isinstance(other, (int, Fraction)):
+            n = other.numerator
+            return _canonical([x * n for x in a], self.den * other.denominator)
+        if isinstance(other, _SCALARS):
+            return Polynomial([c * other for c in self.coeffs])
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -230,21 +289,21 @@ class Polynomial:
         return result
 
     def __divmod__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, _SCALARS):
             other = Polynomial((other,))
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return Polynomial.zero(), self
-        a, b = _integer_vector(self.coeffs), _integer_vector(other.coeffs)
+        a, b = self.ints, other.ints
         if a is not None and b is not None:
-            # other = content bp / db with bp primitive, and s ai = q bp + r, so
-            # self = ai / da = (q db / (s da content)) other + r / (s da)
-            (ai, da), (bi, db) = a, b
-            content = math.gcd(*bi)
-            s, q, r = _int_divmod(ai, [x // content for x in bi])
-            return _from_integers([x * db for x in q], s * da * content), _from_integers(r, s * da)
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
+            # other = content bp / db with bp primitive, and s a = q bp + r, so
+            # self = a / da = (q db / (s da content)) other + r / (s da)
+            content = math.gcd(*b)
+            s, q, r = _int_divmod(a, [x // content for x in b] if content != 1 else b)
+            da = s * self.den
+            return _canonical([x * other.den for x in q], da * content), _canonical(r, da)
+        q = [Fraction(0)] * (self.degree - other.degree + 1)
         rem = list(self.coeffs)
         dlead = other.leading()
         dn = other.degree
@@ -273,16 +332,31 @@ class Polynomial:
     # -- calculus and evaluation -------------------------------------------
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+        if self.ints is None:
+            return Polynomial([i * c for i, c in enumerate(self._coeffs)][1:])
+        return _canonical([i * c for i, c in enumerate(self.ints)][1:], self.den)
 
     def antiderivative(self) -> "Polynomial":
         """Power-rule antiderivative with zero constant term."""
-        out = [Fraction(0)]
-        for i, c in enumerate(self.coeffs):
-            out.append(c / Fraction(i + 1))
-        return Polynomial(out)
+        if self.ints is None:
+            return Polynomial([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self._coeffs)])
+        scale = math.lcm(*range(1, len(self.ints) + 1))
+        return _canonical(
+            [0] + [c * (scale // (i + 1)) for i, c in enumerate(self.ints)], self.den * scale
+        )
 
     def __call__(self, x):
+        ints = self.ints
+        if ints is not None and isinstance(x, (int, Fraction)):
+            if not ints:
+                return Fraction(0)
+            # d^deg p(n/d) by Horner's rule, d > 0
+            n, d = x.numerator, x.denominator
+            acc, dk = 0, 1
+            for c in reversed(ints):
+                acc = acc * n + c * dk
+                dk *= d
+            return Fraction(acc, self.den * (dk // d))
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
@@ -291,13 +365,17 @@ class Polynomial:
         return acc
 
     def float_coeffs(self) -> list[float]:
-        return [float(c) for c in self.coeffs]
+        """Coefficients over Q as floats; int true division rounds as float(Fraction) does."""
+        den = self.den
+        return [x / den for x in self.ints]
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
             return self
-        lead = self.leading()
-        return Polynomial([c / lead for c in self.coeffs])
+        if self.ints is None:
+            lead = self._coeffs[-1]
+            return Polynomial([c / lead for c in self._coeffs])
+        return _canonical(list(self.ints), self.ints[-1])
 
     def map_coeffs(self, fn) -> "Polynomial":
         return Polynomial([fn(c) for c in self.coeffs])
@@ -386,10 +464,9 @@ def two_chart_quotients(nums, den: Polynomial, degree: int, ts) -> np.ndarray:
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor: primitive PRS over Q, Euclid over Q(i)."""
-    ai, bi = _integer_vector(a.coeffs), _integer_vector(b.coeffs)
-    if ai is not None and bi is not None:
-        g = _int_gcd(ai[0], bi[0])
-        return _from_integers(g, g[-1]) if g else Polynomial.zero()
+    if a.ints is not None and b.ints is not None:
+        g = _int_gcd(a.ints, b.ints)
+        return _canonical(g, g[-1]) if g else Polynomial.zero()
     while not b.is_zero:
         a, b = b, (a % b)
         if not b.is_zero:
@@ -405,10 +482,10 @@ def modular_inverse(a: Polynomial, modulus: Polynomial) -> Polynomial:
     Extended primitive PRS over the integer vectors A and M of a and the
     modulus, tracking only A's cofactor: each remainder is r_i = s_i A mod M,
     and r_i and s_i are divided by their common content.  The last nonzero
-    remainder is a constant c, so a^-1 = s a_den / c mod the modulus.
+    remainder is a constant c, so a^-1 = s a.den / c mod the modulus.
     """
-    (r0, a_den), (m, _) = _integer_vector(a.coeffs), _integer_vector(modulus.coeffs)
-    r1, s0, s1 = m, [1], []
+    m = modulus.ints
+    r0, r1, s0, s1 = a.ints, m, [1], []
     while r1:
         scale, q, r = _int_divmod(r0, r1)
         s = [scale * x for x in s0] + [0] * max(len(q) + len(s1) - 1 - len(s0), 0)
@@ -420,7 +497,7 @@ def modular_inverse(a: Polynomial, modulus: Polynomial) -> Polynomial:
     if len(r0) != 1:
         raise ValueError("element not invertible modulo the given polynomial")
     scale, _, rem = _int_divmod(s0, m)
-    return _from_integers([x * a_den for x in rem], r0[0] * scale)
+    return _canonical([x * a.den for x in rem], r0[0] * scale)
 
 
 def squarefree_decomposition(p: Polynomial):
@@ -453,37 +530,32 @@ def squarefree_decomposition(p: Polynomial):
     return lead, out
 
 
-def _sqrt_fraction(x: Fraction):
-    if x < 0:
-        return None
-    n, d = x.numerator, x.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn != n or rd * rd != d:
-        return None
-    return Fraction(rn, rd)
-
-
 def poly_sqrt(p: Polynomial):
-    """Exact square root of a Fraction-coefficient polynomial, or None.
+    """Exact square root of a polynomial over Q with a positive leading coefficient, or None.
 
-    The coefficients of q come top-down, each from one coefficient of p
-    (O(d^2) operations); the final check q*q == p rejects non-squares.
+    A square q^2 = p has the canonical pair (Q^2, e^2) when q has (Q, e), so
+    p = (ints, den) is a square only when den and ints are squares over Z.
+    The coefficients of Q come top-down, each from one coefficient of ints
+    by an exact integer division (O(d^2) operations); the final check
+    Q*Q == ints rejects non-squares.
     """
     if p.is_zero:
         return Polynomial.zero()
-    n = p.degree
-    if n % 2:
+    ints, n = p.ints, p.degree
+    e, top = math.isqrt(p.den), ints[-1]
+    if n % 2 or top < 0 or e * e != p.den:
         return None
-    s = _sqrt_fraction(p.leading())
-    if s is None:
+    s = math.isqrt(top)
+    if s * s != top:
         return None
     d = n // 2
-    q = [Fraction(0)] * d + [s]
-    # coefficient d + i of q*q is 2 s q_i plus products of q_{i+1..d-1}
+    q = [0] * d + [s]
+    # coefficient d + i of Q*Q is 2 s q_i plus products of q_{i+1..d-1}
     for i in range(d - 1, -1, -1):
-        cross = sum(q[j] * q[d + i - j] for j in range(i + 1, d))
-        q[i] = (p.coeffs[d + i] - cross) / (2 * s)
-    root = Polynomial(q)
-    if root * root == p:
-        return root
-    return None
+        cross = ints[d + i] - sum(q[j] * q[d + i - j] for j in range(i + 1, d))
+        if cross % (2 * s):
+            return None
+        q[i] = cross // (2 * s)
+    if tuple(_int_mul(q, q)) != ints:
+        return None
+    return _pair(tuple(q), e)

@@ -22,7 +22,6 @@ from .polynomial import (
     Polynomial,
     _int_divmod,
     _int_gcd,
-    _integer_vector,
     _primitive,
     modular_inverse,
     poly_gcd,
@@ -34,7 +33,7 @@ _INF = float("inf")
 
 
 class RationalFunction:
-    """Quotient of Fraction-coefficient polynomials in reduced form.
+    """Quotient of polynomials over Q in reduced form.
 
     The denominator is normalized monic; equality of reduced forms is
     equality of rational functions.
@@ -339,7 +338,7 @@ class _LocalSeries:
 
     def taylor(self, p: Polynomial):
         """p(theta + x) by Horner's rule in phi + e x = e (theta + x)."""
-        ints, den = _integer_vector(p.coeffs)
+        ints, den = p.ints, p.den
         terms = [(0, 0)] * self.n
         for k, c in enumerate(reversed(ints)):
             terms = self._times_linear(terms, (0, 1))
@@ -419,7 +418,7 @@ def sturm_real_root_count(p: Polynomial, lo=None, hi=None) -> int:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return 0
-    ints, _ = _integer_vector(p.coeffs)
+    ints = p.ints
     g = _int_gcd(ints, _int_derivative(ints))
     if len(g) > 1:
         ints = _int_divmod(ints, g)[1]
@@ -495,9 +494,10 @@ def _hermite_reduce(nums, factors):
     per step: b = -a ((j-1) s')^-1 mod s makes a/s^j - (b/s^(j-1))' a multiple
     of 1/s^(j-1).  The split and the inverses of (j-1) s' are computed once
     per factor for all numerators, and each antiderivative is summed as the
-    plain polynomial sum b_j s^(k-j) over s^(k-1), with no gcd.  A nonzero
-    remainder over a squarefree s is a log/arctan term and raises
-    RationalityError, with one (s, remainder) pair per factor and numerator.
+    plain polynomial sum b_j s^(k-j) over s^(k-1), by Horner's rule in s and
+    with no gcd.  A nonzero remainder over a squarefree s is a log/arctan
+    term and raises RationalityError, with one (s, remainder) pair per factor
+    and numerator.
     """
     splits = _split_coprime(nums, [s**k for s, k in factors])
     den = Polynomial.one()
@@ -510,14 +510,16 @@ def _hermite_reduce(nums, factors):
         steps = [(ds * (j - 1), modular_inverse(ds * (j - 1), s)) for j in range(k, 1, -1)]
         cofactor = den.exact_div(s ** (k - 1))
         for n, (_, parts) in enumerate(splits):
-            a, acc, power = parts[i], Polynomial.zero(), Polynomial.one()
+            a, bs = parts[i], []
             for dsj, inv in steps:
                 b = (-a * inv) % s
-                acc = acc + b * power
-                power = power * s
+                bs.append(b)
                 a = (a + b * dsj - b.derivative() * s).exact_div(s)
             if not a.is_zero:
                 remainders.append((s, a))
+            acc = Polynomial.zero()
+            for b in reversed(bs):  # Horner's rule in s
+                acc = acc * s + b
             out[n] = out[n] + acc * cofactor
     if remainders:
         raise RationalityError(

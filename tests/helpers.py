@@ -434,3 +434,44 @@ def ref_modular_inverse(a: P, modulus: P) -> P:
     if r0.degree != 0:
         raise ValueError("element not invertible modulo the given polynomial")
     return ref_divmod(s0 * (1 / r0.leading()), modulus)[1]
+
+
+# -- Fraction reference for the Q representation -----------------------------
+# Coefficient lists ascending by degree, one Fraction per coefficient and no
+# trailing zeros: what ``Polynomial.coeffs`` stored before the integer-vector
+# representation.  Each takes and returns such lists.
+
+
+def ref_coeffs(cs) -> list:
+    out = [F(c) for c in cs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def ref_add(a, b) -> list:
+    n = max(len(a), len(b))
+    return ref_coeffs([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def ref_scale(a, c) -> list:
+    return ref_coeffs([x * c for x in a])
+
+
+def ref_derivative(a) -> list:
+    return ref_coeffs([i * x for i, x in enumerate(a)][1:])
+
+
+def ref_antiderivative(a) -> list:
+    return ref_coeffs([F(0)] + [x / (i + 1) for i, x in enumerate(a)])
+
+
+def ref_eval(a, x) -> F:
+    acc = F(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def ref_monic(a) -> list:
+    return [x / a[-1] for x in a] if a else []

@@ -91,6 +91,24 @@ class TestCheck:
             assert "--samples" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
 
+    def test_boolean_for_integer_or_number_exit_4(self, tmp_path, capsys):
+        # JSON true loads as a bool, which Python counts as an int
+        cases = [
+            ("options.seed", lambda raw: raw["options"].update(seed=True)),
+            ("options.samples", lambda raw: raw["options"].update(samples=True)),
+            ("options.margin", lambda raw: raw["options"].update(margin=True)),
+            ("options.view", lambda raw: raw["options"].update(view=[True, 0, 0])),
+            ("poles[0].multiplicity", lambda raw: raw["poles"][0].update(multiplicity=True)),
+        ]
+        for field, corrupt in cases:
+            raw = json.loads(json.dumps(EX2_CONFIG))
+            corrupt(raw)
+            for command in ("check", "synth"):
+                argv = [command, "--config", write_config(tmp_path, raw), "--out", str(tmp_path / "o.json")]
+                assert main(argv) == 4, (field, command)
+                assert f"{field}:" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
 
 class TestSynth:
     def test_success_with_certificate(self, bundle_path):
@@ -235,6 +253,19 @@ class TestSampleExports:
             capsys.readouterr()
             assert main(["sample", "--config", str(bad), "--samples", "16"]) == 4, (outer, inner, value)
             assert f"{field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sample", "frames"])
+def test_export_too_few_samples_exit_4(bundle_path, tmp_path, capsys, command):
+    out = tmp_path / "o.json"
+    for value in ("0", "1", "-5"):
+        argv = [command, "--config", bundle_path, "--samples", value, "--out", str(out)]
+        assert main(argv) == 4, value
+        assert "--samples:" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([command, "--config", bundle_path, "--samples", "2", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert len(data["positions"] if command == "sample" else data) == 2
 
 
 class TestFrames:

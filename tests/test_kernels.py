@@ -2,9 +2,14 @@
 
 Products, quotient/remainder pairs, gcds, modular inverses, Sturm counts,
 residue rows and reduced row echelon forms must be equal, value for value, on seeded random inputs with integer and
-Fraction coefficients and with monic, non-monic and Fraction divisors.
+Fraction coefficients and with monic, non-monic and Fraction divisors.  The
+polynomial operations over Q (sums, scalar products, calculus, evaluation,
+``monic``, ``leading``, ``coefficient``, ``float_coeffs``) must match one
+Fraction per coefficient, every result must be the canonical (ints, den)
+pair, and equal polynomials must hash alike whichever way they were built.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -13,6 +18,7 @@ import pytest
 from phforge import linalg
 from phforge.polynomial import _int_divmod, _int_mul, modular_inverse
 from phforge import (
+    GaussianRational,
     PoleStructure,
     Polynomial as P,
     QuadraticFactor,
@@ -28,13 +34,20 @@ from phforge import (
 from helpers import (
     generator_deg3,
     random_quaternion_poly,
+    ref_add,
+    ref_antiderivative,
+    ref_coeffs,
+    ref_derivative,
     ref_divmod,
+    ref_eval,
     ref_gcd,
     ref_modular_inverse,
+    ref_monic,
     ref_mul,
     ref_residue_at,
     ref_residue_rows,
     ref_rref,
+    ref_scale,
     ref_sturm_count,
 )
 
@@ -218,3 +231,124 @@ def test_modular_inverse_matches_reference(seed):
     with pytest.raises(ValueError):
         modular_inverse(P([1, 1]) * P([2, 0, 1]), P([2, 0, 1]))
     assert modular_inverse(P([F(1, 2), 3]), P([5])) == P.zero()
+
+
+# -- the integer-vector representation over Q ----------------------------------
+
+
+def assert_canonical(p):
+    """p is the pair (ints, den) of the module docstring, and coeffs agree with it."""
+    assert type(p.ints) is tuple and all(type(x) is int for x in p.ints)
+    assert type(p.den) is int and p.den > 0
+    assert not p.ints or p.ints[-1] != 0
+    assert math.gcd(p.den, *p.ints) == 1
+    assert p.coeffs == tuple(F(x, p.den) for x in p.ints)
+    assert all(type(c) is F for c in p.coeffs)
+
+
+def rand_mixed(rng, degree):
+    """Coefficients as ints and Fractions of both signs, zero trailing terms included."""
+    cs = []
+    for _ in range(degree + 1):
+        kind = rng.random()
+        if kind < 0.3:
+            cs.append(rng.randint(-9, 9))
+        elif kind < 0.9:
+            cs.append(F(rng.randint(-60, 60), rng.randint(1, 36)))
+        else:
+            cs.append(F(rng.randint(-10**30, 10**30), rng.randint(1, 10**20)))
+    return cs + [0] * rng.randint(0, 2)
+
+
+def rand_scalar(rng):
+    return rng.choice((0, 1, -1, rng.randint(-12, 12), F(rng.randint(-12, 12), rng.randint(1, 9))))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_operations_match_fraction_reference(seed):
+    rng = random.Random(f"representation:{seed}")
+    for _ in range(60):
+        ca, cb = rand_mixed(rng, rng.randint(-1, 7)), rand_mixed(rng, rng.randint(-1, 7))
+        a, b = P(ca), P(cb)
+        ra, rb = ref_coeffs(ca), ref_coeffs(cb)
+        c = rand_scalar(rng)
+        results = {
+            "a": (a, ra),
+            "a + b": (a + b, ref_add(ra, rb)),
+            "a - b": (a - b, ref_add(ra, ref_scale(rb, -1))),
+            "-a": (-a, ref_scale(ra, -1)),
+            "a * c": (a * c, ref_scale(ra, c)),
+            "c * a": (c * a, ref_scale(ra, c)),
+            "a + c": (a + c, ref_add(ra, [F(c)])),
+            "c - a": (c - a, ref_add([F(c)], ref_scale(ra, -1))),
+            "a'": (a.derivative(), ref_derivative(ra)),
+            "int a": (a.antiderivative(), ref_antiderivative(ra)),
+            "monic": (a.monic(), ref_monic(ra)),
+        }
+        for name, (p, want) in results.items():
+            assert_canonical(p)
+            assert p.coeffs == tuple(want), name
+            assert p.degree == len(want) - 1, name
+        for x in (0, 1, -2, rng.randint(-9, 9), F(rng.randint(-20, 20), rng.randint(1, 9))):
+            value = a(x)
+            assert type(value) is F and value == ref_eval(ra, F(x))
+        for k in range(-1, len(ra) + 2):
+            want = ra[k] if 0 <= k < len(ra) else F(0)
+            assert type(a.coefficient(k)) is F and a.coefficient(k) == want
+        if ra:
+            assert type(a.leading()) is F and a.leading() == ra[-1]
+        else:
+            with pytest.raises(ValueError):
+                a.leading()
+
+
+def test_float_coeffs_are_bit_identical():
+    rng = random.Random("float-coeffs")
+    for _ in range(200):
+        cs = rand_mixed(rng, rng.randint(-1, 6))
+        p = P(cs) * rand_scalar(rng)
+        assert p.float_coeffs() == [float(c) for c in p.coeffs]
+    thirds = P([F(1, 3), F(-2, 3), F(10**40 + 1, 3 * 10**20)])
+    assert thirds.float_coeffs() == [float(c) for c in thirds.coeffs]
+
+
+def test_equality_and_hash_across_construction_routes():
+    half = P([F(1, 2)])
+    routes = [
+        P([F(2, 4)]),
+        P([F(1, 2), 0, 0]),
+        P([1]) * F(1, 2),
+        F(1, 2) * P([1]),
+        P([2]) * F(1, 4),
+        P([F(1, 4)]) + P([F(1, 4)]),
+        P([F(3, 2)]) - 1,
+        P([F(3, 2), F(1, 3)]) - P([1, F(2, 6)]),
+        P([1, 1]).derivative() * F(1, 2),
+        P([F(1, 2), F(1, 2)]).exact_div(P([1, 1])),
+        divmod(P([F(1, 2), 0, 1]), P([0, 0, 1]))[1],
+        (P([3, 3]) % P([0, 1])).monic() * F(1, 2),
+        P([F(1, 2)]).antiderivative().derivative(),
+        P([0, F(1, 2)]).antiderivative().derivative().derivative() * 2 * F(1, 2),
+    ]
+    for p in routes:
+        assert_canonical(p)
+        assert (p.ints, p.den) == ((1,), 2)
+        assert p == half and hash(p) == hash(half)
+    zeros = [P(), P([0, F(0, 3)]), half - half, half * 0, P([7]).derivative(), P([1, 2]) % P([1, 2])]
+    for z in zeros:
+        assert_canonical(z)
+        assert (z.ints, z.den) == ((), 1) and z == P.zero() and hash(z) == hash(P.zero())
+    rng = random.Random("routes")
+    for _ in range(40):
+        a = P(rand_mixed(rng, rng.randint(0, 6)))
+        b = P(rand_mixed(rng, rng.randint(0, 5)))
+        if b.is_zero:
+            continue
+        for same in ((a + b) - b, (a * b).exact_div(b), a.monic() * a.leading() if a else a, -(-a)):
+            assert_canonical(same)
+            assert same == a and hash(same) == hash(a)
+        assert (a == a + 1) is False
+    # a polynomial stored with Gaussian coefficients that are all real equals its Q form
+    real = P([GaussianRational(1), GaussianRational(F(1, 2))])
+    assert real == P([1, F(1, 2)]) and hash(real) == hash(P([1, F(1, 2)]))
+    assert P([GaussianRational(1, 1)]) != P([1])
