@@ -39,15 +39,13 @@ from .positivity import (
     sos_decomposition,
 )
 from .quaternion import (
-    ComplexPair,
     Quaternion,
     QuaternionPolynomial,
-    complex_split,
     i_reduce,
     is_i_reduced,
     rotate_vector,
 )
-from .rationals import GaussianRational, format_rational, parse_rational
+from .rationals import format_rational, parse_rational
 from .ratfunc import (
     ExtensionElement,
     PoleStructure,
@@ -73,13 +71,11 @@ from .synthesis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexPair",
     "DegreeError",
     "EmptyKernelError",
     "ExtensionElement",
     "FeasibilityResult",
     "FramePose",
-    "GaussianRational",
     "GramSlice",
     "HomogeneousPoint",
     "HullCertificate",
@@ -104,7 +100,6 @@ __all__ = [
     "certify_regular",
     "closure_integral",
     "closure_point",
-    "complex_split",
     "convex_hull_contains_origin",
     "elementary_decomposition",
     "euler_rodriguez_pose",

@@ -1,8 +1,9 @@
 """Command-line front end: problem ingestion, pipeline, exact/sampled export.
 
 Exit codes: 0 success with exact regularity certificate, 2 empty residue
-kernel, 3 positivity infeasible or indeterminate (including a failed hull
-gate), 4 parse/usage errors.  All exact data is serialized as rational
+kernel or impossible degree bookkeeping (a negative numerator degree), 3
+positivity infeasible or indeterminate (including a failed hull gate), 4
+parse/usage errors.  All exact data is serialized as rational
 strings; sampled data as floats.  Outputs are deterministic for a fixed
 config and seed.
 """
@@ -17,7 +18,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ParseError, PhforgeError, RationalityError
+from .errors import NonPythagoreanError, ParseError, PhforgeError, RationalityError
 from .geometry import (
     angle_parameters,
     convex_hull_contains_origin,
@@ -486,7 +487,10 @@ def _project(positions, view):
 
 def _write_svg(bundle: Bundle, n: int, out_path):
     params, positions = _sample_positions(bundle, n)
-    speed = speed_function(bundle.curve)
+    try:
+        speed = speed_function(bundle.curve)
+    except NonPythagoreanError as exc:
+        raise ParseError(str(exc), "curve") from None
     angles = [2.0 * math.pi * j / n for j in range(n)]
     speeds = speed.eval_floats(params).tolist()
 

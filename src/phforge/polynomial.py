@@ -1,4 +1,4 @@
-"""Dense univariate polynomial arithmetic over Q, and over Q(i) for i-reduction.
+"""Dense univariate polynomial arithmetic over Q.
 
 A polynomial over Q is one integer vector over one denominator: ``ints``
 holds the coefficients ascending by degree, times ``den``.  The pair is
@@ -9,9 +9,7 @@ sums and scalar products are integer vector operations, products are integer
 schoolbook convolutions, division is integer (lazy pseudo-)division, and
 ``poly_gcd`` is a primitive polynomial remainder sequence (Collins 1967;
 Brown & Traub 1971).  ``Fraction`` values are built only at the edges:
-``coeffs``, ``leading``, ``coefficient`` and evaluation.  A polynomial with
-a ``GaussianRational`` coefficient, which only ``quaternion.i_reduce``
-builds, keeps its field coefficients and the field loops.  Degrees in this
+``coeffs``, ``leading``, ``coefficient`` and evaluation.  Degrees in this
 package stay small (tens), so the dense representation and classical
 algorithms are the right tool.
 """
@@ -24,9 +22,7 @@ from operator import add, mul
 
 import numpy as np
 
-from .rationals import GaussianRational
-
-_SCALARS = (int, Fraction, GaussianRational)
+_SCALARS = (int, Fraction)
 
 
 def _primitive(v):
@@ -119,13 +115,11 @@ def _canonical(ints: list[int], den: int) -> "Polynomial":
 
 
 class Polynomial:
-    """Immutable dense polynomial; the zero polynomial has degree -1.
+    """Immutable dense polynomial over Q; the zero polynomial has degree -1.
 
-    Over Q it is the canonical pair (``ints``, ``den``) described in the
-    module docstring, and ``coeffs`` is the tuple of canonical ``Fraction``
-    coefficients, built on first read.  With a ``GaussianRational``
-    coefficient, ``ints`` and ``den`` are None and ``coeffs`` is the tuple of
-    field coefficients.
+    It is the canonical pair (``ints``, ``den``) described in the module
+    docstring, and ``coeffs`` is the tuple of canonical ``Fraction``
+    coefficients, built on first read.
     """
 
     __slots__ = ("ints", "den", "_coeffs")
@@ -137,12 +131,6 @@ class Polynomial:
                 raise TypeError(f"exact coefficient required, got {type(c).__name__}")
         while cs and not cs[-1]:
             cs.pop()
-        if any(isinstance(c, GaussianRational) for c in cs):
-            fcs = tuple(c if isinstance(c, GaussianRational) else Fraction(c) for c in cs)
-            object.__setattr__(self, "ints", None)
-            object.__setattr__(self, "den", None)
-            object.__setattr__(self, "_coeffs", fcs)
-            return
         # reduced Fractions over their lcm have content coprime to it
         den = math.lcm(*[c.denominator for c in cs])
         object.__setattr__(self, "ints", tuple([c.numerator * (den // c.denominator) for c in cs]))
@@ -184,19 +172,15 @@ class Polynomial:
 
     @property
     def degree(self) -> int:
-        ints = self.ints
-        return (len(ints) if ints is not None else len(self._coeffs)) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        ints = self.ints
-        return not (ints if ints is not None else self._coeffs)
+        return not self.ints
 
     def leading(self):
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        if self.ints is None:
-            return self._coeffs[-1]
         return Fraction(self.ints[-1], self.den)
 
     def coefficient(self, k: int):
@@ -208,17 +192,12 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            if self.ints is None or other.ints is None:
-                return self.coeffs == other.coeffs
             return self.ints == other.ints and self.den == other.den
         if isinstance(other, _SCALARS):
             return self == Polynomial((other,))
         return NotImplemented
 
     def __hash__(self):
-        if self.ints is None:
-            # equal to a polynomial over Q only when every imaginary part is zero
-            return hash(Polynomial([c.re if isinstance(c, GaussianRational) else c for c in self._coeffs]))
         return hash((self.ints, self.den))
 
     # -- ring operations ---------------------------------------------------
@@ -229,9 +208,6 @@ class Polynomial:
         elif not isinstance(other, Polynomial):
             return NotImplemented
         a, b = self.ints, other.ints
-        if a is None or b is None:
-            n = max(self.degree, other.degree) + 1
-            return Polynomial([self.coefficient(i) + other.coefficient(i) for i in range(n)])
         da, db = self.den, other.den
         if da == db:
             return _canonical(_int_add(a, b), da)
@@ -248,30 +224,18 @@ class Polynomial:
         return (-self) + other
 
     def __neg__(self):
-        if self.ints is None:
-            return Polynomial([-c for c in self._coeffs])
         return _pair(tuple([-x for x in self.ints]), self.den)
 
     def __mul__(self, other):
         a = self.ints
         if isinstance(other, Polynomial):
             b = other.ints
-            if a is not None and b is not None:
-                if not a or not b:
-                    return Polynomial.zero()
-                return _canonical(_int_mul(a, b), self.den * other.den)
-            if self.is_zero or other.is_zero:
+            if not a or not b:
                 return Polynomial.zero()
-            out = [Fraction(0)] * (self.degree + other.degree + 1)
-            for i, x in enumerate(self.coeffs):
-                for j, y in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + x * y
-            return Polynomial(out)
-        if a is not None and isinstance(other, (int, Fraction)):
+            return _canonical(_int_mul(a, b), self.den * other.den)
+        if isinstance(other, _SCALARS):
             n = other.numerator
             return _canonical([x * n for x in a], self.den * other.denominator)
-        if isinstance(other, _SCALARS):
-            return Polynomial([c * other for c in self.coeffs])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -295,27 +259,13 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return Polynomial.zero(), self
-        a, b = self.ints, other.ints
-        if a is not None and b is not None:
-            # other = content bp / db with bp primitive, and s a = q bp + r, so
-            # self = a / da = (q db / (s da content)) other + r / (s da)
-            content = math.gcd(*b)
-            s, q, r = _int_divmod(a, [x // content for x in b] if content != 1 else b)
-            da = s * self.den
-            return _canonical([x * other.den for x in q], da * content), _canonical(r, da)
-        q = [Fraction(0)] * (self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        dlead = other.leading()
-        dn = other.degree
-        while len(rem) - 1 >= dn and rem:
-            k = len(rem) - 1 - dn
-            f = rem[-1] / dlead
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - f * c
-            while rem and not rem[-1]:
-                rem.pop()
-        return Polynomial(q), Polynomial(rem)
+        # other = content bp / db with bp primitive, and s a = q bp + r, so
+        # self = a / da = (q db / (s da content)) other + r / (s da)
+        b = other.ints
+        content = math.gcd(*b)
+        s, q, r = _int_divmod(self.ints, [x // content for x in b] if content != 1 else b)
+        da = s * self.den
+        return _canonical([x * other.den for x in q], da * content), _canonical(r, da)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -332,14 +282,10 @@ class Polynomial:
     # -- calculus and evaluation -------------------------------------------
 
     def derivative(self) -> "Polynomial":
-        if self.ints is None:
-            return Polynomial([i * c for i, c in enumerate(self._coeffs)][1:])
         return _canonical([i * c for i, c in enumerate(self.ints)][1:], self.den)
 
     def antiderivative(self) -> "Polynomial":
         """Power-rule antiderivative with zero constant term."""
-        if self.ints is None:
-            return Polynomial([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self._coeffs)])
         scale = math.lcm(*range(1, len(self.ints) + 1))
         return _canonical(
             [0] + [c * (scale // (i + 1)) for i, c in enumerate(self.ints)], self.den * scale
@@ -347,9 +293,9 @@ class Polynomial:
 
     def __call__(self, x):
         ints = self.ints
-        if ints is not None and isinstance(x, (int, Fraction)):
-            if not ints:
-                return Fraction(0)
+        if not ints:
+            return Fraction(0)
+        if isinstance(x, _SCALARS):
             # d^deg p(n/d) by Horner's rule, d > 0
             n, d = x.numerator, x.denominator
             acc, dk = 0, 1
@@ -360,8 +306,6 @@ class Polynomial:
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
-        if acc is None:
-            return Fraction(0) if not isinstance(x, GaussianRational) else GaussianRational(0)
         return acc
 
     def float_coeffs(self) -> list[float]:
@@ -372,13 +316,7 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero:
             return self
-        if self.ints is None:
-            lead = self._coeffs[-1]
-            return Polynomial([c / lead for c in self._coeffs])
         return _canonical(list(self.ints), self.ints[-1])
-
-    def map_coeffs(self, fn) -> "Polynomial":
-        return Polynomial([fn(c) for c in self.coeffs])
 
     def homogeneous_eval(self, p: "Polynomial", q: "Polynomial", degree: int) -> "Polynomial":
         """Evaluate the degree-homogenized polynomial at polynomials (p, q).
@@ -463,17 +401,9 @@ def two_chart_quotients(nums, den: Polynomial, degree: int, ts) -> np.ndarray:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor: primitive PRS over Q, Euclid over Q(i)."""
-    if a.ints is not None and b.ints is not None:
-        g = _int_gcd(a.ints, b.ints)
-        return _canonical(g, g[-1]) if g else Polynomial.zero()
-    while not b.is_zero:
-        a, b = b, (a % b)
-        if not b.is_zero:
-            b = b.monic()
-    if a.is_zero:
-        return a
-    return a.monic()
+    """Monic greatest common divisor by the primitive PRS."""
+    g = _int_gcd(a.ints, b.ints)
+    return _canonical(g, g[-1]) if g else Polynomial.zero()
 
 
 def modular_inverse(a: Polynomial, modulus: Polynomial) -> Polynomial:

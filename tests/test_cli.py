@@ -140,6 +140,10 @@ class TestSynth:
         cfg = write_config(tmp_path, with_multiplicity(4))
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
         assert "multiplicities" in capsys.readouterr().err
+        # multiplicity 3 leaves the degree-3 generator a negative numerator degree
+        cfg = write_config(tmp_path, with_multiplicity(3))
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
+        assert "negative" in capsys.readouterr().err
 
     def test_no_positive_numerator_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, with_multiplicity(5))
@@ -253,6 +257,14 @@ class TestSampleExports:
             capsys.readouterr()
             assert main(["sample", "--config", str(bad), "--samples", "16"]) == 4, (outer, inner, value)
             assert f"{field}:" in capsys.readouterr().err
+        # a curve that is not Pythagorean-hodograph loads, but has no rational speed for svg
+        data = json.loads(json.dumps(good))
+        data["curve"]["numerators"][0] = ["0", "1"]
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        argv = ["sample", "--config", str(bad), "--samples", "16", "--format", "svg", "--out", str(tmp_path / "o.svg")]
+        assert main(argv) == 4
+        assert "curve:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["sample", "frames"])

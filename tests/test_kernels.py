@@ -18,7 +18,6 @@ import pytest
 from phforge import linalg
 from phforge.polynomial import _int_divmod, _int_mul, modular_inverse
 from phforge import (
-    GaussianRational,
     PoleStructure,
     Polynomial as P,
     QuadraticFactor,
@@ -348,7 +347,3 @@ def test_equality_and_hash_across_construction_routes():
             assert_canonical(same)
             assert same == a and hash(same) == hash(a)
         assert (a == a + 1) is False
-    # a polynomial stored with Gaussian coefficients that are all real equals its Q form
-    real = P([GaussianRational(1), GaussianRational(F(1, 2))])
-    assert real == P([1, F(1, 2)]) and hash(real) == hash(P([1, F(1, 2)]))
-    assert P([GaussianRational(1, 1)]) != P([1])

@@ -4,11 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from phforge import (
-    GaussianRational,
     Polynomial as P,
     Quaternion,
     QuaternionPolynomial as QP,
-    complex_split,
     i_reduce,
     is_i_reduced,
     rotate_vector,
@@ -124,7 +122,7 @@ def test_i_reduce_constructed_right_factor():
     t_plus_i = QP([QI, QONE])
     reduced, right = i_reduce(t_plus_j * t_plus_i)
     assert reduced == t_plus_j
-    assert right == P([GaussianRational(0, 1), GaussianRational(1)])
+    assert right == t_plus_i
 
 
 def test_i_reduce_degree_one_case():
@@ -133,7 +131,7 @@ def test_i_reduce_degree_one_case():
     a = QP([c]) * QP([QI, QONE])
     reduced, right = i_reduce(a)
     assert reduced.degree == 0
-    assert right == P([GaussianRational(0, 1), GaussianRational(1)])
+    assert right == QP([QI, QONE])
 
 
 def test_i_reduce_idempotent():
@@ -152,13 +150,9 @@ def test_euler_rodriguez_invariance_under_right_factors():
     rng = random.Random(7)
     a = generator_deg3()
     for _ in range(10):
-        r_pair = [GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3)]
-        r = P(r_pair)
-        if r.is_zero:
+        r_quat = QP([Quaternion.of(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3)])
+        if r_quat.is_zero:
             continue
-        r_quat = QP(
-            [Quaternion.of(c.re, c.im, 0, 0) for c in (P(r_pair)).coeffs]
-        )
         lhs = rotate_vector(a * r_quat, QI)
         rr = (r_quat * r_quat.conjugate()).scalar_poly()
         base = rotate_vector(a, QI)
@@ -168,9 +162,19 @@ def test_euler_rodriguez_invariance_under_right_factors():
         assert lhs == scaled
 
 
-def test_complex_split_round_trip():
+def test_i_reduce_recovers_constructed_right_factors():
     rng = random.Random(8)
-    for _ in range(20):
-        a = QP([rand_quat(rng) for _ in range(rng.randint(1, 5))])
-        pair = complex_split(a)
-        assert pair.assemble() == a
+    for _ in range(40):
+        a = QP([rand_quat(rng) for _ in range(rng.randint(1, 4))])
+        if a.is_zero:
+            continue
+        r = QP(
+            [Quaternion.of(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 2))]
+            + [QONE]
+        )
+        reduced, right = i_reduce(a * r)
+        assert reduced * right == a * r
+        assert all(c.y == 0 and c.z == 0 for c in right.coeffs)
+        assert right.coeffs[-1] == QONE
+        assert right.degree >= r.degree
+        assert i_reduce(reduced)[1].degree == 0
