@@ -5,13 +5,15 @@ squares, i.e. iff some symmetric Gram matrix M with mu(t) = (1,t,..,t^{m/2})
 M (1,t,..)^T is positive definite.  The residue conditions are linear in mu,
 so they carve a linear slice out of the symmetric matrices; finding a
 positive definite point in that slice is a semidefinite feasibility problem.
+The slice is written down in closed form, in floats: the Gram matrix only
+guides the search, and the one exact object is the numerator mu.
 
 The solver here is a small, dense, self-contained barrier interior point
 (matrix dimension stays around ten).  One call computes one central path for
 a whole ladder of margins; a margin only decides at which point of that path
-the exact gate is tried.  Floating output is never trusted: the witness is
-rationalized and strict positivity is re-certified exactly with a Sturm
-count.
+the exact gate is tried.  Floating output is never trusted: the witness's
+kernel coordinates are rounded on a power-of-two grid, and strict positivity
+of the exact mu they give is certified with a Sturm count.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from numbers import Real
 
 import numpy as np
 
-from . import linalg
 from .errors import EmptyKernelError
 from .polynomial import Polynomial
 from .ratfunc import sturm_real_root_count
@@ -63,56 +64,37 @@ def certify_regular(mu: Polynomial) -> RegularityCertificate:
 
 
 class GramSlice:
-    """Linear space of symmetric matrices compatible with the residue kernel.
+    """Float basis of the symmetric matrices whose numerator lies in the kernel.
 
-    ``basis_matrices`` span exactly the symmetric matrices whose antidiagonal
-    sums give a numerator polynomial inside the kernel; every rational point
-    of the slice therefore satisfies the zero-residue conditions exactly.
-    The read-only ``float_basis`` and each basis matrix's numerator
-    (``numerators``) are computed once, here.
+    The numerator of a Gram matrix is its antidiagonal sums.  ``kernel``
+    holds the residue kernel's basis, each vector scaled exactly by a power
+    of two so that its largest coefficient lies in [1/2, 1).  The first
+    ``len(kernel)`` basis matrices are their Hankel matrices: entry (i, j)
+    is coefficient i + j over the number of cells on that antidiagonal, so
+    its numerator is the scaled vector.  The rest are the standard basis of
+    symmetric matrices whose antidiagonal sums are zero.  The first slice
+    coordinates are therefore the kernel coordinates of the numerator, and
+    no other coordinate changes it.  ``float_basis`` is read-only.
     """
 
-    def __init__(self, dimension: int, basis_matrices):
+    def __init__(self, dimension: int, kernel, float_basis):
         self.dimension = dimension
-        self.basis_matrices = tuple(
-            tuple(tuple(Fraction(v) for v in row) for row in mat) for mat in basis_matrices
-        )
-        self.float_basis = np.array(
-            [[[float(v) for v in row] for row in mat] for mat in self.basis_matrices]
-        )
+        self.kernel = tuple(kernel)
+        self.float_basis = float_basis
         self.float_basis.flags.writeable = False
-        self.numerators = tuple(self.mu_of_matrix(mat) for mat in self.basis_matrices)
 
     @property
     def slice_dimension(self) -> int:
-        return len(self.basis_matrices)
+        return len(self.float_basis)
 
-    def matrix_of(self, x) -> tuple:
-        """Exact matrix sum x_k * M_k for rational coordinates x."""
-        n = self.dimension
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for xk, mat in zip(x, self.basis_matrices):
-            f = Fraction(xk)
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] += f * mat[i][j]
-        return tuple(tuple(row) for row in out)
 
-    def mu_of_matrix(self, mat) -> Polynomial:
-        """Antidiagonal sums: the numerator represented by a Gram matrix."""
-        n = self.dimension
-        coeffs = [Fraction(0)] * (2 * n - 1)
-        for i in range(n):
-            for j in range(n):
-                coeffs[i + j] += Fraction(mat[i][j])
-        return Polynomial(coeffs)
-
-    def mu_of(self, x) -> Polynomial:
-        """The numerator of ``matrix_of(x)``: sum x_k * numerators[k]."""
-        out = Polynomial.zero()
-        for xk, num in zip(x, self.numerators):
-            out = out + num * Fraction(xk)
-        return out
+def _scaled_to_unit(b: Polynomial) -> Polynomial:
+    """b times the power of two that puts its largest |coefficient| in [1/2, 1)."""
+    top = Fraction(max(map(abs, b.ints)), b.den)
+    scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
+    if scale * top >= 1:  # scale * top lies in (1/2, 2)
+        scale /= 2
+    return b * scale
 
 
 def build_gram_slice(space: SolutionSpace, m: int | None = None) -> GramSlice:
@@ -130,53 +112,42 @@ def build_gram_slice(space: SolutionSpace, m: int | None = None) -> GramSlice:
             "raise the pole multiplicities"
         )
     n = m // 2 + 1
-    upper = [(i, j) for i in range(n) for j in range(i, n)]
-    nvars = len(upper) + space.dimension
-    # coefficient index k: sum of M entries on the k-th antidiagonal equals
-    # the k-th coefficient of a kernel combination
-    rows = []
-    for k in range(m + 1):
-        row = [Fraction(0)] * nvars
-        for idx, (i, j) in enumerate(upper):
-            if i + j == k:
-                row[idx] += 1 if i == j else 2
-        for bidx, b in enumerate(space.basis):
-            row[len(upper) + bidx] -= b.coefficient(k)
-        rows.append(row)
-    kernel = linalg.nullspace(rows, nvars)
+    kernel = [_scaled_to_unit(b) for b in space.basis]
+    anti = np.add.outer(np.arange(n), np.arange(n))
+    cells = np.minimum(anti, 2 * n - 2 - anti) + 1
     mats = []
-    for vec in kernel:
-        prim = linalg.primitive_integer_vector(vec)
-        if all(v == 0 for v in prim[: len(upper)]):
-            continue
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for idx, (i, j) in enumerate(upper):
-            mat[i][j] = Fraction(prim[idx])
-            mat[j][i] = Fraction(prim[idx])
-        mats.append(mat)
-    expected = space.dimension + (n * (n + 1) // 2 - (m + 1))
-    if len(mats) != expected:
-        raise AssertionError(
-            f"slice dimension {len(mats)} does not match expected {expected}"
-        )
-    return GramSlice(n, mats)
+    for b in kernel:
+        coeffs = np.zeros(2 * n - 1)
+        coeffs[: b.degree + 1] = b.float_coeffs()
+        mats.append(coeffs[anti] / cells)
+    for k in range(m + 1):
+        # upper cells (i, k - i), i <= k - i; each other one trades against the last
+        upper = [(i, k - i) for i in range(max(0, k - n + 1), k // 2 + 1)]
+        r, s = upper[-1]
+        for i, j in upper[:-1]:
+            mat = np.zeros((n, n))
+            mat[i, j] = mat[j, i] = 1.0
+            mat[r, s] = mat[s, r] = -2.0 if r == s else -1.0
+            mats.append(mat)
+    return GramSlice(n, kernel, np.array(mats))
 
 
 @dataclass(frozen=True)
 class FeasibilityResult:
     """Outcome of one semidefinite feasibility search over a margin ladder.
 
-    ``feasible`` status always comes with an exact certificate: the witness
-    coordinates are rationalized and the induced numerator re-verified by a
-    Sturm count, so a floating solver cannot produce a false positive.
-    ``margin`` is the ladder margin that certified (None unless feasible);
-    ``relaxation_log`` holds one ``(margin, status, min_eigenvalue)`` entry
-    per margin tried, in order.
+    ``feasible`` status always comes with an exact certificate: the
+    witness's kernel coordinates are rounded on a power-of-two grid and the
+    numerator they give, ``witness_mu``, is re-verified by a Sturm count, so
+    a floating solver cannot produce a false positive.  ``witness_x`` holds
+    the float slice coordinates of the point that was gated (or of the best
+    point found).  ``margin`` is the ladder margin that certified (None
+    unless feasible); ``relaxation_log`` holds one
+    ``(margin, status, min_eigenvalue)`` entry per margin tried, in order.
     """
 
     status: str
     witness_x: tuple | None
-    witness_x_exact: tuple | None
     witness_mu: Polynomial | None
     min_eigenvalue: float
     certificate: RegularityCertificate | None = None
@@ -186,11 +157,6 @@ class FeasibilityResult:
     @property
     def is_feasible(self) -> bool:
         return self.status == FEASIBLE
-
-
-def rationalize(values, max_denominator: int = 10**6):
-    """Best rational approximations by continued-fraction truncation."""
-    return tuple(Fraction(float(v)).limit_denominator(max_denominator) for v in values)
 
 
 def _central_path(basis, traces, t_norm2, bias, max_outer, max_newton):
@@ -274,7 +240,6 @@ def sdp_feasible_point(
     objective_bias=None,
     max_outer: int = 60,
     max_newton: int = 40,
-    max_denominator: int = 10**6,
 ) -> FeasibilityResult:
     """Search the slice for M with lambda_min >= margin under trace(M) = 1.
 
@@ -285,15 +250,16 @@ def sdp_feasible_point(
     tried in order until one certifies; the call computes one central path
     for the whole ladder, and only as far as the ladder reads it.  A margin
     only places the exact gate: at the first outer step whose best point
-    reaches it, and if that fails, at the end of the path.  The gate
-    rationalizes the witness (continued fractions, denominators up to
-    ``max_denominator``, then its square) and certifies it with the exact
-    Sturm count, so the floating search is never trusted; each point is
-    gated at most once per call.  A margin the path never reaches, or whose
-    gates fail, yields ``indeterminate`` with the best achieved eigenvalue,
-    which is not a proof of infeasibility.  The result is the first
-    feasible margin's, else the last margin's, with the log of every margin
-    tried.
+    reaches it, and if that fails, at the end of the path.  The gate rounds
+    only the point's kernel coordinates, the first ``len(g.kernel)`` slice
+    coordinates: it divides them by their largest absolute value, rounds
+    them on the grid 2^-20 and, if that fails, 2^-40, and certifies the
+    exact numerator sum y_k * g.kernel[k] with the Sturm count, so the
+    floating search is never trusted; each point is gated at most once per
+    call.  A margin the path never reaches, or whose gates fail, yields
+    ``indeterminate`` with the best achieved eigenvalue, which is not a
+    proof of infeasibility.  The result is the first feasible margin's,
+    else the last margin's, with the log of every margin tried.
 
     ``objective_bias`` adds a small linear term b.x to the maximized s and
     steers the solver to different interior points, the analogue of solving
@@ -311,15 +277,13 @@ def sdp_feasible_point(
 
     def infeasible():
         log = tuple((m, INFEASIBLE, float("-inf")) for m in margins)
-        return FeasibilityResult(
-            INFEASIBLE, None, None, None, float("-inf"), relaxation_log=log
-        )
+        return FeasibilityResult(INFEASIBLE, None, None, float("-inf"), relaxation_log=log)
 
     if g.slice_dimension == 0:
         return infeasible()
     raw = g.float_basis
-    # Frobenius normalization only conditions the float search; exact
-    # coordinates are recovered in the original basis before certification.
+    # Frobenius normalization only conditions the float search; coordinates
+    # are mapped back to the original basis before the gate rounds them.
     scale = np.sqrt(np.einsum("aij,aij->a", raw, raw))
     basis = raw / scale[:, None, None]
     traces = np.einsum("aii->a", basis)
@@ -349,24 +313,26 @@ def sdp_feasible_point(
             k += 1
 
     gates = {}
+    kernel_dim = len(g.kernel)
 
     def exact_gate(x_scaled, lam):
         # best_lam rises strictly whenever best_x moves, so it names the point
         if lam not in gates:
             gates[lam] = None
             x_orig = np.asarray(x_scaled) / scale
-            for limit in (max_denominator, max_denominator**2):
-                x_exact = rationalize(x_orig, limit)
-                mu = g.mu_of(x_exact)
+            y = x_orig[:kernel_dim]
+            top = float(np.max(np.abs(y)))
+            # all-zero kernel coordinates give mu = 0, which certifies nothing
+            for bits in (20, 40) if top > 0.0 else ():
+                grid = np.rint(y / top * 2.0**bits).astype(np.int64).tolist()
+                mu = Polynomial.zero()
+                for c, b in zip(grid, g.kernel):
+                    mu = mu + b * c
+                mu = mu * Fraction(1, 1 << bits)
                 cert = certify_regular(mu)
                 if cert:
                     gates[lam] = FeasibilityResult(
-                        FEASIBLE,
-                        tuple(float(v) for v in x_orig),
-                        x_exact,
-                        mu,
-                        float(lam),
-                        cert,
+                        FEASIBLE, tuple(map(float, x_orig)), mu, float(lam), cert
                     )
                     break
         return gates[lam]
@@ -382,11 +348,7 @@ def sdp_feasible_point(
                 result = exact_gate(best_x, best_lam)
         if result is None:
             result = FeasibilityResult(
-                INDETERMINATE,
-                tuple(map(float, best_x / scale)),
-                None,
-                None,
-                float(best_lam),
+                INDETERMINATE, tuple(map(float, best_x / scale)), None, float(best_lam)
             )
         log.append((m, result.status, result.min_eigenvalue))
         if result.is_feasible:

@@ -25,7 +25,6 @@ from phforge import (
     residue_at,
     synthesize_curve,
 )
-from phforge.linalg import span_contains
 
 
 def generator_deg3() -> QP:
@@ -44,9 +43,14 @@ def poles_single(b, c, mult) -> PoleStructure:
     return PoleStructure((QuadraticFactor(b, c, mult),))
 
 
-def spans_equal(a, b) -> bool:
-    """Whether two lists of exact vectors span the same space."""
-    return all(span_contains(a, v) for v in b) and all(span_contains(b, v) for v in a)
+def antidiagonal_sums(mat) -> P:
+    """The numerator a Gram matrix represents: its exact antidiagonal sums."""
+    n = len(mat)
+    coeffs = [F(0)] * (2 * n - 1)
+    for i in range(n):
+        for j in range(n):
+            coeffs[i + j] += F(mat[i][j])
+    return P(coeffs)
 
 
 # Printed reference curves over the denominator 798960 (t^2+4)^5.

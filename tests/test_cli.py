@@ -4,7 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from phforge import SynthesisProblem, certify_regular, synthesize_curve
+from phforge import (
+    SynthesisProblem,
+    build_residue_system,
+    certify_regular,
+    sturm_real_root_count,
+    synthesize_curve,
+)
 from phforge.cli import load_bundle, main
 from phforge.polynomial import Polynomial as P
 from phforge.rationals import parse_rational
@@ -144,6 +150,22 @@ class TestSynth:
         cfg = write_config(tmp_path, with_multiplicity(3))
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
         assert "negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "poles",
+        [((0, 4, 6), (1, 3, 4)), ((0, 4, 8), (1, 3, 6)), ((0, 4, 6), (1, 3, 4), (1, 2, 4))],
+        ids=["(0,4)^6.(1,3)^4", "(0,4)^8.(1,3)^6", "(0,4)^6.(1,3)^4.(1,2)^4"],
+    )
+    def test_multi_factor_poles_certify(self, tmp_path, poles):
+        cfg_data = json.loads(json.dumps(EX2_CONFIG))
+        cfg_data["poles"] = [{"b": str(b), "c": str(c), "multiplicity": m} for b, c, m in poles]
+        out = str(tmp_path / "o.json")
+        assert main(["synth", "--config", write_config(tmp_path, cfg_data), "--out", out]) == 0
+        bundle = json.loads(open(out).read())
+        mu = P([parse_rational(v) for v in bundle["mu"]])
+        assert sturm_real_root_count(mu) == 0
+        loaded = load_bundle(out)
+        assert build_residue_system(SynthesisProblem(loaded.generator, loaded.config.poles)).contains(mu)
 
     def test_no_positive_numerator_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, with_multiplicity(5))

@@ -23,7 +23,7 @@ from phforge import (
 )
 from phforge.quaternion import QJ, QONE
 
-from helpers import MU0, MU2, generator_deg3, poles_single, spans_equal
+from helpers import MU0, MU2, antidiagonal_sums, generator_deg3, poles_single
 
 # the three symmetric matrices spanning the residue-compatible Gram slice
 # for the degree-3 generator with denominator (t^2+4)^6
@@ -69,22 +69,35 @@ def eigvals(mat):
     return np.linalg.eigvalsh(np.array([[float(v) for v in row] for row in mat]))
 
 
+def float_antidiagonal_sums(mat):
+    n = len(mat)
+    return np.bincount(np.add.outer(np.arange(n), np.arange(n)).ravel(), weights=mat.ravel())
+
+
 class TestGramSlice:
     def test_reference_slice_matches_known_span(self):
         _, slice_ = reference_slice()
         assert slice_.dimension == 3
         assert slice_.slice_dimension == 3
-        mine = [[m[i][j] for i in range(3) for j in range(3)] for m in slice_.basis_matrices]
-        known = [
-            [m[i][j] for i in range(3) for j in range(3)]
-            for m in (SLICE_M0, SLICE_M1, SLICE_M2)
-        ]
-        assert spans_equal(mine, known)
+        mine = slice_.float_basis.reshape(3, 9)
+        known = np.array(
+            [[float(m[i][j]) for i in range(3) for j in range(3)] for m in (SLICE_M0, SLICE_M1, SLICE_M2)]
+        )
+        # equal dimensions, and the known matrices are combinations of the slice basis
+        assert np.linalg.matrix_rank(mine) == 3
+        coords = np.linalg.lstsq(mine.T, known.T, rcond=None)[0]
+        assert np.allclose(mine.T @ coords, known.T, rtol=0.0, atol=1e-12 * np.abs(known).max())
 
     def test_slice_polynomials_lie_in_kernel(self):
         space, slice_ = reference_slice()
-        for mat in slice_.basis_matrices:
-            assert space.contains(slice_.mu_of_matrix(mat))
+        assert len(slice_.kernel) == space.dimension
+        for b, scaled in zip(space.basis, slice_.kernel):
+            assert space.contains(scaled)
+            # an exact power-of-two multiple with largest coefficient in [1/2, 1)
+            ratio = scaled.leading() / b.leading()
+            assert scaled == b * ratio and ratio > 0
+            assert all(v & (v - 1) == 0 for v in (ratio.numerator, ratio.denominator))
+            assert F(1, 2) <= max(abs(c) for c in scaled.coeffs) < 1
 
     def test_one_by_one_slice(self):
         # degree-1 generator, single factor squared: m = 0, kernel = constants
@@ -93,18 +106,27 @@ class TestGramSlice:
         assert prob.m == 0 and space.dimension == 1
         slice_ = build_gram_slice(space)
         assert slice_.dimension == 1 and slice_.slice_dimension == 1
-        assert slice_.mu_of((F(3),)) == P([3]) * slice_.mu_of((F(1),)).coefficient(0)
+        (b,) = slice_.kernel
+        assert b.degree == 0 and F(1, 2) <= abs(b.leading()) < 1
+        assert slice_.float_basis.tolist() == [[[float(b.leading())]]]
 
-    def test_mu_of_matches_matrix_route(self, two_factor_slice):
-        rng = random.Random(11)
-        for _ in range(5):
-            x = [
-                F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
-                for _ in range(two_factor_slice.slice_dimension)
-            ]
-            x[rng.randrange(len(x))] = F(0)
-            expected = two_factor_slice.mu_of_matrix(two_factor_slice.matrix_of(x))
-            assert two_factor_slice.mu_of(x) == expected
+    @pytest.mark.parametrize("slice_name", ["two_factor_slice", "single_factor_slice"])
+    def test_antidiagonal_sums_are_kernel_coordinates(self, slice_name, request):
+        slice_ = request.getfixturevalue(slice_name)
+        n, kernel_dim = slice_.dimension, len(slice_.kernel)
+        assert slice_.slice_dimension == kernel_dim + n * (n + 1) // 2 - (2 * n - 1)
+        for k, mat in enumerate(slice_.float_basis):
+            assert np.array_equal(mat, mat.T)
+            sums = float_antidiagonal_sums(mat)
+            if k < kernel_dim:
+                b = slice_.kernel[k]
+                expected = np.zeros(2 * n - 1)
+                expected[: b.degree + 1] = b.float_coeffs()
+                assert np.allclose(sums, expected, rtol=0.0, atol=1e-15)
+            else:
+                assert not sums.any()
+        flat = slice_.float_basis.reshape(slice_.slice_dimension, -1)
+        assert np.linalg.matrix_rank(flat) == slice_.slice_dimension
 
     def test_empty_kernel_is_infeasible_by_construction(self):
         space = build_residue_system(
@@ -116,10 +138,9 @@ class TestGramSlice:
 
 class TestFeasibility:
     def test_known_point_is_feasible(self):
-        _, slice_ = reference_slice()
         mat = combine((SLICE_M0, SLICE_M1, SLICE_M2), FEASIBLE_X)
         assert eigvals(mat)[0] > 0
-        assert slice_.mu_of_matrix(mat) == MU0
+        assert antidiagonal_sums(mat) == MU0
         assert certify_regular(MU0)
 
     def test_known_ray_is_infeasible(self):
@@ -131,12 +152,11 @@ class TestFeasibility:
     def test_cusped_numerator_ray(self):
         # the Gram matrices representing mu2 form the line (chi, 1-2chi, x2);
         # the bottom-right entry is negative, so none of them is feasible
-        _, slice_ = reference_slice()
         for chi in (F(-1), F(0), F(1, 2), F(2)):
             mat = combine(
                 (SLICE_M0, SLICE_M1, SLICE_M2), (chi, 1 - 2 * chi, INFEASIBLE_RAY_X2)
             )
-            assert slice_.mu_of_matrix(mat) == MU2
+            assert antidiagonal_sums(mat) == MU2
             assert eigvals(mat)[0] <= 0
 
     def test_solver_finds_certified_point(self):
@@ -190,10 +210,8 @@ class TestFeasibility:
     def test_convexity_midpoint(self):
         _, slice_ = reference_slice()
         res = sdp_feasible_point(slice_, margin=1e-4)
-        x1 = res.witness_x_exact
-        # second feasible point: the known one, converted to this basis by
-        # matching mu; instead just use the midpoint in matrix space
-        mat1 = slice_.matrix_of(x1)
+        # second feasible point: the known one; take the midpoint in matrix space
+        mat1 = np.einsum("a,aij->ij", res.witness_x, slice_.float_basis)
         mat2 = combine((SLICE_M0, SLICE_M1, SLICE_M2), FEASIBLE_X)
         lam1, lam2 = eigvals(mat1)[0], eigvals(mat2)[0]
         mid = [
@@ -225,9 +243,24 @@ class TestRelaxationLadder:
         assert ladder.relaxation_log == log
         assert ladder.status == single.status
         assert ladder.witness_x == single.witness_x
-        assert ladder.witness_x_exact == single.witness_x_exact
         assert ladder.witness_mu == single.witness_mu
         assert ladder.margin == (log[-1][0] if single.is_feasible else None)
+
+    def test_two_factor_slice_certifies_on_grid(self, two_factor_slice):
+        res = sdp_feasible_point(two_factor_slice, LADDER)
+        assert res.status == "feasible"
+        assert certify_regular(res.witness_mu)
+        # mu is the gated point's kernel coordinates, over their largest
+        # absolute value, rounded on the grid 2^-20 or else 2^-40
+        y = np.asarray(res.witness_x[: len(two_factor_slice.kernel)])
+        on_grid = []
+        for bits in (20, 40):
+            grid = np.rint(y / np.abs(y).max() * 2.0**bits).astype(np.int64).tolist()
+            mu = P([0])
+            for c, b in zip(grid, two_factor_slice.kernel):
+                mu = mu + b * F(c, 2**bits)
+            on_grid.append(mu)
+        assert res.witness_mu in on_grid
 
     def test_gate_at_first_step_reaching_margin(self, single_factor_slice):
         # 1e-6 certifies at the first outer step whose best eigenvalue reaches
@@ -245,7 +278,7 @@ class TestRelaxationLadder:
         ladder = sdp_feasible_point(single_factor_slice, LADDER, objective_bias=bias)
         single, log = one_margin_at_a_time(single_factor_slice, LADDER, bias)
         assert ladder.relaxation_log == log
-        assert ladder.witness_x_exact == single.witness_x_exact
+        assert ladder.witness_x == single.witness_x
         assert ladder.witness_mu == single.witness_mu
 
     def test_single_margin_is_a_one_step_ladder(self):
@@ -289,15 +322,13 @@ class TestCertificates:
 
 class TestSosDecomposition:
     def test_exact_identity_on_feasible_matrix(self):
-        _, slice_ = reference_slice()
-        res = sdp_feasible_point(slice_, margin=1e-4)
-        mat = slice_.matrix_of(res.witness_x_exact)
+        mat = combine((SLICE_M0, SLICE_M1, SLICE_M2), FEASIBLE_X)
         parts = sos_decomposition(mat)
         total = P([0])
         for d, q in parts:
             assert d > 0
             total = total + q * q * d
-        assert total == slice_.mu_of_matrix(mat)
+        assert total == antidiagonal_sums(mat) == MU0
 
     def test_indefinite_matrix_rejected(self):
         with pytest.raises(ValueError):
