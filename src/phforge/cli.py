@@ -231,8 +231,52 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, byte for byte.
+
+    Covers what phforge emits: dicts with str keys, lists and tuples, str,
+    bool, None, int and float (numpy floats included), and raises as
+    ``json.dumps`` does on a non-finite float or another type.  ``indent``
+    is the newline and indentation before the value's closing bracket.  The
+    standard library encodes ``indent`` output in pure Python, one generator
+    frame per nesting level and value; this makes one string per container.
+    """
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{_encode_str(key)}: {_json_text(obj[key], inner)}")
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        items = [_json_text(v, inner) for v in obj]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]"
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _dump_json(obj, out_path: str | None):
-    _emit(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n", out_path)
+    _emit(_json_text(obj) + "\n", out_path)
 
 
 def _pose_dict(p) -> dict:

@@ -8,10 +8,15 @@ positive definite point in that slice is a semidefinite feasibility problem.
 The slice is written down in closed form, in floats: the Gram matrix only
 guides the search, and the one exact object is the numerator mu.
 
-The solver here is a small, dense, self-contained barrier interior point
-(matrix dimension stays around ten).  One call computes one central path for
-a whole ladder of margins; a margin only decides at which point of that path
-the exact gate is tried.  Floating output is never trusted: the witness's
+The solver here is a dense, self-contained barrier interior point.  The
+Gram matrix is n x n with n = m/2 + 1 and the slice has d coordinates:
+n = 11, d = 57 on (t^2+4)^8 (t^2+t+3)^6, and n = 27, d = 363 on
+(t^2+4)^10 (t^2+t+3)^10 (t^2+t+2)^10.  Each Newton step is a few BLAS
+products over the basis matrices kept flat as a d x n^2 array: the batched
+W B_a W, one (d x n^2)(n^2 x d) product for the Hessian, and one d x n^2
+matrix-vector product for the gradient.  One call computes one central path
+for a whole ladder of margins; a margin only decides at which point of that
+path the exact gate is tried.  Floating output is never trusted: the witness's
 kernel coordinates are rounded on a power-of-two grid, and strict positivity
 of the exact mu they give is certified with a Sturm count.
 """
@@ -159,6 +164,25 @@ class FeasibilityResult:
         return self.status == FEASIBLE
 
 
+def _newton_system(flat, w, hess):
+    """Barrier derivatives at W = (M(x) - s*I)^-1, as BLAS products.
+
+    ``flat`` holds the n x n basis matrices B_a as rows of length n*n, and
+    every B_a and W is symmetric, so each trace below is a Frobenius
+    product: tr(W B_a) = <B_a, W>, tr(W B_a W B_b) = <W B_a W, B_b>.
+    Writes the Hessian of -log det over (x, s) into the (d+1) x (d+1)
+    ``hess``: tr(W B_a W B_b), the column -tr(W B_a W) and tr(W W).
+    Returns tr(W B_a) for every a.
+    """
+    d, n = len(flat), len(w)
+    wbw = (w @ flat.reshape(d, n, n) @ w).reshape(d, n * n)
+    hess[:d, :d] = wbw @ flat.T
+    hess[:d, d] = hess[d, :d] = -wbw[:, :: n + 1].sum(axis=1)
+    w_flat = w.ravel()
+    hess[d, d] = w_flat @ w_flat
+    return flat @ w_flat
+
+
 def _central_path(basis, traces, t_norm2, bias, max_outer, max_newton):
     """Yield ``(best_x, best_lam)`` at the start and after each outer step.
 
@@ -167,9 +191,10 @@ def _central_path(basis, traces, t_norm2, bias, max_outer, max_newton):
     ``best_x`` is replaced, never mutated, so every snapshot stays valid.
     """
     d, n, _ = basis.shape
+    flat = basis.reshape(d, n * n)
 
     def matrix(x):
-        m = np.einsum("a,aij->ij", x, basis)
+        m = (x @ flat).reshape(n, n)
         return (m + m.T) / 2
 
     x = traces / t_norm2
@@ -179,7 +204,14 @@ def _central_path(basis, traces, t_norm2, bias, max_outer, max_newton):
     best_lam = lam0
     best_x = x.copy()
     yield best_x, best_lam
-    a_eq = np.concatenate([traces, [0.0]])
+    # KKT system of the Newton step: the Hessian block, bordered by the
+    # trace constraint's row and column; the right-hand side is minus the
+    # gradient of -t_bar*(s + bias.x) - log det(M(x) - s*I), then a 0 that
+    # keeps trace M(x) fixed
+    kkt = np.zeros((d + 2, d + 2))
+    kkt[:d, d + 1] = kkt[d + 1, :d] = traces
+    hess = kkt[: d + 1, : d + 1]
+    rhs = np.zeros(d + 2)
     eye = np.eye(n)
     t_bar = 1.0
     for _ in range(max_outer):
@@ -190,25 +222,13 @@ def _central_path(basis, traces, t_norm2, bias, max_outer, max_newton):
             except np.linalg.LinAlgError:
                 break
             w = (w + w.T) / 2
-            wb = np.einsum("ij,ajk->aik", w, basis)
-            grad = np.empty(d + 1)
-            grad[:d] = -t_bar * bias - np.einsum("aii->a", wb)
-            grad[d] = -t_bar + np.trace(w)
-            hess = np.empty((d + 1, d + 1))
-            hess[:d, :d] = np.einsum("aij,bji->ab", wb, wb)
-            hess[:d, d] = -np.einsum("aij,ji->a", wb, w)
-            hess[d, :d] = hess[:d, d]
-            hess[d, d] = float(np.einsum("ij,ji->", w, w))
-            kkt = np.zeros((d + 2, d + 2))
-            kkt[: d + 1, : d + 1] = hess
-            kkt[: d + 1, d + 1] = a_eq
-            kkt[d + 1, : d + 1] = a_eq
-            rhs = np.concatenate([-grad, [0.0]])
+            rhs[:d] = t_bar * bias + _newton_system(flat, w, hess)
+            rhs[d] = t_bar - np.trace(w)
             try:
                 dz = np.linalg.solve(kkt, rhs)[: d + 1]
             except np.linalg.LinAlgError:
                 dz = np.linalg.lstsq(kkt, rhs, rcond=None)[0][: d + 1]
-            decrement = float(-grad @ dz)
+            decrement = float(rhs[: d + 1] @ dz)
             step = 1.0
             for _ in range(60):
                 x_new = x + step * dz[:d]

@@ -1,7 +1,9 @@
 import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from phforge import (
@@ -11,6 +13,7 @@ from phforge import (
     sturm_real_root_count,
     synthesize_curve,
 )
+from phforge import cli
 from phforge.cli import load_bundle, main
 from phforge.polynomial import Polynomial as P
 from phforge.rationals import parse_rational
@@ -118,7 +121,7 @@ class TestCheck:
 
 class TestSynth:
     def test_success_with_certificate(self, bundle_path):
-        bundle = json.loads(open(bundle_path).read())
+        bundle = json.loads(Path(bundle_path).read_text())
         mu = P([parse_rational(v) for v in bundle["mu"]])
         assert certify_regular(mu)
         diag = bundle["diagnostics"]
@@ -128,7 +131,7 @@ class TestSynth:
         assert diag["speed_polar_minimum"] > 0
 
     def test_sampled_positions_match_exact_curve(self, bundle_path):
-        data = json.loads(open(bundle_path).read())
+        data = json.loads(Path(bundle_path).read_text())
         loaded = load_bundle(bundle_path)
         for raw_t, pos in zip(
             data["samples"]["parameters"], data["samples"]["positions"]
@@ -161,7 +164,7 @@ class TestSynth:
         cfg_data["poles"] = [{"b": str(b), "c": str(c), "multiplicity": m} for b, c, m in poles]
         out = str(tmp_path / "o.json")
         assert main(["synth", "--config", write_config(tmp_path, cfg_data), "--out", out]) == 0
-        bundle = json.loads(open(out).read())
+        bundle = json.loads(Path(out).read_text())
         mu = P([parse_rational(v) for v in bundle["mu"]])
         assert sturm_real_root_count(mu) == 0
         loaded = load_bundle(out)
@@ -200,7 +203,7 @@ class TestSynth:
         cfg = write_config(tmp_path, EX2_CONFIG)
         out = str(tmp_path / "again.json")
         assert main(["synth", "--config", cfg, "--out", out]) == 0
-        assert open(out, "rb").read() == open(bundle_path, "rb").read()
+        assert Path(out).read_bytes() == Path(bundle_path).read_bytes()
 
     def test_weighted_average_of_solutions(self, tmp_path):
         cfg_data = json.loads(json.dumps(EX2_CONFIG))
@@ -208,7 +211,7 @@ class TestSynth:
         cfg = write_config(tmp_path, cfg_data)
         out = str(tmp_path / "avg.json")
         assert main(["synth", "--config", cfg, "--out", out]) == 0
-        bundle = json.loads(open(out).read())
+        bundle = json.loads(Path(out).read_text())
         mu = P([parse_rational(v) for v in bundle["mu"]])
         assert certify_regular(mu)
         # the averaged numerator integrates to the bundle's curve
@@ -230,7 +233,7 @@ class TestSampleExports:
         out = str(tmp_path / "curve.obj")
         assert main(["sample", "--config", bundle_path, "--samples", "16", "--format", "obj", "--out", out]) == 0
         verts, polylines = [], []
-        for line in open(out):
+        for line in Path(out).read_text().splitlines():
             kind, *rest = line.split()
             if kind == "v":
                 verts.append(tuple(float(v) for v in rest))
@@ -245,7 +248,7 @@ class TestSampleExports:
     def test_svg_contains_curve_and_polar_plot(self, bundle_path, tmp_path):
         out = str(tmp_path / "curve.svg")
         assert main(["sample", "--config", bundle_path, "--samples", "64", "--format", "svg", "--out", out]) == 0
-        text = open(out).read()
+        text = Path(out).read_text()
         assert text.count("<polygon") == 2  # closed projection + closed polar
         assert "speed polar plot" in text
 
@@ -325,3 +328,91 @@ def test_config_round_trip(tmp_path):
     canon = canonical_config(cfg)
     again = parse_config(canon)
     assert canonical_config(again) == canon
+
+
+def stdlib_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+def leaves(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from leaves(v)
+    else:
+        yield obj
+
+
+class TestJsonWriter:
+    """The one-pass writer gives the bytes of ``json.dumps(indent=2)``."""
+
+    @pytest.fixture
+    def dumped(self, monkeypatch):
+        objs = []
+        dump = cli._dump_json
+
+        def recording(obj, out_path):
+            objs.append(obj)
+            dump(obj, out_path)
+
+        monkeypatch.setattr(cli, "_dump_json", recording)
+        return objs
+
+    def test_every_json_output_matches_stdlib(self, tmp_path, dumped):
+        cfg = write_config(tmp_path, EX2_CONFIG)
+        bundle = str(tmp_path / "bundle.json")
+        argvs = [
+            ["synth", "--config", cfg, "--out", bundle],
+            ["check", "--config", cfg, "--out", str(tmp_path / "check.json")],
+            ["sample", "--config", bundle, "--samples", "16", "--format", "json", "--out", str(tmp_path / "s.json")],
+            ["frames", "--config", bundle, "--samples", "16", "--format", "json", "--out", str(tmp_path / "f.json")],
+        ]
+        for argv in argvs:
+            assert main(argv) == 0, argv
+        assert len(dumped) == 4
+        # the bundle carries numpy floats from the hull test
+        assert any(type(v) is np.float64 for v in leaves(dumped[0]))
+        for argv, obj in zip(argvs, dumped):
+            assert Path(argv[-1]).read_text() == stdlib_json(obj) + "\n", argv[0]
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {},
+            [],
+            {"a": {}, "b": [], "c": [[]], "d": [{}]},
+            [[[]], [{}, []]],
+            (1, (2.5, ()), [("x",)]),
+            {"z": 1, "a": 2, "m": {"b": None, "a": [True, False, 1, 0]}},
+            [np.float64(0.1), np.float64(-0.0), 1e300, 5e-324, -2.5, 1.0, 10**30],
+            ["caf\u00e9", "\u2603", "\U0001f600", "tab\tquote\"back\\slash", "\x00\x1f"],
+            {"\u00e9": "\u00e9", "nested": [{"k": [1, [2, [3.0]]]}]},
+            "only a string",
+            3.25,
+            None,
+        ],
+    )
+    def test_edge_cases_match_stdlib(self, obj):
+        assert cli._json_text(obj) == stdlib_json(obj)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_float_raises_value_error(self, bad):
+        for obj in (bad, [1.0, bad], {"a": [bad]}):
+            with pytest.raises(ValueError):
+                stdlib_json(obj)
+            with pytest.raises(ValueError):
+                cli._json_text(obj)
+
+    @pytest.mark.parametrize("bad", [{1}, object(), np.int64(3), F(1, 2)])
+    def test_unsupported_type_raises_type_error(self, bad):
+        for obj in (bad, [bad], {"a": bad}):
+            with pytest.raises(TypeError):
+                stdlib_json(obj)
+            with pytest.raises(TypeError):
+                cli._json_text(obj)
+
+    def test_non_string_key_raises_type_error(self):
+        # json.dumps would write 1 as "1"; phforge never emits such a key
+        with pytest.raises(TypeError, match="keys must be str"):
+            cli._json_text({1: "int key"})

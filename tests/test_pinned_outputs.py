@@ -6,9 +6,16 @@ denominator and the closure point of ten seeded random problems and of the
 None of these steps uses floats or the SDP, so the digest is the same on
 every platform; a change to the exact core that moves any of these values
 changes it.
+
+A second digest pins what ``synth`` certifies on the six benchmark pole
+structures of the reference generator: ``mu`` and the curve's numerators and
+denominator.  These pass through the float SDP search, so a change to the
+central path that moves the gated point changes this digest even when the
+exact core is untouched.
 """
 
 import hashlib
+import json
 
 from phforge import (
     PoleStructure,
@@ -19,10 +26,21 @@ from phforge import (
     format_rational,
     synthesize_curve,
 )
+from phforge.cli import main
 
 from helpers import generator_deg3, random_synthesized_problems
 
 PINNED_SHA256 = "454768cf37c237f00de3b4a21edad9cd8319918edb193227cbb1131fb11286dd"
+SYNTH_PINNED_SHA256 = "aa7625252aea8d94abf299dfb68922057b809ae75d6187b5652bd5e63e49154e"
+# the synth-fixtures pole structures, (b, c, multiplicity) per factor, and weights
+SYNTH_FIXTURES = (
+    (((0, 4, 6),), None),
+    (((0, 4, 8),), None),
+    (((0, 4, 10),), None),
+    (((0, 4, 6), (1, 3, 4)), None),
+    (((0, 4, 8), (1, 3, 6)), None),
+    (((0, 4, 6),), ["1", "2", "1"]),
+)
 
 
 def _lines(space, mu, curve):
@@ -53,3 +71,31 @@ def exact_output_digest() -> str:
 
 def test_exact_outputs_match_pinned_digest():
     assert exact_output_digest() == PINNED_SHA256
+
+
+def synth_output_digest(tmp_path) -> str:
+    lines = []
+    for k, (poles, weights) in enumerate(SYNTH_FIXTURES):
+        options = {"samples": 64, "seed": 0}
+        if weights:
+            options["weights"] = weights
+        config = {
+            "quaternion": [
+                [format_rational(v) for v in (q.w, q.x, q.y, q.z)] for q in generator_deg3().coeffs
+            ],
+            "poles": [{"b": str(b), "c": str(c), "multiplicity": m} for b, c, m in poles],
+            "options": options,
+        }
+        cfg, out = tmp_path / f"config{k}.json", tmp_path / f"bundle{k}.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0, poles
+        bundle = json.loads(out.read_text())
+        lines.append("mu " + " ".join(bundle["mu"]))
+        for n in bundle["curve"]["numerators"]:
+            lines.append("num " + " ".join(n))
+        lines.append("den " + " ".join(bundle["curve"]["denominator"]))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_synth_exact_outputs_match_pinned_digest(tmp_path):
+    assert synth_output_digest(tmp_path) == SYNTH_PINNED_SHA256

@@ -21,6 +21,7 @@ from phforge import (
     sturm_real_root_count,
     synthesize_curve,
 )
+from phforge.positivity import _newton_system
 from phforge.quaternion import QJ, QONE
 
 from helpers import MU0, MU2, antidiagonal_sums, generator_deg3, poles_single
@@ -221,6 +222,37 @@ class TestFeasibility:
 
 
 LADDER = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+
+
+def einsum_newton_system(basis, w):
+    """Reference barrier derivatives: each trace summed term by term."""
+    d = len(basis)
+    wb = np.einsum("ij,ajk->aik", w, basis)
+    hess = np.empty((d + 1, d + 1))
+    hess[:d, :d] = np.einsum("aij,bji->ab", wb, wb)
+    hess[:d, d] = hess[d, :d] = -np.einsum("aij,ji->a", wb, w)
+    hess[d, d] = np.einsum("ij,ji->", w, w)
+    return np.einsum("aii->a", wb), hess
+
+
+class TestNewtonSystem:
+    @pytest.mark.parametrize("d, n", [(1, 1), (3, 3), (12, 5), (25, 7), (57, 11), (60, 11)])
+    def test_matches_einsum_reference(self, d, n):
+        rng = np.random.default_rng(100 * d + n)
+        for _ in range(3):
+            raw = rng.standard_normal((d, n, n))
+            basis = (raw + raw.transpose(0, 2, 1)) / 2
+            a = rng.standard_normal((n, n))
+            w = a @ a.T + 0.1 * np.eye(n)  # the inverse of a positive definite slack
+            hess = np.full((d + 1, d + 1), np.nan)
+            traces = _newton_system(basis.reshape(d, n * n), w, hess)
+            ref_traces, ref_hess = einsum_newton_system(basis, w)
+            # rtol 1e-12 against the largest entry: summation order moves single
+            # entries that cancel, not the system
+            np.testing.assert_allclose(traces, ref_traces, rtol=0, atol=1e-12 * np.abs(ref_traces).max())
+            for block in (np.s_[:d, :d], np.s_[:d, d], np.s_[d, :d], np.s_[d, d]):
+                scale = np.abs(ref_hess[block]).max()
+                np.testing.assert_allclose(hess[block], ref_hess[block], rtol=0, atol=1e-12 * scale)
 
 
 def one_margin_at_a_time(slice_, margins, bias=None):
