@@ -35,7 +35,7 @@ from .positivity import (
 )
 from .quaternion import Quaternion, QuaternionPolynomial, i_reduce
 from .rationals import format_rational, parse_rational
-from .ratfunc import PoleStructure, QuadraticFactor
+from .ratfunc import PoleStructure, QuadraticFactor, sturm_real_root_count
 from .synthesis import (
     RationalCurve,
     SynthesisProblem,
@@ -75,6 +75,16 @@ def _quaternion(entry, where: str) -> Quaternion:
     return Quaternion(*(_rational(v, f"{where}[{j}]") for j, v in enumerate(entry)))
 
 
+def _generator(entries, where: str) -> QuaternionPolynomial:
+    """A nonzero quaternion polynomial from an array of [w,x,y,z] entries, ascending."""
+    if not isinstance(entries, list) or not entries:
+        raise ParseError("expected a nonempty array of [w,x,y,z] entries", where)
+    a = QuaternionPolynomial([_quaternion(e, f"{where}[{i}]") for i, e in enumerate(entries)])
+    if a.is_zero:
+        raise ParseError("zero polynomial", where)
+    return a
+
+
 def _margin(value: float, where: str) -> float:
     # an infinite margin would make the relaxation ladder endless
     if not (math.isfinite(value) and value > 0):
@@ -104,12 +114,7 @@ def parse_config(data) -> ProblemConfig:
     """Validate a config mapping; error messages carry the offending field."""
     if not isinstance(data, dict):
         raise ParseError("config must be a JSON object")
-    quat = data.get("quaternion")
-    if not isinstance(quat, list) or not quat:
-        raise ParseError("expected a nonempty array of [w,x,y,z] entries", "quaternion")
-    a_poly = QuaternionPolynomial([_quaternion(e, f"quaternion[{i}]") for i, e in enumerate(quat)])
-    if a_poly.is_zero:
-        raise ParseError("zero polynomial", "quaternion")
+    a_poly = _generator(data.get("quaternion"), "quaternion")
 
     poles_raw = data.get("poles")
     if not isinstance(poles_raw, list) or not poles_raw:
@@ -175,9 +180,7 @@ def parse_config(data) -> ProblemConfig:
 def canonical_config(cfg: ProblemConfig) -> dict:
     """Round-trip form: parse(canonical_config(parse(x))) == parse(x)."""
     return {
-        "quaternion": [
-            [format_rational(v) for v in (q.w, q.x, q.y, q.z)] for q in cfg.a_poly.coeffs
-        ],
+        "quaternion": _generator_rats(cfg.a_poly),
         "poles": [
             {"b": format_rational(f.b), "c": format_rational(f.c), "multiplicity": f.multiplicity}
             for f in cfg.poles.factors
@@ -208,6 +211,10 @@ def load_config(path: str) -> ProblemConfig:
 
 def _poly_to_rats(p: Polynomial) -> list[str]:
     return [format_rational(c) for c in p.coeffs]
+
+
+def _generator_rats(a: QuaternionPolynomial) -> list[list[str]]:
+    return [[format_rational(v) for v in (q.w, q.x, q.y, q.z)] for q in a.coeffs]
 
 
 def _poly_from_rats(values, where: str) -> Polynomial:
@@ -408,10 +415,7 @@ def _build_bundle(cfg, problem, space, slice_, results, achieved, curve, cert, h
         "schema": BUNDLE_SCHEMA,
         "config": canonical_config(cfg),
         "generator": {
-            "coefficients": [
-                [format_rational(v) for v in (q.w, q.x, q.y, q.z)]
-                for q in problem.a_poly.coeffs
-            ],
+            "coefficients": _generator_rats(problem.a_poly),
             "i_reduced": True,
         },
         "alpha": _poly_to_rats(problem.alpha),
@@ -488,12 +492,10 @@ def load_bundle(path: str) -> Bundle:
     gen_raw = data.get("generator", {})
     if not isinstance(gen_raw, dict):
         raise ParseError("expected an object", "generator")
-    entries = gen_raw.get("coefficients") or []
-    if not isinstance(entries, list):
-        raise ParseError("expected an array of [w,x,y,z] entries", "generator.coefficients")
-    gen = QuaternionPolynomial(
-        [_quaternion(e, f"generator.coefficients[{i}]") for i, e in enumerate(entries)]
-    ) if entries else cfg.a_poly
+    entries = gen_raw.get("coefficients")
+    gen = _generator(entries, "generator.coefficients") if entries else cfg.a_poly
+    if sturm_real_root_count(gen.norm_poly()):
+        raise ParseError("generator vanishes at a real parameter", "generator.coefficients")
     return Bundle(cfg, curve, gen, data)
 
 

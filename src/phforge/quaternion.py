@@ -1,6 +1,7 @@
 """Exact quaternion and quaternion-polynomial arithmetic.
 
-Quaternions carry rational components over the basis (1, i, j, k).  The
+Quaternions carry rational components over the basis (1, i, j, k).  A
+quaternion polynomial is its four component polynomials over Q.  The
 polynomial layer provides the noncommutative product, conjugation, vector
 rotation A(t) v A*(t) and reduction by the maximal right factor with
 coefficients in the commutative subalgebra spanned by 1 and i.
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from .polynomial import (
     Polynomial,
@@ -47,14 +49,7 @@ class Quaternion:
             return Quaternion(self.w * f, self.x * f, self.y * f, self.z * f)
         if not isinstance(other, Quaternion):
             return NotImplemented
-        a, b, c, d = self.w, self.x, self.y, self.z
-        e, f, g, h = other.w, other.x, other.y, other.z
-        return Quaternion(
-            a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e,
-        )
+        return Quaternion(*_hamilton(self, other))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -75,6 +70,18 @@ class Quaternion:
         return bool(self.w or self.x or self.y or self.z)
 
 
+def _hamilton(p, q) -> tuple:
+    """The Hamilton product p q as (w, x, y, z), for Quaternions or QuaternionPolynomials."""
+    a, b, c, d = p.w, p.x, p.y, p.z
+    e, f, g, h = q.w, q.x, q.y, q.z
+    return (
+        a * e - b * f - c * g - d * h,
+        a * f + b * e + c * h - d * g,
+        a * g - b * h + c * e + d * f,
+        a * h + b * g - c * f + d * e,
+    )
+
+
 QONE = Quaternion.of(1)
 QI = Quaternion.of(0, 1)
 QJ = Quaternion.of(0, 0, 1)
@@ -82,22 +89,26 @@ QK = Quaternion.of(0, 0, 0, 1)
 
 
 class QuaternionPolynomial:
-    """Dense quaternion-coefficient polynomial, coefficients ascending."""
+    """Immutable quaternion polynomial w(t) + x(t) i + y(t) j + z(t) k.
 
-    __slots__ = ("coeffs",)
+    Its state is the four component ``Polynomial``s ``w, x, y, z``, so all
+    arithmetic runs on their integer pairs: sums, negation and conjugation
+    component by component, products by the Hamilton formula.  ``coeffs``,
+    the ``Quaternion`` coefficients ascending by degree, is built on first read.
+    """
+
+    __slots__ = ("w", "x", "y", "z", "_coeffs")
 
     def __init__(self, coeffs=()):
         cs = []
         for c in coeffs:
-            if isinstance(c, Quaternion):
-                cs.append(c)
-            elif isinstance(c, (int, Fraction)):
-                cs.append(Quaternion.scalar(c))
-            else:
+            if isinstance(c, (int, Fraction)):
+                c = Quaternion.scalar(c)
+            elif not isinstance(c, Quaternion):
                 raise TypeError(f"quaternion coefficient required, got {type(c).__name__}")
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+            cs.append(c)
+        for name in ("w", "x", "y", "z"):
+            object.__setattr__(self, name, Polynomial([getattr(c, name) for c in cs]))
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("QuaternionPolynomial is immutable")
@@ -108,101 +119,81 @@ class QuaternionPolynomial:
 
     @classmethod
     def from_component_polys(cls, w: Polynomial, x: Polynomial, y: Polynomial, z: Polynomial):
-        n = max(w.degree, x.degree, y.degree, z.degree) + 1
-        return cls(
-            [
-                Quaternion(w.coefficient(k), x.coefficient(k), y.coefficient(k), z.coefficient(k))
-                for k in range(n)
-            ]
-        )
+        a = object.__new__(cls)
+        for name, p in zip(("w", "x", "y", "z"), (w, x, y, z)):
+            object.__setattr__(a, name, p)
+        return a
+
+    @property
+    def coeffs(self) -> tuple:
+        """Coefficients ascending by degree, as Quaternions of canonical Fractions."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            comps, n = self.component_polys(), self.degree + 1
+            cs = tuple(Quaternion(*(p.coefficient(k) for p in comps)) for k in range(n))
+            object.__setattr__(self, "_coeffs", cs)
+            return cs
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return max(self.w.degree, self.x.degree, self.y.degree, self.z.degree)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, k: int) -> Quaternion:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Quaternion.of()
+        return self.degree < 0
 
     def __eq__(self, other):
         if isinstance(other, QuaternionPolynomial):
-            return self.coeffs == other.coeffs
+            return self.component_polys() == other.component_polys()
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.component_polys())
 
     def __add__(self, other: "QuaternionPolynomial") -> "QuaternionPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QuaternionPolynomial(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
+        return _qpoly(*map(add, self.component_polys(), other.component_polys()))
 
     def __sub__(self, other: "QuaternionPolynomial") -> "QuaternionPolynomial":
-        return self + (-other)
+        return _qpoly(*map(sub, self.component_polys(), other.component_polys()))
 
     def __neg__(self) -> "QuaternionPolynomial":
-        return QuaternionPolynomial([-c for c in self.coeffs])
+        return _qpoly(-self.w, -self.x, -self.y, -self.z)
 
     def __mul__(self, other):
-        """Noncommutative coefficient-exact product; no normalization."""
+        """Noncommutative exact product; no normalization."""
         if isinstance(other, (int, Fraction, Quaternion)):
-            other = QuaternionPolynomial((other if isinstance(other, Quaternion) else Quaternion.scalar(other),))
-        if not isinstance(other, QuaternionPolynomial):
+            other = QuaternionPolynomial((other,))
+        elif not isinstance(other, QuaternionPolynomial):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return QuaternionPolynomial(())
-        out = [Quaternion.of() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return QuaternionPolynomial(out)
+        return _qpoly(*_hamilton(self, other))
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        if isinstance(other, Quaternion):
-            return QuaternionPolynomial.constant(other) * self
+        if isinstance(other, (int, Fraction, Quaternion)):
+            return QuaternionPolynomial((other,)) * self
         return NotImplemented
 
     def conjugate(self) -> "QuaternionPolynomial":
-        return QuaternionPolynomial([c.conjugate() for c in self.coeffs])
+        return _qpoly(self.w, -self.x, -self.y, -self.z)
 
     def component_polys(self) -> tuple[Polynomial, Polynomial, Polynomial, Polynomial]:
-        return (
-            Polynomial([c.w for c in self.coeffs]),
-            Polynomial([c.x for c in self.coeffs]),
-            Polynomial([c.y for c in self.coeffs]),
-            Polynomial([c.z for c in self.coeffs]),
-        )
+        return self.w, self.x, self.y, self.z
 
     def vector_polys(self) -> tuple[Polynomial, Polynomial, Polynomial]:
-        return self.component_polys()[1:]
+        return self.x, self.y, self.z
 
     def scalar_poly(self) -> Polynomial:
-        return self.component_polys()[0]
+        return self.w
 
     def norm_poly(self) -> Polynomial:
-        """A(t) A*(t) as a real polynomial (the vector part cancels exactly)."""
-        prod = self * self.conjugate()
-        w, x, y, z = prod.component_polys()
-        if not (x.is_zero and y.is_zero and z.is_zero):
-            raise AssertionError("conjugate product has nonzero vector part")
-        return w
-
-    def evaluate(self, t: Fraction) -> Quaternion:
-        acc = Quaternion.of()
-        for c in reversed(self.coeffs):
-            acc = acc * Fraction(t) + c if acc else c
-        return acc
+        """A(t) A*(t) as a real polynomial: w^2 + x^2 + y^2 + z^2."""
+        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def __repr__(self):
         return f"QuaternionPolynomial({list(self.coeffs)!r})"
+
+
+_qpoly = QuaternionPolynomial.from_component_polys
 
 
 def rotate_vector(a: QuaternionPolynomial, v: Quaternion) -> QuaternionPolynomial:

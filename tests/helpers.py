@@ -479,3 +479,17 @@ def ref_eval(a, x) -> F:
 
 def ref_monic(a) -> list:
     return [x / a[-1] for x in a] if a else []
+
+
+# -- Quaternion reference product ----------------------------------------------
+
+
+def ref_qmul(a: QP, b: QP) -> QP:
+    """Schoolbook product over Quaternion coefficients, one Quaternion product per term."""
+    if a.is_zero or b.is_zero:
+        return QP(())
+    out = [Quaternion.of() for _ in range(len(a.coeffs) + len(b.coeffs) - 1)]
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return QP(out)

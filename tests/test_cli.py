@@ -305,6 +305,21 @@ def test_export_too_few_samples_exit_4(bundle_path, tmp_path, capsys, command):
     assert len(data["positions"] if command == "sample" else data) == 2
 
 
+@pytest.mark.parametrize(
+    "coefficients",
+    [[["0", "0", "0", "0"]], [["0", "0", "0", "0"], ["1", "0", "0", "0"]]],
+    ids=["zero", "real-root"],
+)
+def test_frames_bad_generator_exit_4(bundle_path, tmp_path, capsys, coefficients):
+    # A = 0 and A = t vanish at a real parameter, where the frame is undefined
+    data = json.loads(Path(bundle_path).read_text())
+    data["generator"]["coefficients"] = coefficients
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["frames", "--config", str(bad), "--samples", "16"]) == 4
+    assert "generator.coefficients:" in capsys.readouterr().err
+
+
 class TestFrames:
     def test_json_poses(self, bundle_path, capsys):
         assert main(["frames", "--config", bundle_path, "--samples", "8", "--format", "json"]) == 0

@@ -13,11 +13,16 @@ from phforge import (
 )
 from phforge.quaternion import QI, QJ, QK, QONE
 
-from helpers import generator_deg3
+from helpers import generator_deg3, ref_qmul
 
 
 def rand_quat(rng, span=5):
     return Quaternion.of(*(F(rng.randint(-span, span), rng.randint(1, 4)) for _ in range(4)))
+
+
+def rand_qpoly(rng, max_len=4):
+    """Random quaternion polynomial with 0..max_len coefficients: zero and constants included."""
+    return QP([rand_quat(rng) for _ in range(rng.randint(0, max_len))])
 
 
 def test_unit_relations():
@@ -63,6 +68,69 @@ def test_conjugate_product_is_real():
     w, x, y, z = prod.component_polys()
     assert x.is_zero and y.is_zero and z.is_zero
     assert w == P([1, 0, 1]) ** 3
+    assert a.norm_poly() == prod.scalar_poly()
+
+
+def test_product_matches_term_by_term_reference():
+    rng = random.Random(9)
+    for _ in range(60):
+        p, q = rand_qpoly(rng), rand_qpoly(rng)
+        assert p * q == ref_qmul(p, q)
+        assert q * p == ref_qmul(q, p)
+        assert p.norm_poly() == (p * p.conjugate()).scalar_poly()
+
+
+def test_scalar_products_on_either_side_match_reference():
+    rng = random.Random(10)
+    for _ in range(30):
+        p = rand_qpoly(rng)
+        for s in (0, rng.randint(-5, 5), F(rng.randint(-5, 5), rng.randint(1, 7))):
+            c = QP.constant(Quaternion.of(s))
+            assert p * s == ref_qmul(p, c)
+            assert s * p == ref_qmul(c, p)
+        q = rand_quat(rng)
+        assert p * q == ref_qmul(p, QP.constant(q))
+        assert q * p == ref_qmul(QP.constant(q), p)
+
+
+def test_constructor_strips_trailing_zero_coefficients():
+    zero = Quaternion.of()
+    assert QP([QI, QONE, zero, zero]) == QP([QI, QONE])
+    assert QP([QI, QONE, zero]).degree == 1
+    assert QP([zero, zero]).is_zero and QP([zero]).degree == -1
+    assert QP([zero, 0, F(0)]) == QP(())
+
+
+def test_coeffs_are_fraction_quaternions_equal_to_the_input():
+    rng = random.Random(11)
+    for _ in range(20):
+        cs = [rand_quat(rng) for _ in range(rng.randint(1, 4))] + [QJ]
+        a = QP(cs)
+        assert a.coeffs == tuple(cs)
+        assert all(isinstance(v, F) for c in a.coeffs for v in (c.w, c.x, c.y, c.z))
+    # int fields and int scalars come back as Fractions
+    b = QP([Quaternion(1, 0, 2, 0), 3])
+    assert b.coeffs == (Quaternion.of(1, 0, 2), Quaternion.of(3))
+    assert all(isinstance(v, F) for c in b.coeffs for v in (c.w, c.x, c.y, c.z))
+
+
+def test_component_round_trip_and_hash():
+    rng = random.Random(12)
+    for _ in range(20):
+        a = rand_qpoly(rng)
+        b = QP.from_component_polys(*a.component_polys())
+        assert b == a and hash(b) == hash(a)
+        assert b.coeffs == a.coeffs
+    built = QP.from_component_polys(P([0, 1]), P([1]), P([]), P([F(1, 2)]))
+    listed = QP([Quaternion.of(0, 1, 0, F(1, 2)), QONE])
+    assert built == listed and hash(built) == hash(listed)
+
+
+def test_float_field_is_rejected():
+    with pytest.raises(TypeError):
+        QP([Quaternion(1.0, F(0), F(0), F(0))])
+    with pytest.raises(TypeError):
+        QP([QONE, 2.5])
 
 
 def test_conjugate_reversal_and_degree_additivity():
