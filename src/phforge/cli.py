@@ -4,8 +4,9 @@ Exit codes: 0 success with exact regularity certificate, 2 empty residue
 kernel or impossible degree bookkeeping (a negative numerator degree), 3
 positivity infeasible or indeterminate (including a failed hull gate), 4
 parse/usage errors.  All exact data is serialized as rational
-strings; sampled data as floats.  Outputs are deterministic for a fixed
-config and seed.
+strings; sampled data as floats.  JSON outputs are compact, one line with
+sorted keys (``python -m json.tool FILE`` pretty-prints them).  Outputs are
+deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -238,52 +239,10 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _json_text(obj, indent: str = "\n") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, byte for byte.
-
-    Covers what phforge emits: dicts with str keys, lists and tuples, str,
-    bool, None, int and float (numpy floats included), and raises as
-    ``json.dumps`` does on a non-finite float or another type.  ``indent``
-    is the newline and indentation before the value's closing bracket.  The
-    standard library encodes ``indent`` output in pure Python, one generator
-    frame per nesting level and value; this makes one string per container.
-    """
-    if isinstance(obj, float):
-        if math.isfinite(obj):
-            return float.__repr__(obj)
-        raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = indent + "  "
-        items = []
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(f"{_encode_str(key)}: {_json_text(obj[key], inner)}")
-        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = indent + "  "
-        items = [_json_text(v, inner) for v in obj]
-        return f"[{inner}{(',' + inner).join(items)}{indent}]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _dump_json(obj, out_path: str | None):
-    _emit(_json_text(obj) + "\n", out_path)
+    """Write obj as one line of compact JSON with sorted keys; NaN and inf raise ValueError."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    _emit(text + "\n", out_path)
 
 
 def _pose_dict(p) -> dict:
@@ -355,13 +314,6 @@ def cmd_synth(cfg: ProblemConfig, out_path: str, force: bool) -> int:
         return 3
     problem = SynthesisProblem(reduced, cfg.poles)
     space = build_residue_system(problem)
-    if space.dimension == 0:
-        print(
-            "residue conditions admit only the zero numerator; "
-            "raise the pole multiplicities",
-            file=sys.stderr,
-        )
-        return 2
     slice_ = build_gram_slice(space)
 
     rng = random.Random(cfg.seed)
@@ -493,7 +445,8 @@ def load_bundle(path: str) -> Bundle:
     if not isinstance(gen_raw, dict):
         raise ParseError("expected an object", "generator")
     entries = gen_raw.get("coefficients")
-    gen = _generator(entries, "generator.coefficients") if entries else cfg.a_poly
+    # the config's generator is given as written; synth sampled its i-reduction
+    gen = _generator(entries, "generator.coefficients") if entries else i_reduce(cfg.a_poly)[0]
     if sturm_real_root_count(gen.norm_poly()):
         raise ParseError("generator vanishes at a real parameter", "generator.coefficients")
     return Bundle(cfg, curve, gen, data)

@@ -39,6 +39,10 @@ from .synthesis import SolutionSpace
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible-numerically"
 INDETERMINATE = "indeterminate"
+# caps on the barrier path: outer steps (each multiplies t_bar by 20) and
+# Newton steps per outer step
+MAX_OUTER = 60
+MAX_NEWTON = 40
 
 
 @dataclass(frozen=True)
@@ -102,20 +106,19 @@ def _scaled_to_unit(b: Polynomial) -> Polynomial:
     return b * scale
 
 
-def build_gram_slice(space: SolutionSpace, m: int | None = None) -> GramSlice:
+def build_gram_slice(space: SolutionSpace) -> GramSlice:
     """All symmetric matrices whose induced numerator lies in the kernel.
 
     The slice dimension is kernel_dim + (n(n+1)/2 - (m+1)) free Gram
-    directions, n = m/2 + 1.  An empty kernel admits no curve at all and is
-    reported as infeasible by construction.
+    directions, n = m/2 + 1, m the problem's numerator degree.  An empty
+    kernel admits no curve at all and raises EmptyKernelError.
     """
-    if m is None:
-        m = space.problem.m
     if not space.basis:
         raise EmptyKernelError(
             "residue conditions admit only the zero numerator; "
             "raise the pole multiplicities"
         )
+    m = space.problem.m
     n = m // 2 + 1
     kernel = [_scaled_to_unit(b) for b in space.basis]
     anti = np.add.outer(np.arange(n), np.arange(n))
@@ -183,7 +186,7 @@ def _newton_system(flat, w, hess):
     return flat @ w_flat
 
 
-def _central_path(basis, traces, t_norm2, bias, max_outer, max_newton):
+def _central_path(basis, traces, t_norm2, bias):
     """Yield ``(best_x, best_lam)`` at the start and after each outer step.
 
     The barrier path maximizes s subject to M(x) - s*I >= 0 and
@@ -214,8 +217,8 @@ def _central_path(basis, traces, t_norm2, bias, max_outer, max_newton):
     rhs = np.zeros(d + 2)
     eye = np.eye(n)
     t_bar = 1.0
-    for _ in range(max_outer):
-        for _ in range(max_newton):
+    for _ in range(MAX_OUTER):
+        for _ in range(MAX_NEWTON):
             slack = m_now - s * eye
             try:
                 w = np.linalg.inv(slack)
@@ -258,8 +261,6 @@ def sdp_feasible_point(
     margin: float | Sequence[float] = 1e-3,
     *,
     objective_bias=None,
-    max_outer: int = 60,
-    max_newton: int = 40,
 ) -> FeasibilityResult:
     """Search the slice for M with lambda_min >= margin under trace(M) = 1.
 
@@ -316,7 +317,7 @@ def sdp_feasible_point(
         # given in original slice coordinates; x_orig = x_scaled / scale
         bias = np.asarray([float(v) for v in objective_bias]) / scale
 
-    steps = _central_path(basis, traces, t_norm2, bias, max_outer, max_newton)
+    steps = _central_path(basis, traces, t_norm2, bias)
     path = [next(steps)]  # snapshots computed so far; path[0] is the start
 
     def first_reaching(m):

@@ -16,6 +16,7 @@ from phforge import (
 from phforge import cli
 from phforge.cli import load_bundle, main
 from phforge.polynomial import Polynomial as P
+from phforge.quaternion import Quaternion as Q, QuaternionPolynomial as QP
 from phforge.rationals import parse_rational
 
 
@@ -320,6 +321,23 @@ def test_frames_bad_generator_exit_4(bundle_path, tmp_path, capsys, coefficients
     assert "generator.coefficients:" in capsys.readouterr().err
 
 
+def test_frames_without_generator_use_reduced_config_generator(bundle_path, tmp_path, capsys):
+    # a config generator with the right factor t + i reduces to the bundle's
+    # generator; with no generator entry, frames must still follow the reduced one
+    data = json.loads(Path(bundle_path).read_text())
+    a = cli.parse_config(data["config"]).a_poly
+    t_plus_i = QP([Q(0, 1, 0, 0), Q(1, 0, 0, 0)])
+    data["config"]["quaternion"] = cli._generator_rats(a * t_plus_i)
+    del data["generator"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(data))
+    argv = ["frames", "--samples", "4", "--format", "json", "--config"]
+    assert main(argv + [bundle_path]) == 0
+    intact = json.loads(capsys.readouterr().out)
+    assert main(argv + [str(bare)]) == 0
+    assert json.loads(capsys.readouterr().out) == intact
+
+
 class TestFrames:
     def test_json_poses(self, bundle_path, capsys):
         assert main(["frames", "--config", bundle_path, "--samples", "8", "--format", "json"]) == 0
@@ -345,89 +363,43 @@ def test_config_round_trip(tmp_path):
     assert canonical_config(again) == canon
 
 
-def stdlib_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+@pytest.fixture
+def dumped(monkeypatch):
+    """The objects handed to ``cli._dump_json``, in call order."""
+    objs = []
+    dump = cli._dump_json
+
+    def recording(obj, out_path):
+        objs.append(obj)
+        dump(obj, out_path)
+
+    monkeypatch.setattr(cli, "_dump_json", recording)
+    return objs
 
 
-def leaves(obj):
-    if isinstance(obj, dict):
-        obj = list(obj.values())
-    if isinstance(obj, (list, tuple)):
-        for v in obj:
-            yield from leaves(v)
-    else:
-        yield obj
+def test_every_json_output_is_one_line(tmp_path, dumped):
+    cfg = write_config(tmp_path, EX2_CONFIG)
+    bundle = str(tmp_path / "bundle.json")
+    argvs = [
+        ["synth", "--config", cfg, "--out", bundle],
+        ["check", "--config", cfg, "--out", str(tmp_path / "check.json")],
+        ["sample", "--config", bundle, "--samples", "16", "--format", "json", "--out", str(tmp_path / "s.json")],
+        ["frames", "--config", bundle, "--samples", "16", "--format", "json", "--out", str(tmp_path / "f.json")],
+    ]
+    for argv in argvs:
+        assert main(argv) == 0, argv
+    assert len(dumped) == 4
+    # the bundle carries numpy floats from the hull test
+    assert type(dumped[0]["diagnostics"]["hull"]["weights"][0]["weight"]) is np.float64
+    for argv, obj in zip(argvs, dumped):
+        lines = Path(argv[-1]).read_text().splitlines()
+        assert len(lines) == 1, argv[0]
+        assert json.loads(lines[0]) == obj, argv[0]
 
 
-class TestJsonWriter:
-    """The one-pass writer gives the bytes of ``json.dumps(indent=2)``."""
-
-    @pytest.fixture
-    def dumped(self, monkeypatch):
-        objs = []
-        dump = cli._dump_json
-
-        def recording(obj, out_path):
-            objs.append(obj)
-            dump(obj, out_path)
-
-        monkeypatch.setattr(cli, "_dump_json", recording)
-        return objs
-
-    def test_every_json_output_matches_stdlib(self, tmp_path, dumped):
-        cfg = write_config(tmp_path, EX2_CONFIG)
-        bundle = str(tmp_path / "bundle.json")
-        argvs = [
-            ["synth", "--config", cfg, "--out", bundle],
-            ["check", "--config", cfg, "--out", str(tmp_path / "check.json")],
-            ["sample", "--config", bundle, "--samples", "16", "--format", "json", "--out", str(tmp_path / "s.json")],
-            ["frames", "--config", bundle, "--samples", "16", "--format", "json", "--out", str(tmp_path / "f.json")],
-        ]
-        for argv in argvs:
-            assert main(argv) == 0, argv
-        assert len(dumped) == 4
-        # the bundle carries numpy floats from the hull test
-        assert any(type(v) is np.float64 for v in leaves(dumped[0]))
-        for argv, obj in zip(argvs, dumped):
-            assert Path(argv[-1]).read_text() == stdlib_json(obj) + "\n", argv[0]
-
-    @pytest.mark.parametrize(
-        "obj",
-        [
-            {},
-            [],
-            {"a": {}, "b": [], "c": [[]], "d": [{}]},
-            [[[]], [{}, []]],
-            (1, (2.5, ()), [("x",)]),
-            {"z": 1, "a": 2, "m": {"b": None, "a": [True, False, 1, 0]}},
-            [np.float64(0.1), np.float64(-0.0), 1e300, 5e-324, -2.5, 1.0, 10**30],
-            ["caf\u00e9", "\u2603", "\U0001f600", "tab\tquote\"back\\slash", "\x00\x1f"],
-            {"\u00e9": "\u00e9", "nested": [{"k": [1, [2, [3.0]]]}]},
-            "only a string",
-            3.25,
-            None,
-        ],
-    )
-    def test_edge_cases_match_stdlib(self, obj):
-        assert cli._json_text(obj) == stdlib_json(obj)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
-    def test_non_finite_float_raises_value_error(self, bad):
-        for obj in (bad, [1.0, bad], {"a": [bad]}):
-            with pytest.raises(ValueError):
-                stdlib_json(obj)
-            with pytest.raises(ValueError):
-                cli._json_text(obj)
-
-    @pytest.mark.parametrize("bad", [{1}, object(), np.int64(3), F(1, 2)])
-    def test_unsupported_type_raises_type_error(self, bad):
-        for obj in (bad, [bad], {"a": bad}):
-            with pytest.raises(TypeError):
-                stdlib_json(obj)
-            with pytest.raises(TypeError):
-                cli._json_text(obj)
-
-    def test_non_string_key_raises_type_error(self):
-        # json.dumps would write 1 as "1"; phforge never emits such a key
-        with pytest.raises(TypeError, match="keys must be str"):
-            cli._json_text({1: "int key"})
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_float_raises_value_error(tmp_path, bad):
+    for obj in (bad, [1.0, np.float64(bad)], {"a": [bad]}):
+        with pytest.raises(ValueError):
+            cli._dump_json(obj, str(tmp_path / "o.json"))
+    assert not (tmp_path / "o.json").exists()
