@@ -397,7 +397,7 @@ def test_every_json_output_is_one_line(tmp_path, dumped):
         assert json.loads(lines[0]) == obj, argv[0]
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
 def test_non_finite_float_raises_value_error(tmp_path, bad):
     for obj in (bad, [1.0, np.float64(bad)], {"a": [bad]}):
         with pytest.raises(ValueError):
