@@ -10,6 +10,7 @@ Sturm gate makes it regular (cusp free).
 from .errors import (
     DegreeError,
     EmptyKernelError,
+    NoCertificateError,
     NonPythagoreanError,
     ParseError,
     PhforgeError,
@@ -79,6 +80,7 @@ __all__ = [
     "GramSlice",
     "HomogeneousPoint",
     "HullCertificate",
+    "NoCertificateError",
     "NonPythagoreanError",
     "ParseError",
     "PhforgeError",

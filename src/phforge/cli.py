@@ -1,12 +1,15 @@
 """Command-line front end: problem ingestion, pipeline, exact/sampled export.
 
-Exit codes: 0 success with exact regularity certificate, 2 empty residue
-kernel or impossible degree bookkeeping (a negative numerator degree), 3
-positivity infeasible or indeterminate (including a failed hull gate), 4
-parse/usage errors.  All exact data is serialized as rational
-strings; sampled data as floats.  JSON outputs are compact, one line with
-sorted keys (``python -m json.tool FILE`` pretty-prints them).  Outputs are
-deterministic for a fixed config and seed.
+Each ``cmd_*`` function returns the text it outputs; ``main`` alone reads the
+input, writes the output (to ``--out`` or stdout) and turns a failure into
+one ``error: `` line on stderr and the ``exit_code`` of its error class:
+2 empty residue kernel or impossible degree bookkeeping (a negative
+numerator degree), 3 no certificate (a failed hull gate, an infeasible or
+indeterminate positivity search, a failed regularity check), 4 parse/usage
+errors.  All exact data is serialized as rational strings; sampled data as
+floats.  JSON outputs are compact, one line with sorted keys (``python -m
+json.tool FILE`` pretty-prints them).  Outputs are deterministic for a fixed
+config and seed.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NonPythagoreanError, ParseError, PhforgeError, RationalityError
+from .errors import NoCertificateError, NonPythagoreanError, ParseError, PhforgeError
 from .geometry import (
     angle_parameters,
     convex_hull_contains_origin,
@@ -46,7 +49,9 @@ from .synthesis import (
 )
 
 MARGIN_FLOOR = 1e-8
-BUNDLE_SCHEMA = "phforge-bundle-v1"
+BUNDLE_SCHEMA = "phforge-bundle-v2"
+# v1 also stored samples.count, .angles and .parameters, which load_bundle never reads
+READABLE_SCHEMAS = ("phforge-bundle-v1", BUNDLE_SCHEMA)
 
 
 # -- config ----------------------------------------------------------------
@@ -175,6 +180,9 @@ def parse_config(data) -> ProblemConfig:
             raise ParseError("view entries must be finite", "options.view")
         if all(c == 0.0 for c in cfg.view):
             raise ParseError("view direction must be nonzero", "options.view")
+        # the SVG projection divides by the length, whose square must stay a positive float
+        if not 0.0 < sum(c * c for c in cfg.view) < math.inf:
+            raise ParseError("view length overflows or underflows when squared", "options.view")
     return cfg
 
 
@@ -196,15 +204,18 @@ def canonical_config(cfg: ProblemConfig) -> dict:
     }
 
 
-def load_config(path: str) -> ProblemConfig:
+def _read_json(path: str, what: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read config: {exc}") from None
+        raise ParseError(f"cannot read {what}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from None
-    return parse_config(data)
+
+
+def load_config(path: str) -> ProblemConfig:
+    return parse_config(_read_json(path, "config"))
 
 
 # -- exact serialization helpers -------------------------------------------
@@ -230,19 +241,9 @@ def _finite_or_str(x: float):
     return x
 
 
-def _emit(text: str, out_path: str | None):
-    """Write text to out_path, or to stdout when no path is given."""
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _dump_json(obj, out_path: str | None):
-    """Write obj as one line of compact JSON with sorted keys; NaN and inf raise ValueError."""
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    _emit(text + "\n", out_path)
+def _json(obj) -> str:
+    """obj as one line of compact JSON with sorted keys; NaN and inf raise ValueError."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _pose_dict(p) -> dict:
@@ -272,7 +273,7 @@ def _hull_report(cert) -> dict:
     return report
 
 
-def cmd_check(cfg: ProblemConfig, out_path: str | None) -> int:
+def cmd_check(cfg: ProblemConfig) -> str:
     reduced, right = i_reduce(cfg.a_poly)
     T = tangent_indicatrix(reduced)
     cert = convex_hull_contains_origin(T, samples=cfg.samples)
@@ -286,8 +287,7 @@ def cmd_check(cfg: ProblemConfig, out_path: str | None) -> int:
             "homogeneous_degree": T.homogeneous_degree,
         },
     }
-    _dump_json(report, out_path)
-    return 0
+    return _json(report)
 
 
 # -- synth -----------------------------------------------------------------
@@ -300,18 +300,16 @@ def _relaxation_margins(margin: float):
     return out
 
 
-def cmd_synth(cfg: ProblemConfig, out_path: str, force: bool) -> int:
+def cmd_synth(cfg: ProblemConfig, force: bool) -> str:
     reduced, right = i_reduce(cfg.a_poly)
     T = tangent_indicatrix(reduced)
     hull = convex_hull_contains_origin(T, samples=cfg.samples)
     if hull.status is not True and not force:
         status = "false" if hull.status is False else "indeterminate"
-        print(
+        raise NoCertificateError(
             f"hull test {status}: no bounded regular solution can exist "
-            "(use --force to attempt anyway)",
-            file=sys.stderr,
+            "(use --force to attempt anyway)"
         )
-        return 3
     problem = SynthesisProblem(reduced, cfg.poles)
     space = build_residue_system(problem)
     slice_ = build_gram_slice(space)
@@ -320,12 +318,10 @@ def cmd_synth(cfg: ProblemConfig, out_path: str, force: bool) -> int:
     base = sdp_feasible_point(slice_, _relaxation_margins(cfg.margin))
     achieved = base.margin
     if not base.is_feasible:
-        print(
+        raise NoCertificateError(
             "no strictly positive numerator found "
-            f"(best trace-normalized eigenvalue {base.min_eigenvalue:.3e})",
-            file=sys.stderr,
+            f"(best trace-normalized eigenvalue {base.min_eigenvalue:.3e})"
         )
-        return 3
     results = [base]
     # additional solutions for weighted averaging: bias the objective so the
     # central path lands on different interior points, sized against the
@@ -348,20 +344,18 @@ def cmd_synth(cfg: ProblemConfig, out_path: str, force: bool) -> int:
     mu = average_solutions([r.witness_mu for r in results], cfg.weights)
     cert = certify_regular(mu)
     if not cert:
-        print("combined numerator failed the exact regularity certificate", file=sys.stderr)
-        return 3
+        raise NoCertificateError("combined numerator failed the exact regularity certificate")
     curve = synthesize_curve(problem, mu)
     bundle = _build_bundle(
         cfg, problem, space, slice_, results, achieved, curve, cert, hull, base.relaxation_log
     )
-    _dump_json(bundle, out_path)
-    return 0
+    return _json(bundle)
 
 
 def _build_bundle(cfg, problem, space, slice_, results, achieved, curve, cert, hull, attempts):
     poses = sample_motion(problem.a_poly, curve, cfg.samples)
     speed = speed_function(curve)
-    speeds = speed.eval_floats(angle_parameters(cfg.samples)).tolist()
+    speeds = speed.eval_floats([p.parameter for p in poses]).tolist()
     closure = closure_point(curve)
     return {
         "schema": BUNDLE_SCHEMA,
@@ -396,9 +390,6 @@ def _build_bundle(cfg, problem, space, slice_, results, achieved, curve, cert, h
             "speed_polar_maximum": max(speeds),
         },
         "samples": {
-            "count": cfg.samples,
-            "angles": [2.0 * math.pi * j / cfg.samples for j in range(cfg.samples)],
-            "parameters": [_finite_or_str(p.parameter) for p in poses],
             "positions": [list(p.position) for p in poses],
             "poses": [_pose_dict(p) for p in poses],
             "speed": speeds,
@@ -418,15 +409,9 @@ class Bundle:
 
 
 def load_bundle(path: str) -> Bundle:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read bundle: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from None
-    if not isinstance(data, dict) or data.get("schema") != BUNDLE_SCHEMA:
-        raise ParseError(f"not a {BUNDLE_SCHEMA} file", "schema")
+    data = _read_json(path, "bundle")
+    if not isinstance(data, dict) or data.get("schema") not in READABLE_SCHEMAS:
+        raise ParseError(f"not a {' or '.join(READABLE_SCHEMAS)} file", "schema")
     cfg = parse_config(data.get("config", {}))
     curve_raw = data.get("curve")
     if not isinstance(curve_raw, dict):
@@ -457,18 +442,18 @@ def _sample_positions(bundle: Bundle, n: int):
     return params, bundle.curve.eval_floats(params).tolist()
 
 
-def _write_csv(rows, header, out_path):
+def _csv(rows, header) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    _emit("\n".join(lines) + "\n", out_path)
+    return "\n".join(lines) + "\n"
 
 
-def _write_obj(positions, out_path):
+def _obj(positions) -> str:
     lines = [f"v {repr(x)} {repr(y)} {repr(z)}" for x, y, z in positions]
     closed = " ".join(str(i + 1) for i in range(len(positions)))
     lines.append(f"l {closed} 1")
-    _emit("\n".join(lines) + "\n", out_path)
+    return "\n".join(lines) + "\n"
 
 
 def _project(positions, view):
@@ -484,7 +469,7 @@ def _project(positions, view):
     return pts @ e1, pts @ e2
 
 
-def _write_svg(bundle: Bundle, n: int, out_path):
+def _svg(bundle: Bundle, n: int) -> str:
     params, positions = _sample_positions(bundle, n)
     try:
         speed = speed_function(bundle.curve)
@@ -531,53 +516,40 @@ def _write_svg(bundle: Bundle, n: int, out_path):
         'font-family="sans-serif" font-size="14">speed polar plot</text>',
         "</svg>",
     ]
-    _emit("\n".join(parts) + "\n", out_path)
+    return "\n".join(parts) + "\n"
 
 
-def cmd_sample(bundle: Bundle, n: int, fmt: str, out_path) -> int:
-    if fmt == "json":
-        params, positions = _sample_positions(bundle, n)
-        _dump_json(
-            {
-                "parameters": [_finite_or_str(t) for t in params],
-                "positions": [list(p) for p in positions],
-            },
-            out_path,
-        )
-    elif fmt == "csv":
-        _, positions = _sample_positions(bundle, n)
-        _write_csv(positions, ("x", "y", "z"), out_path)
-    elif fmt == "obj":
-        _, positions = _sample_positions(bundle, n)
-        _write_obj(positions, out_path)
-    elif fmt == "svg":
-        _write_svg(bundle, n, out_path)
-    else:
+def cmd_sample(bundle: Bundle, n: int, fmt: str) -> str:
+    if fmt == "svg":
+        return _svg(bundle, n)
+    if fmt not in ("json", "csv", "obj"):
         raise ParseError(f"unknown format {fmt!r}", "--format")
-    return 0
+    params, positions = _sample_positions(bundle, n)
+    if fmt == "csv":
+        return _csv(positions, ("x", "y", "z"))
+    if fmt == "obj":
+        return _obj(positions)
+    return _json(
+        {
+            "parameters": [_finite_or_str(t) for t in params],
+            "positions": [list(p) for p in positions],
+        }
+    )
 
 
-def cmd_frames(bundle: Bundle, n: int, fmt: str, out_path) -> int:
+def cmd_frames(bundle: Bundle, n: int, fmt: str) -> str:
+    if fmt not in ("json", "csv"):
+        raise ParseError(f"format {fmt!r} not supported for frames", "--format")
     poses = sample_motion(bundle.generator, bundle.curve, n)
     if fmt == "json":
-        _dump_json([_pose_dict(p) for p in poses], out_path)
-    elif fmt == "csv":
-        rows = []
-        for p in poses:
-            rows.append(
-                (_finite_or_str(p.parameter),)
-                + p.position
-                + p.rotation
-                + tuple(v for col in p.frame for v in col)
-            )
-        header = (
-            "parameter,px,py,pz,qw,qx,qy,qz,"
-            "tx,ty,tz,bx,by,bz,cx,cy,cz"
-        ).split(",")
-        _write_csv(rows, header, out_path)
-    else:
-        raise ParseError(f"format {fmt!r} not supported for frames", "--format")
-    return 0
+        return _json([_pose_dict(p) for p in poses])
+    rows = [
+        (_finite_or_str(p.parameter),) + p.position + p.rotation
+        + tuple(v for col in p.frame for v in col)
+        for p in poses
+    ]
+    header = "parameter,px,py,pz,qw,qx,qy,qz,tx,ty,tz,bx,by,bz,cx,cy,cz".split(",")
+    return _csv(rows, header)
 
 
 # -- entry point ------------------------------------------------------------
@@ -620,15 +592,14 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.command == "check":
             cfg = load_config(args.config)
             if args.samples is not None:
                 cfg.samples = _samples(args.samples, "--samples")
-            return cmd_check(cfg, args.out)
-        if args.command == "synth":
+            text = cmd_check(cfg)
+        elif args.command == "synth":
             cfg = load_config(args.config)
             if args.margin is not None:
                 cfg.margin = _margin(args.margin, "--margin")
@@ -636,21 +607,20 @@ def main(argv=None) -> int:
                 cfg.samples = _samples(args.samples, "--samples")
             if args.seed is not None:
                 cfg.seed = args.seed
-            return cmd_synth(cfg, args.out, args.force)
-        if args.command in ("sample", "frames"):
+            text = cmd_synth(cfg, args.force)
+        else:
             n = _samples(args.samples, "--samples", minimum=2)
             export = cmd_sample if args.command == "sample" else cmd_frames
-            return export(load_bundle(args.config), n, args.format, args.out)
-        raise ParseError(f"unknown command {args.command!r}")
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except RationalityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+            text = export(load_bundle(args.config), n, args.format)
     except PhforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 def console_main() -> None:

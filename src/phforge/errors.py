@@ -2,11 +2,15 @@
 
 
 class PhforgeError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; ``exit_code`` is the CLI's exit status."""
+
+    exit_code = 2
 
 
 class ParseError(PhforgeError):
     """Invalid config or bundle input; carries a field path for diagnostics."""
+
+    exit_code = 4
 
     def __init__(self, message: str, field: str | None = None):
         self.field = field
@@ -26,6 +30,8 @@ class RationalityError(PhforgeError):
     per pole factor and hodograph component that leaves a remainder.
     """
 
+    exit_code = 3
+
     def __init__(self, message: str, remainders=()):
         self.remainders = tuple(remainders)
         super().__init__(message)
@@ -37,3 +43,9 @@ class NonPythagoreanError(PhforgeError):
 
 class EmptyKernelError(PhforgeError):
     """No nontrivial numerator satisfies the zero-residue conditions."""
+
+
+class NoCertificateError(PhforgeError):
+    """The hull gate, the positivity search or the exact regularity check failed."""
+
+    exit_code = 3

@@ -85,17 +85,6 @@ def solve(rows: list[list[Fraction]], rhs: list[Fraction]):
     return x
 
 
-def span_contains(basis: list[list[Fraction]], v: list[Fraction]) -> bool:
-    """Whether v lies in the span of the basis vectors."""
-    if all(x == 0 for x in v):
-        return True
-    if not basis:
-        return False
-    cols = [list(b) for b in basis]
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(v))]
-    return solve(rows, list(v)) is not None
-
-
 def primitive_integer_vector(v: list[Fraction]) -> list[int]:
     """Scale a rational vector to coprime integers with positive first nonzero."""
     denoms = [f.denominator for f in v]

@@ -81,13 +81,11 @@ class SolutionSpace:
         return len(self.basis)
 
     def contains(self, mu: Polynomial) -> bool:
-        vec = [mu.coefficient(k) for k in range(self.problem.m + 1)]
+        """Whether every residue of mu vanishes; the basis spans exactly this kernel."""
         if mu.degree > self.problem.m:
             return False
-        basis_vecs = [
-            [b.coefficient(k) for k in range(self.problem.m + 1)] for b in self.basis
-        ]
-        return linalg.span_contains(basis_vecs, vec)
+        vec = [mu.coefficient(k) for k in range(self.problem.m + 1)]
+        return all(sum(a * v for a, v in zip(row, vec)) == 0 for row in self.constraint_matrix)
 
     def combination(self, coefficients) -> Polynomial:
         if len(coefficients) != len(self.basis):

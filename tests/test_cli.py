@@ -86,7 +86,12 @@ class TestCheck:
         assert "poles" in capsys.readouterr().err
 
     def test_bad_view_exit_4(self, tmp_path, capsys):
-        for view in (["a", 1, 2], [None, 1, 2], [1, 2, "inf"], [1e400, 0, 0], [1, "nan", 2]):
+        views = (
+            ["a", 1, 2], [None, 1, 2], [1, 2, "inf"], [1e400, 0, 0], [1, "nan", 2],
+            # the squared length overflows or underflows
+            [1e308, 1e308, 1e308], [1e200, 1e200, 0], [1e-320, 0, 0],
+        )
+        for view in views:
             raw = json.loads(json.dumps(EX2_CONFIG))
             raw["options"]["view"] = view
             assert main(["check", "--config", write_config(tmp_path, raw)]) == 4, view
@@ -135,7 +140,7 @@ class TestSynth:
         data = json.loads(Path(bundle_path).read_text())
         loaded = load_bundle(bundle_path)
         for raw_t, pos in zip(
-            data["samples"]["parameters"], data["samples"]["positions"]
+            [pose["parameter"] for pose in data["samples"]["poses"]], data["samples"]["positions"]
         ):
             t = math.inf if raw_t == "inf" else float(raw_t)
             if math.isinf(t):
@@ -365,15 +370,15 @@ def test_config_round_trip(tmp_path):
 
 @pytest.fixture
 def dumped(monkeypatch):
-    """The objects handed to ``cli._dump_json``, in call order."""
+    """The objects handed to ``cli._json``, in call order."""
     objs = []
-    dump = cli._dump_json
+    dump = cli._json
 
-    def recording(obj, out_path):
+    def recording(obj):
         objs.append(obj)
-        dump(obj, out_path)
+        return dump(obj)
 
-    monkeypatch.setattr(cli, "_dump_json", recording)
+    monkeypatch.setattr(cli, "_json", recording)
     return objs
 
 
@@ -398,8 +403,84 @@ def test_every_json_output_is_one_line(tmp_path, dumped):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
-def test_non_finite_float_raises_value_error(tmp_path, bad):
+def test_non_finite_float_raises_value_error(tmp_path, monkeypatch, bad):
     for obj in (bad, [1.0, np.float64(bad)], {"a": [bad]}):
         with pytest.raises(ValueError):
-            cli._dump_json(obj, str(tmp_path / "o.json"))
-    assert not (tmp_path / "o.json").exists()
+            cli._json(obj)
+    # main encodes the whole output before it opens --out
+    monkeypatch.setattr(cli, "_hull_report", lambda cert: {"residual": bad})
+    out = tmp_path / "o.json"
+    with pytest.raises(ValueError):
+        main(["check", "--config", write_config(tmp_path, EX2_CONFIG), "--out", str(out)])
+    assert not out.exists()
+
+
+def _hull_gate_config(poles=((0, 4, 6),)):
+    raw = json.loads(json.dumps(EX2_CONFIG))
+    raw["quaternion"] = [["1", "0", "0", "0"]]
+    raw["poles"] = [{"b": str(b), "c": str(c), "multiplicity": m} for b, c, m in poles]
+    return raw
+
+
+def _zero_denominator_config():
+    raw = json.loads(json.dumps(EX2_CONFIG))
+    raw["quaternion"][0][0] = "1/0"
+    return raw
+
+
+def _non_ph_bundle(bundle_path, tmp_path):
+    data = json.loads(Path(bundle_path).read_text())
+    data["curve"]["numerators"][0] = ["0", "1"]
+    path = tmp_path / "non_ph.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+# (command, the --config file from (bundle_path, tmp_path), extra arguments, exit code)
+FAILURES = {
+    "parse-error": ("synth", lambda b, tmp: write_config(tmp, _zero_denominator_config()), [], 4),
+    "negative-degree": ("synth", lambda b, tmp: write_config(tmp, with_multiplicity(3)), [], 2),
+    "empty-kernel": ("synth", lambda b, tmp: write_config(tmp, with_multiplicity(4)), [], 2),
+    "hull-gate": ("synth", lambda b, tmp: write_config(tmp, _hull_gate_config()), [], 3),
+    "indeterminate-sdp": (
+        "synth", lambda b, tmp: write_config(tmp, _hull_gate_config(((0, 4, 3),))), ["--force"], 3
+    ),
+    "non-ph-curve": ("sample", _non_ph_bundle, ["--format", "svg"], 4),
+    "unreadable-bundle": ("frames", lambda b, tmp: str(tmp / "missing.json"), [], 4),
+}
+
+
+@pytest.mark.parametrize("case", FAILURES)
+def test_failure_prints_one_error_line_and_writes_nothing(bundle_path, tmp_path, capsys, case):
+    command, config, extra, code = FAILURES[case]
+    out = tmp_path / "out"
+    argv = [command, "--config", config(bundle_path, tmp_path), "--out", str(out)] + extra
+    capsys.readouterr()
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert not out.exists()
+
+
+def test_v1_bundle_exports_like_v2(bundle_path, tmp_path, capsys):
+    # a v1 bundle also stored samples.count, .angles and .parameters
+    data = json.loads(Path(bundle_path).read_text())
+    assert data["schema"] == "phforge-bundle-v2"
+    poses = data["samples"]["poses"]
+    data["schema"] = "phforge-bundle-v1"
+    data["samples"]["count"] = len(poses)
+    data["samples"]["angles"] = [2.0 * math.pi * j / len(poses) for j in range(len(poses))]
+    data["samples"]["parameters"] = [pose["parameter"] for pose in poses]
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps(data))
+    exports = [
+        ["sample", "--format", fmt] for fmt in ("json", "csv", "obj", "svg")
+    ] + [["frames", "--format", fmt] for fmt in ("json", "csv")]
+    for export in exports:
+        outputs = []
+        for path in (bundle_path, str(v1)):
+            assert main(export + ["--samples", "32", "--config", path]) == 0, export
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1], export
