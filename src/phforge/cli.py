@@ -6,10 +6,10 @@ one ``error: `` line on stderr and the ``exit_code`` of its error class:
 2 empty residue kernel or impossible degree bookkeeping (a negative
 numerator degree), 3 no certificate (a failed hull gate, an infeasible or
 indeterminate positivity search, a failed regularity check), 4 parse/usage
-errors.  All exact data is serialized as rational strings; sampled data as
-floats.  JSON outputs are compact, one line with sorted keys (``python -m
-json.tool FILE`` pretty-prints them).  Outputs are deterministic for a fixed
-config and seed.
+errors, an unreadable input and an unwritable ``--out`` included.  All exact
+data is serialized as rational strings; sampled data as floats.  JSON
+outputs are compact, one line with sorted keys (``python -m json.tool FILE``
+pretty-prints them).  Outputs are deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NoCertificateError, NonPythagoreanError, ParseError, PhforgeError
@@ -214,6 +214,14 @@ def _read_json(path: str, what: str):
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from None
 
 
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write --out: {exc}") from None
+
+
 def load_config(path: str) -> ProblemConfig:
     return parse_config(_read_json(path, "config"))
 
@@ -342,7 +350,8 @@ def cmd_synth(cfg: ProblemConfig, force: bool) -> str:
         results.append(found if found is not None else base)
 
     mu = average_solutions([r.witness_mu for r in results], cfg.weights)
-    cert = certify_regular(mu)
+    # the gate has already Sturm-certified the base witness
+    cert = base.certificate if mu == base.witness_mu else certify_regular(mu)
     if not cert:
         raise NoCertificateError("combined numerator failed the exact regularity certificate")
     curve = synthesize_curve(problem, mu)
@@ -405,7 +414,6 @@ class Bundle:
     config: ProblemConfig
     curve: RationalCurve
     generator: QuaternionPolynomial
-    data: dict = field(repr=False, default_factory=dict)
 
 
 def load_bundle(path: str) -> Bundle:
@@ -434,7 +442,7 @@ def load_bundle(path: str) -> Bundle:
     gen = _generator(entries, "generator.coefficients") if entries else i_reduce(cfg.a_poly)[0]
     if sturm_real_root_count(gen.norm_poly()):
         raise ParseError("generator vanishes at a real parameter", "generator.coefficients")
-    return Bundle(cfg, curve, gen, data)
+    return Bundle(cfg, curve, gen)
 
 
 def _sample_positions(bundle: Bundle, n: int):
@@ -612,14 +620,13 @@ def main(argv=None) -> int:
             n = _samples(args.samples, "--samples", minimum=2)
             export = cmd_sample if args.command == "sample" else cmd_frames
             text = export(load_bundle(args.config), n, args.format)
+        if args.out:
+            _write_out(args.out, text)
+        else:
+            sys.stdout.write(text)
     except PhforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -5,24 +5,30 @@ holds the coefficients ascending by degree, times ``den``.  The pair is
 canonical: ``ints`` is a tuple without trailing zeros, ``den > 0`` and
 ``gcd(den, *ints) == 1``, and the zero polynomial is ``((), 1)``, so equal
 polynomials have equal pairs.  Every operation over Q runs on the pair:
-sums and scalar products are integer vector operations, products are integer
-schoolbook convolutions, division is integer (lazy pseudo-)division, and
-``poly_gcd`` is a primitive polynomial remainder sequence (Collins 1967;
-Brown & Traub 1971).  ``Fraction`` values are built only at the edges:
-``coeffs``, ``leading``, ``coefficient`` and evaluation.  Degrees in this
-package stay small (tens), so the dense representation and classical
-algorithms are the right tool.
+sums and scalar products are integer vector operations, division is integer
+(lazy pseudo-)division, and products and gcds go through big integers.  A
+product is one integer product by Kronecker substitution: ``_pack`` puts a
+vector at 2^k, ``_unpack`` reads the balanced 2^k-adic digits back
+(Schoenhage 1982).  ``poly_gcd`` is the heuristic GCDHEU on the same pair
+of helpers, proved by trial division, with the primitive polynomial
+remainder sequence (Collins 1967; Brown & Traub 1971) as its fallback.
+The Sturm chain and ``modular_inverse`` need the whole remainder sequence
+and stay pseudo-division loops.  ``Fraction`` values are built only at the
+edges: ``coeffs``, ``leading``, ``coefficient`` and evaluation.  Degrees in
+this package stay small (tens), so the dense representation is the right
+tool.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, mul
+from operator import add
 
 import numpy as np
 
 _SCALARS = (int, Fraction)
+_HEU_TRIES = 4  # GCDHEU evaluation points before the PRS fallback
 
 
 def _primitive(v):
@@ -40,15 +46,44 @@ def _int_add(a, b) -> list[int]:
     return out
 
 
-def _int_mul(a, b) -> list[int]:
-    """Schoolbook product of nonempty integer vectors, one dot product per coefficient."""
-    rb = b[::-1]
-    n, m = len(a), len(b)
+def _pack(v, k: int) -> int:
+    """v(2^k) for an integer vector v, by Horner's rule on shifts."""
+    x = 0
+    for c in reversed(v):
+        x = (x << k) + c
+    return x
+
+
+def _unpack(x: int, k: int) -> list[int]:
+    """The balanced 2^k-adic digits of x, ascending, each in [-2^(k-1), 2^(k-1)).
+
+    The inverse of ``_pack`` on vectors whose entries lie in that range and
+    whose last entry is nonzero; 0 gives [].
+    """
+    full = 1 << k
+    half, mask = full >> 1, full - 1
     out = []
-    for k in range(n + m - 1):
-        lo, hi = max(0, k - m + 1), min(k, n - 1) + 1
-        out.append(sum(map(mul, a[lo:hi], rb[m - 1 - k + lo : m - 1 - k + hi])))
+    while x:
+        d = x & mask
+        x >>= k
+        if d >= half:
+            d -= full
+            x += 1
+        out.append(d)
     return out
+
+
+def _int_mul(a, b) -> list[int]:
+    """Product of nonempty integer vectors by Kronecker substitution.
+
+    Every coefficient of the product is bounded by max|a| max|b| min(len a,
+    len b) < 2^(k-1), so the balanced 2^k-adic digits of a(2^k) b(2^k) are
+    the coefficients (Schoenhage 1982); the one big-integer product runs in
+    CPython's C arithmetic.  Trailing zeros of the product, if a or b has
+    them, are not returned.
+    """
+    k = (max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))).bit_length() + 1
+    return _unpack(_pack(a, k) * _pack(b, k), k)
 
 
 def _int_divmod(a, b):
@@ -83,9 +118,40 @@ def _int_divmod(a, b):
     return s, q, r
 
 
+def _heu_gcd(a, b):
+    """Primitive gcd of nonzero primitive integer vectors by GCDHEU, or None.
+
+    Let xi = 2^k > 4 min(|a|_inf, |b|_inf) + 4 and G the primitive part of
+    the balanced xi-adic digits of gcd(a(xi), b(xi)) (Char, Geddes & Gonnet
+    1989; Geddes, Czapor & Labahn, Thm 7.7).  If G divides a and b, it is
+    their gcd: the gcd is G h with h(xi) dividing the content of the digits,
+    which is at most xi/2, while every root of h is a root of a and of b, so
+    has modulus below 1 + min(|a|_inf, |b|_inf) < xi/4, and |h(xi)| >=
+    (3 xi/4)^deg h forces deg h = 0.  Trial division proves each candidate;
+    k doubles after a failed one, and None means ``_HEU_TRIES`` failed.  The
+    gcd comes with a positive leading coefficient.
+    """
+    k = (4 * min(max(map(abs, a)), max(map(abs, b))) + 4).bit_length()
+    for _ in range(_HEU_TRIES):
+        # gcd() > 0, so the leading digit is positive
+        g = _primitive(_unpack(math.gcd(_pack(a, k), _pack(b, k)), k))
+        if not _int_divmod(a, g)[2] and not _int_divmod(b, g)[2]:
+            return g
+        k *= 2
+    return None
+
+
 def _int_gcd(a, b):
-    """Primitive gcd of integer vectors by the primitive PRS; [] when both are zero."""
+    """Primitive gcd of integer vectors; [] when both are zero.
+
+    GCDHEU first, then the primitive PRS (Collins 1967; Brown & Traub 1971)
+    when GCDHEU gives up or an input is zero.
+    """
     a, b = _primitive(a), _primitive(b)
+    if a and b:
+        g = _heu_gcd(a, b)
+        if g is not None:
+            return g
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -401,7 +467,7 @@ def two_chart_quotients(nums, den: Polynomial, degree: int, ts) -> np.ndarray:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor by the primitive PRS."""
+    """Monic greatest common divisor, by GCDHEU or the primitive PRS (``_int_gcd``)."""
     g = _int_gcd(a.ints, b.ints)
     return _canonical(g, g[-1]) if g else Polynomial.zero()
 

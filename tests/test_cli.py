@@ -447,13 +447,16 @@ FAILURES = {
     ),
     "non-ph-curve": ("sample", _non_ph_bundle, ["--format", "svg"], 4),
     "unreadable-bundle": ("frames", lambda b, tmp: str(tmp / "missing.json"), [], 4),
+    "unwritable-out": ("check", lambda b, tmp: write_config(tmp, EX2_CONFIG), [], 4),
 }
+# --out under tmp_path, "out" unless named here
+OUT_PATHS = {"unwritable-out": "missing-dir/out"}
 
 
 @pytest.mark.parametrize("case", FAILURES)
 def test_failure_prints_one_error_line_and_writes_nothing(bundle_path, tmp_path, capsys, case):
     command, config, extra, code = FAILURES[case]
-    out = tmp_path / "out"
+    out = tmp_path / OUT_PATHS.get(case, "out")
     argv = [command, "--config", config(bundle_path, tmp_path), "--out", str(out)] + extra
     capsys.readouterr()
     assert main(argv) == code

@@ -1,8 +1,11 @@
 """The integer-vector kernels against the Fraction reference kernels in helpers.
 
 Products, quotient/remainder pairs, gcds, modular inverses, Sturm counts,
-residue rows and reduced row echelon forms must be equal, value for value, on seeded random inputs with integer and
-Fraction coefficients and with monic, non-monic and Fraction divisors.  The
+residue rows and reduced row echelon forms must be equal, value for value, on
+seeded random inputs with integer and Fraction coefficients and with monic,
+non-monic and Fraction divisors; products and gcds also at the degrees (up
+to 60) and coefficient sizes (up to ~300 bits) that the fixtures reach, and
+gcds by the GCDHEU route and by the PRS fallback.  The
 polynomial operations over Q (sums, scalar products, calculus, evaluation,
 ``monic``, ``leading``, ``coefficient``, ``float_coeffs``) must match one
 Fraction per coefficient, every result must be the canonical (ints, den)
@@ -15,8 +18,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from phforge import linalg
-from phforge.polynomial import _int_divmod, _int_mul, modular_inverse
+from phforge import linalg, polynomial
+from phforge.polynomial import _heu_gcd, _int_divmod, _int_mul, _primitive, modular_inverse
 from phforge import (
     PoleStructure,
     Polynomial as P,
@@ -123,6 +126,83 @@ def test_pseudo_division_scale_is_positive():
         for i, x in enumerate(r):
             rhs[i] += x
         assert lhs[: len(a) + len(b)] == rhs[: len(a) + len(b)]
+
+
+# -- Kronecker products and GCDHEU at the sizes the fixtures reach --------------
+# Curve numerators and speed polynomials reach degree ~50 with coefficients of
+# a few hundred bits; the reference gcd is fast when the common factor has a
+# high degree (few Euclid steps), so the large cases are built that way.
+
+
+def rand_ints(rng, length, bits, zeros=0.25):
+    """Signed integers with interior zeros and a nonzero (often negative) last entry."""
+    v = [0 if rng.random() < zeros else rng.randint(-(2**bits), 2**bits) for _ in range(length - 1)]
+    return v + [rng.choice((-1, 1)) * rng.randint(1, 2**bits)]
+
+
+@pytest.fixture(params=["heuristic", "prs"])
+def gcd_route(request, monkeypatch):
+    """poly_gcd as shipped, or with GCDHEU giving up so that the PRS fallback answers."""
+    if request.param == "prs":
+        monkeypatch.setattr(polynomial, "_heu_gcd", lambda a, b: None)
+    return request.param
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kronecker_products_at_fixture_sizes(seed):
+    rng = random.Random(f"kronecker:{seed}")
+    for _ in range(25):
+        la, lb = rng.randint(1, 61), rng.choice((1, 2, 3, rng.randint(1, 61)))
+        a = rand_ints(rng, la, rng.choice((1, 8, 64, 150, 300)))
+        b = rand_ints(rng, lb, rng.choice((1, 30, 300)))
+        assert _int_mul(a, b) == list(ref_mul(P(a), P(b)).ints)
+        assert _int_mul(b, a) == _int_mul(a, b)
+    # equal entries put the middle coefficient at max|a| max|b| min(len a, len b) itself
+    v = [-(2**300)] * 61
+    assert _int_mul(v, v) == list(ref_mul(P(v), P(v)).ints)
+    assert _int_mul([-1] * 61, [1] * 61) == [-min(i + 1, 121 - i) for i in range(121)]
+    assert _int_mul([-1], v) == [2**300] * 61
+
+
+def test_gcd_at_fixture_sizes(gcd_route):
+    rng = random.Random("gcd-large")
+    for _ in range(8):
+        common = P(rand_ints(rng, rng.randint(35, 57), rng.choice((100, 280))))
+        a = P(rand_ints(rng, rng.randint(1, 5), 8)) * common
+        b = P(rand_ints(rng, rng.randint(1, 5), 1)) * common * F(3, 7)
+        g = poly_gcd(a, b)
+        assert g == ref_gcd(a, b)
+        assert g.degree >= common.degree and g % common.monic() == P.zero()
+
+
+def test_gcd_of_coprime_equal_and_constant_inputs(gcd_route):
+    rng = random.Random("gcd-special")
+    for _ in range(10):
+        a = P(rand_ints(rng, rng.randint(2, 14), 100))
+        b = P(rand_ints(rng, rng.randint(2, 14), 100))
+        assert poly_gcd(a, b) == ref_gcd(a, b)  # almost surely coprime
+        assert poly_gcd(a, a) == poly_gcd(a, -a * F(5, 3)) == a.monic()
+        assert poly_gcd(a, P([-6])) == poly_gcd(P([F(2, 9)]), a) == P.one()
+    assert poly_gcd(P([0, 0, 1]), P([0, 1])) == P([0, 1])
+    assert poly_gcd(P([-4]), P([6])) == P.one()
+    assert poly_gcd(P([1, 1]), P([-1, 1])) == P.one()
+
+
+def test_heuristic_gcd_divides_both_inputs():
+    rng = random.Random("gcdheu")
+    proved = 0
+    for _ in range(300):
+        common = rand_ints(rng, rng.randint(1, 6), rng.choice((1, 2, 20)))
+        a = _primitive(_int_mul(rand_ints(rng, rng.randint(1, 8), rng.choice((1, 3, 60))), common))
+        b = _primitive(_int_mul(rand_ints(rng, rng.randint(1, 8), 1), common))
+        g = _heu_gcd(a, b)
+        if g is None:
+            continue
+        proved += 1
+        assert g[-1] > 0 and math.gcd(*g) == 1
+        assert _int_divmod(a, g)[2] == [] and _int_divmod(b, g)[2] == []
+        assert len(g) >= len(_primitive(common))
+    assert proved > 250
 
 
 @pytest.mark.parametrize("seed", range(3))
