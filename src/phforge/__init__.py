@@ -18,12 +18,9 @@ from .errors import (
 )
 from .geometry import (
     FramePose,
-    HomogeneousPoint,
     HullCertificate,
     TangentIndicatrix,
-    closure_integral,
     convex_hull_contains_origin,
-    euler_rodriguez_pose,
     sample_motion,
     speed_function,
     tangent_indicatrix,
@@ -37,7 +34,6 @@ from .positivity import (
     build_gram_slice,
     certify_regular,
     sdp_feasible_point,
-    sos_decomposition,
 )
 from .quaternion import (
     Quaternion,
@@ -53,9 +49,6 @@ from .ratfunc import (
     QuadraticFactor,
     RationalFunction,
     hermite_antiderivative,
-    mobius_jacobian,
-    partial_fractions,
-    reparameterize,
     residue_at,
     sturm_real_root_count,
 )
@@ -65,7 +58,6 @@ from .synthesis import (
     SynthesisProblem,
     build_residue_system,
     closure_point,
-    elementary_decomposition,
     synthesize_curve,
 )
 
@@ -78,7 +70,6 @@ __all__ = [
     "FeasibilityResult",
     "FramePose",
     "GramSlice",
-    "HomogeneousPoint",
     "HullCertificate",
     "NoCertificateError",
     "NonPythagoreanError",
@@ -100,26 +91,19 @@ __all__ = [
     "build_gram_slice",
     "build_residue_system",
     "certify_regular",
-    "closure_integral",
     "closure_point",
     "convex_hull_contains_origin",
-    "elementary_decomposition",
-    "euler_rodriguez_pose",
     "format_rational",
     "hermite_antiderivative",
     "i_reduce",
     "is_i_reduced",
-    "mobius_jacobian",
     "parse_rational",
-    "partial_fractions",
     "poly_gcd",
     "poly_sqrt",
-    "reparameterize",
     "residue_at",
     "rotate_vector",
     "sample_motion",
     "sdp_feasible_point",
-    "sos_decomposition",
     "speed_function",
     "squarefree_decomposition",
     "sturm_real_root_count",

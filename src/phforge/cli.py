@@ -438,8 +438,12 @@ def load_bundle(path: str) -> Bundle:
     if not isinstance(gen_raw, dict):
         raise ParseError("expected an object", "generator")
     entries = gen_raw.get("coefficients")
-    # the config's generator is given as written; synth sampled its i-reduction
-    gen = _generator(entries, "generator.coefficients") if entries else i_reduce(cfg.a_poly)[0]
+    # the config's generator is given as written and synth sampled its i-reduction;
+    # only a missing entry falls back to it, a present one must parse
+    if entries is None:
+        gen = i_reduce(cfg.a_poly)[0]
+    else:
+        gen = _generator(entries, "generator.coefficients")
     if sturm_real_root_count(gen.norm_poly()):
         raise ParseError("generator vanishes at a real parameter", "generator.coefficients")
     return Bundle(cfg, curve, gen)

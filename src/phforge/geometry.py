@@ -1,11 +1,12 @@
-"""Projective-line geometry: indicatrix, speed, hull test, framing motion.
+"""Tangent indicatrix, speed, hull test and the sampled framing motion.
 
 The curve parameter lives on the projective line, identified with the unit
-circle; every float evaluation goes through ``polynomial.two_chart_eval``,
-which switches charts at |t| = 1 so the closure point t = infinity is an
-ordinary point.  Exact identities (unit norm of the tangent indicatrix,
-rationality of the speed) are verified in exact arithmetic; sampling and the
-convex-hull test are the only floating parts.
+circle through ``angle_parameters``; every float evaluation goes through
+``polynomial.two_chart_eval``, which switches charts at |t| = 1 so the
+closure point t = infinity is an ordinary point.  Exact identities (unit
+norm of the tangent indicatrix, rationality of the speed) are verified in
+exact arithmetic; the convex-hull test and the sampled poses are the only
+floating parts.
 """
 
 from __future__ import annotations
@@ -21,36 +22,6 @@ from .polynomial import Polynomial, poly_sqrt, two_chart_eval, two_chart_quotien
 from .quaternion import QI, QuaternionPolynomial, rotate_vector
 from .ratfunc import RationalFunction
 from .synthesis import RationalCurve
-
-
-@dataclass(frozen=True)
-class HomogeneousPoint:
-    """Point (u : v) of the projective line, equal up to nonzero scaling."""
-
-    u: Fraction
-    v: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", Fraction(self.u))
-        object.__setattr__(self, "v", Fraction(self.v))
-        if self.u == 0 and self.v == 0:
-            raise ValueError("(0 : 0) is not a projective point")
-
-    @classmethod
-    def from_parameter(cls, t) -> "HomogeneousPoint":
-        return cls(Fraction(t), Fraction(1))
-
-    @classmethod
-    def infinity(cls) -> "HomogeneousPoint":
-        return cls(Fraction(1), Fraction(0))
-
-    def circle_point(self) -> tuple[Fraction, Fraction]:
-        """Exact image on the unit circle: ((u^2-v^2)/(u^2+v^2), 2uv/(u^2+v^2))."""
-        n = self.u * self.u + self.v * self.v
-        return ((self.u * self.u - self.v * self.v) / n, 2 * self.u * self.v / n)
-
-    def same_point(self, other: "HomogeneousPoint") -> bool:
-        return self.u * other.v == self.v * other.u
 
 
 def parameter_of_angle(theta: float) -> float:
@@ -293,11 +264,6 @@ def _poses(ts, q, frame, positions) -> list[FramePose]:
     ]
 
 
-def euler_rodriguez_pose(a: QuaternionPolynomial, c: RationalCurve, t: float) -> FramePose:
-    """Pose of the framing motion at parameter t (inf allowed)."""
-    return _poses([t], *_motion(a, c, [t]))[0]
-
-
 def sample_motion(a: QuaternionPolynomial, c: RationalCurve, n: int) -> list[FramePose]:
     """n poses equidistant in circle angle, hemisphere-aligned in sequence.
 
@@ -317,18 +283,3 @@ def sample_motion(a: QuaternionPolynomial, c: RationalCurve, n: int) -> list[Fra
         sign = -1.0 if sign * dot < 0.0 else 1.0
         signs.append(sign)
     return _poses(ts, q * np.array(signs), frame, positions)
-
-
-def closure_integral(c: RationalCurve, samples: int = 2048) -> tuple[float, float, float]:
-    """Quadrature of the closed-curve integral of the weighted hodograph.
-
-    Integrates r'(t(theta)) dt/dtheta over the full circle with the
-    periodic trapezoid rule; for a closed bounded curve the exact value is
-    zero componentwise, so the return value is a closure diagnostic.
-    """
-    ts = angle_parameters(samples)
-    # dt/dtheta = -(1+t^2)/2; the sign flips orientation only
-    return tuple(
-        -2.0 * math.pi * float(np.mean((h * _HALF_CIRCLE).eval_floats(ts)))
-        for h in c.hodograph()
-    )

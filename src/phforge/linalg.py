@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals: RREF, kernels, small solves."""
+"""Exact linear algebra over the rationals: RREF and kernels."""
 
 from __future__ import annotations
 
@@ -67,22 +67,6 @@ def nullspace(rows: list[list[Fraction]], ncols: int | None = None):
             v[p] = -red[r][f]
         basis.append(v)
     return basis
-
-
-def solve(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """One exact solution of A x = b, or None when inconsistent.
-
-    Free variables are set to zero.
-    """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    ncols = len(rows[0]) if rows else 0
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][ncols]
-    return x
 
 
 def primitive_integer_vector(v: list[Fraction]) -> list[int]:

@@ -219,10 +219,6 @@ class Polynomial:
     def constant(cls, c) -> "Polynomial":
         return cls((c,))
 
-    @classmethod
-    def monomial(cls, degree: int, c=1) -> "Polynomial":
-        return cls((0,) * degree + (c,))
-
     # -- basics ------------------------------------------------------------
 
     @property
@@ -383,27 +379,6 @@ class Polynomial:
         if self.is_zero:
             return self
         return _canonical(list(self.ints), self.ints[-1])
-
-    def homogeneous_eval(self, p: "Polynomial", q: "Polynomial", degree: int) -> "Polynomial":
-        """Evaluate the degree-homogenized polynomial at polynomials (p, q).
-
-        Returns sum_i c_i * p^i * q^(degree-i); with p = a*s+b, q = c*s+d this
-        is the numerator of the Moebius substitution.
-        """
-        if degree < self.degree:
-            raise ValueError("homogenization degree below polynomial degree")
-        out = Polynomial.zero()
-        p_pow = Polynomial.one()
-        q_pows = [Polynomial.one()]
-        for _ in range(degree):
-            q_pows.append(q_pows[-1] * q)
-        for i in range(degree + 1):
-            c = self.coefficient(i)
-            if c:
-                out = out + p_pow * q_pows[degree - i] * c
-            if i < degree:
-                p_pow = p_pow * p
-        return out
 
     def __repr__(self):
         if self.is_zero:

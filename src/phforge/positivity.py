@@ -377,33 +377,6 @@ def sdp_feasible_point(
     return replace(result, relaxation_log=tuple(log))
 
 
-def sos_decomposition(mat) -> list[tuple[Fraction, Polynomial]]:
-    """Exact LDL^T split of a positive definite rational Gram matrix.
-
-    Returns weights d_k > 0 and polynomials q_k with
-    sum d_k q_k(t)^2 equal to the matrix's numerator polynomial exactly;
-    LDL^T is the rational form of the Cholesky factorization.
-    """
-    n = len(mat)
-    a = [[Fraction(v) for v in row] for row in mat]
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    diag = [Fraction(0)] * n
-    for j in range(n):
-        d = a[j][j] - sum(diag[k] * lower[j][k] ** 2 for k in range(j))
-        if d <= 0:
-            raise ValueError("matrix is not positive definite")
-        diag[j] = d
-        lower[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            v = a[i][j] - sum(diag[k] * lower[i][k] * lower[j][k] for k in range(j))
-            lower[i][j] = v / d
-    out = []
-    for k in range(n):
-        q = Polynomial([lower[i][k] for i in range(n)])
-        out.append((diag[k], q))
-    return out
-
-
 def average_solutions(mus, weights) -> Polynomial:
     """Positively weighted sum of speed numerators from one residue kernel.
 

@@ -1,12 +1,14 @@
-"""Exact univariate rational-function calculus.
+"""Exact univariate rational functions, pole structures, residues, integration.
 
 Residues at irreducible quadratic poles come from a truncated Laurent
 series over the extension field Q[t]/(Q(t)), kept as integer pairs over
 Z[phi] with one denominator per series, so no irrational or floating
-complex numbers appear anywhere.  Rational antiderivatives come from
-Hermite reduction, which only needs gcd arithmetic and therefore works
-without root finding; real-root counting is Sturm's method, with the chain
-computed as a signed primitive polynomial remainder sequence over Z.
+complex numbers appear anywhere; a residue is reported as its two
+coordinates over Q (``ExtensionElement``), with no field arithmetic.
+Rational antiderivatives come from Hermite reduction, which only needs gcd
+arithmetic and therefore works without root finding; real-root counting is
+Sturm's method, with the chain computed as a signed primitive polynomial
+remainder sequence over Z.
 """
 
 from __future__ import annotations
@@ -225,63 +227,12 @@ class PoleStructure:
 
 @dataclass(frozen=True)
 class ExtensionElement:
-    """r0 + r1*theta in Q[t]/(t^2 + b t + c), theta the class of t."""
+    """r0 + r1*theta in Q[t]/(t^2 + b t + c), theta the class of t: coordinates only."""
 
     r0: Fraction
     r1: Fraction
     b: Fraction
     c: Fraction
-
-    def _like(self, r0, r1) -> "ExtensionElement":
-        return ExtensionElement(Fraction(r0), Fraction(r1), self.b, self.c)
-
-    def _check(self, other: "ExtensionElement"):
-        if (self.b, self.c) != (other.b, other.c):
-            raise ValueError("elements of different extension fields")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._like(self.r0 + other, self.r1)
-        self._check(other)
-        return self._like(self.r0 + other.r0, self.r1 + other.r1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._like(-self.r0, -self.r1)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._like(self.r0 * other, self.r1 * other)
-        self._check(other)
-        # theta^2 = -b*theta - c
-        cross = self.r0 * other.r1 + self.r1 * other.r0
-        sq = self.r1 * other.r1
-        return self._like(self.r0 * other.r0 - self.c * sq, cross - self.b * sq)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "ExtensionElement":
-        # theta -> -b - theta, the other root of the quadratic
-        return self._like(self.r0 - self.b * self.r1, -self.r1)
-
-    def norm(self) -> Fraction:
-        return self.r0 * self.r0 - self.b * self.r0 * self.r1 + self.c * self.r1 * self.r1
-
-    def inverse(self) -> "ExtensionElement":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("zero element of the extension field")
-        conj = self.conjugate()
-        return self._like(conj.r0 / n, conj.r1 / n)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._like(self.r0 / other, self.r1 / other)
-        return self * other.inverse()
 
     @property
     def is_zero(self) -> bool:
@@ -470,21 +421,6 @@ def _split_coprime(nums, moduli: list[Polynomial]):
     ]
 
 
-def partial_fractions(f: RationalFunction, moduli: list[Polynomial]):
-    """Split f over pairwise coprime moduli whose product is f's denominator.
-
-    Returns (poly_part: Polynomial, terms: list[RationalFunction]) with
-    terms[i] = A_i / moduli[i] and f = poly_part + sum(terms) exactly.
-    """
-    prod = Polynomial.one()
-    for m in moduli:
-        prod = prod * m
-    if prod.is_zero or prod.monic() != f.denominator:
-        raise ValueError("moduli product does not match the denominator")
-    [(poly_part, parts)] = _split_coprime([f.numerator * prod.leading()], moduli)
-    return poly_part, [RationalFunction(a, m) for a, m in zip(parts, moduli)]
-
-
 def _hermite_reduce(nums, factors):
     """(D, [N_i]) with N_i / D an antiderivative of nums[i] / prod s^k, D = prod s^(k-1).
 
@@ -551,28 +487,3 @@ def hermite_antiderivative(f: RationalFunction) -> RationalFunction:
     if not (result.derivative() == f):
         raise AssertionError("antiderivative verification failed")
     return result
-
-
-def reparameterize(f: RationalFunction, a, b, c, d) -> RationalFunction:
-    """f(psi(s)) for the rational linear substitution psi(s) = (as+b)/(cs+d)."""
-    a, b, c, d = (Fraction(v) for v in (a, b, c, d))
-    if a * d - b * c == 0:
-        raise ValueError("singular parameter transformation")
-    if f.is_zero:
-        return RationalFunction.zero()
-    top = Polynomial((b, a))
-    bottom = Polynomial((d, c))
-    n = max(f.numerator.degree, f.denominator.degree)
-    num = f.numerator.homogeneous_eval(top, bottom, n)
-    den = f.denominator.homogeneous_eval(top, bottom, n)
-    return RationalFunction(num, den)
-
-
-def mobius_jacobian(a, b, c, d) -> RationalFunction:
-    """Derivative of psi(s) = (as+b)/(cs+d): the factor (ad-bc)/(cs+d)^2."""
-    a, b, c, d = (Fraction(v) for v in (a, b, c, d))
-    det = a * d - b * c
-    if det == 0:
-        raise ValueError("singular parameter transformation")
-    bottom = Polynomial((d, c))
-    return RationalFunction(Polynomial.constant(det), bottom * bottom)

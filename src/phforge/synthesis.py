@@ -21,13 +21,12 @@ from .polynomial import Polynomial, poly_gcd, two_chart_quotients
 from .quaternion import QI, QuaternionPolynomial, is_i_reduced, rotate_vector
 from .ratfunc import (
     PoleStructure,
-    QuadraticFactor,
     RationalFunction,
     hermite_antiderivative,  # noqa: F401  kept: perfbench's traced run patches this name here
     residue_at,  # noqa: F401  kept: perfbench's traced run patches this name here
     sturm_real_root_count,
 )
-from .ratfunc import _hermite_reduce, _LocalSeries, _split_coprime, _strip_factor
+from .ratfunc import _hermite_reduce, _LocalSeries
 
 
 class SynthesisProblem:
@@ -94,20 +93,6 @@ class SolutionSpace:
         for c, b in zip(coefficients, self.basis):
             out = out + b * Fraction(c)
         return out
-
-    def solve_coefficients(self, fixed: dict[int, Fraction]):
-        """Kernel member with prescribed values of selected mu-coefficients.
-
-        Solves for a combination of basis elements whose coefficient at each
-        index in ``fixed`` equals the given value; returns None when no such
-        member exists.  Free combination directions are set to zero.
-        """
-        rows = [[b.coefficient(k) for b in self.basis] for k in fixed]
-        rhs = [Fraction(v) for v in fixed.values()]
-        y = linalg.solve(rows, rhs)
-        if y is None:
-            return None
-        return self.combination(y)
 
 
 def build_residue_system(p: SynthesisProblem) -> SolutionSpace:
@@ -281,36 +266,3 @@ def closure_point(c: RationalCurve):
             raise ValueError("component is unbounded at infinity")
         out.append(n.leading() / c.den.leading() if gap == 0 else Fraction(0))
     return tuple(out)
-
-
-def elementary_decomposition(c: RationalCurve, poles: PoleStructure | None = None):
-    """Split a curve into summands with a single quadratic pole each.
-
-    Returns a list of curves: one per quadratic factor actually present in
-    the denominator, plus a polynomial (constant) part when nonzero.  The
-    summands add up to the input exactly.
-    """
-    if poles is None:
-        poles = c.poles
-    if poles is None:
-        raise ValueError("pole structure unknown; pass it explicitly")
-    moduli = []
-    used = []
-    rest = c.den
-    for f in poles.factors:
-        rest, k = _strip_factor(rest, f.poly())
-        if k:
-            moduli.append(f.poly() ** k)
-            used.append(QuadraticFactor(f.b, f.c, k))
-    if rest.degree != 0:
-        raise ValueError("denominator has factors outside the pole structure")
-
-    splits = _split_coprime(c.nums, moduli)
-    poly_parts = [poly_part for poly_part, _ in splits]
-    per_factor = [[parts[i] for _, parts in splits] for i in range(len(moduli))]
-    out = []
-    for i, m in enumerate(moduli):
-        out.append(RationalCurve(tuple(per_factor[i]), m, poles=PoleStructure((used[i],))))
-    if any(not p.is_zero for p in poly_parts):
-        out.append(RationalCurve(tuple(poly_parts), Polynomial.one()))
-    return out

@@ -18,13 +18,15 @@ from phforge import (
     QuaternionPolynomial as QP,
     RationalCurve,
     RationalFunction as RF,
+    SolutionSpace,
     SynthesisProblem,
     build_residue_system,
-    closure_integral,
     i_reduce,
     residue_at,
     synthesize_curve,
 )
+from phforge.geometry import _motion, _poses, angle_parameters
+from phforge.linalg import rref
 
 
 def generator_deg3() -> QP:
@@ -256,7 +258,7 @@ def run_property_suite(problems) -> dict:
                 fails["c"] += 1
         except ValueError:
             fails["c"] += 1
-        quad = closure_integral(unit_scale(curve), 512)
+        quad = ref_closure_integral(unit_scale(curve), 512)
         if max(abs(v) for v in quad) >= 1e-8:
             fails["d"] += 1
         if worst_frame_defect(problem, curve, 1000) > 1e-12:
@@ -351,12 +353,76 @@ def _ref_series_mul(f, g):
     return [sum(f[i] * g[n - i] for i in range(n + 1)) for n in range(len(f))]
 
 
-def _ref_theta(q: QuadraticFactor) -> ExtensionElement:
-    return ExtensionElement(F(0), F(1), q.b, q.c)
+class RefExtensionElement(ExtensionElement):
+    """An ExtensionElement with the field arithmetic of Q[t]/(t^2 + b t + c).
+
+    Dataclass equality holds only between instances of one class, so a
+    ``residue_at`` value is compared with one of these through
+    ``ref_extension``.
+    """
+
+    def _like(self, r0, r1) -> "RefExtensionElement":
+        return RefExtensionElement(F(r0), F(r1), self.b, self.c)
+
+    def _check(self, other: ExtensionElement):
+        if (self.b, self.c) != (other.b, other.c):
+            raise ValueError("elements of different extension fields")
+
+    def __add__(self, other):
+        if isinstance(other, (int, F)):
+            return self._like(self.r0 + other, self.r1)
+        self._check(other)
+        return self._like(self.r0 + other.r0, self.r1 + other.r1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like(-self.r0, -self.r1)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, F)):
+            return self._like(self.r0 * other, self.r1 * other)
+        self._check(other)
+        # theta^2 = -b*theta - c
+        cross = self.r0 * other.r1 + self.r1 * other.r0
+        sq = self.r1 * other.r1
+        return self._like(self.r0 * other.r0 - self.c * sq, cross - self.b * sq)
+
+    __rmul__ = __mul__
+
+    def conjugate(self) -> "RefExtensionElement":
+        # theta -> -b - theta, the other root of the quadratic
+        return self._like(self.r0 - self.b * self.r1, -self.r1)
+
+    def norm(self) -> F:
+        return self.r0 * self.r0 - self.b * self.r0 * self.r1 + self.c * self.r1 * self.r1
+
+    def inverse(self) -> "RefExtensionElement":
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("zero element of the extension field")
+        conj = self.conjugate()
+        return self._like(conj.r0 / n, conj.r1 / n)
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, F)):
+            return self._like(self.r0 / other, self.r1 / other)
+        return self * other.inverse()
+
+
+def ref_extension(e: ExtensionElement) -> RefExtensionElement:
+    return RefExtensionElement(e.r0, e.r1, e.b, e.c)
+
+
+def _ref_theta(q: QuadraticFactor) -> RefExtensionElement:
+    return RefExtensionElement(F(0), F(1), q.b, q.c)
 
 
 def _ref_shifted_taylor(p: P, q: QuadraticFactor, n: int):
-    """p(theta + x) mod x^n over ExtensionElement."""
+    """p(theta + x) mod x^n over RefExtensionElement."""
     out = [_ref_theta(q) * 0] * n
     for c in reversed(p.coeffs):
         out = _ref_times_shift(out, _ref_theta(q))
@@ -365,10 +431,10 @@ def _ref_shifted_taylor(p: P, q: QuadraticFactor, n: int):
 
 
 def _ref_pole_series(s: P, q: QuadraticFactor, m: int):
-    """1/((t - theta')^m s(t)) at t = theta + x, mod x^m, over ExtensionElement."""
+    """1/((t - theta')^m s(t)) at t = theta + x, mod x^m, over RefExtensionElement."""
     den = _ref_shifted_taylor(s, q, m)
     for _ in range(m):
-        den = _ref_times_shift(den, ExtensionElement(q.b, F(2), q.b, q.c))
+        den = _ref_times_shift(den, RefExtensionElement(q.b, F(2), q.b, q.c))
     out = [den[0].inverse()]
     for n in range(1, m):
         out.append(-sum(den[i] * out[n - i] for i in range(1, n + 1)) * out[0])
@@ -376,7 +442,7 @@ def _ref_pole_series(s: P, q: QuadraticFactor, m: int):
 
 
 def ref_residue_at(f: RF, q: QuadraticFactor) -> ExtensionElement:
-    """Residue of f at theta from the ExtensionElement series."""
+    """Residue of f at theta from the RefExtensionElement series, as ``residue_at`` types it."""
     s, m = f.denominator, 0
     while True:
         quo, rem = ref_divmod(s, q.poly())
@@ -386,11 +452,12 @@ def ref_residue_at(f: RF, q: QuadraticFactor) -> ExtensionElement:
     if m == 0:
         raise ValueError("quadratic is not a factor of the denominator")
     num = _ref_shifted_taylor(f.numerator, q, m)
-    return _ref_series_mul(num, _ref_pole_series(s, q, m))[-1]
+    r = _ref_series_mul(num, _ref_pole_series(s, q, m))[-1]
+    return ExtensionElement(r.r0, r.r1, r.b, r.c)
 
 
 def ref_residue_rows(problem: SynthesisProblem):
-    """The zero-residue constraint rows from the ExtensionElement series."""
+    """The zero-residue constraint rows from the RefExtensionElement series."""
     rows = []
     for q in problem.poles.factors:
         s = ref_divmod(problem.alpha, q.poly() ** q.multiplicity)[0]
@@ -493,3 +560,78 @@ def ref_qmul(a: QP, b: QP) -> QP:
         for j, y in enumerate(b.coeffs):
             out[i + j] = out[i + j] + x * y
     return QP(out)
+
+
+# -- Reference helpers outside the pipeline ---------------------------------------
+# Reparameterization, the closure quadrature, single poses and the linear solve
+# for prescribed mu-coefficients: checks on pipeline results, not pipeline stages.
+
+# (1 + t^2) / 2 = -dt/dtheta, the circle-chart weight of the parameter speed
+_REF_HALF_CIRCLE = P([F(1, 2), 0, F(1, 2)])
+
+
+def ref_closure_integral(c: RationalCurve, samples: int = 2048) -> tuple[float, float, float]:
+    """Quadrature of the closed-curve integral of the weighted hodograph.
+
+    Integrates r'(t(theta)) dt/dtheta over the full circle with the
+    periodic trapezoid rule; for a closed bounded curve the exact value is
+    zero componentwise, so the return value is a closure diagnostic.
+    """
+    ts = angle_parameters(samples)
+    # dt/dtheta = -(1+t^2)/2; the sign flips orientation only
+    return tuple(
+        -2.0 * math.pi * float(np.mean((h * _REF_HALF_CIRCLE).eval_floats(ts)))
+        for h in c.hodograph()
+    )
+
+
+def ref_reparameterize(f: RF, a, b, c, d) -> RF:
+    """f(psi(s)) for the rational linear substitution psi(s) = (as+b)/(cs+d)."""
+    a, b, c, d = (F(v) for v in (a, b, c, d))
+    if a * d - b * c == 0:
+        raise ValueError("singular parameter transformation")
+    if f.is_zero:
+        return RF.zero()
+    top, bottom = P((b, a)), P((d, c))
+    n = max(f.numerator.degree, f.denominator.degree)
+
+    def homogeneous(p: P) -> P:
+        # sum_i p_i top^i bottom^(n-i), the numerator of the substitution
+        out = P.zero()
+        for i, coeff in enumerate(p.coeffs):
+            out = out + top**i * bottom ** (n - i) * coeff
+        return out
+
+    return RF(homogeneous(f.numerator), homogeneous(f.denominator))
+
+
+def ref_mobius_jacobian(a, b, c, d) -> RF:
+    """Derivative of psi(s) = (as+b)/(cs+d): the factor (ad-bc)/(cs+d)^2."""
+    a, b, c, d = (F(v) for v in (a, b, c, d))
+    det = a * d - b * c
+    if det == 0:
+        raise ValueError("singular parameter transformation")
+    bottom = P((d, c))
+    return RF(P.constant(det), bottom * bottom)
+
+
+def ref_pose(a: QP, c: RationalCurve, t: float):
+    """Pose of the framing motion at parameter t (inf allowed)."""
+    return _poses([t], *_motion(a, c, [t]))[0]
+
+
+def ref_solve_coefficients(space: SolutionSpace, fixed: dict[int, F]):
+    """Kernel member with prescribed values of selected mu-coefficients.
+
+    Solves for a combination of basis elements whose coefficient at each
+    index in ``fixed`` equals the given value; returns None when no such
+    member exists.  Free combination directions are set to zero.
+    """
+    n = space.dimension
+    red, pivots = rref([[b.coefficient(k) for b in space.basis] + [F(v)] for k, v in fixed.items()])
+    if n in pivots:
+        return None
+    y = [F(0)] * n
+    for r, p in enumerate(pivots):
+        y[p] = red[r][n]
+    return space.combination(y)

@@ -428,6 +428,18 @@ def _zero_denominator_config():
     return raw
 
 
+def _generator_bundle(coefficients):
+    # the bundle with generator.coefficients replaced; a present value is never missing
+    def write(bundle_path, tmp_path):
+        data = json.loads(Path(bundle_path).read_text())
+        data["generator"]["coefficients"] = coefficients
+        path = tmp_path / "generator.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    return write
+
+
 def _non_ph_bundle(bundle_path, tmp_path):
     data = json.loads(Path(bundle_path).read_text())
     data["curve"]["numerators"][0] = ["0", "1"]
@@ -448,6 +460,11 @@ FAILURES = {
     "non-ph-curve": ("sample", _non_ph_bundle, ["--format", "svg"], 4),
     "unreadable-bundle": ("frames", lambda b, tmp: str(tmp / "missing.json"), [], 4),
     "unwritable-out": ("check", lambda b, tmp: write_config(tmp, EX2_CONFIG), [], 4),
+    "generator-empty-array": ("frames", _generator_bundle([]), [], 4),
+    "generator-zero": ("frames", _generator_bundle(0), [], 4),
+    "generator-false": ("frames", _generator_bundle(False), [], 4),
+    "generator-empty-string": ("frames", _generator_bundle(""), [], 4),
+    "generator-empty-object": ("frames", _generator_bundle({}), [], 4),
 }
 # --out under tmp_path, "out" unless named here
 OUT_PATHS = {"unwritable-out": "missing-dir/out"}

