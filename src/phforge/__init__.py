@@ -39,7 +39,6 @@ from .quaternion import (
     Quaternion,
     QuaternionPolynomial,
     i_reduce,
-    is_i_reduced,
     rotate_vector,
 )
 from .rationals import format_rational, parse_rational
@@ -96,7 +95,6 @@ __all__ = [
     "format_rational",
     "hermite_antiderivative",
     "i_reduce",
-    "is_i_reduced",
     "parse_rational",
     "poly_gcd",
     "poly_sqrt",

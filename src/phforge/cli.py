@@ -431,7 +431,7 @@ def load_bundle(path: str) -> Bundle:
     den = _poly_from_rats(curve_raw.get("denominator"), "curve.denominator")
     mu = _poly_from_rats(data["mu"], "mu") if "mu" in data else None
     try:
-        curve = RationalCurve(nums, den, poles=cfg.poles, mu=mu)
+        curve = RationalCurve(nums, den, mu=mu)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(str(exc), "curve") from None
     gen_raw = data.get("generator", {})

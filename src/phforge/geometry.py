@@ -221,9 +221,6 @@ class FramePose:
     rotation: tuple[float, float, float, float]
     frame: tuple[tuple[float, float, float], ...]
 
-    def frame_matrix(self) -> np.ndarray:
-        return np.array(self.frame).T  # columns t, b, c
-
 
 def _motion(a: QuaternionPolynomial, c: RationalCurve, ts: list[float]):
     """Unit generator values, frame columns and positions at the parameters ts.

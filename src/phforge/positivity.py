@@ -98,12 +98,12 @@ class GramSlice:
 
 
 def _scaled_to_unit(b: Polynomial) -> Polynomial:
-    """b times the power of two that puts its largest |coefficient| in [1/2, 1)."""
-    top = Fraction(max(map(abs, b.ints)), b.den)
-    scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
-    if scale * top >= 1:  # scale * top lies in (1/2, 2)
-        scale /= 2
-    return b * scale
+    """b times the power of two that puts its largest |coefficient| in [1/2, 1).
+
+    Every kernel basis vector is a primitive integer vector, so that power is
+    one over 2 to the bit length of its largest |coefficient|.
+    """
+    return b * Fraction(1, 1 << max(map(abs, b.ints)).bit_length())
 
 
 def build_gram_slice(space: SolutionSpace) -> GramSlice:

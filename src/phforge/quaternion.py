@@ -59,9 +59,6 @@ class Quaternion:
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
-    def norm_sq(self) -> Fraction:
-        return self.w**2 + self.x**2 + self.y**2 + self.z**2
-
     @property
     def is_pure(self) -> bool:
         return self.w == 0
@@ -266,7 +263,3 @@ def i_reduce(a: QuaternionPolynomial) -> tuple[QuaternionPolynomial, QuaternionP
         QuaternionPolynomial.from_component_polys(pr, pi, qr, qi),
         QuaternionPolynomial.from_component_polys(*r, zero, zero),
     )
-
-
-def is_i_reduced(a: QuaternionPolynomial) -> bool:
-    return i_reduce(a)[1].degree <= 0

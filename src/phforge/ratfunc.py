@@ -76,10 +76,6 @@ class RationalFunction:
         return self.numerator.is_zero
 
     @property
-    def is_polynomial(self) -> bool:
-        return self.denominator.degree == 0
-
-    @property
     def degree(self):
         """deg(num) - deg(den); None for the zero function."""
         if self.is_zero:
@@ -191,9 +187,6 @@ class QuadraticFactor:
     def poly(self) -> Polynomial:
         return Polynomial((self.c, self.b, 1))
 
-    def with_multiplicity(self, m: int) -> "QuadraticFactor":
-        return QuadraticFactor(self.b, self.c, m)
-
 
 @dataclass(frozen=True)
 class PoleStructure:
@@ -256,7 +249,8 @@ class _LocalSeries:
     phi^2 + B phi + C = 0 with the integers B = e b and C = e^2 c, so a series
     is a pair (terms, den): terms[k] = (u, v) stands for (u + v phi) x^k / den,
     with one positive integer denominator per series.  No Fraction arithmetic
-    happens until ``last`` reads a coefficient out.
+    happens until ``last`` reads a coefficient out; ``residue_rows`` hands
+    the residue system its rows as integers and makes none.
     """
 
     def __init__(self, q: QuadraticFactor, n: int):
@@ -327,10 +321,22 @@ class _LocalSeries:
         (fa, fd), (ga, gd) = f, g
         return [self._dot(fa[: k + 1], ga[k::-1]) for k in range(self.n)], fd * gd
 
-    def times_theta(self, h):
-        """The series h times (theta + x) = (phi + e x) / e."""
-        terms, den = h
-        return self._times_linear(terms, (0, 1)), den * self.e
+    def residue_rows(self, h, m: int) -> tuple[list[int], list[int]]:
+        """The pairs (r0, r1) of ``last`` on (theta + x)^k h, k = 0..m, times den e^m.
+
+        They come back as two integer rows: (theta + x)^k h has the terms of
+        h times (phi + e x)^k over den e^k, so for its top term (u, v) the
+        pair times den e^m is (u e^(m-k), v e^(m-k+1)).  One positive integer
+        scales every pair.
+        """
+        terms, row0, row1 = h[0], [], []
+        for k in range(m + 1):
+            u, v = terms[-1]
+            s = self.e ** (m - k)
+            row0.append(u * s)
+            row1.append(v * s * self.e)
+            terms = self._times_linear(terms, (0, 1))
+        return row0, row1
 
     def last(self, h) -> tuple[Fraction, Fraction]:
         """(r0, r1) with coefficient n - 1 of h equal to r0 + r1 theta."""

@@ -10,7 +10,6 @@ closed curves.
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from . import linalg
 from .errors import DegreeError
 from .polynomial import Polynomial, poly_gcd, two_chart_quotients
-from .quaternion import QI, QuaternionPolynomial, is_i_reduced, rotate_vector
+from .quaternion import QI, QuaternionPolynomial, rotate_vector
 from .ratfunc import (
     PoleStructure,
     RationalFunction,
@@ -35,17 +34,13 @@ class SynthesisProblem:
     The numerator degree m = 2(sum(m_i) - deg A - 1) is forced by the
     boundedness requirement: the curve components must have numerator degree
     at most the denominator degree.  Problems with m < 0 are rejected.
+    The caller passes an i-reduced generator (``i_reduce``): an unreduced
+    one gives the same curves at a higher degree.
     """
 
     def __init__(self, a_poly: QuaternionPolynomial, poles: PoleStructure):
         if a_poly.is_zero:
             raise ValueError("zero generator polynomial")
-        if not is_i_reduced(a_poly):
-            warnings.warn(
-                "generator is not i-reduced; the same curves arise from its "
-                "reduced form at lower degree",
-                stacklevel=2,
-            )
         m = 2 * (poles.total_multiplicity - a_poly.degree - 1)
         if m < 0:
             raise DegreeError(
@@ -67,7 +62,9 @@ class SolutionSpace:
 
     ``constraint_matrix`` stacks, for every pole factor and every hodograph
     component, the two extension-field coordinates of the residue as linear
-    forms in the numerator coefficients mu_0..mu_m.
+    forms in the numerator coefficients mu_0..mu_m: integer rows, each pair
+    the residues times one positive integer.  ``basis`` holds primitive
+    integer vectors, one per free column of the system.
     """
 
     def __init__(self, problem: SynthesisProblem, constraint_matrix, basis):
@@ -83,8 +80,7 @@ class SolutionSpace:
         """Whether every residue of mu vanishes; the basis spans exactly this kernel."""
         if mu.degree > self.problem.m:
             return False
-        vec = [mu.coefficient(k) for k in range(self.problem.m + 1)]
-        return all(sum(a * v for a, v in zip(row, vec)) == 0 for row in self.constraint_matrix)
+        return all(sum(a * v for a, v in zip(row, mu.ints)) == 0 for row in self.constraint_matrix)
 
     def combination(self, coefficients) -> Polynomial:
         if len(coefficients) != len(self.basis):
@@ -101,27 +97,18 @@ def build_residue_system(p: SynthesisProblem) -> SolutionSpace:
     For each factor Q^M of alpha, one local series g at the root theta of Q
     (``ratfunc._LocalSeries.pole``) gives every residue: that of t^k w_c / alpha
     is coefficient M - 1 of (theta + x)^k w_c(theta + x) g.  Each hodograph
-    component gives two real rows per factor (the two extension-field
-    coordinates); all rows are kept and the kernel is computed by exact
-    elimination.  The trivial all-zero numerator is never part of the basis.
+    component gives two integer rows per factor (the two extension-field
+    coordinates, times one positive integer); all rows are kept and the
+    kernel is computed by fraction-free elimination.  The trivial all-zero
+    numerator is never part of the basis.
     """
-    ncols = p.m + 1
     rows = []
     for q in p.poles.factors:
         series = _LocalSeries(q, q.multiplicity)
         g = series.pole(p.alpha.exact_div(q.poly() ** q.multiplicity))
         for wc in p.hodograph_dir:
-            h = series.product(series.taylor(wc), g)
-            entries = []
-            for _ in range(ncols):
-                entries.append(series.last(h))
-                h = series.times_theta(h)
-            rows.append([r0 for r0, _ in entries])
-            rows.append([r1 for _, r1 in entries])
-    kernel = linalg.nullspace(rows, ncols)
-    basis = [
-        Polynomial(linalg.primitive_integer_vector(vec)) for vec in kernel
-    ]
+            rows.extend(series.residue_rows(series.product(series.taylor(wc), g), p.m))
+    basis = [Polynomial(v) for v in linalg.nullspace(rows, p.m + 1)]
     return SolutionSpace(p, rows, basis)
 
 
@@ -133,9 +120,9 @@ class RationalCurve:
     limits t -> +/-infinity exist and agree.
     """
 
-    __slots__ = ("nums", "den", "poles", "mu")
+    __slots__ = ("nums", "den", "mu")
 
-    def __init__(self, nums, den: Polynomial, *, poles=None, mu=None):
+    def __init__(self, nums, den: Polynomial, *, mu=None):
         nums = tuple(nums)
         if len(nums) != 3:
             raise ValueError("three components required")
@@ -160,19 +147,10 @@ class RationalCurve:
                 raise ValueError("unbounded component: numerator degree exceeds denominator")
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "mu", mu)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("RationalCurve is immutable")
-
-    @classmethod
-    def from_components(cls, x: RationalFunction, y: RationalFunction, z: RationalFunction, **meta):
-        den = Polynomial.one()
-        for c in (x, y, z):
-            den = den * c.denominator.exact_div(poly_gcd(den, c.denominator))
-        nums = tuple(c.numerator * den.exact_div(c.denominator) for c in (x, y, z))
-        return cls(nums, den, **meta)
 
     def components(self):
         return tuple(RationalFunction(n, self.den) for n in self.nums)
@@ -188,10 +166,6 @@ class RationalCurve:
     @property
     def z(self) -> RationalFunction:
         return RationalFunction(self.nums[2], self.den)
-
-    @property
-    def is_constant(self) -> bool:
-        return all(n.degree <= 0 for n in self.nums) and self.den.degree == 0
 
     def hodograph(self):
         return tuple(c.derivative() for c in self.components())
@@ -213,7 +187,6 @@ class RationalCurve:
         return RationalCurve(
             tuple(n * f for n in self.nums),
             self.den,
-            poles=self.poles,
             mu=self.mu * f if self.mu is not None else None,
         )
 
@@ -248,7 +221,7 @@ def synthesize_curve(p: SynthesisProblem, mu: Polynomial) -> RationalCurve:
         # (N/D)' = mu w_c / alpha, cleared of denominators
         if (n.derivative() * den - n * dd) * p.alpha != flow * den * den:
             raise AssertionError("hodograph verification failed")
-    return RationalCurve(nums, den, poles=p.poles, mu=mu)
+    return RationalCurve(nums, den, mu=mu)
 
 
 def closure_point(c: RationalCurve):

@@ -22,11 +22,11 @@ from phforge import (
     SynthesisProblem,
     build_residue_system,
     i_reduce,
+    poly_gcd,
     residue_at,
     synthesize_curve,
 )
 from phforge.geometry import _motion, _poses, angle_parameters
-from phforge.linalg import rref
 
 
 def generator_deg3() -> QP:
@@ -72,11 +72,19 @@ MU0 = P([1, 0, 0, 0, F(11, 53264)])
 MU2 = P([0, 0, 1, 0, F(-189, 13316)])
 
 
+def ref_curve_from_components(x: RF, y: RF, z: RF) -> RationalCurve:
+    """The curve with components x, y, z over the lcm of their denominators."""
+    den = P.one()
+    for c in (x, y, z):
+        den = den * c.denominator.exact_div(poly_gcd(den, c.denominator))
+    return RationalCurve(tuple(c.numerator * den.exact_div(c.denominator) for c in (x, y, z)), den)
+
+
 def matches_up_to_translation(curve: RationalCurve, printed_nums, printed_den) -> bool:
     """Componentwise equality of rational functions modulo an added constant."""
     for comp, pn in zip(curve.components(), printed_nums):
         diff = comp - RF(pn, printed_den)
-        if not (diff.is_zero or (diff.is_polynomial and diff.numerator.degree == 0)):
+        if not (diff.is_zero or (diff.denominator.degree == 0 and diff.numerator.degree == 0)):
             return False
     return True
 
@@ -84,7 +92,7 @@ def matches_up_to_translation(curve: RationalCurve, printed_nums, printed_den) -
 def example1_curve() -> RationalCurve:
     """The printed bounded regular curve with speed 2(t^4+t^2+1)/(t^2+1)^2."""
     den = P([15]) * P([1, 0, 1]) ** 5
-    return RationalCurve.from_components(
+    return ref_curve_from_components(
         RF(P([0, 0, -60, 0, 30, 0, 110, 0, 130, 0, 14]), den),
         RF(P([0, 60, 0, 60, 0, 96, 0, 60, 0, 60]), den),
         RF(P([0, 0, -120, 0, -300, 0, -300, 0, -120]), den),
@@ -92,7 +100,7 @@ def example1_curve() -> RationalCurve:
 
 
 def circle_curve() -> RationalCurve:
-    return RationalCurve.from_components(
+    return ref_curve_from_components(
         RF(P([1, 0, -1]), P([1, 0, 1])), RF(P([0, 2]), P([1, 0, 1])), RF(P([0]))
     )
 
@@ -496,6 +504,26 @@ def ref_rref(rows):
     return m, pivots
 
 
+def ref_nullspace(rows, ncols=None) -> list[list[int]]:
+    """The free-variable kernel vectors of ``ref_rref`` as primitive integer vectors.
+
+    Each is scaled to coprime integers with a positive first nonzero entry.
+    """
+    ncols = len(rows[0]) if ncols is None else ncols
+    red, pivots = ref_rref(rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        scale = math.lcm(*(x.denominator for x in v))
+        ints = [int(x * scale) for x in v]
+        g = math.gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
+        basis.append([x // g for x in ints])
+    return basis
+
+
 def ref_modular_inverse(a: P, modulus: P) -> P:
     """Inverse of a modulo a coprime modulus by the extended Euclid over Fraction."""
     r0, r1, s0, s1 = a, modulus, P.one(), P.zero()
@@ -628,7 +656,7 @@ def ref_solve_coefficients(space: SolutionSpace, fixed: dict[int, F]):
     member exists.  Free combination directions are set to zero.
     """
     n = space.dimension
-    red, pivots = rref([[b.coefficient(k) for b in space.basis] + [F(v)] for k, v in fixed.items()])
+    red, pivots = ref_rref([[b.coefficient(k) for b in space.basis] + [F(v)] for k, v in fixed.items()])
     if n in pivots:
         return None
     y = [F(0)] * n

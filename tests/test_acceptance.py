@@ -30,7 +30,6 @@ from phforge import (
     tangent_indicatrix,
 )
 from phforge.cli import main
-from phforge.linalg import rref
 
 import helpers
 from helpers import (
@@ -43,6 +42,7 @@ from helpers import (
     generator_deg3,
     matches_up_to_translation,
     poles_single,
+    ref_rref,
 )
 
 
@@ -57,7 +57,7 @@ def problem(mult: int) -> SynthesisProblem:
 
 def test_criterion_1_residue_system_multiplicity_5():
     space = build_residue_system(problem(5))
-    reduced, pivots = rref([list(r) for r in space.constraint_matrix])
+    reduced, pivots = ref_rref([list(r) for r in space.constraint_matrix])
     system_ok = (
         pivots == [0, 1]
         and reduced[0][:3] == [F(1), F(0), F(7036, 89)]  # 89 c0 + 7036 c2 = 0

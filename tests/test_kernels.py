@@ -1,15 +1,16 @@
 """The integer-vector kernels against the Fraction reference kernels in helpers.
 
-Products, quotient/remainder pairs, gcds, modular inverses, Sturm counts,
-residue rows and reduced row echelon forms must be equal, value for value, on
-seeded random inputs with integer and Fraction coefficients and with monic,
-non-monic and Fraction divisors; products and gcds also at the degrees (up
-to 60) and coefficient sizes (up to ~300 bits) that the fixtures reach, and
-gcds by the GCDHEU route and by the PRS fallback.  The
-polynomial operations over Q (sums, scalar products, calculus, evaluation,
-``monic``, ``leading``, ``coefficient``, ``float_coeffs``) must match one
-Fraction per coefficient, every result must be the canonical (ints, den)
-pair, and equal polynomials must hash alike whichever way they were built.
+Products, quotient/remainder pairs, gcds, modular inverses, Sturm counts and
+kernel bases must be equal, value for value, and residue rows equal up to one
+positive factor per row pair, on seeded random inputs with integer and
+Fraction coefficients and with monic, non-monic and Fraction divisors;
+products and gcds also at the degrees (up to 60) and coefficient sizes (up
+to ~300 bits) that the fixtures reach, and gcds by the GCDHEU route and by
+the PRS fallback.  The polynomial operations over Q (sums, scalar products,
+calculus, evaluation, ``monic``, ``leading``, ``coefficient``,
+``float_coeffs``) must match one Fraction per coefficient, every result must
+be the canonical (ints, den) pair, and equal polynomials must hash alike
+whichever way they were built.
 """
 
 import math
@@ -46,9 +47,9 @@ from helpers import (
     ref_modular_inverse,
     ref_monic,
     ref_mul,
+    ref_nullspace,
     ref_residue_at,
     ref_residue_rows,
-    ref_rref,
     ref_scale,
     ref_sturm_count,
 )
@@ -238,7 +239,7 @@ def test_residues_match_reference(seed):
     rng = random.Random(f"residue:{seed}")
     for _ in range(12):
         chosen = rng.sample(FACTORS, rng.randint(1, 2))
-        poles = PoleStructure(tuple(f.with_multiplicity(rng.randint(1, 4)) for f in chosen))
+        poles = PoleStructure(tuple(QuadraticFactor(f.b, f.c, rng.randint(1, 4)) for f in chosen))
         alpha = poles.alpha()
         num = rand_poly(rng, rng.randint(0, alpha.degree + 2))
         f = RF(num, alpha)
@@ -276,22 +277,48 @@ def test_residue_rows_match_reference(poles):
             generators.append(a)
     for a in generators:
         problem = SynthesisProblem(a, structure)
-        rows = build_residue_system(problem).constraint_matrix
-        assert rows == tuple(tuple(r) for r in ref_residue_rows(problem))
+        space = build_residue_system(problem)
+        rows, want = space.constraint_matrix, ref_residue_rows(problem)
+        assert len(rows) == len(want)
+        for i in range(0, len(want), 2):
+            # each pair is the residue pair times one positive rational
+            ours, ref = rows[i] + rows[i + 1], want[i] + want[i + 1]
+            k = next((j for j, x in enumerate(ref) if x), 0)
+            scale = F(ours[k]) / ref[k] if ref[k] else F(1)
+            assert scale > 0 and list(ours) == [scale * x for x in ref]
+        assert [b.ints for b in space.basis] == [P(v).ints for v in ref_nullspace(want)]
+
+
+def rows_of_rank(rng, rank, ncols):
+    """Shuffled integer rows spanning a space of dimension exactly ``rank``.
+
+    An echelon block with leading entries of either sign, integer
+    combinations of it, and a zero row.
+    """
+    echelon = []
+    for c in sorted(rng.sample(range(ncols), rank)):
+        lead = rng.choice((-1, 1)) * rng.randint(1, 9)
+        echelon.append([0] * c + [lead] + [rng.randint(-9, 9) for _ in range(ncols - c - 1)])
+    combos = []
+    for _ in range(rng.randint(0, 3)):
+        weights = [rng.randint(-2, 2) for _ in echelon]
+        combos.append([sum(w * v[k] for w, v in zip(weights, echelon)) for k in range(ncols)])
+    rows = echelon + combos + [[0] * ncols]
+    rng.shuffle(rows)
+    return rows
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_rref_matches_reference(seed):
-    rng = random.Random(f"rref:{seed}")
+def test_nullspace_matches_reference(seed):
+    rng = random.Random(f"nullspace:{seed}")
     for _ in range(30):
-        nrows, ncols, rank = rng.randint(1, 7), rng.randint(1, 8), rng.randint(0, 5)
-        basis = [[rand_coeff(rng, True) for _ in range(ncols)] for _ in range(rank)]
-        rows = [
-            [sum((rng.randint(-2, 2) * v[k] for v in basis), F(0)) for k in range(ncols)]
-            for _ in range(nrows)
-        ]
-        assert linalg.rref(rows) == ref_rref(rows)
-    assert linalg.rref([]) == ([], [])
+        ncols = rng.randint(1, 8)
+        rank = rng.randint(0, min(ncols, 6))
+        rows = rows_of_rank(rng, rank, ncols)
+        kernel = linalg.nullspace(rows, ncols)
+        assert kernel == ref_nullspace(rows, ncols)
+        assert len(kernel) == ncols - rank
+    assert linalg.nullspace([], 3) == ref_nullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 @pytest.mark.parametrize("seed", range(3))

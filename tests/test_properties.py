@@ -5,7 +5,6 @@ import random
 from phforge import (
     PoleStructure,
     QuadraticFactor,
-    RationalCurve,
     RationalFunction as RF,
     SynthesisProblem,
     build_residue_system,
@@ -15,7 +14,12 @@ from phforge import (
     tangent_indicatrix,
 )
 
-from helpers import generator_deg3, random_quaternion_poly, ref_reparameterize
+from helpers import (
+    generator_deg3,
+    random_quaternion_poly,
+    ref_curve_from_components,
+    ref_reparameterize,
+)
 
 
 def test_component_degree_bound(synthesized_problems):
@@ -44,7 +48,7 @@ def test_mobius_reparameterization_preserves_ph(synthesized_problems):
         while a * d - b * c == 0:
             a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
         comps = [ref_reparameterize(comp, a, b, c, d) for comp in curve.components()]
-        moved = RationalCurve.from_components(*comps)
+        moved = ref_curve_from_components(*comps)
         speed_function(moved)  # raises if the PH property were lost
 
 

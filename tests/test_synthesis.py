@@ -20,9 +20,6 @@ from phforge import (
     synthesize_curve,
 )
 from phforge.geometry import _HALF_CIRCLE
-from phforge.linalg import rref
-from phforge.quaternion import QI, QONE
-
 from helpers import (
     MU0,
     MU2,
@@ -33,6 +30,7 @@ from helpers import (
     generator_deg3,
     matches_up_to_translation,
     poles_single,
+    ref_rref,
     ref_solve_coefficients,
 )
 
@@ -76,7 +74,7 @@ class TestResidueSystem:
     def test_multiplicity_five_exact_system(self):
         space = build_residue_system(problem(5))
         assert space.problem.m == 2
-        reduced, pivots = rref([list(r) for r in space.constraint_matrix])
+        reduced, pivots = ref_rref([list(r) for r in space.constraint_matrix])
         assert pivots == [0, 1]
         # {c0 + (7036/89) c2 = 0, c1 = 0}, i.e. 89 c0 + 7036 c2 = 0 up to scaling
         assert reduced[0][:3] == [F(1), F(0), F(7036, 89)]
@@ -135,11 +133,6 @@ class TestResidueSystem:
         with pytest.raises(DegreeError):
             SynthesisProblem(generator_deg3(), poles_single(0, 4, 3))
 
-    def test_non_reduced_generator_warns(self):
-        a = generator_deg3() * QP([QI, QONE])
-        with pytest.warns(UserWarning):
-            SynthesisProblem(a, poles_single(0, 4, 7))
-
 
 class TestSynthesizeCurve:
     def test_printed_curve_r0(self):
@@ -155,7 +148,7 @@ class TestSynthesizeCurve:
 
     def test_zero_numerator_gives_origin(self):
         curve = synthesize_curve(problem(6), P([0]))
-        assert curve.is_constant
+        assert all(n.degree <= 0 for n in curve.nums) and curve.den.degree == 0
         assert curve.evaluate(F(7)) == (0, 0, 0)
 
     def test_nonkernel_numerator_raises(self):
@@ -236,4 +229,4 @@ class TestClosurePoint:
 def test_polynomial_curve_flagged_constant():
     # with the zero numerator the only polynomial solution is a point
     curve = synthesize_curve(problem(6), P([0]))
-    assert curve.is_constant and curve.den.degree == 0
+    assert all(n.degree <= 0 for n in curve.nums) and curve.den.degree == 0
