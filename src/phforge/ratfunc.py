@@ -5,10 +5,12 @@ series over the extension field Q[t]/(Q(t)), kept as integer pairs over
 Z[phi] with one denominator per series, so no irrational or floating
 complex numbers appear anywhere; a residue is reported as its two
 coordinates over Q (``ExtensionElement``), with no field arithmetic.
-Rational antiderivatives come from Hermite reduction, which only needs gcd
-arithmetic and therefore works without root finding; real-root counting is
-Sturm's method, with the chain computed as a signed primitive polynomial
-remainder sequence over Z.
+Rational antiderivatives come from Hermite reduction, with no root finding:
+each partial fraction A / s^k is expanded once into its s-adic digits, as
+integer vectors, and each step strips one multiplicity of s by an integer
+update of the lowest digit alone; real-root counting is Sturm's method,
+with the chain computed as a signed primitive polynomial remainder sequence
+over Z.
 """
 
 from __future__ import annotations
@@ -16,15 +18,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
 from .errors import RationalityError
 from .polynomial import (
     Polynomial,
+    _canonical,
+    _int_add,
     _int_divmod,
     _int_gcd,
+    _int_mul,
+    _pack,
+    _pair,
     _primitive,
+    _unpack,
     modular_inverse,
     poly_gcd,
     squarefree_decomposition,
@@ -427,42 +436,126 @@ def _split_coprime(nums, moduli: list[Polynomial]):
     ]
 
 
+class _HermiteFactor:
+    """Hermite reduction over one power s^k on integer s-adic digits.
+
+    In u = e t, with e the denominator of the monic squarefree s, the factor
+    is the monic integer S(u) = e^deg(s) s(u / e), so division by S stays in
+    Z.  A numerator a (deg a < k deg s) is scaled to an integer vector and
+    expanded once into its S-adic digits a_0 + a_1 S + ..., each of degree
+    below deg S (von zur Gathen & Gerhard, *Modern Computer Algebra*, sec. 9).
+    With I / delta the inverse of S' mod S, computed once per factor, the
+    step that strips S^j (Bronstein, *Symbolic Integration I*, ch. 2) reads
+    only the lowest digit: b = -a_0 I / ((j-1) delta) mod S, then
+    a_1 += (a_0 + (j-1) b S') / S - b', which is exact, and the digits
+    shift.  Both a_0 -> a_0 I mod S and a_0 -> (delta a_0 - (a_0 I mod S) S')
+    / S are fixed integer matrices, so a step is two small matrix-vector
+    products on the lowest digit, kept over one growing integer denominator.
+    """
+
+    def __init__(self, s: Polynomial, k: int):
+        self.k = k
+        self.d = d = s.degree
+        self.e = e = s.den
+        self.powers = [e**i for i in range(k * d)]
+        self.S = S = [c * e ** (d - 1 - i) for i, c in enumerate(s.ints[:-1])] + [1]
+        dS = _int_derivative(S)
+        inv = modular_inverse(_pair(tuple(dS), 1), _pair(tuple(S), 1))
+        self.delta = delta = inv.den
+        inv_cols, quo_cols = [], []
+        for col in range(d):
+            # t^col I mod S, then (delta t^col - (t^col I mod S) S') / S, exact
+            p = _int_divmod([0] * col + list(inv.ints), S)[2]
+            p += [0] * (d - len(p))
+            q = _int_divmod(_int_add([0] * col + [delta], [-x for x in _int_mul(p, dS)]), S)[1]
+            inv_cols.append(p)
+            quo_cols.append(q + [0] * (d - 1 - len(q)))
+        self.inv_rows = list(zip(*inv_cols))
+        self.quo_rows = list(zip(*quo_cols))
+
+    def digits(self, a: Polynomial) -> list[list[int]]:
+        """The k S-adic digits of den(a) e^(k deg s - 1) a(u / e), ascending."""
+        d, n, powers = self.d, self.k * self.d, self.powers
+        v = [c * powers[n - 1 - i] for i, c in enumerate(a.ints)]
+        v += [0] * (n - len(v))
+        low = self.S[:-1]
+        out = []
+        for _ in range(self.k - 1):
+            # synthetic division by the monic S: v[:d] is the remainder, v[d:] the quotient
+            for i in range(len(v) - 1, d - 1, -1):
+                c = v[i]
+                if c:
+                    for j, x in enumerate(low, i - d):
+                        v[j] -= c * x
+            out.append(v[:d])
+            v = v[d:]
+        out.append(v)
+        return out
+
+    def reduce(self, a: Polynomial) -> tuple[Polynomial, Polynomial]:
+        """(N, r) with a / s^k = (N / s^(k-1))' + r / s and deg N < (k-1) deg s."""
+        d, k, delta, S = self.d, self.k, self.delta, self.S
+        digits = self.digits(a)
+        c, den, bs = digits[0], 1, []
+        for j in range(k, 1, -1):
+            # a_0 = c / den; p / (den delta) = a_0 I / delta mod S = -(j-1) b
+            p = [sum(map(mul, row, c)) for row in self.inv_rows]
+            q = [sum(map(mul, row, c)) for row in self.quo_rows]
+            den *= delta * (j - 1)
+            bs.append((p, den))  # b = -p / den
+            nxt = digits[k - j + 1]
+            c = [x * den + (j - 1) * y + (i + 1) * z for i, (x, y, z) in enumerate(zip(nxt, q, p[1:]))]
+            c.append(nxt[-1] * den)
+        # -den sum b_j S^(k-j) by Horner's rule in S from b_2, on the packed
+        # integers at 2^K (see ``_int_mul``): every coefficient is at most
+        # max|den b_j| k |S|_1^(k-1) < 2^(K-1)
+        bs = [[x * (den // den_j) for x in p] for p, den_j in reversed(bs)]
+        top = max((abs(x) for p in bs for x in p), default=0)
+        K = (top * k * sum(map(abs, S)) ** (k - 1)).bit_length() + 1
+        base, acc = _pack(S, K), 0
+        for p in bs:
+            acc = acc * base + _pack(p, K)
+        acc = _unpack(acc, K)
+        # back to t: u^i -> e^i t^i, and S^(k-1) = e^((k-1) deg s) s^(k-1)
+        e, powers, scale = self.e, self.powers, a.den * den
+        anti = _canonical([x * f for x, f in zip(acc, powers)], -scale * e ** ((k - 1) * d))
+        rem = _canonical([x * f for x, f in zip(c, powers)], scale * e ** (d - 1))
+        return anti, rem
+
+
 def _hermite_reduce(nums, factors):
     """(D, [N_i]) with N_i / D an antiderivative of nums[i] / prod s^k, D = prod s^(k-1).
 
-    ``factors`` are (s, k) pairs with s monic, squarefree and pairwise
-    coprime, and every nums[i] / prod s^k must be proper.  Hermite reduction
-    (Bronstein, *Symbolic Integration I*, ch. 2) strips one multiplicity of s
-    per step: b = -a ((j-1) s')^-1 mod s makes a/s^j - (b/s^(j-1))' a multiple
-    of 1/s^(j-1).  The split and the inverses of (j-1) s' are computed once
-    per factor for all numerators, and each antiderivative is summed as the
-    plain polynomial sum b_j s^(k-j) over s^(k-1), by Horner's rule in s and
-    with no gcd.  A nonzero remainder over a squarefree s is a log/arctan
-    term and raises RationalityError, with one (s, remainder) pair per factor
-    and numerator.
+    ``factors`` are one or more (s, k) pairs with s monic, squarefree and
+    pairwise coprime, and every nums[i] / prod s^k must be proper.  With
+    more than one factor, ``_split_coprime`` gives each numerator's partial
+    fractions A / s^k; with one, the numerator is A.  ``_HermiteFactor``
+    reduces each A on its integer s-adic digits, one multiplicity of s per
+    step, to (N / s^(k-1))' + r / s, and the antiderivative numerator is
+    the plain sum of N times the cofactor D / s^(k-1), with no gcd.  A
+    nonzero remainder r over a squarefree s is a log/arctan term and raises
+    RationalityError, with one (s, r) pair per factor and numerator.
     """
-    splits = _split_coprime(nums, [s**k for s, k in factors])
-    den = Polynomial.one()
-    for s, k in factors:
-        den = den * s ** (k - 1)
-    out = [Polynomial.zero()] * len(nums)
+    lifts = [s ** (k - 1) for s, k in factors]
+    den = lifts[0]
+    for lift in lifts[1:]:
+        den = den * lift
+    if len(factors) == 1:
+        parts = [[n] for n in nums]
+    else:
+        parts = [a for _, a in _split_coprime(nums, [p * s for p, (s, _) in zip(lifts, factors)])]
+    out = [None] * len(nums)
     remainders = []
     for i, (s, k) in enumerate(factors):
-        ds = s.derivative()
-        steps = [(ds * (j - 1), modular_inverse(ds * (j - 1), s)) for j in range(k, 1, -1)]
-        cofactor = den.exact_div(s ** (k - 1))
-        for n, (_, parts) in enumerate(splits):
-            a, bs = parts[i], []
-            for dsj, inv in steps:
-                b = (-a * inv) % s
-                bs.append(b)
-                a = (a + b * dsj - b.derivative() * s).exact_div(s)
-            if not a.is_zero:
-                remainders.append((s, a))
-            acc = Polynomial.zero()
-            for b in reversed(bs):  # Horner's rule in s
-                acc = acc * s + b
-            out[n] = out[n] + acc * cofactor
+        factor = _HermiteFactor(s, k)
+        cofactor = den.exact_div(lifts[i]) if len(factors) > 1 else None
+        for n, a in enumerate(parts):
+            anti, rem = factor.reduce(a[i])
+            if not rem.is_zero:
+                remainders.append((s, rem))
+            if cofactor is not None:
+                anti = anti * cofactor
+            out[n] = anti if out[n] is None else out[n] + anti
     if remainders:
         raise RationalityError(
             "nonzero residues: antiderivative is not rational", remainders

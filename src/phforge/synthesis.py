@@ -206,7 +206,8 @@ def synthesize_curve(p: SynthesisProblem, mu: Polynomial) -> RationalCurve:
 
     One Hermite reduction over the factors Q^M of alpha integrates all three
     components over the common denominator D = prod Q^(M-1); the result is
-    checked exactly against the hodograph before RationalCurve reduces it.
+    checked exactly against the hodograph, divided through by D, before
+    RationalCurve reduces it.
     Raises RationalityError when mu violates the zero-residue conditions.
     Negative values of mu are permitted here; regularity is certified
     separately.
@@ -217,9 +218,11 @@ def synthesize_curve(p: SynthesisProblem, mu: Polynomial) -> RationalCurve:
     den, nums = _hermite_reduce(flows, [(q.poly(), q.multiplicity) for q in p.poles.factors])
     nums = [n - den * (n(Fraction(0)) / den(Fraction(0))) for n in nums]
     dd = den.derivative()
+    core, rest = divmod(p.alpha, den)  # prod Q and 0, as D = prod Q^(M-1)
     for n, flow in zip(nums, flows):
-        # (N/D)' = mu w_c / alpha, cleared of denominators
-        if (n.derivative() * den - n * dd) * p.alpha != flow * den * den:
+        # (N/D)' = mu w_c / alpha, cleared of denominators: with alpha = D core,
+        # (N' D - N D') alpha = mu w_c D^2 holds exactly when this does
+        if rest or (n.derivative() * den - n * dd) * core != flow * den:
             raise AssertionError("hodograph verification failed")
     return RationalCurve(nums, den, mu=mu)
 

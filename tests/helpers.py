@@ -12,12 +12,14 @@ import numpy as np
 from phforge import (
     ExtensionElement,
     PoleStructure,
+    Polynomial,
     Polynomial as P,
     QuadraticFactor,
     Quaternion,
     QuaternionPolynomial as QP,
     RationalCurve,
     RationalFunction as RF,
+    RationalityError,
     SolutionSpace,
     SynthesisProblem,
     build_residue_system,
@@ -27,6 +29,8 @@ from phforge import (
     synthesize_curve,
 )
 from phforge.geometry import _motion, _poses, angle_parameters
+from phforge.polynomial import modular_inverse
+from phforge.ratfunc import _split_coprime
 
 
 def generator_deg3() -> QP:
@@ -533,6 +537,53 @@ def ref_modular_inverse(a: P, modulus: P) -> P:
     if r0.degree != 0:
         raise ValueError("element not invertible modulo the given polynomial")
     return ref_divmod(s0 * (1 / r0.leading()), modulus)[1]
+
+
+def ref_hermite_reduce(nums, factors):
+    """(D, [N_i]) with N_i / D an antiderivative of nums[i] / prod s^k, D = prod s^(k-1).
+
+    The Polynomial loop that ``ratfunc._hermite_reduce`` replaced, kept as
+    its oracle: one modular inverse per multiplicity and one Polynomial
+    reduction per step.
+
+    ``factors`` are (s, k) pairs with s monic, squarefree and pairwise
+    coprime, and every nums[i] / prod s^k must be proper.  Hermite reduction
+    (Bronstein, *Symbolic Integration I*, ch. 2) strips one multiplicity of s
+    per step: b = -a ((j-1) s')^-1 mod s makes a/s^j - (b/s^(j-1))' a multiple
+    of 1/s^(j-1).  The split and the inverses of (j-1) s' are computed once
+    per factor for all numerators, and each antiderivative is summed as the
+    plain polynomial sum b_j s^(k-j) over s^(k-1), by Horner's rule in s and
+    with no gcd.  A nonzero remainder over a squarefree s is a log/arctan
+    term and raises RationalityError, with one (s, remainder) pair per factor
+    and numerator.
+    """
+    splits = _split_coprime(nums, [s**k for s, k in factors])
+    den = Polynomial.one()
+    for s, k in factors:
+        den = den * s ** (k - 1)
+    out = [Polynomial.zero()] * len(nums)
+    remainders = []
+    for i, (s, k) in enumerate(factors):
+        ds = s.derivative()
+        steps = [(ds * (j - 1), modular_inverse(ds * (j - 1), s)) for j in range(k, 1, -1)]
+        cofactor = den.exact_div(s ** (k - 1))
+        for n, (_, parts) in enumerate(splits):
+            a, bs = parts[i], []
+            for dsj, inv in steps:
+                b = (-a * inv) % s
+                bs.append(b)
+                a = (a + b * dsj - b.derivative() * s).exact_div(s)
+            if not a.is_zero:
+                remainders.append((s, a))
+            acc = Polynomial.zero()
+            for b in reversed(bs):  # Horner's rule in s
+                acc = acc * s + b
+            out[n] = out[n] + acc * cofactor
+    if remainders:
+        raise RationalityError(
+            "nonzero residues: antiderivative is not rational", remainders
+        )
+    return den, out
 
 
 # -- Fraction reference for the Q representation -----------------------------

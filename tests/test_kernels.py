@@ -1,7 +1,8 @@
 """The integer-vector kernels against the Fraction reference kernels in helpers.
 
-Products, quotient/remainder pairs, gcds, modular inverses, Sturm counts and
-kernel bases must be equal, value for value, and residue rows equal up to one
+Products, quotient/remainder pairs, gcds, modular inverses, Sturm counts,
+kernel bases and Hermite reductions (antiderivatives and log/arctan
+remainders) must be equal, value for value, and residue rows equal up to one
 positive factor per row pair, on seeded random inputs with integer and
 Fraction coefficients and with monic, non-monic and Fraction divisors;
 products and gcds also at the degrees (up to 60) and coefficient sizes (up
@@ -21,12 +22,14 @@ import pytest
 
 from phforge import linalg, polynomial
 from phforge.polynomial import _heu_gcd, _int_divmod, _int_mul, _primitive, modular_inverse
+from phforge.ratfunc import _hermite_reduce
 from phforge import (
     PoleStructure,
     Polynomial as P,
     QuadraticFactor,
     QuaternionPolynomial as QP,
     RationalFunction as RF,
+    RationalityError,
     SynthesisProblem,
     build_residue_system,
     poly_gcd,
@@ -44,6 +47,7 @@ from helpers import (
     ref_divmod,
     ref_eval,
     ref_gcd,
+    ref_hermite_reduce,
     ref_modular_inverse,
     ref_monic,
     ref_mul,
@@ -287,6 +291,45 @@ def test_residue_rows_match_reference(poles):
             scale = F(ours[k]) / ref[k] if ref[k] else F(1)
             assert scale > 0 and list(ours) == [scale * x for x in ref]
         assert [b.ints for b in space.basis] == [P(v).ints for v in ref_nullspace(want)]
+
+
+def hermite_case(rng, chosen, multiplicities):
+    """Factors (s, k) and numerators over prod s^k: zero, three inside the kernel, three outside.
+
+    An inside numerator is (g / D)' prod s^k for a random g with
+    deg g < deg D, D = prod s^(k-1), so it has a rational antiderivative;
+    an outside one adds a random numerator of degree below deg prod s, a
+    log/arctan term over every factor.
+    """
+    factors = [(q.poly(), k) for q, k in zip(chosen, multiplicities)]
+    den = core = P.one()
+    for s, k in factors:
+        den, core = den * s ** (k - 1), core * s
+    inside = [P.zero()]
+    for _ in range(3):
+        g = rand_poly(rng, den.degree - 1) if den.degree else P.zero()
+        inside.append(((g.derivative() * den - g * den.derivative()) * core).exact_div(den))
+    outside = [n + rand_poly(rng, rng.randint(0, core.degree - 1)) for n in inside[1:]]
+    return factors, inside, outside
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_hermite_matches_reference(seed):
+    rng = random.Random(f"hermite:{seed}")
+    cases = [([q], [k]) for q in FACTORS for k in (1, 10)] if seed == 0 else []
+    for _ in range(8):
+        chosen = rng.sample(FACTORS, rng.randint(1, 3))
+        cases.append((chosen, [rng.randint(1, 10) for _ in chosen]))
+    for chosen, multiplicities in cases:
+        factors, inside, outside = hermite_case(rng, chosen, multiplicities)
+        den, nums = _hermite_reduce(inside, factors)
+        assert (den, nums) == ref_hermite_reduce(inside, factors)
+        with pytest.raises(RationalityError) as ours:
+            _hermite_reduce(outside, factors)
+        with pytest.raises(RationalityError) as ref:
+            ref_hermite_reduce(outside, factors)
+        assert ours.value.remainders == ref.value.remainders
+        assert len(ours.value.remainders) == len(factors) * len(outside)
 
 
 def rows_of_rank(rng, rank, ncols):

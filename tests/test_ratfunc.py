@@ -16,7 +16,7 @@ from phforge import (
     rotate_vector,
     sturm_real_root_count,
 )
-from phforge.polynomial import poly_sqrt
+from phforge.polynomial import poly_sqrt, squarefree_decomposition
 from phforge.quaternion import QI
 from phforge.ratfunc import _hermite_reduce, _split_coprime
 
@@ -120,6 +120,27 @@ class TestHermite:
         f = RF(P([3, 0, 3]), P([1]))
         g = hermite_antiderivative(f)
         assert g == RF(P([0, 3, 0, 1]), P([1]))
+
+    def test_quartic_squarefree_part(self):
+        # g = N / ((t^2+1)(t^2+4))^3: Yun's decomposition of the denominator of
+        # g' is the one quartic (t^2+1)(t^2+4) of multiplicity 4, so the
+        # reduction runs on a squarefree factor that is not quadratic
+        quartic = P([1, 0, 1]) * P([4, 0, 1])
+        rng = random.Random(18)
+        for _ in range(4):
+            g = RF(P([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(12)]), quartic**3)
+            f = g.derivative()
+            assert squarefree_decomposition(f.denominator)[1] == [(quartic, 4)]
+            assert hermite_antiderivative(f) == g - g.evaluate(F(0))
+
+    def test_log_term_over_quartic_raises(self):
+        # adding h / quartic (deg h < 4) leaves exactly that log/arctan term
+        quartic = P([1, 0, 1]) * P([4, 0, 1])
+        g = RF(P([3, -1, 0, F(1, 2), 2]), quartic**3)
+        h = P([1, 0, F(-2, 3)])
+        with pytest.raises(RationalityError) as err:
+            hermite_antiderivative(g.derivative() + RF(h, quartic))
+        assert err.value.remainders == ((quartic, h),)
 
     def test_shared_core_matches_per_fraction(self):
         # numerators over (t^2+t+3)^3 (t^2+5)^2: a derivative with both poles,
