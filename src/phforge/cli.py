@@ -326,9 +326,10 @@ def cmd_synth(cfg: ProblemConfig, force: bool) -> str:
     base = sdp_feasible_point(slice_, _relaxation_margins(cfg.margin))
     achieved = base.margin
     if not base.is_feasible:
+        bound = "" if base.optimum_bound is None else f", optimum at most {base.optimum_bound:.3e}"
         raise NoCertificateError(
             "no strictly positive numerator found "
-            f"(best trace-normalized eigenvalue {base.min_eigenvalue:.3e})"
+            f"(best trace-normalized eigenvalue {base.min_eigenvalue:.3e}{bound})"
         )
     results = [base]
     # additional solutions for weighted averaging: bias the objective so the

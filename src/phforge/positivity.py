@@ -16,9 +16,11 @@ products over the basis matrices kept flat as a d x n^2 array: the batched
 W B_a W, one (d x n^2)(n^2 x d) product for the Hessian, and one d x n^2
 matrix-vector product for the gradient.  One call computes one central path
 for a whole ladder of margins; a margin only decides at which point of that
-path the exact gate is tried.  Floating output is never trusted: the witness's
-kernel coordinates are rounded on a power-of-two grid, and strict positivity
-of the exact mu they give is certified with a Sturm count.
+path the exact gate is tried.  At a centred point the barrier's duality gap
+n/t_bar bounds the optimum, so without a bias the path stops as soon as that
+bound rules out every margin still open.  Floating output is never trusted:
+the witness's kernel coordinates are rounded on a power-of-two grid, and
+strict positivity of the exact mu they give is certified with a Sturm count.
 """
 
 from __future__ import annotations
@@ -152,6 +154,10 @@ class FeasibilityResult:
     point found).  ``margin`` is the ladder margin that certified (None
     unless feasible); ``relaxation_log`` holds one
     ``(margin, status, min_eigenvalue)`` entry per margin tried, in order.
+    ``optimum_bound`` is the upper bound on the optimum eigenvalue that
+    proved the result's margin unreachable, the central path's duality gap
+    at a centred step of an unbiased search; None when no bound ruled the
+    margin out.
     """
 
     status: str
@@ -161,6 +167,7 @@ class FeasibilityResult:
     certificate: RegularityCertificate | None = None
     margin: float | None = None
     relaxation_log: tuple = ()
+    optimum_bound: float | None = None
 
     @property
     def is_feasible(self) -> bool:
@@ -187,11 +194,17 @@ def _newton_system(flat, w, hess):
 
 
 def _central_path(basis, traces, t_norm2, bias):
-    """Yield ``(best_x, best_lam)`` at the start and after each outer step.
+    """Yield ``(best_x, best_lam, bound)`` at the start and after each outer step.
 
     The barrier path maximizes s subject to M(x) - s*I >= 0 and
     trace M(x) = 1 (plus the bias term); it does not depend on any margin.
     ``best_x`` is replaced, never mutated, so every snapshot stays valid.
+    ``bound`` is an upper bound on the optimum lambda* of the unbiased
+    problem: at a central point W/t_bar is dual feasible with duality gap
+    n/t_bar (Vandenberghe & Boyd, SIAM Review 38, 1996), so lambda* <=
+    s + n/t_bar, doubled here against float error.  It is finite only after
+    an outer step whose Newton loop ended centred (decrement < 1e-16) and
+    when the bias is zero, since a bias makes the gap bound s + bias.x.
     """
     d, n, _ = basis.shape
     flat = basis.reshape(d, n * n)
@@ -206,7 +219,8 @@ def _central_path(basis, traces, t_norm2, bias):
     s = lam0 - 0.1 * (abs(lam0) + 1.0)
     best_lam = lam0
     best_x = x.copy()
-    yield best_x, best_lam
+    yield best_x, best_lam, math.inf
+    unbiased = not bias.any()
     # KKT system of the Newton step: the Hessian block, bordered by the
     # trace constraint's row and column; the right-hand side is minus the
     # gradient of -t_bar*(s + bias.x) - log det(M(x) - s*I), then a 0 that
@@ -218,6 +232,7 @@ def _central_path(basis, traces, t_norm2, bias):
     eye = np.eye(n)
     t_bar = 1.0
     for _ in range(MAX_OUTER):
+        centred = False
         for _ in range(MAX_NEWTON):
             slack = m_now - s * eye
             try:
@@ -249,8 +264,9 @@ def _central_path(basis, traces, t_norm2, bias):
             if lam > best_lam:
                 best_lam, best_x = lam, x.copy()
             if decrement < 1e-16:
+                centred = True
                 break
-        yield best_x, best_lam
+        yield best_x, best_lam, s + 2.0 * n / t_bar if centred and unbiased else math.inf
         if n / t_bar < 1e-13:
             break
         t_bar *= 20.0
@@ -271,16 +287,21 @@ def sdp_feasible_point(
     tried in order until one certifies; the call computes one central path
     for the whole ladder, and only as far as the ladder reads it.  A margin
     only places the exact gate: at the first outer step whose best point
-    reaches it, and if that fails, at the end of the path.  The gate rounds
-    only the point's kernel coordinates, the first ``len(g.kernel)`` slice
-    coordinates: it divides them by their largest absolute value, rounds
-    them on the grid 2^-20 and, if that fails, 2^-40, and certifies the
-    exact numerator sum y_k * g.kernel[k] with the Sturm count, so the
-    floating search is never trusted; each point is gated at most once per
-    call.  A margin the path never reaches, or whose gates fail, yields
-    ``indeterminate`` with the best achieved eigenvalue, which is not a
-    proof of infeasibility.  The result is the first feasible margin's,
-    else the last margin's, with the log of every margin tried.
+    reaches it, and if that fails, at the end of the path.  An unbiased
+    search stops reading the path for a margin as soon as an outer step
+    that ended centred proves it unreachable: there the duality gap bounds
+    the optimum by s + n/t_bar, taken as s + 2n/t_bar against float error.
+    The gate rounds only the point's kernel coordinates, the first
+    ``len(g.kernel)`` slice coordinates: it divides them by their largest
+    absolute value, rounds them on the grid 2^-20 and, if that fails,
+    2^-40, and certifies the exact numerator sum y_k * g.kernel[k] with the
+    Sturm count, so the floating search is never trusted; each point is
+    gated at most once per call.  A margin the path never reaches, or whose
+    gates fail, yields ``indeterminate`` with the best achieved eigenvalue,
+    which is not a proof of infeasibility; for a margin ruled out early that
+    is the best eigenvalue when it was ruled out, and the bound is
+    ``optimum_bound``.  The result is the first feasible margin's, else the
+    last margin's, with the log of every margin tried.
 
     ``objective_bias`` adds a small linear term b.x to the maximized s and
     steers the solver to different interior points, the analogue of solving
@@ -320,8 +341,11 @@ def sdp_feasible_point(
     steps = _central_path(basis, traces, t_norm2, bias)
     path = [next(steps)]  # snapshots computed so far; path[0] is the start
 
-    def first_reaching(m):
-        """The first outer-step snapshot whose best eigenvalue reaches m."""
+    def deciding(m):
+        """The first outer-step snapshot that reaches m or whose bound rules m out.
+
+        None if the path ends first.
+        """
         k = 1
         while True:
             if k == len(path):
@@ -329,7 +353,8 @@ def sdp_feasible_point(
                 if snapshot is None:
                     return None
                 path.append(snapshot)
-            if path[k][1] >= m:
+            _, lam, bound = path[k]
+            if lam >= m or bound < m:
                 return path[k]
             k += 1
 
@@ -360,16 +385,26 @@ def sdp_feasible_point(
 
     log = []
     for m in margins:
-        snapshot = first_reaching(m)
-        result = exact_gate(*snapshot) if snapshot is not None else None
-        if result is None:
-            path.extend(steps)
-            best_x, best_lam = path[-1]
-            if best_lam >= m:
-                result = exact_gate(best_x, best_lam)
+        snapshot = deciding(m)
+        result = bound = None
+        if snapshot is not None and snapshot[1] < m:
+            # the bound proves m unreachable: report the best point so far
+            best_x, best_lam, bound = snapshot
+        else:
+            if snapshot is not None:
+                result = exact_gate(*snapshot[:2])
+            if result is None:
+                path.extend(steps)
+                best_x, best_lam, _ = path[-1]
+                if best_lam >= m:
+                    result = exact_gate(best_x, best_lam)
         if result is None:
             result = FeasibilityResult(
-                INDETERMINATE, tuple(map(float, best_x / scale)), None, float(best_lam)
+                INDETERMINATE,
+                tuple(map(float, best_x / scale)),
+                None,
+                float(best_lam),
+                optimum_bound=bound,
             )
         log.append((m, result.status, result.min_eigenvalue))
         if result.is_feasible:

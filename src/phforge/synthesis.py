@@ -10,6 +10,7 @@ closed curves.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -103,9 +104,11 @@ def build_residue_system(p: SynthesisProblem) -> SolutionSpace:
     numerator is never part of the basis.
     """
     rows = []
-    for q in p.poles.factors:
+    powers = [q.poly() ** q.multiplicity for q in p.poles.factors]
+    for i, q in enumerate(p.poles.factors):
         series = _LocalSeries(q, q.multiplicity)
-        g = series.pole(p.alpha.exact_div(q.poly() ** q.multiplicity))
+        # alpha / Q^M as the product of the other factors' powers
+        g = series.pole(math.prod(powers[:i] + powers[i + 1 :], start=Polynomial.one()))
         for wc in p.hodograph_dir:
             rows.extend(series.residue_rows(series.product(series.taylor(wc), g), p.m))
     basis = [Polynomial(v) for v in linalg.nullspace(rows, p.m + 1)]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -179,6 +180,17 @@ class TestSynth:
     def test_no_positive_numerator_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, with_multiplicity(5))
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 3
+
+    def test_exit_3_reports_optimum_bound(self, tmp_path, capsys):
+        # the central path proves the whole ladder unreachable and says so
+        cfg = write_config(tmp_path, with_multiplicity(5))
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        found = re.search(r"best trace-normalized eigenvalue (\S+), optimum at most (\S+)\)", err)
+        assert found
+        lam, bound = map(float, found.groups())
+        assert lam <= bound < cli.MARGIN_FLOOR
 
     def test_non_finite_margin_exit_4(self, tmp_path, capsys):
         # an infinite margin would relax forever: inf / 10 stays above the floor

@@ -20,7 +20,8 @@ from phforge import (
     sturm_real_root_count,
     synthesize_curve,
 )
-from phforge.positivity import _newton_system
+from phforge import positivity
+from phforge.positivity import _central_path, _newton_system
 from phforge.quaternion import QJ, QONE
 
 from helpers import MU0, MU2, antidiagonal_sums, generator_deg3, poles_single
@@ -254,6 +255,38 @@ class TestNewtonSystem:
                 np.testing.assert_allclose(hess[block], ref_hess[block], rtol=0, atol=1e-12 * scale)
 
 
+def full_path(slice_):
+    """Every snapshot of the unbiased central path, run to its end."""
+    raw = slice_.float_basis
+    basis = raw / np.sqrt(np.einsum("aij,aij->a", raw, raw))[:, None, None]
+    traces = np.einsum("aii->a", basis)
+    return list(_central_path(basis, traces, float(traces @ traces), np.zeros(len(basis))))
+
+
+def without_bounds(path):
+    """The central path with every bound replaced by inf: nothing is ruled out."""
+
+    def steps(*args):
+        for best_x, best_lam, _ in path(*args):
+            yield best_x, best_lam, math.inf
+
+    return steps
+
+
+# the module's slices and the benchmark's synth pole structures, on the
+# reference generator, plus (0,4)^5, whose ladder is ruled out entirely
+POLE_CASES = {
+    "(0,4)^5": ((0, 4, 5),),
+    "(0,4)^6": ((0, 4, 6),),
+    "(0,4)^8": ((0, 4, 8),),
+    "(0,4)^10": ((0, 4, 10),),
+    "(0,4)^6.(1,3)^4": ((0, 4, 6), (1, 3, 4)),
+    "(0,4)^8.(1,3)^6": ((0, 4, 8), (1, 3, 6)),
+    "(-2,5)^6": ((-2, 5, 6),),
+    "(-2,2)^9": ((-2, 2, 9),),
+}
+
+
 def one_margin_at_a_time(slice_, margins, bias=None):
     """Reference ladder: a separate single-margin call per margin."""
     log = []
@@ -294,12 +327,52 @@ class TestRelaxationLadder:
         assert res.witness_mu in on_grid
 
     def test_gate_at_first_step_reaching_margin(self, single_factor_slice):
-        # 1e-6 certifies at the first outer step whose best eigenvalue reaches
-        # it, before the end of the path, whose best eigenvalue 1e-3 reports
+        # 1e-3 lies above the optimum, so the duality gap rules it out part of
+        # the way along the path; 1e-6 then certifies at the first outer step
+        # whose best eigenvalue reaches it, before the end of the path
         res = sdp_feasible_point(single_factor_slice, (1e-3, 1e-6))
-        (_, _, lam_end), (_, status, lam) = res.relaxation_log
+        (_, status_out, _), (_, status, lam) = res.relaxation_log
+        assert status_out == "indeterminate"
         assert status == "feasible"
-        assert 1e-6 <= lam < lam_end
+        assert 1e-6 <= lam < full_path(single_factor_slice)[-1][1]
+
+    def test_margin_above_optimum_is_ruled_out(self, single_factor_slice):
+        path = full_path(single_factor_slice)
+        res = sdp_feasible_point(single_factor_slice, 1e-3)
+        assert res.status == "indeterminate"
+        # the bound holds for the whole path, and the path stopped before its end
+        assert path[-1][1] <= res.optimum_bound < 1e-3
+        assert res.min_eigenvalue < path[-1][1]
+        bias = [1e-9] * single_factor_slice.slice_dimension
+        assert sdp_feasible_point(single_factor_slice, 1e-3, objective_bias=bias).optimum_bound is None
+
+    def test_bound_needs_a_centred_point(self, single_factor_slice, monkeypatch):
+        # one Newton step per outer step never ends centred
+        monkeypatch.setattr(positivity, "MAX_NEWTON", 1)
+        assert all(bound == math.inf for _, _, bound in full_path(single_factor_slice))
+        assert sdp_feasible_point(single_factor_slice, 1e-3).optimum_bound is None
+
+    @pytest.mark.parametrize("poles", POLE_CASES.values(), ids=POLE_CASES)
+    def test_early_exit_matches_full_path(self, poles, monkeypatch):
+        slice_ = generator_slice(*poles)
+        path = full_path(slice_)
+        best_lam = path[-1][1]
+        # float steps move trace M(x) off 1 by up to 8.5e-9 (the one-point
+        # (0,4)^5 slice), and every eigenvalue and bound with it
+        assert all(bound >= best_lam - 1e-8 * abs(best_lam) for _, _, bound in path)
+        res = sdp_feasible_point(slice_, LADDER)
+        # an indeterminate margin above its logged eigenvalue was ruled out or
+        # never reached, not gated: the full path never reaches it either
+        for m, status, lam in res.relaxation_log:
+            if status == "indeterminate" and lam < m:
+                assert m > best_lam
+        if res.optimum_bound is not None:
+            assert best_lam <= res.optimum_bound < res.relaxation_log[-1][0]
+        monkeypatch.setattr(positivity, "_central_path", without_bounds(_central_path))
+        full = sdp_feasible_point(slice_, LADDER)
+        assert (res.status, res.margin, res.witness_mu) == (full.status, full.margin, full.witness_mu)
+        assert [e[:2] for e in res.relaxation_log] == [e[:2] for e in full.relaxation_log]
+        assert full.optimum_bound is None
 
     def test_biased_call_matches_separate_calls(self, single_factor_slice):
         base = sdp_feasible_point(single_factor_slice, LADDER)
