@@ -17,7 +17,6 @@ from .errors import (
     RationalityError,
 )
 from .geometry import (
-    FramePose,
     HullCertificate,
     TangentIndicatrix,
     convex_hull_contains_origin,
@@ -67,7 +66,6 @@ __all__ = [
     "EmptyKernelError",
     "ExtensionElement",
     "FeasibilityResult",
-    "FramePose",
     "GramSlice",
     "HullCertificate",
     "NoCertificateError",

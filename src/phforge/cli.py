@@ -6,10 +6,10 @@ one ``error: `` line on stderr and the ``exit_code`` of its error class:
 2 empty residue kernel or impossible degree bookkeeping (a negative
 numerator degree), 3 no certificate (a failed hull gate, an infeasible or
 indeterminate positivity search, a failed regularity check), 4 parse/usage
-errors, an unreadable input and an unwritable ``--out`` included.  All exact
-data is serialized as rational strings; sampled data as floats.  JSON
-outputs are compact, one line with sorted keys (``python -m json.tool FILE``
-pretty-prints them).  Outputs are deterministic for a fixed config and seed.
+errors, an unreadable input, bundle coefficients beyond the float range
+and an unwritable ``--out`` included.  All exact data is serialized as
+rational strings; sampled data as floats.  JSON outputs are compact, one
+line with sorted keys (``python -m json.tool FILE`` pretty-prints them).  Outputs are deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import NoCertificateError, NonPythagoreanError, ParseError, PhforgeError
 from .geometry import (
@@ -254,13 +256,18 @@ def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def _pose_dict(p) -> dict:
-    return {
-        "parameter": _finite_or_str(p.parameter),
-        "position": list(p.position),
-        "rotation": list(p.rotation),
-        "frame": [list(col) for col in p.frame],
-    }
+def _pose_dicts(motion, positions: list) -> list[dict]:
+    """The pose objects of the bundle's samples and of ``frames --format json``.
+
+    positions is ``motion.positions.tolist()``, passed in so the bundle's
+    ``samples.positions`` shares its rows.
+    """
+    return [
+        {"parameter": _finite_or_str(t), "position": p, "rotation": r, "frame": f}
+        for t, p, r, f in zip(
+            motion.parameters, positions, motion.rotations.tolist(), motion.frames.tolist()
+        )
+    ]
 
 
 # -- check -----------------------------------------------------------------
@@ -363,9 +370,7 @@ def cmd_synth(cfg: ProblemConfig, force: bool) -> str:
 
 
 def _build_bundle(cfg, problem, space, slice_, results, achieved, curve, cert, hull, attempts):
-    poses = sample_motion(problem.a_poly, curve, cfg.samples)
-    speed = speed_function(curve)
-    speeds = speed.eval_floats([p.parameter for p in poses]).tolist()
+    samples = _bundle_samples(problem.a_poly, curve, cfg.samples)
     closure = closure_point(curve)
     return {
         "schema": BUNDLE_SCHEMA,
@@ -396,14 +401,21 @@ def _build_bundle(cfg, problem, space, slice_, results, achieved, curve, cert, h
             },
             "closure_point": [format_rational(v) for v in closure],
             "hull": _hull_report(hull),
-            "speed_polar_minimum": min(speeds),
-            "speed_polar_maximum": max(speeds),
+            "speed_polar_minimum": min(samples["speed"]),
+            "speed_polar_maximum": max(samples["speed"]),
         },
-        "samples": {
-            "positions": [list(p.position) for p in poses],
-            "poses": [_pose_dict(p) for p in poses],
-            "speed": speeds,
-        },
+        "samples": samples,
+    }
+
+
+def _bundle_samples(a: QuaternionPolynomial, curve: RationalCurve, n: int) -> dict:
+    """The bundle's ``samples``: n poses of the framing motion and the circle-chart speed."""
+    motion = sample_motion(a, curve, n)
+    positions = motion.positions.tolist()
+    return {
+        "positions": positions,
+        "poses": _pose_dicts(motion, positions),
+        "speed": speed_function(curve).eval_floats(motion.parameters).tolist(),
     }
 
 
@@ -435,6 +447,7 @@ def load_bundle(path: str) -> Bundle:
         curve = RationalCurve(nums, den, mu=mu)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(str(exc), "curve") from None
+    _float_range((*nums, den), "curve")
     gen_raw = data.get("generator", {})
     if not isinstance(gen_raw, dict):
         raise ParseError("expected an object", "generator")
@@ -445,21 +458,29 @@ def load_bundle(path: str) -> Bundle:
         gen = i_reduce(cfg.a_poly)[0]
     else:
         gen = _generator(entries, "generator.coefficients")
+    _float_range(gen.component_polys(), "generator.coefficients")
     if sturm_real_root_count(gen.norm_poly()):
         raise ParseError("generator vanishes at a real parameter", "generator.coefficients")
     return Bundle(cfg, curve, gen)
 
 
+def _float_range(polys, where: str) -> None:
+    """Raise ParseError at where unless every coefficient of polys is within float range."""
+    try:
+        for p in polys:
+            p.float_coeffs()
+    except OverflowError:
+        raise ParseError("coefficients exceed the float range", where) from None
+
+
 def _sample_positions(bundle: Bundle, n: int):
     params = angle_parameters(n)
-    return params, bundle.curve.eval_floats(params).tolist()
+    return params, bundle.curve.eval_floats(params)
 
 
-def _csv(rows, header) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv(rows, header: str) -> str:
+    """header, then one line per row of floats, each written as its repr (inf as inf)."""
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
 def _obj(positions) -> str:
@@ -470,26 +491,25 @@ def _obj(positions) -> str:
 
 
 def _project(positions, view):
-    import numpy as np
-
     d = np.array(view, dtype=float)
     d = d / np.linalg.norm(d)
     probe = np.array([0.0, 0.0, 1.0]) if abs(d[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
     e1 = np.cross(probe, d)
     e1 = e1 / np.linalg.norm(e1)
     e2 = np.cross(d, e1)
-    pts = np.array(positions)
+    # row-major: the products round differently on a transposed view
+    pts = np.ascontiguousarray(positions, dtype=float)
     return pts @ e1, pts @ e2
 
 
 def _svg(bundle: Bundle, n: int) -> str:
     params, positions = _sample_positions(bundle, n)
     try:
-        speed = speed_function(bundle.curve)
+        speeds = np.abs(speed_function(bundle.curve).eval_floats(params))
     except NonPythagoreanError as exc:
         raise ParseError(str(exc), "curve") from None
-    angles = [2.0 * math.pi * j / n for j in range(n)]
-    speeds = speed.eval_floats(params).tolist()
+    except OverflowError:
+        raise ParseError("speed coefficients exceed the float range", "curve") from None
 
     px, py = _project(positions, bundle.config.view)
     w, h, pad = 640.0, 880.0, 40.0
@@ -497,32 +517,30 @@ def _svg(bundle: Bundle, n: int) -> str:
     scale = (w - 2 * pad) / span
     cx = (px.max() + px.min()) / 2
     cy = (py.max() + py.min()) / 2
+    curve_xy = (w / 2 + (px - cx) * scale, h * 0.35 - (py - cy) * scale)
 
-    def curve_pt(i):
-        return (
-            w / 2 + (px[i] - cx) * scale,
-            h * 0.35 - (py[i] - cy) * scale,
-        )
-
-    smax = max(abs(s) for s in speeds) or 1.0
+    smax = speeds.max() or 1.0
     rad = (w - 2 * pad) / 2.0
     polar_c = (w / 2, h * 0.78)
+    r = speeds / smax * rad * 0.9
+    angles = [2.0 * math.pi * j / n for j in range(n)]
+    # math.cos and math.sin: numpy's may round the last bit differently
+    polar_xy = (
+        polar_c[0] + r * np.array([math.cos(a) for a in angles]),
+        polar_c[1] - r * np.array([math.sin(a) for a in angles]),
+    )
 
-    def polar_pt(i):
-        r = abs(speeds[i]) / smax * rad * 0.9
-        return (polar_c[0] + r * math.cos(angles[i]), polar_c[1] - r * math.sin(angles[i]))
-
-    def path(points):
-        coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in points)
+    def path(xs, ys):
+        coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in zip(xs.tolist(), ys.tolist()))
         return f'<polygon fill="none" stroke="black" stroke-width="1.2" points="{coords}"/>'
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" height="{h:.0f}" '
         f'viewBox="0 0 {w:.0f} {h:.0f}">',
         '<rect width="100%" height="100%" fill="white"/>',
-        path([curve_pt(i) for i in range(n)]),
+        path(*curve_xy),
         f'<circle cx="{polar_c[0]}" cy="{polar_c[1]}" r="2" fill="black"/>',
-        path([polar_pt(i) for i in range(n)]),
+        path(*polar_xy),
         f'<text x="{w/2:.0f}" y="{h*0.55:.0f}" text-anchor="middle" '
         'font-family="sans-serif" font-size="14">orthographic projection</text>',
         f'<text x="{w/2:.0f}" y="{h*0.97:.0f}" text-anchor="middle" '
@@ -538,31 +556,30 @@ def cmd_sample(bundle: Bundle, n: int, fmt: str) -> str:
     if fmt not in ("json", "csv", "obj"):
         raise ParseError(f"unknown format {fmt!r}", "--format")
     params, positions = _sample_positions(bundle, n)
+    positions = positions.tolist()
     if fmt == "csv":
-        return _csv(positions, ("x", "y", "z"))
+        return _csv(positions, "x,y,z")
     if fmt == "obj":
         return _obj(positions)
-    return _json(
-        {
-            "parameters": [_finite_or_str(t) for t in params],
-            "positions": [list(p) for p in positions],
-        }
-    )
+    return _json({"parameters": [_finite_or_str(t) for t in params], "positions": positions})
 
 
 def cmd_frames(bundle: Bundle, n: int, fmt: str) -> str:
     if fmt not in ("json", "csv"):
         raise ParseError(f"format {fmt!r} not supported for frames", "--format")
-    poses = sample_motion(bundle.generator, bundle.curve, n)
+    motion = sample_motion(bundle.generator, bundle.curve, n)
     if fmt == "json":
-        return _json([_pose_dict(p) for p in poses])
-    rows = [
-        (_finite_or_str(p.parameter),) + p.position + p.rotation
-        + tuple(v for col in p.frame for v in col)
-        for p in poses
-    ]
-    header = "parameter,px,py,pz,qw,qx,qy,qz,tx,ty,tz,bx,by,bz,cx,cy,cz".split(",")
-    return _csv(rows, header)
+        return _json(_pose_dicts(motion, motion.positions.tolist()))
+    table = np.hstack(
+        (
+            np.array(motion.parameters)[:, None],
+            motion.positions,
+            motion.rotations,
+            motion.frames.reshape(n, 9),
+        )
+    )
+    header = "parameter,px,py,pz,qw,qx,qy,qz,tx,ty,tz,bx,by,bz,cx,cy,cz"
+    return _csv(table.tolist(), header)
 
 
 # -- entry point ------------------------------------------------------------

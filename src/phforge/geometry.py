@@ -5,8 +5,10 @@ circle through ``angle_parameters``; every float evaluation goes through
 ``polynomial.two_chart_eval``, which switches charts at |t| = 1 so the
 closure point t = infinity is an ordinary point.  Exact identities (unit
 norm of the tangent indicatrix, rationality of the speed) are verified in
-exact arithmetic; the convex-hull test and the sampled poses are the only
-floating parts.
+exact arithmetic; the convex-hull test and the sampled framing motion are
+the only floating parts.  ``sample_motion`` returns the motion as one
+``SampledMotion`` record of arrays (positions, rotations, frame columns),
+not as per-sample objects.
 """
 
 from __future__ import annotations
@@ -207,19 +209,21 @@ def convex_hull_contains_origin(
     return HullCertificate(None, tuple(params), tuple(weights), residual, tuple(d), gap)
 
 
-@dataclass(frozen=True)
-class FramePose:
-    """One sample of the framing motion: position, rotation, frame columns.
+@dataclass(frozen=True, eq=False)
+class SampledMotion:
+    """The framing motion at ``parameters``, as arrays with one row per sample.
 
-    The frame columns (tangent, binormal-like, complement) are the rotated
-    images of the three basis vectors; the first is parallel to the sampled
-    curve derivative.
+    ``positions`` is n x 3 and ``rotations`` n x 4 (w, x, y, z), sign-aligned
+    along the trajectory.  ``frames`` is n x 3 x 3 with ``frames[j, k]`` the
+    k-th frame column at sample j: the rotated image of the k-th basis
+    vector.  Column 0 (tangent) is parallel to the curve derivative, columns
+    1 and 2 (binormal-like, complement) span the normal plane.
     """
 
-    parameter: float
-    position: tuple[float, float, float]
-    rotation: tuple[float, float, float, float]
-    frame: tuple[tuple[float, float, float], ...]
+    parameters: list[float]
+    positions: np.ndarray
+    rotations: np.ndarray
+    frames: np.ndarray
 
 
 def _motion(a: QuaternionPolynomial, c: RationalCurve, ts: list[float]):
@@ -252,21 +256,13 @@ def _motion(a: QuaternionPolynomial, c: RationalCurve, ts: list[float]):
     return q, np.array(frame), c.eval_floats(ts)
 
 
-def _poses(ts, q, frame, positions) -> list[FramePose]:
-    return [
-        FramePose(t, tuple(p), tuple(r), tuple(map(tuple, f)))
-        for t, p, r, f in zip(
-            ts, positions.tolist(), q.T.tolist(), frame.transpose(2, 0, 1).tolist()
-        )
-    ]
+def sample_motion(a: QuaternionPolynomial, c: RationalCurve, n: int) -> SampledMotion:
+    """The motion at n parameters equidistant in circle angle, as arrays.
 
-
-def sample_motion(a: QuaternionPolynomial, c: RationalCurve, n: int) -> list[FramePose]:
-    """n poses equidistant in circle angle, hemisphere-aligned in sequence.
-
-    The first pose sits at the closure point t = infinity; consecutive
-    rotation quaternions are sign-aligned to resolve the double cover along
-    the trajectory.
+    The first sample sits at the closure point t = infinity; consecutive
+    rotation quaternions are sign-aligned (hemisphere-aligned) to resolve
+    the double cover along the trajectory.  Writers turn each array into
+    Python floats with one ``tolist()``; no per-sample object is built.
     """
     if n < 2:
         raise ValueError("at least 2 poses required")
@@ -279,4 +275,4 @@ def sample_motion(a: QuaternionPolynomial, c: RationalCurve, n: int) -> list[Fra
         # flip when the rotation points away from the aligned previous one
         sign = -1.0 if sign * dot < 0.0 else 1.0
         signs.append(sign)
-    return _poses(ts, q * np.array(signs), frame, positions)
+    return SampledMotion(ts, positions, (q * np.array(signs)).T, frame.transpose(2, 0, 1))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import numpy as np
@@ -28,7 +29,8 @@ from phforge import (
     residue_at,
     synthesize_curve,
 )
-from phforge.geometry import _motion, _poses, angle_parameters
+from phforge import cli
+from phforge.geometry import _motion, angle_parameters, speed_function
 from phforge.polynomial import modular_inverse
 from phforge.ratfunc import _split_coprime
 
@@ -695,8 +697,13 @@ def ref_mobius_jacobian(a, b, c, d) -> RF:
 
 
 def ref_pose(a: QP, c: RationalCurve, t: float):
-    """Pose of the framing motion at parameter t (inf allowed)."""
-    return _poses([t], *_motion(a, c, [t]))[0]
+    """(position, rotation, frame) arrays of the framing motion at parameter t (inf allowed).
+
+    frame[k] is the k-th frame column, as in ``SampledMotion.frames``; the
+    rotation is not sign-aligned with any neighbour.
+    """
+    q, frame, positions = _motion(a, c, [t])
+    return positions[0], q[:, 0], frame[:, :, 0]
 
 
 def ref_solve_coefficients(space: SolutionSpace, fixed: dict[int, F]):
@@ -714,3 +721,135 @@ def ref_solve_coefficients(space: SolutionSpace, fixed: dict[int, F]):
     for r, p in enumerate(pivots):
         y[p] = red[r][n]
     return space.combination(y)
+
+
+# -- Per-pose export path --------------------------------------------------------
+# The writers as they were when sample_motion built one object per pose and
+# the CLI took those apart again; the export tests compare the array writers
+# with them byte for byte.
+
+
+@dataclass(frozen=True)
+class RefPose:
+    parameter: float
+    position: tuple[float, float, float]
+    rotation: tuple[float, float, float, float]
+    frame: tuple[tuple[float, float, float], ...]
+
+
+def ref_poses(ts, q, frame, positions) -> list[RefPose]:
+    return [
+        RefPose(t, tuple(p), tuple(r), tuple(map(tuple, f)))
+        for t, p, r, f in zip(
+            ts, positions.tolist(), q.T.tolist(), frame.transpose(2, 0, 1).tolist()
+        )
+    ]
+
+
+def ref_sample_motion(a: QP, c: RationalCurve, n: int) -> list[RefPose]:
+    ts = angle_parameters(n)
+    q, frame, positions = _motion(a, c, ts)
+    prod = q[:, :-1] * q[:, 1:]
+    sign = 1.0
+    signs = [sign]
+    for dot in (prod[0] + prod[1] + prod[2] + prod[3]).tolist():
+        sign = -1.0 if sign * dot < 0.0 else 1.0
+        signs.append(sign)
+    return ref_poses(ts, q * np.array(signs), frame, positions)
+
+
+def ref_pose_dict(p: RefPose) -> dict:
+    return {
+        "parameter": cli._finite_or_str(p.parameter),
+        "position": list(p.position),
+        "rotation": list(p.rotation),
+        "frame": [list(col) for col in p.frame],
+    }
+
+
+def ref_frames_rows(poses):
+    return [
+        (cli._finite_or_str(p.parameter),) + p.position + p.rotation
+        + tuple(v for col in p.frame for v in col)
+        for p in poses
+    ]
+
+
+def ref_csv(rows, header) -> str:
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def ref_bundle_samples(a: QP, c: RationalCurve, n: int) -> dict:
+    """The bundle's ``samples`` section at n poses."""
+    poses = ref_sample_motion(a, c, n)
+    speeds = speed_function(c).eval_floats([p.parameter for p in poses]).tolist()
+    return {
+        "positions": [list(p.position) for p in poses],
+        "poses": [ref_pose_dict(p) for p in poses],
+        "speed": speeds,
+    }
+
+
+def ref_frames(bundle, n: int, fmt: str) -> str:
+    """``phforge frames`` output in format json or csv."""
+    poses = ref_sample_motion(bundle.generator, bundle.curve, n)
+    if fmt == "json":
+        return cli._json([ref_pose_dict(p) for p in poses])
+    header = "parameter,px,py,pz,qw,qx,qy,qz,tx,ty,tz,bx,by,bz,cx,cy,cz".split(",")
+    return ref_csv(ref_frames_rows(poses), header)
+
+
+def ref_sample_positions(bundle, n: int):
+    params = angle_parameters(n)
+    return params, bundle.curve.eval_floats(params).tolist()
+
+
+def ref_svg(bundle, n: int) -> str:
+    """``phforge sample --format svg`` output, one point at a time."""
+    params, positions = ref_sample_positions(bundle, n)
+    speed = speed_function(bundle.curve)
+    angles = [2.0 * math.pi * j / n for j in range(n)]
+    speeds = speed.eval_floats(params).tolist()
+
+    px, py = cli._project(positions, bundle.config.view)
+    w, h, pad = 640.0, 880.0, 40.0
+    span = max(px.max() - px.min(), py.max() - py.min()) or 1.0
+    scale = (w - 2 * pad) / span
+    cx = (px.max() + px.min()) / 2
+    cy = (py.max() + py.min()) / 2
+
+    def curve_pt(i):
+        return (
+            w / 2 + (px[i] - cx) * scale,
+            h * 0.35 - (py[i] - cy) * scale,
+        )
+
+    smax = max(abs(s) for s in speeds) or 1.0
+    rad = (w - 2 * pad) / 2.0
+    polar_c = (w / 2, h * 0.78)
+
+    def polar_pt(i):
+        r = abs(speeds[i]) / smax * rad * 0.9
+        return (polar_c[0] + r * math.cos(angles[i]), polar_c[1] - r * math.sin(angles[i]))
+
+    def path(points):
+        coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in points)
+        return f'<polygon fill="none" stroke="black" stroke-width="1.2" points="{coords}"/>'
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" height="{h:.0f}" '
+        f'viewBox="0 0 {w:.0f} {h:.0f}">',
+        '<rect width="100%" height="100%" fill="white"/>',
+        path([curve_pt(i) for i in range(n)]),
+        f'<circle cx="{polar_c[0]}" cy="{polar_c[1]}" r="2" fill="black"/>',
+        path([polar_pt(i) for i in range(n)]),
+        f'<text x="{w/2:.0f}" y="{h*0.55:.0f}" text-anchor="middle" '
+        'font-family="sans-serif" font-size="14">orthographic projection</text>',
+        f'<text x="{w/2:.0f}" y="{h*0.97:.0f}" text-anchor="middle" '
+        'font-family="sans-serif" font-size="14">speed polar plot</text>',
+        "</svg>",
+    ]
+    return "\n".join(parts) + "\n"

@@ -18,7 +18,7 @@ from phforge import cli
 from phforge.cli import load_bundle, main
 from phforge.polynomial import Polynomial as P
 from phforge.quaternion import Quaternion as Q, QuaternionPolynomial as QP
-from phforge.rationals import parse_rational
+from phforge.rationals import format_rational, parse_rational
 
 
 EX2_CONFIG = {
@@ -452,6 +452,20 @@ def _generator_bundle(coefficients):
     return write
 
 
+def _large_curve_bundle(largest):
+    # the bundle with its curve numerators scaled so the largest coefficient is `largest`
+    def write(bundle_path, tmp_path):
+        data = json.loads(Path(bundle_path).read_text())
+        nums = [[parse_rational(c) for c in n] for n in data["curve"]["numerators"]]
+        scale = F(largest) / max(abs(c) for n in nums for c in n)
+        data["curve"]["numerators"] = [[format_rational(c * scale) for c in n] for n in nums]
+        path = tmp_path / "large_curve.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    return write
+
+
 def _non_ph_bundle(bundle_path, tmp_path):
     data = json.loads(Path(bundle_path).read_text())
     data["curve"]["numerators"][0] = ["0", "1"]
@@ -477,6 +491,22 @@ FAILURES = {
     "generator-false": ("frames", _generator_bundle(False), [], 4),
     "generator-empty-string": ("frames", _generator_bundle(""), [], 4),
     "generator-empty-object": ("frames", _generator_bundle({}), [], 4),
+    # coefficients beyond float range: 10^308 still converts, the speed's squares do not
+    **{
+        f"curve-overflow-{command}-{fmt}": (command, _large_curve_bundle(10**400), ["--format", fmt], 4)
+        for command, formats in (("sample", ("json", "csv", "obj", "svg")), ("frames", ("json", "csv")))
+        for fmt in formats
+    },
+    "speed-overflow-sample-svg": ("sample", _large_curve_bundle(10**308), ["--format", "svg"], 4),
+    **{
+        f"generator-overflow-frames-{fmt}": (
+            "frames",
+            _generator_bundle([[str(int(v) * 10**400) for v in q] for q in EX2_CONFIG["quaternion"]]),
+            ["--format", fmt],
+            4,
+        )
+        for fmt in ("json", "csv")
+    },
 }
 # --out under tmp_path, "out" unless named here
 OUT_PATHS = {"unwritable-out": "missing-dir/out"}
@@ -494,6 +524,18 @@ def test_failure_prints_one_error_line_and_writes_nothing(bundle_path, tmp_path,
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "case, field",
+    [("curve-overflow-frames-csv", "curve"), ("speed-overflow-sample-svg", "curve"),
+     ("generator-overflow-frames-json", "generator.coefficients")],
+)
+def test_overflow_names_the_field(bundle_path, tmp_path, capsys, case, field):
+    command, config, extra, _ = FAILURES[case]
+    capsys.readouterr()
+    main([command, "--config", config(bundle_path, tmp_path)] + extra)
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
 def test_v1_bundle_exports_like_v2(bundle_path, tmp_path, capsys):

@@ -147,13 +147,12 @@ class TestConvexHull:
 class TestPoses:
     def test_identity_generator_gives_identity_frame(self):
         curve = circle_curve()
-        pose = ref_pose(QP([QONE]), curve, 0.3)
-        assert np.allclose(np.array(pose.frame).T, np.eye(3), atol=1e-15)
+        _, _, frame = ref_pose(QP([QONE]), curve, 0.3)
+        assert np.allclose(frame.T, np.eye(3), atol=1e-15)
 
     def test_tangent_axis_parallel_to_derivative(self):
         prob, curve = reference_curve()
-        pose = ref_pose(prob.a_poly, curve, 0.0)
-        frame = np.array(pose.frame).T
+        frame = ref_pose(prob.a_poly, curve, 0.0)[2].T
         assert np.abs(frame.T @ frame - np.eye(3)).max() < 1e-12
         hodo = np.array([float(h.evaluate(F(0))) for h in curve.hodograph()])
         hodo /= np.linalg.norm(hodo)
@@ -161,12 +160,12 @@ class TestPoses:
 
     def test_limits_agree_at_infinity(self):
         prob, curve = reference_curve()
-        plus = ref_pose(prob.a_poly, curve, 1e7)
-        minus = ref_pose(prob.a_poly, curve, -1e7)
-        assert max(abs(a - b) for a, b in zip(plus.position, minus.position)) < 1e-6
+        plus_position, plus_rotation, _ = ref_pose(prob.a_poly, curve, 1e7)
+        minus_position, minus_rotation, _ = ref_pose(prob.a_poly, curve, -1e7)
+        assert np.abs(plus_position - minus_position).max() < 1e-6
         qdiff = min(
-            math.sqrt(sum((a - b) ** 2 for a, b in zip(plus.rotation, minus.rotation))),
-            math.sqrt(sum((a + b) ** 2 for a, b in zip(plus.rotation, minus.rotation))),
+            np.linalg.norm(plus_rotation - minus_rotation),
+            np.linalg.norm(plus_rotation + minus_rotation),
         )
         assert qdiff < 1e-6
 
@@ -175,7 +174,7 @@ class TestPoses:
         rng = np.random.default_rng(5)
         worst = 0.0
         for t in rng.standard_cauchy(1000):
-            frame = np.array(ref_pose(prob.a_poly, curve, float(t)).frame).T
+            frame = ref_pose(prob.a_poly, curve, float(t))[2].T
             worst = max(worst, float(np.abs(frame.T @ frame - np.eye(3)).max()))
             assert abs(np.linalg.det(frame) - 1.0) < 1e-12
         assert worst <= 1e-12
@@ -187,9 +186,9 @@ class TestSampleMotion:
         prob = SynthesisProblem(QP([QJ, QONE]), poles_single(0, 1, 2))
         space = build_residue_system(prob)
         curve = synthesize_curve(prob, space.basis[0])
-        poses = sample_motion(prob.a_poly, curve, 4)
-        assert math.isinf(poses[0].parameter)
-        pos = np.array([p.position for p in poses])
+        motion = sample_motion(prob.a_poly, curve, 4)
+        assert math.isinf(motion.parameters[0])
+        pos = motion.positions
         center = pos.mean(axis=0)
         radii = np.linalg.norm(pos - center, axis=1)
         assert np.allclose(radii, radii[0], atol=1e-12)
@@ -198,17 +197,15 @@ class TestSampleMotion:
 
     def test_gap_bound_on_reference_curve(self):
         prob, curve = reference_curve()
-        poses = sample_motion(prob.a_poly, curve, 256)
-        pos = np.array([p.position for p in poses])
+        pos = sample_motion(prob.a_poly, curve, 256).positions
         gaps = np.linalg.norm(np.diff(np.vstack([pos, pos[:1]]), axis=0), axis=1)
         diag = np.linalg.norm(pos.max(axis=0) - pos.min(axis=0))
         assert gaps.max() < 0.1 * diag
 
     def test_quaternion_continuity(self):
         prob, curve = reference_curve()
-        poses = sample_motion(prob.a_poly, curve, 128)
-        for p, q in zip(poses, poses[1:]):
-            assert sum(a * b for a, b in zip(p.rotation, q.rotation)) > 0
+        rotations = sample_motion(prob.a_poly, curve, 128).rotations
+        assert np.all((rotations[:-1] * rotations[1:]).sum(axis=1) > 0)
 
     def test_minimum_pose_count(self):
         prob, curve = reference_curve()
@@ -219,9 +216,9 @@ class TestSampleMotion:
         # angle 0 is t = inf; angles pi/2 and 3pi/2 round to |t| just below 1,
         # so the exact chart edges t = +-1 and their neighbours are added
         prob, curve = reference_curve()
-        poses = sample_motion(prob.a_poly, curve, 2048)
+        motion = sample_motion(prob.a_poly, curve, 2048)
         edges = [1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(-1.0, -2.0)]
-        ts = [p.parameter for p in poses] + edges
+        ts = motion.parameters + edges
         assert math.isinf(ts[0]) and abs(ts[512]) == abs(ts[1536]) == math.nextafter(1.0, 0.0)
         limit = closure_point(curve)
         exact = np.array(
@@ -230,13 +227,17 @@ class TestSampleMotion:
                 for t in ts
             ]
         )
-        sampled = np.vstack([[p.position for p in poses], curve.eval_floats(edges)])
+        sampled = np.vstack([motion.positions, curve.eval_floats(edges)])
         err = np.linalg.norm(sampled - exact, axis=1)
         assert np.all(err <= 1e-12 * np.linalg.norm(exact, axis=1))
-        for pose in poses:
-            single = ref_pose(prob.a_poly, curve, pose.parameter)
-            assert (single.position, single.frame) == (pose.position, pose.frame)
-            assert single.rotation in (pose.rotation, tuple(-v for v in pose.rotation))
+        rows = zip(motion.parameters, motion.positions, motion.rotations, motion.frames)
+        for t, position, rotation, frame in rows:
+            single_position, single_rotation, single_frame = ref_pose(prob.a_poly, curve, t)
+            assert np.array_equal(single_position, position)
+            assert np.array_equal(single_frame, frame)
+            assert np.array_equal(single_rotation, rotation) or np.array_equal(
+                single_rotation, -rotation
+            )
 
     def test_vanishing_generator_rejected(self):
         # A = t vanishes at t = 0, the parameter of angle pi for even n

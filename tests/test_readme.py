@@ -10,4 +10,6 @@ def test_readme_library_example_runs():
     block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
-    assert len(namespace["poses"]) == 256
+    motion = namespace["motion"]
+    assert len(motion.parameters) == 256
+    assert motion.positions.shape == (256, 3) and motion.rotations.shape == (256, 4)
