@@ -4,8 +4,8 @@ Each ``cmd_*`` function returns the text it outputs; ``main`` alone reads the
 input, writes the output (to ``--out`` or stdout) and turns a failure into
 one ``error: `` line on stderr and the ``exit_code`` of its error class:
 2 empty residue kernel or impossible degree bookkeeping (a negative
-numerator degree), 3 no certificate (a failed hull gate, an infeasible or
-indeterminate positivity search, a failed regularity check), 4 parse/usage
+numerator degree), 3 no certificate (a failed hull gate, an indeterminate
+positivity search, a failed regularity check), 4 parse/usage
 errors, an unreadable input, bundle coefficients beyond the float range
 and an unwritable ``--out`` included.  All exact data is serialized as
 rational strings; sampled data as floats.  JSON outputs are compact, one
@@ -339,9 +339,10 @@ def cmd_synth(cfg: ProblemConfig, force: bool) -> str:
             f"(best trace-normalized eigenvalue {base.min_eigenvalue:.3e}{bound})"
         )
     results = [base]
-    # additional solutions for weighted averaging: bias the objective so the
-    # central path lands on different interior points, sized against the
-    # base witness so the perturbation is a fraction of the margin scale
+    # additional solutions for weighted averaging: bias the objective, one
+    # Gaussian per kernel coordinate, so the dual path lands on different
+    # interior points, sized against the base witness's kernel coordinates
+    # so the perturbation is a fraction of the margin scale
     x_base = [abs(v) for v in base.witness_x]
     x_ref = sum(x_base) / len(x_base) or 1.0
     for _ in range(len(cfg.weights) - 1):

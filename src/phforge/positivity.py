@@ -1,26 +1,22 @@
 """Strict positivity of the speed numerator via sum-of-squares feasibility.
 
-A numerator mu of even degree m is strictly positive iff it is a sum of
-squares, i.e. iff some symmetric Gram matrix M with mu(t) = (1,t,..,t^{m/2})
-M (1,t,..)^T is positive definite.  The residue conditions are linear in mu,
-so they carve a linear slice out of the symmetric matrices; finding a
-positive definite point in that slice is a semidefinite feasibility problem.
-The slice is written down in closed form, in floats: the Gram matrix only
-guides the search, and the one exact object is the numerator mu.
-
-The solver here is a dense, self-contained barrier interior point.  The
-Gram matrix is n x n with n = m/2 + 1 and the slice has d coordinates:
-n = 11, d = 57 on (t^2+4)^8 (t^2+t+3)^6, and n = 27, d = 363 on
-(t^2+4)^10 (t^2+t+3)^10 (t^2+t+2)^10.  Each Newton step is a few BLAS
-products over the basis matrices kept flat as a d x n^2 array: the batched
-W B_a W, one (d x n^2)(n^2 x d) product for the Hessian, and one d x n^2
-matrix-vector product for the gradient.  One call computes one central path
-for a whole ladder of margins; a margin only decides at which point of that
-path the exact gate is tried.  At a centred point the barrier's duality gap
-n/t_bar bounds the optimum, so without a bias the path stops as soon as that
-bound rules out every margin still open.  Floating output is never trusted:
-the witness's kernel coordinates are rounded on a power-of-two grid, and
-strict positivity of the exact mu they give is certified with a Sturm count.
+A numerator mu of even degree m is strictly positive iff some Gram matrix G
+with mu(t) = v(t) G v(t)^T is positive definite, here in the weighted basis
+v(t)_i = w_i t^i, w_i = sqrt(C(n-1, i)), n = m/2 + 1, where G = I/n stands
+for (1 + t^2)^(n-1) / n.  The residue conditions are linear in mu, so they
+carve a slice out of the symmetric matrices.  The search maximises
+lambda_min(G) over the trace-one slice through its dual (moment) form,
+min nu s.t. Z = nu*I + H_w(h) >= 0, tr Z = 1, h in K^perp, where K^perp is
+the complement of the residue kernel K in the numerator coefficients and
+H_w(h)_il = w_i w_l h_(i+l) (Loefberg & Parrilo, "From coefficients to
+samples", CDC 2004; Nesterov, "Squared functional systems and optimization
+problems", 2000).  Its m + 1 - dim K unknowns are 3, 9 or 15 for one, two
+or three pole factors of the reference generator, against up to 363 slice
+coordinates.  Every dual iterate passed Cholesky, so by weak duality its nu
+bounds the optimum, and the primal witness is recovered from Z.  Floating
+output is never trusted: the witness's kernel coordinates are rounded on a
+power-of-two grid, and the exact mu they give is certified with a Sturm
+count.
 """
 
 from __future__ import annotations
@@ -39,12 +35,13 @@ from .ratfunc import sturm_real_root_count
 from .synthesis import SolutionSpace
 
 FEASIBLE = "feasible"
-INFEASIBLE = "infeasible-numerically"
 INDETERMINATE = "indeterminate"
-# caps on the barrier path: outer steps (each multiplies t_bar by 20) and
-# Newton steps per outer step
-MAX_OUTER = 60
+# the barrier path: t grows by PATH_GROWTH per outer step, each of at most
+# MAX_NEWTON Newton steps; an outer step is centred once the squared Newton
+# decrement falls below CENTRED
+PATH_GROWTH = 10.0
 MAX_NEWTON = 40
+CENTRED = 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,28 +72,31 @@ def certify_regular(mu: Polynomial) -> RegularityCertificate:
 
 
 class GramSlice:
-    """Float basis of the symmetric matrices whose numerator lies in the kernel.
+    """The trace-one Gram matrices whose numerator lies in the residue kernel.
 
-    The numerator of a Gram matrix is its antidiagonal sums.  ``kernel``
-    holds the residue kernel's basis, each vector scaled exactly by a power
-    of two so that its largest coefficient lies in [1/2, 1).  The first
-    ``len(kernel)`` basis matrices are their Hankel matrices: entry (i, j)
-    is coefficient i + j over the number of cells on that antidiagonal, so
-    its numerator is the scaled vector.  The rest are the standard basis of
-    symmetric matrices whose antidiagonal sums are zero.  The first slice
-    coordinates are therefore the kernel coordinates of the numerator, and
-    no other coordinate changes it.  ``float_basis`` is read-only.
+    ``dimension`` is n, the Gram matrices' size.  ``kernel`` holds the
+    residue kernel's basis, each vector scaled exactly by a power of two so
+    that its largest coefficient lies in [1/2, 1).  ``weights`` holds the
+    w_i.  ``maps`` holds the traceless Hankel matrices
+    A_j = H_w(r_j) - offsets[j] * I of an orthonormal basis r_j of K^perp,
+    with ``offsets[j]`` = tr H_w(r_j) / n.  Since <H_w(h), G> = h . A_w(G),
+    where A_w(G)_k = sum_{i+l=k} w_i w_l G_il is G's numerator, G lies in
+    the slice exactly when tr G = 1 and <H_w(r_j), G> = 0 for every j.  The
+    arrays are read-only.
     """
 
-    def __init__(self, dimension: int, kernel, float_basis):
+    def __init__(self, dimension: int, kernel, weights, maps, offsets):
         self.dimension = dimension
         self.kernel = tuple(kernel)
-        self.float_basis = float_basis
-        self.float_basis.flags.writeable = False
+        self.weights, self.maps, self.offsets = weights, maps, offsets
+        for array in (weights, maps, offsets):
+            array.flags.writeable = False
 
     @property
     def slice_dimension(self) -> int:
-        return len(self.float_basis)
+        """k + n(n+1)/2 - (m+1): kernel coordinates plus zero-antidiagonal matrices."""
+        n = self.dimension
+        return len(self.kernel) + n * (n + 1) // 2 - (2 * n - 1)
 
 
 def _scaled_to_unit(b: Polynomial) -> Polynomial:
@@ -108,38 +108,49 @@ def _scaled_to_unit(b: Polynomial) -> Polynomial:
     return b * Fraction(1, 1 << max(map(abs, b.ints)).bit_length())
 
 
-def build_gram_slice(space: SolutionSpace) -> GramSlice:
-    """All symmetric matrices whose induced numerator lies in the kernel.
+def _float_rows(polys, n: int) -> np.ndarray:
+    """The polynomials' float coefficients, ascending and padded to 2n - 1, as rows."""
+    rows = np.zeros((len(polys), 2 * n - 1))
+    for row, p in zip(rows, polys):
+        row[: p.degree + 1] = p.float_coeffs()
+    return rows
 
-    The slice dimension is kernel_dim + (n(n+1)/2 - (m+1)) free Gram
-    directions, n = m/2 + 1, m the problem's numerator degree.  An empty
-    kernel admits no curve at all and raises EmptyKernelError.
+
+def _hankel(weights, h) -> np.ndarray:
+    """H_w(h) for each row h of coefficients: entry (i, l) is w_i w_l h_(i+l)."""
+    n = len(weights)
+    return np.outer(weights, weights) * h[..., np.add.outer(np.arange(n), np.arange(n))]
+
+
+def _numerator(weights, gram) -> np.ndarray:
+    """A_w(G), the adjoint of H_w: the weighted antidiagonal sums of G."""
+    n = len(weights)
+    cells = (np.outer(weights, weights) * gram).ravel()
+    return np.bincount(np.add.outer(np.arange(n), np.arange(n)).ravel(), cells, 2 * n - 1)
+
+
+def build_gram_slice(space: SolutionSpace) -> GramSlice:
+    """The Gram slice of the problem's residue kernel, in the dual's terms.
+
+    K^perp is read off one complete QR factorisation of the float kernel
+    basis.  An empty kernel admits no curve at all and raises
+    EmptyKernelError.
     """
     if not space.basis:
         raise EmptyKernelError(
             "residue conditions admit only the zero numerator; "
             "raise the pole multiplicities"
         )
-    m = space.problem.m
-    n = m // 2 + 1
+    n = space.problem.m // 2 + 1
     kernel = [_scaled_to_unit(b) for b in space.basis]
-    anti = np.add.outer(np.arange(n), np.arange(n))
-    cells = np.minimum(anti, 2 * n - 2 - anti) + 1
-    mats = []
-    for b in kernel:
-        coeffs = np.zeros(2 * n - 1)
-        coeffs[: b.degree + 1] = b.float_coeffs()
-        mats.append(coeffs[anti] / cells)
-    for k in range(m + 1):
-        # upper cells (i, k - i), i <= k - i; each other one trades against the last
-        upper = [(i, k - i) for i in range(max(0, k - n + 1), k // 2 + 1)]
-        r, s = upper[-1]
-        for i, j in upper[:-1]:
-            mat = np.zeros((n, n))
-            mat[i, j] = mat[j, i] = 1.0
-            mat[r, s] = mat[s, r] = -2.0 if r == s else -1.0
-            mats.append(mat)
-    return GramSlice(n, kernel, np.array(mats))
+    weights = np.sqrt([float(math.comb(n - 1, i)) for i in range(n)])
+    # ||H_w(h)||_F^2 = sum_k C(m, k) h_k^2, so the complement q_j of the kernel
+    # scaled by 1/sqrt(C(m, k)), scaled back, gives orthonormal H_w(r_j)
+    scale = np.sqrt([float(math.comb(2 * n - 2, k)) for k in range(2 * n - 1)])
+    q, _ = np.linalg.qr((_float_rows(kernel, n) / scale).T, mode="complete")
+    hankel = _hankel(weights, q[:, len(kernel) :].T / scale)
+    offsets = np.trace(hankel, axis1=1, axis2=2) / n
+    return GramSlice(n, kernel, weights, hankel - offsets[:, None, None] * np.eye(n), offsets)
 
 
 @dataclass(frozen=True)
@@ -150,13 +161,15 @@ class FeasibilityResult:
     witness's kernel coordinates are rounded on a power-of-two grid and the
     numerator they give, ``witness_mu``, is re-verified by a Sturm count, so
     a floating solver cannot produce a false positive.  ``witness_x`` holds
-    the float slice coordinates of the point that was gated (or of the best
-    point found).  ``margin`` is the ladder margin that certified (None
-    unless feasible); ``relaxation_log`` holds one
+    the float kernel coordinates of the numerator of the Gram matrix that
+    was gated (or of the best one found; None if the search had no start).
+    ``min_eigenvalue`` is that Gram matrix's least eigenvalue, at trace one
+    in the weighted basis.  ``margin`` is the ladder margin that certified
+    (None unless feasible); ``relaxation_log`` holds one
     ``(margin, status, min_eigenvalue)`` entry per margin tried, in order.
     ``optimum_bound`` is the upper bound on the optimum eigenvalue that
-    proved the result's margin unreachable, the central path's duality gap
-    at a centred step of an unbiased search; None when no bound ruled the
+    proved the result's margin unreachable: the nu of a dual point whose Z
+    passed Cholesky, in an unbiased search; None when no bound ruled the
     margin out.
     """
 
@@ -174,102 +187,100 @@ class FeasibilityResult:
         return self.status == FEASIBLE
 
 
-def _newton_system(flat, w, hess):
-    """Barrier derivatives at W = (M(x) - s*I)^-1, as BLAS products.
+def _barrier_derivatives(flat, factor):
+    """Gradient and Hessian of -log det Z along the maps, from Z's Cholesky factor L.
 
-    ``flat`` holds the n x n basis matrices B_a as rows of length n*n, and
-    every B_a and W is symmetric, so each trace below is a Frobenius
-    product: tr(W B_a) = <B_a, W>, tr(W B_a W B_b) = <W B_a W, B_b>.
-    Writes the Hessian of -log det over (x, s) into the (d+1) x (d+1)
-    ``hess``: tr(W B_a W B_b), the column -tr(W B_a W) and tr(W W).
-    Returns tr(W B_a) for every a.
+    ``flat`` holds the symmetric n x n maps A_j as rows of length n*n.  With
+    M_j = L^-1 A_j L^-T, tr(Z^-1 A_j) = tr M_j and
+    tr(Z^-1 A_j Z^-1 A_l) = <M_j, M_l>, so the gradient is -tr M_j and the
+    Hessian is the Gram matrix of the M_j.
     """
-    d, n = len(flat), len(w)
-    wbw = (w @ flat.reshape(d, n, n) @ w).reshape(d, n * n)
-    hess[:d, :d] = wbw @ flat.T
-    hess[:d, d] = hess[d, :d] = -wbw[:, :: n + 1].sum(axis=1)
-    w_flat = w.ravel()
-    hess[d, d] = w_flat @ w_flat
-    return flat @ w_flat
+    d, n = len(flat), len(factor)
+    inv = np.linalg.inv(factor)
+    white = (inv @ flat.reshape(d, n, n) @ inv.T).reshape(d, n * n)
+    return -white[:, :: n + 1].sum(axis=1), white @ white.T
 
 
-def _central_path(basis, traces, t_norm2, bias):
-    """Yield ``(best_x, best_lam, bound)`` at the start and after each outer step.
+def _dual_path(g: GramSlice, shift, bounded: bool):
+    """Yield ``(best_gram, best_lam, bound)`` at the start and after each outer step.
 
-    The barrier path maximizes s subject to M(x) - s*I >= 0 and
-    trace M(x) = 1 (plus the bias term); it does not depend on any margin.
-    ``best_x`` is replaced, never mutated, so every snapshot stays valid.
-    ``bound`` is an upper bound on the optimum lambda* of the unbiased
-    problem: at a central point W/t_bar is dual feasible with duality gap
-    n/t_bar (Vandenberghe & Boyd, SIAM Review 38, 1996), so lambda* <=
-    s + n/t_bar, doubled here against float error.  It is finite only after
-    an outer step whose Newton loop ended centred (decrement < 1e-16) and
-    when the bias is zero, since a bias makes the gap bound s + bias.x.
+    The dual point is Z(c) = I/n + shift + sum_j c_j A_j with
+    nu(c) = 1/n - offsets . c, so tr Z = 1 by construction and, without a
+    shift, Z = nu*I + H_w(sum_j c_j r_j).  Damped Newton steps (Nesterov's
+    1/(1 + decrement) rule) minimise t*nu(c) - log det Z(c), t growing by
+    PATH_GROWTH per outer step.  One Cholesky factor of Z per step gives the
+    Newton system and tests that the step stays inside the cone.
+
+    ``bound`` is the least nu of any iterate so far, or inf unless
+    ``bounded``: for every slice point G, nu = <Z, G> >= lambda_min(G) as
+    Z >= 0 has trace one, so nu bounds the optimum (weak duality).  A shift
+    adds <shift, G> to <Z, G>: a shifted path bounds another objective.
+
+    After each outer step the primal point G = (Z^-1 + yI)/t,
+    y = (t - tr Z^-1)/n, which lies in the slice when Z is central, is
+    projected onto the slice.  ``best_gram`` is the projected G with the
+    largest least eigenvalue ``best_lam`` so far; it is replaced, never
+    mutated.  A shift that leaves I/n + shift indefinite gives the one
+    snapshot (None, -inf, inf).  The path ends once the gap n/t is below
+    1e-13 or an outer step cannot be centred, which means float precision
+    has run out.
     """
-    d, n, _ = basis.shape
-    flat = basis.reshape(d, n * n)
-
-    def matrix(x):
-        m = (x @ flat).reshape(n, n)
-        return (m + m.T) / 2
-
-    x = traces / t_norm2
-    m_now = matrix(x)
-    lam0 = float(np.linalg.eigvalsh(m_now)[0])
-    s = lam0 - 0.1 * (abs(lam0) + 1.0)
-    best_lam = lam0
-    best_x = x.copy()
-    yield best_x, best_lam, math.inf
-    unbiased = not bias.any()
-    # KKT system of the Newton step: the Hessian block, bordered by the
-    # trace constraint's row and column; the right-hand side is minus the
-    # gradient of -t_bar*(s + bias.x) - log det(M(x) - s*I), then a 0 that
-    # keeps trace M(x) fixed
-    kkt = np.zeros((d + 2, d + 2))
-    kkt[:d, d + 1] = kkt[d + 1, :d] = traces
-    hess = kkt[: d + 1, : d + 1]
-    rhs = np.zeros(d + 2)
+    d, n, _ = g.maps.shape
+    flat = g.maps.reshape(d, n * n)
     eye = np.eye(n)
-    t_bar = 1.0
-    for _ in range(MAX_OUTER):
+    # an orthonormal basis of span{I, H_w(r_j)}: G is in the slice exactly
+    # when basis.T @ G.ravel() == target
+    constraints = np.vstack([eye.ravel(), flat + np.outer(g.offsets, eye.ravel())])
+    basis, r = np.linalg.qr(constraints.T)
+    target = np.linalg.solve(r.T, np.eye(d + 1)[0])
+    z0 = eye / n + shift
+
+    def primal(factor, t):
+        inv = np.linalg.inv(factor)
+        z_inv = inv.T @ inv
+        gram = (z_inv + (t - np.trace(z_inv)) / n * eye) / t
+        gram -= (basis @ (basis.T @ gram.ravel() - target)).reshape(n, n)
+        return gram, float(np.linalg.eigvalsh(gram)[0])
+
+    try:
+        factor = np.linalg.cholesky(z0)
+    except np.linalg.LinAlgError:
+        yield None, -math.inf, math.inf
+        return
+    c = np.zeros(d)
+    t = 1.0
+    bound = 1.0 / n if bounded else math.inf
+    best_gram, best_lam = primal(factor, t)
+    yield best_gram, best_lam, bound
+    centred = True
+    while centred and n / t >= 1e-13:
+        t *= PATH_GROWTH
         centred = False
         for _ in range(MAX_NEWTON):
-            slack = m_now - s * eye
-            try:
-                w = np.linalg.inv(slack)
-            except np.linalg.LinAlgError:
+            grad, hess = _barrier_derivatives(flat, factor)
+            grad -= t * g.offsets
+            step = np.linalg.solve(hess, -grad)
+            decrement = float(-grad @ step)
+            if not decrement >= CENTRED:
+                # a negative or NaN decrement means the float Newton system broke down
+                centred = decrement >= 0.0
                 break
-            w = (w + w.T) / 2
-            rhs[:d] = t_bar * bias + _newton_system(flat, w, hess)
-            rhs[d] = t_bar - np.trace(w)
-            try:
-                dz = np.linalg.solve(kkt, rhs)[: d + 1]
-            except np.linalg.LinAlgError:
-                dz = np.linalg.lstsq(kkt, rhs, rcond=None)[0][: d + 1]
-            decrement = float(rhs[: d + 1] @ dz)
-            step = 1.0
+            alpha = 1.0 / (1.0 + math.sqrt(decrement))
             for _ in range(60):
-                x_new = x + step * dz[:d]
-                s_new = s + step * dz[d]
-                m_new = matrix(x_new)
                 try:
-                    np.linalg.cholesky(m_new - s_new * eye)
+                    factor = np.linalg.cholesky(z0 + ((c + alpha * step) @ flat).reshape(n, n))
                     break
                 except np.linalg.LinAlgError:
-                    step *= 0.5
+                    alpha /= 2.0
             else:
-                break
-            x, s, m_now = x_new, s_new, m_new
-            lam = float(np.linalg.eigvalsh(m_now)[0])
-            if lam > best_lam:
-                best_lam, best_x = lam, x.copy()
-            if decrement < 1e-16:
-                centred = True
-                break
-        yield best_x, best_lam, s + 2.0 * n / t_bar if centred and unbiased else math.inf
-        if n / t_bar < 1e-13:
-            break
-        t_bar *= 20.0
+                break  # float precision leaves no step inside the cone
+            c = c + alpha * step
+            if bounded:
+                bound = min(bound, 1.0 / n - float(g.offsets @ c))
+        gram, lam = primal(factor, t)
+        if lam > best_lam:
+            best_gram, best_lam = gram, lam
+        yield best_gram, best_lam, bound
 
 
 def sdp_feasible_point(
@@ -278,67 +289,51 @@ def sdp_feasible_point(
     *,
     objective_bias=None,
 ) -> FeasibilityResult:
-    """Search the slice for M with lambda_min >= margin under trace(M) = 1.
+    """Search the slice for G with lambda_min(G) >= margin under tr G = 1.
 
-    The solver maximizes s subject to M(x) - s*I >= 0 and trace M(x) = 1 by
-    a log-det barrier method with Newton steps (a dense self-contained
-    interior point; any method achieving the eigenvalue bound conforms
-    equally).  ``margin`` is one positive finite margin or a ladder of them,
-    tried in order until one certifies; the call computes one central path
-    for the whole ladder, and only as far as the ladder reads it.  A margin
-    only places the exact gate: at the first outer step whose best point
-    reaches it, and if that fails, at the end of the path.  An unbiased
-    search stops reading the path for a margin as soon as an outer step
-    that ended centred proves it unreachable: there the duality gap bounds
-    the optimum by s + n/t_bar, taken as s + 2n/t_bar against float error.
-    The gate rounds only the point's kernel coordinates, the first
-    ``len(g.kernel)`` slice coordinates: it divides them by their largest
-    absolute value, rounds them on the grid 2^-20 and, if that fails,
-    2^-40, and certifies the exact numerator sum y_k * g.kernel[k] with the
-    Sturm count, so the floating search is never trusted; each point is
-    gated at most once per call.  A margin the path never reaches, or whose
-    gates fail, yields ``indeterminate`` with the best achieved eigenvalue,
-    which is not a proof of infeasibility; for a margin ruled out early that
-    is the best eigenvalue when it was ruled out, and the bound is
-    ``optimum_bound``.  The result is the first feasible margin's, else the
-    last margin's, with the log of every margin tried.
+    The solver follows the dual barrier path of ``_dual_path`` (any method
+    achieving the eigenvalue bound conforms equally).  ``margin`` is one
+    positive finite margin or a ladder of them, tried in order until one
+    certifies; one path serves the whole ladder, computed only as far as
+    the ladder reads it.  A margin only places the exact gate: at the first
+    outer step whose best point reaches it, and if that fails, at the end of
+    the path.  An unbiased search stops reading the path for a margin once
+    some dual iterate's nu lies below it.  The gate divides the kernel
+    coordinates y of the point's numerator A_w(G) by their largest absolute
+    value, rounds them on the grid 2^-20 and, if that fails, 2^-40, and
+    certifies the exact sum y_k * g.kernel[k] with the Sturm count; each
+    point is gated at most once per call.  A margin the path never reaches,
+    or whose gates fail, yields ``indeterminate`` with the best eigenvalue
+    (when the margin was ruled out, the best when it was, with the bound in
+    ``optimum_bound``), which is not a proof of infeasibility.  The result
+    is the first feasible margin's, else the last margin's, with the log of
+    every margin tried.
 
-    ``objective_bias`` adds a small linear term b.x to the maximized s and
-    steers the solver to different interior points, the analogue of solving
-    the feasibility problem with different cost functions.  It needs one
-    entry per slice coordinate.
+    ``objective_bias`` b, one entry per kernel coordinate, steers the solver
+    to other interior points, as other cost functions would: the search
+    maximises lambda_min(G) + <H_w(K b), G> with K b = sum_k b_k
+    g.kernel[k], by shifting every dual point by the fixed traceless matrix
+    tr H_w(K b)/n * I - H_w(K b).  A biased search reports no bound.
     """
     margins = (margin,) if isinstance(margin, Real) else tuple(margin)
     if not margins or not all(math.isfinite(m) and m > 0 for m in margins):
         raise ValueError("margins must be positive and finite")
-    if objective_bias is not None and len(objective_bias) != g.slice_dimension:
-        raise ValueError(
-            f"objective_bias has {len(objective_bias)} entries, "
-            f"the slice has dimension {g.slice_dimension}"
-        )
-
-    def infeasible():
-        log = tuple((m, INFEASIBLE, float("-inf")) for m in margins)
-        return FeasibilityResult(INFEASIBLE, None, None, float("-inf"), relaxation_log=log)
-
-    if g.slice_dimension == 0:
-        return infeasible()
-    raw = g.float_basis
-    # Frobenius normalization only conditions the float search; coordinates
-    # are mapped back to the original basis before the gate rounds them.
-    scale = np.sqrt(np.einsum("aij,aij->a", raw, raw))
-    basis = raw / scale[:, None, None]
-    traces = np.einsum("aii->a", basis)
-    t_norm2 = float(traces @ traces)
-    if t_norm2 == 0.0:
-        # no trace-normalized point exists in the slice
-        return infeasible()
-    bias = np.zeros(len(basis))
+    n = g.dimension
+    rows = _float_rows(g.kernel, n)
+    shift = np.zeros((n, n))
     if objective_bias is not None:
-        # given in original slice coordinates; x_orig = x_scaled / scale
-        bias = np.asarray([float(v) for v in objective_bias]) / scale
+        if len(objective_bias) != len(g.kernel):
+            raise ValueError(
+                f"objective_bias has {len(objective_bias)} entries, "
+                f"the kernel has dimension {len(g.kernel)}"
+            )
+        h = _hankel(g.weights, np.asarray([float(v) for v in objective_bias]) @ rows)
+        shift = np.trace(h) / n * np.eye(n) - h
 
-    steps = _central_path(basis, traces, t_norm2, bias)
+    def coordinates(gram):
+        return np.linalg.lstsq(rows.T, _numerator(g.weights, gram), rcond=None)[0]
+
+    steps = _dual_path(g, shift, not shift.any())
     path = [next(steps)]  # snapshots computed so far; path[0] is the start
 
     def deciding(m):
@@ -359,14 +354,12 @@ def sdp_feasible_point(
             k += 1
 
     gates = {}
-    kernel_dim = len(g.kernel)
 
-    def exact_gate(x_scaled, lam):
-        # best_lam rises strictly whenever best_x moves, so it names the point
+    def exact_gate(gram, lam):
+        # best_lam rises strictly whenever best_gram moves, so it names the point
         if lam not in gates:
             gates[lam] = None
-            x_orig = np.asarray(x_scaled) / scale
-            y = x_orig[:kernel_dim]
+            y = coordinates(gram)
             top = float(np.max(np.abs(y)))
             # all-zero kernel coordinates give mu = 0, which certifies nothing
             for bits in (20, 40) if top > 0.0 else ():
@@ -378,7 +371,7 @@ def sdp_feasible_point(
                 cert = certify_regular(mu)
                 if cert:
                     gates[lam] = FeasibilityResult(
-                        FEASIBLE, tuple(map(float, x_orig)), mu, float(lam), cert
+                        FEASIBLE, tuple(map(float, y)), mu, float(lam), cert
                     )
                     break
         return gates[lam]
@@ -389,22 +382,19 @@ def sdp_feasible_point(
         result = bound = None
         if snapshot is not None and snapshot[1] < m:
             # the bound proves m unreachable: report the best point so far
-            best_x, best_lam, bound = snapshot
+            best_gram, best_lam, bound = snapshot
         else:
             if snapshot is not None:
                 result = exact_gate(*snapshot[:2])
             if result is None:
                 path.extend(steps)
-                best_x, best_lam, _ = path[-1]
+                best_gram, best_lam, _ = path[-1]
                 if best_lam >= m:
-                    result = exact_gate(best_x, best_lam)
+                    result = exact_gate(best_gram, best_lam)
         if result is None:
+            witness = None if best_gram is None else tuple(map(float, coordinates(best_gram)))
             result = FeasibilityResult(
-                INDETERMINATE,
-                tuple(map(float, best_x / scale)),
-                None,
-                float(best_lam),
-                optimum_bound=bound,
+                INDETERMINATE, witness, None, float(best_lam), optimum_bound=bound
             )
         log.append((m, result.status, result.min_eigenvalue))
         if result.is_feasible:

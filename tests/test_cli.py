@@ -177,12 +177,30 @@ class TestSynth:
         loaded = load_bundle(out)
         assert build_residue_system(SynthesisProblem(loaded.generator, loaded.config.poles)).contains(mu)
 
+    @pytest.mark.parametrize(
+        "poles",
+        [((0, 4, 16),), ((0, 4, 18),), ((0, 4, 10), (1, 3, 10)), ((0, 4, 8), (1, 3, 6), (1, 2, 4))],
+        ids=["(0,4)^16", "(0,4)^18", "(0,4)^10.(1,3)^10", "(0,4)^8.(1,3)^6.(1,2)^4"],
+    )
+    def test_large_multiplicities_certify(self, tmp_path, poles):
+        # these exited 3 while the search ran on the unweighted primal slice
+        cfg_data = json.loads(json.dumps(EX2_CONFIG))
+        cfg_data["poles"] = [{"b": str(b), "c": str(c), "multiplicity": m} for b, c, m in poles]
+        out = str(tmp_path / "o.json")
+        assert main(["synth", "--config", write_config(tmp_path, cfg_data), "--out", out]) == 0
+        bundle = json.loads(Path(out).read_text())
+        mu = P([parse_rational(v) for v in bundle["mu"]])
+        assert sturm_real_root_count(mu) == 0 and mu.leading() > 0
+        assert bundle["diagnostics"]["margin_achieved"] >= cli.MARGIN_FLOOR
+        loaded = load_bundle(out)
+        assert build_residue_system(SynthesisProblem(loaded.generator, loaded.config.poles)).contains(mu)
+
     def test_no_positive_numerator_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, with_multiplicity(5))
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 3
 
     def test_exit_3_reports_optimum_bound(self, tmp_path, capsys):
-        # the central path proves the whole ladder unreachable and says so
+        # the dual path proves the whole ladder unreachable and says so
         cfg = write_config(tmp_path, with_multiplicity(5))
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 3
         err = capsys.readouterr().err

@@ -10,7 +10,7 @@ changes it.
 A second digest pins what ``synth`` certifies on the six benchmark pole
 structures of the reference generator: ``mu`` and the curve's numerators and
 denominator.  These pass through the float SDP search, so a change to the
-central path that moves the gated point changes this digest even when the
+dual path that moves the gated point changes this digest even when the
 exact core is untouched.
 """
 
@@ -31,7 +31,7 @@ from phforge.cli import main
 from helpers import generator_deg3, random_synthesized_problems
 
 PINNED_SHA256 = "454768cf37c237f00de3b4a21edad9cd8319918edb193227cbb1131fb11286dd"
-SYNTH_PINNED_SHA256 = "aa7625252aea8d94abf299dfb68922057b809ae75d6187b5652bd5e63e49154e"
+SYNTH_PINNED_SHA256 = "c9b8c89dc54572802d5a2c0097906dce12f755316c1619d11692c2d21c2227b6"
 # the synth-fixtures pole structures, (b, c, multiplicity) per factor, and weights
 SYNTH_FIXTURES = (
     (((0, 4, 6),), None),

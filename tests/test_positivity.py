@@ -21,7 +21,7 @@ from phforge import (
     synthesize_curve,
 )
 from phforge import positivity
-from phforge.positivity import _central_path, _newton_system
+from phforge.positivity import _barrier_derivatives, _dual_path, _float_rows, _hankel, _numerator
 from phforge.quaternion import QJ, QONE
 
 from helpers import MU0, MU2, antidiagonal_sums, generator_deg3, poles_single
@@ -70,9 +70,23 @@ def eigvals(mat):
     return np.linalg.eigvalsh(np.array([[float(v) for v in row] for row in mat]))
 
 
-def float_antidiagonal_sums(mat):
+def hankel_constraints(slice_):
+    """The matrices H_w(r_j) = A_j + offsets_j * I of the K^perp basis."""
+    return slice_.maps + slice_.offsets[:, None, None] * np.eye(slice_.dimension)
+
+
+def complement_basis(slice_):
+    """The K^perp basis r_j, read off the first row and last column of each H_w(r_j)."""
+    n, w = slice_.dimension, slice_.weights
+    cells = [(0, k) for k in range(n)] + [(k, n - 1) for k in range(1, n)]
+    return np.array([[h[i, l] / (w[i] * w[l]) for i, l in cells] for h in hankel_constraints(slice_)])
+
+
+def weighted(mat):
+    """The Gram matrix in the weighted basis of a Gram matrix in the monomial basis."""
     n = len(mat)
-    return np.bincount(np.add.outer(np.arange(n), np.arange(n)).ravel(), weights=mat.ravel())
+    w = np.sqrt([float(math.comb(n - 1, i)) for i in range(n)])
+    return np.array([[float(v) for v in row] for row in mat]) / np.outer(w, w)
 
 
 class TestGramSlice:
@@ -80,14 +94,15 @@ class TestGramSlice:
         _, slice_ = reference_slice()
         assert slice_.dimension == 3
         assert slice_.slice_dimension == 3
-        mine = slice_.float_basis.reshape(3, 9)
-        known = np.array(
-            [[float(m[i][j]) for i in range(3) for j in range(3)] for m in (SLICE_M0, SLICE_M1, SLICE_M2)]
-        )
-        # equal dimensions, and the known matrices are combinations of the slice basis
-        assert np.linalg.matrix_rank(mine) == 3
-        coords = np.linalg.lstsq(mine.T, known.T, rcond=None)[0]
-        assert np.allclose(mine.T @ coords, known.T, rtol=0.0, atol=1e-12 * np.abs(known).max())
+        # m + 1 - k = 5 - 2 equations cut the slice out of the 6 symmetric 3 x 3
+        # matrices, and the three known matrices satisfy all of them
+        hankel = hankel_constraints(slice_)
+        assert hankel.shape == (3, 3, 3)
+        known = [weighted(m) for m in (SLICE_M0, SLICE_M1, SLICE_M2)]
+        assert np.linalg.matrix_rank(np.array(known).reshape(3, 9)) == 3
+        for mat in known:
+            scale = np.abs(mat).max() * np.abs(hankel).max()
+            assert np.allclose(np.einsum("aij,ij->a", hankel, mat), 0.0, rtol=0.0, atol=1e-13 * scale)
 
     def test_slice_polynomials_lie_in_kernel(self):
         space, slice_ = reference_slice()
@@ -109,25 +124,55 @@ class TestGramSlice:
         assert slice_.dimension == 1 and slice_.slice_dimension == 1
         (b,) = slice_.kernel
         assert b.degree == 0 and F(1, 2) <= abs(b.leading()) < 1
-        assert slice_.float_basis.tolist() == [[[float(b.leading())]]]
+        # K^perp is empty: the kernel is every numerator
+        assert slice_.maps.shape == (0, 1, 1) and slice_.offsets.shape == (0,)
+        assert slice_.weights.tolist() == [1.0]
+        res = sdp_feasible_point(slice_, 1e-3)
+        assert res.is_feasible and res.min_eigenvalue == 1.0 and res.witness_mu.degree == 0
 
     @pytest.mark.parametrize("slice_name", ["two_factor_slice", "single_factor_slice"])
     def test_antidiagonal_sums_are_kernel_coordinates(self, slice_name, request):
         slice_ = request.getfixturevalue(slice_name)
         n, kernel_dim = slice_.dimension, len(slice_.kernel)
         assert slice_.slice_dimension == kernel_dim + n * (n + 1) // 2 - (2 * n - 1)
-        for k, mat in enumerate(slice_.float_basis):
-            assert np.array_equal(mat, mat.T)
-            sums = float_antidiagonal_sums(mat)
-            if k < kernel_dim:
-                b = slice_.kernel[k]
-                expected = np.zeros(2 * n - 1)
-                expected[: b.degree + 1] = b.float_coeffs()
-                assert np.allclose(sums, expected, rtol=0.0, atol=1e-15)
-            else:
-                assert not sums.any()
-        flat = slice_.float_basis.reshape(slice_.slice_dimension, -1)
-        assert np.linalg.matrix_rank(flat) == slice_.slice_dimension
+        # the maps are traceless, symmetric and orthonormal; adding back the
+        # offsets gives weighted Hankel matrices
+        maps = slice_.maps
+        assert maps.shape == (2 * n - 1 - kernel_dim, n, n)
+        assert np.allclose(np.trace(maps, axis1=1, axis2=2), 0.0, rtol=0.0, atol=1e-15)
+        assert np.array_equal(maps, maps.transpose(0, 2, 1))
+        flat = maps.reshape(len(maps), -1)
+        assert np.allclose(flat @ flat.T + np.outer(slice_.offsets, slice_.offsets) * n, np.eye(len(maps)), atol=1e-12)
+        assert np.allclose(hankel_constraints(slice_), _hankel(slice_.weights, complement_basis(slice_)), atol=1e-15)
+        # the gated witness's kernel coordinates give its numerator
+        res = sdp_feasible_point(slice_, LADDER)
+        rows = _float_rows(slice_.kernel, n)
+        mu = np.zeros(2 * n - 1)
+        mu[: res.witness_mu.degree + 1] = res.witness_mu.float_coeffs()
+        y = np.asarray(res.witness_x)
+        assert np.allclose(mu, y @ rows / np.abs(y).max(), rtol=0.0, atol=2.0**-19)
+
+    @pytest.mark.parametrize("slice_name", ["two_factor_slice", "single_factor_slice"])
+    def test_complement_is_orthogonal_to_kernel(self, slice_name, request):
+        slice_ = request.getfixturevalue(slice_name)
+        r = complement_basis(slice_)
+        for b in slice_.kernel:
+            exact = np.zeros(r.shape[1])
+            exact[: b.degree + 1] = [float(c) for c in b.coeffs]
+            # relative to the sizes of the summands
+            assert np.all(np.abs(r @ exact) <= 1e-13 * np.abs(r).max(axis=1) * np.abs(exact).sum())
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 11])
+    def test_hankel_adjoint_identity(self, n):
+        # <H_w(h), G>_F = h . A_w(G) on random inputs, weighted or not
+        rng = np.random.default_rng(n)
+        for weights in (np.ones(n), rng.uniform(0.5, 3.0, n)):
+            for _ in range(3):
+                h = rng.standard_normal(2 * n - 1)
+                gram = rng.standard_normal((n, n))
+                lhs = float(np.sum(_hankel(weights, h) * gram))
+                rhs = float(h @ _numerator(weights, gram))
+                assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_empty_kernel_is_infeasible_by_construction(self):
         space = build_residue_system(
@@ -169,11 +214,12 @@ class TestFeasibility:
         assert sturm_real_root_count(res.witness_mu) == 0
 
     def test_margin_beyond_optimum_is_indeterminate(self):
-        # the trace-normalized optimum for this slice is about 4.0e-4
+        # the trace-normalized optimum for this slice is about 4.0e-4: the best
+        # point lies below it and the dual bound that ruled 1e-3 out above it
         _, slice_ = reference_slice()
         res = sdp_feasible_point(slice_, margin=1e-3)
         assert res.status == "indeterminate"
-        assert 3e-4 < res.min_eigenvalue < 1e-3
+        assert res.min_eigenvalue <= 4.0e-4 <= res.optimum_bound < 1e-3
 
     def test_all_cusped_family_is_indeterminate_and_grid_confirms(self):
         # same generator, denominator (t^2-2t+5)^6: solutions exist but all
@@ -208,31 +254,14 @@ class TestFeasibility:
         curve = synthesize_curve(prob, res.witness_mu)
         assert curve.den.degree <= 16
 
-    def test_convexity_midpoint(self):
-        _, slice_ = reference_slice()
-        res = sdp_feasible_point(slice_, margin=1e-4)
-        # second feasible point: the known one; take the midpoint in matrix space
-        mat1 = np.einsum("a,aij->ij", res.witness_x, slice_.float_basis)
-        mat2 = combine((SLICE_M0, SLICE_M1, SLICE_M2), FEASIBLE_X)
-        lam1, lam2 = eigvals(mat1)[0], eigvals(mat2)[0]
-        mid = [
-            [(a + b) / 2 for a, b in zip(r1, r2)] for r1, r2 in zip(mat1, mat2)
-        ]
-        assert eigvals(mid)[0] >= min(lam1, lam2) - 1e-12
-
 
 LADDER = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
 
-def einsum_newton_system(basis, w):
-    """Reference barrier derivatives: each trace summed term by term."""
-    d = len(basis)
-    wb = np.einsum("ij,ajk->aik", w, basis)
-    hess = np.empty((d + 1, d + 1))
-    hess[:d, :d] = np.einsum("aij,bji->ab", wb, wb)
-    hess[:d, d] = hess[d, :d] = -np.einsum("aij,ji->a", wb, w)
-    hess[d, d] = np.einsum("ij,ji->", w, w)
-    return np.einsum("aii->a", wb), hess
+def einsum_barrier_derivatives(maps, z):
+    """Reference derivatives of -log det Z along the maps: each trace summed term by term."""
+    za = np.einsum("ij,ajk->aik", np.linalg.inv(z), maps)
+    return -np.einsum("aii->a", za), np.einsum("aij,bji->ab", za, za)
 
 
 class TestNewtonSystem:
@@ -241,34 +270,29 @@ class TestNewtonSystem:
         rng = np.random.default_rng(100 * d + n)
         for _ in range(3):
             raw = rng.standard_normal((d, n, n))
-            basis = (raw + raw.transpose(0, 2, 1)) / 2
+            maps = (raw + raw.transpose(0, 2, 1)) / 2
             a = rng.standard_normal((n, n))
-            w = a @ a.T + 0.1 * np.eye(n)  # the inverse of a positive definite slack
-            hess = np.full((d + 1, d + 1), np.nan)
-            traces = _newton_system(basis.reshape(d, n * n), w, hess)
-            ref_traces, ref_hess = einsum_newton_system(basis, w)
-            # rtol 1e-12 against the largest entry: summation order moves single
-            # entries that cancel, not the system
-            np.testing.assert_allclose(traces, ref_traces, rtol=0, atol=1e-12 * np.abs(ref_traces).max())
-            for block in (np.s_[:d, :d], np.s_[:d, d], np.s_[d, :d], np.s_[d, d]):
-                scale = np.abs(ref_hess[block]).max()
-                np.testing.assert_allclose(hess[block], ref_hess[block], rtol=0, atol=1e-12 * scale)
+            z = a @ a.T + 0.1 * np.eye(n)  # a positive definite dual point
+            grad, hess = _barrier_derivatives(maps.reshape(d, n * n), np.linalg.cholesky(z))
+            ref_grad, ref_hess = einsum_barrier_derivatives(maps, z)
+            # against the largest entry: summation order moves single entries
+            # that cancel, not the system
+            np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12 * np.abs(ref_grad).max())
+            np.testing.assert_allclose(hess, ref_hess, rtol=0, atol=1e-12 * np.abs(ref_hess).max())
 
 
 def full_path(slice_):
-    """Every snapshot of the unbiased central path, run to its end."""
-    raw = slice_.float_basis
-    basis = raw / np.sqrt(np.einsum("aij,aij->a", raw, raw))[:, None, None]
-    traces = np.einsum("aii->a", basis)
-    return list(_central_path(basis, traces, float(traces @ traces), np.zeros(len(basis))))
+    """Every snapshot of the unbiased dual path, run to its end."""
+    n = slice_.dimension
+    return list(_dual_path(slice_, np.zeros((n, n)), True))
 
 
 def without_bounds(path):
-    """The central path with every bound replaced by inf: nothing is ruled out."""
+    """The dual path with every bound replaced by inf: nothing is ruled out."""
 
     def steps(*args):
-        for best_x, best_lam, _ in path(*args):
-            yield best_x, best_lam, math.inf
+        for best_gram, best_lam, _ in path(*args):
+            yield best_gram, best_lam, math.inf
 
     return steps
 
@@ -316,7 +340,8 @@ class TestRelaxationLadder:
         assert certify_regular(res.witness_mu)
         # mu is the gated point's kernel coordinates, over their largest
         # absolute value, rounded on the grid 2^-20 or else 2^-40
-        y = np.asarray(res.witness_x[: len(two_factor_slice.kernel)])
+        assert len(res.witness_x) == len(two_factor_slice.kernel)
+        y = np.asarray(res.witness_x)
         on_grid = []
         for bits in (20, 40):
             grid = np.rint(y / np.abs(y).max() * 2.0**bits).astype(np.int64).tolist()
@@ -343,23 +368,26 @@ class TestRelaxationLadder:
         # the bound holds for the whole path, and the path stopped before its end
         assert path[-1][1] <= res.optimum_bound < 1e-3
         assert res.min_eigenvalue < path[-1][1]
-        bias = [1e-9] * single_factor_slice.slice_dimension
+        bias = [1e-9] * len(single_factor_slice.kernel)
         assert sdp_feasible_point(single_factor_slice, 1e-3, objective_bias=bias).optimum_bound is None
 
-    def test_bound_needs_a_centred_point(self, single_factor_slice, monkeypatch):
-        # one Newton step per outer step never ends centred
+    def test_bound_holds_without_centring(self, single_factor_slice, monkeypatch):
+        # every dual iterate that passed Cholesky bounds the optimum, centred or
+        # not; one Newton step per outer step never centres, and the path ends
+        # after that outer step
+        best_lam = full_path(single_factor_slice)[-1][1]
         monkeypatch.setattr(positivity, "MAX_NEWTON", 1)
-        assert all(bound == math.inf for _, _, bound in full_path(single_factor_slice))
-        assert sdp_feasible_point(single_factor_slice, 1e-3).optimum_bound is None
+        short = full_path(single_factor_slice)
+        assert len(short) == 2
+        assert all(best_lam <= bound < math.inf for _, _, bound in short)
+        res = sdp_feasible_point(single_factor_slice, 1e-3)
+        assert res.optimum_bound is None or res.optimum_bound >= best_lam
 
     @pytest.mark.parametrize("poles", POLE_CASES.values(), ids=POLE_CASES)
     def test_early_exit_matches_full_path(self, poles, monkeypatch):
         slice_ = generator_slice(*poles)
         path = full_path(slice_)
         best_lam = path[-1][1]
-        # float steps move trace M(x) off 1 by up to 8.5e-9 (the one-point
-        # (0,4)^5 slice), and every eigenvalue and bound with it
-        assert all(bound >= best_lam - 1e-8 * abs(best_lam) for _, _, bound in path)
         res = sdp_feasible_point(slice_, LADDER)
         # an indeterminate margin above its logged eigenvalue was ruled out or
         # never reached, not gated: the full path never reaches it either
@@ -368,7 +396,7 @@ class TestRelaxationLadder:
                 assert m > best_lam
         if res.optimum_bound is not None:
             assert best_lam <= res.optimum_bound < res.relaxation_log[-1][0]
-        monkeypatch.setattr(positivity, "_central_path", without_bounds(_central_path))
+        monkeypatch.setattr(positivity, "_dual_path", without_bounds(_dual_path))
         full = sdp_feasible_point(slice_, LADDER)
         assert (res.status, res.margin, res.witness_mu) == (full.status, full.margin, full.witness_mu)
         assert [e[:2] for e in res.relaxation_log] == [e[:2] for e in full.relaxation_log]
@@ -398,11 +426,76 @@ class TestRelaxationLadder:
                 sdp_feasible_point(slice_, margin)
 
     def test_bias_needs_one_entry_per_coordinate(self):
+        # one entry per kernel coordinate
         _, slice_ = reference_slice()
-        assert slice_.slice_dimension == 3
-        for bias in ([1e-6], [1e-6] * 2, [1e-6] * 4):
+        assert len(slice_.kernel) == 2
+        for bias in ([1e-6], [1e-6] * 3, [1e-6] * 4):
             with pytest.raises(ValueError, match="objective_bias"):
                 sdp_feasible_point(slice_, 1e-4, objective_bias=bias)
+        assert sdp_feasible_point(slice_, 1e-4, objective_bias=[1e-6] * 2).is_feasible
+
+    def test_bias_without_a_start_is_indeterminate(self):
+        # a bias so large that I/n + shift is indefinite leaves the path no start
+        _, slice_ = reference_slice()
+        res = sdp_feasible_point(slice_, 1e-4, objective_bias=[1e3, -1e3])
+        assert res.status == "indeterminate" and res.witness_x is None
+        assert res.min_eigenvalue == -math.inf and res.optimum_bound is None
+
+
+class TestDualPath:
+    @pytest.mark.parametrize("poles", POLE_CASES.values(), ids=POLE_CASES)
+    def test_snapshots_lie_in_slice_and_bound_the_optimum(self, poles):
+        slice_ = generator_slice(*poles)
+        path = full_path(slice_)
+        best_lam = path[-1][1]
+        hankel = hankel_constraints(slice_)
+        for gram, lam, bound in path:
+            # weak duality: the nu of every dual iterate lies above every primal lambda
+            assert bound >= best_lam >= lam
+            assert lam == np.linalg.eigvalsh(gram)[0]
+            # trace one, and the weighted antidiagonal sums lie in the kernel
+            assert abs(np.trace(gram) - 1.0) <= 1e-12
+            sums = _numerator(slice_.weights, gram)
+            assert np.abs(np.einsum("aij,ij->a", hankel, gram)).max() <= 1e-12 * np.abs(sums).max()
+            # and so are a combination of the kernel basis, up to the rounding
+            # of that combination's terms
+            rows = _float_rows(slice_.kernel, slice_.dimension)
+            y = np.linalg.lstsq(rows.T, sums, rcond=None)[0]
+            assert np.abs(y @ rows - sums).max() <= 1e-12 * (np.abs(y) @ np.abs(rows)).max()
+
+
+# ROADMAP table rows that exited 3 before the dual path: (0,4)^6 divides every
+# alpha, so the (0,4)^6 numerator MU0 lifts to a certificate for each of them
+TABLE_ROWS = {
+    "(0,4)^16": ((0, 4, 16),),
+    "(0,4)^18": ((0, 4, 18),),
+    "(0,4)^10.(1,3)^10": ((0, 4, 10), (1, 3, 10)),
+    "(0,4)^8.(1,3)^6.(1,2)^4": ((0, 4, 8), (1, 3, 6), (1, 2, 4)),
+    "(0,4)^10.(1,3)^8.(1,2)^6": ((0, 4, 10), (1, 3, 8), (1, 2, 6)),
+    "(0,4)^10.(1,3)^10.(1,2)^10": ((0, 4, 10), (1, 3, 10), (1, 2, 10)),
+}
+
+
+class TestTableRows:
+    @pytest.mark.parametrize("poles", TABLE_ROWS.values(), ids=TABLE_ROWS)
+    def test_lifted_certificate_and_no_negative_bound(self, poles):
+        factors = tuple(QuadraticFactor(b, c, m) for b, c, m in poles)
+        problem = SynthesisProblem(generator_deg3(), PoleStructure(factors))
+        space = build_residue_system(problem)
+        # alpha / (t^2+4)^6 is a product of pole quadratics, each positive on
+        # the real line, so the lift is strictly positive where MU0 is
+        rest = [QuadraticFactor(0, 4, factors[0].multiplicity - 6), *factors[1:]]
+        quotient = P([1])
+        for f in rest:
+            assert f.discriminant < 0
+            quotient = quotient * f.poly() ** f.multiplicity
+        assert quotient * P([4, 0, 1]) ** 6 == problem.alpha
+        assert certify_regular(MU0)
+        lift = MU0 * quotient
+        assert space.contains(lift)
+        # a certificate exists, so the optimum is positive and no bound may say otherwise
+        res = sdp_feasible_point(build_gram_slice(space), LADDER)
+        assert res.optimum_bound is None or res.optimum_bound > 0
 
 
 class TestCertificates:
