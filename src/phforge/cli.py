@@ -6,9 +6,9 @@ one ``error: `` line on stderr and the ``exit_code`` of its error class:
 2 empty residue kernel or impossible degree bookkeeping (a negative
 numerator degree), 3 no certificate (a failed hull gate, an indeterminate
 positivity search, a failed regularity check), 4 parse/usage
-errors, an unreadable input, bundle coefficients beyond the float range
-and an unwritable ``--out`` included.  All exact data is serialized as
-rational strings; sampled data as floats.  JSON outputs are compact, one
+errors, an unreadable input, config or bundle coefficients beyond the
+float range and an unwritable ``--out`` included.  All exact data is
+serialized as rational strings; sampled data as floats.  JSON outputs are compact, one
 line with sorted keys (``python -m json.tool FILE`` pretty-prints them).  Outputs are deterministic for a fixed config and seed.
 """
 
@@ -288,10 +288,18 @@ def _hull_report(cert) -> dict:
     return report
 
 
-def cmd_check(cfg: ProblemConfig) -> str:
+def _hull_test(cfg: ProblemConfig):
+    """(reduced, right, T, certificate): the generator's i-reduction, indicatrix and hull test."""
     reduced, right = i_reduce(cfg.a_poly)
     T = tangent_indicatrix(reduced)
-    cert = convex_hull_contains_origin(T, samples=cfg.samples)
+    # the indicatrix's coefficients are quadratic in the generator's, and the
+    # hull test reads them as floats
+    _float_range((*T.nums, T.den), "quaternion")
+    return reduced, right, T, convex_hull_contains_origin(T, samples=cfg.samples)
+
+
+def cmd_check(cfg: ProblemConfig) -> str:
+    _, right, T, cert = _hull_test(cfg)
     report = {
         "i_reduced": right.degree <= 0,
         "right_factor_degree": max(right.degree, 0),
@@ -316,16 +324,14 @@ def _relaxation_margins(margin: float):
 
 
 def cmd_synth(cfg: ProblemConfig, force: bool) -> str:
-    reduced, right = i_reduce(cfg.a_poly)
-    T = tangent_indicatrix(reduced)
-    hull = convex_hull_contains_origin(T, samples=cfg.samples)
+    reduced, _, T, hull = _hull_test(cfg)
     if hull.status is not True and not force:
         status = "false" if hull.status is False else "indeterminate"
         raise NoCertificateError(
             f"hull test {status}: no bounded regular solution can exist "
             "(use --force to attempt anyway)"
         )
-    problem = SynthesisProblem(reduced, cfg.poles)
+    problem = SynthesisProblem.from_indicatrix(reduced, cfg.poles, T)
     space = build_residue_system(problem)
     slice_ = build_gram_slice(space)
 

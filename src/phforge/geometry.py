@@ -25,6 +25,11 @@ from .quaternion import QI, QuaternionPolynomial, rotate_vector
 from .ratfunc import RationalFunction
 from .synthesis import RationalCurve
 
+# the hull test's bound on the min-norm residual and on the separating gap,
+# and the relative stopping tolerance of Wolfe's min-norm iteration
+HULL_TOLERANCE = 1e-8
+MIN_NORM_TOLERANCE = 1e-12
+
 
 def parameter_of_angle(theta: float) -> float:
     """Parameter t with circle angle theta; theta = 0 is the closure point."""
@@ -65,9 +70,6 @@ class TangentIndicatrix:
         self.nums = nums
         self.den = den
         self.homogeneous_degree = homogeneous_degree
-
-    def evaluate(self, t: float) -> np.ndarray:
-        return two_chart_quotients(self.nums, self.den, self.homogeneous_degree, [t])[:, 0]
 
     def sample(self, n: int) -> tuple[list[float], np.ndarray]:
         params = angle_parameters(n)
@@ -131,11 +133,8 @@ class HullCertificate:
     direction: tuple | None
     gap: float
 
-    def __bool__(self):
-        return self.status is True
 
-
-def _min_norm_point(points: np.ndarray, tol: float = 1e-12):
+def _min_norm_point(points: np.ndarray):
     """Wolfe's algorithm: min-norm point of conv(points) with its weights."""
     npts = len(points)
     start = int(np.argmin(np.einsum("ij,ij->i", points, points)))
@@ -145,7 +144,7 @@ def _min_norm_point(points: np.ndarray, tol: float = 1e-12):
     for _ in range(8 * npts + 64):
         dots = points @ x
         j = int(np.argmin(dots))
-        if dots[j] > float(x @ x) - tol * (1.0 + float(x @ x)):
+        if dots[j] > float(x @ x) - MIN_NORM_TOLERANCE * (1.0 + float(x @ x)):
             break
         if j not in active:
             active.append(j)
@@ -182,9 +181,7 @@ def _min_norm_point(points: np.ndarray, tol: float = 1e-12):
     return x, full
 
 
-def convex_hull_contains_origin(
-    T: TangentIndicatrix, samples: int = 256, tolerance: float = 1e-8
-) -> HullCertificate:
+def convex_hull_contains_origin(T: TangentIndicatrix, samples: int = 256) -> HullCertificate:
     """Sampling-based origin containment test with explicit certificates.
 
     Samples the indicatrix uniformly in circle angle over both charts and
@@ -198,13 +195,11 @@ def convex_hull_contains_origin(
     params, pts = T.sample(samples)
     x, weights = _min_norm_point(pts)
     residual = float(np.linalg.norm(x))
-    if residual <= tolerance:
-        return HullCertificate(
-            True, tuple(params), tuple(weights), residual, None, 0.0
-        )
+    if residual <= HULL_TOLERANCE:
+        return HullCertificate(True, tuple(params), tuple(weights), residual, None, 0.0)
     d = x / residual
     gap = float(np.min(pts @ d))
-    if gap > tolerance:
+    if gap > HULL_TOLERANCE:
         return HullCertificate(False, tuple(params), None, residual, tuple(d), gap)
     return HullCertificate(None, tuple(params), tuple(weights), residual, tuple(d), gap)
 

@@ -353,22 +353,18 @@ class Polynomial:
             [0] + [c * (scale // (i + 1)) for i, c in enumerate(self.ints)], self.den * scale
         )
 
-    def __call__(self, x):
+    def __call__(self, x) -> Fraction:
+        """p(x) for an int or Fraction x, exactly."""
         ints = self.ints
         if not ints:
             return Fraction(0)
-        if isinstance(x, _SCALARS):
-            # d^deg p(n/d) by Horner's rule, d > 0
-            n, d = x.numerator, x.denominator
-            acc, dk = 0, 1
-            for c in reversed(ints):
-                acc = acc * n + c * dk
-                dk *= d
-            return Fraction(acc, self.den * (dk // d))
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        return acc
+        # d^deg p(n/d) by Horner's rule, d > 0
+        n, d = x.numerator, x.denominator
+        acc, dk = 0, 1
+        for c in reversed(ints):
+            acc = acc * n + c * dk
+            dk *= d
+        return Fraction(acc, self.den * (dk // d))
 
     def float_coeffs(self) -> list[float]:
         """Coefficients over Q as floats; int true division rounds as float(Fraction) does."""

@@ -76,7 +76,8 @@ class GramSlice:
 
     ``dimension`` is n, the Gram matrices' size.  ``kernel`` holds the
     residue kernel's basis, each vector scaled exactly by a power of two so
-    that its largest coefficient lies in [1/2, 1).  ``weights`` holds the
+    that its largest coefficient lies in [1/2, 1), and ``kernel_rows`` their
+    float coefficients, one row each, padded to 2n - 1.  ``weights`` holds the
     w_i.  ``maps`` holds the traceless Hankel matrices
     A_j = H_w(r_j) - offsets[j] * I of an orthonormal basis r_j of K^perp,
     with ``offsets[j]`` = tr H_w(r_j) / n.  Since <H_w(h), G> = h . A_w(G),
@@ -85,11 +86,11 @@ class GramSlice:
     arrays are read-only.
     """
 
-    def __init__(self, dimension: int, kernel, weights, maps, offsets):
+    def __init__(self, dimension: int, kernel, kernel_rows, weights, maps, offsets):
         self.dimension = dimension
         self.kernel = tuple(kernel)
-        self.weights, self.maps, self.offsets = weights, maps, offsets
-        for array in (weights, maps, offsets):
+        self.kernel_rows, self.weights, self.maps, self.offsets = kernel_rows, weights, maps, offsets
+        for array in (kernel_rows, weights, maps, offsets):
             array.flags.writeable = False
 
     @property
@@ -147,10 +148,11 @@ def build_gram_slice(space: SolutionSpace) -> GramSlice:
     # ||H_w(h)||_F^2 = sum_k C(m, k) h_k^2, so the complement q_j of the kernel
     # scaled by 1/sqrt(C(m, k)), scaled back, gives orthonormal H_w(r_j)
     scale = np.sqrt([float(math.comb(2 * n - 2, k)) for k in range(2 * n - 1)])
-    q, _ = np.linalg.qr((_float_rows(kernel, n) / scale).T, mode="complete")
+    rows = _float_rows(kernel, n)
+    q, _ = np.linalg.qr((rows / scale).T, mode="complete")
     hankel = _hankel(weights, q[:, len(kernel) :].T / scale)
     offsets = np.trace(hankel, axis1=1, axis2=2) / n
-    return GramSlice(n, kernel, weights, hankel - offsets[:, None, None] * np.eye(n), offsets)
+    return GramSlice(n, kernel, rows, weights, hankel - offsets[:, None, None] * np.eye(n), offsets)
 
 
 @dataclass(frozen=True)
@@ -319,7 +321,7 @@ def sdp_feasible_point(
     if not margins or not all(math.isfinite(m) and m > 0 for m in margins):
         raise ValueError("margins must be positive and finite")
     n = g.dimension
-    rows = _float_rows(g.kernel, n)
+    rows = g.kernel_rows
     shift = np.zeros((n, n))
     if objective_bias is not None:
         if len(objective_bias) != len(g.kernel):

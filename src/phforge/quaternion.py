@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
 
 from .polynomial import (
     Polynomial,
@@ -37,9 +36,6 @@ class Quaternion:
     def __add__(self, other: "Quaternion") -> "Quaternion":
         return Quaternion(self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z)
 
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z)
-
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
 
@@ -50,14 +46,6 @@ class Quaternion:
         if not isinstance(other, Quaternion):
             return NotImplemented
         return Quaternion(*_hamilton(self, other))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     @property
     def is_pure(self) -> bool:
@@ -89,8 +77,8 @@ class QuaternionPolynomial:
     """Immutable quaternion polynomial w(t) + x(t) i + y(t) j + z(t) k.
 
     Its state is the four component ``Polynomial``s ``w, x, y, z``, so all
-    arithmetic runs on their integer pairs: sums, negation and conjugation
-    component by component, products by the Hamilton formula.  ``coeffs``,
+    arithmetic runs on their integer pairs: conjugation component by
+    component, products by the Hamilton formula.  ``coeffs``,
     the ``Quaternion`` coefficients ascending by degree, is built on first read.
     """
 
@@ -147,15 +135,6 @@ class QuaternionPolynomial:
 
     def __hash__(self):
         return hash(self.component_polys())
-
-    def __add__(self, other: "QuaternionPolynomial") -> "QuaternionPolynomial":
-        return _qpoly(*map(add, self.component_polys(), other.component_polys()))
-
-    def __sub__(self, other: "QuaternionPolynomial") -> "QuaternionPolynomial":
-        return _qpoly(*map(sub, self.component_polys(), other.component_polys()))
-
-    def __neg__(self) -> "QuaternionPolynomial":
-        return _qpoly(-self.w, -self.x, -self.y, -self.z)
 
     def __mul__(self, other):
         """Noncommutative exact product; no normalization."""

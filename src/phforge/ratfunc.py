@@ -28,7 +28,6 @@ from .polynomial import (
     _canonical,
     _int_add,
     _int_divmod,
-    _int_gcd,
     _int_mul,
     _pack,
     _pair,
@@ -39,8 +38,6 @@ from .polynomial import (
     squarefree_decomposition,
     two_chart_quotients,
 )
-
-_INF = float("inf")
 
 
 class RationalFunction:
@@ -76,30 +73,16 @@ class RationalFunction:
     def zero(cls) -> "RationalFunction":
         return cls(Polynomial.zero())
 
-    @classmethod
-    def constant(cls, c) -> "RationalFunction":
-        return cls(Polynomial.constant(c))
-
     @property
     def is_zero(self) -> bool:
         return self.numerator.is_zero
 
-    @property
-    def degree(self):
-        """deg(num) - deg(den); None for the zero function."""
-        if self.is_zero:
-            return None
-        return self.numerator.degree - self.denominator.degree
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = RationalFunction.constant(other)
+            other = RationalFunction(Polynomial.constant(other))
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.numerator == other.numerator and self.denominator == other.denominator
-
-    def __hash__(self):
-        return hash((self.numerator, self.denominator))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, Polynomial)):
@@ -116,9 +99,6 @@ class RationalFunction:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return RationalFunction(-self.numerator, self.denominator)
 
@@ -133,19 +113,6 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return RationalFunction(self.numerator * (Fraction(1) / other), self.denominator)
-        if isinstance(other, Polynomial):
-            other = RationalFunction(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero function")
-        return RationalFunction(self.numerator * other.denominator, self.denominator * other.numerator)
-
     def derivative(self) -> "RationalFunction":
         return RationalFunction(
             self.numerator.derivative() * self.denominator
@@ -153,19 +120,10 @@ class RationalFunction:
             self.denominator * self.denominator,
         )
 
-    def evaluate(self, t: Fraction) -> Fraction:
-        den = self.denominator(Fraction(t))
-        if den == 0:
-            raise ZeroDivisionError(f"pole at t = {t}")
-        return self.numerator(Fraction(t)) / den
-
     def eval_floats(self, ts) -> np.ndarray:
         """Two-chart float values at the parameters ts (inf allowed)."""
         d = max(self.numerator.degree, self.denominator.degree)
         return two_chart_quotients((self.numerator,), self.denominator, d, ts)[0]
-
-    def eval_float(self, t: float) -> float:
-        return float(self.eval_floats([t])[0])
 
     def __repr__(self):
         return f"RationalFunction({self.numerator!r}, {self.denominator!r})"
@@ -221,10 +179,6 @@ class PoleStructure:
     @property
     def total_multiplicity(self) -> int:
         return sum(f.multiplicity for f in self.factors)
-
-    @property
-    def degree(self) -> int:
-        return 2 * self.total_multiplicity
 
 
 @dataclass(frozen=True)
@@ -371,51 +325,38 @@ def _int_derivative(v: list[int]) -> list[int]:
     return [k * c for k, c in enumerate(v)][1:]
 
 
-def sturm_real_root_count(p: Polynomial, lo=None, hi=None) -> int:
-    """Distinct real roots of p in (lo, hi]; None endpoints mean -/+infinity.
+def sturm_real_root_count(p: Polynomial) -> int:
+    """Distinct real roots of p on the whole real line.
 
-    Multiple roots are counted once (the squarefree part is used).  The
-    Sturm chain is a signed primitive PRS on p's integer vector: every
+    The Sturm chain is a signed primitive PRS on p's integer vector: every
     pseudo-remainder and primitive part differs from the Euclidean
-    remainder by a positive factor only, so the sign variations, and
-    therefore the counts, are those of the classical chain.
+    remainder by a positive factor only, so its sign variations are those
+    of the classical chain.  p need not be squarefree: every member of the
+    chain is then a multiple of g = gcd(p, p'), whose one nonzero sign at
+    each end of the line changes no variation count there, so the count
+    is that of the chain of p / g, which counts each distinct root once
+    (Basu, Pollack & Roy, *Algorithms in Real Algebraic Geometry*, ch. 2).
+    The signs at -/+infinity come from each member's leading coefficient
+    and degree; no member is evaluated at a finite point.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return 0
-    ints = p.ints
-    g = _int_gcd(ints, _int_derivative(ints))
-    if len(g) > 1:
-        ints = _int_divmod(ints, g)[1]
-    chain = [_primitive(ints), _primitive(_int_derivative(ints))]
+    chain = [_primitive(p.ints), _primitive(_int_derivative(p.ints))]
     while len(chain[-1]) > 1:
         r = _int_divmod(chain[-2], chain[-1])[2]
         if not r:
             break
         chain.append([-c for c in _primitive(r)])
+    at_plus = [v[-1] > 0 for v in chain]
+    # p(-t) flips the sign of an odd-degree member: len(v) = degree + 1
+    at_minus = [positive == (len(v) % 2 == 1) for v, positive in zip(chain, at_plus)]
+    return _variations(at_minus) - _variations(at_plus)
 
-    def sign_at(v: list[int], x) -> int:
-        if x is None:  # -infinity
-            sgn = 1 if len(v) % 2 else -1
-            return sgn if v[-1] > 0 else -sgn
-        if isinstance(x, float) and math.isinf(x):  # +infinity
-            return 1 if v[-1] > 0 else -1
-        # d^deg v(n/d) by Horner's rule, d > 0
-        n, d = x.numerator, x.denominator
-        acc, dk = 0, 1
-        for c in reversed(v):
-            acc = acc * n + c * dk
-            dk *= d
-        return (acc > 0) - (acc < 0)
 
-    def variations(x) -> int:
-        signs = [s for s in (sign_at(c, x) for c in chain) if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-    lo_key = None if lo is None or (isinstance(lo, float) and lo == -_INF) else Fraction(lo)
-    hi_key = _INF if hi is None or (isinstance(hi, float) and hi == _INF) else Fraction(hi)
-    return variations(lo_key) - variations(hi_key)
+def _variations(signs: list[bool]) -> int:
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _split_coprime(nums, moduli: list[Polynomial]):

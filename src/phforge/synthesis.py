@@ -21,7 +21,6 @@ from .polynomial import Polynomial, poly_gcd, two_chart_quotients
 from .quaternion import QI, QuaternionPolynomial, rotate_vector
 from .ratfunc import (
     PoleStructure,
-    RationalFunction,
     hermite_antiderivative,  # noqa: F401  kept: perfbench's traced run patches this name here
     residue_at,  # noqa: F401  kept: perfbench's traced run patches this name here
     sturm_real_root_count,
@@ -36,10 +35,24 @@ class SynthesisProblem:
     boundedness requirement: the curve components must have numerator degree
     at most the denominator degree.  Problems with m < 0 are rejected.
     The caller passes an i-reduced generator (``i_reduce``): an unreduced
-    one gives the same curves at a higher degree.
+    one gives the same curves at a higher degree.  ``hodograph_dir`` holds
+    the components of A i A*; ``from_indicatrix`` takes them from A's
+    tangent indicatrix instead of computing them again.
     """
 
     def __init__(self, a_poly: QuaternionPolynomial, poles: PoleStructure):
+        self._bind(a_poly, poles)
+        self.hodograph_dir = rotate_vector(a_poly, QI).vector_polys()
+
+    @classmethod
+    def from_indicatrix(cls, a_poly: QuaternionPolynomial, poles: PoleStructure, indicatrix):
+        """The problem of a_poly, with A i A* read off its ``geometry.tangent_indicatrix``."""
+        problem = cls.__new__(cls)
+        problem._bind(a_poly, poles)
+        problem.hodograph_dir = indicatrix.nums
+        return problem
+
+    def _bind(self, a_poly: QuaternionPolynomial, poles: PoleStructure):
         if a_poly.is_zero:
             raise ValueError("zero generator polynomial")
         m = 2 * (poles.total_multiplicity - a_poly.degree - 1)
@@ -52,7 +65,6 @@ class SynthesisProblem:
         self.poles = poles
         self.m = m
         self.alpha = poles.alpha()
-        self.hodograph_dir = rotate_vector(a_poly, QI).vector_polys()
 
     def __repr__(self):
         return f"SynthesisProblem(deg A={self.a_poly.degree}, alpha deg={self.alpha.degree}, m={self.m})"
@@ -155,45 +167,13 @@ class RationalCurve:
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("RationalCurve is immutable")
 
-    def components(self):
-        return tuple(RationalFunction(n, self.den) for n in self.nums)
-
-    @property
-    def x(self) -> RationalFunction:
-        return RationalFunction(self.nums[0], self.den)
-
-    @property
-    def y(self) -> RationalFunction:
-        return RationalFunction(self.nums[1], self.den)
-
-    @property
-    def z(self) -> RationalFunction:
-        return RationalFunction(self.nums[2], self.den)
-
-    def hodograph(self):
-        return tuple(c.derivative() for c in self.components())
-
-    def evaluate(self, t: Fraction):
-        tv = Fraction(t)
-        dv = self.den(tv)
-        return tuple(n(tv) / dv for n in self.nums)
-
     def eval_floats(self, ts) -> np.ndarray:
         """Two-chart float positions at the parameters ts (inf allowed), one row each."""
         return two_chart_quotients(self.nums, self.den, self.den.degree, ts).T
 
     def eval_float(self, t: float):
+        # kept: perfbench's traced run wraps this method by name
         return tuple(self.eval_floats([t])[0].tolist())
-
-    def __mul__(self, scalar) -> "RationalCurve":
-        f = Fraction(scalar)
-        return RationalCurve(
-            tuple(n * f for n in self.nums),
-            self.den,
-            mu=self.mu * f if self.mu is not None else None,
-        )
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, RationalCurve):

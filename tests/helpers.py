@@ -88,8 +88,8 @@ def ref_curve_from_components(x: RF, y: RF, z: RF) -> RationalCurve:
 
 def matches_up_to_translation(curve: RationalCurve, printed_nums, printed_den) -> bool:
     """Componentwise equality of rational functions modulo an added constant."""
-    for comp, pn in zip(curve.components(), printed_nums):
-        diff = comp - RF(pn, printed_den)
+    for num, pn in zip(curve.nums, printed_nums):
+        diff = RF(num, curve.den) - RF(pn, printed_den)
         if not (diff.is_zero or (diff.denominator.degree == 0 and diff.numerator.degree == 0)):
             return False
     return True
@@ -182,7 +182,7 @@ def random_synthesized_problems(count: int, seed: int = 20240601, max_attempts: 
 
 
 def ph_identity_holds(problem, mu, curve) -> bool:
-    hx, hy, hz = curve.hodograph()
+    hx, hy, hz = (RF(n, curve.den).derivative() for n in curve.nums)
     lhs = hx * hx + hy * hy + hz * hz
     sigma = RF(mu * problem.a_poly.norm_poly(), problem.alpha)
     return lhs == sigma * sigma
@@ -202,7 +202,7 @@ def residues_vanish(problem, mu) -> bool:
 
 def tangency_holds(problem, curve) -> bool:
     wx, wy, wz = (RF(w) for w in problem.hodograph_dir)
-    hx, hy, hz = curve.hodograph()
+    hx, hy, hz = (RF(n, curve.den).derivative() for n in curve.nums)
     return (
         (hy * wz - hz * wy).is_zero
         and (hz * wx - hx * wz).is_zero
@@ -252,7 +252,7 @@ def unit_scale(curve: RationalCurve) -> RationalCurve:
     scale = F(radius).limit_denominator(10**9)
     if scale == 0:
         return curve
-    return curve * (1 / scale)
+    return RationalCurve(tuple(n * (1 / scale) for n in curve.nums), curve.den)
 
 
 def run_property_suite(problems) -> dict:
@@ -267,7 +267,7 @@ def run_property_suite(problems) -> dict:
             from phforge import closure_point
 
             limits = closure_point(curve)
-            fwd = [c.eval_float(math.inf) for c in curve.components()]
+            fwd = curve.eval_floats([math.inf])[0]
             if any(abs(float(l) - v) > 1e-9 * (1 + abs(float(l))) for l, v in zip(limits, fwd)):
                 fails["c"] += 1
         except ValueError:
@@ -327,35 +327,20 @@ def ref_gcd(a: P, b: P) -> P:
     return P([c / a.leading() for c in a.coeffs])
 
 
-def ref_sturm_count(p: P, lo=None, hi=None) -> int:
-    """Distinct real roots in (lo, hi] from a Fraction Sturm chain."""
+def ref_sturm_count(p: P) -> int:
+    """Distinct real roots from the Euclidean Sturm chain of p's squarefree part."""
     if p.degree == 0:
         return 0
-    g = ref_gcd(p, p.derivative())
-    if g.degree > 0:
-        p = ref_divmod(p, g)[0]
+    p = p.exact_div(poly_gcd(p, p.derivative()))
     chain = [p, p.derivative()]
     while chain[-1].degree > 0:
-        r = ref_divmod(chain[-2], chain[-1])[1]
-        if r.is_zero:
-            break
-        chain.append(-r)
-
-    def sign_at(poly, x):
-        lead = poly.leading()
-        if x is None:  # -infinity
-            sgn = 1 if poly.degree % 2 == 0 else -1
-            return sgn if lead > 0 else -sgn
-        if x == math.inf:
-            return 1 if lead > 0 else -1
-        v = poly(F(x))
-        return (v > 0) - (v < 0)
-
-    def variations(x):
-        signs = [s for s in (sign_at(c, x) for c in chain) if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-    return variations(lo) - variations(math.inf if hi is None else hi)
+        r = chain[-2] % chain[-1]  # nonzero: p is squarefree
+        chain.append(r * F(-1, abs(r.leading())))  # -rem, scaled to leading +-1
+    at_plus = [c.leading() > 0 for c in chain]
+    at_minus = [s == (c.degree % 2 == 0) for c, s in zip(chain, at_plus)]
+    return sum(a != b for a, b in zip(at_minus, at_minus[1:])) - sum(
+        a != b for a, b in zip(at_plus, at_plus[1:])
+    )
 
 
 def _ref_times_shift(h, a):
@@ -662,7 +647,7 @@ def ref_closure_integral(c: RationalCurve, samples: int = 2048) -> tuple[float, 
     # dt/dtheta = -(1+t^2)/2; the sign flips orientation only
     return tuple(
         -2.0 * math.pi * float(np.mean((h * _REF_HALF_CIRCLE).eval_floats(ts)))
-        for h in c.hodograph()
+        for h in (RF(n, c.den).derivative() for n in c.nums)
     )
 
 

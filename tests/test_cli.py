@@ -14,10 +14,10 @@ from phforge import (
     sturm_real_root_count,
     synthesize_curve,
 )
-from phforge import cli
+from phforge import cli, geometry, synthesis
 from phforge.cli import load_bundle, main
 from phforge.polynomial import Polynomial as P
-from phforge.quaternion import Quaternion as Q, QuaternionPolynomial as QP
+from phforge.quaternion import Quaternion as Q, QuaternionPolynomial as QP, rotate_vector
 from phforge.rationals import format_rational, parse_rational
 
 
@@ -147,9 +147,8 @@ class TestSynth:
             if math.isinf(t):
                 exact = loaded.curve.eval_float(t)
             else:
-                exact = tuple(
-                    float(comp.evaluate(F(t))) for comp in loaded.curve.components()
-                )
+                curve = loaded.curve
+                exact = tuple(float(n(F(t)) / curve.den(F(t))) for n in curve.nums)
             assert max(abs(a - b) for a, b in zip(exact, pos)) < 1e-10
 
     def test_empty_kernel_exit_2(self, tmp_path, capsys):
@@ -194,6 +193,20 @@ class TestSynth:
         assert bundle["diagnostics"]["margin_achieved"] >= cli.MARGIN_FLOOR
         loaded = load_bundle(out)
         assert build_residue_system(SynthesisProblem(loaded.generator, loaded.config.poles)).contains(mu)
+
+    def test_generator_is_rotated_once(self, tmp_path, monkeypatch):
+        # the hull test's indicatrix hands A i A* on to the residue system
+        calls = []
+
+        def counted(a, v):
+            calls.append(v)
+            return rotate_vector(a, v)
+
+        for module in (geometry, synthesis):
+            monkeypatch.setattr(module, "rotate_vector", counted)
+        out = str(tmp_path / "o.json")
+        assert main(["synth", "--config", write_config(tmp_path, EX2_CONFIG), "--out", out]) == 0
+        assert len(calls) == 1
 
     def test_no_positive_numerator_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, with_multiplicity(5))
@@ -458,6 +471,13 @@ def _zero_denominator_config():
     return raw
 
 
+def _large_generator_config():
+    # A A* squares this coefficient beyond the float range
+    raw = json.loads(json.dumps(EX2_CONFIG))
+    raw["quaternion"][3][0] = "1" + "0" * 155
+    return raw
+
+
 def _generator_bundle(coefficients):
     # the bundle with generator.coefficients replaced; a present value is never missing
     def write(bundle_path, tmp_path):
@@ -504,6 +524,10 @@ FAILURES = {
     "non-ph-curve": ("sample", _non_ph_bundle, ["--format", "svg"], 4),
     "unreadable-bundle": ("frames", lambda b, tmp: str(tmp / "missing.json"), [], 4),
     "unwritable-out": ("check", lambda b, tmp: write_config(tmp, EX2_CONFIG), [], 4),
+    **{
+        f"generator-overflow-{command}": (command, lambda b, tmp: write_config(tmp, _large_generator_config()), [], 4)
+        for command in ("check", "synth")
+    },
     "generator-empty-array": ("frames", _generator_bundle([]), [], 4),
     "generator-zero": ("frames", _generator_bundle(0), [], 4),
     "generator-false": ("frames", _generator_bundle(False), [], 4),
@@ -547,7 +571,8 @@ def test_failure_prints_one_error_line_and_writes_nothing(bundle_path, tmp_path,
 @pytest.mark.parametrize(
     "case, field",
     [("curve-overflow-frames-csv", "curve"), ("speed-overflow-sample-svg", "curve"),
-     ("generator-overflow-frames-json", "generator.coefficients")],
+     ("generator-overflow-frames-json", "generator.coefficients"),
+     ("generator-overflow-check", "quaternion")],
 )
 def test_overflow_names_the_field(bundle_path, tmp_path, capsys, case, field):
     command, config, extra, _ = FAILURES[case]

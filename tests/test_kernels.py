@@ -5,13 +5,13 @@ kernel bases and Hermite reductions (antiderivatives and log/arctan
 remainders) must be equal, value for value, and residue rows equal up to one
 positive factor per row pair, on seeded random inputs with integer and
 Fraction coefficients and with monic, non-monic and Fraction divisors;
-products and gcds also at the degrees (up to 60) and coefficient sizes (up
-to ~300 bits) that the fixtures reach, and gcds by the GCDHEU route and by
-the PRS fallback.  The polynomial operations over Q (sums, scalar products,
-calculus, evaluation, ``monic``, ``leading``, ``coefficient``,
-``float_coeffs``) must match one Fraction per coefficient, every result must
-be the canonical (ints, den) pair, and equal polynomials must hash alike
-whichever way they were built.
+products, gcds and Sturm counts also at the degrees (up to 60) and
+coefficient sizes (about 300 bits) that the fixtures reach, and gcds by the
+GCDHEU route and by the PRS fallback.  The polynomial operations over Q
+(sums, scalar products, calculus, evaluation, ``monic``, ``leading``,
+``coefficient``, ``float_coeffs``) must match one Fraction per coefficient,
+every result must be the canonical (ints, den) pair, and equal polynomials
+must hash alike whichever way they were built.
 """
 
 import math
@@ -210,6 +210,12 @@ def test_heuristic_gcd_divides_both_inputs():
     assert proved > 250
 
 
+def _complex_pair(rng, bits):
+    """a t^2 + b t + c with 4ac > b^2: a pair of complex roots."""
+    a, b = rng.randint(1, 2**bits), rng.randint(-(2**bits), 2**bits)
+    return P([b * b // (4 * a) + rng.randint(1, 2**bits), b, a])
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_sturm_counts_match_reference(seed):
     rng = random.Random(f"sturm:{seed}")
@@ -222,12 +228,21 @@ def test_sturm_counts_match_reference(seed):
         for r in roots:
             p = p * P([-r.numerator, r.denominator]) ** rng.randint(1, 3)  # multiple roots
         assert sturm_real_root_count(p) == ref_sturm_count(p) == len(set(roots))
-        for _ in range(4):
-            lo, hi = sorted(F(rng.randint(-30, 30), rng.randint(1, 5)) for _ in range(2))
-            want = len({r for r in roots if lo < r <= hi})
-            assert sturm_real_root_count(p, lo, hi) == ref_sturm_count(p, lo, hi) == want
-            assert sturm_real_root_count(p, None, hi) == ref_sturm_count(p, None, hi)
-            assert sturm_real_root_count(p, lo, float("inf")) == ref_sturm_count(p, lo)
+    # the fixtures' sizes: degrees up to 60, coefficients of about 300 bits
+    a, b = (P(rand_ints(rng, 9, 150)) for _ in range(2))
+    p = a * a + b * b + 1  # positive, with no factor structure
+    assert max(map(abs, p.ints)).bit_length() > 290
+    assert sturm_real_root_count(p) == ref_sturm_count(p) == 0
+    for _ in range(3):
+        # simple and double real roots up to |t| = 2^40, complex pairs up to the fourth power
+        roots = [F(rng.randint(-(2**40), 2**40), rng.randint(1, 2**20)) for _ in range(rng.randint(0, 4))]
+        p = P([rng.choice((-1, 1)) * rng.randint(1, 2**20)])
+        for r in roots:
+            p = p * P([-r.numerator, r.denominator]) ** rng.choice((1, 2))
+        while p.degree < 48:
+            p = p * _complex_pair(rng, 10) ** rng.randint(2, 4)
+        assert p.degree <= 60 and max(map(abs, p.ints)).bit_length() > 200
+        assert sturm_real_root_count(p) == ref_sturm_count(p) == len(set(roots))
 
 
 FACTORS = (

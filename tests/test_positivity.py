@@ -21,7 +21,7 @@ from phforge import (
     synthesize_curve,
 )
 from phforge import positivity
-from phforge.positivity import _barrier_derivatives, _dual_path, _float_rows, _hankel, _numerator
+from phforge.positivity import _barrier_derivatives, _dual_path, _hankel, _numerator
 from phforge.quaternion import QJ, QONE
 
 from helpers import MU0, MU2, antidiagonal_sums, generator_deg3, poles_single
@@ -144,9 +144,14 @@ class TestGramSlice:
         flat = maps.reshape(len(maps), -1)
         assert np.allclose(flat @ flat.T + np.outer(slice_.offsets, slice_.offsets) * n, np.eye(len(maps)), atol=1e-12)
         assert np.allclose(hankel_constraints(slice_), _hankel(slice_.weights, complement_basis(slice_)), atol=1e-15)
+        # the kernel rows are the kernel's float coefficients, and no array can be written
+        rows = slice_.kernel_rows
+        assert rows.shape == (kernel_dim, 2 * n - 1)
+        for row, b in zip(rows, slice_.kernel):
+            assert row.tolist() == b.float_coeffs() + [0.0] * (2 * n - 2 - b.degree)
+        assert not any(a.flags.writeable for a in (rows, slice_.weights, maps, slice_.offsets))
         # the gated witness's kernel coordinates give its numerator
         res = sdp_feasible_point(slice_, LADDER)
-        rows = _float_rows(slice_.kernel, n)
         mu = np.zeros(2 * n - 1)
         mu[: res.witness_mu.degree + 1] = res.witness_mu.float_coeffs()
         y = np.asarray(res.witness_x)
@@ -459,7 +464,7 @@ class TestDualPath:
             assert np.abs(np.einsum("aij,ij->a", hankel, gram)).max() <= 1e-12 * np.abs(sums).max()
             # and so are a combination of the kernel basis, up to the rounding
             # of that combination's terms
-            rows = _float_rows(slice_.kernel, slice_.dimension)
+            rows = slice_.kernel_rows
             y = np.linalg.lstsq(rows.T, sums, rcond=None)[0]
             assert np.abs(y @ rows - sums).max() <= 1e-12 * (np.abs(y) @ np.abs(rows)).max()
 

@@ -78,3 +78,45 @@ def test_every_public_name_has_a_non_test_caller():
         if not any(word.search(text) for text in texts):
             orphans.append(name)
     assert orphans == []
+
+
+# public methods with no caller yet, and why each stays
+UNCALLED_METHODS = {
+    "SolutionSpace.contains": "perfbench's residue check is meant to move onto it (ROADMAP item 6)",
+}
+
+
+def test_every_public_method_has_a_non_test_caller():
+    """Each public method or property of a phforge class is read as ``.name`` somewhere else.
+
+    The places searched are ``src/phforge``, ``perfbench/`` and README.md,
+    each method's own definition blanked out; an attribute that perfbench's
+    traced run wraps by name on a class counts as read.
+    """
+    sources = {p: p.read_text(encoding="utf-8") for p in sorted((ROOT / "src" / "phforge").glob("*.py"))}
+    plain = "\n".join(
+        p.read_text(encoding="utf-8") for p in [*sorted(PERFBENCH.glob("*.py")), ROOT / "README.md"]
+    )
+    wrapped = {
+        f"{owner.partition(':')[2]}.{attr}"
+        for _span, owners, attr, _hook in layers.TIMED + layers.COUNTED
+        for owner in owners
+    }
+    orphans = []
+    for path, text in sources.items():
+        for cls in ast.parse(text).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                    continue
+                start = node.decorator_list[0].lineno if node.decorator_list else node.lineno
+                lines = text.splitlines()
+                lines[start - 1 : node.end_lineno] = []
+                others = [t for p, t in sources.items() if p != path]
+                word = re.compile(rf"\.{node.name}\b")
+                name = f"{cls.name}.{node.name}"
+                read = name in wrapped or any(word.search(t) for t in [plain, "\n".join(lines), *others])
+                if not read and name not in UNCALLED_METHODS:
+                    orphans.append(name)
+    assert orphans == []

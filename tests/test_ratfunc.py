@@ -91,7 +91,7 @@ class TestHermite:
         f = RF(P([0, 2]), P([1, 0, 1]) ** 2)
         g = hermite_antiderivative(f)
         assert g.derivative() == f
-        assert g.evaluate(F(0)) == 0
+        assert g.numerator(0) == 0
         # up to the value-at-zero normalization this is -1/(t^2+1)
         assert g - 1 == RF(P([-1]), P([1, 0, 1]))
 
@@ -112,7 +112,7 @@ class TestHermite:
             f = g.derivative()
             back = hermite_antiderivative(f)
             assert back.derivative() == f
-            assert back == g - g.evaluate(F(0))
+            assert back == g - g.numerator(0) / g.denominator(0)
             quot, rem = divmod(back.denominator, q)
             assert rem.is_zero or back.denominator.degree == 0
 
@@ -131,7 +131,7 @@ class TestHermite:
             g = RF(P([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(12)]), quartic**3)
             f = g.derivative()
             assert squarefree_decomposition(f.denominator)[1] == [(quartic, 4)]
-            assert hermite_antiderivative(f) == g - g.evaluate(F(0))
+            assert hermite_antiderivative(f) == g - g.numerator(0) / g.denominator(0)
 
     def test_log_term_over_quartic_raises(self):
         # adding h / quartic (deg h < 4) leaves exactly that log/arctan term
@@ -159,7 +159,7 @@ class TestHermite:
         assert anti_den == d
         for n, out in zip(nums, outs):
             anti = RF(out, anti_den)
-            assert anti - anti.evaluate(F(0)) == hermite_antiderivative(RF(n, den))
+            assert anti - out(0) / anti_den(0) == hermite_antiderivative(RF(n, den))
 
     def test_shared_core_reports_remainder_per_factor(self):
         # adding 1/(t^2+t+3) leaves a log/arctan term over that factor only
@@ -203,13 +203,6 @@ class TestSturm:
         mu = P([1, 0, 0, 0, F(11, 53264)])
         assert sturm_real_root_count(mu) == 0
 
-    def test_interval_counts(self):
-        p = P([-6, 11, -6, 1])  # roots 1, 2, 3
-        assert sturm_real_root_count(p) == 3
-        assert sturm_real_root_count(p, 0, F(5, 2)) == 2
-        assert sturm_real_root_count(p, 1, 3) == 2  # interval is (lo, hi]
-        assert sturm_real_root_count(p, None, F(3, 2)) == 1
-
     def test_multiple_roots_counted_once(self):
         assert sturm_real_root_count(P([1, -2, 1]) * P([1, 0, 1])) == 1
 
@@ -234,7 +227,7 @@ class TestReparameterize:
         y1 = RF(P([0, 2]), P([1, 0, 1]))
         x2 = ref_reparameterize(x1, 0, 1, 1, 0)
         y2 = ref_reparameterize(y1, 0, 1, 1, 0)
-        assert (x2.evaluate(F(0)), y2.evaluate(F(0))) == (-1, 0)
+        assert [f.numerator(0) / f.denominator(0) for f in (x2, y2)] == [-1, 0]
 
     def test_chain_rule_with_jacobian(self):
         rng = random.Random(14)
@@ -259,9 +252,9 @@ class TestReparameterize:
 
 def test_eval_float_unbounded_only_at_infinity():
     f = RF(P([0, 1]))
-    assert [f.eval_float(t) for t in (0.5, 2.0, -3.0)] == [0.5, 2.0, -3.0]
+    assert f.eval_floats([0.5, 2.0, -3.0]).tolist() == [0.5, 2.0, -3.0]
     with pytest.raises(OverflowError):
-        f.eval_float(float("inf"))
+        f.eval_floats([float("inf")])
 
 
 class TestPartialFractions:
@@ -296,5 +289,5 @@ class TestQuadraticFactorValidation:
     def test_alpha_expands(self):
         poles = PoleStructure((QuadraticFactor(0, 1, 2), QuadraticFactor(0, 2, 1)))
         assert poles.alpha() == P([1, 0, 1]) ** 2 * P([2, 0, 1])
-        assert poles.degree == 6
+        assert poles.alpha().degree == 6
         assert sturm_real_root_count(poles.alpha()) == 0

@@ -18,6 +18,7 @@ from phforge import (
     speed_function,
     sturm_real_root_count,
     synthesize_curve,
+    tangent_indicatrix,
 )
 from phforge.geometry import _HALF_CIRCLE
 from helpers import (
@@ -130,8 +131,20 @@ class TestResidueSystem:
             synthesize_curve(prob, mu)
 
     def test_degree_bookkeeping_rejected(self):
+        a_poly, poles = generator_deg3(), poles_single(0, 4, 3)
         with pytest.raises(DegreeError):
-            SynthesisProblem(generator_deg3(), poles_single(0, 4, 3))
+            SynthesisProblem(a_poly, poles)
+        with pytest.raises(DegreeError):
+            SynthesisProblem.from_indicatrix(a_poly, poles, tangent_indicatrix(a_poly))
+
+    def test_indicatrix_gives_the_same_problem(self):
+        a_poly, poles = generator_deg3(), poles_single(0, 4, 6)
+        problems = [
+            SynthesisProblem(a_poly, poles),
+            SynthesisProblem.from_indicatrix(a_poly, poles, tangent_indicatrix(a_poly)),
+        ]
+        built, given = ((p.a_poly, p.poles, p.m, p.alpha, p.hodograph_dir) for p in problems)
+        assert built == given
 
 
 class TestSynthesizeCurve:
@@ -139,17 +152,17 @@ class TestSynthesizeCurve:
         r0 = synthesize_curve(problem(6), MU0)
         assert matches_up_to_translation(r0, PRINTED_R0, PRINTED_DEN)
         assert r0.den == P([4, 0, 1]) ** 5
-        assert r0.x.numerator * 798960 == PRINTED_R0[0]
+        assert RF(r0.nums[0], r0.den).numerator * 798960 == PRINTED_R0[0]
 
     def test_printed_curve_r2(self):
         r2 = synthesize_curve(problem(6), MU2)
         assert matches_up_to_translation(r2, PRINTED_R2, PRINTED_DEN)
-        assert (r2.x.numerator * 798960).coefficient(9) == 11340
+        assert (RF(r2.nums[0], r2.den).numerator * 798960).coefficient(9) == 11340
 
     def test_zero_numerator_gives_origin(self):
         curve = synthesize_curve(problem(6), P([0]))
         assert all(n.degree <= 0 for n in curve.nums) and curve.den.degree == 0
-        assert curve.evaluate(F(7)) == (0, 0, 0)
+        assert [n(7) for n in curve.nums] == [0, 0, 0]
 
     def test_nonkernel_numerator_raises(self):
         two_factor = two_factor_problem(generator_deg3(), 6, 4)
@@ -181,17 +194,17 @@ class TestSynthesizeCurve:
         ):
             r1, r2 = synthesize_curve(prob, mu1), synthesize_curve(prob, mu2)
             mixed = synthesize_curve(prob, mu1 * a + mu2 * b)
-            for c, c1, c2 in zip(mixed.components(), r1.components(), r2.components()):
-                assert c == c1 * a + c2 * b
+            for n, n1, n2 in zip(mixed.nums, r1.nums, r2.nums):
+                assert RF(n, mixed.den) == RF(n1, r1.den) * a + RF(n2, r2.den) * b
 
     def test_starts_at_origin(self):
         curve = synthesize_curve(problem(6), MU0)
-        assert curve.evaluate(F(0)) == (0, 0, 0)
+        assert [n(0) for n in curve.nums] == [0, 0, 0]
 
     def test_ph_identity_exact(self):
         prob = problem(6)
         curve = synthesize_curve(prob, MU0)
-        hx, hy, hz = curve.hodograph()
+        hx, hy, hz = (RF(n, curve.den).derivative() for n in curve.nums)
         sigma = RF(MU0 * prob.a_poly.norm_poly(), prob.alpha)
         assert hx * hx + hy * hy + hz * hz == sigma * sigma
 
@@ -199,7 +212,7 @@ class TestSynthesizeCurve:
         prob = problem(6)
         curve = synthesize_curve(prob, MU0)
         wx, wy, wz = (RF(w) for w in prob.hodograph_dir)
-        hx, hy, hz = curve.hodograph()
+        hx, hy, hz = (RF(n, curve.den).derivative() for n in curve.nums)
         assert (hy * wz - hz * wy).is_zero
         assert (hz * wx - hx * wz).is_zero
         assert (hx * wy - hy * wx).is_zero
@@ -212,10 +225,11 @@ class TestClosurePoint:
     def test_synthesized_curve_limits_finite_and_equal(self):
         curve = synthesize_curve(problem(6), MU0)
         limits = closure_point(curve)
-        for comp, lim in zip(curve.components(), limits):
+        for n, lim in zip(curve.nums, limits):
+            comp = RF(n, curve.den)
             gap = comp.denominator.degree - comp.numerator.degree
             assert gap >= 0
-            assert abs(comp.eval_float(float("inf")) - float(lim)) < 1e-15
+            assert abs(comp.eval_floats([float("inf")])[0] - float(lim)) < 1e-15
 
     def test_constant_curve(self):
         curve = RationalCurve((P([1]), P([2]), P([3])), P([1]))
