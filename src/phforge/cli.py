@@ -10,11 +10,15 @@ errors, an unreadable input, config or bundle coefficients beyond the
 float range and an unwritable ``--out`` included.  All exact data is
 serialized as rational strings; sampled data as floats.  JSON outputs are compact, one
 line with sorted keys (``python -m json.tool FILE`` pretty-prints them).  Outputs are deterministic for a fixed config and seed.
+``synth`` writes a ``phforge-bundle-v3`` bundle, whose sampled poses store
+their rotation quaternion but not the frame it determines; ``sample`` and
+``frames`` read v1, v2 and v3 bundles alike.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -51,9 +55,10 @@ from .synthesis import (
 )
 
 MARGIN_FLOOR = 1e-8
-BUNDLE_SCHEMA = "phforge-bundle-v2"
-# v1 also stored samples.count, .angles and .parameters, which load_bundle never reads
-READABLE_SCHEMAS = ("phforge-bundle-v1", BUNDLE_SCHEMA)
+BUNDLE_SCHEMA = "phforge-bundle-v3"
+# v1 also stored samples.count, .angles and .parameters, and v1 and v2 each
+# pose's frame, none of which load_bundle reads
+READABLE_SCHEMAS = ("phforge-bundle-v1", "phforge-bundle-v2", BUNDLE_SCHEMA)
 
 
 # -- config ----------------------------------------------------------------
@@ -256,16 +261,15 @@ def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def _pose_dicts(motion, positions: list) -> list[dict]:
-    """The pose objects of the bundle's samples and of ``frames --format json``.
-
-    positions is ``motion.positions.tolist()``, passed in so the bundle's
-    ``samples.positions`` shares its rows.
-    """
+def _pose_dicts(motion) -> list[dict]:
+    """The pose objects of ``frames --format json``, each with its frame columns."""
     return [
         {"parameter": _finite_or_str(t), "position": p, "rotation": r, "frame": f}
         for t, p, r, f in zip(
-            motion.parameters, positions, motion.rotations.tolist(), motion.frames.tolist()
+            motion.parameters,
+            motion.positions.tolist(),
+            motion.rotations.tolist(),
+            motion.frames.tolist(),
         )
     ]
 
@@ -416,12 +420,20 @@ def _build_bundle(cfg, problem, space, slice_, results, achieved, curve, cert, h
 
 
 def _bundle_samples(a: QuaternionPolynomial, curve: RationalCurve, n: int) -> dict:
-    """The bundle's ``samples``: n poses of the framing motion and the circle-chart speed."""
+    """The bundle's ``samples``: n poses of the framing motion and the circle-chart speed.
+
+    Each pose stores its parameter, position and unit rotation quaternion q;
+    its frame is not stored, since column k is q e_k q*.  ``positions``
+    repeats the poses' positions, sharing their rows.
+    """
     motion = sample_motion(a, curve, n)
     positions = motion.positions.tolist()
     return {
         "positions": positions,
-        "poses": _pose_dicts(motion, positions),
+        "poses": [
+            {"parameter": _finite_or_str(t), "position": p, "rotation": r}
+            for t, p, r in zip(motion.parameters, positions, motion.rotations.tolist())
+        ],
         "speed": speed_function(curve).eval_floats(motion.parameters).tolist(),
     }
 
@@ -439,7 +451,8 @@ class Bundle:
 def load_bundle(path: str) -> Bundle:
     data = _read_json(path, "bundle")
     if not isinstance(data, dict) or data.get("schema") not in READABLE_SCHEMAS:
-        raise ParseError(f"not a {' or '.join(READABLE_SCHEMAS)} file", "schema")
+        *older, newest = READABLE_SCHEMAS
+        raise ParseError(f"not a {', '.join(older)} or {newest} file", "schema")
     cfg = parse_config(data.get("config", {}))
     curve_raw = data.get("curve")
     if not isinstance(curve_raw, dict):
@@ -576,7 +589,7 @@ def cmd_frames(bundle: Bundle, n: int, fmt: str) -> str:
         raise ParseError(f"format {fmt!r} not supported for frames", "--format")
     motion = sample_motion(bundle.generator, bundle.curve, n)
     if fmt == "json":
-        return _json(_pose_dicts(motion, motion.positions.tolist()))
+        return _json(_pose_dicts(motion))
     table = np.hstack(
         (
             np.array(motion.parameters)[:, None],
@@ -597,7 +610,9 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on the first ``main`` call and reused after it."""
     parser = _Parser(prog="phforge", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -31,21 +31,20 @@ HULL_TOLERANCE = 1e-8
 MIN_NORM_TOLERANCE = 1e-12
 
 
-def parameter_of_angle(theta: float) -> float:
-    """Parameter t with circle angle theta; theta = 0 is the closure point."""
-    theta = math.fmod(theta, 2.0 * math.pi)
-    if theta == 0.0:
-        return math.inf
-    half = (math.pi - theta) / 2.0
-    c = math.cos(half)
-    if c == 0.0:
-        return math.inf
-    return math.sin(half) / c
-
-
 def angle_parameters(n: int) -> list[float]:
-    """n parameters equidistant in circle angle, starting at t = infinity."""
-    return [parameter_of_angle(2.0 * math.pi * j / n) for j in range(n)]
+    """n parameters equidistant in circle angle, starting at t = infinity.
+
+    Sample j has angle theta = 2 pi j / n and parameter tan((pi - theta) / 2),
+    infinite at theta = 0 (the closure point).  The angles, ``fmod`` and
+    half-angles are exact IEEE operations in numpy; sine and cosine go
+    through ``math``, whose last bit numpy's may round differently.
+    """
+    theta = np.fmod(2.0 * math.pi * np.arange(n, dtype=float) / n, 2.0 * math.pi)
+    half = ((math.pi - theta) / 2.0).tolist()
+    s = np.fromiter(map(math.sin, half), float, n)
+    c = np.fromiter(map(math.cos, half), float, n)
+    t = np.divide(s, c, out=np.full(n, math.inf), where=theta != 0.0)
+    return t.tolist()
 
 
 class TangentIndicatrix:

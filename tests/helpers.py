@@ -636,6 +636,18 @@ def ref_qmul(a: QP, b: QP) -> QP:
 _REF_HALF_CIRCLE = P([F(1, 2), 0, F(1, 2)])
 
 
+def ref_parameter_of_angle(theta: float) -> float:
+    """Parameter t with circle angle theta, one sample at a time; theta = 0 is t = inf."""
+    theta = math.fmod(theta, 2.0 * math.pi)
+    if theta == 0.0:
+        return math.inf
+    half = (math.pi - theta) / 2.0
+    c = math.cos(half)
+    if c == 0.0:
+        return math.inf
+    return math.sin(half) / c
+
+
 def ref_closure_integral(c: RationalCurve, samples: int = 2048) -> tuple[float, float, float]:
     """Quadrature of the closed-curve integral of the weighted hodograph.
 
@@ -708,6 +720,30 @@ def ref_solve_coefficients(space: SolutionSpace, fixed: dict[int, F]):
     return space.combination(y)
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """Fail with the first differing line and the offset in it, not a diff of the whole texts.
+
+    Outputs run to hundreds of kilobytes, often on one line, where a full
+    diff takes minutes.
+    """
+    if got == want:
+        return
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    line = next(
+        (i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w),
+        min(len(got_lines), len(want_lines)),
+    )
+    g = got_lines[line] if line < len(got_lines) else ""
+    w = want_lines[line] if line < len(want_lines) else ""
+    col = next((k for k, (x, y) in enumerate(zip(g, w)) if x != y), min(len(g), len(w)))
+    start = max(col - 40, 0)
+    raise AssertionError(
+        f"texts differ at line {line + 1}, offset {col} "
+        f"({len(got_lines)} vs {len(want_lines)} lines):\n"
+        f"  got:  {g[start:col + 40]!r}\n  want: {w[start:col + 40]!r}"
+    )
+
+
 # -- Per-pose export path --------------------------------------------------------
 # The writers as they were when sample_motion built one object per pose and
 # the CLI took those apart again; the export tests compare the array writers
@@ -768,12 +804,14 @@ def ref_csv(rows, header) -> str:
 
 
 def ref_bundle_samples(a: QP, c: RationalCurve, n: int) -> dict:
-    """The bundle's ``samples`` section at n poses."""
+    """The bundle's ``samples`` section at n poses, which store no frame."""
     poses = ref_sample_motion(a, c, n)
     speeds = speed_function(c).eval_floats([p.parameter for p in poses]).tolist()
     return {
         "positions": [list(p.position) for p in poses],
-        "poses": [ref_pose_dict(p) for p in poses],
+        "poses": [
+            {key: v for key, v in ref_pose_dict(p).items() if key != "frame"} for p in poses
+        ],
         "speed": speeds,
     }
 

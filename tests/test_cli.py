@@ -581,11 +581,37 @@ def test_overflow_names_the_field(bundle_path, tmp_path, capsys, case, field):
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
-def test_v1_bundle_exports_like_v2(bundle_path, tmp_path, capsys):
-    # a v1 bundle also stored samples.count, .angles and .parameters
+def _rotation_matrices(q: np.ndarray) -> np.ndarray:
+    """n x 3 x 3 rotation matrices of the unit quaternions q (n x 4, w x y z), row k = q e_k q*."""
+    w, x, y, z = q.T
+    return np.stack(
+        [
+            np.stack([1 - 2 * (y * y + z * z), 2 * (x * y + w * z), 2 * (x * z - w * y)], axis=1),
+            np.stack([2 * (x * y - w * z), 1 - 2 * (x * x + z * z), 2 * (y * z + w * x)], axis=1),
+            np.stack([2 * (x * z + w * y), 2 * (y * z - w * x), 1 - 2 * (x * x + y * y)], axis=1),
+        ],
+        axis=1,
+    )
+
+
+def test_old_bundles_export_like_v3(bundle_path, tmp_path, capsys):
     data = json.loads(Path(bundle_path).read_text())
-    assert data["schema"] == "phforge-bundle-v2"
+    assert data["schema"] == "phforge-bundle-v3"
     poses = data["samples"]["poses"]
+    assert all(pose.keys() == {"parameter", "position", "rotation"} for pose in poses)
+    # the stored rotations determine the frames: nothing is lost by not storing them
+    bundle = load_bundle(bundle_path)
+    frames = geometry.sample_motion(bundle.generator, bundle.curve, len(poses)).frames
+    stored = _rotation_matrices(np.array([pose["rotation"] for pose in poses]))
+    assert np.max(np.abs(stored - frames)) <= 1e-15
+
+    # a v2 bundle also stored each pose's frame
+    for pose, frame in zip(poses, frames.tolist()):
+        pose["frame"] = frame
+    data["schema"] = "phforge-bundle-v2"
+    v2 = tmp_path / "v2.json"
+    v2.write_text(json.dumps(data))
+    # a v1 bundle also stored samples.count, .angles and .parameters
     data["schema"] = "phforge-bundle-v1"
     data["samples"]["count"] = len(poses)
     data["samples"]["angles"] = [2.0 * math.pi * j / len(poses) for j in range(len(poses))]
@@ -597,7 +623,22 @@ def test_v1_bundle_exports_like_v2(bundle_path, tmp_path, capsys):
     ] + [["frames", "--format", fmt] for fmt in ("json", "csv")]
     for export in exports:
         outputs = []
-        for path in (bundle_path, str(v1)):
+        for path in (bundle_path, str(v2), str(v1)):
             assert main(export + ["--samples", "32", "--config", path]) == 0, export
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1], export
+        assert outputs[0] == outputs[1] == outputs[2], export
+
+
+def test_parser_reuse_matches_a_fresh_parser(bundle_path, capsys):
+    cli._build_parser.cache_clear()
+    assert main(["sample", "--config", bundle_path]) == 0
+    fresh = capsys.readouterr().out
+    parser = cli._build_parser()
+    # options of one call must not carry over into the next
+    assert main(["frames", "--config", bundle_path, "--format", "csv", "--samples", "16"]) == 0
+    capsys.readouterr()
+    assert main(["sample", "--config", bundle_path]) == 0
+    assert capsys.readouterr().out == fresh
+    assert cli._build_parser() is parser
+    # no --format gives JSON, no --samples 256 points
+    assert len(json.loads(fresh)["positions"]) == 256

@@ -15,6 +15,7 @@ from phforge import Quaternion, cli
 from phforge.cli import load_bundle, main
 
 from helpers import (
+    assert_same_text,
     generator_deg3,
     ref_bundle_samples,
     ref_csv,
@@ -57,8 +58,8 @@ def bundle_path(request, tmp_path_factory):
 def test_frames_match_per_pose_writers(bundle_path, n):
     bundle = load_bundle(bundle_path)
     text = {fmt: cli.cmd_frames(bundle, n, fmt) for fmt in ("json", "csv")}
-    for fmt in text:
-        assert text[fmt] == ref_frames(bundle, n, fmt), fmt
+    assert_same_text(text["json"], ref_frames(bundle, n, "json"))
+    assert_same_text(text["csv"], ref_frames(bundle, n, "csv"))
     assert json.loads(text["json"])[0]["parameter"] == "inf"
     assert text["csv"].splitlines()[1].startswith("inf,")
 
@@ -67,16 +68,18 @@ def test_frames_match_per_pose_writers(bundle_path, n):
 def test_sample_matches_per_pose_writers(bundle_path, n):
     bundle = load_bundle(bundle_path)
     _, positions = ref_sample_positions(bundle, n)
-    assert cli.cmd_sample(bundle, n, "csv") == ref_csv(positions, ("x", "y", "z"))
-    assert cli.cmd_sample(bundle, n, "obj") == cli._obj(positions)
-    assert cli.cmd_sample(bundle, n, "svg") == ref_svg(bundle, n)
+    assert_same_text(cli.cmd_sample(bundle, n, "csv"), ref_csv(positions, ("x", "y", "z")))
+    assert_same_text(cli.cmd_sample(bundle, n, "obj"), cli._obj(positions))
+    assert_same_text(cli.cmd_sample(bundle, n, "svg"), ref_svg(bundle, n))
 
 
 @pytest.mark.parametrize("n", SAMPLE_COUNTS)
 def test_bundle_samples_match_per_pose_writers(bundle_path, n):
     bundle = load_bundle(bundle_path)
     samples = cli._bundle_samples(bundle.generator, bundle.curve, n)
-    assert cli._json(samples) == cli._json(ref_bundle_samples(bundle.generator, bundle.curve, n))
+    assert_same_text(
+        cli._json(samples), cli._json(ref_bundle_samples(bundle.generator, bundle.curve, n))
+    )
     assert samples["poses"][0]["parameter"] == "inf"
     assert samples["positions"] == [p["position"] for p in samples["poses"]]
 
@@ -85,6 +88,7 @@ def test_synth_bundle_samples_match_per_pose_writers(bundle_path):
     data = json.loads(Path(bundle_path).read_text())
     bundle = load_bundle(bundle_path)
     want = ref_bundle_samples(bundle.generator, bundle.curve, BUNDLE_SAMPLES)
-    assert data["samples"] == json.loads(cli._json(want))
+    # the file is compact JSON, whose floats round-trip, so dumping it again gives its bytes
+    assert_same_text(cli._json(data["samples"]), cli._json(want))
     # the duplicate positions, until a bundle schema drops them
     assert data["samples"]["positions"] == [p["position"] for p in data["samples"]["poses"]]

@@ -21,7 +21,7 @@ from phforge import (
     synthesize_curve,
     tangent_indicatrix,
 )
-from phforge.geometry import angle_parameters, parameter_of_angle
+from phforge.geometry import angle_parameters
 from phforge.polynomial import two_chart_quotients
 from phforge.quaternion import QJ, QONE
 
@@ -33,6 +33,7 @@ from helpers import (
     poles_single,
     ref_closure_integral,
     ref_curve_from_components,
+    ref_parameter_of_angle,
     ref_pose,
     ref_reparameterize,
 )
@@ -264,4 +265,12 @@ def test_angle_parameters_cover_closure_point_monotonically():
     assert math.isinf(params[0])
     finite = params[1:]
     assert all(b < a for a, b in zip(finite, finite[1:]))
-    assert parameter_of_angle(math.pi) == pytest.approx(0.0)
+    assert ref_parameter_of_angle(math.pi) == pytest.approx(0.0)
+
+
+def test_angle_parameters_match_one_sample_at_a_time():
+    for n in [*range(2, 600), 1024, 2048, 4096, 8192, 9973]:
+        got = angle_parameters(n)
+        want = [ref_parameter_of_angle(2.0 * math.pi * j / n) for j in range(n)]
+        # bitwise, signed zeros included
+        assert [x.hex() for x in got] == [x.hex() for x in want], n
