@@ -24,7 +24,7 @@ from .geometry import (
     speed_function,
     tangent_indicatrix,
 )
-from .polynomial import Polynomial, poly_gcd, poly_sqrt, squarefree_decomposition
+from .polynomial import Polynomial, poly_gcd, poly_sqrt
 from .positivity import (
     FeasibilityResult,
     GramSlice,
@@ -101,7 +101,6 @@ __all__ = [
     "sample_motion",
     "sdp_feasible_point",
     "speed_function",
-    "squarefree_decomposition",
     "sturm_real_root_count",
     "synthesize_curve",
     "tangent_indicatrix",

@@ -24,10 +24,10 @@ class DegreeError(PhforgeError):
 class RationalityError(PhforgeError):
     """Integration would produce non-rational (log/arctan) terms.
 
-    ``remainders`` holds ``(factor, numerator)`` pairs: the squarefree
-    denominator factors whose residual fraction did not vanish.  From
-    ``synthesize_curve`` the factors are the quadratics of alpha, one pair
-    per pole factor and hodograph component that leaves a remainder.
+    ``remainders`` holds one ``(core, B)`` pair per integrand that has a
+    log/arctan part B / core, with core the squarefree part of its
+    denominator.  From ``synthesize_curve`` the core is the product of
+    alpha's quadratics, one pair per hodograph component that fails.
     """
 
     exit_code = 3

@@ -13,6 +13,10 @@ def nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
     vector with a 1 at f and the pivot entries solved from the reduced rows,
     scaled to coprime integers with a positive first nonzero entry; that
     vector is unique, so it is the one elimination over Q would give.
+    It is the package's one elimination: it gives the residue kernel, and
+    it solves a nonsingular square system A x = b_j for several b_j at once,
+    since with the b_j as trailing columns of [A | b_1 ... b_r] each free
+    column n + j gives the kernel vector (-x_j v, 0.., v, ..0).
     """
     m = [list(row) for row in rows]
     pivots = []

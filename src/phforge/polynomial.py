@@ -12,8 +12,8 @@ vector at 2^k, ``_unpack`` reads the balanced 2^k-adic digits back
 (Schoenhage 1982).  ``poly_gcd`` is the heuristic GCDHEU on the same pair
 of helpers, proved by trial division, with the primitive polynomial
 remainder sequence (Collins 1967; Brown & Traub 1971) as its fallback.
-The Sturm chain and ``modular_inverse`` need the whole remainder sequence
-and stay pseudo-division loops.  ``Fraction`` values are built only at the
+The Sturm chain needs the whole remainder sequence and stays a
+pseudo-division loop.  ``Fraction`` values are built only at the
 edges: ``coeffs``, ``leading``, ``coefficient`` and evaluation.  Degrees in
 this package stay small (tens), so the dense representation is the right
 tool.
@@ -441,60 +441,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor, by GCDHEU or the primitive PRS (``_int_gcd``)."""
     g = _int_gcd(a.ints, b.ints)
     return _canonical(g, g[-1]) if g else Polynomial.zero()
-
-
-def modular_inverse(a: Polynomial, modulus: Polynomial) -> Polynomial:
-    """Inverse of a modulo a coprime modulus, both over Q.
-
-    Extended primitive PRS over the integer vectors A and M of a and the
-    modulus, tracking only A's cofactor: each remainder is r_i = s_i A mod M,
-    and r_i and s_i are divided by their common content.  The last nonzero
-    remainder is a constant c, so a^-1 = s a.den / c mod the modulus.
-    """
-    m = modulus.ints
-    r0, r1, s0, s1 = a.ints, m, [1], []
-    while r1:
-        scale, q, r = _int_divmod(r0, r1)
-        s = [scale * x for x in s0] + [0] * max(len(q) + len(s1) - 1 - len(s0), 0)
-        if q and s1:
-            for i, x in enumerate(_int_mul(q, s1)):
-                s[i] -= x
-        g = math.gcd(*r, *s)  # nonzero: r_i and s_i never vanish together
-        r0, r1, s0, s1 = r1, [x // g for x in r], s1, [x // g for x in s]
-    if len(r0) != 1:
-        raise ValueError("element not invertible modulo the given polynomial")
-    scale, _, rem = _int_divmod(s0, m)
-    return _canonical([x * a.den for x in rem], r0[0] * scale)
-
-
-def squarefree_decomposition(p: Polynomial):
-    """Yun's algorithm: returns (lead, [(S_i, i)]) with p = lead * prod S_i^i.
-
-    The S_i are monic, squarefree and pairwise coprime; valid in
-    characteristic zero.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    lead = p.leading()
-    p = p.monic()
-    if p.degree == 0:
-        return lead, []
-    out = []
-    dp = p.derivative()
-    a = poly_gcd(p, dp)
-    b = p.exact_div(a)
-    c = dp.exact_div(a)
-    d = c - b.derivative()
-    i = 1
-    while b.degree > 0:
-        ai = poly_gcd(b, d)
-        if ai.degree > 0:
-            out.append((ai, i))
-        b = b.exact_div(ai)
-        c = d.exact_div(ai)
-        d = c - b.derivative()
-        i += 1
-    return lead, out
 
 
 def poly_sqrt(p: Polynomial):

@@ -5,12 +5,12 @@ series over the extension field Q[t]/(Q(t)), kept as integer pairs over
 Z[phi] with one denominator per series, so no irrational or floating
 complex numbers appear anywhere; a residue is reported as its two
 coordinates over Q (``ExtensionElement``), with no field arithmetic.
-Rational antiderivatives come from Hermite reduction, with no root finding:
-each partial fraction A / s^k is expanded once into its s-adic digits, as
-integer vectors, and each step strips one multiplicity of s by an integer
-update of the lowest digit alone; real-root counting is Sturm's method,
-with the chain computed as a signed primitive polynomial remainder sequence
-over Z.
+Rational antiderivatives come from Horowitz's method, with no root finding
+and no partial fractions: the denominator of the antiderivative is known
+in advance, so its numerator and the log/arctan part are the solution of
+one square integer linear system, solved for all numerators at once by
+``linalg.nullspace``; real-root counting is Sturm's method, with the chain
+computed as a signed primitive polynomial remainder sequence over Z.
 """
 
 from __future__ import annotations
@@ -18,24 +18,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 import numpy as np
 
+from . import linalg
 from .errors import RationalityError
 from .polynomial import (
     Polynomial,
     _canonical,
-    _int_add,
     _int_divmod,
-    _int_mul,
-    _pack,
-    _pair,
     _primitive,
-    _unpack,
-    modular_inverse,
     poly_gcd,
-    squarefree_decomposition,
     two_chart_quotients,
 )
 
@@ -359,171 +352,70 @@ def _variations(signs: list[bool]) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _split_coprime(nums, moduli: list[Polynomial]):
-    """num / prod(moduli) = poly + sum A_i / M_i with deg A_i < deg M_i, per num.
+def _horowitz(nums, core: Polynomial, lift: Polynomial) -> list[Polynomial]:
+    """The N_i with (N_i / lift)' = nums[i] / (lift core) and N_i(0) = 0.
 
-    The moduli must be pairwise coprime.  The inverse of each cofactor
-    prod(M_j, j != i) modulo M_i is computed once for all numerators, since
-    num = poly * prod(moduli) + sum A_i * cofactor_i gives A_i = num / cofactor_i
-    mod M_i.  Returns [(poly_part, [A_i])], one pair per numerator.
+    Horowitz's method (Horowitz 1971; Bronstein, *Symbolic Integration I*,
+    sec. 2.2): core is squarefree and every root of lift is one of core's, so
+    E = lift' core / lift is a polynomial, and num / (lift core) =
+    (N / lift)' + B / core with deg B < deg core holds exactly when
+    N' core - N E + B lift = num.  The unknowns are N_1..N_deg(lift) and
+    B_0..B_(deg core - 1): N_0 is dropped, as N(0) = 0, which makes the
+    system square and nonsingular because lift(0) != 0 (with N_0 kept, its
+    kernel is N = lift, the constant N / lift).  Every numerator, which must
+    be proper over lift core, is one right-hand-side column of a single
+    ``linalg.nullspace`` call, on rows scaled to integers.  A nonzero B is a
+    log/arctan part and raises RationalityError, with one (core, B) pair per
+    such numerator; every N is checked against N' core - N E = num exactly.
     """
-    prod = Polynomial.one()
-    for m in moduli:
-        prod = prod * m
-    inverses = [modular_inverse(prod.exact_div(m), m) for m in moduli]
-    return [
-        (num // prod, [(num % m * inv) % m for m, inv in zip(moduli, inverses)])
-        for num in nums
-    ]
-
-
-class _HermiteFactor:
-    """Hermite reduction over one power s^k on integer s-adic digits.
-
-    In u = e t, with e the denominator of the monic squarefree s, the factor
-    is the monic integer S(u) = e^deg(s) s(u / e), so division by S stays in
-    Z.  A numerator a (deg a < k deg s) is scaled to an integer vector and
-    expanded once into its S-adic digits a_0 + a_1 S + ..., each of degree
-    below deg S (von zur Gathen & Gerhard, *Modern Computer Algebra*, sec. 9).
-    With I / delta the inverse of S' mod S, computed once per factor, the
-    step that strips S^j (Bronstein, *Symbolic Integration I*, ch. 2) reads
-    only the lowest digit: b = -a_0 I / ((j-1) delta) mod S, then
-    a_1 += (a_0 + (j-1) b S') / S - b', which is exact, and the digits
-    shift.  Both a_0 -> a_0 I mod S and a_0 -> (delta a_0 - (a_0 I mod S) S')
-    / S are fixed integer matrices, so a step is two small matrix-vector
-    products on the lowest digit, kept over one growing integer denominator.
-    """
-
-    def __init__(self, s: Polynomial, k: int):
-        self.k = k
-        self.d = d = s.degree
-        self.e = e = s.den
-        self.powers = [e**i for i in range(k * d)]
-        self.S = S = [c * e ** (d - 1 - i) for i, c in enumerate(s.ints[:-1])] + [1]
-        dS = _int_derivative(S)
-        inv = modular_inverse(_pair(tuple(dS), 1), _pair(tuple(S), 1))
-        self.delta = delta = inv.den
-        inv_cols, quo_cols = [], []
-        for col in range(d):
-            # t^col I mod S, then (delta t^col - (t^col I mod S) S') / S, exact
-            p = _int_divmod([0] * col + list(inv.ints), S)[2]
-            p += [0] * (d - len(p))
-            q = _int_divmod(_int_add([0] * col + [delta], [-x for x in _int_mul(p, dS)]), S)[1]
-            inv_cols.append(p)
-            quo_cols.append(q + [0] * (d - 1 - len(q)))
-        self.inv_rows = list(zip(*inv_cols))
-        self.quo_rows = list(zip(*quo_cols))
-
-    def digits(self, a: Polynomial) -> list[list[int]]:
-        """The k S-adic digits of den(a) e^(k deg s - 1) a(u / e), ascending."""
-        d, n, powers = self.d, self.k * self.d, self.powers
-        v = [c * powers[n - 1 - i] for i, c in enumerate(a.ints)]
-        v += [0] * (n - len(v))
-        low = self.S[:-1]
-        out = []
-        for _ in range(self.k - 1):
-            # synthetic division by the monic S: v[:d] is the remainder, v[d:] the quotient
-            for i in range(len(v) - 1, d - 1, -1):
-                c = v[i]
-                if c:
-                    for j, x in enumerate(low, i - d):
-                        v[j] -= c * x
-            out.append(v[:d])
-            v = v[d:]
-        out.append(v)
-        return out
-
-    def reduce(self, a: Polynomial) -> tuple[Polynomial, Polynomial]:
-        """(N, r) with a / s^k = (N / s^(k-1))' + r / s and deg N < (k-1) deg s."""
-        d, k, delta, S = self.d, self.k, self.delta, self.S
-        digits = self.digits(a)
-        c, den, bs = digits[0], 1, []
-        for j in range(k, 1, -1):
-            # a_0 = c / den; p / (den delta) = a_0 I / delta mod S = -(j-1) b
-            p = [sum(map(mul, row, c)) for row in self.inv_rows]
-            q = [sum(map(mul, row, c)) for row in self.quo_rows]
-            den *= delta * (j - 1)
-            bs.append((p, den))  # b = -p / den
-            nxt = digits[k - j + 1]
-            c = [x * den + (j - 1) * y + (i + 1) * z for i, (x, y, z) in enumerate(zip(nxt, q, p[1:]))]
-            c.append(nxt[-1] * den)
-        # -den sum b_j S^(k-j) by Horner's rule in S from b_2, on the packed
-        # integers at 2^K (see ``_int_mul``): every coefficient is at most
-        # max|den b_j| k |S|_1^(k-1) < 2^(K-1)
-        bs = [[x * (den // den_j) for x in p] for p, den_j in reversed(bs)]
-        top = max((abs(x) for p in bs for x in p), default=0)
-        K = (top * k * sum(map(abs, S)) ** (k - 1)).bit_length() + 1
-        base, acc = _pack(S, K), 0
-        for p in bs:
-            acc = acc * base + _pack(p, K)
-        acc = _unpack(acc, K)
-        # back to t: u^i -> e^i t^i, and S^(k-1) = e^((k-1) deg s) s^(k-1)
-        e, powers, scale = self.e, self.powers, a.den * den
-        anti = _canonical([x * f for x, f in zip(acc, powers)], -scale * e ** ((k - 1) * d))
-        rem = _canonical([x * f for x, f in zip(c, powers)], scale * e ** (d - 1))
-        return anti, rem
-
-
-def _hermite_reduce(nums, factors):
-    """(D, [N_i]) with N_i / D an antiderivative of nums[i] / prod s^k, D = prod s^(k-1).
-
-    ``factors`` are one or more (s, k) pairs with s monic, squarefree and
-    pairwise coprime, and every nums[i] / prod s^k must be proper.  With
-    more than one factor, ``_split_coprime`` gives each numerator's partial
-    fractions A / s^k; with one, the numerator is A.  ``_HermiteFactor``
-    reduces each A on its integer s-adic digits, one multiplicity of s per
-    step, to (N / s^(k-1))' + r / s, and the antiderivative numerator is
-    the plain sum of N times the cofactor D / s^(k-1), with no gcd.  A
-    nonzero remainder r over a squarefree s is a log/arctan term and raises
-    RationalityError, with one (s, r) pair per factor and numerator.
-    """
-    lifts = [s ** (k - 1) for s, k in factors]
-    den = lifts[0]
-    for lift in lifts[1:]:
-        den = den * lift
-    if len(factors) == 1:
-        parts = [[n] for n in nums]
-    else:
-        parts = [a for _, a in _split_coprime(nums, [p * s for p, (s, _) in zip(lifts, factors)])]
-    out = [None] * len(nums)
-    remainders = []
-    for i, (s, k) in enumerate(factors):
-        factor = _HermiteFactor(s, k)
-        cofactor = den.exact_div(lifts[i]) if len(factors) > 1 else None
-        for n, a in enumerate(parts):
-            anti, rem = factor.reduce(a[i])
-            if not rem.is_zero:
-                remainders.append((s, rem))
-            if cofactor is not None:
-                anti = anti * cofactor
-            out[n] = anti if out[n] is None else out[n] + anti
+    delta, n = lift.degree, lift.degree + core.degree
+    e = (lift.derivative() * core).exact_div(lift)
+    scale = math.lcm(core.den, e.den, lift.den)
+    c, ei, li = ([x * (scale // p.den) for x in p.ints] for p in (core, e, lift))
+    cols = []
+    for k in range(1, delta + 1):  # N_k t^k: k t^(k-1) core - t^k E
+        col = [0] * n
+        for i, x in enumerate(c, k - 1):
+            col[i] = k * x
+        for i, x in enumerate(ei, k):
+            col[i] -= x
+        cols.append(col)
+    for k in range(core.degree):  # B_k t^k: t^k lift
+        cols.append([0] * k + li + [0] * (n - k - len(li)))
+    cols.extend(list(num.ints) + [0] * (n - len(num.ints)) for num in nums)
+    # the kernel vector of free column n + j solves the system for nums[j]
+    kernel = linalg.nullspace(list(zip(*cols)), n + len(nums))
+    out, remainders = [], []
+    for j, (num, v) in enumerate(zip(nums, kernel)):
+        den = v[n + j] * num.den
+        if any(v[delta:n]):
+            remainders.append((core, _canonical([-x * scale for x in v[delta:n]], den)))
+        out.append(_canonical([0] + [-x * scale for x in v[:delta]], den))
     if remainders:
-        raise RationalityError(
-            "nonzero residues: antiderivative is not rational", remainders
-        )
-    return den, out
+        raise RationalityError("nonzero residues: antiderivative is not rational", remainders)
+    for num, anti in zip(nums, out):
+        if anti.derivative() * core - anti * e != num:
+            raise AssertionError("antiderivative verification failed")
+    return out
 
 
 def hermite_antiderivative(f: RationalFunction) -> RationalFunction:
     """Rational antiderivative g with g' = f and g(0) = 0.
 
-    Works over Q with gcd arithmetic only (no root finding): Yun's squarefree
-    decomposition splits the denominator, and ``_hermite_reduce`` strips one
-    multiplicity at a time.  If after full reduction a fraction with
-    squarefree denominator remains, the antiderivative has log/arctan parts;
-    this is exactly the nonzero-residue case and raises RationalityError.
+    Works over Q with no root finding: the proper part rem / den integrates
+    over lift = gcd(den, den') by ``_horowitz``, with core = den / lift.  If a log/arctan part B / core is left, the residues
+    do not all vanish and RationalityError is raised.
     """
     den = f.denominator
     if den.degree > 0 and sturm_real_root_count(den) != 0:
         raise ValueError("denominator has real roots")
     poly_quot, rem = divmod(f.numerator, den)
-    num, anti_den = poly_quot.antiderivative(), Polynomial.one()
+    num, lift = poly_quot.antiderivative(), Polynomial.one()
     if not rem.is_zero:
-        _, squarefree = squarefree_decomposition(den)
-        anti_den, (rest,) = _hermite_reduce([rem], squarefree)
-        num = num * anti_den + rest
-    shift = num(Fraction(0)) / anti_den(Fraction(0))
-    result = RationalFunction(num - anti_den * shift, anti_den)
+        lift = poly_gcd(den, den.derivative())
+        (rest,) = _horowitz([rem], den.exact_div(lift), lift)
+        num = num * lift + rest
+    result = RationalFunction(num, lift)
     if not (result.derivative() == f):
         raise AssertionError("antiderivative verification failed")
     return result

@@ -25,7 +25,7 @@ from .ratfunc import (
     residue_at,  # noqa: F401  kept: perfbench's traced run patches this name here
     sturm_real_root_count,
 )
-from .ratfunc import _hermite_reduce, _LocalSeries
+from .ratfunc import _horowitz, _LocalSeries
 
 
 class SynthesisProblem:
@@ -187,10 +187,10 @@ class RationalCurve:
 def synthesize_curve(p: SynthesisProblem, mu: Polynomial) -> RationalCurve:
     """Integrate the hodograph (mu/alpha) A i A* into a curve with r(0) = 0.
 
-    One Hermite reduction over the factors Q^M of alpha integrates all three
-    components over the common denominator D = prod Q^(M-1); the result is
-    checked exactly against the hodograph, divided through by D, before
-    RationalCurve reduces it.
+    With core = prod Q and D = prod Q^(M-1) over the factors Q^M of alpha,
+    alpha = D core, and one ``ratfunc._horowitz`` solve integrates all three
+    components over D, each checked exactly against its hodograph component,
+    before RationalCurve reduces the result.
     Raises RationalityError when mu violates the zero-residue conditions.
     Negative values of mu are permitted here; regularity is certified
     separately.
@@ -198,16 +198,10 @@ def synthesize_curve(p: SynthesisProblem, mu: Polynomial) -> RationalCurve:
     if mu.degree > p.m:
         raise DegreeError(f"deg mu = {mu.degree} exceeds m = {p.m}")
     flows = [mu * wc for wc in p.hodograph_dir]
-    den, nums = _hermite_reduce(flows, [(q.poly(), q.multiplicity) for q in p.poles.factors])
-    nums = [n - den * (n(Fraction(0)) / den(Fraction(0))) for n in nums]
-    dd = den.derivative()
-    core, rest = divmod(p.alpha, den)  # prod Q and 0, as D = prod Q^(M-1)
-    for n, flow in zip(nums, flows):
-        # (N/D)' = mu w_c / alpha, cleared of denominators: with alpha = D core,
-        # (N' D - N D') alpha = mu w_c D^2 holds exactly when this does
-        if rest or (n.derivative() * den - n * dd) * core != flow * den:
-            raise AssertionError("hodograph verification failed")
-    return RationalCurve(nums, den, mu=mu)
+    factors = p.poles.factors
+    core = math.prod((q.poly() for q in factors), start=Polynomial.one())
+    den = math.prod((q.poly() ** (q.multiplicity - 1) for q in factors), start=Polynomial.one())
+    return RationalCurve(_horowitz(flows, core, den), den, mu=mu)
 
 
 def closure_point(c: RationalCurve):

@@ -31,8 +31,6 @@ from phforge import (
 )
 from phforge import cli
 from phforge.geometry import _motion, angle_parameters, speed_function
-from phforge.polynomial import modular_inverse
-from phforge.ratfunc import _split_coprime
 
 
 def generator_deg3() -> QP:
@@ -516,22 +514,77 @@ def ref_nullspace(rows, ncols=None) -> list[list[int]]:
 
 
 def ref_modular_inverse(a: P, modulus: P) -> P:
-    """Inverse of a modulo a coprime modulus by the extended Euclid over Fraction."""
+    """Inverse of a modulo a coprime modulus by the textbook extended Euclid over Q.
+
+    Each remainder is made monic, which keeps the cofactors' coefficients
+    small on the high-degree moduli s^k of ``ref_hermite_reduce``.
+    """
     r0, r1, s0, s1 = a, modulus, P.one(), P.zero()
     while not r1.is_zero:
-        q, r = ref_divmod(r0, r1)
-        r0, r1, s0, s1 = r1, r, s1, s0 - ref_mul(q, s1)
+        q, r = divmod(r0, r1)
+        s = s0 - q * s1
+        if not r.is_zero:
+            r, s = r.monic(), s * (1 / r.leading())
+        r0, r1, s0, s1 = r1, r, s1, s
     if r0.degree != 0:
         raise ValueError("element not invertible modulo the given polynomial")
-    return ref_divmod(s0 * (1 / r0.leading()), modulus)[1]
+    return (s0 * (1 / r0.leading())) % modulus
+
+
+def _split_coprime(nums, moduli: list[P]):
+    """num / prod(moduli) = poly + sum A_i / M_i with deg A_i < deg M_i, per num.
+
+    The moduli must be pairwise coprime.  The inverse of each cofactor
+    prod(M_j, j != i) modulo M_i is computed once for all numerators, since
+    num = poly * prod(moduli) + sum A_i * cofactor_i gives A_i = num / cofactor_i
+    mod M_i.  Returns [(poly_part, [A_i])], one pair per numerator.
+    """
+    prod = Polynomial.one()
+    for m in moduli:
+        prod = prod * m
+    inverses = [ref_modular_inverse(prod.exact_div(m), m) for m in moduli]
+    return [
+        (num // prod, [(num % m * inv) % m for m, inv in zip(moduli, inverses)])
+        for num in nums
+    ]
+
+
+def ref_squarefree_decomposition(p: P):
+    """Yun's algorithm: returns (lead, [(S_i, i)]) with p = lead * prod S_i^i.
+
+    The S_i are monic, squarefree and pairwise coprime; valid in
+    characteristic zero.
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    lead = p.leading()
+    p = p.monic()
+    if p.degree == 0:
+        return lead, []
+    out = []
+    dp = p.derivative()
+    a = poly_gcd(p, dp)
+    b = p.exact_div(a)
+    c = dp.exact_div(a)
+    d = c - b.derivative()
+    i = 1
+    while b.degree > 0:
+        ai = poly_gcd(b, d)
+        if ai.degree > 0:
+            out.append((ai, i))
+        b = b.exact_div(ai)
+        c = d.exact_div(ai)
+        d = c - b.derivative()
+        i += 1
+    return lead, out
 
 
 def ref_hermite_reduce(nums, factors):
     """(D, [N_i]) with N_i / D an antiderivative of nums[i] / prod s^k, D = prod s^(k-1).
 
-    The Polynomial loop that ``ratfunc._hermite_reduce`` replaced, kept as
-    its oracle: one modular inverse per multiplicity and one Polynomial
-    reduction per step.
+    The oracle of ``ratfunc._horowitz``: partial fractions by
+    ``_split_coprime``, one modular inverse per multiplicity and one
+    Polynomial reduction per step.
 
     ``factors`` are (s, k) pairs with s monic, squarefree and pairwise
     coprime, and every nums[i] / prod s^k must be proper.  Hermite reduction
@@ -552,7 +605,7 @@ def ref_hermite_reduce(nums, factors):
     remainders = []
     for i, (s, k) in enumerate(factors):
         ds = s.derivative()
-        steps = [(ds * (j - 1), modular_inverse(ds * (j - 1), s)) for j in range(k, 1, -1)]
+        steps = [(ds * (j - 1), ref_modular_inverse(ds * (j - 1), s)) for j in range(k, 1, -1)]
         cofactor = den.exact_div(s ** (k - 1))
         for n, (_, parts) in enumerate(splits):
             a, bs = parts[i], []

@@ -1,10 +1,11 @@
 """The integer-vector kernels against the Fraction reference kernels in helpers.
 
-Products, quotient/remainder pairs, gcds, modular inverses, Sturm counts,
-kernel bases and Hermite reductions (antiderivatives and log/arctan
-remainders) must be equal, value for value, and residue rows equal up to one
-positive factor per row pair, on seeded random inputs with integer and
-Fraction coefficients and with monic, non-monic and Fraction divisors;
+Products, quotient/remainder pairs, gcds, Sturm counts, kernel bases and
+rational antiderivatives (Horowitz's linear solve against the Hermite
+reduction, with log/arctan parts equal as fractions) must be equal, value
+for value, and residue rows equal up to one positive factor per row pair,
+on seeded random inputs with integer and Fraction coefficients and with
+monic, non-monic and Fraction divisors;
 products, gcds and Sturm counts also at the degrees (up to 60) and
 coefficient sizes (about 300 bits) that the fixtures reach, and gcds by the
 GCDHEU route and by the PRS fallback.  The polynomial operations over Q
@@ -21,8 +22,8 @@ from fractions import Fraction as F
 import pytest
 
 from phforge import linalg, polynomial
-from phforge.polynomial import _heu_gcd, _int_divmod, _int_mul, _primitive, modular_inverse
-from phforge.ratfunc import _hermite_reduce
+from phforge.polynomial import _heu_gcd, _int_divmod, _int_mul, _primitive
+from phforge.ratfunc import _horowitz
 from phforge import (
     PoleStructure,
     Polynomial as P,
@@ -48,7 +49,6 @@ from helpers import (
     ref_eval,
     ref_gcd,
     ref_hermite_reduce,
-    ref_modular_inverse,
     ref_monic,
     ref_mul,
     ref_nullspace,
@@ -337,14 +337,21 @@ def test_hermite_matches_reference(seed):
         cases.append((chosen, [rng.randint(1, 10) for _ in chosen]))
     for chosen, multiplicities in cases:
         factors, inside, outside = hermite_case(rng, chosen, multiplicities)
-        den, nums = _hermite_reduce(inside, factors)
-        assert (den, nums) == ref_hermite_reduce(inside, factors)
+        core = math.prod((s for s, _ in factors), start=P.one())
+        den, want = ref_hermite_reduce(inside, factors)
+        assert _horowitz(inside, core, den) == [n - den * (n(0) / den(0)) for n in want]
         with pytest.raises(RationalityError) as ours:
-            _hermite_reduce(outside, factors)
+            _horowitz(outside, core, den)
         with pytest.raises(RationalityError) as ref:
             ref_hermite_reduce(outside, factors)
-        assert ours.value.remainders == ref.value.remainders
-        assert len(ours.value.remainders) == len(factors) * len(outside)
+        # the oracle reports one (s, r) pair per factor and numerator, factor by
+        # factor; the log part is unique, so B / core is the sum of r / s
+        assert len(ref.value.remainders) == len(factors) * len(outside)
+        assert len(ours.value.remainders) == len(outside)
+        for n, (s, b) in enumerate(ours.value.remainders):
+            parts = ref.value.remainders[n :: len(outside)]
+            assert s == core
+            assert RF(b, core) == sum((RF(r, q) for q, r in parts), RF.zero())
 
 
 def rows_of_rank(rng, rank, ncols):
@@ -377,24 +384,6 @@ def test_nullspace_matches_reference(seed):
         assert kernel == ref_nullspace(rows, ncols)
         assert len(kernel) == ncols - rank
     assert linalg.nullspace([], 3) == ref_nullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_modular_inverse_matches_reference(seed):
-    rng = random.Random(f"inverse:{seed}")
-    for _ in range(40):
-        modulus = rand_poly(rng, rng.randint(1, 8), lead=rng.choice((F(1), F(3), F(-2, 5))))
-        a = rand_poly(rng, rng.randint(0, 12))
-        if poly_gcd(a, modulus).degree > 0:
-            with pytest.raises(ValueError):
-                modular_inverse(a, modulus)
-            continue
-        inv = modular_inverse(a, modulus)
-        assert inv == ref_modular_inverse(a, modulus)
-        assert (a * inv) % modulus == P.one()
-    with pytest.raises(ValueError):
-        modular_inverse(P([1, 1]) * P([2, 0, 1]), P([2, 0, 1]))
-    assert modular_inverse(P([F(1, 2), 3]), P([5])) == P.zero()
 
 
 # -- the integer-vector representation over Q ----------------------------------

@@ -55,14 +55,21 @@ def test_benchmark_names_resolve():
         _resolve(module, name)
 
 
-def _without_own_definition(path: Path, name: str) -> str:
-    """The text of path with the top-level def or class of name blanked out."""
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
+def _definitions(text: str) -> dict:
+    """Name -> the (first, last) line numbers of each top-level def or class of that name."""
+    spans = {}
     for node in ast.parse(text).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             start = node.decorator_list[0].lineno if node.decorator_list else node.lineno
-            lines[start - 1 : node.end_lineno] = []
+            spans.setdefault(node.name, []).append((start, node.end_lineno))
+    return spans
+
+
+def _without(text: str, spans) -> str:
+    """text with the given line spans blanked out."""
+    lines = text.splitlines()
+    for start, end in reversed(spans):
+        lines[start - 1 : end] = []
     return "\n".join(lines)
 
 
@@ -71,10 +78,12 @@ def test_every_public_name_has_a_non_test_caller():
     plain = "\n".join(
         p.read_text(encoding="utf-8") for p in [*sorted(PERFBENCH.glob("*.py")), ROOT / "README.md"]
     )
+    # each module is read and parsed once; a name's own definition is blanked per name
+    sources = [(text, _definitions(text)) for text in (p.read_text(encoding="utf-8") for p in modules)]
     orphans = []
     for name in phforge.__all__:
         word = re.compile(rf"\b{re.escape(name)}\b")
-        texts = [plain] + [_without_own_definition(p, name) for p in modules]
+        texts = [plain] + [_without(text, spans[name]) if name in spans else text for text, spans in sources]
         if not any(word.search(text) for text in texts):
             orphans.append(name)
     assert orphans == []

@@ -16,16 +16,18 @@ from phforge import (
     rotate_vector,
     sturm_real_root_count,
 )
-from phforge.polynomial import poly_sqrt, squarefree_decomposition
+from phforge.polynomial import poly_sqrt
 from phforge.quaternion import QI
-from phforge.ratfunc import _hermite_reduce, _split_coprime
+from phforge.ratfunc import _horowitz
 
 from helpers import (
     RefExtensionElement,
+    _split_coprime,
     generator_deg3,
     ref_extension,
     ref_mobius_jacobian,
     ref_reparameterize,
+    ref_squarefree_decomposition,
 )
 
 
@@ -96,8 +98,10 @@ class TestHermite:
         assert g - 1 == RF(P([-1]), P([1, 0, 1]))
 
     def test_log_term_raises(self):
-        with pytest.raises(RationalityError):
+        # arctan(t): the whole fraction is the log/arctan part over the core t^2+1
+        with pytest.raises(RationalityError) as err:
             hermite_antiderivative(RF(P([1]), P([1, 0, 1])))
+        assert err.value.remainders == ((P([1, 0, 1]), P([1])),)
 
     def test_real_roots_rejected(self):
         with pytest.raises(ValueError):
@@ -124,13 +128,13 @@ class TestHermite:
     def test_quartic_squarefree_part(self):
         # g = N / ((t^2+1)(t^2+4))^3: Yun's decomposition of the denominator of
         # g' is the one quartic (t^2+1)(t^2+4) of multiplicity 4, so the
-        # reduction runs on a squarefree factor that is not quadratic
+        # integration runs over a squarefree core that is not quadratic
         quartic = P([1, 0, 1]) * P([4, 0, 1])
         rng = random.Random(18)
         for _ in range(4):
             g = RF(P([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(12)]), quartic**3)
             f = g.derivative()
-            assert squarefree_decomposition(f.denominator)[1] == [(quartic, 4)]
+            assert ref_squarefree_decomposition(f.denominator)[1] == [(quartic, 4)]
             assert hermite_antiderivative(f) == g - g.numerator(0) / g.denominator(0)
 
     def test_log_term_over_quartic_raises(self):
@@ -155,18 +159,18 @@ class TestHermite:
             (h.derivative() * s1 - h * s1.derivative() * 2) * s2**2,
             P([]),
         ]
-        anti_den, outs = _hermite_reduce(nums, [(s1, 3), (s2, 2)])
-        assert anti_den == d
+        outs = _horowitz(nums, s1 * s2, d)
         for n, out in zip(nums, outs):
-            anti = RF(out, anti_den)
-            assert anti - out(0) / anti_den(0) == hermite_antiderivative(RF(n, den))
+            assert out(0) == 0
+            assert RF(out, d) == hermite_antiderivative(RF(n, den))
 
     def test_shared_core_reports_remainder_per_factor(self):
-        # adding 1/(t^2+t+3) leaves a log/arctan term over that factor only
+        # 1/(t^2+t+3) is a log/arctan term: over the core (t^2+t+3)(t^2+5) its
+        # numerator is t^2+5, and the zero numerator reports nothing
         s1, s2 = P([3, 1, 1]), P([5, 0, 1])
         with pytest.raises(RationalityError) as err:
-            _hermite_reduce([P([]), s1**2 * s2**2], [(s1, 3), (s2, 2)])
-        assert [s for s, _ in err.value.remainders] == [s1]
+            _horowitz([P([]), s1**2 * s2**2], s1 * s2, s1**2 * s2)
+        assert err.value.remainders == ((s1 * s2, s2),)
 
 
 class TestPolySqrt:

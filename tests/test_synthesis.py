@@ -31,6 +31,7 @@ from helpers import (
     generator_deg3,
     matches_up_to_translation,
     poles_single,
+    ref_hermite_reduce,
     ref_rref,
     ref_solve_coefficients,
 )
@@ -163,6 +164,24 @@ class TestSynthesizeCurve:
         curve = synthesize_curve(problem(6), P([0]))
         assert all(n.degree <= 0 for n in curve.nums) and curve.den.degree == 0
         assert [n(7) for n in curve.nums] == [0, 0, 0]
+
+    @pytest.mark.parametrize("multiplicities", [(1, 1, 6), (2, 1, 5), (1, 4, 5)])
+    def test_three_factors_match_the_hermite_oracle(self, multiplicities):
+        # simple and multiple poles over non-integer b, c: every row of the
+        # integration system is scaled to integers, and mu = 0 is the origin
+        bcs = ((F(1, 2), F(3, 4)), (F(-2, 3), F(5, 6)), (0, 4))
+        poles = PoleStructure(tuple(QuadraticFactor(b, c, k) for (b, c), k in zip(bcs, multiplicities)))
+        prob = SynthesisProblem(generator_deg3(), poles)
+        basis = build_residue_system(prob).basis
+        assert basis
+        factors = [(q.poly(), q.multiplicity) for q in poles.factors]
+        for mu in (*basis, sum(basis[1:], basis[0] * F(-3, 7))):
+            curve = synthesize_curve(prob, mu)
+            den, nums = ref_hermite_reduce([mu * wc for wc in prob.hodograph_dir], factors)
+            for n, want in zip(curve.nums, nums):
+                assert RF(n, curve.den) == RF(want - den * (want(0) / den(0)), den)
+        zero = synthesize_curve(prob, P([0]))
+        assert zero.nums == (P.zero(),) * 3 and zero.den == P.one()
 
     def test_nonkernel_numerator_raises(self):
         two_factor = two_factor_problem(generator_deg3(), 6, 4)
