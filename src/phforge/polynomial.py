@@ -6,17 +6,17 @@ canonical: ``ints`` is a tuple without trailing zeros, ``den > 0`` and
 ``gcd(den, *ints) == 1``, and the zero polynomial is ``((), 1)``, so equal
 polynomials have equal pairs.  Every operation over Q runs on the pair:
 sums and scalar products are integer vector operations, division is integer
-(lazy pseudo-)division, and products and gcds go through big integers.  A
-product is one integer product by Kronecker substitution: ``_pack`` puts a
-vector at 2^k, ``_unpack`` reads the balanced 2^k-adic digits back
-(Schoenhage 1982).  ``poly_gcd`` is the heuristic GCDHEU on the same pair
-of helpers, proved by trial division, with the primitive polynomial
-remainder sequence (Collins 1967; Brown & Traub 1971) as its fallback.
-The Sturm chain needs the whole remainder sequence and stays a
-pseudo-division loop.  ``Fraction`` values are built only at the
-edges: ``coeffs``, ``leading``, ``coefficient`` and evaluation.  Degrees in
-this package stay small (tens), so the dense representation is the right
-tool.
+(lazy pseudo-)division, and products, powers and gcds go through big
+integers.  A product is one integer product and a power one integer power
+by Kronecker substitution: ``_pack`` puts a vector at 2^k, ``_unpack``
+reads the balanced 2^k-adic digits back (Schoenhage 1982).  ``poly_gcd``
+is the heuristic GCDHEU on the same pair of helpers, proved by trial
+division, with the primitive polynomial remainder sequence (Collins 1967;
+Brown & Traub 1971) as its fallback.  The Sturm chain needs the whole
+remainder sequence and stays a pseudo-division loop.  ``Fraction`` values
+are built only at the edges: ``coeffs``, ``leading``, ``coefficient`` and
+evaluation.  Degrees in this package stay small (tens), so the dense
+representation is the right tool.
 """
 
 from __future__ import annotations
@@ -303,16 +303,22 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """self^n as one Kronecker power, a(2^k)^n, with 0^0 = 1.
+
+        Every coefficient of a^n is bounded by (sum |a_i|)^n < 2^(k-1), so
+        the balanced 2^k-adic digits are the coefficients.  The pair needs
+        no gcd: gcd(den, content a) = 1 gives gcd(den^n, content a^n) = 1
+        (Gauss's lemma), so (digits, den^n) is canonical.
+        """
         if n < 0:
             raise ValueError("negative power")
-        result = Polynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        a = self.ints
+        if not n:
+            return Polynomial.one()
+        if not a:
+            return self
+        k = (sum(map(abs, a)) ** n).bit_length() + 1
+        return _pair(tuple(_unpack(_pack(a, k) ** n, k)), self.den**n)
 
     def __divmod__(self, other):
         if isinstance(other, _SCALARS):

@@ -205,8 +205,9 @@ class _LocalSeries:
     phi^2 + B phi + C = 0 with the integers B = e b and C = e^2 c, so a series
     is a pair (terms, den): terms[k] = (u, v) stands for (u + v phi) x^k / den,
     with one positive integer denominator per series.  No Fraction arithmetic
-    happens until ``last`` reads a coefficient out; ``residue_rows`` hands
-    the residue system its rows as integers and makes none.
+    happens until ``last`` reads a coefficient out; ``monomial_residues``
+    hands the residue system the residues of t^i / alpha, i = 0..top, as
+    integers and makes none.
     """
 
     def __init__(self, q: QuadraticFactor, n: int):
@@ -277,22 +278,23 @@ class _LocalSeries:
         (fa, fd), (ga, gd) = f, g
         return [self._dot(fa[: k + 1], ga[k::-1]) for k in range(self.n)], fd * gd
 
-    def residue_rows(self, h, m: int) -> tuple[list[int], list[int]]:
-        """The pairs (r0, r1) of ``last`` on (theta + x)^k h, k = 0..m, times den e^m.
+    def monomial_residues(self, g, top: int) -> tuple[list[int], list[int]]:
+        """``last`` on (theta + x)^i g for i = 0..top, as two integer sequences times den e^top.
 
-        They come back as two integer rows: (theta + x)^k h has the terms of
-        h times (phi + e x)^k over den e^k, so for its top term (u, v) the
-        pair times den e^m is (u e^(m-k), v e^(m-k+1)).  One positive integer
-        scales every pair.
+        With g = ``pole(s)`` these are the residues ell_i of t^i / (Q^n s) at
+        theta, and the residue of N / (Q^n s) is sum_i N_i ell_i.  The terms
+        of (theta + x)^i g are those of g times (phi + e x)^i over den e^i,
+        so for its top term (u, v) the pair times den e^top is
+        (u e^(top-i), v e^(top-i+1)): one positive integer scales them all.
         """
-        terms, row0, row1 = h[0], [], []
-        for k in range(m + 1):
+        terms, ell0, ell1 = g[0], [], []
+        for i in range(top + 1):
             u, v = terms[-1]
-            s = self.e ** (m - k)
-            row0.append(u * s)
-            row1.append(v * s * self.e)
+            s = self.e ** (top - i)
+            ell0.append(u * s)
+            ell1.append(v * s * self.e)
             terms = self._times_linear(terms, (0, 1))
-        return row0, row1
+        return ell0, ell1
 
     def last(self, h) -> tuple[Fraction, Fraction]:
         """(r0, r1) with coefficient n - 1 of h equal to r0 + r1 theta."""

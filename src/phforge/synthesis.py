@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
 from . import linalg
 from .errors import DegreeError
-from .polynomial import Polynomial, poly_gcd, two_chart_quotients
+from .polynomial import Polynomial, _canonical, _int_add, poly_gcd, two_chart_quotients
 from .quaternion import QI, QuaternionPolynomial, rotate_vector
 from .ratfunc import (
     PoleStructure,
@@ -96,33 +97,48 @@ class SolutionSpace:
         return all(sum(a * v for a, v in zip(row, mu.ints)) == 0 for row in self.constraint_matrix)
 
     def combination(self, coefficients) -> Polynomial:
+        """sum c_i basis_i, as one integer vector over the c_i's common denominator.
+
+        Every basis vector is a primitive integer vector (den 1), so the sum
+        needs one reduction to the canonical pair at the end.
+        """
         if len(coefficients) != len(self.basis):
             raise ValueError("one coefficient per basis element required")
-        out = Polynomial.zero()
-        for c, b in zip(coefficients, self.basis):
-            out = out + b * Fraction(c)
-        return out
+        cs = [Fraction(c) for c in coefficients]
+        den = math.lcm(*[c.denominator for c in cs])
+        out = []
+        for c, b in zip(cs, self.basis):
+            f = c.numerator * (den // c.denominator)
+            out = _int_add(out, [f * x for x in b.ints])
+        return _canonical(out, den)
 
 
 def build_residue_system(p: SynthesisProblem) -> SolutionSpace:
     """Assemble the residue-vanishing conditions and their exact kernel.
 
     For each factor Q^M of alpha, one local series g at the root theta of Q
-    (``ratfunc._LocalSeries.pole``) gives every residue: that of t^k w_c / alpha
-    is coefficient M - 1 of (theta + x)^k w_c(theta + x) g.  Each hodograph
-    component gives two integer rows per factor (the two extension-field
-    coordinates, times one positive integer); all rows are kept and the
-    kernel is computed by fraction-free elimination.  The trivial all-zero
-    numerator is never part of the basis.
+    (``ratfunc._LocalSeries.pole``) gives the residues ell_i of t^i / alpha,
+    i = 0..top with top = m + max deg w_c, as one integer sequence over one
+    positive scale (``_LocalSeries.monomial_residues``).  The residue of
+    t^k w_c / alpha is then the correlation sum_j w_c[j] ell_(k+j), so each
+    hodograph component gives two integer rows per factor (the two
+    extension-field coordinates, times one positive integer) from the
+    integer coefficients of w_c; all rows are kept and the kernel is
+    computed by fraction-free elimination.  The trivial all-zero numerator
+    is never part of the basis.
     """
     rows = []
     powers = [q.poly() ** q.multiplicity for q in p.poles.factors]
+    top = p.m + max(wc.degree for wc in p.hodograph_dir)
     for i, q in enumerate(p.poles.factors):
         series = _LocalSeries(q, q.multiplicity)
         # alpha / Q^M as the product of the other factors' powers
         g = series.pole(math.prod(powers[:i] + powers[i + 1 :], start=Polynomial.one()))
+        ells = series.monomial_residues(g, top)
         for wc in p.hodograph_dir:
-            rows.extend(series.residue_rows(series.product(series.taylor(wc), g), p.m))
+            w, n = wc.ints, len(wc.ints)
+            for ell in ells:
+                rows.append([sum(map(mul, w, ell[k : k + n])) for k in range(p.m + 1)])
     basis = [Polynomial(v) for v in linalg.nullspace(rows, p.m + 1)]
     return SolutionSpace(p, rows, basis)
 

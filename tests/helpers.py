@@ -296,6 +296,19 @@ def ref_mul(a: P, b: P) -> P:
     return P(out)
 
 
+def ref_pow(a: P, n: int) -> P:
+    """a^n by square-and-multiply on Polynomial products."""
+    if n < 0:
+        raise ValueError("negative power")
+    result, base = P.one(), a
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
 def ref_divmod(a: P, b: P):
     """Field long division over Fraction."""
     if b.is_zero:

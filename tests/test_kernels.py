@@ -1,9 +1,9 @@
 """The integer-vector kernels against the Fraction reference kernels in helpers.
 
-Products, quotient/remainder pairs, gcds, Sturm counts, kernel bases and
-rational antiderivatives (Horowitz's linear solve against the Hermite
-reduction, with log/arctan parts equal as fractions) must be equal, value
-for value, and residue rows equal up to one positive factor per row pair,
+Products, powers, quotient/remainder pairs, gcds, Sturm counts, kernel
+bases and rational antiderivatives (Horowitz's linear solve against the
+Hermite reduction, with log/arctan parts equal as fractions) must be equal,
+value for value, and residue rows equal up to one positive factor per row pair,
 on seeded random inputs with integer and Fraction coefficients and with
 monic, non-monic and Fraction divisors;
 products, gcds and Sturm counts also at the degrees (up to 60) and
@@ -28,6 +28,7 @@ from phforge import (
     PoleStructure,
     Polynomial as P,
     QuadraticFactor,
+    Quaternion,
     QuaternionPolynomial as QP,
     RationalFunction as RF,
     RationalityError,
@@ -52,6 +53,7 @@ from helpers import (
     ref_monic,
     ref_mul,
     ref_nullspace,
+    ref_pow,
     ref_residue_at,
     ref_residue_rows,
     ref_scale,
@@ -79,6 +81,33 @@ def test_products_match_reference(seed):
         b = rand_poly(rng, rng.randint(0, 12))
         assert a * b == ref_mul(a, b)
         assert a * P.zero() == P.zero() == P.zero() * b
+
+
+POWER_BASES = [
+    P([F(3, 4), F(1, 2), 1]),  # t^2 + b t + c, b = 1/2, c = 3/4
+    P([F(5, 6), F(-2, 3), 1]),  # b = -2/3, c = 5/6
+    P.zero(),
+    P([F(-3, 2)]),
+    P([7]),
+    P([1, 2, -3]),
+    P([F(1, 3), 0, F(-5, 7)]),
+    # |coefficient of a^n| = (sum |a_i|)^n: the digit bound is reached
+    P([0, 0, -(2**20)]),
+    P([0, F(2**31, 3)]),
+    P([1, 1, 1, 1, 1]),  # the middle coefficients approach the bound
+    P([-1, 1, -1, 1]),
+]
+
+
+@pytest.mark.parametrize("index", range(len(POWER_BASES)))
+def test_power_matches_reference(index):
+    a = POWER_BASES[index]
+    for n in range(13):
+        got, want = a**n, ref_pow(a, n)
+        assert (got.ints, got.den) == (want.ints, want.den), n
+    assert P.zero() ** 0 == P.one() and P.zero() ** 3 == P.zero()
+    with pytest.raises(ValueError):
+        a ** -1
 
 
 @pytest.mark.parametrize("kind", ["monic", "unit", "integer", "fraction"])
@@ -284,13 +313,17 @@ def fraction_generator():
         ((F(1, 2), F(3, 4), 6),),
         ((0, 4, 4), (F(1, 2), F(3, 4), 3)),
         ((1, 3, 3), (F(-2, 3), F(5, 6), 3)),
+        ((F(1, 2), F(3, 4), 3), (F(-2, 3), F(5, 6), 2), (0, 4, 2)),
+        ((1, 3, 1), (F(-2, 3), F(5, 6), 4)),
     ],
 )
 def test_residue_rows_match_reference(poles):
     structure = PoleStructure(tuple(QuadraticFactor(b, c, m) for b, c, m in poles))
     rng = random.Random(str(poles))
-    generators = [generator_deg3(), fraction_generator()]
-    while len(generators) < 4:
+    # t + 2i is not i-reduced: A i A* = (t^2 + 4) i has zero j and k components
+    span_1_i = QP([Quaternion.of(0, 2), Quaternion.of(1)])
+    generators = [generator_deg3(), fraction_generator(), span_1_i]
+    while len(generators) < 5:
         a = random_quaternion_poly(rng)
         if a is not None and a.degree <= 3:
             generators.append(a)
@@ -298,7 +331,8 @@ def test_residue_rows_match_reference(poles):
         problem = SynthesisProblem(a, structure)
         space = build_residue_system(problem)
         rows, want = space.constraint_matrix, ref_residue_rows(problem)
-        assert len(rows) == len(want)
+        assert len(rows) == len(want) == 6 * len(poles)
+        assert all(space.contains(b) for b in space.basis)
         for i in range(0, len(want), 2):
             # each pair is the residue pair times one positive rational
             ours, ref = rows[i] + rows[i + 1], want[i] + want[i + 1]
