@@ -366,7 +366,9 @@ def _horowitz(nums, core: Polynomial, lift: Polynomial) -> list[Polynomial]:
     system square and nonsingular because lift(0) != 0 (with N_0 kept, its
     kernel is N = lift, the constant N / lift).  Every numerator, which must
     be proper over lift core, is one right-hand-side column of a single
-    ``linalg.nullspace`` call, on rows scaled to integers.  A nonzero B is a
+    ``linalg.nullspace`` call, on rows scaled to integers: its forward pass
+    triangularises the banded columns once for every numerator, and each
+    numerator's solution is one back-substitution.  A nonzero B is a
     log/arctan part and raises RationalityError, with one (core, B) pair per
     such numerator; every N is checked against N' core - N E = num exactly.
     """

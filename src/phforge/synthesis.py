@@ -124,8 +124,10 @@ def build_residue_system(p: SynthesisProblem) -> SolutionSpace:
     hodograph component gives two integer rows per factor (the two
     extension-field coordinates, times one positive integer) from the
     integer coefficients of w_c; all rows are kept and the kernel is
-    computed by fraction-free elimination.  The trivial all-zero numerator
-    is never part of the basis.
+    computed by ``linalg.nullspace``, one fraction-free forward pass and one
+    back-substitution per free coefficient.  Its vectors are primitive
+    integer vectors, so each is taken as the canonical pair over 1 as it
+    is.  The trivial all-zero numerator is never part of the basis.
     """
     rows = []
     powers = [q.poly() ** q.multiplicity for q in p.poles.factors]
@@ -139,7 +141,7 @@ def build_residue_system(p: SynthesisProblem) -> SolutionSpace:
             w, n = wc.ints, len(wc.ints)
             for ell in ells:
                 rows.append([sum(map(mul, w, ell[k : k + n])) for k in range(p.m + 1)])
-    basis = [Polynomial(v) for v in linalg.nullspace(rows, p.m + 1)]
+    basis = [_canonical(v, 1) for v in linalg.nullspace(rows, p.m + 1)]
     return SolutionSpace(p, rows, basis)
 
 

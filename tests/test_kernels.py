@@ -59,6 +59,7 @@ from helpers import (
     ref_scale,
     ref_sturm_count,
 )
+from test_pinned_outputs import PINNED_SHA256, exact_output_digest
 
 
 def rand_coeff(rng, fractions):
@@ -407,6 +408,60 @@ def rows_of_rank(rng, rank, ncols):
     return rows
 
 
+def banded_rows(rng):
+    """A square nonsingular system [A | b_1 .. b_r] shaped like ``_horowitz``'s.
+
+    A's first columns are k t^(k-1) core - t^k E, k = 1..delta, and its
+    last ones the shifted copies t^k lift, k < deg core; the 1-3 trailing
+    columns are the right-hand sides.
+    """
+    while True:
+        delta, dcore = rng.randint(1, 6), rng.randint(1, 4)
+        n = delta + dcore
+        core = [rng.randint(-2**20, 2**20) for _ in range(dcore)] + [rng.randint(1, 2**20)]
+        e = [rng.randint(-2**20, 2**20) for _ in range(dcore)]
+        lift = [rng.randint(1, 2**20)] + [rng.randint(-2**20, 2**20) for _ in range(delta)]
+        cols = []
+        for k in range(1, delta + 1):
+            col = [0] * n
+            for i, x in enumerate(core, k - 1):
+                col[i] = k * x
+            for i, x in enumerate(e, k):
+                col[i] -= x
+            cols.append(col)
+        cols.extend([0] * k + lift + [0] * (dcore - 1 - k) for k in range(dcore))
+        rhs = rng.randint(1, 3)
+        cols.extend([rng.randint(-2**30, 2**30) for _ in range(n)] for _ in range(rhs))
+        rows = [list(r) for r in zip(*cols)]
+        if len(ref_nullspace(rows)) == rhs:
+            return rows, n + rhs
+
+
+def residue_like_rows(rng):
+    """6-12 rows of up to 256-bit entries, of rank below the row count.
+
+    Each row is an integer combination of the same few independent wide
+    rows, so the system is tall and rank-deficient, as a residue system is.
+    """
+    nrows, ncols = 2 * rng.randint(3, 6), rng.randint(3, 13)
+    rank = rng.randint(1, min(nrows - 1, ncols))
+    base = [[rng.randint(-2**256, 2**256) for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        weights = [rng.randint(-3, 3) for _ in base]
+        rows.append([sum(w * v[k] for w, v in zip(weights, base)) for k in range(ncols)])
+    return rows, ncols
+
+
+def swap_rows(rng):
+    """A zero first column, and a first row that is 0 in the first pivot column."""
+    ncols = rng.randint(3, 8)
+    rows = [[0] + row for row in rows_of_rank(rng, rng.randint(1, ncols - 1), ncols - 1)]
+    lead = min(next(c for c, x in enumerate(row) if x) for row in rows if any(row))
+    rows.sort(key=lambda row: row[lead] != 0)
+    return rows, ncols
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_nullspace_matches_reference(seed):
     rng = random.Random(f"nullspace:{seed}")
@@ -417,7 +472,27 @@ def test_nullspace_matches_reference(seed):
         kernel = linalg.nullspace(rows, ncols)
         assert kernel == ref_nullspace(rows, ncols)
         assert len(kernel) == ncols - rank
+    for make in (banded_rows, residue_like_rows, swap_rows):
+        for _ in range(10):
+            rows, ncols = make(rng)
+            assert linalg.nullspace(rows, ncols) == ref_nullspace(rows, ncols)
     assert linalg.nullspace([], 3) == ref_nullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert linalg.nullspace([[0, 0, 2, 1], [0, 3, 1, 0]], 4) == [[1, 0, 0, 0], [0, 1, -3, 6]]
+
+
+def test_nullspace_matches_reference_on_pinned_problems(monkeypatch):
+    """Every elimination behind the pinned exact digest, against the oracle."""
+    calls, nullspace = [], linalg.nullspace
+
+    def recorded(rows, ncols):
+        calls.append(([list(row) for row in rows], ncols))
+        return nullspace(rows, ncols)
+
+    monkeypatch.setattr(linalg, "nullspace", recorded)
+    assert exact_output_digest() == PINNED_SHA256
+    assert len(calls) > 20
+    for rows, ncols in calls:
+        assert nullspace(rows, ncols) == ref_nullspace(rows, ncols)
 
 
 # -- the integer-vector representation over Q ----------------------------------
