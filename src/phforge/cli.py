@@ -280,13 +280,8 @@ def _pose_dicts(motion) -> list[dict]:
 def _hull_report(cert) -> dict:
     status = {True: True, False: False, None: "indeterminate"}[cert.status]
     report = {"status": status, "residual": cert.residual, "gap": cert.gap}
-    if cert.weights is not None:
-        weights = [
-            (i, w) for i, w in enumerate(cert.weights) if w > 1e-12
-        ]
-        report["weights"] = [
-            {"parameter": _finite_or_str(cert.parameters[i]), "weight": w} for i, w in weights
-        ]
+    if cert.support is not None:
+        report["weights"] = [{"parameter": _finite_or_str(t), "weight": w} for t, w in cert.support]
     if cert.direction is not None:
         report["separating_direction"] = list(cert.direction)
     return report
@@ -341,7 +336,6 @@ def cmd_synth(cfg: ProblemConfig, force: bool) -> str:
 
     rng = random.Random(cfg.seed)
     base = sdp_feasible_point(slice_, _relaxation_margins(cfg.margin))
-    achieved = base.margin
     if not base.is_feasible:
         bound = "" if base.optimum_bound is None else f", optimum at most {base.optimum_bound:.3e}"
         raise NoCertificateError(
@@ -359,10 +353,10 @@ def cmd_synth(cfg: ProblemConfig, force: bool) -> str:
         found = None
         for frac in (0.5, 0.05):
             bias = [
-                rng.gauss(0.0, 1.0) * frac * achieved / (xb + x_ref)
+                rng.gauss(0.0, 1.0) * frac * base.margin / (xb + x_ref)
                 for xb in x_base
             ]
-            res = sdp_feasible_point(slice_, achieved, objective_bias=bias)
+            res = sdp_feasible_point(slice_, base.margin, objective_bias=bias)
             if res.is_feasible:
                 found = res
                 break
@@ -374,13 +368,10 @@ def cmd_synth(cfg: ProblemConfig, force: bool) -> str:
     if not cert:
         raise NoCertificateError("combined numerator failed the exact regularity certificate")
     curve = synthesize_curve(problem, mu)
-    bundle = _build_bundle(
-        cfg, problem, space, slice_, results, achieved, curve, cert, hull, base.relaxation_log
-    )
-    return _json(bundle)
+    return _json(_build_bundle(cfg, problem, space, slice_, base, curve, cert, hull))
 
 
-def _build_bundle(cfg, problem, space, slice_, results, achieved, curve, cert, hull, attempts):
+def _build_bundle(cfg, problem, space, slice_, base, curve, cert, hull):
     samples = _bundle_samples(problem.a_poly, curve, cfg.samples)
     closure = closure_point(curve)
     return {
@@ -400,10 +391,11 @@ def _build_bundle(cfg, problem, space, slice_, results, achieved, curve, cert, h
             "kernel_dimension": space.dimension,
             "slice_dimension": slice_.slice_dimension,
             "margin_requested": cfg.margin,
-            "margin_achieved": achieved,
-            "min_eigenvalue": results[0].min_eigenvalue,
+            "margin_achieved": base.margin,
+            "min_eigenvalue": base.min_eigenvalue,
             "relaxation_log": [
-                {"margin": m, "status": s, "min_eigenvalue": lam} for m, s, lam in attempts
+                {"margin": m, "status": s, "min_eigenvalue": lam}
+                for m, s, lam in base.relaxation_log
             ],
             "regularity": {
                 "regular": cert.regular,

@@ -95,9 +95,10 @@ def speed_function(c: RationalCurve) -> RationalFunction:
     With r = (N_x, N_y, N_z) / den, |r'|^2 = S / den^4 for the polynomial
     S = sum (N_i' den - N_i den')^2, so |r'| is rational exactly when S is a
     polynomial square; the whole computation stays over den.  Raises
-    NonPythagoreanError when it is not.  The sign is normalized so the
-    numerator has positive leading coefficient; for regular curves this is
-    the everywhere-positive branch.
+    NonPythagoreanError when it is not.  The numerator's leading coefficient
+    is positive without a sign flip: ``poly_sqrt`` returns the root with
+    positive leading coefficient, and den is monic.  For regular curves this
+    is the everywhere-positive branch.
     """
     dd = c.den.derivative()
     ssq = Polynomial.zero()
@@ -109,10 +110,7 @@ def speed_function(c: RationalCurve) -> RationalFunction:
     root = poly_sqrt(ssq)
     if root is None:
         raise NonPythagoreanError("squared speed is not a rational square")
-    speed = RationalFunction(root * _HALF_CIRCLE, c.den * c.den)
-    if speed.numerator.leading() < 0:
-        speed = -speed
-    return speed
+    return RationalFunction(root * _HALF_CIRCLE, c.den * c.den)
 
 
 @dataclass(frozen=True)
@@ -122,19 +120,20 @@ class HullCertificate:
     status True carries convex-combination weights with residual
     |sum w_i T_i|; status False carries a separating direction d with
     d . T_i >= gap > 0 for every sample; None is indeterminate and reports
-    both best values.
+    both best values.  ``support`` holds the (parameter, weight) pairs of
+    the combination with weight > 1e-12, in sample order (None for status
+    False); every other sample has weight zero.
     """
 
     status: bool | None
-    parameters: tuple
-    weights: tuple | None
+    support: tuple | None
     residual: float
     direction: tuple | None
     gap: float
 
 
 def _min_norm_point(points: np.ndarray):
-    """Wolfe's algorithm: min-norm point of conv(points) with its weights."""
+    """Wolfe's algorithm: min-norm point of conv(points), its active set and weights."""
     npts = len(points)
     start = int(np.argmin(np.einsum("ij,ij->i", points, points)))
     active = [start]
@@ -174,10 +173,7 @@ def _min_norm_point(points: np.ndarray):
             weights = weights[keep]
             weights = weights / weights.sum()
         x = weights @ points[active]
-    full = np.zeros(npts)
-    for a, w in zip(active, weights):
-        full[a] += w
-    return x, full
+    return x, active, weights
 
 
 def convex_hull_contains_origin(T: TangentIndicatrix, samples: int = 256) -> HullCertificate:
@@ -192,15 +188,16 @@ def convex_hull_contains_origin(T: TangentIndicatrix, samples: int = 256) -> Hul
     if samples < 16:
         raise ValueError("at least 16 samples required")
     params, pts = T.sample(samples)
-    x, weights = _min_norm_point(pts)
+    x, active, weights = _min_norm_point(pts)
+    support = tuple((params[i], w) for i, w in sorted(zip(active, weights)) if w > 1e-12)
     residual = float(np.linalg.norm(x))
     if residual <= HULL_TOLERANCE:
-        return HullCertificate(True, tuple(params), tuple(weights), residual, None, 0.0)
+        return HullCertificate(True, support, residual, None, 0.0)
     d = x / residual
     gap = float(np.min(pts @ d))
     if gap > HULL_TOLERANCE:
-        return HullCertificate(False, tuple(params), None, residual, tuple(d), gap)
-    return HullCertificate(None, tuple(params), tuple(weights), residual, tuple(d), gap)
+        return HullCertificate(False, None, residual, tuple(d), gap)
+    return HullCertificate(None, support, residual, tuple(d), gap)
 
 
 @dataclass(frozen=True, eq=False)

@@ -168,9 +168,12 @@ def _pair(ints: tuple, den: int) -> "Polynomial":
 
 
 def _canonical(ints: list[int], den: int) -> "Polynomial":
-    """The polynomial sum ints[k] / den t^k; den != 0."""
-    while ints and not ints[-1]:
-        ints.pop()
+    """The polynomial sum ints[k] / den t^k; den != 0.  ints is left as it is."""
+    if ints and not ints[-1]:
+        n = len(ints) - 1
+        while n and not ints[n - 1]:
+            n -= 1
+        ints = ints[:n]
     if den < 0:
         ints, den = [-x for x in ints], -den
     if den != 1:

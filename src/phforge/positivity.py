@@ -74,11 +74,12 @@ def certify_regular(mu: Polynomial) -> RegularityCertificate:
 class GramSlice:
     """The trace-one Gram matrices whose numerator lies in the residue kernel.
 
-    ``dimension`` is n, the Gram matrices' size.  ``kernel`` holds the
-    residue kernel's basis, each vector scaled exactly by a power of two so
-    that its largest coefficient lies in [1/2, 1), and ``kernel_rows`` their
-    float coefficients, one row each, padded to 2n - 1.  ``weights`` holds the
-    w_i.  ``maps`` holds the traceless Hankel matrices
+    ``dimension`` is n, the Gram matrices' size, and ``space`` the
+    ``SolutionSpace`` the slice was built from.  ``kernel_rows`` holds the
+    float coefficients of its basis vectors, one row each, padded to 2n - 1,
+    each vector divided by 2^L with L the bit length of its largest
+    |coefficient|, so that coefficient lies in [1/2, 1).  ``weights`` holds
+    the w_i.  ``maps`` holds the traceless Hankel matrices
     A_j = H_w(r_j) - offsets[j] * I of an orthonormal basis r_j of K^perp,
     with ``offsets[j]`` = tr H_w(r_j) / n.  Since <H_w(h), G> = h . A_w(G),
     where A_w(G)_k = sum_{i+l=k} w_i w_l G_il is G's numerator, G lies in
@@ -86,9 +87,9 @@ class GramSlice:
     arrays are read-only.
     """
 
-    def __init__(self, dimension: int, kernel, kernel_rows, weights, maps, offsets):
+    def __init__(self, dimension: int, space: SolutionSpace, kernel_rows, weights, maps, offsets):
         self.dimension = dimension
-        self.kernel = tuple(kernel)
+        self.space = space
         self.kernel_rows, self.weights, self.maps, self.offsets = kernel_rows, weights, maps, offsets
         for array in (kernel_rows, weights, maps, offsets):
             array.flags.writeable = False
@@ -97,24 +98,7 @@ class GramSlice:
     def slice_dimension(self) -> int:
         """k + n(n+1)/2 - (m+1): kernel coordinates plus zero-antidiagonal matrices."""
         n = self.dimension
-        return len(self.kernel) + n * (n + 1) // 2 - (2 * n - 1)
-
-
-def _scaled_to_unit(b: Polynomial) -> Polynomial:
-    """b times the power of two that puts its largest |coefficient| in [1/2, 1).
-
-    Every kernel basis vector is a primitive integer vector, so that power is
-    one over 2 to the bit length of its largest |coefficient|.
-    """
-    return b * Fraction(1, 1 << max(map(abs, b.ints)).bit_length())
-
-
-def _float_rows(polys, n: int) -> np.ndarray:
-    """The polynomials' float coefficients, ascending and padded to 2n - 1, as rows."""
-    rows = np.zeros((len(polys), 2 * n - 1))
-    for row, p in zip(rows, polys):
-        row[: p.degree + 1] = p.float_coeffs()
-    return rows
+        return self.space.dimension + n * (n + 1) // 2 - (2 * n - 1)
 
 
 def _hankel(weights, h) -> np.ndarray:
@@ -143,16 +127,18 @@ def build_gram_slice(space: SolutionSpace) -> GramSlice:
             "raise the pole multiplicities"
         )
     n = space.problem.m // 2 + 1
-    kernel = [_scaled_to_unit(b) for b in space.basis]
     weights = np.sqrt([float(math.comb(n - 1, i)) for i in range(n)])
     # ||H_w(h)||_F^2 = sum_k C(m, k) h_k^2, so the complement q_j of the kernel
     # scaled by 1/sqrt(C(m, k)), scaled back, gives orthonormal H_w(r_j)
     scale = np.sqrt([float(math.comb(2 * n - 2, k)) for k in range(2 * n - 1)])
-    rows = _float_rows(kernel, n)
+    rows = np.zeros((space.dimension, 2 * n - 1))
+    for row, b in zip(rows, space.basis):
+        unit = 1 << max(map(abs, b.ints)).bit_length()
+        row[: len(b.ints)] = [x / unit for x in b.ints]
     q, _ = np.linalg.qr((rows / scale).T, mode="complete")
-    hankel = _hankel(weights, q[:, len(kernel) :].T / scale)
+    hankel = _hankel(weights, q[:, space.dimension :].T / scale)
     offsets = np.trace(hankel, axis1=1, axis2=2) / n
-    return GramSlice(n, kernel, rows, weights, hankel - offsets[:, None, None] * np.eye(n), offsets)
+    return GramSlice(n, space, rows, weights, hankel - offsets[:, None, None] * np.eye(n), offsets)
 
 
 @dataclass(frozen=True)
@@ -300,34 +286,38 @@ def sdp_feasible_point(
     the ladder reads it.  A margin only places the exact gate: at the first
     outer step whose best point reaches it, and if that fails, at the end of
     the path.  An unbiased search stops reading the path for a margin once
-    some dual iterate's nu lies below it.  The gate divides the kernel
-    coordinates y of the point's numerator A_w(G) by their largest absolute
-    value, rounds them on the grid 2^-20 and, if that fails, 2^-40, and
-    certifies the exact sum y_k * g.kernel[k] with the Sturm count; each
-    point is gated at most once per call.  A margin the path never reaches,
-    or whose gates fail, yields ``indeterminate`` with the best eigenvalue
-    (when the margin was ruled out, the best when it was, with the bound in
-    ``optimum_bound``), which is not a proof of infeasibility.  The result
-    is the first feasible margin's, else the last margin's, with the log of
-    every margin tried.
+    some dual iterate's nu lies below it.  The gate divides the coordinates
+    y of the point's numerator A_w(G) along the rows of ``g.kernel_rows`` by
+    their largest absolute value and rounds them on the grid 2^-bits,
+    bits = 20 and, if that fails, 40.  With basis vector k over 2^L_k as its
+    row, the exact numerator is one ``g.space.combination`` with
+    coefficients grid_k / 2^(bits + L_k), certified by the Sturm count;
+    each point is gated at most once per call.  A margin the path never
+    reaches, or whose gates fail, yields ``indeterminate`` with the best
+    eigenvalue (when the margin was ruled out, the best when it was, with
+    the bound in ``optimum_bound``), which is not a proof of infeasibility.
+    The result is the first feasible margin's, else the last margin's, with
+    the log of every margin tried.
 
     ``objective_bias`` b, one entry per kernel coordinate, steers the solver
     to other interior points, as other cost functions would: the search
     maximises lambda_min(G) + <H_w(K b), G> with K b = sum_k b_k
-    g.kernel[k], by shifting every dual point by the fixed traceless matrix
-    tr H_w(K b)/n * I - H_w(K b).  A biased search reports no bound.
+    g.kernel_rows[k], by shifting every dual point by the fixed traceless
+    matrix tr H_w(K b)/n * I - H_w(K b).  A biased search reports no bound.
     """
     margins = (margin,) if isinstance(margin, Real) else tuple(margin)
     if not margins or not all(math.isfinite(m) and m > 0 for m in margins):
         raise ValueError("margins must be positive and finite")
     n = g.dimension
     rows = g.kernel_rows
+    # L_k: kernel_rows[k] is g.space.basis[k] / 2^L_k
+    unit_bits = [max(map(abs, b.ints)).bit_length() for b in g.space.basis]
     shift = np.zeros((n, n))
     if objective_bias is not None:
-        if len(objective_bias) != len(g.kernel):
+        if len(objective_bias) != g.space.dimension:
             raise ValueError(
                 f"objective_bias has {len(objective_bias)} entries, "
-                f"the kernel has dimension {len(g.kernel)}"
+                f"the kernel has dimension {g.space.dimension}"
             )
         h = _hankel(g.weights, np.asarray([float(v) for v in objective_bias]) @ rows)
         shift = np.trace(h) / n * np.eye(n) - h
@@ -366,10 +356,8 @@ def sdp_feasible_point(
             # all-zero kernel coordinates give mu = 0, which certifies nothing
             for bits in (20, 40) if top > 0.0 else ():
                 grid = np.rint(y / top * 2.0**bits).astype(np.int64).tolist()
-                mu = Polynomial.zero()
-                for c, b in zip(grid, g.kernel):
-                    mu = mu + b * c
-                mu = mu * Fraction(1, 1 << bits)
+                coefficients = [Fraction(c, 1 << (bits + u)) for c, u in zip(grid, unit_bits)]
+                mu = g.space.combination(coefficients)
                 cert = certify_regular(mu)
                 if cert:
                     gates[lam] = FeasibilityResult(

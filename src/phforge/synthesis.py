@@ -225,15 +225,14 @@ def synthesize_curve(p: SynthesisProblem, mu: Polynomial) -> RationalCurve:
 def closure_point(c: RationalCurve):
     """The common limit of the curve for t -> +infinity and t -> -infinity.
 
-    For a bounded component this is the ratio of leading coefficients (zero
-    when the numerator degree is smaller); a common monic factor of numerator
-    and denominator changes neither, so no gcd is taken.  Both directional
-    limits agree by rationality.
+    Every component is bounded, as ``RationalCurve`` rejects a numerator of
+    higher degree than the denominator and is immutable.  So the limit is the
+    ratio of leading coefficients, or zero when the numerator degree is
+    smaller; a common monic factor of numerator and denominator changes
+    neither, so no gcd is taken.  Both directional limits agree by
+    rationality.
     """
-    out = []
-    for n in c.nums:
-        gap = c.den.degree - n.degree
-        if gap < 0:
-            raise ValueError("component is unbounded at infinity")
-        out.append(n.leading() / c.den.leading() if gap == 0 else Fraction(0))
-    return tuple(out)
+    return tuple(
+        n.leading() / c.den.leading() if n.degree == c.den.degree else Fraction(0)
+        for n in c.nums
+    )

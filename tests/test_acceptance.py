@@ -190,8 +190,8 @@ def test_criterion_7_hull_criterion(tmp_path):
     inside_ok = (
         cert.status is True
         and cert.residual < 1e-6
-        and all(w >= 0 for w in cert.weights)
-        and abs(sum(cert.weights) - 1) < 1e-9
+        and all(w > 0 for _, w in cert.support)
+        and abs(sum(w for _, w in cert.support) - 1) < 1e-9
     )
     flat = convex_hull_contains_origin(tangent_indicatrix(QP([Quaternion.of(1)])), 64)
     outside_ok = flat.status is False and flat.direction is not None and flat.gap > 0

@@ -113,11 +113,20 @@ class TestSpeedFunction:
 
 class TestConvexHull:
     def test_reference_indicatrix_contains_origin(self):
-        cert = convex_hull_contains_origin(tangent_indicatrix(generator_deg3()), 256)
+        T = tangent_indicatrix(generator_deg3())
+        cert = convex_hull_contains_origin(T, 256)
         assert cert.status is True
         assert cert.residual < 1e-6
-        assert all(w >= 0 for w in cert.weights)
-        assert abs(sum(cert.weights) - 1) < 1e-9
+        assert all(w > 1e-12 for _, w in cert.support)
+        assert abs(sum(w for _, w in cert.support) - 1) < 1e-9
+        # the support's parameters are distinct samples, in sample order
+        params = angle_parameters(256)
+        indices = [params.index(t) for t, _ in cert.support]
+        assert indices == sorted(set(indices))
+        # each weight sits on its own sample: the combination is the min-norm point
+        ts, ws = zip(*cert.support)
+        points = two_chart_quotients(T.nums, T.den, T.homogeneous_degree, list(ts)).T
+        assert np.linalg.norm(np.array(ws) @ points) <= 1e-9
 
     def test_constant_indicatrix_separated(self):
         cert = convex_hull_contains_origin(tangent_indicatrix(QP([QONE])), 64)
@@ -132,9 +141,7 @@ class TestConvexHull:
         cert = convex_hull_contains_origin(tangent_indicatrix(QP([QJ, QONE])), 64)
         assert cert.status is True
         assert cert.residual < 1e-9
-        heavy = sorted(
-            (w, p) for p, w in zip(cert.parameters, cert.weights) if w > 1e-6
-        )
+        heavy = [(p, w) for p, w in cert.support if w > 1e-6]
         assert len(heavy) >= 2
 
     def test_monotone_in_samples(self):

@@ -41,6 +41,7 @@ from phforge import (
 
 from helpers import (
     generator_deg3,
+    poles_single,
     random_quaternion_poly,
     ref_add,
     ref_antiderivative,
@@ -572,6 +573,31 @@ def test_float_coeffs_are_bit_identical():
         assert p.float_coeffs() == [float(c) for c in p.coeffs]
     thirds = P([F(1, 3), F(-2, 3), F(10**40 + 1, 3 * 10**20)])
     assert thirds.float_coeffs() == [float(c) for c in thirds.coeffs]
+
+
+def test_canonical_leaves_its_input_unchanged(monkeypatch):
+    cases = [([0, 3, 0, 0], 6), ([-4, 2, 0], -2), ([0, 0], 5), ([], 1), ([1, 2], 1), ([6, -9, 0], 3)]
+    for ints, den in cases:
+        kept = list(ints)
+        p = polynomial._canonical(ints, den)
+        assert ints == kept
+        assert_canonical(p)
+        assert p == P([F(x, den) for x in kept])
+    # the reference problem's kernel vectors end in zeros; a caller that keeps
+    # what linalg.nullspace returned still holds it whole
+    returned = []
+    nullspace = linalg.nullspace
+
+    def recording(rows, ncols):
+        vectors = nullspace(rows, ncols)
+        returned.append((vectors, [list(v) for v in vectors]))
+        return vectors
+
+    monkeypatch.setattr(linalg, "nullspace", recording)
+    build_residue_system(SynthesisProblem(generator_deg3(), poles_single(0, 4, 8)))
+    ((vectors, copies),) = returned
+    assert any(v[-1] == 0 for v in copies)
+    assert vectors == copies
 
 
 def test_equality_and_hash_across_construction_routes():

@@ -82,6 +82,15 @@ def complement_basis(slice_):
     return np.array([[h[i, l] / (w[i] * w[l]) for i, l in cells] for h in hankel_constraints(slice_)])
 
 
+def scaled_basis(slice_):
+    """The kernel basis as the slice's rows hold it, each vector over 2^L.
+
+    L is the bit length of the vector's largest |coefficient|, so that
+    coefficient lies in [1/2, 1).
+    """
+    return [b * F(1, 1 << max(map(abs, b.ints)).bit_length()) for b in slice_.space.basis]
+
+
 def weighted(mat):
     """The Gram matrix in the weighted basis of a Gram matrix in the monomial basis."""
     n = len(mat)
@@ -106,8 +115,8 @@ class TestGramSlice:
 
     def test_slice_polynomials_lie_in_kernel(self):
         space, slice_ = reference_slice()
-        assert len(slice_.kernel) == space.dimension
-        for b, scaled in zip(space.basis, slice_.kernel):
+        assert slice_.space is space
+        for b, scaled in zip(space.basis, scaled_basis(slice_)):
             assert space.contains(scaled)
             # an exact power-of-two multiple with largest coefficient in [1/2, 1)
             ratio = scaled.leading() / b.leading()
@@ -122,7 +131,7 @@ class TestGramSlice:
         assert prob.m == 0 and space.dimension == 1
         slice_ = build_gram_slice(space)
         assert slice_.dimension == 1 and slice_.slice_dimension == 1
-        (b,) = slice_.kernel
+        (b,) = scaled_basis(slice_)
         assert b.degree == 0 and F(1, 2) <= abs(b.leading()) < 1
         # K^perp is empty: the kernel is every numerator
         assert slice_.maps.shape == (0, 1, 1) and slice_.offsets.shape == (0,)
@@ -133,7 +142,7 @@ class TestGramSlice:
     @pytest.mark.parametrize("slice_name", ["two_factor_slice", "single_factor_slice"])
     def test_antidiagonal_sums_are_kernel_coordinates(self, slice_name, request):
         slice_ = request.getfixturevalue(slice_name)
-        n, kernel_dim = slice_.dimension, len(slice_.kernel)
+        n, kernel_dim = slice_.dimension, slice_.space.dimension
         assert slice_.slice_dimension == kernel_dim + n * (n + 1) // 2 - (2 * n - 1)
         # the maps are traceless, symmetric and orthonormal; adding back the
         # offsets gives weighted Hankel matrices
@@ -144,10 +153,11 @@ class TestGramSlice:
         flat = maps.reshape(len(maps), -1)
         assert np.allclose(flat @ flat.T + np.outer(slice_.offsets, slice_.offsets) * n, np.eye(len(maps)), atol=1e-12)
         assert np.allclose(hankel_constraints(slice_), _hankel(slice_.weights, complement_basis(slice_)), atol=1e-15)
-        # the kernel rows are the kernel's float coefficients, and no array can be written
+        # the kernel rows are the scaled basis's float coefficients, bit for bit,
+        # and no array can be written
         rows = slice_.kernel_rows
         assert rows.shape == (kernel_dim, 2 * n - 1)
-        for row, b in zip(rows, slice_.kernel):
+        for row, b in zip(rows, scaled_basis(slice_)):
             assert row.tolist() == b.float_coeffs() + [0.0] * (2 * n - 2 - b.degree)
         assert not any(a.flags.writeable for a in (rows, slice_.weights, maps, slice_.offsets))
         # the gated witness's kernel coordinates give its numerator
@@ -161,7 +171,7 @@ class TestGramSlice:
     def test_complement_is_orthogonal_to_kernel(self, slice_name, request):
         slice_ = request.getfixturevalue(slice_name)
         r = complement_basis(slice_)
-        for b in slice_.kernel:
+        for b in scaled_basis(slice_):
             exact = np.zeros(r.shape[1])
             exact[: b.degree + 1] = [float(c) for c in b.coeffs]
             # relative to the sizes of the summands
@@ -345,13 +355,13 @@ class TestRelaxationLadder:
         assert certify_regular(res.witness_mu)
         # mu is the gated point's kernel coordinates, over their largest
         # absolute value, rounded on the grid 2^-20 or else 2^-40
-        assert len(res.witness_x) == len(two_factor_slice.kernel)
+        assert len(res.witness_x) == two_factor_slice.space.dimension
         y = np.asarray(res.witness_x)
         on_grid = []
         for bits in (20, 40):
             grid = np.rint(y / np.abs(y).max() * 2.0**bits).astype(np.int64).tolist()
             mu = P([0])
-            for c, b in zip(grid, two_factor_slice.kernel):
+            for c, b in zip(grid, scaled_basis(two_factor_slice)):
                 mu = mu + b * F(c, 2**bits)
             on_grid.append(mu)
         assert res.witness_mu in on_grid
@@ -373,7 +383,7 @@ class TestRelaxationLadder:
         # the bound holds for the whole path, and the path stopped before its end
         assert path[-1][1] <= res.optimum_bound < 1e-3
         assert res.min_eigenvalue < path[-1][1]
-        bias = [1e-9] * len(single_factor_slice.kernel)
+        bias = [1e-9] * single_factor_slice.space.dimension
         assert sdp_feasible_point(single_factor_slice, 1e-3, objective_bias=bias).optimum_bound is None
 
     def test_bound_holds_without_centring(self, single_factor_slice, monkeypatch):
@@ -433,7 +443,7 @@ class TestRelaxationLadder:
     def test_bias_needs_one_entry_per_coordinate(self):
         # one entry per kernel coordinate
         _, slice_ = reference_slice()
-        assert len(slice_.kernel) == 2
+        assert slice_.space.dimension == 2
         for bias in ([1e-6], [1e-6] * 3, [1e-6] * 4):
             with pytest.raises(ValueError, match="objective_bias"):
                 sdp_feasible_point(slice_, 1e-4, objective_bias=bias)
