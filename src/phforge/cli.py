@@ -445,7 +445,12 @@ def load_bundle(path: str) -> Bundle:
     if not isinstance(data, dict) or data.get("schema") not in READABLE_SCHEMAS:
         *older, newest = READABLE_SCHEMAS
         raise ParseError(f"not a {', '.join(older)} or {newest} file", "schema")
-    cfg = parse_config(data.get("config", {}))
+    if not isinstance(data.get("config"), dict):
+        raise ParseError("expected an object", "config")
+    try:
+        cfg = parse_config(data["config"])
+    except ParseError as exc:  # name the field inside the bundle, not inside a config file
+        raise ParseError(exc.message, f"config.{exc.field}") from None
     curve_raw = data.get("curve")
     if not isinstance(curve_raw, dict):
         raise ParseError("missing curve", "curve")

@@ -13,7 +13,7 @@ class ParseError(PhforgeError):
     exit_code = 4
 
     def __init__(self, message: str, field: str | None = None):
-        self.field = field
+        self.message, self.field = message, field
         super().__init__(f"{field}: {message}" if field else message)
 
 

@@ -286,6 +286,8 @@ class _LocalSeries:
         of (theta + x)^i g are those of g times (phi + e x)^i over den e^i,
         so for its top term (u, v) the pair times den e^top is
         (u e^(top-i), v e^(top-i+1)): one positive integer scales them all.
+        Only g's terms are read, so terms divided by a positive integer k
+        give every pair times den e^top / k.
         """
         terms, ell0, ell1 = g[0], [], []
         for i in range(top + 1):

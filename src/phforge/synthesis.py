@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 import numpy as np
@@ -75,10 +76,16 @@ class SolutionSpace:
     """Exact kernel of the zero-residue conditions for one problem.
 
     ``constraint_matrix`` stacks, for every pole factor and every hodograph
-    component, the two extension-field coordinates of the residue as linear
-    forms in the numerator coefficients mu_0..mu_m: integer rows, each pair
-    the residues times one positive integer.  ``basis`` holds primitive
-    integer vectors, one per free column of the system.
+    component, the two extension-field coordinates (r0, r1) of the residue
+    r0 + r1 theta as linear forms in the numerator coefficients mu_0..mu_m:
+    integer rows, each factor's rows the residues times one positive
+    rational.  The last factor keeps only its three r1 rows, 6F - 3 rows for
+    F factors: deg(mu w_c) <= deg alpha - 2, so by the residue theorem the
+    real parts r0 - (b/2) r1 of each component's residues sum to zero over
+    the factors, and once every other row vanishes the last r0 does too.
+    (Its r1 is not implied: for b = 0 the real part is r0 alone.)
+    ``basis`` holds primitive integer vectors, one per free column of the
+    system.
     """
 
     def __init__(self, problem: SynthesisProblem, constraint_matrix, basis):
@@ -119,24 +126,37 @@ def build_residue_system(p: SynthesisProblem) -> SolutionSpace:
     For each factor Q^M of alpha, one local series g at the root theta of Q
     (``ratfunc._LocalSeries.pole``) gives the residues ell_i of t^i / alpha,
     i = 0..top with top = m + max deg w_c, as one integer sequence over one
-    positive scale (``_LocalSeries.monomial_residues``).  The residue of
+    positive scale (``_LocalSeries.monomial_residues``).  g's integer terms
+    and then the sequence pair are divided by their content, which changes
+    only that scale: it carries den e^top and powers of the norm, and the
+    rows would be about four times wider in bits with it.  The residue of
     t^k w_c / alpha is then the correlation sum_j w_c[j] ell_(k+j), so each
     hodograph component gives two integer rows per factor (the two
-    extension-field coordinates, times one positive integer) from the
-    integer coefficients of w_c; all rows are kept and the kernel is
-    computed by ``linalg.nullspace``, one fraction-free forward pass and one
-    back-substitution per free coefficient.  Its vectors are primitive
-    integer vectors, so each is taken as the canonical pair over 1 as it
-    is.  The trivial all-zero numerator is never part of the basis.
+    extension-field coordinates, times one positive rational) from the
+    integer coefficients of w_c.  The last factor's r0 rows are left out,
+    as the residue theorem implies them (``SolutionSpace``), and the kernel
+    is computed by ``linalg.nullspace``, one fraction-free forward pass and
+    one back-substitution per free coefficient.  The rows span the same
+    space as all 6F, so the kernel, its free columns and its primitive
+    basis are those of the full system.  Its vectors are primitive integer
+    vectors, so each is taken as the canonical pair over 1 as it is.  The
+    trivial all-zero numerator is never part of the basis.
     """
     rows = []
-    powers = [q.poly() ** q.multiplicity for q in p.poles.factors]
+    factors = p.poles.factors
+    powers = [q.poly() ** q.multiplicity for q in factors]
     top = p.m + max(wc.degree for wc in p.hodograph_dir)
-    for i, q in enumerate(p.poles.factors):
+    for i, q in enumerate(factors):
         series = _LocalSeries(q, q.multiplicity)
         # alpha / Q^M as the product of the other factors' powers
-        g = series.pole(math.prod(powers[:i] + powers[i + 1 :], start=Polynomial.one()))
-        ells = series.monomial_residues(g, top)
+        terms, den = series.pole(math.prod(powers[:i] + powers[i + 1 :], start=Polynomial.one()))
+        content = math.gcd(*chain.from_iterable(terms))
+        terms = [(u // content, v // content) for u, v in terms]
+        ells = series.monomial_residues((terms, den), top)
+        content = math.gcd(*chain.from_iterable(ells))
+        ells = [[x // content for x in ell] for ell in ells]
+        if i == len(factors) - 1:
+            del ells[0]  # the residue theorem implies the last factor's r0 rows
         for wc in p.hodograph_dir:
             w, n = wc.ints, len(wc.ints)
             for ell in ells:

@@ -331,6 +331,17 @@ class TestSampleExports:
             capsys.readouterr()
             assert main(["sample", "--config", str(bad), "--samples", "16"]) == 4, (outer, inner, value)
             assert f"{field}:" in capsys.readouterr().err
+        # an error in the bundle's config names its field under config, as does a missing config
+        for field, corrupt in (
+            ("config.poles[0]", lambda d: d["config"]["poles"][0].update(c="-1")),  # real roots
+            ("config", lambda d: d.pop("config")),
+        ):
+            data = json.loads(json.dumps(good))
+            corrupt(data)
+            bad.write_text(json.dumps(data))
+            capsys.readouterr()
+            assert main(["sample", "--config", str(bad), "--samples", "16"]) == 4, field
+            assert capsys.readouterr().err.startswith(f"error: {field}: ")
         # a curve that is not Pythagorean-hodograph loads, but has no rational speed for svg
         data = json.loads(json.dumps(good))
         data["curve"]["numerators"][0] = ["0", "1"]

@@ -3,7 +3,8 @@
 Products, powers, quotient/remainder pairs, gcds, Sturm counts, kernel
 bases and rational antiderivatives (Horowitz's linear solve against the
 Hermite reduction, with log/arctan parts equal as fractions) must be equal,
-value for value, and residue rows equal up to one positive factor per row pair,
+value for value, and residue rows equal up to one positive factor per pole
+factor, less the last factor's r0 rows that the residue theorem implies,
 on seeded random inputs with integer and Fraction coefficients and with
 monic, non-monic and Fraction divisors;
 products, gcds and Sturm counts also at the degrees (up to 60) and
@@ -18,6 +19,7 @@ must hash alike whichever way they were built.
 import math
 import random
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 
@@ -59,6 +61,7 @@ from helpers import (
     ref_residue_rows,
     ref_scale,
     ref_sturm_count,
+    residues_vanish,
 )
 from test_pinned_outputs import PINNED_SHA256, exact_output_digest
 
@@ -308,23 +311,23 @@ def fraction_generator():
     return QP([c * F(2, 3) for c in generator_deg3().coeffs])
 
 
-@pytest.mark.parametrize(
-    "poles",
-    [
-        ((0, 4, 6),),
-        ((F(1, 2), F(3, 4), 6),),
-        ((0, 4, 4), (F(1, 2), F(3, 4), 3)),
-        ((1, 3, 3), (F(-2, 3), F(5, 6), 3)),
-        ((F(1, 2), F(3, 4), 3), (F(-2, 3), F(5, 6), 2), (0, 4, 2)),
-        ((1, 3, 1), (F(-2, 3), F(5, 6), 4)),
-    ],
-)
+# t + 2i is not i-reduced: A i A* = (t^2 + 4) i has zero j and k components
+SPAN_1_I = QP([Quaternion.of(0, 2), Quaternion.of(1)])
+RESIDUE_POLES = [
+    ((0, 4, 6),),
+    ((F(1, 2), F(3, 4), 6),),
+    ((0, 4, 4), (F(1, 2), F(3, 4), 3)),
+    ((1, 3, 3), (F(-2, 3), F(5, 6), 3)),
+    ((F(1, 2), F(3, 4), 3), (F(-2, 3), F(5, 6), 2), (0, 4, 2)),
+    ((1, 3, 1), (F(-2, 3), F(5, 6), 4)),
+]
+
+
+@pytest.mark.parametrize("poles", RESIDUE_POLES)
 def test_residue_rows_match_reference(poles):
     structure = PoleStructure(tuple(QuadraticFactor(b, c, m) for b, c, m in poles))
     rng = random.Random(str(poles))
-    # t + 2i is not i-reduced: A i A* = (t^2 + 4) i has zero j and k components
-    span_1_i = QP([Quaternion.of(0, 2), Quaternion.of(1)])
-    generators = [generator_deg3(), fraction_generator(), span_1_i]
+    generators = [generator_deg3(), fraction_generator(), SPAN_1_I]
     while len(generators) < 5:
         a = random_quaternion_poly(rng)
         if a is not None and a.degree <= 3:
@@ -333,15 +336,73 @@ def test_residue_rows_match_reference(poles):
         problem = SynthesisProblem(a, structure)
         space = build_residue_system(problem)
         rows, want = space.constraint_matrix, ref_residue_rows(problem)
-        assert len(rows) == len(want) == 6 * len(poles)
+        assert len(rows) == len(want) - 3 == 6 * len(poles) - 3
         assert all(space.contains(b) for b in space.basis)
-        for i in range(0, len(want), 2):
-            # each pair is the residue pair times one positive rational
-            ours, ref = rows[i] + rows[i + 1], want[i] + want[i + 1]
+        for f in range(len(poles)):
+            ref = want[6 * f : 6 * f + 6]
+            if f == len(poles) - 1:
+                ref = ref[1::2]  # the last factor keeps only its r1 rows
+            # a factor's rows are its reference rows times one positive rational
+            ours = [x for row in rows[6 * f : 6 * f + len(ref)] for x in row]
+            ref = [x for row in ref for x in row]
             k = next((j for j, x in enumerate(ref) if x), 0)
             scale = F(ours[k]) / ref[k] if ref[k] else F(1)
-            assert scale > 0 and list(ours) == [scale * x for x in ref]
+            assert scale > 0 and ours == [scale * x for x in ref]
+        # the dropped rows are implied: the kernel is that of all 6F reference rows
         assert [b.ints for b in space.basis] == [P(v).ints for v in ref_nullspace(want)]
+
+
+@pytest.mark.parametrize("poles", RESIDUE_POLES)
+def test_contains_matches_residue_oracle(poles):
+    """``contains`` against ``residue_at`` at every factor, for every component.
+
+    The numerators are kernel combinations, random ones of degree <= m,
+    and, for each reference row, a kernel vector of all the other reference
+    rows that this row rejects.  None exists for an r0 row: the residue
+    theorem makes the real parts sum to zero over the factors, and the
+    real part is r0 - (b/2) r1, so the other rows imply it.
+    """
+    structure = PoleStructure(tuple(QuadraticFactor(b, c, m) for b, c, m in poles))
+    rng = random.Random(f"contains {poles}")
+    answers = set()
+    for a in (generator_deg3(), fraction_generator(), SPAN_1_I):
+        problem = SynthesisProblem(a, structure)
+        space, want, n = build_residue_system(problem), ref_residue_rows(problem), problem.m + 1
+        mus = [rand_poly(rng, rng.randint(0, problem.m)) for _ in range(3)]
+        if space.basis:
+            mus += [space.combination([rand_coeff(rng, True) for _ in space.basis]) for _ in range(2)]
+        for i, row in enumerate(want):
+            others = want[:i] + want[i + 1 :]
+            rejected = [v for v in ref_nullspace(others, n) if sum(map(mul, row, v))]
+            assert not (rejected and i % 2 == 0)
+            mus += [P(v) for v in rejected[:1]]
+        for mu in mus:
+            vanish = residues_vanish(problem, mu)
+            assert space.contains(mu) == vanish
+            answers.add(vanish)
+    assert answers == {True, False}
+
+
+# the ROADMAP table's pole structures, on the reference generator
+TABLE_POLES = [
+    ((0, 4, 6),),
+    ((0, 4, 10),),
+    ((0, 4, 16),),
+    ((0, 4, 18),),
+    ((0, 4, 8), (1, 3, 6)),
+    ((0, 4, 10), (1, 3, 10)),
+    ((0, 4, 6), (1, 3, 4), (1, 2, 4)),
+    ((0, 4, 8), (1, 3, 6), (1, 2, 4)),
+    ((0, 4, 10), (1, 3, 8), (1, 2, 6)),
+    ((0, 4, 10), (1, 3, 10), (1, 2, 10)),
+]
+
+
+@pytest.mark.parametrize("poles", TABLE_POLES)
+def test_kept_residue_rows_have_full_rank(poles):
+    structure = PoleStructure(tuple(QuadraticFactor(b, c, m) for b, c, m in poles))
+    space = build_residue_system(SynthesisProblem(generator_deg3(), structure))
+    assert len(space.constraint_matrix) == 6 * len(poles) - 3 == space.problem.m + 1 - space.dimension
 
 
 def hermite_case(rng, chosen, multiplicities):
