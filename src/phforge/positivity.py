@@ -77,19 +77,22 @@ class GramSlice:
     ``dimension`` is n, the Gram matrices' size, and ``space`` the
     ``SolutionSpace`` the slice was built from.  ``kernel_rows`` holds the
     float coefficients of its basis vectors, one row each, padded to 2n - 1,
-    each vector divided by 2^L with L the bit length of its largest
-    |coefficient|, so that coefficient lies in [1/2, 1).  ``weights`` holds
-    the w_i.  ``maps`` holds the traceless Hankel matrices
-    A_j = H_w(r_j) - offsets[j] * I of an orthonormal basis r_j of K^perp,
-    with ``offsets[j]`` = tr H_w(r_j) / n.  Since <H_w(h), G> = h . A_w(G),
-    where A_w(G)_k = sum_{i+l=k} w_i w_l G_il is G's numerator, G lies in
-    the slice exactly when tr G = 1 and <H_w(r_j), G> = 0 for every j.  The
-    arrays are read-only.
+    basis vector k divided by 2^L_k, with L_k = ``unit_bits[k]`` the bit
+    length of its largest |coefficient|, so that coefficient lies in
+    [1/2, 1).  ``weights`` holds the w_i.  ``maps`` holds the traceless
+    Hankel matrices A_j = H_w(r_j) - offsets[j] * I of an orthonormal basis
+    r_j of K^perp, with ``offsets[j]`` = tr H_w(r_j) / n.  Since
+    <H_w(h), G> = h . A_w(G), where A_w(G)_k = sum_{i+l=k} w_i w_l G_il is
+    G's numerator, G lies in the slice exactly when tr G = 1 and
+    <H_w(r_j), G> = 0 for every j.  The arrays are read-only.
     """
 
-    def __init__(self, dimension: int, space: SolutionSpace, kernel_rows, weights, maps, offsets):
+    def __init__(
+        self, dimension: int, space: SolutionSpace, unit_bits, kernel_rows, weights, maps, offsets
+    ):
         self.dimension = dimension
         self.space = space
+        self.unit_bits = tuple(unit_bits)
         self.kernel_rows, self.weights, self.maps, self.offsets = kernel_rows, weights, maps, offsets
         for array in (kernel_rows, weights, maps, offsets):
             array.flags.writeable = False
@@ -131,14 +134,15 @@ def build_gram_slice(space: SolutionSpace) -> GramSlice:
     # ||H_w(h)||_F^2 = sum_k C(m, k) h_k^2, so the complement q_j of the kernel
     # scaled by 1/sqrt(C(m, k)), scaled back, gives orthonormal H_w(r_j)
     scale = np.sqrt([float(math.comb(2 * n - 2, k)) for k in range(2 * n - 1)])
+    unit_bits = [max(map(abs, b.ints)).bit_length() for b in space.basis]
     rows = np.zeros((space.dimension, 2 * n - 1))
-    for row, b in zip(rows, space.basis):
-        unit = 1 << max(map(abs, b.ints)).bit_length()
-        row[: len(b.ints)] = [x / unit for x in b.ints]
+    for row, b, bits in zip(rows, space.basis, unit_bits):
+        row[: len(b.ints)] = [x / (1 << bits) for x in b.ints]
     q, _ = np.linalg.qr((rows / scale).T, mode="complete")
     hankel = _hankel(weights, q[:, space.dimension :].T / scale)
     offsets = np.trace(hankel, axis1=1, axis2=2) / n
-    return GramSlice(n, space, rows, weights, hankel - offsets[:, None, None] * np.eye(n), offsets)
+    maps = hankel - offsets[:, None, None] * np.eye(n)
+    return GramSlice(n, space, unit_bits, rows, weights, maps, offsets)
 
 
 @dataclass(frozen=True)
@@ -290,14 +294,14 @@ def sdp_feasible_point(
     y of the point's numerator A_w(G) along the rows of ``g.kernel_rows`` by
     their largest absolute value and rounds them on the grid 2^-bits,
     bits = 20 and, if that fails, 40.  With basis vector k over 2^L_k as its
-    row, the exact numerator is one ``g.space.combination`` with
-    coefficients grid_k / 2^(bits + L_k), certified by the Sturm count;
-    each point is gated at most once per call.  A margin the path never
-    reaches, or whose gates fail, yields ``indeterminate`` with the best
-    eigenvalue (when the margin was ruled out, the best when it was, with
-    the bound in ``optimum_bound``), which is not a proof of infeasibility.
-    The result is the first feasible margin's, else the last margin's, with
-    the log of every margin tried.
+    row (L_k = ``g.unit_bits[k]``), the exact numerator is one
+    ``g.space.combination`` with coefficients grid_k / 2^(bits + L_k),
+    certified by the Sturm count; each point is gated at most once per
+    call.  A margin the path never reaches, or whose gates fail, yields
+    ``indeterminate`` with the best eigenvalue (when the margin was ruled
+    out, the best when it was, with the bound in ``optimum_bound``), which
+    is not a proof of infeasibility.  The result is the first feasible
+    margin's, else the last margin's, with the log of every margin tried.
 
     ``objective_bias`` b, one entry per kernel coordinate, steers the solver
     to other interior points, as other cost functions would: the search
@@ -310,8 +314,6 @@ def sdp_feasible_point(
         raise ValueError("margins must be positive and finite")
     n = g.dimension
     rows = g.kernel_rows
-    # L_k: kernel_rows[k] is g.space.basis[k] / 2^L_k
-    unit_bits = [max(map(abs, b.ints)).bit_length() for b in g.space.basis]
     shift = np.zeros((n, n))
     if objective_bias is not None:
         if len(objective_bias) != g.space.dimension:
@@ -356,7 +358,7 @@ def sdp_feasible_point(
             # all-zero kernel coordinates give mu = 0, which certifies nothing
             for bits in (20, 40) if top > 0.0 else ():
                 grid = np.rint(y / top * 2.0**bits).astype(np.int64).tolist()
-                coefficients = [Fraction(c, 1 << (bits + u)) for c, u in zip(grid, unit_bits)]
+                coefficients = [Fraction(c, 1 << (bits + u)) for c, u in zip(grid, g.unit_bits)]
                 mu = g.space.combination(coefficients)
                 cert = certify_regular(mu)
                 if cert:

@@ -1,16 +1,15 @@
 """Exact univariate rational functions, pole structures, residues, integration.
 
-Residues at irreducible quadratic poles come from a truncated Laurent
-series over the extension field Q[t]/(Q(t)), kept as integer pairs over
-Z[phi] with one denominator per series, so no irrational or floating
-complex numbers appear anywhere; a residue is reported as its two
-coordinates over Q (``ExtensionElement``), with no field arithmetic.
 Rational antiderivatives come from Horowitz's method, with no root finding
 and no partial fractions: the denominator of the antiderivative is known
 in advance, so its numerator and the log/arctan part are the solution of
 one square integer linear system, solved for all numerators at once by
-``linalg.nullspace``; real-root counting is Sturm's method, with the chain
-computed as a signed primitive polynomial remainder sequence over Z.
+``linalg.nullspace``.  The same solve gives residues: the log/arctan part
+B / core has the residues of the function, each read off in Q[t]/(Q(t))
+as its two coordinates over Q (``ExtensionElement``), with no irrational
+or floating complex numbers anywhere.  Real-root counting is Sturm's
+method, with the chain computed as a signed primitive polynomial remainder
+sequence over Z.
 """
 
 from __future__ import annotations
@@ -188,136 +187,6 @@ class ExtensionElement:
         return self.r0 == 0 and self.r1 == 0
 
 
-def _strip_factor(p: Polynomial, q: Polynomial) -> tuple[Polynomial, int]:
-    """(s, m) with p = q^m s and q not dividing s; p must be nonzero."""
-    m = 0
-    while True:
-        quo, rem = divmod(p, q)
-        if not rem.is_zero:
-            return p, m
-        p, m = quo, m + 1
-
-
-class _LocalSeries:
-    """Series mod x^n at t = theta + x, theta a root of t^2 + b t + c, over Z[phi].
-
-    phi = e theta, with e the common denominator of b and c, satisfies
-    phi^2 + B phi + C = 0 with the integers B = e b and C = e^2 c, so a series
-    is a pair (terms, den): terms[k] = (u, v) stands for (u + v phi) x^k / den,
-    with one positive integer denominator per series.  No Fraction arithmetic
-    happens until ``last`` reads a coefficient out; ``monomial_residues``
-    hands the residue system the residues of t^i / alpha, i = 0..top, as
-    integers and makes none.
-    """
-
-    def __init__(self, q: QuadraticFactor, n: int):
-        self.n = n
-        self.e = e = math.lcm(q.b.denominator, q.c.denominator)
-        self.B = q.b.numerator * (e // q.b.denominator)
-        self.C = q.c.numerator * (e // q.c.denominator) * e
-
-    def _mul(self, x, y):
-        (u, v), (s, w) = x, y
-        vw = v * w
-        return u * s - self.C * vw, u * w + v * s - self.B * vw
-
-    def _dot(self, xs, ys):
-        """sum xs[i] ys[i] over Z[phi]."""
-        acc_u = acc_v = 0
-        for x, y in zip(xs, ys):
-            u, v = self._mul(x, y)
-            acc_u += u
-            acc_v += v
-        return acc_u, acc_v
-
-    def _times_linear(self, h: list, a) -> list:
-        """The terms h times (a + e x), truncated to len(h) terms."""
-        e, out = self.e, [self._mul(h[0], a)]
-        for prev, cur in zip(h, h[1:]):
-            u, v = self._mul(cur, a)
-            out.append((u + e * prev[0], v + e * prev[1]))
-        return out
-
-    def taylor(self, p: Polynomial):
-        """p(theta + x) by Horner's rule in phi + e x = e (theta + x)."""
-        ints, den = p.ints, p.den
-        terms = [(0, 0)] * self.n
-        for k, c in enumerate(reversed(ints)):
-            terms = self._times_linear(terms, (0, 1))
-            terms[0] = (terms[0][0] + c * self.e**k, terms[0][1])
-        return terms, den * self.e ** max(len(ints) - 1, 0)
-
-    def pole(self, s: Polynomial):
-        """1/((t - theta')^n s(t)); s must be coprime to Q.
-
-        theta' = -b - theta is the other root of Q, so t - theta' =
-        (2 phi + B + e x) / e at t = theta + x.  For f = N / (Q^n s) the
-        residue at theta is ``last(product(taylor(N), pole(s)))``.  The
-        inverse of a series U whose leading term has norm N has n-th term
-        W_n / N^(n+1) with W_0 = conj(U_0) and
-        W_n = -conj(U_0) sum_{i=1..n} U_i W_(n-i) N^(i-1).
-        """
-        u, den = self.taylor(s)
-        for _ in range(self.n):
-            u = self._times_linear(u, (self.B, 2))
-        den *= self.e**self.n
-        u0, v0 = u[0]
-        conj = (u0 - self.B * v0, -v0)
-        norm = u0 * u0 - self.B * u0 * v0 + self.C * v0 * v0  # > 0: Q has no real root
-        powers = [norm**i for i in range(self.n + 1)]
-        w = [conj]
-        for k in range(1, self.n):
-            scaled = [(x * p, y * p) for (x, y), p in zip(reversed(w), powers)]
-            x, y = self._mul(conj, self._dot(u[1 : k + 1], scaled))
-            w.append((-x, -y))
-        scales = [den * powers[self.n - 1 - k] for k in range(self.n)]
-        return [(x * f, y * f) for (x, y), f in zip(w, scales)], powers[self.n]
-
-    def product(self, f, g):
-        """The product of two series."""
-        (fa, fd), (ga, gd) = f, g
-        return [self._dot(fa[: k + 1], ga[k::-1]) for k in range(self.n)], fd * gd
-
-    def monomial_residues(self, g, top: int) -> tuple[list[int], list[int]]:
-        """``last`` on (theta + x)^i g for i = 0..top, as two integer sequences times den e^top.
-
-        With g = ``pole(s)`` these are the residues ell_i of t^i / (Q^n s) at
-        theta, and the residue of N / (Q^n s) is sum_i N_i ell_i.  The terms
-        of (theta + x)^i g are those of g times (phi + e x)^i over den e^i,
-        so for its top term (u, v) the pair times den e^top is
-        (u e^(top-i), v e^(top-i+1)): one positive integer scales them all.
-        Only g's terms are read, so terms divided by a positive integer k
-        give every pair times den e^top / k.
-        """
-        terms, ell0, ell1 = g[0], [], []
-        for i in range(top + 1):
-            u, v = terms[-1]
-            s = self.e ** (top - i)
-            ell0.append(u * s)
-            ell1.append(v * s * self.e)
-            terms = self._times_linear(terms, (0, 1))
-        return ell0, ell1
-
-    def last(self, h) -> tuple[Fraction, Fraction]:
-        """(r0, r1) with coefficient n - 1 of h equal to r0 + r1 theta."""
-        (u, v), den = h[0][-1], h[1]
-        return Fraction(u, den), Fraction(v * self.e, den)
-
-
-def residue_at(f: RationalFunction, q: QuadraticFactor) -> ExtensionElement:
-    """Residue of f at the root theta of Q inside Q[t]/(Q(t)).
-
-    Read off the local series at theta (``_LocalSeries``) for the reduced
-    denominator Q^m s.  The residue at the other root is the conjugate.
-    """
-    s, m = _strip_factor(f.denominator, q.poly())
-    if m == 0:
-        raise ValueError("quadratic is not a factor of the denominator")
-    series = _LocalSeries(q, m)
-    r0, r1 = series.last(series.product(series.taylor(f.numerator), series.pole(s)))
-    return ExtensionElement(r0, r1, q.b, q.c)
-
-
 def _int_derivative(v: list[int]) -> list[int]:
     return [k * c for k, c in enumerate(v)][1:]
 
@@ -356,61 +225,111 @@ def _variations(signs: list[bool]) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _horowitz(nums, core: Polynomial, lift: Polynomial) -> list[Polynomial]:
-    """The N_i with (N_i / lift)' = nums[i] / (lift core) and N_i(0) = 0.
+def _horowitz_columns(core: Polynomial, lift: Polynomial):
+    """(E, s, k0, columns): the integer columns of Horowitz's linear system.
 
     Horowitz's method (Horowitz 1971; Bronstein, *Symbolic Integration I*,
     sec. 2.2): core is squarefree and every root of lift is one of core's, so
     E = lift' core / lift is a polynomial, and num / (lift core) =
     (N / lift)' + B / core with deg B < deg core holds exactly when
-    N' core - N E + B lift = num.  The unknowns are N_1..N_deg(lift) and
-    B_0..B_(deg core - 1): N_0 is dropped, as N(0) = 0, which makes the
-    system square and nonsingular because lift(0) != 0 (with N_0 kept, its
-    kernel is N = lift, the constant N / lift).  Every numerator, which must
-    be proper over lift core, is one right-hand-side column of a single
-    ``linalg.nullspace`` call, on rows scaled to integers: its forward pass
-    triangularises the banded columns once for every numerator, and each
-    numerator's solution is one back-substitution.  A nonzero B is a
-    log/arctan part and raises RationalityError, with one (core, B) pair per
-    such numerator; every N is checked against N' core - N E = num exactly.
+    N' core - N E + B lift = num.  N = lift and B = 0 solve it for num = 0
+    (N / lift is a constant), so the coefficient k0 of N is fixed to 0, k0
+    the lowest index of a nonzero coefficient of lift (0 when lift(0) != 0),
+    which makes the system square and nonsingular.  The columns, each
+    deg lift + deg core integers times the least common scale s, are first
+    the deg lift N columns k t^(k-1) core - t^k E, the numerators of
+    (t^k / lift)' over lift core, for k = 0..deg lift but k0, then the
+    deg core B columns t^k lift.
     """
-    delta, n = lift.degree, lift.degree + core.degree
     e = (lift.derivative() * core).exact_div(lift)
     scale = math.lcm(core.den, e.den, lift.den)
     c, ei, li = ([x * (scale // p.den) for x in p.ints] for p in (core, e, lift))
+    n, k0 = len(li) - 1 + core.degree, next(k for k, x in enumerate(li) if x)
     cols = []
-    for k in range(1, delta + 1):  # N_k t^k: k t^(k-1) core - t^k E
+    for k in (k for k in range(len(li)) if k != k0):
         col = [0] * n
-        for i, x in enumerate(c, k - 1):
-            col[i] = k * x
+        if k:
+            for i, x in enumerate(c, k - 1):
+                col[i] = k * x
         for i, x in enumerate(ei, k):
             col[i] -= x
         cols.append(col)
-    for k in range(core.degree):  # B_k t^k: t^k lift
+    for k in range(core.degree):
         cols.append([0] * k + li + [0] * (n - k - len(li)))
+    return e, scale, k0, cols
+
+
+def _horowitz_parts(nums, core: Polynomial, lift: Polynomial):
+    """(E, [(N_i, B_i)]) with N_i' core - N_i E + B_i lift = nums[i] (``_horowitz_columns``).
+
+    Every numerator, which must be proper over lift core, is one
+    right-hand-side column of a single ``linalg.nullspace`` call: its
+    forward pass triangularises the banded columns once for every
+    numerator, and each numerator's solution is one back-substitution.
+    """
+    e, scale, k0, cols = _horowitz_columns(core, lift)
+    delta, n = lift.degree, len(cols)
     cols.extend(list(num.ints) + [0] * (n - len(num.ints)) for num in nums)
     # the kernel vector of free column n + j solves the system for nums[j]
     kernel = linalg.nullspace(list(zip(*cols)), n + len(nums))
-    out, remainders = [], []
+    parts = []
     for j, (num, v) in enumerate(zip(nums, kernel)):
         den = v[n + j] * num.den
-        if any(v[delta:n]):
-            remainders.append((core, _canonical([-x * scale for x in v[delta:n]], den)))
-        out.append(_canonical([0] + [-x * scale for x in v[:delta]], den))
+        anti = [-x * scale for x in v[:delta]]
+        anti.insert(k0, 0)
+        parts.append((_canonical(anti, den), _canonical([-x * scale for x in v[delta:n]], den)))
+    return e, parts
+
+
+def _horowitz(nums, core: Polynomial, lift: Polynomial) -> list[Polynomial]:
+    """The N_i with (N_i / lift)' = nums[i] / (lift core) and coefficient k0 zero.
+
+    k0 is 0, so N_i(0) = 0, when lift(0) != 0 (``_horowitz_columns``); one
+    ``_horowitz_parts`` solve.  A nonzero B is a log/arctan part and
+    raises RationalityError, with one (core, B) pair per such numerator;
+    every N is checked against N' core - N E = num exactly.
+    """
+    e, parts = _horowitz_parts(nums, core, lift)
+    remainders = [(core, b) for _, b in parts if not b.is_zero]
     if remainders:
         raise RationalityError("nonzero residues: antiderivative is not rational", remainders)
-    for num, anti in zip(nums, out):
+    for num, (anti, _) in zip(nums, parts):
         if anti.derivative() * core - anti * e != num:
             raise AssertionError("antiderivative verification failed")
-    return out
+    return [anti for anti, _ in parts]
+
+
+def residue_at(f: RationalFunction, q: QuadraticFactor) -> ExtensionElement:
+    """Residue of f at the root theta of Q inside Q[t]/(Q(t)).
+
+    The proper part of f over its reduced denominator den = lift core, with
+    lift = gcd(den, den') and core squarefree, is (N / lift)' + B / core by
+    the one Horowitz solve of ``_horowitz_parts``.  The derivative has no
+    residue, so the residue at theta is B(theta) / core'(theta), a quotient
+    of two elements r0 + r1 theta of Q(theta): (B mod Q) times the conjugate
+    of (core' mod Q), over its norm.  The residue at the other root is the
+    conjugate.
+    """
+    den, s = f.denominator, q.poly()
+    lift = poly_gcd(den, den.derivative())
+    core = den.exact_div(lift)
+    if not (core % s).is_zero:
+        raise ValueError("quadratic is not a factor of the denominator")
+    _, ((_, b),) = _horowitz_parts([f.numerator % den], core, lift)
+    d = core.derivative() % s
+    d0, d1 = d.coefficient(0), d.coefficient(1)
+    r = b * Polynomial((d0 - q.b * d1, -d1)) % s
+    norm = d0 * d0 - q.b * d0 * d1 + q.c * d1 * d1
+    return ExtensionElement(r.coefficient(0) / norm, r.coefficient(1) / norm, q.b, q.c)
 
 
 def hermite_antiderivative(f: RationalFunction) -> RationalFunction:
     """Rational antiderivative g with g' = f and g(0) = 0.
 
     Works over Q with no root finding: the proper part rem / den integrates
-    over lift = gcd(den, den') by ``_horowitz``, with core = den / lift.  If a log/arctan part B / core is left, the residues
-    do not all vanish and RationalityError is raised.
+    over lift = gcd(den, den') by ``_horowitz``, with core = den / lift.  If
+    a log/arctan part B / core is left, the residues do not all vanish and
+    RationalityError is raised.
     """
     den = f.denominator
     if den.degree > 0 and sturm_real_root_count(den) != 0:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
 from operator import mul
 
 import numpy as np
@@ -27,7 +26,7 @@ from .ratfunc import (
     residue_at,  # noqa: F401  kept: perfbench's traced run patches this name here
     sturm_real_root_count,
 )
-from .ratfunc import _horowitz, _LocalSeries
+from .ratfunc import _horowitz, _horowitz_columns
 
 
 class SynthesisProblem:
@@ -75,15 +74,15 @@ class SynthesisProblem:
 class SolutionSpace:
     """Exact kernel of the zero-residue conditions for one problem.
 
-    ``constraint_matrix`` stacks, for every pole factor and every hodograph
-    component, the two extension-field coordinates (r0, r1) of the residue
-    r0 + r1 theta as linear forms in the numerator coefficients mu_0..mu_m:
-    integer rows, each factor's rows the residues times one positive
-    rational.  The last factor keeps only its three r1 rows, 6F - 3 rows for
-    F factors: deg(mu w_c) <= deg alpha - 2, so by the residue theorem the
-    real parts r0 - (b/2) r1 of each component's residues sum to zero over
-    the factors, and once every other row vanishes the last r0 does too.
-    (Its r1 is not implied: for b = 0 the real part is r0 alone.)
+    ``constraint_matrix`` holds linear forms in the numerator coefficients
+    mu_0..mu_m, integer rows whose common zeros are the mu for which every
+    residue of (mu / alpha) A i A* vanishes: one row per hodograph component
+    w_c and vector z of the complement of the exact-derivative numerators
+    over alpha, z . (mu w_c) (``build_residue_system``).  There are 6F - 3
+    of them for F pole factors, as many as there are residue coordinates:
+    two at each of the F root pairs for each of the three components, less
+    three that the residue theorem implies, since deg(mu w_c) <=
+    deg alpha - 2 makes each component's residues sum to zero.
     ``basis`` holds primitive integer vectors, one per free column of the
     system.
     """
@@ -120,47 +119,48 @@ class SolutionSpace:
         return _canonical(out, den)
 
 
+def _core_and_lift(poles: PoleStructure) -> tuple[Polynomial, Polynomial]:
+    """(prod Q, prod Q^(M-1)) over the factors Q^M of alpha: alpha = lift core."""
+    core = math.prod((q.poly() for q in poles.factors), start=Polynomial.one())
+    lift = math.prod(
+        (q.poly() ** (q.multiplicity - 1) for q in poles.factors), start=Polynomial.one()
+    )
+    return core, lift
+
+
 def build_residue_system(p: SynthesisProblem) -> SolutionSpace:
     """Assemble the residue-vanishing conditions and their exact kernel.
 
-    For each factor Q^M of alpha, one local series g at the root theta of Q
-    (``ratfunc._LocalSeries.pole``) gives the residues ell_i of t^i / alpha,
-    i = 0..top with top = m + max deg w_c, as one integer sequence over one
-    positive scale (``_LocalSeries.monomial_residues``).  g's integer terms
-    and then the sequence pair are divided by their content, which changes
-    only that scale: it carries den e^top and powers of the norm, and the
-    rows would be about four times wider in bits with it.  The residue of
-    t^k w_c / alpha is then the correlation sum_j w_c[j] ell_(k+j), so each
-    hodograph component gives two integer rows per factor (the two
-    extension-field coordinates, times one positive rational) from the
-    integer coefficients of w_c.  The last factor's r0 rows are left out,
-    as the residue theorem implies them (``SolutionSpace``), and the kernel
-    is computed by ``linalg.nullspace``, one fraction-free forward pass and
-    one back-substitution per free coefficient.  The rows span the same
-    space as all 6F, so the kernel, its free columns and its primitive
-    basis are those of the full system.  Its vectors are primitive integer
-    vectors, so each is taken as the canonical pair over 1 as it is.  The
-    trivial all-zero numerator is never part of the basis.
+    A numerator P of degree below n = deg alpha has P / alpha =
+    (N / lift)' + B / core, with alpha = lift core (``_core_and_lift``), and
+    every residue of P / alpha vanishes exactly when B = 0, that is, when P
+    lies in the span of the numerators of the exact derivatives
+    (t^k / lift)': the N columns of ``ratfunc._horowitz_columns``, the same
+    ones that integrate the curve.  ``linalg.nullspace`` of those columns,
+    taken as rows over n coefficients, gives 2F primitive integer vectors z
+    spanning the complement, and P = mu w_c lies in the span exactly when
+    z . P = 0 for every z.  That is the correlation
+    sum_j w_c[j] z_(k+j) = 0 in mu_k, k = 0..m: one integer row per z and
+    hodograph component.  No column reaches t^(n-1) (in the last one,
+    k = deg lift, the leading terms cancel), so the last z is e_(n-1), the
+    residue sum, and deg(mu w_c) <= n - 2 leaves its rows zero, so it is
+    dropped: 6F - 3 rows for F pole factors.  They have the same kernel as the
+    residues themselves, so its free columns and primitive basis are those
+    of the residue rows; a second ``linalg.nullspace`` computes it, one
+    fraction-free forward pass and one back-substitution per free
+    coefficient.  Its vectors are primitive integer vectors, so each is
+    taken as the canonical pair over 1 as it is.  The trivial all-zero
+    numerator is never part of the basis.
     """
+    core, lift = _core_and_lift(p.poles)
+    *_, columns = _horowitz_columns(core, lift)
+    # the last vector is e_(n-1), the residue sum: zero on every mu w_c
+    *complement, _ = linalg.nullspace(columns[: lift.degree], p.alpha.degree)
     rows = []
-    factors = p.poles.factors
-    powers = [q.poly() ** q.multiplicity for q in factors]
-    top = p.m + max(wc.degree for wc in p.hodograph_dir)
-    for i, q in enumerate(factors):
-        series = _LocalSeries(q, q.multiplicity)
-        # alpha / Q^M as the product of the other factors' powers
-        terms, den = series.pole(math.prod(powers[:i] + powers[i + 1 :], start=Polynomial.one()))
-        content = math.gcd(*chain.from_iterable(terms))
-        terms = [(u // content, v // content) for u, v in terms]
-        ells = series.monomial_residues((terms, den), top)
-        content = math.gcd(*chain.from_iterable(ells))
-        ells = [[x // content for x in ell] for ell in ells]
-        if i == len(factors) - 1:
-            del ells[0]  # the residue theorem implies the last factor's r0 rows
-        for wc in p.hodograph_dir:
-            w, n = wc.ints, len(wc.ints)
-            for ell in ells:
-                rows.append([sum(map(mul, w, ell[k : k + n])) for k in range(p.m + 1)])
+    for wc in p.hodograph_dir:
+        w, n = wc.ints, len(wc.ints)
+        for z in complement:
+            rows.append([sum(map(mul, w, z[k : k + n])) for k in range(p.m + 1)])
     basis = [_canonical(v, 1) for v in linalg.nullspace(rows, p.m + 1)]
     return SolutionSpace(p, rows, basis)
 
@@ -225,21 +225,17 @@ class RationalCurve:
 def synthesize_curve(p: SynthesisProblem, mu: Polynomial) -> RationalCurve:
     """Integrate the hodograph (mu/alpha) A i A* into a curve with r(0) = 0.
 
-    With core = prod Q and D = prod Q^(M-1) over the factors Q^M of alpha,
-    alpha = D core, and one ``ratfunc._horowitz`` solve integrates all three
-    components over D, each checked exactly against its hodograph component,
-    before RationalCurve reduces the result.
-    Raises RationalityError when mu violates the zero-residue conditions.
+    With alpha = lift core (``_core_and_lift``), one ``ratfunc._horowitz``
+    solve integrates all three components over lift, each checked exactly
+    against its hodograph component, before RationalCurve reduces the
+    result.  Raises RationalityError when mu violates the zero-residue conditions.
     Negative values of mu are permitted here; regularity is certified
     separately.
     """
     if mu.degree > p.m:
         raise DegreeError(f"deg mu = {mu.degree} exceeds m = {p.m}")
-    flows = [mu * wc for wc in p.hodograph_dir]
-    factors = p.poles.factors
-    core = math.prod((q.poly() for q in factors), start=Polynomial.one())
-    den = math.prod((q.poly() ** (q.multiplicity - 1) for q in factors), start=Polynomial.one())
-    return RationalCurve(_horowitz(flows, core, den), den, mu=mu)
+    core, lift = _core_and_lift(p.poles)
+    return RationalCurve(_horowitz([mu * wc for wc in p.hodograph_dir], core, lift), lift, mu=mu)
 
 
 def closure_point(c: RationalCurve):

@@ -49,6 +49,22 @@ def poles_single(b, c, mult) -> PoleStructure:
     return PoleStructure((QuadraticFactor(b, c, mult),))
 
 
+# the ROADMAP table's pole structures, (b, c, multiplicity) per factor, on
+# the reference generator
+TABLE_POLES = (
+    ((0, 4, 6),),
+    ((0, 4, 10),),
+    ((0, 4, 16),),
+    ((0, 4, 18),),
+    ((0, 4, 8), (1, 3, 6)),
+    ((0, 4, 10), (1, 3, 10)),
+    ((0, 4, 6), (1, 3, 4), (1, 2, 4)),
+    ((0, 4, 8), (1, 3, 6), (1, 2, 4)),
+    ((0, 4, 10), (1, 3, 8), (1, 2, 6)),
+    ((0, 4, 10), (1, 3, 10), (1, 2, 10)),
+)
+
+
 def antidiagonal_sums(mat) -> P:
     """The numerator a Gram matrix represents: its exact antidiagonal sums."""
     n = len(mat)

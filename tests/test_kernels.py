@@ -3,10 +3,10 @@
 Products, powers, quotient/remainder pairs, gcds, Sturm counts, kernel
 bases and rational antiderivatives (Horowitz's linear solve against the
 Hermite reduction, with log/arctan parts equal as fractions) must be equal,
-value for value, and residue rows equal up to one positive factor per pole
-factor, less the last factor's r0 rows that the residue theorem implies,
-on seeded random inputs with integer and Fraction coefficients and with
-monic, non-monic and Fraction divisors;
+value for value, residues also at denominators with real roots, and
+residue rows spanning the space of the reference residue rows with the
+same kernel basis, on seeded random inputs with integer and Fraction
+coefficients and with monic, non-monic and Fraction divisors;
 products, gcds and Sturm counts also at the degrees (up to 60) and
 coefficient sizes (about 300 bits) that the fixtures reach, and gcds by the
 GCDHEU route and by the PRS fallback.  The polynomial operations over Q
@@ -25,7 +25,7 @@ import pytest
 
 from phforge import linalg, polynomial
 from phforge.polynomial import _heu_gcd, _int_divmod, _int_mul, _primitive
-from phforge.ratfunc import _horowitz
+from phforge.ratfunc import _horowitz, _horowitz_parts
 from phforge import (
     PoleStructure,
     Polynomial as P,
@@ -42,6 +42,7 @@ from phforge import (
 )
 
 from helpers import (
+    TABLE_POLES,
     generator_deg3,
     poles_single,
     random_quaternion_poly,
@@ -59,6 +60,7 @@ from helpers import (
     ref_pow,
     ref_residue_at,
     ref_residue_rows,
+    ref_rref,
     ref_scale,
     ref_sturm_count,
     residues_vanish,
@@ -306,6 +308,51 @@ def test_residues_match_reference(seed):
             assert residue_at(f, q) == want
 
 
+def test_residues_with_real_roots_match_reference():
+    """Denominators with real roots, some with lift = gcd(den, den') vanishing at 0."""
+    rng = random.Random("residue real roots")
+    t, s = P([0, 1]), P([4, 0, 1])
+    dens = [t**3 * s, t**2 * s**2]
+    for q in FACTORS:
+        dens.append((t - 3) ** 2 * q.poly() ** rng.randint(1, 3))
+        dens.append((t - 3) ** 2 * (t + F(1, 2)) * q.poly() ** 2 * s)
+    for den in dens:
+        for _ in range(3):
+            f = RF(rand_poly(rng, rng.randint(0, den.degree + 1)), den)
+            for q in FACTORS:
+                try:
+                    want = ref_residue_at(f, q)
+                except ValueError:  # no pole at q's roots
+                    with pytest.raises(ValueError):
+                        residue_at(f, q)
+                    continue
+                assert residue_at(f, q) == want
+
+
+@pytest.mark.parametrize("a, b", [(3, 1), (2, 2)])
+def test_horowitz_parts_when_lift_vanishes_at_zero(a, b):
+    """N' core - N E + B lift = num over t^a (t^2 + 4)^b, with N normalised at k0 > 0.
+
+    lift = gcd(den, den') vanishes at 0, so the coefficient fixed to 0 is
+    lift's lowest nonzero one, k0, not N(0).
+    """
+    t, s = P([0, 1]), P([4, 0, 1])
+    core, lift = t * s, t ** (a - 1) * s ** (b - 1)
+    k0 = next(k for k, x in enumerate(lift.ints) if x)
+    assert k0 > 0
+    rng = random.Random(f"horowitz {a} {b}")
+    g = rand_poly(rng, lift.degree - 1)
+    inside = ((g.derivative() * lift - g * lift.derivative()) * core).exact_div(lift)
+    nums = [rand_poly(rng, lift.degree + core.degree - 1) for _ in range(4)] + [inside, P.zero()]
+    e, parts = _horowitz_parts(nums, core, lift)
+    for num, (anti, rest) in zip(nums, parts):
+        assert anti.derivative() * core - anti * e + rest * lift == num
+        assert anti.coefficient(k0) == 0 and rest.degree < core.degree
+    assert parts[-2][1].is_zero and parts[-1] == (P.zero(), P.zero())
+    # N / lift is g / lift plus the constant that zeroes N's coefficient k0
+    assert _horowitz([inside], core, lift) == [g - lift * (g.coefficient(k0) / lift.coefficient(k0))]
+
+
 def fraction_generator():
     """The reference generator scaled by 2/3: Fraction coefficients."""
     return QP([c * F(2, 3) for c in generator_deg3().coeffs])
@@ -338,17 +385,9 @@ def test_residue_rows_match_reference(poles):
         rows, want = space.constraint_matrix, ref_residue_rows(problem)
         assert len(rows) == len(want) - 3 == 6 * len(poles) - 3
         assert all(space.contains(b) for b in space.basis)
-        for f in range(len(poles)):
-            ref = want[6 * f : 6 * f + 6]
-            if f == len(poles) - 1:
-                ref = ref[1::2]  # the last factor keeps only its r1 rows
-            # a factor's rows are its reference rows times one positive rational
-            ours = [x for row in rows[6 * f : 6 * f + len(ref)] for x in row]
-            ref = [x for row in ref for x in row]
-            k = next((j for j, x in enumerate(ref) if x), 0)
-            scale = F(ours[k]) / ref[k] if ref[k] else F(1)
-            assert scale > 0 and ours == [scale * x for x in ref]
-        # the dropped rows are implied: the kernel is that of all 6F reference rows
+        # the rows are not per-factor residues, but they span the residue rows' space
+        rank = len(ref_rref(want)[1])
+        assert len(ref_rref(rows)[1]) == len(ref_rref(list(rows) + want)[1]) == rank
         assert [b.ints for b in space.basis] == [P(v).ints for v in ref_nullspace(want)]
 
 
@@ -381,21 +420,6 @@ def test_contains_matches_residue_oracle(poles):
             assert space.contains(mu) == vanish
             answers.add(vanish)
     assert answers == {True, False}
-
-
-# the ROADMAP table's pole structures, on the reference generator
-TABLE_POLES = [
-    ((0, 4, 6),),
-    ((0, 4, 10),),
-    ((0, 4, 16),),
-    ((0, 4, 18),),
-    ((0, 4, 8), (1, 3, 6)),
-    ((0, 4, 10), (1, 3, 10)),
-    ((0, 4, 6), (1, 3, 4), (1, 2, 4)),
-    ((0, 4, 8), (1, 3, 6), (1, 2, 4)),
-    ((0, 4, 10), (1, 3, 8), (1, 2, 6)),
-    ((0, 4, 10), (1, 3, 10), (1, 2, 10)),
-]
 
 
 @pytest.mark.parametrize("poles", TABLE_POLES)
@@ -656,7 +680,8 @@ def test_canonical_leaves_its_input_unchanged(monkeypatch):
 
     monkeypatch.setattr(linalg, "nullspace", recording)
     build_residue_system(SynthesisProblem(generator_deg3(), poles_single(0, 4, 8)))
-    ((vectors, copies),) = returned
+    # the second call is the kernel of the residue rows
+    _, (vectors, copies) = returned
     assert any(v[-1] == 0 for v in copies)
     assert vectors == copies
 

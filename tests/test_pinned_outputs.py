@@ -12,6 +12,10 @@ structures of the reference generator: ``mu`` and the curve's numerators and
 denominator.  These pass through the float SDP search, so a change to the
 dual path that moves the gated point changes this digest even when the
 exact core is untouched.
+
+A third digest pins the residue kernel bases of the ten ROADMAP table rows
+on the reference generator: one, two and three pole factors at
+multiplicities up to 18, which the random problems do not reach.
 """
 
 import hashlib
@@ -28,10 +32,11 @@ from phforge import (
 )
 from phforge.cli import main
 
-from helpers import generator_deg3, random_synthesized_problems
+from helpers import TABLE_POLES, generator_deg3, random_synthesized_problems
 
 PINNED_SHA256 = "454768cf37c237f00de3b4a21edad9cd8319918edb193227cbb1131fb11286dd"
 SYNTH_PINNED_SHA256 = "c9b8c89dc54572802d5a2c0097906dce12f755316c1619d11692c2d21c2227b6"
+KERNEL_PINNED_SHA256 = "fbe86567f277df3c82019fcfb9686bb9277b48db75dfb3b26a6b4f9dcbf057ee"
 # the synth-fixtures pole structures, (b, c, multiplicity) per factor, and weights
 SYNTH_FIXTURES = (
     (((0, 4, 6),), None),
@@ -99,3 +104,17 @@ def synth_output_digest(tmp_path) -> str:
 
 def test_synth_exact_outputs_match_pinned_digest(tmp_path):
     assert synth_output_digest(tmp_path) == SYNTH_PINNED_SHA256
+
+
+def table_kernel_digest() -> str:
+    lines = []
+    for poles in TABLE_POLES:
+        structure = PoleStructure(tuple(QuadraticFactor(b, c, m) for b, c, m in poles))
+        space = build_residue_system(SynthesisProblem(generator_deg3(), structure))
+        lines.append(f"poles {poles}")
+        lines.extend(" ".join(format_rational(c) for c in b.coeffs) for b in space.basis)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_table_kernels_match_pinned_digest():
+    assert table_kernel_digest() == KERNEL_PINNED_SHA256
