@@ -76,12 +76,22 @@ def _unpack(x: int, k: int) -> list[int]:
 def _int_mul(a, b) -> list[int]:
     """Product of nonempty integer vectors by Kronecker substitution.
 
-    Every coefficient of the product is bounded by max|a| max|b| min(len a,
-    len b) < 2^(k-1), so the balanced 2^k-adic digits of a(2^k) b(2^k) are
-    the coefficients (Schoenhage 1982); the one big-integer product runs in
-    CPython's C arithmetic.  Trailing zeros of the product, if a or b has
-    them, are not returned.
+    A one-term operand is a scalar, and the other vector is scaled by it
+    directly: the bound, the packing and the unpacking would cost more than
+    the product itself.  Otherwise every coefficient of the product is
+    bounded by max|a| max|b| min(len a, len b) < 2^(k-1), so the balanced
+    2^k-adic digits of a(2^k) b(2^k) are the coefficients (Schoenhage 1982);
+    the one big-integer product runs in CPython's C arithmetic.  Trailing
+    zeros of the product, if a or b has them, are not returned.
     """
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        s = b[0]
+        out = [x * s for x in a]
+        while out and not out[-1]:
+            out.pop()
+        return out
     k = (max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))).bit_length() + 1
     return _unpack(_pack(a, k) * _pack(b, k), k)
 

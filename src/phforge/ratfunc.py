@@ -25,7 +25,9 @@ from .errors import RationalityError
 from .polynomial import (
     Polynomial,
     _canonical,
+    _int_add,
     _int_divmod,
+    _int_mul,
     _primitive,
     poly_gcd,
     two_chart_quotients,
@@ -225,23 +227,24 @@ def _variations(signs: list[bool]) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _horowitz_columns(core: Polynomial, lift: Polynomial):
-    """(E, s, k0, columns): the integer columns of Horowitz's linear system.
+def _horowitz_columns(core: Polynomial, lift: Polynomial, e: Polynomial):
+    """(s, k0, columns): the integer columns of Horowitz's linear system.
 
     Horowitz's method (Horowitz 1971; Bronstein, *Symbolic Integration I*,
     sec. 2.2): core is squarefree and every root of lift is one of core's, so
     E = lift' core / lift is a polynomial, and num / (lift core) =
     (N / lift)' + B / core with deg B < deg core holds exactly when
-    N' core - N E + B lift = num.  N = lift and B = 0 solve it for num = 0
-    (N / lift is a constant), so the coefficient k0 of N is fixed to 0, k0
-    the lowest index of a nonzero coefficient of lift (0 when lift(0) != 0),
-    which makes the system square and nonsingular.  The columns, each
-    deg lift + deg core integers times the least common scale s, are first
-    the deg lift N columns k t^(k-1) core - t^k E, the numerators of
-    (t^k / lift)' over lift core, for k = 0..deg lift but k0, then the
-    deg core B columns t^k lift.
+    N' core - N E + B lift = num.  The caller passes E: a pole structure
+    has it in closed form (``synthesis._core_and_lift``), and a caller with
+    no factorization divides once.  N = lift and B = 0 solve it for
+    num = 0 (N / lift is a constant), so the coefficient k0 of N is fixed to
+    0, k0 the lowest index of a nonzero coefficient of lift (0 when
+    lift(0) != 0), which makes the system square and nonsingular.  The
+    columns, each deg lift + deg core integers times the least common scale
+    s, are first the deg lift N columns k t^(k-1) core - t^k E, the
+    numerators of (t^k / lift)' over lift core, for k = 0..deg lift but k0,
+    then the deg core B columns t^k lift.
     """
-    e = (lift.derivative() * core).exact_div(lift)
     scale = math.lcm(core.den, e.den, lift.den)
     c, ei, li = ([x * (scale // p.den) for x in p.ints] for p in (core, e, lift))
     n, k0 = len(li) - 1 + core.degree, next(k for k, x in enumerate(li) if x)
@@ -256,18 +259,18 @@ def _horowitz_columns(core: Polynomial, lift: Polynomial):
         cols.append(col)
     for k in range(core.degree):
         cols.append([0] * k + li + [0] * (n - k - len(li)))
-    return e, scale, k0, cols
+    return scale, k0, cols
 
 
-def _horowitz_parts(nums, core: Polynomial, lift: Polynomial):
-    """(E, [(N_i, B_i)]) with N_i' core - N_i E + B_i lift = nums[i] (``_horowitz_columns``).
+def _horowitz_parts(nums, core: Polynomial, lift: Polynomial, e: Polynomial):
+    """[(N_i, B_i)] with N_i' core - N_i E + B_i lift = nums[i] (``_horowitz_columns``).
 
     Every numerator, which must be proper over lift core, is one
     right-hand-side column of a single ``linalg.nullspace`` call: its
     forward pass triangularises the banded columns once for every
     numerator, and each numerator's solution is one back-substitution.
     """
-    e, scale, k0, cols = _horowitz_columns(core, lift)
+    scale, k0, cols = _horowitz_columns(core, lift, e)
     delta, n = lift.degree, len(cols)
     cols.extend(list(num.ints) + [0] * (n - len(num.ints)) for num in nums)
     # the kernel vector of free column n + j solves the system for nums[j]
@@ -278,23 +281,33 @@ def _horowitz_parts(nums, core: Polynomial, lift: Polynomial):
         anti = [-x * scale for x in v[:delta]]
         anti.insert(k0, 0)
         parts.append((_canonical(anti, den), _canonical([-x * scale for x in v[delta:n]], den)))
-    return e, parts
+    return parts
 
 
-def _horowitz(nums, core: Polynomial, lift: Polynomial) -> list[Polynomial]:
+def _horowitz(nums, core: Polynomial, lift: Polynomial, e: Polynomial) -> list[Polynomial]:
     """The N_i with (N_i / lift)' = nums[i] / (lift core) and coefficient k0 zero.
 
     k0 is 0, so N_i(0) = 0, when lift(0) != 0 (``_horowitz_columns``); one
     ``_horowitz_parts`` solve.  A nonzero B is a log/arctan part and
-    raises RationalityError, with one (core, B) pair per such numerator;
-    every N is checked against N' core - N E = num exactly.
+    raises RationalityError, with one (core, B) pair per such numerator.
+    Every N is checked against N' core - N E = num on every coefficient, on
+    integer vectors: core and E over their least common scale s, so the
+    check is num.den (N_ints' core_s - N_ints E_s) = N.den s num_ints.
     """
-    e, parts = _horowitz_parts(nums, core, lift)
+    parts = _horowitz_parts(nums, core, lift, e)
     remainders = [(core, b) for _, b in parts if not b.is_zero]
     if remainders:
         raise RationalityError("nonzero residues: antiderivative is not rational", remainders)
+    scale = math.lcm(core.den, e.den)
+    c, ei = ([x * (scale // p.den) for x in p.ints] for p in (core, e))
     for num, (anti, _) in zip(nums, parts):
-        if anti.derivative() * core - anti * e != num:
+        a, d = anti.ints, num.den
+        diff = [-x * anti.den * scale for x in num.ints]
+        if len(a) > 1:
+            diff = _int_add(diff, _int_mul(_int_derivative(a), [d * x for x in c]))
+        if a and ei:
+            diff = _int_add(diff, _int_mul(a, [-d * x for x in ei]))
+        if any(diff):
             raise AssertionError("antiderivative verification failed")
     return [anti for anti, _ in parts]
 
@@ -304,18 +317,20 @@ def residue_at(f: RationalFunction, q: QuadraticFactor) -> ExtensionElement:
 
     The proper part of f over its reduced denominator den = lift core, with
     lift = gcd(den, den') and core squarefree, is (N / lift)' + B / core by
-    the one Horowitz solve of ``_horowitz_parts``.  The derivative has no
-    residue, so the residue at theta is B(theta) / core'(theta), a quotient
-    of two elements r0 + r1 theta of Q(theta): (B mod Q) times the conjugate
-    of (core' mod Q), over its norm.  The residue at the other root is the
-    conjugate.
+    the one Horowitz solve of ``_horowitz_parts``, with E = lift' core / lift
+    by one exact division, as den comes with no factorization.  The
+    derivative has no residue, so the residue at theta is
+    B(theta) / core'(theta), a quotient of two elements r0 + r1 theta of
+    Q(theta): (B mod Q) times the conjugate of (core' mod Q), over its norm.
+    The residue at the other root is the conjugate.
     """
     den, s = f.denominator, q.poly()
     lift = poly_gcd(den, den.derivative())
     core = den.exact_div(lift)
     if not (core % s).is_zero:
         raise ValueError("quadratic is not a factor of the denominator")
-    _, ((_, b),) = _horowitz_parts([f.numerator % den], core, lift)
+    e = (lift.derivative() * core).exact_div(lift)
+    ((_, b),) = _horowitz_parts([f.numerator % den], core, lift, e)
     d = core.derivative() % s
     d0, d1 = d.coefficient(0), d.coefficient(1)
     r = b * Polynomial((d0 - q.b * d1, -d1)) % s
@@ -327,9 +342,10 @@ def hermite_antiderivative(f: RationalFunction) -> RationalFunction:
     """Rational antiderivative g with g' = f and g(0) = 0.
 
     Works over Q with no root finding: the proper part rem / den integrates
-    over lift = gcd(den, den') by ``_horowitz``, with core = den / lift.  If
-    a log/arctan part B / core is left, the residues do not all vanish and
-    RationalityError is raised.
+    over lift = gcd(den, den') by ``_horowitz``, with core = den / lift and
+    E = lift' core / lift, each one exact division.  If a log/arctan part
+    B / core is left, the residues do not all vanish and RationalityError
+    is raised.
     """
     den = f.denominator
     if den.degree > 0 and sturm_real_root_count(den) != 0:
@@ -338,7 +354,9 @@ def hermite_antiderivative(f: RationalFunction) -> RationalFunction:
     num, lift = poly_quot.antiderivative(), Polynomial.one()
     if not rem.is_zero:
         lift = poly_gcd(den, den.derivative())
-        (rest,) = _horowitz([rem], den.exact_div(lift), lift)
+        core = den.exact_div(lift)
+        e = (lift.derivative() * core).exact_div(lift)
+        (rest,) = _horowitz([rem], core, lift, e)
         num = num * lift + rest
     result = RationalFunction(num, lift)
     if not (result.derivative() == f):

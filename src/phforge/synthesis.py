@@ -18,7 +18,15 @@ import numpy as np
 
 from . import linalg
 from .errors import DegreeError
-from .polynomial import Polynomial, _canonical, _int_add, poly_gcd, two_chart_quotients
+from .polynomial import (
+    Polynomial,
+    _canonical,
+    _int_add,
+    _int_mul,
+    _pair,
+    poly_gcd,
+    two_chart_quotients,
+)
 from .quaternion import QI, QuaternionPolynomial, rotate_vector
 from .ratfunc import (
     PoleStructure,
@@ -119,13 +127,31 @@ class SolutionSpace:
         return _canonical(out, den)
 
 
-def _core_and_lift(poles: PoleStructure) -> tuple[Polynomial, Polynomial]:
-    """(prod Q, prod Q^(M-1)) over the factors Q^M of alpha: alpha = lift core."""
-    core = math.prod((q.poly() for q in poles.factors), start=Polynomial.one())
-    lift = math.prod(
-        (q.poly() ** (q.multiplicity - 1) for q in poles.factors), start=Polynomial.one()
-    )
-    return core, lift
+def _core_and_lift(poles: PoleStructure) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """(core, lift, E) over the factors Q^M of alpha = lift core.
+
+    core = prod Q and lift = prod Q^(M-1).  E = lift' core / lift, the
+    polynomial of Horowitz's system (``ratfunc._horowitz_columns``), is the
+    closed-form sum sum_i (M_i - 1) Q_i' prod_(j != i) Q_j, since
+    lift' / lift = sum_i (M_i - 1) Q_i' / Q_i: no division by lift.  Each
+    Q_i is the canonical pair (T_i, d_i) of a primitive integer triple
+    with leading coefficient d_i.  By Gauss's lemma a product of the T_i is
+    primitive, so core is the pair (prod T_i, prod d_i) and lift the pair
+    (prod T_i^(M_i-1), prod d_i^(M_i-1)), with no gcd, and E is the integer
+    vector sum_i (M_i - 1) T_i' prod_(j != i) T_j over prod d_i.
+    """
+    quads = [(q.poly(), q.multiplicity - 1) for q in poles.factors]
+    core, lift, e = [1], [1], []
+    for i, (t, k) in enumerate(quads):
+        core = _int_mul(core, t.ints)
+        if k:
+            lift = _int_mul(lift, (t**k).ints)
+            term = [k * t.ints[1], 2 * k * t.ints[2]]
+            for j, (other, _) in enumerate(quads):
+                if j != i:
+                    term = _int_mul(term, other.ints)
+            e = _int_add(e, term)
+    return _pair(tuple(core), core[-1]), _pair(tuple(lift), lift[-1]), _canonical(e, core[-1])
 
 
 def build_residue_system(p: SynthesisProblem) -> SolutionSpace:
@@ -152,8 +178,8 @@ def build_residue_system(p: SynthesisProblem) -> SolutionSpace:
     taken as the canonical pair over 1 as it is.  The trivial all-zero
     numerator is never part of the basis.
     """
-    core, lift = _core_and_lift(p.poles)
-    *_, columns = _horowitz_columns(core, lift)
+    core, lift, e = _core_and_lift(p.poles)
+    *_, columns = _horowitz_columns(core, lift, e)
     # the last vector is e_(n-1), the residue sum: zero on every mu w_c
     *complement, _ = linalg.nullspace(columns[: lift.degree], p.alpha.degree)
     rows = []
@@ -225,17 +251,18 @@ class RationalCurve:
 def synthesize_curve(p: SynthesisProblem, mu: Polynomial) -> RationalCurve:
     """Integrate the hodograph (mu/alpha) A i A* into a curve with r(0) = 0.
 
-    With alpha = lift core (``_core_and_lift``), one ``ratfunc._horowitz``
-    solve integrates all three components over lift, each checked exactly
-    against its hodograph component, before RationalCurve reduces the
-    result.  Raises RationalityError when mu violates the zero-residue conditions.
+    With alpha = lift core and E = lift' core / lift in closed form
+    (``_core_and_lift``), one ``ratfunc._horowitz`` solve integrates all
+    three components over lift, each checked exactly against its hodograph
+    component, before RationalCurve reduces the result.  Raises
+    RationalityError when mu violates the zero-residue conditions.
     Negative values of mu are permitted here; regularity is certified
     separately.
     """
     if mu.degree > p.m:
         raise DegreeError(f"deg mu = {mu.degree} exceeds m = {p.m}")
-    core, lift = _core_and_lift(p.poles)
-    return RationalCurve(_horowitz([mu * wc for wc in p.hodograph_dir], core, lift), lift, mu=mu)
+    core, lift, e = _core_and_lift(p.poles)
+    return RationalCurve(_horowitz([mu * wc for wc in p.hodograph_dir], core, lift, e), lift, mu=mu)
 
 
 def closure_point(c: RationalCurve):

@@ -9,11 +9,13 @@ same kernel basis, on seeded random inputs with integer and Fraction
 coefficients and with monic, non-monic and Fraction divisors;
 products, gcds and Sturm counts also at the degrees (up to 60) and
 coefficient sizes (about 300 bits) that the fixtures reach, and gcds by the
-GCDHEU route and by the PRS fallback.  The polynomial operations over Q
-(sums, scalar products, calculus, evaluation, ``monic``, ``leading``,
-``coefficient``, ``float_coeffs``) must match one Fraction per coefficient,
-every result must be the canonical (ints, den) pair, and equal polynomials
-must hash alike whichever way they were built.
+GCDHEU route and by the PRS fallback.  The closed-form E of a pole
+structure must equal lift' core / lift, and the integer check of every
+antiderivative must reject one wrong coefficient.  The polynomial
+operations over Q (sums, scalar products, calculus, evaluation, ``monic``,
+``leading``, ``coefficient``, ``float_coeffs``) must match one Fraction per
+coefficient, every result must be the canonical (ints, den) pair, and equal
+polynomials must hash alike whichever way they were built.
 """
 
 import math
@@ -23,9 +25,10 @@ from operator import mul
 
 import pytest
 
-from phforge import linalg, polynomial
+from phforge import linalg, polynomial, ratfunc
 from phforge.polynomial import _heu_gcd, _int_divmod, _int_mul, _primitive
 from phforge.ratfunc import _horowitz, _horowitz_parts
+from phforge.synthesis import _core_and_lift
 from phforge import (
     PoleStructure,
     Polynomial as P,
@@ -88,6 +91,16 @@ def test_products_match_reference(seed):
         b = rand_poly(rng, rng.randint(0, 12))
         assert a * b == ref_mul(a, b)
         assert a * P.zero() == P.zero() == P.zero() * b
+    # a one-term operand is a scalar, on either side, and never leaves trailing zeros
+    scalars = [P([1]), P([-1]), P([-(2**64) - rng.randint(1, 99)]), P([F(-(2**70) - 1, 9)])]
+    vectors = [P([0, 5, 0, 0, -3]), P([F(7, 2), 0, 0, 1]), P([0, 0, 0, -(2**65)])]
+    vectors += [rand_poly(rng, rng.randint(0, 12)) for _ in range(3)] + scalars
+    for a in scalars:
+        for b in vectors:
+            assert a * b == ref_mul(a, b) and b * a == ref_mul(b, a)
+            assert _int_mul(a.ints, b.ints) == list(ref_mul(P(a.ints), P(b.ints)).ints)
+            assert _int_mul(list(b.ints) + [0, 0], a.ints) == list(ref_mul(P(a.ints), P(b.ints)).ints)
+        assert _int_mul(a.ints, [0]) == _int_mul([0, 0], a.ints) == []
 
 
 POWER_BASES = [
@@ -344,13 +357,88 @@ def test_horowitz_parts_when_lift_vanishes_at_zero(a, b):
     g = rand_poly(rng, lift.degree - 1)
     inside = ((g.derivative() * lift - g * lift.derivative()) * core).exact_div(lift)
     nums = [rand_poly(rng, lift.degree + core.degree - 1) for _ in range(4)] + [inside, P.zero()]
-    e, parts = _horowitz_parts(nums, core, lift)
+    e = (lift.derivative() * core).exact_div(lift)
+    parts = _horowitz_parts(nums, core, lift, e)
     for num, (anti, rest) in zip(nums, parts):
         assert anti.derivative() * core - anti * e + rest * lift == num
         assert anti.coefficient(k0) == 0 and rest.degree < core.degree
     assert parts[-2][1].is_zero and parts[-1] == (P.zero(), P.zero())
     # N / lift is g / lift plus the constant that zeroes N's coefficient k0
-    assert _horowitz([inside], core, lift) == [g - lift * (g.coefficient(k0) / lift.coefficient(k0))]
+    assert _horowitz([inside], core, lift, e) == [g - lift * (g.coefficient(k0) / lift.coefficient(k0))]
+
+
+def random_factor(rng, chosen):
+    """t^2 + b t + c with rational b and c, no real root, not in chosen."""
+    while True:
+        b = F(rng.randint(-9, 9), rng.randint(1, 6))
+        q = QuadraticFactor(b, b * b / 4 + F(rng.randint(1, 40), rng.randint(1, 9)), rng.randint(1, 6))
+        if all((q.b, q.c) != (f.b, f.c) for f in chosen):
+            return q
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_closed_form_e_matches_division(seed):
+    """``_core_and_lift``: prod Q, prod Q^(M-1) and E = lift' core / lift as canonical pairs.
+
+    E is the closed-form sum over the factors; the reference divides by
+    lift.  All-simple poles have lift = 1 and E = 0, and a simple factor
+    next to multiple ones adds no term to E.
+    """
+    rng = random.Random(f"closed-form E:{seed}")
+    structures = [FACTORS[:3], FACTORS[1:], [QuadraticFactor(1, 3, 4), FACTORS[2], FACTORS[3]]]
+    for _ in range(20):
+        chosen = []
+        for _ in range(rng.randint(1, 3)):
+            chosen.append(random_factor(rng, chosen))
+        structures.append(chosen)
+    simple = 0
+    for chosen in structures:
+        poles = PoleStructure(tuple(chosen))
+        core, lift, e = _core_and_lift(poles)
+        for p in (core, lift, e):
+            assert_canonical(p)
+        assert core == math.prod((q.poly() for q in chosen), start=P.one())
+        assert lift == math.prod((q.poly() ** (q.multiplicity - 1) for q in chosen), start=P.one())
+        assert core * lift == poles.alpha()
+        assert e == (lift.derivative() * core).exact_div(lift)
+        if all(q.multiplicity == 1 for q in chosen):
+            simple += 1
+            assert lift == P.one() and e.is_zero
+    assert simple >= 2
+
+
+def hodograph_numerators():
+    """The numerators mu w_c of a kernel combination over (0,4)^6 (1,3)^4, and (core, lift, E)."""
+    poles = PoleStructure((QuadraticFactor(0, 4, 6), QuadraticFactor(1, 3, 4)))
+    problem = SynthesisProblem(generator_deg3(), poles)
+    space = build_residue_system(problem)
+    mu = space.combination([k + 1 for k in range(space.dimension)])
+    return [mu * wc for wc in problem.hodograph_dir], _core_and_lift(poles)
+
+
+@pytest.mark.parametrize("coefficient", ["top", "t^1"])
+def test_horowitz_rejects_an_antiderivative_off_by_one(monkeypatch, coefficient):
+    """The integer check of ``_horowitz`` sees one wrong coefficient of the last N.
+
+    The zero numerator integrates to 0, over a lift and over all-simple
+    poles (lift = 1, E = 0), where no N column exists.
+    """
+    nums, (core, lift, e) = hodograph_numerators()
+    nums.append(P.zero())
+    outs = _horowitz(nums, core, lift, e)
+    assert outs[-1] == P.zero() and all(out.degree >= 1 for out in outs[:-1])
+    assert _horowitz([P.zero()], *_core_and_lift(PoleStructure(FACTORS[:2]))) == [P.zero()]
+    solve = ratfunc._horowitz_parts
+
+    def off_by_one(*args):
+        *parts, (anti, b) = solve(*args)
+        k = anti.degree if coefficient == "top" else 1
+        shifted = P([c + (i == k) for i, c in enumerate(anti.coeffs)])
+        return [*parts, (shifted, b)]
+
+    monkeypatch.setattr(ratfunc, "_horowitz_parts", off_by_one)
+    with pytest.raises(AssertionError, match="antiderivative verification failed"):
+        _horowitz(nums[:-1], core, lift, e)
 
 
 def fraction_generator():
@@ -460,9 +548,10 @@ def test_hermite_matches_reference(seed):
         factors, inside, outside = hermite_case(rng, chosen, multiplicities)
         core = math.prod((s for s, _ in factors), start=P.one())
         den, want = ref_hermite_reduce(inside, factors)
-        assert _horowitz(inside, core, den) == [n - den * (n(0) / den(0)) for n in want]
+        e = (den.derivative() * core).exact_div(den)
+        assert _horowitz(inside, core, den, e) == [n - den * (n(0) / den(0)) for n in want]
         with pytest.raises(RationalityError) as ours:
-            _horowitz(outside, core, den)
+            _horowitz(outside, core, den, e)
         with pytest.raises(RationalityError) as ref:
             ref_hermite_reduce(outside, factors)
         # the oracle reports one (s, r) pair per factor and numerator, factor by

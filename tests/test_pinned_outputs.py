@@ -3,9 +3,11 @@
 The kernel basis, a fixed integer combination mu, the curve's numerators and
 denominator and the closure point of ten seeded random problems and of the
 (0,4)^6 (1,3)^4 fixture are written out with ``format_rational`` and hashed.
-None of these steps uses floats or the SDP, so the digest is the same on
-every platform; a change to the exact core that moves any of these values
-changes it.
+The same values of the three-factor (0,4)^6 (1,3)^4 (1,2)^4 fixture, whose
+E (``synthesis._core_and_lift``) is a sum of three terms, have a digest of
+their own.  None of these steps uses floats or the SDP, so each digest is the
+same on every platform; a change to the exact core that moves any of these
+values changes it.
 
 A second digest pins what ``synth`` certifies on the six benchmark pole
 structures of the reference generator: ``mu`` and the curve's numerators and
@@ -37,6 +39,7 @@ from helpers import TABLE_POLES, generator_deg3, random_synthesized_problems
 PINNED_SHA256 = "454768cf37c237f00de3b4a21edad9cd8319918edb193227cbb1131fb11286dd"
 SYNTH_PINNED_SHA256 = "c9b8c89dc54572802d5a2c0097906dce12f755316c1619d11692c2d21c2227b6"
 KERNEL_PINNED_SHA256 = "fbe86567f277df3c82019fcfb9686bb9277b48db75dfb3b26a6b4f9dcbf057ee"
+THREE_FACTOR_PINNED_SHA256 = "9ccafb45a0c09554bddd1e390223bf8f7574d87519c77a8a57731fb16356bb4b"
 # the synth-fixtures pole structures, (b, c, multiplicity) per factor, and weights
 SYNTH_FIXTURES = (
     (((0, 4, 6),), None),
@@ -59,8 +62,8 @@ def _lines(space, mu, curve):
     yield "closure " + " ".join(format_rational(c) for c in closure_point(curve))
 
 
-def _fixture():
-    poles = PoleStructure((QuadraticFactor(0, 4, 6), QuadraticFactor(1, 3, 4)))
+def _fixture(*factors):
+    poles = PoleStructure(tuple(QuadraticFactor(b, c, m) for b, c, m in factors))
     problem = SynthesisProblem(generator_deg3(), poles)
     space = build_residue_system(problem)
     mu = space.combination([(-1) ** k * (k + 1) for k in range(space.dimension)])
@@ -69,13 +72,22 @@ def _fixture():
 
 def exact_output_digest() -> str:
     cases = [(space, mu, curve) for _, space, mu, curve in random_synthesized_problems(10)]
-    cases.append(_fixture())
+    cases.append(_fixture((0, 4, 6), (1, 3, 4)))
     text = "\n".join(line for case in cases for line in _lines(*case))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_exact_outputs_match_pinned_digest():
     assert exact_output_digest() == PINNED_SHA256
+
+
+def three_factor_digest() -> str:
+    text = "\n".join(_lines(*_fixture((0, 4, 6), (1, 3, 4), (1, 2, 4))))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_three_factor_outputs_match_pinned_digest():
+    assert three_factor_digest() == THREE_FACTOR_PINNED_SHA256
 
 
 def synth_output_digest(tmp_path) -> str:

@@ -159,7 +159,9 @@ class TestHermite:
             (h.derivative() * s1 - h * s1.derivative() * 2) * s2**2,
             P([]),
         ]
-        outs = _horowitz(nums, s1 * s2, d)
+        # E = d' core / d = 2 s1' s2 + s2' s1
+        e = 2 * s1.derivative() * s2 + s2.derivative() * s1
+        outs = _horowitz(nums, s1 * s2, d, e)
         for n, out in zip(nums, outs):
             assert out(0) == 0
             assert RF(out, d) == hermite_antiderivative(RF(n, den))
@@ -168,8 +170,9 @@ class TestHermite:
         # 1/(t^2+t+3) is a log/arctan term: over the core (t^2+t+3)(t^2+5) its
         # numerator is t^2+5, and the zero numerator reports nothing
         s1, s2 = P([3, 1, 1]), P([5, 0, 1])
+        e = 2 * s1.derivative() * s2 + s2.derivative() * s1
         with pytest.raises(RationalityError) as err:
-            _horowitz([P([]), s1**2 * s2**2], s1 * s2, s1**2 * s2)
+            _horowitz([P([]), s1**2 * s2**2], s1 * s2, s1**2 * s2, e)
         assert err.value.remainders == ((s1 * s2, s2),)
 
 
