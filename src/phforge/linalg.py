@@ -23,10 +23,14 @@ def nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
     denominator of each pivot entry it solves, so it stays integral, and is
     finally scaled to coprime integers with a positive first nonzero entry.
     That vector is unique, so it is the one elimination over Q would give.
-    It is the package's one elimination: it gives the residue kernel, and
-    it solves a nonsingular square system A x = b_j for several b_j at once,
-    since with the b_j as trailing columns of [A | b_1 ... b_r] each free
-    column n + j gives the kernel vector (-x_j v, 0.., v, ..0).
+    It is the package's one elimination: it gives the residue kernel and
+    its complement, and it solves a nonsingular square system A x = b_j for
+    several b_j at once, since with the b_j as trailing columns of
+    [A | b_1 ... b_r] each free column n + j gives the kernel vector
+    (-x_j v, 0.., v, ..0).  That square solve is the dense Horowitz route
+    (``ratfunc._horowitz_parts``): ``residue_at`` takes B from it, and
+    integration runs it only when core(0) = 0 or an antiderivative found
+    by substitution fails its check.
     """
     m = [list(row) for row in rows]
     pivots = []  # (column, pivot entry, the pivot row's entries after the column)

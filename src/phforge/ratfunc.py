@@ -3,13 +3,16 @@
 Rational antiderivatives come from Horowitz's method, with no root finding
 and no partial fractions: the denominator of the antiderivative is known
 in advance, so its numerator and the log/arctan part are the solution of
-one square integer linear system, solved for all numerators at once by
-``linalg.nullspace``.  The same solve gives residues: the log/arctan part
-B / core has the residues of the function, each read off in Q[t]/(Q(t))
-as its two coordinates over Q (``ExtensionElement``), with no irrational
-or floating complex numbers anywhere.  Real-root counting is Sturm's
-method, with the chain computed as a signed primitive polynomial remainder
-sequence over Z.
+one square integer linear system.  When the squarefree core does not
+vanish at 0, its low rows are triangular and banded, so each numerator is
+found by substitution upward from t^0 and checked on every row; a
+numerator that fails the check, or a core with core(0) = 0, goes to the
+dense solve of all numerators at once by ``linalg.nullspace``.  That
+solve also gives residues: the log/arctan part B / core has the residues
+of the function, each read off in Q[t]/(Q(t)) as its two coordinates over
+Q (``ExtensionElement``), with no irrational or floating complex numbers
+anywhere.  Real-root counting is Sturm's method, with the chain computed
+as a signed primitive polynomial remainder sequence over Z.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -265,10 +269,12 @@ def _horowitz_columns(core: Polynomial, lift: Polynomial, e: Polynomial):
 def _horowitz_parts(nums, core: Polynomial, lift: Polynomial, e: Polynomial):
     """[(N_i, B_i)] with N_i' core - N_i E + B_i lift = nums[i] (``_horowitz_columns``).
 
-    Every numerator, which must be proper over lift core, is one
-    right-hand-side column of a single ``linalg.nullspace`` call: its
-    forward pass triangularises the banded columns once for every
-    numerator, and each numerator's solution is one back-substitution.
+    The dense route, for any core: every numerator, which must be proper
+    over lift core, is one right-hand-side column of a single
+    ``linalg.nullspace`` call, whose forward pass triangularises the
+    columns once for every numerator; each numerator's solution is one
+    back-substitution.  ``_horowitz`` needs it only when core(0) = 0 or an
+    antiderivative fails its check; ``residue_at`` reads B from it.
     """
     scale, k0, cols = _horowitz_columns(core, lift, e)
     delta, n = lift.degree, len(cols)
@@ -284,23 +290,62 @@ def _horowitz_parts(nums, core: Polynomial, lift: Polynomial, e: Polynomial):
     return parts
 
 
-def _horowitz(nums, core: Polynomial, lift: Polynomial, e: Polynomial) -> list[Polynomial]:
-    """The N_i with (N_i / lift)' = nums[i] / (lift core) and coefficient k0 zero.
-
-    k0 is 0, so N_i(0) = 0, when lift(0) != 0 (``_horowitz_columns``); one
-    ``_horowitz_parts`` solve.  A nonzero B is a log/arctan part and
-    raises RationalityError, with one (core, B) pair per such numerator.
-    Every N is checked against N' core - N E = num on every coefficient, on
-    integer vectors: core and E over their least common scale s, so the
-    check is num.den (N_ints' core_s - N_ints E_s) = N.den s num_ints.
-    """
-    parts = _horowitz_parts(nums, core, lift, e)
-    remainders = [(core, b) for _, b in parts if not b.is_zero]
-    if remainders:
-        raise RationalityError("nonzero residues: antiderivative is not rational", remainders)
+def _scaled(core: Polynomial, e: Polynomial):
+    """(s, core_s, E_s): core and E as integer vectors over their least common scale s."""
     scale = math.lcm(core.den, e.den)
-    c, ei = ([x * (scale // p.den) for x in p.ints] for p in (core, e))
-    for num, (anti, _) in zip(nums, parts):
+    return scale, *([x * (scale // p.den) for x in p.ints] for p in (core, e))
+
+
+def _substitute(nums, core: Polynomial, delta: int, e: Polynomial) -> list[Polynomial]:
+    """The N_i of degree <= delta with N_i(0) = 0 that solve the low delta rows with B = 0.
+
+    Row r of N' core - N E = num, r < delta, holds N_(r+1) with the pivot
+    (r + 1) core(0), and otherwise only the N_k with r - deg core < k <= r,
+    whose coefficients k core_(r-k+1) - E_(r-k) are the band of the
+    Horowitz columns; core(0) != 0.  So each N_(r+1) follows from the ones
+    below it by one short integer update.  Over integers core_s and E_s
+    (``_scaled``), X = N num.den / s solves the rows with right-hand side
+    num_ints; X is kept as v / d with v integral, and each new entry scales
+    v and d by pivot / gcd(pivot, entry numerator), as the back-substitution
+    of ``linalg.nullspace`` does.  When B = 0, as for every numerator of an
+    exact derivative, the N found is the one of the full system; the rows
+    left over are what ``_horowitz``'s check verifies.
+    """
+    scale, c, ei = _scaled(core, e)
+    width = core.degree
+    ei += [0] * (width - len(ei))
+    # band[r]: the coefficients of N_lo .. N_r in row r, lo = max(1, r - width + 1)
+    band = [
+        [k * c[r - k + 1] - ei[r - k] for k in range(max(1, r - width + 1), r + 1)]
+        for r in range(delta)
+    ]
+    out = []
+    for num in nums:
+        b, v, d = num.ints, [0], 1
+        for r, row in enumerate(band):
+            s = (d * b[r] if r < len(b) else 0) - sum(map(mul, v[r + 1 - len(row) :], row))
+            pivot = (r + 1) * c[0]
+            g = math.gcd(s, pivot)
+            if pivot < 0:
+                g = -g
+            m = pivot // g
+            if m != 1:
+                v = [x * m for x in v]
+                d *= m
+            v.append(s // g)
+        out.append(_canonical([x * scale for x in v], d * num.den))
+    return out
+
+
+def _integrates(antis, nums, core: Polynomial, e: Polynomial) -> bool:
+    """Whether N_i' core - N_i E = nums[i] for every i, on every coefficient.
+
+    On integer vectors: core and E over their least common scale s
+    (``_scaled``), so the identity is num.den (N_ints' core_s - N_ints E_s)
+    = N.den s num_ints, with no intermediate reduction.
+    """
+    scale, c, ei = _scaled(core, e)
+    for num, anti in zip(nums, antis):
         a, d = anti.ints, num.den
         diff = [-x * anti.den * scale for x in num.ints]
         if len(a) > 1:
@@ -308,8 +353,36 @@ def _horowitz(nums, core: Polynomial, lift: Polynomial, e: Polynomial) -> list[P
         if a and ei:
             diff = _int_add(diff, _int_mul(a, [-d * x for x in ei]))
         if any(diff):
-            raise AssertionError("antiderivative verification failed")
-    return [anti for anti, _ in parts]
+            return False
+    return True
+
+
+def _horowitz(nums, core: Polynomial, lift: Polynomial, e: Polynomial) -> list[Polynomial]:
+    """The N_i with (N_i / lift)' = nums[i] / (lift core) and coefficient k0 zero.
+
+    When core(0) != 0, as for every real-root-free core, k0 = 0, so
+    N_i(0) = 0, and ``_substitute`` finds each N_i from the low deg lift
+    rows of the system.  Every N is checked by ``_integrates`` on all
+    deg lift + deg core coefficients, and that check is the whole guard:
+    the high deg core rows hold exactly when B = 0.  Only when it fails
+    does the dense ``_horowitz_parts`` run, once: a nonzero B is a
+    log/arctan part and raises RationalityError, with one (core, B) pair
+    per such numerator, and if every B is zero the substitution was wrong
+    and AssertionError is raised.  When core(0) = 0 the dense solve gives
+    the N_i, with the same B test and the same check.
+    """
+    if core.ints[0]:
+        antis = _substitute(nums, core, lift.degree, e)
+        if _integrates(antis, nums, core, e):
+            return antis
+    parts = _horowitz_parts(nums, core, lift, e)
+    remainders = [(core, b) for _, b in parts if not b.is_zero]
+    if remainders:
+        raise RationalityError("nonzero residues: antiderivative is not rational", remainders)
+    antis = [anti for anti, _ in parts]
+    if core.ints[0] or not _integrates(antis, nums, core, e):
+        raise AssertionError("antiderivative verification failed")
+    return antis
 
 
 def residue_at(f: RationalFunction, q: QuadraticFactor) -> ExtensionElement:

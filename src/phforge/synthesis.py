@@ -22,6 +22,7 @@ from .polynomial import (
     Polynomial,
     _canonical,
     _int_add,
+    _int_divmod,
     _int_mul,
     _pair,
     poly_gcd,
@@ -161,11 +162,11 @@ def build_residue_system(p: SynthesisProblem) -> SolutionSpace:
     (N / lift)' + B / core, with alpha = lift core (``_core_and_lift``), and
     every residue of P / alpha vanishes exactly when B = 0, that is, when P
     lies in the span of the numerators of the exact derivatives
-    (t^k / lift)': the N columns of ``ratfunc._horowitz_columns``, the same
-    ones that integrate the curve.  ``linalg.nullspace`` of those columns,
-    taken as rows over n coefficients, gives 2F primitive integer vectors z
-    spanning the complement, and P = mu w_c lies in the span exactly when
-    z . P = 0 for every z.  That is the correlation
+    (t^k / lift)': the N columns of ``ratfunc._horowitz_columns``, those of
+    the system that integrates the curve.  ``linalg.nullspace`` of those
+    columns, taken as rows over n coefficients, gives 2F primitive integer
+    vectors z spanning the complement, and P = mu w_c lies in the span
+    exactly when z . P = 0 for every z.  That is the correlation
     sum_j w_c[j] z_(k+j) = 0 in mu_k, k = 0..m: one integer row per z and
     hodograph component.  No column reaches t^(n-1) (in the last one,
     k = deg lift, the leading terms cancel), so the last z is e_(n-1), the
@@ -196,7 +197,12 @@ class RationalCurve:
 
     Numerators and the monic denominator are exact; the denominator has no
     real roots and every component satisfies deg num <= deg den, so both
-    limits t -> +/-infinity exist and agree.
+    limits t -> +/-infinity exist and agree.  The constructor checks all of
+    that for any input (``cli.load_bundle`` and tests build curves this
+    way): it makes den monic, divides out the gcd of den and the
+    numerators, and counts den's real roots by Sturm.  ``synthesize_curve``,
+    whose denominator holds these properties by construction, reduces the
+    curve itself and builds it with ``_reduced``.
     """
 
     __slots__ = ("nums", "den", "mu")
@@ -224,6 +230,16 @@ class RationalCurve:
         for n in nums:
             if n.degree > den.degree:
                 raise ValueError("unbounded component: numerator degree exceeds denominator")
+        self._bind(nums, den, mu)
+
+    @classmethod
+    def _reduced(cls, nums, den: Polynomial, mu) -> "RationalCurve":
+        """The curve of three numerators over a monic, real-root-free den, in lowest terms, unchecked."""
+        curve = cls.__new__(cls)
+        curve._bind(tuple(nums), den, mu)
+        return curve
+
+    def _bind(self, nums, den, mu):
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "mu", mu)
@@ -252,27 +268,42 @@ def synthesize_curve(p: SynthesisProblem, mu: Polynomial) -> RationalCurve:
     """Integrate the hodograph (mu/alpha) A i A* into a curve with r(0) = 0.
 
     With alpha = lift core and E = lift' core / lift in closed form
-    (``_core_and_lift``), one ``ratfunc._horowitz`` solve integrates all
-    three components over lift, each checked exactly against its hodograph
-    component, before RationalCurve reduces the result.  Raises
-    RationalityError when mu violates the zero-residue conditions.
+    (``_core_and_lift``), one ``ratfunc._horowitz`` call integrates all
+    three components over lift, each by substitution and checked exactly
+    against its hodograph component.  Raises RationalityError when mu
+    violates the zero-residue conditions.  The curve is then reduced over
+    the known factors: lift = prod Q_i^(M_i-1) is monic and real-root free,
+    and the Q_i are distinct monic irreducibles, so the gcd of lift and the
+    numerators is a product of Q_i powers.  Each Q_i is divided out while
+    it divides all three numerators, at most M_i - 1 times, which leaves
+    the curve in lowest terms with no gcd and no Sturm count; each
+    numerator has degree at most deg lift, so the curve is bounded.
     Negative values of mu are permitted here; regularity is certified
     separately.
     """
     if mu.degree > p.m:
         raise DegreeError(f"deg mu = {mu.degree} exceeds m = {p.m}")
     core, lift, e = _core_and_lift(p.poles)
-    return RationalCurve(_horowitz([mu * wc for wc in p.hodograph_dir], core, lift, e), lift, mu=mu)
+    nums, den = _horowitz([mu * wc for wc in p.hodograph_dir], core, lift, e), lift
+    for factor in p.poles.factors:
+        if factor.multiplicity > 1:
+            q = factor.poly()
+            for _ in range(factor.multiplicity - 1):
+                if any(_int_divmod(n.ints, q.ints)[2] for n in nums):
+                    break
+                nums, den = [n.exact_div(q) for n in nums], den.exact_div(q)
+    return RationalCurve._reduced(nums, den, mu)
 
 
 def closure_point(c: RationalCurve):
     """The common limit of the curve for t -> +infinity and t -> -infinity.
 
-    Every component is bounded, as ``RationalCurve`` rejects a numerator of
-    higher degree than the denominator and is immutable.  So the limit is the
-    ratio of leading coefficients, or zero when the numerator degree is
-    smaller; a common monic factor of numerator and denominator changes
-    neither, so no gcd is taken.  Both directional limits agree by
+    Every component is bounded: ``RationalCurve`` rejects a numerator of
+    higher degree than the denominator, ``synthesize_curve`` builds none,
+    and a curve is immutable.  So the limit is the ratio of leading
+    coefficients, or zero when the numerator degree is smaller; a common
+    monic factor of numerator and denominator changes neither, so no gcd is
+    taken.  Both directional limits agree by
     rationality.
     """
     return tuple(

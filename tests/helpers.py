@@ -195,6 +195,43 @@ def random_synthesized_problems(count: int, seed: int = 20240601, max_attempts: 
     return out
 
 
+def batch_problems(seed: int):
+    """(problem, mu) pairs in the strata of the benchmark's exact batch.
+
+    Three problems per (deg A, total multiplicity, factor count) stratum:
+    deg A 1-3, total multiplicity 4-8 (at least deg A + 2), one or two pole
+    factors t^2 + b t + c with small integer b and c.  mu is a combination
+    of the kernel basis with integer weights in [-3, 3], the first nonzero;
+    problems with an empty kernel are left out.
+    """
+    rng = random.Random(f"batch problems:{seed}")
+    out = []
+    for degree in (1, 2, 3):
+        for total in range(max(4, degree + 2), 9):
+            for nfac in (1, 1, 1, 2, 2, 2):
+                a = None
+                while a is None or a.degree != degree:
+                    coeffs = [Quaternion.of(*[rng.randint(-2, 2) for _ in "wxyz"]) for _ in range(degree + 1)]
+                    if coeffs[-1]:
+                        a, _ = i_reduce(QP(coeffs))
+                first = rng.randint(1, total - 1)
+                multiplicities = (total,) if nfac == 1 else (first, total - first)
+                chosen = []
+                while len(chosen) < nfac:
+                    b = rng.randint(-2, 2)
+                    c = b * b // 4 + rng.randint(1, 4)  # 4c > b^2: no real roots
+                    if (b, c) not in chosen:
+                        chosen.append((b, c))
+                factors = (QuadraticFactor(b, c, m) for (b, c), m in zip(chosen, multiplicities))
+                problem = SynthesisProblem(a, PoleStructure(tuple(factors)))
+                space = build_residue_system(problem)
+                if space.dimension:
+                    weights = [rng.randint(-3, 3) for _ in space.basis]
+                    weights[0] = weights[0] or 1
+                    out.append((problem, space.combination(weights)))
+    return out
+
+
 def ph_identity_holds(problem, mu, curve) -> bool:
     hx, hy, hz = (RF(n, curve.den).derivative() for n in curve.nums)
     lhs = hx * hx + hy * hy + hz * hz

@@ -10,7 +10,8 @@ coefficients and with monic, non-monic and Fraction divisors;
 products, gcds and Sturm counts also at the degrees (up to 60) and
 coefficient sizes (about 300 bits) that the fixtures reach, and gcds by the
 GCDHEU route and by the PRS fallback.  The closed-form E of a pole
-structure must equal lift' core / lift, and the integer check of every
+structure must equal lift' core / lift, the substitution must give the
+dense solve's antiderivatives, and the integer check of every
 antiderivative must reject one wrong coefficient.  The polynomial
 operations over Q (sums, scalar products, calculus, evaluation, ``monic``,
 ``leading``, ``coefficient``, ``float_coeffs``) must match one Fraction per
@@ -27,7 +28,7 @@ import pytest
 
 from phforge import linalg, polynomial, ratfunc
 from phforge.polynomial import _heu_gcd, _int_divmod, _int_mul, _primitive
-from phforge.ratfunc import _horowitz, _horowitz_parts
+from phforge.ratfunc import _horowitz, _horowitz_parts, _substitute
 from phforge.synthesis import _core_and_lift
 from phforge import (
     PoleStructure,
@@ -420,25 +421,59 @@ def hodograph_numerators():
 def test_horowitz_rejects_an_antiderivative_off_by_one(monkeypatch, coefficient):
     """The integer check of ``_horowitz`` sees one wrong coefficient of the last N.
 
-    The zero numerator integrates to 0, over a lift and over all-simple
-    poles (lift = 1, E = 0), where no N column exists.
+    ``_substitute`` returns the last N off by one in its top or its t^1
+    coefficient; the dense solve then finds every B zero, so the error is
+    the check's.  The zero numerator integrates to 0, over a lift and over
+    all-simple poles (lift = 1, E = 0), where no N column exists.
     """
     nums, (core, lift, e) = hodograph_numerators()
     nums.append(P.zero())
     outs = _horowitz(nums, core, lift, e)
     assert outs[-1] == P.zero() and all(out.degree >= 1 for out in outs[:-1])
     assert _horowitz([P.zero()], *_core_and_lift(PoleStructure(FACTORS[:2]))) == [P.zero()]
-    solve = ratfunc._horowitz_parts
+    solve = ratfunc._substitute
 
     def off_by_one(*args):
-        *parts, (anti, b) = solve(*args)
+        *antis, anti = solve(*args)
         k = anti.degree if coefficient == "top" else 1
-        shifted = P([c + (i == k) for i, c in enumerate(anti.coeffs)])
-        return [*parts, (shifted, b)]
+        return [*antis, P([c + (i == k) for i, c in enumerate(anti.coeffs)])]
 
-    monkeypatch.setattr(ratfunc, "_horowitz_parts", off_by_one)
+    monkeypatch.setattr(ratfunc, "_substitute", off_by_one)
     with pytest.raises(AssertionError, match="antiderivative verification failed"):
         _horowitz(nums[:-1], core, lift, e)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_substitution_matches_dense_solve(seed):
+    """``_substitute`` gives the N of ``_horowitz_parts`` for every exact derivative.
+
+    Pole structures of one to three factors with rational b and c and
+    multiplicities 1-10, all-simple ones (lift = 1, E = 0) among them, with
+    ``hermite_case``'s numerators: zero, and Fraction-coefficient exact
+    derivatives and non-derivatives.  ``_horowitz`` returns the same N for
+    the derivatives, and for the others raises RationalityError whose
+    remainders are the dense solve's nonzero B.
+    """
+    rng = random.Random(f"substitution:{seed}")
+    structures = [FACTORS[:2], [FACTORS[3]], [QuadraticFactor(1, 3, 10), FACTORS[2]]]
+    while len(structures) < 12:
+        chosen = []
+        for _ in range(rng.randint(1, 3)):
+            q = random_factor(rng, chosen)
+            chosen.append(QuadraticFactor(q.b, q.c, rng.randint(1, 10)))
+        structures.append(chosen)
+    for chosen in structures:
+        core, lift, e = _core_and_lift(PoleStructure(tuple(chosen)))
+        _, inside, outside = hermite_case(rng, chosen, [q.multiplicity for q in chosen])
+        antis = _substitute(inside, core, lift.degree, e)
+        parts = _horowitz_parts(inside, core, lift, e)
+        assert all(b.is_zero for _, b in parts) and antis[0] == P.zero()
+        assert antis == [anti for anti, _ in parts] == _horowitz(inside, core, lift, e)
+        want = [(core, b) for _, b in _horowitz_parts(outside, core, lift, e) if not b.is_zero]
+        assert want
+        with pytest.raises(RationalityError) as err:
+            _horowitz(outside, core, lift, e)
+        assert list(err.value.remainders) == want
 
 
 def fraction_generator():

@@ -2,19 +2,27 @@
 
 import random
 
+import pytest
+
 from phforge import (
     PoleStructure,
+    Polynomial as P,
     QuadraticFactor,
+    RationalCurve,
     RationalFunction as RF,
     SynthesisProblem,
     build_residue_system,
     certify_regular,
     convex_hull_contains_origin,
     speed_function,
+    synthesize_curve,
     tangent_indicatrix,
 )
+from phforge.ratfunc import _horowitz
+from phforge.synthesis import _core_and_lift
 
 from helpers import (
+    batch_problems,
     generator_deg3,
     random_quaternion_poly,
     ref_curve_from_components,
@@ -32,6 +40,28 @@ def test_component_degree_bound(synthesized_problems):
         kappa = RF(mu, problem.alpha)
         if mu.degree == problem.m:
             assert kappa.numerator.degree - kappa.denominator.degree == -2 * problem.a_poly.degree - 2
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_factor_reduction_matches_the_validating_constructor(seed):
+    """``synthesize_curve``'s curve is ``RationalCurve``'s over the same N and lift.
+
+    The constructor reduces by a general gcd and counts real roots by
+    Sturm; ``synthesize_curve`` divides out known pole factors only.  Each
+    problem runs with its kernel mu, where a factor sometimes divides all
+    three numerators, and with mu = 0, whose curve is 0 over 1.
+    """
+    cancelled = 0
+    for problem, mu in batch_problems(seed):
+        core, lift, e = _core_and_lift(problem.poles)
+        for m in (P.zero(), mu):
+            nums = _horowitz([m * wc for wc in problem.hodograph_dir], core, lift, e)
+            curve, want = synthesize_curve(problem, m), RationalCurve(nums, lift, mu=m)
+            assert curve == want and curve.mu is m
+            if m.is_zero:
+                assert curve.den == P.one() and not any(curve.nums)
+        cancelled += curve.den.degree < lift.degree
+    assert cancelled
 
 
 def test_kernel_members_closed_under_combination(synthesized_problems):
