@@ -105,8 +105,6 @@ def speed_function(c: RationalCurve) -> RationalFunction:
     for n in c.nums:
         h = n.derivative() * c.den - n * dd
         ssq = ssq + h * h
-    if ssq.is_zero:
-        return RationalFunction.zero()
     root = poly_sqrt(ssq)
     if root is None:
         raise NonPythagoreanError("squared speed is not a rational square")

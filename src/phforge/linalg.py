@@ -27,10 +27,10 @@ def nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
     its complement, and it solves a nonsingular square system A x = b_j for
     several b_j at once, since with the b_j as trailing columns of
     [A | b_1 ... b_r] each free column n + j gives the kernel vector
-    (-x_j v, 0.., v, ..0).  That square solve is the dense Horowitz route
-    (``ratfunc._horowitz_parts``): ``residue_at`` takes B from it, and
-    integration runs it only when core(0) = 0 or an antiderivative found
-    by substitution fails its check.
+    (-x_j v, 0.., v, ..0).  That square solve is the deg core system of a
+    log/arctan part (``ratfunc._log_parts``): ``residue_at`` takes B from
+    it, and integration runs it only when an antiderivative found by
+    substitution fails its check.
     """
     m = [list(row) for row in rows]
     pivots = []  # (column, pivot entry, the pivot row's entries after the column)

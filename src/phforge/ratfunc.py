@@ -2,15 +2,14 @@
 
 Rational antiderivatives come from Horowitz's method, with no root finding
 and no partial fractions: the denominator of the antiderivative is known
-in advance, so its numerator and the log/arctan part are the solution of
-one square integer linear system.  When the squarefree core does not
-vanish at 0, its low rows are triangular and banded, so each numerator is
-found by substitution upward from t^0 and checked on every row; a
-numerator that fails the check, or a core with core(0) = 0, goes to the
-dense solve of all numerators at once by ``linalg.nullspace``.  That
-solve also gives residues: the log/arctan part B / core has the residues
-of the function, each read off in Q[t]/(Q(t)) as its two coordinates over
-Q (``ExtensionElement``), with no irrational or floating complex numbers
+in advance, so its numerator and the log/arctan part B / core solve one
+square integer linear system.  For a real-root-free denominator its low
+rows are triangular and banded, so each numerator is found by
+substitution upward from t^0 and checked on every row.  B, read after a
+failed check and for residues, needs only a deg core system over the
+complement of the antiderivative's columns; B / core has the residues of
+the function, each read off in Q[t]/(Q(t)) as its two coordinates over Q
+(``ExtensionElement``), with no irrational or floating complex numbers
 anywhere.  Real-root counting is Sturm's method, with the chain computed
 as a signed primitive polynomial remainder sequence over Z.
 """
@@ -231,29 +230,32 @@ def _variations(signs: list[bool]) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _horowitz_columns(core: Polynomial, lift: Polynomial, e: Polynomial):
-    """(s, k0, columns): the integer columns of Horowitz's linear system.
+def _scaled(core: Polynomial, e: Polynomial):
+    """(s, core_s, E_s): core and E as integer vectors over their least common scale s."""
+    scale = math.lcm(core.den, e.den)
+    return scale, *([x * (scale // p.den) for x in p.ints] for p in (core, e))
+
+
+def _complement(core: Polynomial, lift: Polynomial, e: Polynomial) -> list[list[int]]:
+    """The deg core primitive integer vectors z orthogonal to the N columns of Horowitz's system.
 
     Horowitz's method (Horowitz 1971; Bronstein, *Symbolic Integration I*,
     sec. 2.2): core is squarefree and every root of lift is one of core's, so
-    E = lift' core / lift is a polynomial, and num / (lift core) =
-    (N / lift)' + B / core with deg B < deg core holds exactly when
-    N' core - N E + B lift = num.  The caller passes E: a pole structure
-    has it in closed form (``synthesis._core_and_lift``), and a caller with
-    no factorization divides once.  N = lift and B = 0 solve it for
-    num = 0 (N / lift is a constant), so the coefficient k0 of N is fixed to
-    0, k0 the lowest index of a nonzero coefficient of lift (0 when
-    lift(0) != 0), which makes the system square and nonsingular.  The
-    columns, each deg lift + deg core integers times the least common scale
-    s, are first the deg lift N columns k t^(k-1) core - t^k E, the
-    numerators of (t^k / lift)' over lift core, for k = 0..deg lift but k0,
-    then the deg core B columns t^k lift.
+    E = lift' core / lift is a polynomial (``synthesis._core_and_lift``,
+    ``_split``), and num / (lift core) = (N / lift)' + B / core with
+    deg B < deg core exactly when N' core - N E + B lift = num.  N = lift,
+    B = 0 solve num = 0, so of the N columns k t^(k-1) core - t^k E, the
+    numerators of (t^k / lift)' over lift core, all but k0, the lowest k
+    with lift_k != 0, are independent.  Over ``_scaled``'s scale they are
+    the rows of one ``linalg.nullspace`` call over n = deg lift + deg core
+    coefficients, which eliminates nothing when core(0) != 0: row k starts
+    at t^(k-1) with k core(0).  num is an exact derivative's numerator
+    exactly when z . num = 0 for every z.
     """
-    scale = math.lcm(core.den, e.den, lift.den)
-    c, ei, li = ([x * (scale // p.den) for x in p.ints] for p in (core, e, lift))
-    n, k0 = len(li) - 1 + core.degree, next(k for k, x in enumerate(li) if x)
+    _, c, ei = _scaled(core, e)
+    n, k0 = lift.degree + core.degree, next(k for k, x in enumerate(lift.ints) if x)
     cols = []
-    for k in (k for k in range(len(li)) if k != k0):
+    for k in (k for k in range(lift.degree + 1) if k != k0):
         col = [0] * n
         if k:
             for i, x in enumerate(c, k - 1):
@@ -261,39 +263,30 @@ def _horowitz_columns(core: Polynomial, lift: Polynomial, e: Polynomial):
         for i, x in enumerate(ei, k):
             col[i] -= x
         cols.append(col)
-    for k in range(core.degree):
-        cols.append([0] * k + li + [0] * (n - k - len(li)))
-    return scale, k0, cols
+    return linalg.nullspace(cols, n)
 
 
-def _horowitz_parts(nums, core: Polynomial, lift: Polynomial, e: Polynomial):
-    """[(N_i, B_i)] with N_i' core - N_i E + B_i lift = nums[i] (``_horowitz_columns``).
+def _log_parts(nums, core: Polynomial, lift: Polynomial, e: Polynomial) -> list[Polynomial]:
+    """The B_i of N_i' core - N_i E + B_i lift = nums[i] (``_complement``).
 
-    The dense route, for any core: every numerator, which must be proper
-    over lift core, is one right-hand-side column of a single
-    ``linalg.nullspace`` call, whose forward pass triangularises the
-    columns once for every numerator; each numerator's solution is one
-    back-substitution.  ``_horowitz`` needs it only when core(0) = 0 or an
-    antiderivative fails its check; ``residue_at`` reads B from it.
+    Each z is orthogonal to the N columns, so z . num is the sum over j of
+    B_j z . (t^j lift) = B_j sum_k l_k z_(j+k), l lift's integer vector:
+    deg core equations, nonsingular as the whole system is, which
+    X = B num.den / lift.den solves with right-hand side z . num_ints.
+    Each numerator, proper over lift core, is one right-hand-side column
+    of a single ``linalg.nullspace`` call, whose free column deg core + i
+    gives (-X_i v, 0.., v, ..0).
     """
-    scale, k0, cols = _horowitz_columns(core, lift, e)
-    delta, n = lift.degree, len(cols)
-    cols.extend(list(num.ints) + [0] * (n - len(num.ints)) for num in nums)
-    # the kernel vector of free column n + j solves the system for nums[j]
-    kernel = linalg.nullspace(list(zip(*cols)), n + len(nums))
-    parts = []
-    for j, (num, v) in enumerate(zip(nums, kernel)):
-        den = v[n + j] * num.den
-        anti = [-x * scale for x in v[:delta]]
-        anti.insert(k0, 0)
-        parts.append((_canonical(anti, den), _canonical([-x * scale for x in v[delta:n]], den)))
-    return parts
-
-
-def _scaled(core: Polynomial, e: Polynomial):
-    """(s, core_s, E_s): core and E as integer vectors over their least common scale s."""
-    scale = math.lcm(core.den, e.den)
-    return scale, *([x * (scale // p.den) for x in p.ints] for p in (core, e))
+    width, li = core.degree, lift.ints
+    rows = [
+        [sum(map(mul, li, z[j:])) for j in range(width)] + [sum(map(mul, num.ints, z)) for num in nums]
+        for z in _complement(core, lift, e)
+    ]
+    kernel = linalg.nullspace(rows, width + len(nums))
+    return [
+        _canonical([-x * lift.den for x in v[:width]], v[width + i] * num.den)
+        for i, (num, v) in enumerate(zip(nums, kernel))
+    ]
 
 
 def _substitute(nums, core: Polynomial, delta: int, e: Polynomial) -> list[Polynomial]:
@@ -358,52 +351,48 @@ def _integrates(antis, nums, core: Polynomial, e: Polynomial) -> bool:
 
 
 def _horowitz(nums, core: Polynomial, lift: Polynomial, e: Polynomial) -> list[Polynomial]:
-    """The N_i with (N_i / lift)' = nums[i] / (lift core) and coefficient k0 zero.
+    """The N_i with (N_i / lift)' = nums[i] / (lift core) and N_i(0) = 0; core(0) != 0.
 
-    When core(0) != 0, as for every real-root-free core, k0 = 0, so
-    N_i(0) = 0, and ``_substitute`` finds each N_i from the low deg lift
-    rows of the system.  Every N is checked by ``_integrates`` on all
-    deg lift + deg core coefficients, and that check is the whole guard:
-    the high deg core rows hold exactly when B = 0.  Only when it fails
-    does the dense ``_horowitz_parts`` run, once: a nonzero B is a
-    log/arctan part and raises RationalityError, with one (core, B) pair
-    per such numerator, and if every B is zero the substitution was wrong
-    and AssertionError is raised.  When core(0) = 0 the dense solve gives
-    the N_i, with the same B test and the same check.
+    Both callers pass a real-root-free core, so core(0) != 0, lift(0) != 0
+    and ``_substitute`` finds each N_i from the low deg lift rows of the
+    system.  Every N is checked by ``_integrates`` on all deg lift +
+    deg core coefficients, and that check is the whole guard: the high
+    deg core rows hold exactly when B = 0.  Only when it fails does
+    ``_log_parts`` run, once: a nonzero B is a log/arctan part and raises
+    RationalityError, with one (core, B) pair per such numerator, and if
+    every B is zero the substitution was wrong and AssertionError is raised.
     """
-    if core.ints[0]:
-        antis = _substitute(nums, core, lift.degree, e)
-        if _integrates(antis, nums, core, e):
-            return antis
-    parts = _horowitz_parts(nums, core, lift, e)
-    remainders = [(core, b) for _, b in parts if not b.is_zero]
+    antis = _substitute(nums, core, lift.degree, e)
+    if _integrates(antis, nums, core, e):
+        return antis
+    remainders = [(core, b) for b in _log_parts(nums, core, lift, e) if not b.is_zero]
     if remainders:
         raise RationalityError("nonzero residues: antiderivative is not rational", remainders)
-    antis = [anti for anti, _ in parts]
-    if core.ints[0] or not _integrates(antis, nums, core, e):
-        raise AssertionError("antiderivative verification failed")
-    return antis
+    raise AssertionError("antiderivative verification failed")
+
+
+def _split(den: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """(core, lift, E) of an unfactored den: lift = gcd(den, den'), each quotient exact."""
+    lift = poly_gcd(den, den.derivative())
+    core = den.exact_div(lift)
+    return core, lift, (lift.derivative() * core).exact_div(lift)
 
 
 def residue_at(f: RationalFunction, q: QuadraticFactor) -> ExtensionElement:
     """Residue of f at the root theta of Q inside Q[t]/(Q(t)).
 
-    The proper part of f over its reduced denominator den = lift core, with
-    lift = gcd(den, den') and core squarefree, is (N / lift)' + B / core by
-    the one Horowitz solve of ``_horowitz_parts``, with E = lift' core / lift
-    by one exact division, as den comes with no factorization.  The
+    The proper part of f over its reduced denominator den = lift core
+    (``_split``) is (N / lift)' + B / core, and ``_log_parts`` gives B.  The
     derivative has no residue, so the residue at theta is
     B(theta) / core'(theta), a quotient of two elements r0 + r1 theta of
     Q(theta): (B mod Q) times the conjugate of (core' mod Q), over its norm.
     The residue at the other root is the conjugate.
     """
     den, s = f.denominator, q.poly()
-    lift = poly_gcd(den, den.derivative())
-    core = den.exact_div(lift)
+    core, lift, e = _split(den)
     if not (core % s).is_zero:
         raise ValueError("quadratic is not a factor of the denominator")
-    e = (lift.derivative() * core).exact_div(lift)
-    ((_, b),) = _horowitz_parts([f.numerator % den], core, lift, e)
+    (b,) = _log_parts([f.numerator % den], core, lift, e)
     d = core.derivative() % s
     d0, d1 = d.coefficient(0), d.coefficient(1)
     r = b * Polynomial((d0 - q.b * d1, -d1)) % s
@@ -415,10 +404,9 @@ def hermite_antiderivative(f: RationalFunction) -> RationalFunction:
     """Rational antiderivative g with g' = f and g(0) = 0.
 
     Works over Q with no root finding: the proper part rem / den integrates
-    over lift = gcd(den, den') by ``_horowitz``, with core = den / lift and
-    E = lift' core / lift, each one exact division.  If a log/arctan part
-    B / core is left, the residues do not all vanish and RationalityError
-    is raised.
+    over lift = gcd(den, den') by ``_horowitz``, with core and E from
+    ``_split``.  If a log/arctan part B / core is left, the residues do not
+    all vanish and RationalityError is raised.
     """
     den = f.denominator
     if den.degree > 0 and sturm_real_root_count(den) != 0:
@@ -426,9 +414,7 @@ def hermite_antiderivative(f: RationalFunction) -> RationalFunction:
     poly_quot, rem = divmod(f.numerator, den)
     num, lift = poly_quot.antiderivative(), Polynomial.one()
     if not rem.is_zero:
-        lift = poly_gcd(den, den.derivative())
-        core = den.exact_div(lift)
-        e = (lift.derivative() * core).exact_div(lift)
+        core, lift, e = _split(den)
         (rest,) = _horowitz([rem], core, lift, e)
         num = num * lift + rest
     result = RationalFunction(num, lift)

@@ -35,7 +35,7 @@ from .ratfunc import (
     residue_at,  # noqa: F401  kept: perfbench's traced run patches this name here
     sturm_real_root_count,
 )
-from .ratfunc import _horowitz, _horowitz_columns
+from .ratfunc import _complement, _horowitz
 
 
 class SynthesisProblem:
@@ -132,7 +132,7 @@ def _core_and_lift(poles: PoleStructure) -> tuple[Polynomial, Polynomial, Polyno
     """(core, lift, E) over the factors Q^M of alpha = lift core.
 
     core = prod Q and lift = prod Q^(M-1).  E = lift' core / lift, the
-    polynomial of Horowitz's system (``ratfunc._horowitz_columns``), is the
+    polynomial of Horowitz's system (``ratfunc._complement``), is the
     closed-form sum sum_i (M_i - 1) Q_i' prod_(j != i) Q_j, since
     lift' / lift = sum_i (M_i - 1) Q_i' / Q_i: no division by lift.  Each
     Q_i is the canonical pair (T_i, d_i) of a primitive integer triple
@@ -162,10 +162,10 @@ def build_residue_system(p: SynthesisProblem) -> SolutionSpace:
     (N / lift)' + B / core, with alpha = lift core (``_core_and_lift``), and
     every residue of P / alpha vanishes exactly when B = 0, that is, when P
     lies in the span of the numerators of the exact derivatives
-    (t^k / lift)': the N columns of ``ratfunc._horowitz_columns``, those of
-    the system that integrates the curve.  ``linalg.nullspace`` of those
-    columns, taken as rows over n coefficients, gives 2F primitive integer
-    vectors z spanning the complement, and P = mu w_c lies in the span
+    (t^k / lift)': the N columns of the system that integrates the curve.
+    ``ratfunc._complement`` takes those columns as the rows of one
+    ``linalg.nullspace`` call over n coefficients, which gives 2F primitive
+    integer vectors z spanning the complement, and P = mu w_c lies in the span
     exactly when z . P = 0 for every z.  That is the correlation
     sum_j w_c[j] z_(k+j) = 0 in mu_k, k = 0..m: one integer row per z and
     hodograph component.  No column reaches t^(n-1) (in the last one,
@@ -180,9 +180,8 @@ def build_residue_system(p: SynthesisProblem) -> SolutionSpace:
     numerator is never part of the basis.
     """
     core, lift, e = _core_and_lift(p.poles)
-    *_, columns = _horowitz_columns(core, lift, e)
     # the last vector is e_(n-1), the residue sum: zero on every mu w_c
-    *complement, _ = linalg.nullspace(columns[: lift.degree], p.alpha.degree)
+    *complement, _ = _complement(core, lift, e)
     rows = []
     for wc in p.hodograph_dir:
         w, n = wc.ints, len(wc.ints)

@@ -29,8 +29,9 @@ from phforge import (
     residue_at,
     synthesize_curve,
 )
-from phforge import cli
+from phforge import cli, linalg
 from phforge.geometry import _motion, angle_parameters, speed_function
+from phforge.polynomial import _canonical
 
 
 def generator_deg3() -> QP:
@@ -690,6 +691,57 @@ def ref_hermite_reduce(nums, factors):
             "nonzero residues: antiderivative is not rational", remainders
         )
     return den, out
+
+
+def ref_horowitz_columns(core: P, lift: P, e: P):
+    """(s, k0, columns): the integer columns of Horowitz's whole square system.
+
+    N' core - N E + B lift = num (``ratfunc._complement``), with the
+    coefficient k0 of N fixed to 0, k0 the lowest index of a nonzero
+    coefficient of lift, makes it square and nonsingular.  The columns,
+    each deg lift + deg core integers times the least common scale s of
+    core, E and lift, are first the deg lift N columns
+    k t^(k-1) core - t^k E for k = 0..deg lift but k0, then the deg core
+    B columns t^k lift.
+    """
+    scale = math.lcm(core.den, e.den, lift.den)
+    c, ei, li = ([x * (scale // p.den) for x in p.ints] for p in (core, e, lift))
+    n, k0 = len(li) - 1 + core.degree, next(k for k, x in enumerate(li) if x)
+    cols = []
+    for k in (k for k in range(len(li)) if k != k0):
+        col = [0] * n
+        if k:
+            for i, x in enumerate(c, k - 1):
+                col[i] = k * x
+        for i, x in enumerate(ei, k):
+            col[i] -= x
+        cols.append(col)
+    for k in range(core.degree):
+        cols.append([0] * k + li + [0] * (n - k - len(li)))
+    return scale, k0, cols
+
+
+def ref_horowitz_parts(nums, core: P, lift: P, e: P):
+    """[(N_i, B_i)] with N_i' core - N_i E + B_i lift = nums[i], by the dense solve.
+
+    The oracle of ``ratfunc._log_parts`` and ``ratfunc._substitute``, for
+    any core: every numerator, which must be proper over lift core, is one
+    right-hand-side column of a single ``linalg.nullspace`` call over all
+    of ``ref_horowitz_columns``, and each solution is one
+    back-substitution.
+    """
+    scale, k0, cols = ref_horowitz_columns(core, lift, e)
+    delta, n = lift.degree, len(cols)
+    cols.extend(list(num.ints) + [0] * (n - len(num.ints)) for num in nums)
+    # the kernel vector of free column n + j solves the system for nums[j]
+    kernel = linalg.nullspace(list(zip(*cols)), n + len(nums))
+    parts = []
+    for j, (num, v) in enumerate(zip(nums, kernel)):
+        den = v[n + j] * num.den
+        anti = [-x * scale for x in v[:delta]]
+        anti.insert(k0, 0)
+        parts.append((_canonical(anti, den), _canonical([-x * scale for x in v[delta:n]], den)))
+    return parts
 
 
 # -- Fraction reference for the Q representation -----------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -363,6 +364,42 @@ def test_export_too_few_samples_exit_4(bundle_path, tmp_path, capsys, command):
     assert main([command, "--config", bundle_path, "--samples", "2", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert len(data["positions"] if command == "sample" else data) == 2
+
+
+def test_huge_decimal_exponent_exit_4_at_once(bundle_path, tmp_path, capsys):
+    """An exponent above 4300 in magnitude is refused by its size, not computed as 10**exponent."""
+    assert [parse_rational(v) for v in ("0.5", "1e3", "1e4300", "-1e-4300")] == [
+        F(1, 2), 1000, 10**4300, F(-1, 10**4300)
+    ]
+    for value in ("1e4301", "1e-4301", "1e999999999", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="exponent above 4300"):
+            parse_rational(value)
+    huge = "1e999999999"
+    cases = []
+    for field, corrupt in (
+        ("quaternion[0][0]", lambda d: d["quaternion"][0].__setitem__(0, huge)),
+        ("poles[0].c", lambda d: d["poles"][0].update(c=huge)),
+    ):
+        raw = json.loads(json.dumps(EX2_CONFIG))
+        corrupt(raw)
+        cases += [(command, field, raw) for command in ("check", "synth")]
+    good = json.loads(Path(bundle_path).read_text())
+    for field, corrupt in (
+        ("config.quaternion[0][0]", lambda d: d["config"]["quaternion"][0].__setitem__(0, huge)),
+        ("curve.numerators[0][0]", lambda d: d["curve"]["numerators"][0].__setitem__(0, huge)),
+        ("mu[0]", lambda d: d["mu"].__setitem__(0, huge)),
+    ):
+        data = json.loads(json.dumps(good))
+        corrupt(data)
+        cases.append(("sample", field, data))
+    out = tmp_path / "o.json"
+    for command, field, data in cases:
+        argv = [command, "--config", write_config(tmp_path, data), "--out", str(out)]
+        start = time.perf_counter()
+        assert main(argv) == 4, (command, field)
+        assert time.perf_counter() - start < 2, (command, field)
+        assert capsys.readouterr().err.startswith(f"error: {field}: exponent above 4300"), (command, field)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

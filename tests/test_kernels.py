@@ -11,12 +11,13 @@ products, gcds and Sturm counts also at the degrees (up to 60) and
 coefficient sizes (about 300 bits) that the fixtures reach, and gcds by the
 GCDHEU route and by the PRS fallback.  The closed-form E of a pole
 structure must equal lift' core / lift, the substitution must give the
-dense solve's antiderivatives, and the integer check of every
-antiderivative must reject one wrong coefficient.  The polynomial
-operations over Q (sums, scalar products, calculus, evaluation, ``monic``,
-``leading``, ``coefficient``, ``float_coeffs``) must match one Fraction per
-coefficient, every result must be the canonical (ints, den) pair, and equal
-polynomials must hash alike whichever way they were built.
+dense solve's antiderivatives, the complement and log parts its vectors
+and B, and the integer check of every antiderivative must reject one
+wrong coefficient.  The polynomial operations over Q (sums, scalar
+products, calculus, evaluation, ``monic``, ``leading``, ``coefficient``,
+``float_coeffs``) must match one Fraction per coefficient, every result
+must be the canonical (ints, den) pair, and equal polynomials must hash
+alike whichever way they were built.
 """
 
 import math
@@ -28,7 +29,7 @@ import pytest
 
 from phforge import linalg, polynomial, ratfunc
 from phforge.polynomial import _heu_gcd, _int_divmod, _int_mul, _primitive
-from phforge.ratfunc import _horowitz, _horowitz_parts, _substitute
+from phforge.ratfunc import _complement, _horowitz, _log_parts, _substitute
 from phforge.synthesis import _core_and_lift
 from phforge import (
     PoleStructure,
@@ -58,6 +59,8 @@ from helpers import (
     ref_eval,
     ref_gcd,
     ref_hermite_reduce,
+    ref_horowitz_columns,
+    ref_horowitz_parts,
     ref_monic,
     ref_mul,
     ref_nullspace,
@@ -348,7 +351,8 @@ def test_horowitz_parts_when_lift_vanishes_at_zero(a, b):
     """N' core - N E + B lift = num over t^a (t^2 + 4)^b, with N normalised at k0 > 0.
 
     lift = gcd(den, den') vanishes at 0, so the coefficient fixed to 0 is
-    lift's lowest nonzero one, k0, not N(0).
+    lift's lowest nonzero one, k0, not N(0).  ``_complement`` leaves out
+    column k0, and ``_log_parts`` gives the dense solve's B.
     """
     t, s = P([0, 1]), P([4, 0, 1])
     core, lift = t * s, t ** (a - 1) * s ** (b - 1)
@@ -359,13 +363,16 @@ def test_horowitz_parts_when_lift_vanishes_at_zero(a, b):
     inside = ((g.derivative() * lift - g * lift.derivative()) * core).exact_div(lift)
     nums = [rand_poly(rng, lift.degree + core.degree - 1) for _ in range(4)] + [inside, P.zero()]
     e = (lift.derivative() * core).exact_div(lift)
-    parts = _horowitz_parts(nums, core, lift, e)
+    parts = ref_horowitz_parts(nums, core, lift, e)
     for num, (anti, rest) in zip(nums, parts):
         assert anti.derivative() * core - anti * e + rest * lift == num
         assert anti.coefficient(k0) == 0 and rest.degree < core.degree
     assert parts[-2][1].is_zero and parts[-1] == (P.zero(), P.zero())
     # N / lift is g / lift plus the constant that zeroes N's coefficient k0
-    assert _horowitz([inside], core, lift, e) == [g - lift * (g.coefficient(k0) / lift.coefficient(k0))]
+    assert parts[-2][0] == g - lift * (g.coefficient(k0) / lift.coefficient(k0))
+    _, _, cols = ref_horowitz_columns(core, lift, e)
+    assert _complement(core, lift, e) == linalg.nullspace(cols[: lift.degree], core.degree + lift.degree)
+    assert _log_parts(nums, core, lift, e) == [b for _, b in parts]
 
 
 def random_factor(rng, chosen):
@@ -422,7 +429,7 @@ def test_horowitz_rejects_an_antiderivative_off_by_one(monkeypatch, coefficient)
     """The integer check of ``_horowitz`` sees one wrong coefficient of the last N.
 
     ``_substitute`` returns the last N off by one in its top or its t^1
-    coefficient; the dense solve then finds every B zero, so the error is
+    coefficient; ``_log_parts`` then finds every B zero, so the error is
     the check's.  The zero numerator integrates to 0, over a lift and over
     all-simple poles (lift = 1, E = 0), where no N column exists.
     """
@@ -443,16 +450,12 @@ def test_horowitz_rejects_an_antiderivative_off_by_one(monkeypatch, coefficient)
         _horowitz(nums[:-1], core, lift, e)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_substitution_matches_dense_solve(seed):
-    """``_substitute`` gives the N of ``_horowitz_parts`` for every exact derivative.
+def dense_solve_cases(seed):
+    """(core, lift, E, inside, outside) on pole structures of one to three factors.
 
-    Pole structures of one to three factors with rational b and c and
-    multiplicities 1-10, all-simple ones (lift = 1, E = 0) among them, with
-    ``hermite_case``'s numerators: zero, and Fraction-coefficient exact
-    derivatives and non-derivatives.  ``_horowitz`` returns the same N for
-    the derivatives, and for the others raises RationalityError whose
-    remainders are the dense solve's nonzero B.
+    Rational b and c and multiplicities 1-10, all-simple structures
+    (lift = 1, E = 0) among them, with ``hermite_case``'s numerators: zero,
+    and Fraction-coefficient exact derivatives and non-derivatives.
     """
     rng = random.Random(f"substitution:{seed}")
     structures = [FACTORS[:2], [FACTORS[3]], [QuadraticFactor(1, 3, 10), FACTORS[2]]]
@@ -463,17 +466,47 @@ def test_substitution_matches_dense_solve(seed):
             chosen.append(QuadraticFactor(q.b, q.c, rng.randint(1, 10)))
         structures.append(chosen)
     for chosen in structures:
-        core, lift, e = _core_and_lift(PoleStructure(tuple(chosen)))
         _, inside, outside = hermite_case(rng, chosen, [q.multiplicity for q in chosen])
+        yield *_core_and_lift(PoleStructure(tuple(chosen))), inside, outside
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_substitution_matches_dense_solve(seed):
+    """``_substitute`` gives the N of ``ref_horowitz_parts`` for every exact derivative.
+
+    On ``dense_solve_cases``, ``_horowitz`` returns the same N for the
+    derivatives, and for the others raises RationalityError whose
+    remainders are the dense solve's nonzero B.
+    """
+    for core, lift, e, inside, outside in dense_solve_cases(seed):
         antis = _substitute(inside, core, lift.degree, e)
-        parts = _horowitz_parts(inside, core, lift, e)
+        parts = ref_horowitz_parts(inside, core, lift, e)
         assert all(b.is_zero for _, b in parts) and antis[0] == P.zero()
         assert antis == [anti for anti, _ in parts] == _horowitz(inside, core, lift, e)
-        want = [(core, b) for _, b in _horowitz_parts(outside, core, lift, e) if not b.is_zero]
+        want = [(core, b) for _, b in ref_horowitz_parts(outside, core, lift, e) if not b.is_zero]
         assert want
         with pytest.raises(RationalityError) as err:
             _horowitz(outside, core, lift, e)
         assert list(err.value.remainders) == want
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_complement_and_log_parts_match_dense_solve(seed):
+    """``_complement`` and ``_log_parts`` against the whole square system.
+
+    On ``dense_solve_cases``, the complement is ``linalg.nullspace`` of the
+    dense system's N columns, vector for vector, so the residue rows built
+    from it are those of the N columns, and not only their kernel; the log
+    parts are the dense solve's B, zero for every exact derivative.
+    """
+    for core, lift, e, inside, outside in dense_solve_cases(seed):
+        _, _, cols = ref_horowitz_columns(core, lift, e)
+        want = linalg.nullspace(cols[: lift.degree], core.degree + lift.degree)
+        assert _complement(core, lift, e) == want and len(want) == core.degree
+        nums = inside + outside
+        bs = _log_parts(nums, core, lift, e)
+        assert bs == [b for _, b in ref_horowitz_parts(nums, core, lift, e)]
+        assert all(b.is_zero for b in bs[: len(inside)]) and not all(b.is_zero for b in bs[len(inside) :])
 
 
 def fraction_generator():
