@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import NoCertificateError, NonPythagoreanError, ParseError, PhforgeError
 from .geometry import (
+    _mu_speed,
     angle_parameters,
     convex_hull_contains_origin,
     sample_motion,
@@ -261,17 +262,37 @@ def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def _pose_dicts(motion) -> list[dict]:
-    """The pose objects of ``frames --format json``, each with its frame columns."""
-    return [
-        {"parameter": _finite_or_str(t), "position": p, "rotation": r, "frame": f}
-        for t, p, r, f in zip(
-            motion.parameters,
-            motion.positions.tolist(),
-            motion.rotations.tolist(),
-            motion.frames.tolist(),
-        )
-    ]
+def _json_with(obj: dict, key: str, text: str) -> str:
+    """``_json(obj)`` with one more member, key: text, where text is JSON already."""
+    members = {k: _json(v)[:-1] for k, v in obj.items()}
+    members[key] = text
+    return "{%s}\n" % ",".join(f"{json.dumps(k)}:{members[k]}" for k in sorted(members))
+
+
+# -- sampled-float writers ---------------------------------------------------
+# Each float is written once, as its repr (as json.dumps writes it), by
+# filling a row template; no writer builds a dict or list per sample.
+
+
+def _rows(template: str, columns) -> list[str]:
+    """template % row for each row of columns, one list per column.
+
+    A float array's columns come from one ``.T.tolist()``, which makes each
+    value a Python float: under %r numpy 2 writes ``np.float64(...)``.
+    """
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _finite(*arrays) -> None:
+    """Raise ValueError, as ``_json`` does, unless every value in arrays is finite."""
+    for values in arrays:
+        if not np.isfinite(values).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+
+
+def _json_parameters(params) -> list[str]:
+    """Each parameter as JSON text: its repr, or "inf" / "-inf" as a string; NaN raises ValueError."""
+    return [repr(t) if math.isfinite(t) else _json(_finite_or_str(t))[:-1] for t in params]
 
 
 # -- check -----------------------------------------------------------------
@@ -368,13 +389,15 @@ def cmd_synth(cfg: ProblemConfig, force: bool) -> str:
     if not cert:
         raise NoCertificateError("combined numerator failed the exact regularity certificate")
     curve = synthesize_curve(problem, mu)
-    return _json(_build_bundle(cfg, problem, space, slice_, base, curve, cert, hull))
+    members, samples = _build_bundle(cfg, problem, space, slice_, base, curve, cert, hull)
+    return _json_with(members, "samples", samples)
 
 
 def _build_bundle(cfg, problem, space, slice_, base, curve, cert, hull):
-    samples = _bundle_samples(problem.a_poly, curve, cfg.samples)
+    """The bundle's members but ``samples``, and the ``samples`` member as JSON text."""
+    samples, speeds = _bundle_samples(problem.a_poly, problem.alpha, curve, cfg.samples)
     closure = closure_point(curve)
-    return {
+    members = {
         "schema": BUNDLE_SCHEMA,
         "config": canonical_config(cfg),
         "generator": {
@@ -404,30 +427,39 @@ def _build_bundle(cfg, problem, space, slice_, base, curve, cert, hull):
             },
             "closure_point": [format_rational(v) for v in closure],
             "hull": _hull_report(hull),
-            "speed_polar_minimum": min(samples["speed"]),
-            "speed_polar_maximum": max(samples["speed"]),
+            "speed_polar_minimum": min(speeds),
+            "speed_polar_maximum": max(speeds),
         },
-        "samples": samples,
     }
+    return members, samples
 
 
-def _bundle_samples(a: QuaternionPolynomial, curve: RationalCurve, n: int) -> dict:
-    """The bundle's ``samples``: n poses of the framing motion and the circle-chart speed.
+def _bundle_samples(a: QuaternionPolynomial, alpha: Polynomial, curve: RationalCurve, n: int):
+    """The bundle's ``samples`` as JSON text, and its circle-chart speeds as floats.
 
-    Each pose stores its parameter, position and unit rotation quaternion q;
-    its frame is not stored, since column k is q e_k q*.  ``positions``
-    repeats the poses' positions, sharing their rows.
+    n poses of the framing motion: each stores its parameter, position and
+    unit rotation quaternion q; its frame is not stored, since column k is
+    q e_k q*.  ``positions`` repeats the poses' positions: each row is
+    written once and its text used in both places.  The speed is
+    ``_mu_speed`` of ``curve.mu``: ``synthesize_curve`` has checked
+    r' = (mu/alpha) A i A* exactly and the gate has certified mu > 0.  A NaN
+    or inf position, rotation or speed raises ValueError, as in ``_json``.
     """
     motion = sample_motion(a, curve, n)
-    positions = motion.positions.tolist()
-    return {
-        "positions": positions,
-        "poses": [
-            {"parameter": _finite_or_str(t), "position": p, "rotation": r}
-            for t, p, r in zip(motion.parameters, positions, motion.rotations.tolist())
-        ],
-        "speed": speed_function(curve).eval_floats(motion.parameters).tolist(),
-    }
+    speed = _mu_speed(a, alpha, curve.mu).eval_floats(motion.parameters)
+    _finite(motion.positions, motion.rotations, speed)
+    positions = _rows("[%r,%r,%r]", motion.positions.T.tolist())
+    poses = _rows(
+        '{"parameter":%s,"position":%s,"rotation":[%r,%r,%r,%r]}',
+        [_json_parameters(motion.parameters), positions, *motion.rotations.T.tolist()],
+    )
+    speeds = speed.tolist()
+    text = '{"poses":[%s],"positions":[%s],"speed":[%s]}' % (
+        ",".join(poses),
+        ",".join(positions),
+        ",".join(map(repr, speeds)),
+    )
+    return text, speeds
 
 
 # -- sample / frames --------------------------------------------------------
@@ -495,14 +527,16 @@ def _sample_positions(bundle: Bundle, n: int):
     return params, bundle.curve.eval_floats(params)
 
 
-def _csv(rows, header: str) -> str:
-    """header, then one line per row of floats, each written as its repr (inf as inf)."""
-    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+def _csv(values: np.ndarray, header: str) -> str:
+    """header, then one line per row of a float array, each float written as its repr (inf as inf)."""
+    template = ",".join(["%r"] * values.shape[1])
+    return "\n".join([header, *_rows(template, values.T.tolist())]) + "\n"
 
 
 def _obj(positions) -> str:
-    lines = [f"v {repr(x)} {repr(y)} {repr(z)}" for x, y, z in positions]
-    closed = " ".join(str(i + 1) for i in range(len(positions)))
+    """n x 3 positions as OBJ vertices and one closed polyline through them."""
+    lines = _rows("v %r %r %r", np.asarray(positions, dtype=float).T.tolist())
+    closed = " ".join(map(str, range(1, len(lines) + 1)))
     lines.append(f"l {closed} 1")
     return "\n".join(lines) + "\n"
 
@@ -573,30 +607,45 @@ def cmd_sample(bundle: Bundle, n: int, fmt: str) -> str:
     if fmt not in ("json", "csv", "obj"):
         raise ParseError(f"unknown format {fmt!r}", "--format")
     params, positions = _sample_positions(bundle, n)
-    positions = positions.tolist()
     if fmt == "csv":
         return _csv(positions, "x,y,z")
     if fmt == "obj":
         return _obj(positions)
-    return _json({"parameters": [_finite_or_str(t) for t in params], "positions": positions})
+    _finite(positions)
+    return '{"parameters":[%s],"positions":[%s]}\n' % (
+        ",".join(_json_parameters(params)),
+        ",".join(_rows("[%r,%r,%r]", positions.T.tolist())),
+    )
 
 
 def cmd_frames(bundle: Bundle, n: int, fmt: str) -> str:
     if fmt not in ("json", "csv"):
         raise ParseError(f"format {fmt!r} not supported for frames", "--format")
     motion = sample_motion(bundle.generator, bundle.curve, n)
+    frames = motion.frames.reshape(n, 9)
     if fmt == "json":
-        return _json(_pose_dicts(motion))
+        _finite(motion.positions, motion.rotations, frames)
+        poses = _rows(
+            '{"frame":[[%r,%r,%r],[%r,%r,%r],[%r,%r,%r]],"parameter":%s,'
+            '"position":[%r,%r,%r],"rotation":[%r,%r,%r,%r]}',
+            [
+                *frames.T.tolist(),
+                _json_parameters(motion.parameters),
+                *motion.positions.T.tolist(),
+                *motion.rotations.T.tolist(),
+            ],
+        )
+        return "[%s]\n" % ",".join(poses)
     table = np.hstack(
         (
             np.array(motion.parameters)[:, None],
             motion.positions,
             motion.rotations,
-            motion.frames.reshape(n, 9),
+            frames,
         )
     )
     header = "parameter,px,py,pz,qw,qx,qy,qz,tx,ty,tz,bx,by,bz,cx,cy,cz"
-    return _csv(table.tolist(), header)
+    return _csv(table, header)
 
 
 # -- entry point ------------------------------------------------------------

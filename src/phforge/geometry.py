@@ -111,6 +111,15 @@ def speed_function(c: RationalCurve) -> RationalFunction:
     return RationalFunction(root * _HALF_CIRCLE, c.den * c.den)
 
 
+def _mu_speed(a: QuaternionPolynomial, alpha: Polynomial, mu: Polynomial) -> RationalFunction:
+    """Circle-chart speed mu |A|^2 (1 + t^2) / (2 alpha) of the curve with r' = (mu/alpha) A i A*.
+
+    |A i A*| = |A|^2, so where mu > 0 the speed |r'| = mu |A|^2 / alpha
+    needs no square root; the reduced form then equals ``speed_function``'s.
+    """
+    return RationalFunction(mu * a.norm_poly() * _HALF_CIRCLE, alpha)
+
+
 @dataclass(frozen=True)
 class HullCertificate:
     """Outcome of the origin-in-convex-hull test on indicatrix samples.
@@ -250,8 +259,9 @@ def sample_motion(a: QuaternionPolynomial, c: RationalCurve, n: int) -> SampledM
 
     The first sample sits at the closure point t = infinity; consecutive
     rotation quaternions are sign-aligned (hemisphere-aligned) to resolve
-    the double cover along the trajectory.  Writers turn each array into
-    Python floats with one ``tolist()``; no per-sample object is built.
+    the double cover along the trajectory.  The CLI writers take each
+    array's columns with one ``tolist()`` and write every float once, by
+    filling a row template (``cli._rows``); no per-sample object is built.
     """
     if n < 2:
         raise ValueError("at least 2 poses required")

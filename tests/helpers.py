@@ -30,7 +30,7 @@ from phforge import (
     synthesize_curve,
 )
 from phforge import cli, linalg
-from phforge.geometry import _motion, angle_parameters, speed_function
+from phforge.geometry import _motion, _mu_speed, angle_parameters, speed_function
 from phforge.polynomial import _canonical
 
 
@@ -231,6 +231,16 @@ def batch_problems(seed: int):
                     weights[0] = weights[0] or 1
                     out.append((problem, space.combination(weights)))
     return out
+
+
+def mu_speed_matches(problem, curve) -> bool:
+    """``synth``'s speed from mu equals ``speed_function``'s, up to the sign of mu's leading coefficient.
+
+    ``speed_function`` takes the square root with positive leading
+    coefficient, ``geometry._mu_speed`` has mu's sign; both are reduced forms.
+    """
+    speed = _mu_speed(problem.a_poly, problem.alpha, curve.mu)
+    return (speed if curve.mu.leading() > 0 else -speed) == speed_function(curve)
 
 
 def ph_identity_holds(problem, mu, curve) -> bool:

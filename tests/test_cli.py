@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 import re
 import time
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from phforge.cli import load_bundle, main
 from phforge.polynomial import Polynomial as P
 from phforge.quaternion import Quaternion as Q, QuaternionPolynomial as QP, rotate_vector
 from phforge.rationals import format_rational, parse_rational
+
+from helpers import ref_bundle_samples, ref_pose_dict, ref_sample_motion, ref_sample_positions
 
 
 EX2_CONFIG = {
@@ -460,20 +464,29 @@ def test_config_round_trip(tmp_path):
 
 
 @pytest.fixture
-def dumped(monkeypatch):
-    """The objects handed to ``cli._json``, in call order."""
-    objs = []
-    dump = cli._json
+def recorded(monkeypatch):
+    """The objects handed to ``cli._json`` and what ``cli._build_bundle`` returns, in call order.
 
-    def recording(obj):
-        objs.append(obj)
+    ``synth`` writes the bundle's members through ``_json`` and its samples,
+    which ``_build_bundle`` returns as JSON text, as they are.
+    """
+    calls = {"json": [], "bundle": []}
+    dump, build = cli._json, cli._build_bundle
+
+    def recording_dump(obj):
+        calls["json"].append(obj)
         return dump(obj)
 
-    monkeypatch.setattr(cli, "_json", recording)
-    return objs
+    def recording_build(*args):
+        calls["bundle"].append(build(*args))
+        return calls["bundle"][-1]
+
+    monkeypatch.setattr(cli, "_json", recording_dump)
+    monkeypatch.setattr(cli, "_build_bundle", recording_build)
+    return calls
 
 
-def test_every_json_output_is_one_line(tmp_path, dumped):
+def test_every_json_output_is_one_line(tmp_path, recorded):
     cfg = write_config(tmp_path, EX2_CONFIG)
     bundle = str(tmp_path / "bundle.json")
     argvs = [
@@ -482,15 +495,31 @@ def test_every_json_output_is_one_line(tmp_path, dumped):
         ["sample", "--config", bundle, "--samples", "16", "--format", "json", "--out", str(tmp_path / "s.json")],
         ["frames", "--config", bundle, "--samples", "16", "--format", "json", "--out", str(tmp_path / "f.json")],
     ]
+    check_dumps = []
     for argv in argvs:
+        before = len(recorded["json"])
         assert main(argv) == 0, argv
-    assert len(dumped) == 4
+        if argv[0] == "check":
+            check_dumps = recorded["json"][before:]
+    assert len(check_dumps) == 1
+    [(members, _)] = recorded["bundle"]
     # the bundle carries numpy floats from the hull test
-    assert type(dumped[0]["diagnostics"]["hull"]["weights"][0]["weight"]) is np.float64
-    for argv, obj in zip(argvs, dumped):
-        lines = Path(argv[-1]).read_text().splitlines()
+    assert type(members["diagnostics"]["hull"]["weights"][0]["weight"]) is np.float64
+    loaded = load_bundle(bundle)
+    params, positions = ref_sample_positions(loaded, 16)
+    want = [
+        {**members, "samples": ref_bundle_samples(loaded.generator, loaded.curve, 64)},
+        check_dumps[0],
+        {"parameters": [cli._finite_or_str(t) for t in params], "positions": positions},
+        [ref_pose_dict(p) for p in ref_sample_motion(loaded.generator, loaded.curve, 16)],
+    ]
+    for argv, obj in zip(argvs, want):
+        text = Path(argv[-1]).read_text()
+        lines = text.splitlines()
         assert len(lines) == 1, argv[0]
         assert json.loads(lines[0]) == obj, argv[0]
+        # compact with sorted keys, whichever writer wrote it
+        assert text == cli._json(json.loads(text)), argv[0]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
@@ -504,6 +533,87 @@ def test_non_finite_float_raises_value_error(tmp_path, monkeypatch, bad):
     with pytest.raises(ValueError):
         main(["check", "--config", write_config(tmp_path, EX2_CONFIG), "--out", str(out)])
     assert not out.exists()
+
+
+# the sampled values each JSON writer writes; a motion's frames only frames writes
+SAMPLED_FIELDS = {
+    "synth": ("parameters", "positions", "rotations", "speed"),
+    "sample": ("parameters", "positions"),
+    "frames": ("parameters", "positions", "rotations", "frames"),
+}
+
+
+def _bad_at_row_1(values, bad):
+    if isinstance(values, list):
+        return values[:1] + [bad] + values[2:]
+    values = values.copy()
+    values.reshape(len(values), -1)[1, 0] = bad
+    return values
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("field", ["parameters", "positions", "rotations", "frames", "speed"])
+def test_non_finite_sample_raises_before_out(bundle_path, tmp_path, monkeypatch, field, bad):
+    """A NaN or inf sampled value makes synth, sample and frames --format json raise ValueError.
+
+    Nothing is written to --out.  Only a parameter may be infinite: t = +/-inf
+    is written as the string "inf" / "-inf".  CSV writes every float as its
+    repr, inf and nan included.
+    """
+    motion_of, positions_of, speed_of = cli.sample_motion, cli._sample_positions, cli._mu_speed
+
+    def sample_motion(*args):
+        motion = motion_of(*args)
+        if field in ("parameters", "positions", "rotations", "frames"):
+            motion = dataclasses.replace(motion, **{field: _bad_at_row_1(getattr(motion, field), bad)})
+        return motion
+
+    def sample_positions(*args):
+        params, positions = positions_of(*args)
+        if field == "parameters":
+            params = _bad_at_row_1(params, bad)
+        if field == "positions":
+            positions = _bad_at_row_1(positions, bad)
+        return params, positions
+
+    def mu_speed(*args):
+        speed = speed_of(*args)
+        if field == "speed":
+            return SimpleNamespace(eval_floats=lambda ts: _bad_at_row_1(speed.eval_floats(ts), bad))
+        return speed
+
+    monkeypatch.setattr(cli, "sample_motion", sample_motion)
+    monkeypatch.setattr(cli, "_sample_positions", sample_positions)
+    monkeypatch.setattr(cli, "_mu_speed", mu_speed)
+    export = ["--config", bundle_path, "--samples", "8", "--format"]
+    argvs = {
+        "synth": ["synth", "--config", write_config(tmp_path, EX2_CONFIG)],
+        "sample": ["sample", *export, "json"],
+        "frames": ["frames", *export, "json"],
+    }
+    row_1_parameter = {
+        "synth": lambda data: data["samples"]["poses"][1]["parameter"],
+        "sample": lambda data: data["parameters"][1],
+        "frames": lambda data: data[1]["parameter"],
+    }
+    for command, argv in argvs.items():
+        out = tmp_path / f"{command}.json"
+        if field in SAMPLED_FIELDS[command] and not (field == "parameters" and math.isinf(bad)):
+            with pytest.raises(ValueError):
+                main(argv + ["--out", str(out)])
+            assert not out.exists(), command
+            continue
+        assert main(argv + ["--out", str(out)]) == 0, command
+        text = out.read_text()
+        assert cli._json(json.loads(text)) == text, command
+        if field == "parameters":
+            assert row_1_parameter[command](json.loads(text)) == cli._finite_or_str(bad), command
+    # CSV writes every value as its repr; sample writes no parameter
+    for command, fields in (("sample", ("positions",)), ("frames", SAMPLED_FIELDS["frames"])):
+        if field in fields:
+            out = tmp_path / f"{command}.csv"
+            assert main([command, *export, "csv", "--out", str(out)]) == 0, command
+            assert repr(bad) in out.read_text().splitlines()[2].split(","), command
 
 
 def _hull_gate_config(poles=((0, 4, 6),)):

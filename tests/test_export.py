@@ -76,10 +76,13 @@ def test_sample_matches_per_pose_writers(bundle_path, n):
 @pytest.mark.parametrize("n", SAMPLE_COUNTS)
 def test_bundle_samples_match_per_pose_writers(bundle_path, n):
     bundle = load_bundle(bundle_path)
-    samples = cli._bundle_samples(bundle.generator, bundle.curve, n)
-    assert_same_text(
-        cli._json(samples), cli._json(ref_bundle_samples(bundle.generator, bundle.curve, n))
-    )
+    alpha = bundle.config.poles.alpha()
+    text, speeds = cli._bundle_samples(bundle.generator, alpha, bundle.curve, n)
+    want = ref_bundle_samples(bundle.generator, bundle.curve, n)
+    # the oracle's speed is speed_function's, by square root
+    assert_same_text(text, cli._json(want)[:-1])
+    assert speeds == want["speed"]
+    samples = json.loads(text)
     assert samples["poses"][0]["parameter"] == "inf"
     assert samples["positions"] == [p["position"] for p in samples["poses"]]
 

@@ -18,10 +18,15 @@ exact core is untouched.
 A third digest pins the residue kernel bases of the ten ROADMAP table rows
 on the reference generator: one, two and three pole factors at
 multiplicities up to 18, which the random problems do not reach.
+
+On the same problems, the speed that ``synth`` takes from mu equals
+``speed_function``'s exactly, up to the sign of mu's leading coefficient.
 """
 
 import hashlib
 import json
+
+import pytest
 
 from phforge import (
     PoleStructure,
@@ -32,9 +37,10 @@ from phforge import (
     format_rational,
     synthesize_curve,
 )
-from phforge.cli import main
+from phforge.cli import load_bundle, main
+from phforge.geometry import _mu_speed, speed_function
 
-from helpers import TABLE_POLES, generator_deg3, random_synthesized_problems
+from helpers import TABLE_POLES, generator_deg3, mu_speed_matches, random_synthesized_problems
 
 PINNED_SHA256 = "454768cf37c237f00de3b4a21edad9cd8319918edb193227cbb1131fb11286dd"
 SYNTH_PINNED_SHA256 = "c9b8c89dc54572802d5a2c0097906dce12f755316c1619d11692c2d21c2227b6"
@@ -90,8 +96,11 @@ def test_three_factor_outputs_match_pinned_digest():
     assert three_factor_digest() == THREE_FACTOR_PINNED_SHA256
 
 
-def synth_output_digest(tmp_path) -> str:
-    lines = []
+@pytest.fixture(scope="module")
+def synth_bundles(tmp_path_factory) -> list:
+    """The bundles ``synth`` writes for SYNTH_FIXTURES, in order, as paths."""
+    tmp = tmp_path_factory.mktemp("synth")
+    paths = []
     for k, (poles, weights) in enumerate(SYNTH_FIXTURES):
         options = {"samples": 64, "seed": 0}
         if weights:
@@ -103,10 +112,17 @@ def synth_output_digest(tmp_path) -> str:
             "poles": [{"b": str(b), "c": str(c), "multiplicity": m} for b, c, m in poles],
             "options": options,
         }
-        cfg, out = tmp_path / f"config{k}.json", tmp_path / f"bundle{k}.json"
+        cfg, out = tmp / f"config{k}.json", tmp / f"bundle{k}.json"
         cfg.write_text(json.dumps(config))
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0, poles
-        bundle = json.loads(out.read_text())
+        paths.append(out)
+    return paths
+
+
+def synth_output_digest(paths) -> str:
+    lines = []
+    for path in paths:
+        bundle = json.loads(path.read_text())
         lines.append("mu " + " ".join(bundle["mu"]))
         for n in bundle["curve"]["numerators"]:
             lines.append("num " + " ".join(n))
@@ -114,8 +130,27 @@ def synth_output_digest(tmp_path) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def test_synth_exact_outputs_match_pinned_digest(tmp_path):
-    assert synth_output_digest(tmp_path) == SYNTH_PINNED_SHA256
+def test_synth_exact_outputs_match_pinned_digest(synth_bundles):
+    assert synth_output_digest(synth_bundles) == SYNTH_PINNED_SHA256
+
+
+def test_speed_from_mu_matches_speed_function(synth_bundles):
+    """``synth``'s speed mu |A|^2 (1 + t^2) / (2 alpha) is ``speed_function``'s reduced form.
+
+    Exactly on the six synth fixtures, whose mu the gate certified
+    positive; on the pinned exact problems, whose mu may be negative, up to
+    the sign of mu's leading coefficient.
+    """
+    for path in synth_bundles:
+        bundle = load_bundle(str(path))
+        speed = _mu_speed(bundle.generator, bundle.config.poles.alpha(), bundle.curve.mu)
+        assert speed == speed_function(bundle.curve), path.name
+    cases = [(problem, curve) for problem, _, _, curve in random_synthesized_problems(10)]
+    for factors in (((0, 4, 6), (1, 3, 4)), ((0, 4, 6), (1, 3, 4), (1, 2, 4))):
+        space, _, curve = _fixture(*factors)
+        cases.append((space.problem, curve))
+    for problem, curve in cases:
+        assert mu_speed_matches(problem, curve), problem
 
 
 def table_kernel_digest() -> str:

@@ -24,6 +24,7 @@ from phforge.synthesis import _core_and_lift
 from helpers import (
     batch_problems,
     generator_deg3,
+    mu_speed_matches,
     random_quaternion_poly,
     ref_curve_from_components,
     ref_reparameterize,
@@ -62,6 +63,15 @@ def test_factor_reduction_matches_the_validating_constructor(seed):
                 assert curve.den == P.one() and not any(curve.nums)
         cancelled += curve.den.degree < lift.degree
     assert cancelled
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_speed_from_mu_matches_speed_function_on_batch_problems(seed):
+    """mu |A|^2 (1 + t^2) / (2 alpha) is ``speed_function``'s reduced form, up to mu's sign."""
+    problems = batch_problems(seed)
+    assert problems
+    for problem, mu in problems:
+        assert mu_speed_matches(problem, synthesize_curve(problem, mu)), problem
 
 
 def test_kernel_members_closed_under_combination(synthesized_problems):
