@@ -5,14 +5,15 @@ input, writes the output (to ``--out`` or stdout) and turns a failure into
 one ``error: `` line on stderr and the ``exit_code`` of its error class:
 2 empty residue kernel or impossible degree bookkeeping (a negative
 numerator degree), 3 no certificate (a failed hull gate, an indeterminate
-positivity search, a failed regularity check), 4 parse/usage
-errors, an unreadable input, config or bundle coefficients beyond the
-float range and an unwritable ``--out`` included.  All exact data is
-serialized as rational strings; sampled data as floats.  JSON outputs are compact, one
-line with sorted keys (``python -m json.tool FILE`` pretty-prints them).  Outputs are deterministic for a fixed config and seed.
-``synth`` writes a ``phforge-bundle-v3`` bundle, whose sampled poses store
-their rotation quaternion but not the frame it determines; ``sample`` and
-``frames`` read v1, v2 and v3 bundles alike.
+positivity search, a failed regularity check), 4 parse/usage errors, an
+unreadable input, coefficients beyond the float range or underflowing it, a
+NaN or infinite sample in a JSON output and an unwritable ``--out`` included.
+``check`` and ``synth`` take their options only from the config, so outputs
+are deterministic for a fixed config: exact data as rational strings,
+sampled data as floats, JSON as one compact line with sorted keys.  ``synth``
+writes a ``phforge-bundle-v3`` bundle, whose poses store their rotation
+quaternion but not its frame; ``sample`` and ``frames`` read v1, v2 and v3
+bundles alike, each of which must hold ``generator``.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ READABLE_SCHEMAS = ("phforge-bundle-v1", "phforge-bundle-v2", BUNDLE_SCHEMA)
 # -- config ----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemConfig:
     a_poly: QuaternionPolynomial
     poles: PoleStructure
@@ -97,13 +98,6 @@ def _generator(entries, where: str) -> QuaternionPolynomial:
     if a.is_zero:
         raise ParseError("zero polynomial", where)
     return a
-
-
-def _margin(value: float, where: str) -> float:
-    # an infinite margin would make the relaxation ladder endless
-    if not (math.isfinite(value) and value > 0):
-        raise ParseError("margin must be positive and finite", where)
-    return value
 
 
 def _is_integer(value) -> bool:
@@ -156,42 +150,45 @@ def parse_config(data) -> ProblemConfig:
     opts = data.get("options", {})
     if not isinstance(opts, dict):
         raise ParseError("options must be an object", "options")
-    cfg = ProblemConfig(a_poly, poles)
+    options = {}
     if "margin" in opts:
         try:
             margin = _float(opts["margin"])
         except (TypeError, ValueError):
             raise ParseError("margin must be a number", "options.margin") from None
-        cfg.margin = _margin(margin, "options.margin")
+        # an infinite margin would make the relaxation ladder endless
+        if not (math.isfinite(margin) and margin > 0):
+            raise ParseError("margin must be positive and finite", "options.margin")
+        options["margin"] = margin
     if "samples" in opts:
-        cfg.samples = _samples(opts["samples"], "options.samples")
+        options["samples"] = _samples(opts["samples"], "options.samples")
     if "seed" in opts:
         if not _is_integer(opts["seed"]):
             raise ParseError("seed must be an integer", "options.seed")
-        cfg.seed = opts["seed"]
+        options["seed"] = opts["seed"]
     if "weights" in opts:
         if not isinstance(opts["weights"], list) or not opts["weights"]:
             raise ParseError("weights must be a nonempty array", "options.weights")
         ws = tuple(_rational(w, f"options.weights[{i}]") for i, w in enumerate(opts["weights"]))
         if any(w <= 0 for w in ws):
             raise ParseError("weights must be positive", "options.weights")
-        cfg.weights = ws
+        options["weights"] = ws
     if "view" in opts:
         v = opts["view"]
         if not isinstance(v, list) or len(v) != 3:
             raise ParseError("view must be [x, y, z]", "options.view")
         try:
-            cfg.view = tuple(_float(c) for c in v)
+            options["view"] = view = tuple(_float(c) for c in v)
         except (TypeError, ValueError):
             raise ParseError("view entries must be numbers", "options.view") from None
-        if not all(math.isfinite(c) for c in cfg.view):
+        if not all(math.isfinite(c) for c in view):
             raise ParseError("view entries must be finite", "options.view")
-        if all(c == 0.0 for c in cfg.view):
+        if all(c == 0.0 for c in view):
             raise ParseError("view direction must be nonzero", "options.view")
         # the SVG projection divides by the length, whose square must stay a positive float
-        if not 0.0 < sum(c * c for c in cfg.view) < math.inf:
+        if not 0.0 < sum(c * c for c in view) < math.inf:
             raise ParseError("view length overflows or underflows when squared", "options.view")
-    return cfg
+    return ProblemConfig(a_poly, poles, **options)
 
 
 def canonical_config(cfg: ProblemConfig) -> dict:
@@ -228,10 +225,6 @@ def _write_out(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise ParseError(f"cannot write --out: {exc}") from None
-
-
-def load_config(path: str) -> ProblemConfig:
-    return parse_config(_read_json(path, "config"))
 
 
 # -- exact serialization helpers -------------------------------------------
@@ -284,15 +277,15 @@ def _rows(template: str, columns) -> list[str]:
 
 
 def _finite(*arrays) -> None:
-    """Raise ValueError, as ``_json`` does, unless every value in arrays is finite."""
+    """Raise ParseError at curve unless every value in arrays is finite, as JSON requires."""
     for values in arrays:
         if not np.isfinite(values).all():
-            raise ValueError("Out of range float values are not JSON compliant")
+            raise ParseError("a sampled value is NaN or infinite", "curve")
 
 
 def _json_parameters(params) -> list[str]:
-    """Each parameter as JSON text: its repr, or "inf" / "-inf" as a string; NaN raises ValueError."""
-    return [repr(t) if math.isfinite(t) else _json(_finite_or_str(t))[:-1] for t in params]
+    """Each parameter as JSON text: its repr, or "inf" / "-inf" as a string; NaN raises ParseError."""
+    return [repr(t) if math.isfinite(t) else f'"{t}"' if math.isinf(t) else _finite(t) for t in params]
 
 
 # -- check -----------------------------------------------------------------
@@ -315,7 +308,10 @@ def _hull_test(cfg: ProblemConfig):
     # the indicatrix's coefficients are quadratic in the generator's, and the
     # hull test reads them as floats
     _float_range((*T.nums, T.den), "quaternion")
-    return reduced, right, T, convex_hull_contains_origin(T, samples=cfg.samples)
+    try:
+        return reduced, right, T, convex_hull_contains_origin(T, samples=cfg.samples)
+    except OverflowError:  # the denominator's leading coefficient is 0 as a float
+        raise ParseError("coefficients underflow the float range", "quaternion") from None
 
 
 def cmd_check(cfg: ProblemConfig) -> str:
@@ -371,7 +367,6 @@ def cmd_synth(cfg: ProblemConfig, force: bool) -> str:
     x_base = [abs(v) for v in base.witness_x]
     x_ref = sum(x_base) / len(x_base) or 1.0
     for _ in range(len(cfg.weights) - 1):
-        found = None
         for frac in (0.5, 0.05):
             bias = [
                 rng.gauss(0.0, 1.0) * frac * base.margin / (xb + x_ref)
@@ -379,9 +374,8 @@ def cmd_synth(cfg: ProblemConfig, force: bool) -> str:
             ]
             res = sdp_feasible_point(slice_, base.margin, objective_bias=bias)
             if res.is_feasible:
-                found = res
                 break
-        results.append(found if found is not None else base)
+        results.append(res if res.is_feasible else base)
 
     mu = average_solutions([r.witness_mu for r in results], cfg.weights)
     # the gate has already Sturm-certified the base witness
@@ -443,7 +437,7 @@ def _bundle_samples(a: QuaternionPolynomial, alpha: Polynomial, curve: RationalC
     written once and its text used in both places.  The speed is
     ``_mu_speed`` of ``curve.mu``: ``synthesize_curve`` has checked
     r' = (mu/alpha) A i A* exactly and the gate has certified mu > 0.  A NaN
-    or inf position, rotation or speed raises ValueError, as in ``_json``.
+    or inf position, rotation or speed raises ParseError.
     """
     motion = sample_motion(a, curve, n)
     speed = _mu_speed(a, alpha, curve.mu).eval_floats(motion.parameters)
@@ -497,16 +491,10 @@ def load_bundle(path: str) -> Bundle:
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(str(exc), "curve") from None
     _float_range((*nums, den), "curve")
-    gen_raw = data.get("generator", {})
+    gen_raw = data.get("generator")
     if not isinstance(gen_raw, dict):
         raise ParseError("expected an object", "generator")
-    entries = gen_raw.get("coefficients")
-    # the config's generator is given as written and synth sampled its i-reduction;
-    # only a missing entry falls back to it, a present one must parse
-    if entries is None:
-        gen = i_reduce(cfg.a_poly)[0]
-    else:
-        gen = _generator(entries, "generator.coefficients")
+    gen = _generator(gen_raw.get("coefficients"), "generator.coefficients")
     _float_range(gen.component_polys(), "generator.coefficients")
     if sturm_real_root_count(gen.norm_poly()):
         raise ParseError("generator vanishes at a real parameter", "generator.coefficients")
@@ -604,8 +592,6 @@ def _svg(bundle: Bundle, n: int) -> str:
 def cmd_sample(bundle: Bundle, n: int, fmt: str) -> str:
     if fmt == "svg":
         return _svg(bundle, n)
-    if fmt not in ("json", "csv", "obj"):
-        raise ParseError(f"unknown format {fmt!r}", "--format")
     params, positions = _sample_positions(bundle, n)
     if fmt == "csv":
         return _csv(positions, "x,y,z")
@@ -619,9 +605,10 @@ def cmd_sample(bundle: Bundle, n: int, fmt: str) -> str:
 
 
 def cmd_frames(bundle: Bundle, n: int, fmt: str) -> str:
-    if fmt not in ("json", "csv"):
-        raise ParseError(f"format {fmt!r} not supported for frames", "--format")
-    motion = sample_motion(bundle.generator, bundle.curve, n)
+    try:
+        motion = sample_motion(bundle.generator, bundle.curve, n)
+    except ZeroDivisionError:  # load_bundle has ruled out a real root: the floats underflow
+        raise ParseError("coefficients underflow the float range", "generator.coefficients") from None
     frames = motion.frames.reshape(n, 9)
     if fmt == "json":
         _finite(motion.positions, motion.rotations, frames)
@@ -665,47 +652,32 @@ def _build_parser() -> _Parser:
     pc = sub.add_parser("check", help="i-reduction, indicatrix, hull test")
     pc.add_argument("--config", required=True)
     pc.add_argument("--out")
-    pc.add_argument("--samples", type=int)
 
     ps = sub.add_parser("synth", help="full synthesis pipeline, writes a bundle")
     ps.add_argument("--config", required=True)
     ps.add_argument("--out", required=True)
-    ps.add_argument("--margin", type=float)
-    ps.add_argument("--samples", type=int)
-    ps.add_argument("--seed", type=int)
     ps.add_argument("--force", action="store_true")
 
-    pp = sub.add_parser("sample", help="export the curve polyline from a bundle")
-    pp.add_argument("--config", required=True, help="bundle file produced by synth")
-    pp.add_argument("--out")
-    pp.add_argument("--samples", type=int, default=256)
-    pp.add_argument("--format", default="json", choices=("json", "csv", "obj", "svg"))
-
-    pf = sub.add_parser("frames", help="export framing-motion poses from a bundle")
-    pf.add_argument("--config", required=True, help="bundle file produced by synth")
-    pf.add_argument("--out")
-    pf.add_argument("--samples", type=int, default=256)
-    pf.add_argument("--format", default="json", choices=("json", "csv"))
+    for name, what, formats in (
+        ("sample", "the curve polyline", ("json", "csv", "obj", "svg")),
+        ("frames", "framing-motion poses", ("json", "csv")),
+    ):
+        pe = sub.add_parser(name, help=f"export {what} from a bundle")
+        pe.add_argument("--config", required=True, help="bundle file produced by synth")
+        pe.add_argument("--out")
+        pe.add_argument("--samples", type=int, default=256)
+        pe.add_argument("--format", default="json", choices=formats)
     return parser
 
 
+# a sample beyond the float range is inf or NaN, which each writer handles
+@np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "check":
-            cfg = load_config(args.config)
-            if args.samples is not None:
-                cfg.samples = _samples(args.samples, "--samples")
-            text = cmd_check(cfg)
-        elif args.command == "synth":
-            cfg = load_config(args.config)
-            if args.margin is not None:
-                cfg.margin = _margin(args.margin, "--margin")
-            if args.samples is not None:
-                cfg.samples = _samples(args.samples, "--samples")
-            if args.seed is not None:
-                cfg.seed = args.seed
-            text = cmd_synth(cfg, args.force)
+        if args.command in ("check", "synth"):
+            cfg = parse_config(_read_json(args.config, "config"))
+            text = cmd_synth(cfg, args.force) if args.command == "synth" else cmd_check(cfg)
         else:
             n = _samples(args.samples, "--samples", minimum=2)
             export = cmd_sample if args.command == "sample" else cmd_frames

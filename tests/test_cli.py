@@ -20,7 +20,7 @@ from phforge import (
 from phforge import cli, geometry, synthesis
 from phforge.cli import load_bundle, main
 from phforge.polynomial import Polynomial as P
-from phforge.quaternion import Quaternion as Q, QuaternionPolynomial as QP, rotate_vector
+from phforge.quaternion import rotate_vector
 from phforge.rationals import format_rational, parse_rational
 
 from helpers import ref_bundle_samples, ref_pose_dict, ref_sample_motion, ref_sample_positions
@@ -105,12 +105,28 @@ class TestCheck:
 
     @pytest.mark.parametrize("command", ["check", "synth"])
     def test_too_few_samples_exit_4(self, tmp_path, capsys, command):
-        cfg = write_config(tmp_path, EX2_CONFIG)
-        for value in ("0", "3", "-5"):
-            argv = [command, "--config", cfg, "--samples", value, "--out", str(tmp_path / "o.json")]
+        for value in (0, 3, -5):
+            raw = json.loads(json.dumps(EX2_CONFIG))
+            raw["options"]["samples"] = value
+            argv = [command, "--config", write_config(tmp_path, raw), "--out", str(tmp_path / "o.json")]
             assert main(argv) == 4, value
-            assert "--samples" in capsys.readouterr().err
+            assert capsys.readouterr().err == "error: options.samples: samples must be an integer >= 16\n"
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("check", "--samples", "32"), ("synth", "--samples", "32"), ("synth", "--margin", "0.1"),
+         ("synth", "--seed", "1")],
+    )
+    def test_config_option_flags_are_refused(self, tmp_path, capsys, command, flag, value):
+        # options come only from the config: no flag overrides options.samples, .margin or .seed
+        out = tmp_path / "o.json"
+        argv = [command, "--config", write_config(tmp_path, EX2_CONFIG), "--out", str(out), flag, value]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unrecognized arguments: {flag} {value}\n"
+        assert not out.exists()
 
     def test_boolean_for_integer_or_number_exit_4(self, tmp_path, capsys):
         # JSON true loads as a bool, which Python counts as an int
@@ -236,10 +252,6 @@ class TestSynth:
             cfg.write_text(json.dumps(EX2_CONFIG).replace('"margin": 0.001', f'"margin": {value}'))
             assert main(["synth", "--config", str(cfg), "--out", out]) == 4, value
             assert "options.margin" in capsys.readouterr().err
-        cfg = write_config(tmp_path, EX2_CONFIG)
-        for value in ("nan", "inf"):
-            assert main(["synth", "--config", cfg, "--out", out, "--margin", value]) == 4, value
-            assert "--margin" in capsys.readouterr().err
 
     def test_hull_gate_exit_3_and_force(self, tmp_path, capsys):
         raw = {
@@ -421,21 +433,17 @@ def test_frames_bad_generator_exit_4(bundle_path, tmp_path, capsys, coefficients
     assert "generator.coefficients:" in capsys.readouterr().err
 
 
-def test_frames_without_generator_use_reduced_config_generator(bundle_path, tmp_path, capsys):
-    # a config generator with the right factor t + i reduces to the bundle's
-    # generator; with no generator entry, frames must still follow the reduced one
+@pytest.mark.parametrize("command", ["sample", "frames"])
+def test_bundle_without_generator_exit_4(bundle_path, tmp_path, capsys, command):
+    # the motion's generator comes only from the bundle, never from its config
     data = json.loads(Path(bundle_path).read_text())
-    a = cli.parse_config(data["config"]).a_poly
-    t_plus_i = QP([Q(0, 1, 0, 0), Q(1, 0, 0, 0)])
-    data["config"]["quaternion"] = cli._generator_rats(a * t_plus_i)
     del data["generator"]
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps(data))
-    argv = ["frames", "--samples", "4", "--format", "json", "--config"]
-    assert main(argv + [bundle_path]) == 0
-    intact = json.loads(capsys.readouterr().out)
-    assert main(argv + [str(bare)]) == 0
-    assert json.loads(capsys.readouterr().out) == intact
+    out = tmp_path / "o.json"
+    assert main([command, "--config", str(bare), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "error: generator: expected an object\n"
+    assert not out.exists()
 
 
 class TestFrames:
@@ -553,12 +561,12 @@ def _bad_at_row_1(values, bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
 @pytest.mark.parametrize("field", ["parameters", "positions", "rotations", "frames", "speed"])
-def test_non_finite_sample_raises_before_out(bundle_path, tmp_path, monkeypatch, field, bad):
-    """A NaN or inf sampled value makes synth, sample and frames --format json raise ValueError.
+def test_non_finite_sample_raises_before_out(bundle_path, tmp_path, capsys, monkeypatch, field, bad):
+    """A NaN or inf sampled value makes synth, sample and frames --format json exit 4.
 
-    Nothing is written to --out.  Only a parameter may be infinite: t = +/-inf
-    is written as the string "inf" / "-inf".  CSV writes every float as its
-    repr, inf and nan included.
+    One ``error: `` line names the curve and nothing is written to --out.
+    Only a parameter may be infinite: t = +/-inf is written as the string
+    "inf" / "-inf".  CSV writes every float as its repr, inf and nan included.
     """
     motion_of, positions_of, speed_of = cli.sample_motion, cli._sample_positions, cli._mu_speed
 
@@ -599,8 +607,9 @@ def test_non_finite_sample_raises_before_out(bundle_path, tmp_path, monkeypatch,
     for command, argv in argvs.items():
         out = tmp_path / f"{command}.json"
         if field in SAMPLED_FIELDS[command] and not (field == "parameters" and math.isinf(bad)):
-            with pytest.raises(ValueError):
-                main(argv + ["--out", str(out)])
+            capsys.readouterr()
+            assert main(argv + ["--out", str(out)]) == 4, command
+            assert capsys.readouterr().err == "error: curve: a sampled value is NaN or infinite\n", command
             assert not out.exists(), command
             continue
         assert main(argv + ["--out", str(out)]) == 0, command
@@ -636,8 +645,16 @@ def _large_generator_config():
     return raw
 
 
+def _small_generator_config(entry=3):
+    # 1e-400 is 0 as a float: a leading coefficient of 1e-400 leaves A A* without
+    # its leading coefficient in the float hull test
+    raw = json.loads(json.dumps(EX2_CONFIG))
+    raw["quaternion"][entry][0] = "1e-400"
+    return raw
+
+
 def _generator_bundle(coefficients):
-    # the bundle with generator.coefficients replaced; a present value is never missing
+    # the bundle with generator.coefficients replaced
     def write(bundle_path, tmp_path):
         data = json.loads(Path(bundle_path).read_text())
         data["generator"]["coefficients"] = coefficients
@@ -707,6 +724,25 @@ FAILURES = {
         )
         for fmt in ("json", "csv")
     },
+    # 1.7e308 converts, but the curve's float values overflow to inf and NaN, which JSON cannot hold
+    **{
+        f"curve-non-finite-{command}-json": (command, _large_curve_bundle(F(17, 10) * 10**308), ["--format", "json"], 4)
+        for command in ("sample", "frames")
+    },
+    **{
+        f"generator-underflow-{command}": (command, lambda b, tmp: write_config(tmp, _small_generator_config()), [], 4)
+        for command in ("check", "synth")
+    },
+    # every float value of A is 0, so its norm vanishes at every parameter
+    **{
+        f"generator-underflow-frames-{fmt}": (
+            "frames",
+            _generator_bundle([[f"{v}e-400" for v in q] for q in EX2_CONFIG["quaternion"]]),
+            ["--format", fmt],
+            4,
+        )
+        for fmt in ("json", "csv")
+    },
 }
 # --out under tmp_path, "out" unless named here
 OUT_PATHS = {"unwritable-out": "missing-dir/out"}
@@ -730,13 +766,38 @@ def test_failure_prints_one_error_line_and_writes_nothing(bundle_path, tmp_path,
     "case, field",
     [("curve-overflow-frames-csv", "curve"), ("speed-overflow-sample-svg", "curve"),
      ("generator-overflow-frames-json", "generator.coefficients"),
-     ("generator-overflow-check", "quaternion")],
+     ("generator-overflow-check", "quaternion"),
+     ("curve-non-finite-sample-json", "curve"), ("curve-non-finite-frames-json", "curve"),
+     ("generator-underflow-check", "quaternion"), ("generator-underflow-synth", "quaternion"),
+     ("generator-underflow-frames-json", "generator.coefficients"),
+     ("generator-underflow-frames-csv", "generator.coefficients")],
 )
 def test_overflow_names_the_field(bundle_path, tmp_path, capsys, case, field):
     command, config, extra, _ = FAILURES[case]
     capsys.readouterr()
-    main([command, "--config", config(bundle_path, tmp_path)] + extra)
+    main([command, "--config", config(bundle_path, tmp_path), "--out", str(tmp_path / "out")] + extra)
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def test_large_curve_csv_and_obj_write_inf(bundle_path, tmp_path, capsys):
+    # the curve of curve-non-finite-*-json: JSON refuses its inf values, CSV and OBJ write them
+    config = _large_curve_bundle(F(17, 10) * 10**308)(bundle_path, tmp_path)
+    for command, fmt in (("sample", "csv"), ("sample", "obj"), ("frames", "csv")):
+        assert main([command, "--config", config, "--samples", "16", "--format", fmt]) == 0, fmt
+        captured = capsys.readouterr()
+        assert captured.err == "", fmt
+        assert "inf" in captured.out, fmt
+
+
+def test_tiny_coefficient_below_the_lead_still_works(bundle_path, tmp_path, capsys):
+    # 1e-400 is 0 as a float; only a leading one leaves the float evaluation without a value
+    assert main(["check", "--config", write_config(tmp_path, _small_generator_config(entry=2))]) == 0
+    assert json.loads(capsys.readouterr().out)["hull"]["status"] is True
+    coefficients = json.loads(json.dumps(EX2_CONFIG["quaternion"]))
+    coefficients[2][0] = "1e-400"
+    config = _generator_bundle(coefficients)(bundle_path, tmp_path)
+    assert main(["frames", "--config", config, "--samples", "16", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 16
 
 
 def _rotation_matrices(q: np.ndarray) -> np.ndarray:
