@@ -229,9 +229,14 @@ def _motion(a: QuaternionPolynomial, c: RationalCurve, ts: list[float]):
 
     A is evaluated homogeneously, a nonzero multiple of A(t) in the second
     chart; all frame formulas are scale invariant, so this is equivalent and
-    stable.  Returns arrays q[4, n], frame[column, axis, n], position[n, 3].
+    stable.  Each column of values is first scaled by the power of two that
+    brings its largest |component| into [1/2, 1), so the squared norm cannot
+    overflow; a power-of-two scale is exact, so q is the same float vector
+    wherever the unscaled norm stayed finite.  Returns arrays q[4, n],
+    frame[column, axis, n], position[n, 3].
     """
     vals = two_chart_eval(a.component_polys(), a.degree, ts)
+    vals = np.ldexp(vals, -np.frexp(np.abs(vals).max(axis=0))[1])
     w, x, y, z = vals
     norm = np.sqrt(w * w + x * x + y * y + z * z)
     if not norm.all():

@@ -23,14 +23,17 @@ def nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
     denominator of each pivot entry it solves, so it stays integral, and is
     finally scaled to coprime integers with a positive first nonzero entry.
     That vector is unique, so it is the one elimination over Q would give.
-    It is the package's one elimination: it gives the residue kernel and
-    its complement, and it solves a nonsingular square system A x = b_j for
-    several b_j at once, since with the b_j as trailing columns of
-    [A | b_1 ... b_r] each free column n + j gives the kernel vector
-    (-x_j v, 0.., v, ..0).  That square solve is the deg core system of a
-    log/arctan part (``ratfunc._log_parts``): ``residue_at`` takes B from
-    it, and integration runs it only when an antiderivative found by
-    substitution fails its check.
+    It is the package's one elimination, with two jobs.  It gives the
+    residue kernel, once per residue system; the complement that system is
+    built from needs none, as its columns are already in echelon form
+    (``ratfunc._complement`` back-substitutes over their band and scales
+    each vector as this function does).  And it solves a nonsingular
+    square system A x = b_j for several b_j at once, since with the b_j as
+    trailing columns of [A | b_1 ... b_r] each free column n + j gives the
+    kernel vector (-x_j v, 0.., v, ..0).  That square solve is the deg core
+    system of a log/arctan part (``ratfunc._log_parts``): ``residue_at``
+    takes B from it, and integration runs it only when an antiderivative
+    found by substitution fails its check.
     """
     m = [list(row) for row in rows]
     pivots = []  # (column, pivot entry, the pivot row's entries after the column)

@@ -3,15 +3,18 @@
 Rational antiderivatives come from Horowitz's method, with no root finding
 and no partial fractions: the denominator of the antiderivative is known
 in advance, so its numerator and the log/arctan part B / core solve one
-square integer linear system.  For a real-root-free denominator its low
-rows are triangular and banded, so each numerator is found by
-substitution upward from t^0 and checked on every row.  B, read after a
-failed check and for residues, needs only a deg core system over the
-complement of the antiderivative's columns; B / core has the residues of
-the function, each read off in Q[t]/(Q(t)) as its two coordinates over Q
-(``ExtensionElement``), with no irrational or floating complex numbers
-anywhere.  Real-root counting is Sturm's method, with the chain computed
-as a signed primitive polynomial remainder sequence over Z.
+square integer linear system.  The antiderivative's columns of that system
+are banded and already in echelon form (``_band``).  For a real-root-free
+denominator its low rows are triangular, so each numerator is found by
+substitution upward from t^0, and the whole identity is then checked at
+one point 2^k, above every coefficient of the difference.  The
+complement of those columns comes from the same band by back-substitution
+(``_complement``), with no elimination.  B, read after a failed check and
+for residues, needs only a deg core system over that complement; B / core
+has the residues of the function, each read off in Q[t]/(Q(t)) as its two
+coordinates over Q (``ExtensionElement``), with no irrational or floating
+complex numbers anywhere.  Real-root counting is Sturm's method, with the
+chain computed as a signed primitive polynomial remainder sequence over Z.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import accumulate
+from operator import add, mul
 
 import numpy as np
 
@@ -28,9 +32,8 @@ from .errors import RationalityError
 from .polynomial import (
     Polynomial,
     _canonical,
-    _int_add,
     _int_divmod,
-    _int_mul,
+    _pack,
     _primitive,
     poly_gcd,
     two_chart_quotients,
@@ -236,6 +239,23 @@ def _scaled(core: Polynomial, e: Polynomial):
     return scale, *([x * (scale // p.den) for x in p.ints] for p in (core, e))
 
 
+def _band(c: list[int], ei: list[int], delta: int) -> list[list[int]]:
+    """The N columns of Horowitz's system over core_s and E_s (``_scaled``), on their band.
+
+    Column k, k = 0..delta, is k t^(k-1) core - t^k E, the numerator of
+    (t^k / lift)' over lift core: its entry i, i = 0..deg core, is
+    k core_i - E_(i-1), the coefficient of t^(k-1+i), and every other
+    coefficient is zero, since deg E < deg core.
+    """
+    col = [-y for y in [0, *ei]] + [0] * (len(c) - 1 - len(ei))
+    cols = [col]
+    for _ in range(delta):
+        # column k + 1 is column k plus core_s
+        col = list(map(add, col, c))
+        cols.append(col)
+    return cols
+
+
 def _complement(core: Polynomial, lift: Polynomial, e: Polynomial) -> list[list[int]]:
     """The deg core primitive integer vectors z orthogonal to the N columns of Horowitz's system.
 
@@ -244,26 +264,45 @@ def _complement(core: Polynomial, lift: Polynomial, e: Polynomial) -> list[list[
     E = lift' core / lift is a polynomial (``synthesis._core_and_lift``,
     ``_split``), and num / (lift core) = (N / lift)' + B / core with
     deg B < deg core exactly when N' core - N E + B lift = num.  N = lift,
-    B = 0 solve num = 0, so of the N columns k t^(k-1) core - t^k E, the
-    numerators of (t^k / lift)' over lift core, all but k0, the lowest k
-    with lift_k != 0, are independent.  Over ``_scaled``'s scale they are
-    the rows of one ``linalg.nullspace`` call over n = deg lift + deg core
-    coefficients, which eliminates nothing when core(0) != 0: row k starts
-    at t^(k-1) with k core(0).  num is an exact derivative's numerator
-    exactly when z . num = 0 for every z.
+    B = 0 solve num = 0, so of the N columns (``_band``) over n = deg lift +
+    deg core coefficients all but k0, the lowest k with lift_k != 0, are
+    independent, and they are already in echelon form.  With j0 = ord_0(core),
+    0 or 1 as core is squarefree, E(0) = k0 core_j0, and k0 = 0 when j0 = 0;
+    so column k != k0 starts at t^(k-1+j0), its pivot, with the entry
+    (k - k0) core_j0, and deg core - j0 entries of its band follow.  Each
+    coefficient f that is no pivot gives the z with z_f = 1 and 0 at every
+    other non-pivot coefficient; each pivot above f solves to 0, and those
+    below f are solved upward over their bands.  z is kept times the
+    product D of the pivots below f: D z is integral by Cramer's rule, as D
+    is the determinant of that triangular system, so each step is one exact
+    integer division and no entry is rescaled.  Then z is scaled to coprime
+    integers with a positive first nonzero entry, as ``linalg.nullspace``
+    scales its kernel vectors; that vector is unique, so it is the one
+    ``nullspace`` of the columns gives.  num is an exact derivative's
+    numerator exactly when z . num = 0 for every z.
     """
     _, c, ei = _scaled(core, e)
-    n, k0 = lift.degree + core.degree, next(k for k, x in enumerate(lift.ints) if x)
-    cols = []
-    for k in (k for k in range(lift.degree + 1) if k != k0):
-        col = [0] * n
-        if k:
-            for i, x in enumerate(c, k - 1):
-                col[i] = k * x
-        for i, x in enumerate(ei, k):
-            col[i] -= x
-        cols.append(col)
-    return linalg.nullspace(cols, n)
+    delta = lift.degree
+    n, j0 = delta + core.degree, 0 if c[0] else 1
+    k0 = next(k for k, x in enumerate(lift.ints) if x)
+    # (coefficient, entry, band after it) of each pivot, ascending; D of the lowest m is dets[m]
+    pivots = [(k - 1 + j0, col[j0], col[j0 + 1 :]) for k, col in enumerate(_band(c, ei, delta)) if k != k0]
+    dets = list(accumulate((pivot for _, pivot, _ in pivots), mul, initial=1))
+    width = core.degree - j0
+    basis, m = [], 0
+    for f in range(n):
+        if m < len(pivots) and pivots[m][0] == f:
+            m += 1
+            continue
+        z = [0] * n
+        z[f] = dets[m]
+        for p, pivot, tail in reversed(pivots[:m]):
+            z[p] = -sum(map(mul, tail, z[p + 1 : p + 1 + width])) // pivot
+        g = math.gcd(*z)
+        if next(x for x in z if x) < 0:
+            g = -g
+        basis.append([x // g for x in z])
+    return basis
 
 
 def _log_parts(nums, core: Polynomial, lift: Polynomial, e: Polynomial) -> list[Polynomial]:
@@ -294,8 +333,8 @@ def _substitute(nums, core: Polynomial, delta: int, e: Polynomial) -> list[Polyn
 
     Row r of N' core - N E = num, r < delta, holds N_(r+1) with the pivot
     (r + 1) core(0), and otherwise only the N_k with r - deg core < k <= r,
-    whose coefficients k core_(r-k+1) - E_(r-k) are the band of the
-    Horowitz columns; core(0) != 0.  So each N_(r+1) follows from the ones
+    whose coefficients are read row-wise from the band of the N columns
+    (``_band``); core(0) != 0.  So each N_(r+1) follows from the ones
     below it by one short integer update.  Over integers core_s and E_s
     (``_scaled``), X = N num.den / s solves the rows with right-hand side
     num_ints; X is kept as v / d with v integral, and each new entry scales
@@ -306,18 +345,18 @@ def _substitute(nums, core: Polynomial, delta: int, e: Polynomial) -> list[Polyn
     """
     scale, c, ei = _scaled(core, e)
     width = core.degree
-    ei += [0] * (width - len(ei))
-    # band[r]: the coefficients of N_lo .. N_r in row r, lo = max(1, r - width + 1)
-    band = [
-        [k * c[r - k + 1] - ei[r - k] for k in range(max(1, r - width + 1), r + 1)]
-        for r in range(delta)
-    ]
+    # diags[i][k]: entry i of column k, at row k - 1 + i
+    diags = list(zip(*_band(c, ei, delta)))
+    # row r: the coefficients of N_lo .. N_r, lo = max(0, r - width + 1), the anti-diagonal
+    # of the band (N_0 = 0 multiplies the entry of column 0)
+    rows = [[diags[i][r + 1 - i] for i in range(r + 1, 0, -1)] for r in range(min(width - 1, delta))]
+    rows += zip(*(diags[i][width - i : delta + 1 - i] for i in range(width, 0, -1)))
     out = []
     for num in nums:
         b, v, d = num.ints, [0], 1
-        for r, row in enumerate(band):
+        # the pivot of row r is the first entry of column r + 1
+        for r, (row, pivot) in enumerate(zip(rows, diags[0][1:])):
             s = (d * b[r] if r < len(b) else 0) - sum(map(mul, v[r + 1 - len(row) :], row))
-            pivot = (r + 1) * c[0]
             g = math.gcd(s, pivot)
             if pivot < 0:
                 g = -g
@@ -331,23 +370,41 @@ def _substitute(nums, core: Polynomial, delta: int, e: Polynomial) -> list[Polyn
 
 
 def _integrates(antis, nums, core: Polynomial, e: Polynomial) -> bool:
-    """Whether N_i' core - N_i E = nums[i] for every i, on every coefficient.
+    """Whether N_i' core - N_i E = nums[i] for every i, on every coefficient, at one point.
 
     On integer vectors: core and E over their least common scale s
-    (``_scaled``), so the identity is num.den (N_ints' core_s - N_ints E_s)
-    = N.den s num_ints, with no intermediate reduction.
+    (``_scaled``), so the identity is P_i = 0 for the integer polynomial
+    P_i = num.den (N_ints' core_s - N_ints E_s) - N.den s num_ints.  With
+    a = len(N_ints), every coefficient of P_i is at most
+    B_i = num.den a max|N_ints| (a max|core_s| + max|E_s|) +
+    N.den s max|num_ints| in absolute value, since a coefficient of a
+    product is at most the 1-norm of one factor times the max-norm of the
+    other, and the 1-norm of N_ints' is at most a^2 max|N_ints|.  Let
+    B >= every B_i and k = bitlen(B) + 1, so B < 2^(k-1) <= 2^k - 1.  Then
+    P_i = 0 exactly when P_i(2^k) = 0: if P_i != 0 has degree m, its top
+    term is at least 2^(km) in absolute value, and the others sum to at
+    most B (2^(km) - 1) / (2^k - 1) < 2^(km).  (Equivalently, the balanced
+    2^k-adic digits that ``polynomial._int_mul`` reads back are unique;
+    Schoenhage 1982.)  So each numerator costs two big-integer products and
+    one comparison, with core_s(2^k) and E_s(2^k) packed once for all.
     """
     scale, c, ei = _scaled(core, e)
+    cm, em = max(map(abs, c)), max(map(abs, ei), default=0)
+    bound = 0
     for num, anti in zip(nums, antis):
-        a, d = anti.ints, num.den
-        diff = [-x * anti.den * scale for x in num.ints]
-        if len(a) > 1:
-            diff = _int_add(diff, _int_mul(_int_derivative(a), [d * x for x in c]))
-        if a and ei:
-            diff = _int_add(diff, _int_mul(a, [-d * x for x in ei]))
-        if any(diff):
-            return False
-    return True
+        a = anti.ints
+        bound = max(
+            bound,
+            num.den * len(a) * max(map(abs, a), default=0) * (len(a) * cm + em)
+            + anti.den * scale * max(map(abs, num.ints), default=0),
+        )
+    k = bound.bit_length() + 1
+    at_c, at_e = _pack(c, k), _pack(ei, k)
+    return all(
+        num.den * (_pack(_int_derivative(anti.ints), k) * at_c - _pack(anti.ints, k) * at_e)
+        == anti.den * scale * _pack(num.ints, k)
+        for num, anti in zip(nums, antis)
+    )
 
 
 def _horowitz(nums, core: Polynomial, lift: Polynomial, e: Polynomial) -> list[Polynomial]:
@@ -356,8 +413,8 @@ def _horowitz(nums, core: Polynomial, lift: Polynomial, e: Polynomial) -> list[P
     Both callers pass a real-root-free core, so core(0) != 0, lift(0) != 0
     and ``_substitute`` finds each N_i from the low deg lift rows of the
     system.  Every N is checked by ``_integrates`` on all deg lift +
-    deg core coefficients, and that check is the whole guard: the high
-    deg core rows hold exactly when B = 0.  Only when it fails does
+    deg core coefficients at once, and that check is the whole guard: the
+    high deg core rows hold exactly when B = 0.  Only when it fails does
     ``_log_parts`` run, once: a nonzero B is a log/arctan part and raises
     RationalityError, with one (core, B) pair per such numerator, and if
     every B is zero the substitution was wrong and AssertionError is raised.

@@ -163,21 +163,21 @@ def build_residue_system(p: SynthesisProblem) -> SolutionSpace:
     every residue of P / alpha vanishes exactly when B = 0, that is, when P
     lies in the span of the numerators of the exact derivatives
     (t^k / lift)': the N columns of the system that integrates the curve.
-    ``ratfunc._complement`` takes those columns as the rows of one
-    ``linalg.nullspace`` call over n coefficients, which gives 2F primitive
-    integer vectors z spanning the complement, and P = mu w_c lies in the span
-    exactly when z . P = 0 for every z.  That is the correlation
+    Those columns are in echelon form, so ``ratfunc._complement`` solves
+    them by substitution over their band, with no elimination, for 2F
+    primitive integer vectors z spanning the complement, and P = mu w_c lies
+    in the span exactly when z . P = 0 for every z.  That is the correlation
     sum_j w_c[j] z_(k+j) = 0 in mu_k, k = 0..m: one integer row per z and
     hodograph component.  No column reaches t^(n-1) (in the last one,
     k = deg lift, the leading terms cancel), so the last z is e_(n-1), the
     residue sum, and deg(mu w_c) <= n - 2 leaves its rows zero, so it is
     dropped: 6F - 3 rows for F pole factors.  They have the same kernel as the
     residues themselves, so its free columns and primitive basis are those
-    of the residue rows; a second ``linalg.nullspace`` computes it, one
-    fraction-free forward pass and one back-substitution per free
-    coefficient.  Its vectors are primitive integer vectors, so each is
-    taken as the canonical pair over 1 as it is.  The trivial all-zero
-    numerator is never part of the basis.
+    of the residue rows; ``linalg.nullspace``, the system's one
+    elimination, computes it, one fraction-free forward pass and one
+    back-substitution per free coefficient.  Its vectors are primitive
+    integer vectors, so each is taken as the canonical pair over 1 as it is.
+    The trivial all-zero numerator is never part of the basis.
     """
     core, lift, e = _core_and_lift(p.poles)
     # the last vector is e_(n-1), the residue sum: zero on every mu w_c
@@ -274,7 +274,8 @@ def synthesize_curve(p: SynthesisProblem, mu: Polynomial) -> RationalCurve:
     the known factors: lift = prod Q_i^(M_i-1) is monic and real-root free,
     and the Q_i are distinct monic irreducibles, so the gcd of lift and the
     numerators is a product of Q_i powers.  Each Q_i is divided out while
-    it divides all three numerators, at most M_i - 1 times, which leaves
+    it divides all three numerators, at most M_i - 1 times, keeping the
+    quotients of the trial divisions (``_quotients``), which leaves
     the curve in lowest terms with no gcd and no Sturm count; each
     numerator has degree at most deg lift, so the curve is bounded.
     Negative values of mu are permitted here; regularity is certified
@@ -288,10 +289,27 @@ def synthesize_curve(p: SynthesisProblem, mu: Polynomial) -> RationalCurve:
         if factor.multiplicity > 1:
             q = factor.poly()
             for _ in range(factor.multiplicity - 1):
-                if any(_int_divmod(n.ints, q.ints)[2] for n in nums):
+                quotients = _quotients([*nums, den], q)
+                if quotients is None:
                     break
-                nums, den = [n.exact_div(q) for n in nums], den.exact_div(q)
+                *nums, den = quotients
     return RationalCurve._reduced(nums, den, mu)
+
+
+def _quotients(polys, q: Polynomial):
+    """The p / q of every p in polys, or None once q does not divide one of them.
+
+    Each trial division is ``_int_divmod``'s s p_ints = quot q_ints + r, so
+    when r = 0 the quotient p / q is quot q.den / (s p.den), taken as it is,
+    with no second division.
+    """
+    out = []
+    for p in polys:
+        s, quot, r = _int_divmod(p.ints, q.ints)
+        if r:
+            return None
+        out.append(_canonical([x * q.den for x in quot], s * p.den))
+    return out
 
 
 def closure_point(c: RationalCurve):

@@ -31,7 +31,8 @@ from phforge import (
 )
 from phforge import cli, linalg
 from phforge.geometry import _motion, _mu_speed, angle_parameters, speed_function
-from phforge.polynomial import _canonical
+from phforge.polynomial import _canonical, _int_add, _int_mul
+from phforge.ratfunc import _scaled
 
 
 def generator_deg3() -> QP:
@@ -752,6 +753,27 @@ def ref_horowitz_parts(nums, core: P, lift: P, e: P):
         anti.insert(k0, 0)
         parts.append((_canonical(anti, den), _canonical([-x * scale for x in v[delta:n]], den)))
     return parts
+
+
+def ref_integrates(antis, nums, core: P, e: P) -> bool:
+    """Whether N_i' core - N_i E = nums[i] for every i, coefficient by coefficient.
+
+    The oracle of ``ratfunc._integrates``: over the least common scale s of
+    core and E, num.den (N_ints' core_s - N_ints E_s) - N.den s num_ints is
+    built as an integer vector by two products and compared with zero on
+    every coefficient, with no intermediate reduction.
+    """
+    scale, c, ei = _scaled(core, e)
+    for num, anti in zip(nums, antis):
+        a, d = anti.ints, num.den
+        diff = [-x * anti.den * scale for x in num.ints]
+        if len(a) > 1:
+            diff = _int_add(diff, _int_mul([k * x for k, x in enumerate(a)][1:], [d * x for x in c]))
+        if a and ei:
+            diff = _int_add(diff, _int_mul(a, [-d * x for x in ei]))
+        if any(diff):
+            return False
+    return True
 
 
 # -- Fraction reference for the Q representation -----------------------------

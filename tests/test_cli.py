@@ -462,6 +462,58 @@ class TestFrames:
         assert len(lines) == 5
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.fixture(scope="module")
+def readme_bundle(tmp_path_factory):
+    """The bundle ``synth`` writes for the README's config, as a path."""
+    tmp = tmp_path_factory.mktemp("readme")
+    cfg, out = tmp / "config.json", tmp / "bundle.json"
+    cfg.write_text(re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1))
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+    return str(out)
+
+
+def _scaled_generator_bundle(path, tmp_path, scale):
+    """The bundle with every generator coefficient times scale and mu over scale^2.
+
+    A i A* scales by scale^2, so the hodograph (mu / alpha) A i A* and the
+    curve stay those of the bundle.
+    """
+    data = json.loads(Path(path).read_text())
+    gen = data["generator"]
+    gen["coefficients"] = [[format_rational(parse_rational(v) * scale) for v in q] for q in gen["coefficients"]]
+    data["mu"] = [format_rational(parse_rational(v) / scale**2) for v in data["mu"]]
+    out = tmp_path / "scaled.json"
+    out.write_text(json.dumps(data))
+    return str(out)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_frames_of_a_generator_scaled_by_a_power_of_two_are_byte_identical(readme_bundle, tmp_path, capsys, fmt):
+    # |A|^2 overflows the float range at 2^700; the power-of-two scale before the norm is exact
+    scaled = _scaled_generator_bundle(readme_bundle, tmp_path, F(2) ** 700)
+    outputs = []
+    for config in (readme_bundle, scaled):
+        assert main(["frames", "--config", config, "--samples", "64", "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
+
+def test_frames_of_a_generator_near_1e200_are_rotations(readme_bundle, tmp_path, capsys):
+    scaled = _scaled_generator_bundle(readme_bundle, tmp_path, F(10) ** 200)
+    assert main(["frames", "--config", scaled, "--samples", "64", "--format", "json"]) == 0
+    poses = json.loads(capsys.readouterr().out)
+    assert len(poses) == 64
+    for pose in poses:
+        assert abs(sum(v * v for v in pose["rotation"]) - 1.0) < 1e-12
+        frame = np.array(pose["frame"])
+        assert np.abs(frame @ frame.T - np.eye(3)).max() < 1e-12
+
+
 def test_config_round_trip(tmp_path):
     from phforge.cli import canonical_config, parse_config
 

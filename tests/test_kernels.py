@@ -11,25 +11,28 @@ products, gcds and Sturm counts also at the degrees (up to 60) and
 coefficient sizes (about 300 bits) that the fixtures reach, and gcds by the
 GCDHEU route and by the PRS fallback.  The closed-form E of a pole
 structure must equal lift' core / lift, the substitution must give the
-dense solve's antiderivatives, the complement and log parts its vectors
-and B, and the integer check of every antiderivative must reject one
-wrong coefficient.  The polynomial operations over Q (sums, scalar
+dense solve's antiderivatives, the banded complement and the log parts
+the elimination's vectors and B, and the one-point check of every
+antiderivative must reject one wrong coefficient and agree with the
+coefficient-wise check on perturbed copies.  The polynomial operations over Q (sums, scalar
 products, calculus, evaluation, ``monic``, ``leading``, ``coefficient``,
 ``float_coeffs``) must match one Fraction per coefficient, every result
 must be the canonical (ints, den) pair, and equal polynomials must hash
 alike whichever way they were built.
 """
 
+import importlib
 import math
 import random
 from fractions import Fraction as F
 from operator import mul
+from pathlib import Path
 
 import pytest
 
-from phforge import linalg, polynomial, ratfunc
-from phforge.polynomial import _heu_gcd, _int_divmod, _int_mul, _primitive
-from phforge.ratfunc import _complement, _horowitz, _log_parts, _substitute
+from phforge import linalg, polynomial, ratfunc, synthesis
+from phforge.polynomial import _canonical, _heu_gcd, _int_divmod, _int_mul, _primitive
+from phforge.ratfunc import _complement, _horowitz, _integrates, _log_parts, _split, _substitute
 from phforge.synthesis import _core_and_lift
 from phforge import (
     PoleStructure,
@@ -61,6 +64,7 @@ from helpers import (
     ref_hermite_reduce,
     ref_horowitz_columns,
     ref_horowitz_parts,
+    ref_integrates,
     ref_monic,
     ref_mul,
     ref_nullspace,
@@ -375,6 +379,25 @@ def test_horowitz_parts_when_lift_vanishes_at_zero(a, b):
     assert _log_parts(nums, core, lift, e) == [b for _, b in parts]
 
 
+def test_banded_complement_matches_elimination():
+    """``_complement`` is ``linalg.nullspace`` of the dense N columns, vector for vector.
+
+    On the ten ``TABLE_POLES`` rows (core(0) != 0: the pivots are
+    t^0 .. t^(deg lift - 1)) and on t (t^2 + 4)^b, where core(0) = 0 and
+    lift(0) != 0, so column 0 is left out, column k pivots at t^k and t^0
+    is no pivot.
+    """
+    t, s = P([0, 1]), P([4, 0, 1])
+    cases = [_core_and_lift(PoleStructure(tuple(QuadraticFactor(*f) for f in poles))) for poles in TABLE_POLES]
+    cases += [_split(t * s**b) for b in range(1, 7)]
+    for core, lift, e in cases:
+        _, _, cols = ref_horowitz_columns(core, lift, e)
+        n = core.degree + lift.degree
+        want = linalg.nullspace(cols[: lift.degree], n)
+        assert _complement(core, lift, e) == want == ref_nullspace(cols[: lift.degree], n)
+        assert len(want) == core.degree
+
+
 def random_factor(rng, chosen):
     """t^2 + b t + c with rational b and c, no real root, not in chosen."""
     while True:
@@ -507,6 +530,75 @@ def test_complement_and_log_parts_match_dense_solve(seed):
         bs = _log_parts(nums, core, lift, e)
         assert bs == [b for _, b in ref_horowitz_parts(nums, core, lift, e)]
         assert all(b.is_zero for b in bs[: len(inside)]) and not all(b.is_zero for b in bs[len(inside) :])
+
+
+def perturbed(rng, p):
+    """p with one integer coefficient, up to one past the top, moved by +-1 or +-2^j, j <= 300."""
+    ints = list(p.ints) + [0]
+    step = 1 if rng.random() < 0.5 else 2 ** rng.randint(1, 300)
+    ints[rng.randrange(len(ints))] += rng.choice((1, -1)) * step
+    return _canonical(ints, p.den)
+
+
+def assert_check_matches_oracle(rng, antis, nums, core, e, want):
+    """``_integrates`` and ``ref_integrates`` agree on (antis, nums) and on perturbed copies.
+
+    want is the oracle's verdict on the pair itself.  Each copy moves one
+    coefficient of one N or one numerator; the last ones add t - 2^j, which
+    vanishes at 2^j, to a numerator, for random j up to 300.
+    """
+    assert _integrates(antis, nums, core, e) == ref_integrates(antis, nums, core, e) == want
+    for _ in range(6):
+        i = rng.randrange(len(nums))
+        moved = [list(antis), list(nums)]
+        side = rng.randrange(2)
+        moved[side][i] = perturbed(rng, moved[side][i])
+        assert _integrates(*moved, core, e) == ref_integrates(*moved, core, e)
+    i = rng.randrange(len(nums))
+    for j in rng.sample(range(1, 301), 6):
+        shifted = list(nums)
+        ints = list(nums[i].ints) + [0, 0]
+        ints[0] -= 2**j
+        ints[1] += 1
+        shifted[i] = _canonical(ints, nums[i].den)
+        assert _integrates(antis, shifted, core, e) is ref_integrates(antis, shifted, core, e) is False
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_integrates_matches_coefficient_check_on_dense_solve_cases(seed):
+    """The one-point check of ``_integrates`` against ``ref_integrates``, the coefficient-wise one.
+
+    On ``dense_solve_cases``: True on the antiderivatives of the exact
+    derivatives, False on the substitution's answers for the others, and
+    equal to the oracle on perturbed copies of both.
+    """
+    rng = random.Random(f"one-point check:{seed}")
+    for core, lift, e, inside, outside in dense_solve_cases(seed):
+        assert_check_matches_oracle(rng, _substitute(inside, core, lift.degree, e), inside, core, e, True)
+        assert_check_matches_oracle(rng, _substitute(outside, core, lift.degree, e), outside, core, e, False)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_integrates_matches_coefficient_check_on_exact_batch(monkeypatch, tmp_path, seed):
+    """The same on every integration of one ``exact-batch`` pass (perfbench's workload) at seeds 1-3."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    calls, horowitz = [], synthesis._horowitz
+
+    def recorded(nums, core, lift, e):
+        antis = horowitz(nums, core, lift, e)
+        calls.append((antis, nums, core, e))
+        return antis
+
+    monkeypatch.setattr(synthesis, "_horowitz", recorded)
+    batch = workloads.ExactBatch(tmp_path)
+    batch.setup(seed)
+    for key in batch.keys:
+        batch.run(key)
+    assert len(calls) > 40
+    rng = random.Random(f"exact-batch check:{seed}")
+    for antis, nums, core, e in calls:
+        assert_check_matches_oracle(rng, antis, nums, core, e, True)
 
 
 def fraction_generator():
@@ -724,18 +816,35 @@ def test_nullspace_matches_reference(seed):
 
 
 def test_nullspace_matches_reference_on_pinned_problems(monkeypatch):
-    """Every elimination behind the pinned exact digest, against the oracle."""
+    """Every elimination and every complement behind the pinned exact digest, against the oracle.
+
+    The digest builds 15 residue systems: the fixture's and those of the
+    first 14 random problems, 4 of which have an empty kernel.  Each makes
+    one elimination, its kernel, and one banded complement, which must be
+    the elimination of the dense N columns; integration makes none.
+    """
     calls, nullspace = [], linalg.nullspace
+    complements, complement = [], synthesis._complement
 
     def recorded(rows, ncols):
         calls.append(([list(row) for row in rows], ncols))
         return nullspace(rows, ncols)
 
+    def recorded_complement(core, lift, e):
+        complements.append((core, lift, e))
+        return complement(core, lift, e)
+
     monkeypatch.setattr(linalg, "nullspace", recorded)
+    monkeypatch.setattr(synthesis, "_complement", recorded_complement)
     assert exact_output_digest() == PINNED_SHA256
-    assert len(calls) > 20
+    assert len(calls) == len(complements) == 15
     for rows, ncols in calls:
         assert nullspace(rows, ncols) == ref_nullspace(rows, ncols)
+    for core, lift, e in complements:
+        _, _, cols = ref_horowitz_columns(core, lift, e)
+        n = core.degree + lift.degree
+        want = nullspace(cols[: lift.degree], n)
+        assert complement(core, lift, e) == want == ref_nullspace(cols[: lift.degree], n)
 
 
 # -- the integer-vector representation over Q ----------------------------------
@@ -837,8 +946,8 @@ def test_canonical_leaves_its_input_unchanged(monkeypatch):
 
     monkeypatch.setattr(linalg, "nullspace", recording)
     build_residue_system(SynthesisProblem(generator_deg3(), poles_single(0, 4, 8)))
-    # the second call is the kernel of the residue rows
-    _, (vectors, copies) = returned
+    # the one call is the kernel of the residue rows
+    ((vectors, copies),) = returned
     assert any(v[-1] == 0 for v in copies)
     assert vectors == copies
 
