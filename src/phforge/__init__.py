@@ -4,7 +4,7 @@ The pipeline: a quaternion generator polynomial A(t) fixes the tangent
 direction field A i A* / (A A*); a prescribed pole structure fixes the
 denominator of the speed factor; zero-residue linear conditions make the
 integrated curve rational; a semidefinite feasibility search with an exact
-Sturm gate makes it regular (cusp free).
+real-root count as its gate makes it regular (cusp free).
 """
 
 from .errors import (

@@ -378,7 +378,7 @@ def cmd_synth(cfg: ProblemConfig, force: bool) -> str:
         results.append(res if res.is_feasible else base)
 
     mu = average_solutions([r.witness_mu for r in results], cfg.weights)
-    # the gate has already Sturm-certified the base witness
+    # the gate has already certified the base witness by its exact root count
     cert = base.certificate if mu == base.witness_mu else certify_regular(mu)
     if not cert:
         raise NoCertificateError("combined numerator failed the exact regularity certificate")

@@ -12,8 +12,7 @@ by Kronecker substitution: ``_pack`` puts a vector at 2^k, ``_unpack``
 reads the balanced 2^k-adic digits back (Schoenhage 1982).  ``poly_gcd``
 is the heuristic GCDHEU on the same pair of helpers, proved by trial
 division, with the primitive polynomial remainder sequence (Collins 1967;
-Brown & Traub 1971) as its fallback.  The Sturm chain needs the whole
-remainder sequence and stays a pseudo-division loop.  ``Fraction`` values
+Brown & Traub 1971) as its fallback.  ``Fraction`` values
 are built only at the edges: ``coeffs``, ``leading``, ``coefficient`` and
 evaluation.  Degrees in this package stay small (tens), so the dense
 representation is the right tool.

@@ -15,8 +15,8 @@ or three pole factors of the reference generator, against up to 363 slice
 coordinates.  Every dual iterate passed Cholesky, so by weak duality its nu
 bounds the optimum, and the primal witness is recovered from Z.  Floating
 output is never trusted: the witness's kernel coordinates are rounded on a
-power-of-two grid, and the exact mu they give is certified with a Sturm
-count.
+power-of-two grid, and the exact mu they give is certified by an exact
+count of its real roots (Descartes' rule of signs, ``sturm_real_root_count``).
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ def certify_regular(mu: Polynomial) -> RegularityCertificate:
     """Exact strict-positivity certificate: no real roots, positive leading.
 
     For an even-degree polynomial without real roots, a positive leading
-    coefficient is equivalent to positivity everywhere; the Sturm count is
-    the certificate, independent of any floating arithmetic.
+    coefficient is equivalent to positivity everywhere; the exact root
+    count is the certificate, independent of any floating arithmetic.
     """
     if mu.is_zero:
         return RegularityCertificate(False, 0, Fraction(0), -1)
@@ -151,7 +151,7 @@ class FeasibilityResult:
 
     ``feasible`` status always comes with an exact certificate: the
     witness's kernel coordinates are rounded on a power-of-two grid and the
-    numerator they give, ``witness_mu``, is re-verified by a Sturm count, so
+    numerator they give, ``witness_mu``, is re-verified by a root count, so
     a floating solver cannot produce a false positive.  ``witness_x`` holds
     the float kernel coordinates of the numerator of the Gram matrix that
     was gated (or of the best one found; None if the search had no start).
@@ -179,16 +179,15 @@ class FeasibilityResult:
         return self.status == FEASIBLE
 
 
-def _barrier_derivatives(flat, factor):
-    """Gradient and Hessian of -log det Z along the maps, from Z's Cholesky factor L.
+def _barrier_derivatives(flat, inv):
+    """Gradient and Hessian of -log det Z along the maps, from L^-1, L Z's Cholesky factor.
 
     ``flat`` holds the symmetric n x n maps A_j as rows of length n*n.  With
     M_j = L^-1 A_j L^-T, tr(Z^-1 A_j) = tr M_j and
     tr(Z^-1 A_j Z^-1 A_l) = <M_j, M_l>, so the gradient is -tr M_j and the
     Hessian is the Gram matrix of the M_j.
     """
-    d, n = len(flat), len(factor)
-    inv = np.linalg.inv(factor)
+    d, n = len(flat), len(inv)
     white = (inv @ flat.reshape(d, n, n) @ inv.T).reshape(d, n * n)
     return -white[:, :: n + 1].sum(axis=1), white @ white.T
 
@@ -200,8 +199,9 @@ def _dual_path(g: GramSlice, shift, bounded: bool):
     nu(c) = 1/n - offsets . c, so tr Z = 1 by construction and, without a
     shift, Z = nu*I + H_w(sum_j c_j r_j).  Damped Newton steps (Nesterov's
     1/(1 + decrement) rule) minimise t*nu(c) - log det Z(c), t growing by
-    PATH_GROWTH per outer step.  One Cholesky factor of Z per step gives the
-    Newton system and tests that the step stays inside the cone.
+    PATH_GROWTH per outer step.  One Cholesky factor of Z per step tests that
+    the step stays inside the cone, and its one inverse gives the Newton
+    system and the primal point.
 
     ``bound`` is the least nu of any iterate so far, or inf unless
     ``bounded``: for every slice point G, nu = <Z, G> >= lambda_min(G) as
@@ -227,29 +227,28 @@ def _dual_path(g: GramSlice, shift, bounded: bool):
     target = np.linalg.solve(r.T, np.eye(d + 1)[0])
     z0 = eye / n + shift
 
-    def primal(factor, t):
-        inv = np.linalg.inv(factor)
+    def primal(inv, t):
         z_inv = inv.T @ inv
         gram = (z_inv + (t - np.trace(z_inv)) / n * eye) / t
         gram -= (basis @ (basis.T @ gram.ravel() - target)).reshape(n, n)
         return gram, float(np.linalg.eigvalsh(gram)[0])
 
     try:
-        factor = np.linalg.cholesky(z0)
+        inv = np.linalg.inv(np.linalg.cholesky(z0))
     except np.linalg.LinAlgError:
         yield None, -math.inf, math.inf
         return
     c = np.zeros(d)
     t = 1.0
     bound = 1.0 / n if bounded else math.inf
-    best_gram, best_lam = primal(factor, t)
+    best_gram, best_lam = primal(inv, t)
     yield best_gram, best_lam, bound
     centred = True
     while centred and n / t >= 1e-13:
         t *= PATH_GROWTH
         centred = False
         for _ in range(MAX_NEWTON):
-            grad, hess = _barrier_derivatives(flat, factor)
+            grad, hess = _barrier_derivatives(flat, inv)
             grad -= t * g.offsets
             step = np.linalg.solve(hess, -grad)
             decrement = float(-grad @ step)
@@ -267,9 +266,10 @@ def _dual_path(g: GramSlice, shift, bounded: bool):
             else:
                 break  # float precision leaves no step inside the cone
             c = c + alpha * step
+            inv = np.linalg.inv(factor)
             if bounded:
                 bound = min(bound, 1.0 / n - float(g.offsets @ c))
-        gram, lam = primal(factor, t)
+        gram, lam = primal(inv, t)
         if lam > best_lam:
             best_gram, best_lam = gram, lam
         yield best_gram, best_lam, bound
@@ -296,7 +296,7 @@ def sdp_feasible_point(
     bits = 20 and, if that fails, 40.  With basis vector k over 2^L_k as its
     row (L_k = ``g.unit_bits[k]``), the exact numerator is one
     ``g.space.combination`` with coefficients grid_k / 2^(bits + L_k),
-    certified by the Sturm count; each point is gated at most once per
+    certified by the exact root count; each point is gated at most once per
     call.  A margin the path never reaches, or whose gates fail, yields
     ``indeterminate`` with the best eigenvalue (when the margin was ruled
     out, the best when it was, with the bound in ``optimum_bound``), which
@@ -384,14 +384,15 @@ def sdp_feasible_point(
                 if best_lam >= m:
                     result = exact_gate(best_gram, best_lam)
         if result is None:
-            witness = None if best_gram is None else tuple(map(float, coordinates(best_gram)))
             result = FeasibilityResult(
-                INDETERMINATE, witness, None, float(best_lam), optimum_bound=bound
+                INDETERMINATE, None, None, float(best_lam), optimum_bound=bound
             )
         log.append((m, result.status, result.min_eigenvalue))
         if result.is_feasible:
             return replace(result, margin=m, relaxation_log=tuple(log))
-    return replace(result, relaxation_log=tuple(log))
+    # the last margin's best point, whose coordinates only the returned result needs
+    witness = None if best_gram is None else tuple(map(float, coordinates(best_gram)))
+    return replace(result, witness_x=witness, relaxation_log=tuple(log))
 
 
 def average_solutions(mus, weights) -> Polynomial:

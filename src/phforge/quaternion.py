@@ -2,8 +2,8 @@
 
 Quaternions carry rational components over the basis (1, i, j, k).  A
 quaternion polynomial is its four component polynomials over Q.  The
-polynomial layer provides the noncommutative product, conjugation, vector
-rotation A(t) v A*(t) and reduction by the maximal right factor with
+polynomial layer provides the noncommutative product, vector rotation
+A(t) v A*(t) in closed form and reduction by the maximal right factor with
 coefficients in the commutative subalgebra spanned by 1 and i.
 """
 
@@ -149,17 +149,11 @@ class QuaternionPolynomial:
             return QuaternionPolynomial((other,)) * self
         return NotImplemented
 
-    def conjugate(self) -> "QuaternionPolynomial":
-        return _qpoly(self.w, -self.x, -self.y, -self.z)
-
     def component_polys(self) -> tuple[Polynomial, Polynomial, Polynomial, Polynomial]:
         return self.w, self.x, self.y, self.z
 
     def vector_polys(self) -> tuple[Polynomial, Polynomial, Polynomial]:
         return self.x, self.y, self.z
-
-    def scalar_poly(self) -> Polynomial:
-        return self.w
 
     def norm_poly(self) -> Polynomial:
         """A(t) A*(t) as a real polynomial: w^2 + x^2 + y^2 + z^2."""
@@ -173,13 +167,23 @@ _qpoly = QuaternionPolynomial.from_component_polys
 
 
 def rotate_vector(a: QuaternionPolynomial, v: Quaternion) -> QuaternionPolynomial:
-    """A(t) v A*(t) for a pure vector v; the scalar part vanishes identically."""
+    """A(t) v A*(t) for a pure vector v, a pure quaternion polynomial.
+
+    With A = w + u, u its vector part, the product is
+    (w^2 - |u|^2) v + 2 (u . v) u + 2 w (u x v), which has no scalar part.
+    """
     if not v.is_pure:
         raise ValueError("rotation input must be a pure quaternion")
-    out = a * QuaternionPolynomial.constant(v) * a.conjugate()
-    if not out.scalar_poly().is_zero:
-        raise AssertionError("rotated vector acquired a scalar part")
-    return out
+    w, (x, y, z) = a.w, a.vector_polys()
+    scale = w * w - x * x - y * y - z * z
+    dot = (x * v.x + y * v.y + z * v.z) * 2
+    w2 = w * 2
+    return _qpoly(
+        Polynomial.zero(),
+        scale * v.x + dot * x + w2 * (y * v.z - z * v.y),
+        scale * v.y + dot * y + w2 * (z * v.x - x * v.z),
+        scale * v.z + dot * z + w2 * (x * v.y - y * v.x),
+    )
 
 
 # Polynomials over Q(i) are (re, im) pairs of Polynomials over Q.

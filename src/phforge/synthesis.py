@@ -199,7 +199,7 @@ class RationalCurve:
     limits t -> +/-infinity exist and agree.  The constructor checks all of
     that for any input (``cli.load_bundle`` and tests build curves this
     way): it makes den monic, divides out the gcd of den and the
-    numerators, and counts den's real roots by Sturm.  ``synthesize_curve``,
+    numerators, and counts den's real roots exactly.  ``synthesize_curve``,
     whose denominator holds these properties by construction, reduces the
     curve itself and builds it with ``_reduced``.
     """
@@ -276,7 +276,7 @@ def synthesize_curve(p: SynthesisProblem, mu: Polynomial) -> RationalCurve:
     numerators is a product of Q_i powers.  Each Q_i is divided out while
     it divides all three numerators, at most M_i - 1 times, keeping the
     quotients of the trial divisions (``_quotients``), which leaves
-    the curve in lowest terms with no gcd and no Sturm count; each
+    the curve in lowest terms with no gcd and no root count; each
     numerator has degree at most deg lift, so the curve is bounded.
     Negative values of mu are permitted here; regularity is certified
     separately.

@@ -419,6 +419,17 @@ def ref_sturm_count(p: P) -> int:
     )
 
 
+def dense_positive(seed: int) -> P:
+    """a^2 + b^2 + 1 for seeded a, b of degree 30 with dense 150-bit coefficients.
+
+    Positive on the real line, of degree 60 with coefficients of about 300
+    bits: the size of ROADMAP item 14's bound on the root count.
+    """
+    rng = random.Random(f"dense:{seed}")
+    a, b = (P([rng.randint(1 - 2**150, 2**150 - 1) for _ in range(30)] + [2**150]) for _ in range(2))
+    return a * a + b * b + 1
+
+
 def _ref_times_shift(h, a):
     """The series h times (a + x), truncated to len(h) terms."""
     return [h[0] * a] + [h[i] * a + h[i - 1] for i in range(1, len(h))]
@@ -829,6 +840,11 @@ def ref_qmul(a: QP, b: QP) -> QP:
         for j, y in enumerate(b.coeffs):
             out[i + j] = out[i + j] + x * y
     return QP(out)
+
+
+def ref_conjugate(a: QP) -> QP:
+    """The conjugate w - x i - y j - z k of a = w + x i + y j + z k."""
+    return QP.from_component_polys(a.w, -a.x, -a.y, -a.z)
 
 
 # -- Reference helpers outside the pipeline ---------------------------------------

@@ -130,7 +130,7 @@ def test_criterion_4_semidefinite_feasibility():
         ]
         ray_infeasible &= np.linalg.eigvalsh(np.array(ray))[0] <= 0
     # own solver: margin 1e-4 is attainable (the trace-normalized optimum of
-    # this slice is about 4.0e-4); the Sturm gate is the actual certificate
+    # this slice is about 4.0e-4); the exact root-count gate is the actual certificate
     res = sdp_feasible_point(slice_, margin=1e-4)
     solver_ok = res.is_feasible and bool(certify_regular(res.witness_mu))
     report(

@@ -17,13 +17,21 @@ from phforge import (
     sturm_real_root_count,
     synthesize_curve,
 )
-from phforge import cli, geometry, synthesis
+from phforge import cli, geometry, positivity, synthesis
 from phforge.cli import load_bundle, main
 from phforge.polynomial import Polynomial as P
 from phforge.quaternion import rotate_vector
 from phforge.rationals import format_rational, parse_rational
 
-from helpers import ref_bundle_samples, ref_pose_dict, ref_sample_motion, ref_sample_positions
+from helpers import (
+    TABLE_POLES,
+    ref_bundle_samples,
+    ref_pose_dict,
+    ref_sample_motion,
+    ref_sample_positions,
+    ref_sturm_count,
+)
+from test_pinned_outputs import SYNTH_FIXTURES
 
 
 EX2_CONFIG = {
@@ -228,6 +236,30 @@ class TestSynth:
         out = str(tmp_path / "o.json")
         assert main(["synth", "--config", write_config(tmp_path, EX2_CONFIG), "--out", out]) == 0
         assert len(calls) == 1
+
+    # the synth-fixtures structures, then the certified ROADMAP table rows not among them
+    GATED = SYNTH_FIXTURES + tuple(
+        (poles, None) for poles in TABLE_POLES[:8] if (poles, None) not in SYNTH_FIXTURES
+    )
+
+    @pytest.mark.parametrize("poles, weights", GATED, ids=[str(poles) + str(w or "") for poles, w in GATED])
+    def test_gated_numerators_match_reference_count(self, tmp_path, monkeypatch, poles, weights):
+        # every numerator the gate counts, and the bundle's, against the Euclidean Sturm count
+        gated = []
+
+        def counted(p):
+            gated.append(p)
+            return sturm_real_root_count(p)
+
+        monkeypatch.setattr(positivity, "sturm_real_root_count", counted)
+        cfg_data = json.loads(json.dumps(EX2_CONFIG))
+        cfg_data["poles"] = [{"b": str(b), "c": str(c), "multiplicity": m} for b, c, m in poles]
+        cfg_data["options"] = {"samples": 16, "seed": 0, **({"weights": weights} if weights else {})}
+        out = str(tmp_path / "o.json")
+        assert main(["synth", "--config", write_config(tmp_path, cfg_data), "--out", out]) == 0
+        mu = P([parse_rational(v) for v in json.loads(Path(out).read_text())["mu"]])
+        assert gated and ref_sturm_count(mu) == 0
+        assert [sturm_real_root_count(p) for p in gated] == [ref_sturm_count(p) for p in gated]
 
     def test_no_positive_numerator_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, with_multiplicity(5))

@@ -1,15 +1,16 @@
 """The integer-vector kernels against the Fraction reference kernels in helpers.
 
-Products, powers, quotient/remainder pairs, gcds, Sturm counts, kernel
+Products, powers, quotient/remainder pairs, gcds, real-root counts, kernel
 bases and rational antiderivatives (Horowitz's linear solve against the
 Hermite reduction, with log/arctan parts equal as fractions) must be equal,
 value for value, residues also at denominators with real roots, and
 residue rows spanning the space of the reference residue rows with the
 same kernel basis, on seeded random inputs with integer and Fraction
 coefficients and with monic, non-monic and Fraction divisors;
-products, gcds and Sturm counts also at the degrees (up to 60) and
-coefficient sizes (about 300 bits) that the fixtures reach, and gcds by the
-GCDHEU route and by the PRS fallback.  The closed-form E of a pole
+products, gcds and real-root counts also at the degrees (up to 60) and
+coefficient sizes (about 300 bits) that the fixtures reach, root counts
+also with roots at the dyadic points where the count splits and bisects,
+and gcds by the GCDHEU route and by the PRS fallback.  The closed-form E of a pole
 structure must equal lift' core / lift, the substitution must give the
 dense solve's antiderivatives, the banded complement and the log parts
 the elimination's vectors and B, and the one-point check of every
@@ -51,6 +52,7 @@ from phforge import (
 
 from helpers import (
     TABLE_POLES,
+    dense_positive,
     generator_deg3,
     poles_single,
     random_quaternion_poly,
@@ -176,7 +178,7 @@ def test_gcd_matches_reference(seed):
 
 
 def test_pseudo_division_scale_is_positive():
-    # Sturm's sign variations rely on s > 0, also for a negative lead(b)
+    # s > 0, also for a negative lead(b)
     rng = random.Random("pseudo-division")
     for _ in range(200):
         b = [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))] + [rng.choice((-6, -4, -1, 1, 3, 10))]
@@ -290,6 +292,10 @@ def test_sturm_counts_match_reference(seed):
     p = a * a + b * b + 1  # positive, with no factor structure
     assert max(map(abs, p.ints)).bit_length() > 290
     assert sturm_real_root_count(p) == ref_sturm_count(p) == 0
+    # dense at degree 60, where the reference's Fraction chain takes seconds
+    p = dense_positive(seed)
+    assert p.degree == 60 and max(map(abs, p.ints)).bit_length() > 290
+    assert sturm_real_root_count(p) == 0
     for _ in range(3):
         # simple and double real roots up to |t| = 2^40, complex pairs up to the fourth power
         roots = [F(rng.randint(-(2**40), 2**40), rng.randint(1, 2**20)) for _ in range(rng.randint(0, 4))]
@@ -300,6 +306,33 @@ def test_sturm_counts_match_reference(seed):
             p = p * _complex_pair(rng, 10) ** rng.randint(2, 4)
         assert p.degree <= 60 and max(map(abs, p.ints)).bit_length() > 200
         assert sturm_real_root_count(p) == ref_sturm_count(p) == len(set(roots))
+
+
+# where a count can break: t = 0, the dyadic points at which a half-line
+# is split and its charts are bisected, and the far ends of the charts
+DYADIC_ROOTS = tuple(
+    s * F(2) ** e for s in (1, -1) for e in (0, -1, 1, 20, -20)
+) + (F(0), F(3, 4), F(-5, 8))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_root_counts_at_dyadic_points(seed):
+    rng = random.Random(f"dyadic:{seed}")
+    for _ in range(40):
+        roots = rng.sample(DYADIC_ROOTS, rng.randint(0, 4))
+        # a pair of roots 2^-40 apart
+        roots += [r + F(1, 2**40) for r in roots[: rng.randint(0, 1)]]
+        p = P([rng.choice((-3, -1, 1, 2))])  # negative leading coefficients too
+        for r in roots:
+            p = p * P([-r.numerator, r.denominator]) ** rng.randint(1, 4)
+        for _ in range(rng.randint(0, 2)):
+            # a complex pair of modulus 2^k, 20 to 87 degrees off the real axis
+            k = rng.randint(-3, 3)
+            p = p * P([F(4) ** k, rng.choice((-1, 1)) * F(2) ** k * F(rng.randint(1, 15), 8), 1])
+        assert sturm_real_root_count(p) == ref_sturm_count(p) == len(set(roots))
+    for ints in ([5], [-2], [0, 3], [-1, 4], [7, -2], [0, 0, 0, -1]):  # degrees 0 and 1, and t^3
+        p = P(ints)
+        assert sturm_real_root_count(p) == ref_sturm_count(p)
 
 
 FACTORS = (

@@ -288,7 +288,8 @@ class TestNewtonSystem:
             maps = (raw + raw.transpose(0, 2, 1)) / 2
             a = rng.standard_normal((n, n))
             z = a @ a.T + 0.1 * np.eye(n)  # a positive definite dual point
-            grad, hess = _barrier_derivatives(maps.reshape(d, n * n), np.linalg.cholesky(z))
+            inv = np.linalg.inv(np.linalg.cholesky(z))
+            grad, hess = _barrier_derivatives(maps.reshape(d, n * n), inv)
             ref_grad, ref_hess = einsum_barrier_derivatives(maps, z)
             # against the largest entry: summation order moves single entries
             # that cancel, not the system

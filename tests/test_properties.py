@@ -47,8 +47,8 @@ def test_component_degree_bound(synthesized_problems):
 def test_factor_reduction_matches_the_validating_constructor(seed):
     """``synthesize_curve``'s curve is ``RationalCurve``'s over the same N and lift.
 
-    The constructor reduces by a general gcd and counts real roots by
-    Sturm; ``synthesize_curve`` divides out known pole factors only.  Each
+    The constructor reduces by a general gcd and counts real roots
+    exactly; ``synthesize_curve`` divides out known pole factors only.  Each
     problem runs with its kernel mu, where a factor sometimes divides all
     three numerators, and with mu = 0, whose curve is 0 over 1.
     """

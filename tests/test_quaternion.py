@@ -12,7 +12,7 @@ from phforge import (
 )
 from phforge.quaternion import QI, QJ, QK, QONE
 
-from helpers import generator_deg3, ref_qmul
+from helpers import generator_deg3, ref_conjugate, ref_qmul
 
 
 def norm_sq(q):
@@ -67,11 +67,11 @@ def test_qpoly_product_noncommutativity_witness():
 
 def test_conjugate_product_is_real():
     a = generator_deg3()
-    prod = a * a.conjugate()
+    prod = a * ref_conjugate(a)
     w, x, y, z = prod.component_polys()
     assert x.is_zero and y.is_zero and z.is_zero
     assert w == P([1, 0, 1]) ** 3
-    assert a.norm_poly() == prod.scalar_poly()
+    assert a.norm_poly() == prod.w
 
 
 def test_product_matches_term_by_term_reference():
@@ -80,7 +80,7 @@ def test_product_matches_term_by_term_reference():
         p, q = rand_qpoly(rng), rand_qpoly(rng)
         assert p * q == ref_qmul(p, q)
         assert q * p == ref_qmul(q, p)
-        assert p.norm_poly() == (p * p.conjugate()).scalar_poly()
+        assert p.norm_poly() == (p * ref_conjugate(p)).w
 
 
 def test_scalar_products_on_either_side_match_reference():
@@ -143,7 +143,7 @@ def test_conjugate_reversal_and_degree_additivity():
         q = QP([rand_quat(rng) for _ in range(rng.randint(1, 4))])
         if p.is_zero or q.is_zero:
             continue
-        assert (p * q).conjugate() == q.conjugate() * p.conjugate()
+        assert ref_conjugate(p * q) == ref_conjugate(q) * ref_conjugate(p)
         # quaternions have no zero divisors, so degrees always add
         assert (p * q).degree == p.degree + q.degree
 
@@ -170,10 +170,19 @@ def test_rotate_vector_scalar_part_vanishes_and_norm_identity():
         if not v:
             continue
         out = rotate_vector(a, v)
-        assert out.scalar_poly().is_zero
+        assert out.w.is_zero
         x, y, z = out.vector_polys()
         norm = a.norm_poly()
         assert x * x + y * y + z * z == norm * norm * norm_sq(v)
+
+
+def test_rotate_vector_matches_product_form():
+    # the closed form against A v A* as two quaternion-polynomial products
+    rng = random.Random(11)
+    for _ in range(40):
+        a = rand_qpoly(rng, 5)
+        v = Quaternion.of(0, *(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)))
+        assert rotate_vector(a, v) == ref_qmul(ref_qmul(a, QP.constant(v)), ref_conjugate(a))
 
 
 def test_rotate_vector_rejects_non_pure():
@@ -225,7 +234,7 @@ def test_euler_rodriguez_invariance_under_right_factors():
         if r_quat.is_zero:
             continue
         lhs = rotate_vector(a * r_quat, QI)
-        rr = (r_quat * r_quat.conjugate()).scalar_poly()
+        rr = (r_quat * ref_conjugate(r_quat)).w
         base = rotate_vector(a, QI)
         scaled = QP.from_component_polys(
             P([0]), *(w * rr for w in base.vector_polys())
