@@ -21,6 +21,7 @@ count of its real roots (Descartes' rule of signs, ``sturm_real_root_count``).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -192,7 +193,7 @@ def _barrier_derivatives(flat, inv):
     return -white[:, :: n + 1].sum(axis=1), white @ white.T
 
 
-def _dual_path(g: GramSlice, shift, bounded: bool):
+def _dual_path(g: GramSlice, shift):
     """Yield ``(best_gram, best_lam, bound)`` at the start and after each outer step.
 
     The dual point is Z(c) = I/n + shift + sum_j c_j A_j with
@@ -203,10 +204,10 @@ def _dual_path(g: GramSlice, shift, bounded: bool):
     the step stays inside the cone, and its one inverse gives the Newton
     system and the primal point.
 
-    ``bound`` is the least nu of any iterate so far, or inf unless
-    ``bounded``: for every slice point G, nu = <Z, G> >= lambda_min(G) as
-    Z >= 0 has trace one, so nu bounds the optimum (weak duality).  A shift
-    adds <shift, G> to <Z, G>: a shifted path bounds another objective.
+    ``bound`` is the least nu of any iterate so far: for every slice point
+    G, nu = <Z, G> >= lambda_min(G) as Z >= 0 has trace one, so nu bounds
+    the optimum (weak duality).  A nonzero shift adds <shift, G> to <Z, G>,
+    so a shifted path bounds another objective and its ``bound`` is inf.
 
     After each outer step the primal point G = (Z^-1 + yI)/t,
     y = (t - tr Z^-1)/n, which lies in the slice when Z is central, is
@@ -240,6 +241,7 @@ def _dual_path(g: GramSlice, shift, bounded: bool):
         return
     c = np.zeros(d)
     t = 1.0
+    bounded = not shift.any()
     bound = 1.0 / n if bounded else math.inf
     best_gram, best_lam = primal(inv, t)
     yield best_gram, best_lam, bound
@@ -275,6 +277,26 @@ def _dual_path(g: GramSlice, shift, bounded: bool):
         yield best_gram, best_lam, bound
 
 
+def _coordinates(g: GramSlice, gram) -> np.ndarray:
+    """The float kernel coordinates of G's numerator A_w(G) along the rows of ``g.kernel_rows``."""
+    return np.linalg.lstsq(g.kernel_rows.T, _numerator(g.weights, gram), rcond=None)[0]
+
+
+def _gate(g: GramSlice, gram, lam) -> FeasibilityResult | None:
+    """The exact gate of ``sdp_feasible_point`` at ``gram`` (least eigenvalue ``lam``), or None."""
+    y = _coordinates(g, gram)
+    top = float(np.max(np.abs(y)))
+    # all-zero kernel coordinates give mu = 0, which certifies nothing
+    for bits in (20, 40) if top > 0.0 else ():
+        grid = np.rint(y / top * 2.0**bits).astype(np.int64).tolist()
+        coefficients = [Fraction(c, 1 << (bits + u)) for c, u in zip(grid, g.unit_bits)]
+        mu = g.space.combination(coefficients)
+        cert = certify_regular(mu)
+        if cert:
+            return FeasibilityResult(FEASIBLE, tuple(map(float, y)), mu, float(lam), cert)
+    return None
+
+
 def sdp_feasible_point(
     g: GramSlice,
     margin: float | Sequence[float] = 1e-3,
@@ -286,22 +308,25 @@ def sdp_feasible_point(
     The solver follows the dual barrier path of ``_dual_path`` (any method
     achieving the eigenvalue bound conforms equally).  ``margin`` is one
     positive finite margin or a ladder of them, tried in order until one
-    certifies; one path serves the whole ladder, computed only as far as
-    the ladder reads it.  A margin only places the exact gate: at the first
-    outer step whose best point reaches it, and if that fails, at the end of
-    the path.  An unbiased search stops reading the path for a margin once
-    some dual iterate's nu lies below it.  The gate divides the coordinates
-    y of the point's numerator A_w(G) along the rows of ``g.kernel_rows`` by
-    their largest absolute value and rounds them on the grid 2^-bits,
-    bits = 20 and, if that fails, 40.  With basis vector k over 2^L_k as its
-    row (L_k = ``g.unit_bits[k]``), the exact numerator is one
-    ``g.space.combination`` with coefficients grid_k / 2^(bits + L_k),
-    certified by the exact root count; each point is gated at most once per
-    call.  A margin the path never reaches, or whose gates fail, yields
-    ``indeterminate`` with the best eigenvalue (when the margin was ruled
-    out, the best when it was, with the bound in ``optimum_bound``), which
-    is not a proof of infeasibility.  The result is the first feasible
-    margin's, else the last margin's, with the log of every margin tried.
+    certifies.  One path serves the whole ladder and is computed only as far
+    as the ladder reads it, by one rule: a margin m is decided at the first
+    outer step whose best point reaches m or whose bound (the least nu so
+    far, in an unbiased search) lies below m.  If that best point falls
+    short of m, the bound has ruled m out.  Otherwise the exact gate runs on
+    it and, if that fails or no step decided m, on the best point at the end
+    of the path if that reaches m; each point is gated at most once per
+    call.  The gate divides the coordinates y of the point's numerator
+    A_w(G) along the rows of ``g.kernel_rows`` by their largest absolute
+    value and rounds them on the grid 2^-bits, bits = 20 and, if that fails,
+    40.  With basis vector k over 2^L_k as its row (L_k =
+    ``g.unit_bits[k]``), the exact numerator is one ``g.space.combination``
+    with coefficients grid_k / 2^(bits + L_k), certified by the exact root
+    count.  A margin ruled out, never reached or whose gates fail yields
+    ``indeterminate``, which is not a proof of infeasibility, with the best
+    eigenvalue at the step that ruled it out and the bound in
+    ``optimum_bound``, or else at the end of the path.  The result is the
+    first feasible margin's, else the last margin's, with the log of every
+    margin tried.
 
     ``objective_bias`` b, one entry per kernel coordinate, steers the solver
     to other interior points, as other cost functions would: the search
@@ -313,7 +338,6 @@ def sdp_feasible_point(
     if not margins or not all(math.isfinite(m) and m > 0 for m in margins):
         raise ValueError("margins must be positive and finite")
     n = g.dimension
-    rows = g.kernel_rows
     shift = np.zeros((n, n))
     if objective_bias is not None:
         if len(objective_bias) != g.space.dimension:
@@ -321,68 +345,30 @@ def sdp_feasible_point(
                 f"objective_bias has {len(objective_bias)} entries, "
                 f"the kernel has dimension {g.space.dimension}"
             )
-        h = _hankel(g.weights, np.asarray([float(v) for v in objective_bias]) @ rows)
+        h = _hankel(g.weights, np.asarray([float(v) for v in objective_bias]) @ g.kernel_rows)
         shift = np.trace(h) / n * np.eye(n) - h
 
-    def coordinates(gram):
-        return np.linalg.lstsq(rows.T, _numerator(g.weights, gram), rcond=None)[0]
-
-    steps = _dual_path(g, shift, not shift.any())
-    path = [next(steps)]  # snapshots computed so far; path[0] is the start
-
-    def deciding(m):
-        """The first outer-step snapshot that reaches m or whose bound rules m out.
-
-        None if the path ends first.
-        """
-        k = 1
-        while True:
-            if k == len(path):
-                snapshot = next(steps, None)
-                if snapshot is None:
-                    return None
-                path.append(snapshot)
-            _, lam, bound = path[k]
-            if lam >= m or bound < m:
-                return path[k]
-            k += 1
-
-    gates = {}
-
-    def exact_gate(gram, lam):
-        # best_lam rises strictly whenever best_gram moves, so it names the point
-        if lam not in gates:
-            gates[lam] = None
-            y = coordinates(gram)
-            top = float(np.max(np.abs(y)))
-            # all-zero kernel coordinates give mu = 0, which certifies nothing
-            for bits in (20, 40) if top > 0.0 else ():
-                grid = np.rint(y / top * 2.0**bits).astype(np.int64).tolist()
-                coefficients = [Fraction(c, 1 << (bits + u)) for c, u in zip(grid, g.unit_bits)]
-                mu = g.space.combination(coefficients)
-                cert = certify_regular(mu)
-                if cert:
-                    gates[lam] = FeasibilityResult(
-                        FEASIBLE, tuple(map(float, y)), mu, float(lam), cert
-                    )
-                    break
-        return gates[lam]
-
+    snapshots = _dual_path(g, shift)
+    start = next(snapshots)
+    gated = set()  # lams gated so far, all failed: best_lam rises strictly as best_gram moves
     log = []
     for m in margins:
-        snapshot = deciding(m)
+        # each copy yields the outer steps drawn so far, then draws new ones from the path
+        snapshots, walk, rest = itertools.tee(snapshots, 3)
+        snapshot = next((s for s in walk if s[1] >= m or s[2] < m), None)
         result = bound = None
         if snapshot is not None and snapshot[1] < m:
             # the bound proves m unreachable: report the best point so far
             best_gram, best_lam, bound = snapshot
         else:
-            if snapshot is not None:
-                result = exact_gate(*snapshot[:2])
+            if snapshot is not None and snapshot[1] not in gated:
+                gated.add(snapshot[1])
+                result = _gate(g, *snapshot[:2])
             if result is None:
-                path.extend(steps)
-                best_gram, best_lam, _ = path[-1]
-                if best_lam >= m:
-                    result = exact_gate(best_gram, best_lam)
+                *_, (best_gram, best_lam, _) = start, *rest  # the end of the path
+                if best_lam >= m and best_lam not in gated:
+                    gated.add(best_lam)
+                    result = _gate(g, best_gram, best_lam)
         if result is None:
             result = FeasibilityResult(
                 INDETERMINATE, None, None, float(best_lam), optimum_bound=bound
@@ -391,7 +377,7 @@ def sdp_feasible_point(
         if result.is_feasible:
             return replace(result, margin=m, relaxation_log=tuple(log))
     # the last margin's best point, whose coordinates only the returned result needs
-    witness = None if best_gram is None else tuple(map(float, coordinates(best_gram)))
+    witness = None if best_gram is None else tuple(map(float, _coordinates(g, best_gram)))
     return replace(result, witness_x=witness, relaxation_log=tuple(log))
 
 

@@ -276,6 +276,23 @@ class TestSynth:
         lam, bound = map(float, found.groups())
         assert lam <= bound < cli.MARGIN_FLOOR
 
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            (9, "best trace-normalized eigenvalue 5.053e-09, optimum at most 7.302e-09"),
+            (10, "best trace-normalized eigenvalue -6.892e-10, optimum at most 1.902e-09"),
+        ],
+        ids=["row9", "row10"],
+    )
+    def test_table_rows_exit_3_lines(self, tmp_path, capsys, row, reason):
+        # the ROADMAP table rows the ladder rules out: the best eigenvalue at the
+        # ruling step and the bound that ruled the last margin out, verbatim
+        cfg_data = json.loads(json.dumps(EX2_CONFIG))
+        cfg_data["poles"] = [{"b": str(b), "c": str(c), "multiplicity": m} for b, c, m in TABLE_POLES[row - 1]]
+        cfg = write_config(tmp_path, cfg_data)
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 3
+        assert capsys.readouterr().err == f"error: no strictly positive numerator found ({reason})\n"
+
     def test_non_finite_margin_exit_4(self, tmp_path, capsys):
         # an infinite margin would relax forever: inf / 10 stays above the floor
         out = str(tmp_path / "o.json")

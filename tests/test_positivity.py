@@ -21,7 +21,7 @@ from phforge import (
     synthesize_curve,
 )
 from phforge import positivity
-from phforge.positivity import _barrier_derivatives, _dual_path, _hankel, _numerator
+from phforge.positivity import _barrier_derivatives, _dual_path, _gate, _hankel, _numerator
 from phforge.quaternion import QJ, QONE
 
 from helpers import MU0, MU2, antidiagonal_sums, generator_deg3, poles_single
@@ -297,10 +297,10 @@ class TestNewtonSystem:
             np.testing.assert_allclose(hess, ref_hess, rtol=0, atol=1e-12 * np.abs(ref_hess).max())
 
 
-def full_path(slice_):
-    """Every snapshot of the unbiased dual path, run to its end."""
+def full_path(slice_, shift=None):
+    """Every snapshot of the dual path, unbiased unless ``shift`` is given, run to its end."""
     n = slice_.dimension
-    return list(_dual_path(slice_, np.zeros((n, n)), True))
+    return list(_dual_path(slice_, np.zeros((n, n)) if shift is None else shift))
 
 
 def without_bounds(path):
@@ -327,6 +327,29 @@ POLE_CASES = {
 }
 
 
+def ladder_reference(path, margins, gate):
+    """The ladder rule of ``sdp_feasible_point`` applied to a fully drawn path.
+
+    Returns how many snapshots a call needs, the start included, and the
+    least eigenvalues of the points it gates, in order.
+    """
+    needed, gated = 1, []
+    for m in margins:
+        k = next((k for k in range(1, len(path)) if path[k][1] >= m or path[k][2] < m), None)
+        if k is not None and path[k][1] < m:
+            needed = max(needed, k + 1)  # the bound rules m out
+            continue
+        # the deciding step, then the end of the path; a point gated before failed
+        for j in ([] if k is None else [k]) + [len(path) - 1]:
+            needed = max(needed, j + 1)
+            gram, lam, _ = path[j]
+            if lam >= m and lam not in gated:
+                gated.append(lam)
+                if gate(gram, lam) is not None:
+                    return needed, gated
+    return needed, gated
+
+
 def one_margin_at_a_time(slice_, margins, bias=None):
     """Reference ladder: a separate single-margin call per margin."""
     log = []
@@ -338,10 +361,18 @@ def one_margin_at_a_time(slice_, margins, bias=None):
     return res, tuple(log)
 
 
+def witness_bias(slice_):
+    """An objective bias sized against the unbiased witness, as synth draws its extra solutions."""
+    base = sdp_feasible_point(slice_, LADDER)
+    assert base.is_feasible
+    rng = random.Random(3)
+    return [rng.gauss(0.0, 1.0) * 0.5 * base.margin / (abs(v) + 1.0) for v in base.witness_x]
+
+
 class TestRelaxationLadder:
-    @pytest.mark.parametrize("slice_name", ["two_factor_slice", "single_factor_slice"])
-    def test_one_call_matches_separate_calls(self, slice_name, request):
-        slice_ = request.getfixturevalue(slice_name)
+    @pytest.mark.parametrize("poles", POLE_CASES.values(), ids=POLE_CASES)
+    def test_one_call_matches_separate_calls(self, poles):
+        slice_ = generator_slice(*poles)
         ladder = sdp_feasible_point(slice_, LADDER)
         single, log = one_margin_at_a_time(slice_, LADDER)
         assert ladder.relaxation_log == log
@@ -419,15 +450,51 @@ class TestRelaxationLadder:
         assert full.optimum_bound is None
 
     def test_biased_call_matches_separate_calls(self, single_factor_slice):
-        base = sdp_feasible_point(single_factor_slice, LADDER)
-        assert base.is_feasible
-        rng = random.Random(3)
-        bias = [rng.gauss(0.0, 1.0) * 0.5 * base.margin / (abs(v) + 1.0) for v in base.witness_x]
+        bias = witness_bias(single_factor_slice)
         ladder = sdp_feasible_point(single_factor_slice, LADDER, objective_bias=bias)
         single, log = one_margin_at_a_time(single_factor_slice, LADDER, bias)
         assert ladder.relaxation_log == log
         assert ladder.witness_x == single.witness_x
         assert ladder.witness_mu == single.witness_mu
+
+    @pytest.mark.parametrize(
+        "poles, mode",
+        [
+            *((poles, "unbiased") for poles in POLE_CASES.values()),
+            (((0, 4, 10),), "biased"),
+            (((0, 4, 10),), "rejecting"),
+        ],
+        ids=[*POLE_CASES, "(0,4)^10 biased", "(0,4)^10 rejecting"],
+    )
+    def test_draws_path_lazily_and_gates_each_point_once(self, poles, mode, monkeypatch):
+        slice_ = generator_slice(*poles)
+        bias = witness_bias(slice_) if mode == "biased" else None
+        # a gate that rejects every point sends each margin it reaches on to
+        # the end of the path, which the next margins reach again
+        gate = (lambda g, gram, lam: None) if mode == "rejecting" else _gate
+        shifts, drawn, gated = [], [], []
+
+        def counted_path(g, shift):
+            shifts.append(shift)
+            for snapshot in _dual_path(g, shift):
+                drawn.append(snapshot[1])
+                yield snapshot
+
+        def counted_gate(g, gram, lam):
+            gated.append(lam)
+            return gate(g, gram, lam)
+
+        monkeypatch.setattr(positivity, "_dual_path", counted_path)
+        monkeypatch.setattr(positivity, "_gate", counted_gate)
+        sdp_feasible_point(slice_, LADDER, objective_bias=bias)
+        (shift,) = shifts
+        path = full_path(slice_, shift)
+        needed, ref_gated = ladder_reference(path, LADDER, lambda gram, lam: gate(slice_, gram, lam))
+        # snapshots up to the one deciding the last margin read, the whole path
+        # only when a gate failed or nothing decided, and no point gated twice
+        assert drawn == [lam for _, lam, _ in path[:needed]]
+        assert gated == ref_gated
+        assert len(set(gated)) == len(gated)
 
     def test_single_margin_is_a_one_step_ladder(self):
         _, slice_ = reference_slice()
