@@ -13,7 +13,8 @@ are deterministic for a fixed config: exact data as rational strings,
 sampled data as floats, JSON as one compact line with sorted keys.  ``synth``
 writes a ``phforge-bundle-v3`` bundle, whose poses store their rotation
 quaternion but not its frame; ``sample`` and ``frames`` read v1, v2 and v3
-bundles alike, each of which must hold ``generator``.
+bundles alike, each of which must hold ``generator`` and ``mu``, and check
+each once, at load, against r' = (mu/alpha) A i A* (``load_bundle``).
 """
 
 from __future__ import annotations
@@ -29,13 +30,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NoCertificateError, NonPythagoreanError, ParseError, PhforgeError
+from .errors import NoCertificateError, ParseError, PhforgeError
 from .geometry import (
     _mu_speed,
     angle_parameters,
     convex_hull_contains_origin,
     sample_motion,
-    speed_function,
+    speed_function,  # noqa: F401  kept: perfbench's traced run patches this name here
     tangent_indicatrix,
 )
 from .polynomial import Polynomial
@@ -45,12 +46,13 @@ from .positivity import (
     certify_regular,
     sdp_feasible_point,
 )
-from .quaternion import Quaternion, QuaternionPolynomial, i_reduce
+from .quaternion import QI, Quaternion, QuaternionPolynomial, i_reduce, rotate_vector
 from .rationals import format_rational, parse_rational
-from .ratfunc import PoleStructure, QuadraticFactor, sturm_real_root_count
+from .ratfunc import PoleStructure, QuadraticFactor, _integrates, sturm_real_root_count
 from .synthesis import (
     RationalCurve,
     SynthesisProblem,
+    _core_and_lift,
     build_residue_system,
     closure_point,
     synthesize_curve,
@@ -467,6 +469,16 @@ class Bundle:
 
 
 def load_bundle(path: str) -> Bundle:
+    """The bundle at path, checked once; ``sample`` and ``frames`` trust it after.
+
+    Each field is parsed and range-checked where it is read.  Then the curve
+    must satisfy r' = (mu/alpha) A i A* for the bundle's generator A: mu is
+    required and certified positive, alpha is the product of config.poles,
+    den divides lift (``synthesis._core_and_lift``), so it has no real root,
+    no numerator outgrows den, and each numerator times lift / den passes
+    ``ratfunc._integrates``, integration's own exact check.  Each failure
+    names its field: ``mu``, ``alpha`` or ``curve``.
+    """
     data = _read_json(path, "bundle")
     if not isinstance(data, dict) or data.get("schema") not in READABLE_SCHEMAS:
         *older, newest = READABLE_SCHEMAS
@@ -485,11 +497,6 @@ def load_bundle(path: str) -> Bundle:
         raise ParseError("expected three numerators", "curve.numerators")
     nums = tuple(_poly_from_rats(n, f"curve.numerators[{i}]") for i, n in enumerate(nums))
     den = _poly_from_rats(curve_raw.get("denominator"), "curve.denominator")
-    mu = _poly_from_rats(data["mu"], "mu") if "mu" in data else None
-    try:
-        curve = RationalCurve(nums, den, mu=mu)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(str(exc), "curve") from None
     _float_range((*nums, den), "curve")
     gen_raw = data.get("generator")
     if not isinstance(gen_raw, dict):
@@ -498,7 +505,22 @@ def load_bundle(path: str) -> Bundle:
     _float_range(gen.component_polys(), "generator.coefficients")
     if sturm_real_root_count(gen.norm_poly()):
         raise ParseError("generator vanishes at a real parameter", "generator.coefficients")
-    return Bundle(cfg, curve, gen)
+    mu = _poly_from_rats(data.get("mu"), "mu")
+    if _poly_from_rats(data.get("alpha"), "alpha") != cfg.poles.alpha():
+        raise ParseError("not the product of config.poles", "alpha")
+    if not certify_regular(mu):
+        raise ParseError("not positive at every real parameter", "mu")
+    core, lift, e = _core_and_lift(cfg.poles)
+    try:
+        cofactor = lift.exact_div(den)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError("the denominator does not divide the poles' lift", "curve") from None
+    if any(n.degree > den.degree for n in nums):
+        raise ParseError("unbounded component: numerator degree exceeds denominator", "curve")
+    hodograph = [mu * w for w in rotate_vector(gen, QI).vector_polys()]
+    if not _integrates([n * cofactor for n in nums], hodograph, core, e):
+        raise ParseError("r' is not (mu/alpha) A i A* of the generator", "curve")
+    return Bundle(cfg, RationalCurve(nums, den, mu), gen)
 
 
 def _float_range(polys, where: str) -> None:
@@ -543,10 +565,9 @@ def _project(positions, view):
 
 def _svg(bundle: Bundle, n: int) -> str:
     params, positions = _sample_positions(bundle, n)
+    speed = _mu_speed(bundle.generator, bundle.config.poles.alpha(), bundle.curve.mu)
     try:
-        speeds = np.abs(speed_function(bundle.curve).eval_floats(params))
-    except NonPythagoreanError as exc:
-        raise ParseError(str(exc), "curve") from None
+        speeds = np.abs(speed.eval_floats(params))
     except OverflowError:
         raise ParseError("speed coefficients exceed the float range", "curve") from None
 

@@ -27,6 +27,7 @@ from phforge import (
     i_reduce,
     poly_gcd,
     residue_at,
+    sturm_real_root_count,
     synthesize_curve,
 )
 from phforge import cli, linalg
@@ -94,12 +95,44 @@ MU0 = P([1, 0, 0, 0, F(11, 53264)])
 MU2 = P([0, 0, 1, 0, F(-189, 13316)])
 
 
+def ref_curve(nums, den: P, mu=None) -> RationalCurve:
+    """The curve of three numerators over den, validated and in lowest terms.
+
+    den is made monic, the gcd of den and the numerators is divided out and
+    den's real roots are counted exactly.  Raises ZeroDivisionError for a
+    zero den and ValueError when den has a real root or a numerator has a
+    higher degree than den.  ``RationalCurve`` itself checks nothing.
+    """
+    nums = tuple(nums)
+    if len(nums) != 3:
+        raise ValueError("three components required")
+    if den.is_zero:
+        raise ZeroDivisionError("zero denominator")
+    lead = den.leading()
+    if lead != 1:
+        nums = tuple(n * (1 / lead) for n in nums)
+        den = den.monic()
+    common = den
+    for n in nums:
+        common = poly_gcd(common, n) if not n.is_zero else common
+        if common.degree == 0:
+            break
+    if common.degree > 0:
+        nums = tuple(n.exact_div(common) for n in nums)
+        den = den.exact_div(common)
+    if den.degree > 0 and sturm_real_root_count(den) != 0:
+        raise ValueError("denominator has real roots")
+    if any(n.degree > den.degree for n in nums):
+        raise ValueError("unbounded component: numerator degree exceeds denominator")
+    return RationalCurve(nums, den, mu)
+
+
 def ref_curve_from_components(x: RF, y: RF, z: RF) -> RationalCurve:
     """The curve with components x, y, z over the lcm of their denominators."""
     den = P.one()
     for c in (x, y, z):
         den = den * c.denominator.exact_div(poly_gcd(den, c.denominator))
-    return RationalCurve(tuple(c.numerator * den.exact_div(c.denominator) for c in (x, y, z)), den)
+    return ref_curve([c.numerator * den.exact_div(c.denominator) for c in (x, y, z)], den)
 
 
 def matches_up_to_translation(curve: RationalCurve, printed_nums, printed_den) -> bool:
@@ -315,7 +348,7 @@ def unit_scale(curve: RationalCurve) -> RationalCurve:
     scale = F(radius).limit_denominator(10**9)
     if scale == 0:
         return curve
-    return RationalCurve(tuple(n * (1 / scale) for n in curve.nums), curve.den)
+    return ref_curve([n * (1 / scale) for n in curve.nums], curve.den)
 
 
 def run_property_suite(problems) -> dict:

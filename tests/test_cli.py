@@ -20,7 +20,7 @@ from phforge import (
 from phforge import cli, geometry, positivity, synthesis
 from phforge.cli import load_bundle, main
 from phforge.polynomial import Polynomial as P
-from phforge.quaternion import rotate_vector
+from phforge.quaternion import QI, rotate_vector
 from phforge.rationals import format_rational, parse_rational
 
 from helpers import (
@@ -408,7 +408,7 @@ class TestSampleExports:
             capsys.readouterr()
             assert main(["sample", "--config", str(bad), "--samples", "16"]) == 4, field
             assert capsys.readouterr().err.startswith(f"error: {field}: ")
-        # a curve that is not Pythagorean-hodograph loads, but has no rational speed for svg
+        # a curve that is not Pythagorean-hodograph fails r' = (mu/alpha) A i A* at load
         data = json.loads(json.dumps(good))
         data["curve"]["numerators"][0] = ["0", "1"]
         bad.write_text(json.dumps(data))
@@ -754,11 +754,13 @@ def _small_generator_config(entry=3):
     return raw
 
 
-def _generator_bundle(coefficients):
-    # the bundle with generator.coefficients replaced
+def _generator_bundle(coefficients, scale=1):
+    # the bundle with generator.coefficients replaced by the generator times
+    # scale, and mu over scale^2, so that the curve stays the bundle's
     def write(bundle_path, tmp_path):
         data = json.loads(Path(bundle_path).read_text())
         data["generator"]["coefficients"] = coefficients
+        data["mu"] = [format_rational(parse_rational(v) / F(scale) ** 2) for v in data["mu"]]
         path = tmp_path / "generator.json"
         path.write_text(json.dumps(data))
         return str(path)
@@ -767,12 +769,14 @@ def _generator_bundle(coefficients):
 
 
 def _large_curve_bundle(largest):
-    # the bundle with its curve numerators scaled so the largest coefficient is `largest`
+    # the bundle with its curve numerators scaled so the largest coefficient is
+    # `largest`, and mu by the same factor, so that r' = (mu/alpha) A i A* still holds
     def write(bundle_path, tmp_path):
         data = json.loads(Path(bundle_path).read_text())
         nums = [[parse_rational(c) for c in n] for n in data["curve"]["numerators"]]
         scale = F(largest) / max(abs(c) for n in nums for c in n)
         data["curve"]["numerators"] = [[format_rational(c * scale) for c in n] for n in nums]
+        data["mu"] = [format_rational(parse_rational(c) * scale) for c in data["mu"]]
         path = tmp_path / "large_curve.json"
         path.write_text(json.dumps(data))
         return str(path)
@@ -819,7 +823,7 @@ FAILURES = {
     **{
         f"generator-overflow-frames-{fmt}": (
             "frames",
-            _generator_bundle([[str(int(v) * 10**400) for v in q] for q in EX2_CONFIG["quaternion"]]),
+            _generator_bundle([[str(int(v) * 10**400) for v in q] for q in EX2_CONFIG["quaternion"]], 10**400),
             ["--format", fmt],
             4,
         )
@@ -838,7 +842,7 @@ FAILURES = {
     **{
         f"generator-underflow-frames-{fmt}": (
             "frames",
-            _generator_bundle([[f"{v}e-400" for v in q] for q in EX2_CONFIG["quaternion"]]),
+            _generator_bundle([[f"{v}e-400" for v in q] for q in EX2_CONFIG["quaternion"]], F(1, 10**400)),
             ["--format", fmt],
             4,
         )
@@ -865,7 +869,7 @@ def test_failure_prints_one_error_line_and_writes_nothing(bundle_path, tmp_path,
 
 @pytest.mark.parametrize(
     "case, field",
-    [("curve-overflow-frames-csv", "curve"), ("speed-overflow-sample-svg", "curve"),
+    [("curve-overflow-frames-csv", "curve"), ("speed-overflow-sample-svg", "curve"), ("non-ph-curve", "curve"),
      ("generator-overflow-frames-json", "generator.coefficients"),
      ("generator-overflow-check", "quaternion"),
      ("curve-non-finite-sample-json", "curve"), ("curve-non-finite-frames-json", "curve"),
@@ -880,6 +884,83 @@ def test_overflow_names_the_field(bundle_path, tmp_path, capsys, case, field):
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
+@pytest.fixture(scope="module")
+def two_factor_bundle(tmp_path_factory):
+    """The bundle ``synth`` writes for the reference generator over (0,4)^8.(1,3)^6, as a path."""
+    tmp = tmp_path_factory.mktemp("two_factor")
+    cfg_data = json.loads(json.dumps(EX2_CONFIG))
+    cfg_data["poles"] = [{"b": "0", "c": "4", "multiplicity": 8}, {"b": "1", "c": "3", "multiplicity": 6}]
+    out = str(tmp / "bundle.json")
+    assert main(["synth", "--config", write_config(tmp, cfg_data), "--out", out]) == 0
+    return out
+
+
+def _swap_j_and_k(data):
+    data["generator"]["coefficients"] = [[w, x, z, y] for w, x, y, z in data["generator"]["coefficients"]]
+
+
+def _edit_first(values, edit):
+    values[0] = format_rational(edit(parse_rational(values[0])))
+
+
+def _times_t2_plus_1(data):
+    # a real-root-free denominator, of higher degree than every numerator
+    den = [parse_rational(v) for v in data["curve"]["denominator"]]
+    data["curve"]["denominator"] = [format_rational(a + b) for a, b in zip(den + [0, 0], [0, 0] + den)]
+
+
+def _add_alpha_to_mu(data):
+    # (mu + alpha) / alpha A i A* adds the polynomial W = int_0^t A i A* to the
+    # curve: mu + alpha stays positive and r' = (mu/alpha) A i A* still holds,
+    # but every numerator N + W den outgrows den
+    gen = cli._generator(data["generator"]["coefficients"], "generator")
+    den = cli._poly_from_rats(data["curve"]["denominator"], "curve.denominator")
+    mu, alpha = (cli._poly_from_rats(data[k], k) for k in ("mu", "alpha"))
+    data["mu"] = cli._poly_to_rats(mu + alpha)
+    data["curve"]["numerators"] = [
+        cli._poly_to_rats(cli._poly_from_rats(n, "n") + w.antiderivative() * den)
+        for n, w in zip(data["curve"]["numerators"], rotate_vector(gen, QI).vector_polys())
+    ]
+
+
+# (edit of the bundle's data, the field its error line names)
+BUNDLE_EDITS = {
+    "generator-j-k-swapped": (_swap_j_and_k, "curve"),
+    "curve-coefficient-plus-1": (lambda d: _edit_first(d["curve"]["numerators"][1], lambda c: c + 1), "curve"),
+    "mu-coefficient-doubled": (lambda d: _edit_first(d["mu"], lambda c: 2 * c), "curve"),
+    "alpha-coefficient-doubled": (lambda d: _edit_first(d["alpha"], lambda c: 2 * c), "alpha"),
+    "mu-missing": (lambda d: d.pop("mu"), "mu"),
+    "mu-negated": (lambda d: d.update(mu=[format_rational(-parse_rational(v)) for v in d["mu"]]), "mu"),
+    "denominator-not-dividing-lift": (_times_t2_plus_1, "curve"),
+    "numerator-degree-above-denominator": (_add_alpha_to_mu, "curve"),
+}
+
+
+@pytest.mark.parametrize("edit", BUNDLE_EDITS)
+def test_bundle_failing_its_identity_exits_4(two_factor_bundle, tmp_path, capsys, edit):
+    """A bundle edited in one place fails its load check: sample and frames exit 4, naming the field.
+
+    Each edit leaves every field parseable and in float range, so only
+    the checks of r' = (mu/alpha) A i A* can catch it; the last one keeps
+    the identity itself, so only the degree check does.
+    """
+    corrupt, field = BUNDLE_EDITS[edit]
+    data = json.loads(Path(two_factor_bundle).read_text())
+    corrupt(data)
+    config = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    for command, formats in (("sample", ("json", "csv", "obj", "svg")), ("frames", ("json", "csv"))):
+        for fmt in formats:
+            capsys.readouterr()
+            assert main([command, "--config", config, "--format", fmt, "--out", str(out)]) == 4, (command, fmt)
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists(), (command, fmt)
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"error: {field}: "), (command, fmt, captured.err)
+    # the unedited bundle loads
+    assert main(["frames", "--config", two_factor_bundle, "--samples", "16", "--out", str(out)]) == 0
+
+
 def test_large_curve_csv_and_obj_write_inf(bundle_path, tmp_path, capsys):
     # the curve of curve-non-finite-*-json: JSON refuses its inf values, CSV and OBJ write them
     config = _large_curve_bundle(F(17, 10) * 10**308)(bundle_path, tmp_path)
@@ -890,14 +971,14 @@ def test_large_curve_csv_and_obj_write_inf(bundle_path, tmp_path, capsys):
         assert "inf" in captured.out, fmt
 
 
-def test_tiny_coefficient_below_the_lead_still_works(bundle_path, tmp_path, capsys):
+def test_tiny_coefficient_below_the_lead_still_works(tmp_path, capsys):
     # 1e-400 is 0 as a float; only a leading one leaves the float evaluation without a value
-    assert main(["check", "--config", write_config(tmp_path, _small_generator_config(entry=2))]) == 0
+    config = write_config(tmp_path, _small_generator_config(entry=2))
+    assert main(["check", "--config", config]) == 0
     assert json.loads(capsys.readouterr().out)["hull"]["status"] is True
-    coefficients = json.loads(json.dumps(EX2_CONFIG["quaternion"]))
-    coefficients[2][0] = "1e-400"
-    config = _generator_bundle(coefficients)(bundle_path, tmp_path)
-    assert main(["frames", "--config", config, "--samples", "16", "--format", "json"]) == 0
+    bundle = str(tmp_path / "bundle.json")
+    assert main(["synth", "--config", config, "--out", bundle]) == 0
+    assert main(["frames", "--config", bundle, "--samples", "16", "--format", "json"]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 16
 
 

@@ -8,7 +8,6 @@ from phforge import (
     PoleStructure,
     Polynomial as P,
     QuadraticFactor,
-    RationalCurve,
     RationalFunction as RF,
     SynthesisProblem,
     build_residue_system,
@@ -26,6 +25,7 @@ from helpers import (
     generator_deg3,
     mu_speed_matches,
     random_quaternion_poly,
+    ref_curve,
     ref_curve_from_components,
     ref_reparameterize,
 )
@@ -45,10 +45,9 @@ def test_component_degree_bound(synthesized_problems):
 
 @pytest.mark.parametrize("seed", (1, 2, 3))
 def test_factor_reduction_matches_the_validating_constructor(seed):
-    """``synthesize_curve``'s curve is ``RationalCurve``'s over the same N and lift.
+    """``synthesize_curve``'s curve is ``ref_curve``'s over the same N and lift.
 
-    The constructor reduces by a general gcd and counts real roots
-    exactly; ``synthesize_curve`` divides out known pole factors only.  Each
+    The oracle reduces by a general gcd and counts real roots exactly; ``synthesize_curve`` divides out known pole factors only.  Each
     problem runs with its kernel mu, where a factor sometimes divides all
     three numerators, and with mu = 0, whose curve is 0 over 1.
     """
@@ -57,7 +56,7 @@ def test_factor_reduction_matches_the_validating_constructor(seed):
         core, lift, e = _core_and_lift(problem.poles)
         for m in (P.zero(), mu):
             nums = _horowitz([m * wc for wc in problem.hodograph_dir], core, lift, e)
-            curve, want = synthesize_curve(problem, m), RationalCurve(nums, lift, mu=m)
+            curve, want = synthesize_curve(problem, m), ref_curve(nums, lift, mu=m)
             assert curve == want and curve.mu is m
             if m.is_zero:
                 assert curve.den == P.one() and not any(curve.nums)

@@ -254,10 +254,6 @@ class TestClosurePoint:
         curve = RationalCurve((P([1]), P([2]), P([3])), P([1]))
         assert closure_point(curve) == (1, 2, 3)
 
-    def test_unbounded_component_rejected_by_type(self):
-        with pytest.raises(ValueError):
-            RationalCurve((P([0, 1]), P([0]), P([0])), P([1]))
-
 
 def test_polynomial_curve_flagged_constant():
     # with the zero numerator the only polynomial solution is a point
