@@ -18,7 +18,6 @@ from .errors import (
 )
 from .geometry import (
     HullCertificate,
-    TangentIndicatrix,
     convex_hull_contains_origin,
     sample_motion,
     speed_function,
@@ -83,7 +82,6 @@ __all__ = [
     "RegularityCertificate",
     "SolutionSpace",
     "SynthesisProblem",
-    "TangentIndicatrix",
     "average_solutions",
     "build_gram_slice",
     "build_residue_system",

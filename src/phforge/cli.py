@@ -7,7 +7,8 @@ one ``error: `` line on stderr and the ``exit_code`` of its error class:
 numerator degree), 3 no certificate (a failed hull gate, an indeterminate
 positivity search, a failed regularity check), 4 parse/usage errors, an
 unreadable input, coefficients beyond the float range or underflowing it, a
-NaN or infinite sample in a JSON output and an unwritable ``--out`` included.
+NaN or infinite sample in a JSON or SVG output and an unwritable ``--out``
+included.
 ``check`` and ``synth`` take their options only from the config, so outputs
 are deterministic for a fixed config: exact data as rational strings,
 sampled data as floats, JSON as one compact line with sorted keys.  ``synth``
@@ -325,7 +326,7 @@ def cmd_check(cfg: ProblemConfig) -> str:
         "indicatrix": {
             "numerators": [_poly_to_rats(n) for n in T.nums],
             "denominator": _poly_to_rats(T.den),
-            "homogeneous_degree": T.homogeneous_degree,
+            "homogeneous_degree": T.den.degree,
         },
     }
     return _json(report)
@@ -471,11 +472,13 @@ class Bundle:
 def load_bundle(path: str) -> Bundle:
     """The bundle at path, checked once; ``sample`` and ``frames`` trust it after.
 
-    Each field is parsed and range-checked where it is read.  Then the curve
-    must satisfy r' = (mu/alpha) A i A* for the bundle's generator A: mu is
-    required and certified positive, alpha is the product of config.poles,
-    den divides lift (``synthesis._core_and_lift``), so it has no real root,
-    no numerator outgrows den, and each numerator times lift / den passes
+    Each field is parsed and range-checked where it is read, the curve over
+    a monic den, as ``synth`` writes it, so it samples alike with all its
+    coefficients scaled by any constant.  Then the curve must satisfy
+    r' = (mu/alpha) A i A* for the bundle's generator A: mu is required and
+    certified positive, alpha is the product of config.poles, den divides
+    lift (``synthesis._core_and_lift``), so it has no real root, no
+    numerator outgrows den, and each numerator times lift / den passes
     ``ratfunc._integrates``, integration's own exact check.  Each failure
     names its field: ``mu``, ``alpha`` or ``curve``.
     """
@@ -497,6 +500,8 @@ def load_bundle(path: str) -> Bundle:
         raise ParseError("expected three numerators", "curve.numerators")
     nums = tuple(_poly_from_rats(n, f"curve.numerators[{i}]") for i, n in enumerate(nums))
     den = _poly_from_rats(curve_raw.get("denominator"), "curve.denominator")
+    if den and (lead := den.leading()) != 1:  # the same curve over a monic den
+        nums, den = tuple(n * (1 / lead) for n in nums), den.monic()
     _float_range((*nums, den), "curve")
     gen_raw = data.get("generator")
     if not isinstance(gen_raw, dict):
@@ -570,6 +575,7 @@ def _svg(bundle: Bundle, n: int) -> str:
         speeds = np.abs(speed.eval_floats(params))
     except OverflowError:
         raise ParseError("speed coefficients exceed the float range", "curve") from None
+    _finite(positions, speeds)
 
     px, py = _project(positions, bundle.config.view)
     w, h, pad = 640.0, 880.0, 40.0

@@ -3,12 +3,13 @@
 The curve parameter lives on the projective line, identified with the unit
 circle through ``angle_parameters``; every float evaluation goes through
 ``polynomial.two_chart_eval``, which switches charts at |t| = 1 so the
-closure point t = infinity is an ordinary point.  Exact identities (unit
-norm of the tangent indicatrix, rationality of the speed) are verified in
-exact arithmetic; the convex-hull test and the sampled framing motion are
-the only floating parts.  ``sample_motion`` returns the motion as one
-``SampledMotion`` record of arrays (positions, rotations, frame columns),
-not as per-sample objects.
+closure point t = infinity is an ordinary point.  The tangent indicatrix is
+a ``RationalCurve`` too, closed and on the unit sphere, and is sampled as
+any curve is.  Exact identities (unit norm of the tangent indicatrix,
+rationality of the speed) are verified in exact arithmetic; the convex-hull
+test and the sampled framing motion are the only floating parts.
+``sample_motion`` returns the motion as one ``SampledMotion`` record of
+arrays (positions, rotations, frame columns), not as per-sample objects.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NonPythagoreanError
-from .polynomial import Polynomial, poly_sqrt, two_chart_eval, two_chart_quotients
+from .polynomial import Polynomial, poly_sqrt, two_chart_eval
 from .quaternion import QI, QuaternionPolynomial, rotate_vector
 from .ratfunc import RationalFunction
 from .synthesis import RationalCurve
@@ -47,46 +48,22 @@ def angle_parameters(n: int) -> list[float]:
     return t.tolist()
 
 
-class TangentIndicatrix:
-    """Unit tangent direction as a homogeneous rational map to the sphere.
-
-    Stored dehomogenized with the homogeneity degree kept alongside, so
-    second-chart evaluation pads the coefficient reversal correctly.  The
-    defining identity sum(num_c^2) = den^2 holds exactly.
-    """
-
-    def __init__(self, nums, den: Polynomial, homogeneous_degree: int):
-        nums = tuple(nums)
-        if len(nums) != 3:
-            raise ValueError("three components required")
-        if any(n.degree > homogeneous_degree for n in nums) or den.degree > homogeneous_degree:
-            raise ValueError("homogeneity degree below component degree")
-        total = Polynomial.zero()
-        for n in nums:
-            total = total + n * n
-        if total != den * den:
-            raise ValueError("components do not satisfy the unit-norm identity")
-        self.nums = nums
-        self.den = den
-        self.homogeneous_degree = homogeneous_degree
-
-    def sample(self, n: int) -> tuple[list[float], np.ndarray]:
-        params = angle_parameters(n)
-        vals = two_chart_quotients(self.nums, self.den, self.homogeneous_degree, params)
-        # row-major: the hull test's matrix products round differently on a transposed view
-        return params, np.ascontiguousarray(vals.T)
-
-
 # (1 + t^2) / 2 = -dt/dtheta, the circle-chart weight of the parameter speed
 _HALF_CIRCLE = Polynomial((Fraction(1, 2), 0, Fraction(1, 2)))
 
 
-def tangent_indicatrix(a: QuaternionPolynomial) -> TangentIndicatrix:
-    """Indicatrix A i A* / (A A*) of a rotational generator."""
+def tangent_indicatrix(a: QuaternionPolynomial) -> RationalCurve:
+    """Indicatrix A i A* / (A A*) of a rotational generator: a curve on the unit sphere, no mu.
+
+    It is closed: no numerator outgrows deg A A* = 2 deg A, and an i-reduced
+    A has no real root.  sum(num_c^2) = den^2 is checked exactly.
+    """
     if a.is_zero:
         raise ValueError("zero generator")
-    nums = rotate_vector(a, QI).vector_polys()
-    return TangentIndicatrix(nums, a.norm_poly(), 2 * a.degree)
+    nums, den = rotate_vector(a, QI).vector_polys(), a.norm_poly()
+    if sum((n * n for n in nums), Polynomial.zero()) != den * den:
+        raise ValueError("components do not satisfy the unit-norm identity")
+    return RationalCurve(nums, den)
 
 
 def speed_function(c: RationalCurve) -> RationalFunction:
@@ -183,7 +160,7 @@ def _min_norm_point(points: np.ndarray):
     return x, active, weights
 
 
-def convex_hull_contains_origin(T: TangentIndicatrix, samples: int = 256) -> HullCertificate:
+def convex_hull_contains_origin(T: RationalCurve, samples: int = 256) -> HullCertificate:
     """Sampling-based origin containment test with explicit certificates.
 
     Samples the indicatrix uniformly in circle angle over both charts and
@@ -194,7 +171,9 @@ def convex_hull_contains_origin(T: TangentIndicatrix, samples: int = 256) -> Hul
     """
     if samples < 16:
         raise ValueError("at least 16 samples required")
-    params, pts = T.sample(samples)
+    params = angle_parameters(samples)
+    # row-major: the hull test's matrix products round differently on a transposed view
+    pts = np.ascontiguousarray(T.eval_floats(params))
     x, active, weights = _min_norm_point(pts)
     support = tuple((params[i], w) for i, w in sorted(zip(active, weights)) if w > 1e-12)
     residual = float(np.linalg.norm(x))

@@ -52,7 +52,6 @@ class RegularityCertificate:
     regular: bool
     real_root_count: int
     leading_coefficient: Fraction
-    degree: int
 
     def __bool__(self):
         return self.regular
@@ -66,10 +65,10 @@ def certify_regular(mu: Polynomial) -> RegularityCertificate:
     count is the certificate, independent of any floating arithmetic.
     """
     if mu.is_zero:
-        return RegularityCertificate(False, 0, Fraction(0), -1)
+        return RegularityCertificate(False, 0, Fraction(0))
     roots = sturm_real_root_count(mu)
     lead = Fraction(mu.leading())
-    return RegularityCertificate(roots == 0 and lead > 0, roots, lead, mu.degree)
+    return RegularityCertificate(roots == 0 and lead > 0, roots, lead)
 
 
 class GramSlice:

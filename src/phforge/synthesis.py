@@ -195,10 +195,12 @@ class RationalCurve:
 
     The constructor binds ``nums``, ``den`` and ``mu`` as given and checks
     nothing.  A curve comes from ``synthesize_curve``, which integrates
-    r' = (mu/alpha) A i A* and reduces it over the known pole factors, or
-    from ``cli.load_bundle``, which checks that identity on a bundle's data
-    first.  Either way den is real-root free and no numerator has a higher
-    degree than den, so both limits t -> +/-infinity exist and agree.
+    r' = (mu/alpha) A i A* and reduces it over the known pole factors, from
+    ``cli.load_bundle``, which checks that identity on a bundle's data first
+    and puts the curve over a monic den, or from
+    ``geometry.tangent_indicatrix``, as A i A* / (A A*) on the unit sphere,
+    with no mu.  Each way den is real-root free and no numerator has a
+    higher degree than den, so both limits t -> +/-infinity exist and agree.
     """
 
     __slots__ = ("nums", "den", "mu")

@@ -46,6 +46,10 @@ EX2_CONFIG = {
 }
 
 
+# the six (command, --format) exports of a bundle
+EXPORTS = [("sample", fmt) for fmt in ("json", "csv", "obj", "svg")] + [("frames", fmt) for fmt in ("json", "csv")]
+
+
 def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -514,14 +518,26 @@ class TestFrames:
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _readme_config(tmp_path):
+    """The README's config, written to a file under tmp_path, as a path."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1))
+    return str(cfg)
+
+
 @pytest.fixture(scope="module")
 def readme_bundle(tmp_path_factory):
     """The bundle ``synth`` writes for the README's config, as a path."""
     tmp = tmp_path_factory.mktemp("readme")
-    cfg, out = tmp / "config.json", tmp / "bundle.json"
-    cfg.write_text(re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1))
-    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
-    return str(out)
+    out = str(tmp / "bundle.json")
+    assert main(["synth", "--config", _readme_config(tmp), "--out", out]) == 0
+    return out
+
+
+def test_readme_check_reports_the_indicatrix_degree(tmp_path, capsys):
+    # |A|^2 of the degree-3 README generator has degree 6
+    assert main(["check", "--config", _readme_config(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["indicatrix"]["homogeneous_degree"] == 6
 
 
 def _scaled_generator_bundle(path, tmp_path, scale):
@@ -537,6 +553,36 @@ def _scaled_generator_bundle(path, tmp_path, scale):
     out = tmp_path / "scaled.json"
     out.write_text(json.dumps(data))
     return str(out)
+
+
+def _scaled_curve_bundle(path, tmp_path, scale, field):
+    """The bundle with its curve numerators and its ``field`` times scale.
+
+    field is "denominator", which leaves the curve as it is, or "mu", which
+    leaves r' = (mu/alpha) A i A* holding for the scaled curve.
+    """
+    data = json.loads(Path(path).read_text())
+    curve = data["curve"]
+    scaled = [*curve["numerators"], curve["denominator"] if field == "denominator" else data["mu"]]
+    for coefficients in scaled:
+        coefficients[:] = [format_rational(parse_rational(v) * scale) for v in coefficients]
+    out = tmp_path / f"scaled-{field}.json"
+    out.write_text(json.dumps(data))
+    return str(out)
+
+
+@pytest.mark.parametrize("scale", [F(1, 10**400), F(10**400)], ids=["1e-400", "1e400"])
+def test_exports_of_a_curve_over_a_scaled_denominator_are_byte_identical(readme_bundle, tmp_path, capsys, scale):
+    # the denominator's floats underflow or overflow unless the curve is put over a monic one at load
+    scaled = _scaled_curve_bundle(readme_bundle, tmp_path, scale, "denominator")
+    for command, fmt in EXPORTS:
+        outputs = []
+        for config in (readme_bundle, scaled):
+            assert main([command, "--config", config, "--samples", "64", "--format", fmt]) == 0, (command, fmt)
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1], (command, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -816,10 +862,13 @@ FAILURES = {
     # coefficients beyond float range: 10^308 still converts, the speed's squares do not
     **{
         f"curve-overflow-{command}-{fmt}": (command, _large_curve_bundle(10**400), ["--format", fmt], 4)
-        for command, formats in (("sample", ("json", "csv", "obj", "svg")), ("frames", ("json", "csv")))
-        for fmt in formats
+        for command, fmt in EXPORTS
     },
     "speed-overflow-sample-svg": ("sample", _large_curve_bundle(10**308), ["--format", "svg"], 4),
+    # every coefficient converts, but some speeds are inf, and speed / max speed NaN
+    "speed-non-finite-sample-svg": (
+        "sample", lambda b, tmp: _scaled_curve_bundle(b, tmp, F(2) ** 1023, "mu"), ["--format", "svg"], 4
+    ),
     **{
         f"generator-overflow-frames-{fmt}": (
             "frames",
@@ -869,7 +918,8 @@ def test_failure_prints_one_error_line_and_writes_nothing(bundle_path, tmp_path,
 
 @pytest.mark.parametrize(
     "case, field",
-    [("curve-overflow-frames-csv", "curve"), ("speed-overflow-sample-svg", "curve"), ("non-ph-curve", "curve"),
+    [("curve-overflow-frames-csv", "curve"), ("speed-overflow-sample-svg", "curve"),
+     ("speed-non-finite-sample-svg", "curve"), ("non-ph-curve", "curve"),
      ("generator-overflow-frames-json", "generator.coefficients"),
      ("generator-overflow-check", "quaternion"),
      ("curve-non-finite-sample-json", "curve"), ("curve-non-finite-frames-json", "curve"),
@@ -949,14 +999,13 @@ def test_bundle_failing_its_identity_exits_4(two_factor_bundle, tmp_path, capsys
     corrupt(data)
     config = write_config(tmp_path, data)
     out = tmp_path / "out"
-    for command, formats in (("sample", ("json", "csv", "obj", "svg")), ("frames", ("json", "csv"))):
-        for fmt in formats:
-            capsys.readouterr()
-            assert main([command, "--config", config, "--format", fmt, "--out", str(out)]) == 4, (command, fmt)
-            captured = capsys.readouterr()
-            assert captured.out == "" and not out.exists(), (command, fmt)
-            lines = captured.err.splitlines()
-            assert len(lines) == 1 and lines[0].startswith(f"error: {field}: "), (command, fmt, captured.err)
+    for command, fmt in EXPORTS:
+        capsys.readouterr()
+        assert main([command, "--config", config, "--format", fmt, "--out", str(out)]) == 4, (command, fmt)
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists(), (command, fmt)
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {field}: "), (command, fmt, captured.err)
     # the unedited bundle loads
     assert main(["frames", "--config", two_factor_bundle, "--samples", "16", "--out", str(out)]) == 0
 
@@ -1019,10 +1068,7 @@ def test_old_bundles_export_like_v3(bundle_path, tmp_path, capsys):
     data["samples"]["parameters"] = [pose["parameter"] for pose in poses]
     v1 = tmp_path / "v1.json"
     v1.write_text(json.dumps(data))
-    exports = [
-        ["sample", "--format", fmt] for fmt in ("json", "csv", "obj", "svg")
-    ] + [["frames", "--format", fmt] for fmt in ("json", "csv")]
-    for export in exports:
+    for export in ([command, "--format", fmt] for command, fmt in EXPORTS):
         outputs = []
         for path in (bundle_path, str(v2), str(v1)):
             assert main(export + ["--samples", "32", "--config", path]) == 0, export
