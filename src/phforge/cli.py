@@ -15,7 +15,8 @@ sampled data as floats, JSON as one compact line with sorted keys.  ``synth``
 writes a ``phforge-bundle-v3`` bundle, whose poses store their rotation
 quaternion but not its frame; ``sample`` and ``frames`` read v1, v2 and v3
 bundles alike, each of which must hold ``generator`` and ``mu``, and check
-each once, at load, against r' = (mu/alpha) A i A* (``load_bundle``).
+each once, at load: its curve must be the one ``synthesize_curve`` integrates
+from mu, r' = (mu/alpha) A i A* with r(0) = 0 (``load_bundle``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NoCertificateError, ParseError, PhforgeError
+from .errors import DegreeError, NoCertificateError, ParseError, PhforgeError, RationalityError
 from .geometry import (
     _mu_speed,
     angle_parameters,
@@ -47,13 +48,12 @@ from .positivity import (
     certify_regular,
     sdp_feasible_point,
 )
-from .quaternion import QI, Quaternion, QuaternionPolynomial, i_reduce, rotate_vector
+from .quaternion import Quaternion, QuaternionPolynomial, i_reduce
 from .rationals import format_rational, parse_rational
-from .ratfunc import PoleStructure, QuadraticFactor, _integrates, sturm_real_root_count
+from .ratfunc import PoleStructure, QuadraticFactor, sturm_real_root_count
 from .synthesis import (
     RationalCurve,
     SynthesisProblem,
-    _core_and_lift,
     build_residue_system,
     closure_point,
     synthesize_curve,
@@ -215,7 +215,8 @@ def canonical_config(cfg: ProblemConfig) -> dict:
 def _read_json(path: str, what: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            # an integer within parse_rational's digit bound, whatever Python's int limit
+            return json.load(fh, parse_int=lambda digits: int(_rational(digits, what)))
     except OSError as exc:
         raise ParseError(f"cannot read {what}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -472,15 +473,14 @@ class Bundle:
 def load_bundle(path: str) -> Bundle:
     """The bundle at path, checked once; ``sample`` and ``frames`` trust it after.
 
-    Each field is parsed and range-checked where it is read, the curve over
-    a monic den, as ``synth`` writes it, so it samples alike with all its
-    coefficients scaled by any constant.  Then the curve must satisfy
-    r' = (mu/alpha) A i A* for the bundle's generator A: mu is required and
-    certified positive, alpha is the product of config.poles, den divides
-    lift (``synthesis._core_and_lift``), so it has no real root, no
-    numerator outgrows den, and each numerator times lift / den passes
-    ``ratfunc._integrates``, integration's own exact check.  Each failure
-    names its field: ``mu``, ``alpha`` or ``curve``.
+    Each field is parsed where it is read, the curve over a monic den, as
+    ``synth`` writes it, so it loads alike with all its coefficients scaled
+    by any constant.  alpha must be the product of config.poles and mu,
+    which is required, certified positive; then the curve must equal the
+    one ``synthesize_curve`` integrates from mu, r' = (mu/alpha) A i A* for
+    the generator A with r(0) = 0, so a translated curve is refused.  Each
+    failure names its field, ``alpha``, ``mu`` or ``curve``; the bundle
+    holds that curve, range-checked.
     """
     data = _read_json(path, "bundle")
     if not isinstance(data, dict) or data.get("schema") not in READABLE_SCHEMAS:
@@ -502,7 +502,6 @@ def load_bundle(path: str) -> Bundle:
     den = _poly_from_rats(curve_raw.get("denominator"), "curve.denominator")
     if den and (lead := den.leading()) != 1:  # the same curve over a monic den
         nums, den = tuple(n * (1 / lead) for n in nums), den.monic()
-    _float_range((*nums, den), "curve")
     gen_raw = data.get("generator")
     if not isinstance(gen_raw, dict):
         raise ParseError("expected an object", "generator")
@@ -511,21 +510,19 @@ def load_bundle(path: str) -> Bundle:
     if sturm_real_root_count(gen.norm_poly()):
         raise ParseError("generator vanishes at a real parameter", "generator.coefficients")
     mu = _poly_from_rats(data.get("mu"), "mu")
-    if _poly_from_rats(data.get("alpha"), "alpha") != cfg.poles.alpha():
-        raise ParseError("not the product of config.poles", "alpha")
-    if not certify_regular(mu):
-        raise ParseError("not positive at every real parameter", "mu")
-    core, lift, e = _core_and_lift(cfg.poles)
     try:
-        cofactor = lift.exact_div(den)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError("the denominator does not divide the poles' lift", "curve") from None
-    if any(n.degree > den.degree for n in nums):
-        raise ParseError("unbounded component: numerator degree exceeds denominator", "curve")
-    hodograph = [mu * w for w in rotate_vector(gen, QI).vector_polys()]
-    if not _integrates([n * cofactor for n in nums], hodograph, core, e):
-        raise ParseError("r' is not (mu/alpha) A i A* of the generator", "curve")
-    return Bundle(cfg, RationalCurve(nums, den, mu), gen)
+        problem = SynthesisProblem(gen, cfg.poles)
+        if _poly_from_rats(data.get("alpha"), "alpha") != problem.alpha:
+            raise ParseError("not the product of config.poles", "alpha")
+        if not certify_regular(mu):
+            raise ParseError("not positive at every real parameter", "mu")
+        curve = synthesize_curve(problem, mu)
+    except (DegreeError, RationalityError):
+        curve = None
+    if curve is None or (curve.nums, curve.den) != (nums, den):
+        raise ParseError("not the curve with r' = (mu/alpha) A i A* and r(0) = 0", "curve")
+    _float_range((*curve.nums, curve.den), "curve")
+    return Bundle(cfg, curve, gen)
 
 
 def _float_range(polys, where: str) -> None:

@@ -195,12 +195,12 @@ class RationalCurve:
 
     The constructor binds ``nums``, ``den`` and ``mu`` as given and checks
     nothing.  A curve comes from ``synthesize_curve``, which integrates
-    r' = (mu/alpha) A i A* and reduces it over the known pole factors, from
-    ``cli.load_bundle``, which checks that identity on a bundle's data first
-    and puts the curve over a monic den, or from
-    ``geometry.tangent_indicatrix``, as A i A* / (A A*) on the unit sphere,
-    with no mu.  Each way den is real-root free and no numerator has a
-    higher degree than den, so both limits t -> +/-infinity exist and agree.
+    r' = (mu/alpha) A i A* from r(0) = 0 and reduces it over the known pole
+    factors (``cli.load_bundle`` returns its curve, once a bundle's equals
+    it), or from ``geometry.tangent_indicatrix``, as A i A* / (A A*) on the
+    unit sphere, with no mu.  Each way den is real-root free and no
+    numerator has a higher degree than den, so both limits t -> +/-infinity
+    exist and agree.
     """
 
     __slots__ = ("nums", "den", "mu")
@@ -283,11 +283,11 @@ def closure_point(c: RationalCurve):
     """The common limit of the curve for t -> +infinity and t -> -infinity.
 
     Every component is bounded: ``synthesize_curve`` builds no numerator of
-    higher degree than the denominator, ``cli.load_bundle`` rejects one,
-    and a curve is immutable.  So the limit is the ratio of leading
-    coefficients, or zero when the numerator degree is smaller; a common
-    monic factor of numerator and denominator changes neither, so no gcd is
-    taken.  Both directional limits agree by
+    higher degree than the denominator, ``cli.load_bundle`` returns its
+    curve, not the bundle's, and a curve is immutable.  So the limit is the
+    ratio of leading coefficients, or zero when the numerator degree is
+    smaller; a common monic factor of numerator and denominator changes
+    neither, so no gcd is taken.  Both directional limits agree by
     rationality.
     """
     return tuple(

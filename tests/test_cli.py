@@ -471,6 +471,27 @@ def test_huge_decimal_exponent_exit_4_at_once(bundle_path, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_over_long_integer_exit_4_in_one_short_line(bundle_path, tmp_path, capsys):
+    """A run of over 4300 digits is refused by its count, whatever Python's int limit, in one short line."""
+    assert parse_rational("9" * 4300 + "/" + "7" * 4300) == F(int("9" * 4300), int("7" * 4300))
+    for value in ("1" + "0" * 5000, "1_0" * 2200, "0." + "1" * 4301, "1/" + "3" * 4301):
+        with pytest.raises(ValueError, match=f"more than 4300 digits in {re.escape(repr(value[:40]))}[.][.][.]$"):
+            parse_rational(value)
+    good = Path(bundle_path).read_text()
+    data = json.loads(good)
+    data["mu"][0] = "1" + "0" * 5000
+    cases = [("mu[0]", json.dumps(data)), ("bundle", good.replace('"mu":[', '"mu":[' + "1" * 5000 + ",", 1))]
+    out = tmp_path / "o.json"
+    for field, text in cases:
+        config = tmp_path / "long.json"
+        config.write_text(text)
+        assert main(["sample", "--config", str(config), "--out", str(out)]) == 4, field
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {field}: more than 4300 digits"), (field, lines)
+        assert len(lines[0]) < 200, field
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "coefficients",
     [[["0", "0", "0", "0"]], [["0", "0", "0", "0"], ["1", "0", "0", "0"]]],
@@ -575,6 +596,13 @@ def _scaled_curve_bundle(path, tmp_path, scale, field):
 def test_exports_of_a_curve_over_a_scaled_denominator_are_byte_identical(readme_bundle, tmp_path, capsys, scale):
     # the denominator's floats underflow or overflow unless the curve is put over a monic one at load
     scaled = _scaled_curve_bundle(readme_bundle, tmp_path, scale, "denominator")
+    # load returns the curve synthesize_curve integrates from the bundle's generator, poles and mu
+    data = json.loads(Path(scaled).read_text())
+    gen = cli._generator(data["generator"]["coefficients"], "generator")
+    mu = cli._poly_from_rats(data["mu"], "mu")
+    expected = synthesize_curve(SynthesisProblem(gen, cli.parse_config(data["config"]).poles), mu)
+    loaded = load_bundle(scaled).curve
+    assert loaded == expected and loaded.mu == mu
     for command, fmt in EXPORTS:
         outputs = []
         for config in (readme_bundle, scaled):
@@ -959,6 +987,13 @@ def _times_t2_plus_1(data):
     data["curve"]["denominator"] = [format_rational(a + b) for a, b in zip(den + [0, 0], [0, 0] + den)]
 
 
+def _translate_x(data):
+    # numerator 0 plus den: the curve plus (1, 0, 0), with the same r' but r(0) = (1, 0, 0)
+    curve = data["curve"]
+    num, den = (cli._poly_from_rats(v, "curve") for v in (curve["numerators"][0], curve["denominator"]))
+    curve["numerators"][0] = cli._poly_to_rats(num + den)
+
+
 def _add_alpha_to_mu(data):
     # (mu + alpha) / alpha A i A* adds the polynomial W = int_0^t A i A* to the
     # curve: mu + alpha stays positive and r' = (mu/alpha) A i A* still holds,
@@ -983,6 +1018,7 @@ BUNDLE_EDITS = {
     "mu-negated": (lambda d: d.update(mu=[format_rational(-parse_rational(v)) for v in d["mu"]]), "mu"),
     "denominator-not-dividing-lift": (_times_t2_plus_1, "curve"),
     "numerator-degree-above-denominator": (_add_alpha_to_mu, "curve"),
+    "curve-translated": (_translate_x, "curve"),
 }
 
 
@@ -991,8 +1027,9 @@ def test_bundle_failing_its_identity_exits_4(two_factor_bundle, tmp_path, capsys
     """A bundle edited in one place fails its load check: sample and frames exit 4, naming the field.
 
     Each edit leaves every field parseable and in float range, so only
-    the checks of r' = (mu/alpha) A i A* can catch it; the last one keeps
-    the identity itself, so only the degree check does.
+    the load checks can catch it; the last two keep r' = (mu/alpha) A i A*
+    itself, so only the curve that ``synthesize_curve`` integrates from mu,
+    with its degree bound and r(0) = 0, does.
     """
     corrupt, field = BUNDLE_EDITS[edit]
     data = json.loads(Path(two_factor_bundle).read_text())
