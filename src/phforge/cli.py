@@ -6,9 +6,9 @@ one ``error: `` line on stderr and the ``exit_code`` of its error class:
 2 empty residue kernel or impossible degree bookkeeping (a negative
 numerator degree), 3 no certificate (a failed hull gate, an indeterminate
 positivity search, a failed regularity check), 4 parse/usage errors, an
-unreadable input, coefficients beyond the float range or underflowing it, a
-NaN or infinite sample in a JSON or SVG output and an unwritable ``--out``
-included.
+unreadable input, coefficients that a sampling command (``check`` reads no
+float) cannot evaluate in the float range, a NaN or infinite sample in a JSON
+or SVG output and an unwritable ``--out`` included.
 ``check`` and ``synth`` take their options only from the config, so outputs
 are deterministic for a fixed config: exact data as rational strings,
 sampled data as floats, JSON as one compact line with sorted keys.  ``synth``
@@ -46,6 +46,7 @@ from .positivity import (
     average_solutions,
     build_gram_slice,
     certify_regular,
+    relaxation_margins,
     sdp_feasible_point,
 )
 from .quaternion import Quaternion, QuaternionPolynomial, i_reduce
@@ -59,7 +60,6 @@ from .synthesis import (
     synthesize_curve,
 )
 
-MARGIN_FLOOR = 1e-8
 BUNDLE_SCHEMA = "phforge-bundle-v3"
 # v1 also stored samples.count, .angles and .parameters, and v1 and v2 each
 # pose's frame, none of which load_bundle reads
@@ -248,12 +248,6 @@ def _poly_from_rats(values, where: str) -> Polynomial:
     return Polynomial([_rational(v, f"{where}[{i}]") for i, v in enumerate(values)])
 
 
-def _finite_or_str(x: float):
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
-
-
 def _json(obj) -> str:
     """obj as one line of compact JSON with sorted keys; NaN and inf raise ValueError."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
@@ -296,26 +290,16 @@ def _json_parameters(params) -> list[str]:
 
 
 def _hull_report(cert) -> dict:
-    status = {True: True, False: False, None: "indeterminate"}[cert.status]
-    report = {"status": status, "residual": cert.residual, "gap": cert.gap}
-    if cert.support is not None:
-        report["weights"] = [{"parameter": _finite_or_str(t), "weight": w} for t, w in cert.support]
-    if cert.direction is not None:
-        report["separating_direction"] = list(cert.direction)
-    return report
+    """The status, and the exact direction d or moment h that proves it, as integer strings."""
+    proof = {key: [str(x) for x in v] for key in ("direction", "moment") if (v := getattr(cert, key))}
+    return {"status": "indeterminate" if cert.status is None else cert.status, **proof}
 
 
 def _hull_test(cfg: ProblemConfig):
-    """(reduced, right, T, certificate): the generator's i-reduction, indicatrix and hull test."""
+    """(reduced, right, T, certificate): the generator's i-reduction, indicatrix and exact hull test."""
     reduced, right = i_reduce(cfg.a_poly)
     T = tangent_indicatrix(reduced)
-    # the indicatrix's coefficients are quadratic in the generator's, and the
-    # hull test reads them as floats
-    _float_range((*T.nums, T.den), "quaternion")
-    try:
-        return reduced, right, T, convex_hull_contains_origin(T, samples=cfg.samples)
-    except OverflowError:  # the denominator's leading coefficient is 0 as a float
-        raise ParseError("coefficients underflow the float range", "quaternion") from None
+    return reduced, right, T, convex_hull_contains_origin(T)
 
 
 def cmd_check(cfg: ProblemConfig) -> str:
@@ -336,13 +320,6 @@ def cmd_check(cfg: ProblemConfig) -> str:
 # -- synth -----------------------------------------------------------------
 
 
-def _relaxation_margins(margin: float):
-    out = [margin]
-    while out[-1] / 10.0 >= MARGIN_FLOOR:
-        out.append(out[-1] / 10.0)
-    return out
-
-
 def cmd_synth(cfg: ProblemConfig, force: bool) -> str:
     reduced, _, T, hull = _hull_test(cfg)
     if hull.status is not True and not force:
@@ -356,7 +333,7 @@ def cmd_synth(cfg: ProblemConfig, force: bool) -> str:
     slice_ = build_gram_slice(space)
 
     rng = random.Random(cfg.seed)
-    base = sdp_feasible_point(slice_, _relaxation_margins(cfg.margin))
+    base = sdp_feasible_point(slice_, relaxation_margins(cfg.margin))
     if not base.is_feasible:
         bound = "" if base.optimum_bound is None else f", optimum at most {base.optimum_bound:.3e}"
         raise NoCertificateError(
@@ -383,7 +360,7 @@ def cmd_synth(cfg: ProblemConfig, force: bool) -> str:
 
     mu = average_solutions([r.witness_mu for r in results], cfg.weights)
     # the gate has already certified the base witness by its exact root count
-    cert = base.certificate if mu == base.witness_mu else certify_regular(mu)
+    cert = base.certificate if mu == base.witness_mu else certify_regular(mu, problem.m)
     if not cert:
         raise NoCertificateError("combined numerator failed the exact regularity certificate")
     curve = synthesize_curve(problem, mu)
@@ -440,11 +417,18 @@ def _bundle_samples(a: QuaternionPolynomial, alpha: Polynomial, curve: RationalC
     q e_k q*.  ``positions`` repeats the poses' positions: each row is
     written once and its text used in both places.  The speed is
     ``_mu_speed`` of ``curve.mu``: ``synthesize_curve`` has checked
-    r' = (mu/alpha) A i A* exactly and the gate has certified mu > 0.  A NaN
-    or inf position, rotation or speed raises ParseError.
+    r' = (mu/alpha) A i A* exactly and the gate has certified mu > 0.  These
+    are the only floats ``synth`` reads: generator, curve or speed floats
+    beyond the float range raise ParseError at ``quaternion``, and a NaN or
+    inf position, rotation or speed at ``curve``.
     """
-    motion = sample_motion(a, curve, n)
-    speed = _mu_speed(a, alpha, curve.mu).eval_floats(motion.parameters)
+    try:  # converting a generator, curve or speed coefficient to float
+        motion = sample_motion(a, curve, n)
+        speed = _mu_speed(a, alpha, curve.mu).eval_floats(motion.parameters)
+    except OverflowError:
+        raise ParseError("coefficients exceed the float range", "quaternion") from None
+    except ZeroDivisionError:  # A has no real root: its float values underflow
+        raise ParseError("coefficients underflow the float range", "quaternion") from None
     _finite(motion.positions, motion.rotations, speed)
     positions = _rows("[%r,%r,%r]", motion.positions.T.tolist())
     poses = _rows(
@@ -514,8 +498,8 @@ def load_bundle(path: str) -> Bundle:
         problem = SynthesisProblem(gen, cfg.poles)
         if _poly_from_rats(data.get("alpha"), "alpha") != problem.alpha:
             raise ParseError("not the product of config.poles", "alpha")
-        if not certify_regular(mu):
-            raise ParseError("not positive at every real parameter", "mu")
+        if not certify_regular(mu, problem.m):
+            raise ParseError(f"not a positive form of degree {problem.m} on the projective line", "mu")
         curve = synthesize_curve(problem, mu)
     except (DegreeError, RationalityError):
         curve = None

@@ -5,9 +5,8 @@ circle through ``angle_parameters``; every float evaluation goes through
 ``polynomial.two_chart_eval``, which switches charts at |t| = 1 so the
 closure point t = infinity is an ordinary point.  The tangent indicatrix is
 a ``RationalCurve`` too, closed and on the unit sphere, and is sampled as
-any curve is.  Exact identities (unit norm of the tangent indicatrix,
-rationality of the speed) are verified in exact arithmetic; the convex-hull
-test and the sampled framing motion are the only floating parts.
+any curve is.  Exact identities are verified, and the hull test decided,
+in exact arithmetic; the sampled framing motion is the only floating part.
 ``sample_motion`` returns the motion as one ``SampledMotion`` record of
 arrays (positions, rotations, frame columns), not as per-sample objects.
 """
@@ -20,17 +19,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import linalg
 from .errors import NonPythagoreanError
-from .polynomial import Polynomial, poly_sqrt, two_chart_eval
+from .polynomial import Polynomial, _canonical, _primitive, poly_sqrt, two_chart_eval
+from .positivity import build_gram_slice, certify_empty, relaxation_margins, sdp_feasible_point
 from .quaternion import QI, QuaternionPolynomial, rotate_vector
 from .ratfunc import RationalFunction
-from .synthesis import RationalCurve
-
-# the hull test's bound on the min-norm residual and on the separating gap,
-# and the relative stopping tolerance of Wolfe's min-norm iteration
-HULL_TOLERANCE = 1e-8
-MIN_NORM_TOLERANCE = 1e-12
-
+from .synthesis import RationalCurve, SolutionSpace
 
 def angle_parameters(n: int) -> list[float]:
     """n parameters equidistant in circle angle, starting at t = infinity.
@@ -99,91 +94,50 @@ def _mu_speed(a: QuaternionPolynomial, alpha: Polynomial, mu: Polynomial) -> Rat
 
 @dataclass(frozen=True)
 class HullCertificate:
-    """Outcome of the origin-in-convex-hull test on indicatrix samples.
+    """Exact outcome of the origin-in-convex-hull test of an indicatrix T = w / |A|^2, w = A i A*.
 
-    status True carries convex-combination weights with residual
-    |sum w_i T_i|; status False carries a separating direction d with
-    d . T_i >= gap > 0 for every sample; None is indeterminate and reports
-    both best values.  ``support`` holds the (parameter, weight) pairs of
-    the combination with weight > 1e-12, in sample order (None for status
-    False); every other sample has weight zero.
+    status False carries ``direction``, a primitive integer d with d . w > 0
+    on the projective line, so d . x = 0 separates the origin from T; True
+    carries ``moment``, a primitive integer h proving that no nonzero d . w
+    is >= 0 (``positivity.certify_empty``); None (indeterminate) neither.
     """
 
     status: bool | None
-    support: tuple | None
-    residual: float
-    direction: tuple | None
-    gap: float
+    direction: tuple | None = None
+    moment: tuple | None = None
 
 
-def _min_norm_point(points: np.ndarray):
-    """Wolfe's algorithm: min-norm point of conv(points), its active set and weights."""
-    npts = len(points)
-    start = int(np.argmin(np.einsum("ij,ij->i", points, points)))
-    active = [start]
-    weights = np.array([1.0])
-    x = points[start].copy()
-    for _ in range(8 * npts + 64):
-        dots = points @ x
-        j = int(np.argmin(dots))
-        if dots[j] > float(x @ x) - MIN_NORM_TOLERANCE * (1.0 + float(x @ x)):
-            break
-        if j not in active:
-            active.append(j)
-            weights = np.append(weights, 0.0)
-        for _ in range(len(points) + 8):
-            sub = points[active]
-            k = len(active)
-            kkt = np.zeros((k + 1, k + 1))
-            kkt[:k, :k] = sub @ sub.T
-            kkt[:k, k] = 1.0
-            kkt[k, :k] = 1.0
-            rhs = np.zeros(k + 1)
-            rhs[k] = 1.0
-            v = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
-            if np.all(v > 1e-14):
-                weights = v
-                break
-            shrink = []
-            for i in range(k):
-                if weights[i] - v[i] > 1e-18:
-                    shrink.append(weights[i] / (weights[i] - v[i]))
-                else:
-                    shrink.append(np.inf)
-            theta = min(1.0, min(shrink))
-            weights = (1 - theta) * weights + theta * v
-            keep = weights > 1e-14
-            active = [a for a, k_ in zip(active, keep) if k_]
-            weights = weights[keep]
-            weights = weights / weights.sum()
-        x = weights @ points[active]
-    return x, active, weights
+def indicatrix_space(T: RationalCurve) -> SolutionSpace:
+    """The span of T's numerators, of degree deg T.den: the independent ones, as primitive vectors.
 
-
-def convex_hull_contains_origin(T: RationalCurve, samples: int = 256) -> HullCertificate:
-    """Sampling-based origin containment test with explicit certificates.
-
-    Samples the indicatrix uniformly in circle angle over both charts and
-    runs a min-norm-point descent; the hull hypothesis is open-condition
-    stable, so certificates at finite sampling density are meaningful.  A
-    borderline outcome (tiny positive distance without a clean separating
-    margin) is reported as indeterminate rather than guessed.
+    A kernel vector of the numerators' columns ends at a dependent one, which is left out.
     """
-    if samples < 16:
-        raise ValueError("at least 16 samples required")
-    params = angle_parameters(samples)
-    # row-major: the hull test's matrix products round differently on a transposed view
-    pts = np.ascontiguousarray(T.eval_floats(params))
-    x, active, weights = _min_norm_point(pts)
-    support = tuple((params[i], w) for i, w in sorted(zip(active, weights)) if w > 1e-12)
-    residual = float(np.linalg.norm(x))
-    if residual <= HULL_TOLERANCE:
-        return HullCertificate(True, support, residual, None, 0.0)
-    d = x / residual
-    gap = float(np.min(pts @ d))
-    if gap > HULL_TOLERANCE:
-        return HullCertificate(False, None, residual, tuple(d), gap)
-    return HullCertificate(None, support, residual, tuple(d), gap)
+    columns = [[*n.ints] + [0] * (T.den.degree - n.degree) for n in T.nums]
+    dependent = {max(c for c, x in enumerate(v) if x) for v in linalg.nullspace(list(zip(*columns)), 3)}
+    basis = [_canonical(_primitive(v), 1) for c, v in enumerate(columns) if c not in dependent]
+    return SolutionSpace(T.den.degree, basis)
+
+
+def convex_hull_contains_origin(T: RationalCurve) -> HullCertificate:
+    """Whether the origin lies in the convex hull of the indicatrix T, decided exactly.
+
+    It lies outside exactly when some d . w > 0 on the projective line.  One
+    ``sdp_feasible_point`` search of the Gram slice of ``indicatrix_space``
+    on the default ladder gates such a d . w, of degree deg T.den, and d is
+    solved for exactly, or rules every margin out at a dual point whose
+    moment starts ``certify_empty``; else (optimum 0, say) it is indeterminate.
+    """
+    space = indicatrix_space(T)
+    result = sdp_feasible_point(build_gram_slice(space), relaxation_margins())
+    if result.is_feasible:
+        # sum_c v_c T.nums[c].ints + v_mu mu.ints = 0, with nums[c].ints = den_c T.nums[c]
+        columns = [[*p.ints] + [0] * (space.degree - p.degree) for p in (*T.nums, result.witness_mu)]
+        *v, v_mu = linalg.nullspace(list(zip(*columns)), 4)[-1]
+        direction = _primitive([-v_mu * x * n.den for x, n in zip(v, T.nums)])
+        return HullCertificate(False, direction=tuple(direction))
+    if result.moment is not None and (moment := certify_empty(space, result.moment)):
+        return HullCertificate(True, moment=moment)
+    return HullCertificate(None)
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,13 +30,15 @@ from numbers import Real
 
 import numpy as np
 
+from . import linalg
 from .errors import EmptyKernelError
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _canonical, _primitive
 from .ratfunc import sturm_real_root_count
 from .synthesis import SolutionSpace
 
 FEASIBLE = "feasible"
 INDETERMINATE = "indeterminate"
+MARGIN_FLOOR = 1e-8  # the relaxation ladder's last margin
 # the barrier path: t grows by PATH_GROWTH per outer step, each of at most
 # MAX_NEWTON Newton steps; an outer step is centred once the squared Newton
 # decrement falls below CENTRED
@@ -57,44 +59,51 @@ class RegularityCertificate:
         return self.regular
 
 
-def certify_regular(mu: Polynomial) -> RegularityCertificate:
-    """Exact strict-positivity certificate: no real roots, positive leading.
+def certify_regular(mu: Polynomial, degree: int) -> RegularityCertificate:
+    """Exact certificate that mu, as a form of that degree, is positive on the projective line.
 
-    For an even-degree polynomial without real roots, a positive leading
-    coefficient is equivalent to positivity everywhere; the exact root
-    count is the certificate, independent of any floating arithmetic.
+    That is deg mu == degree (a lower degree vanishes at t = infinity), no
+    real root and a positive leading coefficient, by an exact root count.
     """
     if mu.is_zero:
         return RegularityCertificate(False, 0, Fraction(0))
     roots = sturm_real_root_count(mu)
     lead = Fraction(mu.leading())
-    return RegularityCertificate(roots == 0 and lead > 0, roots, lead)
+    return RegularityCertificate(mu.degree == degree and roots == 0 and lead > 0, roots, lead)
+
+
+def relaxation_margins(margin: float = 1e-3) -> list[float]:
+    """The ladder margin, margin/10, ... down to MARGIN_FLOOR."""
+    out = [margin]
+    while out[-1] / 10.0 >= MARGIN_FLOOR:
+        out.append(out[-1] / 10.0)
+    return out
 
 
 class GramSlice:
-    """The trace-one Gram matrices whose numerator lies in the residue kernel.
+    """The trace-one Gram matrices whose numerator lies in the space K.
 
     ``dimension`` is n, the Gram matrices' size, and ``space`` the
     ``SolutionSpace`` the slice was built from.  ``kernel_rows`` holds the
     float coefficients of its basis vectors, one row each, padded to 2n - 1,
     basis vector k divided by 2^L_k, with L_k = ``unit_bits[k]`` the bit
     length of its largest |coefficient|, so that coefficient lies in
-    [1/2, 1).  ``weights`` holds the w_i.  ``maps`` holds the traceless
-    Hankel matrices A_j = H_w(r_j) - offsets[j] * I of an orthonormal basis
-    r_j of K^perp, with ``offsets[j]`` = tr H_w(r_j) / n.  Since
-    <H_w(h), G> = h . A_w(G), where A_w(G)_k = sum_{i+l=k} w_i w_l G_il is
-    G's numerator, G lies in the slice exactly when tr G = 1 and
-    <H_w(r_j), G> = 0 for every j.  The arrays are read-only.
+    [1/2, 1).  ``weights`` holds the w_i.  ``complement`` holds the rows r_j
+    of a basis of K^perp that H_w makes orthonormal, and ``maps`` their
+    traceless Hankel matrices A_j = H_w(r_j) - offsets[j] * I, with
+    ``offsets[j]`` = tr H_w(r_j) / n.  Since <H_w(h), G> = h . A_w(G), where
+    A_w(G)_k = sum_{i+l=k} w_i w_l G_il is G's numerator, G lies in the
+    slice exactly when tr G = 1 and <H_w(r_j), G> = 0 for every j.  The
+    arrays are read-only.
     """
 
-    def __init__(
-        self, dimension: int, space: SolutionSpace, unit_bits, kernel_rows, weights, maps, offsets
-    ):
+    def __init__(self, dimension, space, unit_bits, kernel_rows, weights, complement, maps, offsets):
         self.dimension = dimension
         self.space = space
         self.unit_bits = tuple(unit_bits)
-        self.kernel_rows, self.weights, self.maps, self.offsets = kernel_rows, weights, maps, offsets
-        for array in (kernel_rows, weights, maps, offsets):
+        self.kernel_rows, self.weights, self.complement = kernel_rows, weights, complement
+        self.maps, self.offsets = maps, offsets
+        for array in (kernel_rows, weights, complement, maps, offsets):
             array.flags.writeable = False
 
     @property
@@ -117,8 +126,23 @@ def _numerator(weights, gram) -> np.ndarray:
     return np.bincount(np.add.outer(np.arange(n), np.arange(n)).ravel(), cells, 2 * n - 1)
 
 
+def _unit_rows(space: SolutionSpace):
+    """(unit_bits, rows): basis vector k over 2^L_k as a float row, L_k its top entry's bit length."""
+    unit_bits = [max(map(abs, b.ints)).bit_length() for b in space.basis]
+    rows = np.zeros((space.dimension, space.degree + 1))
+    for row, b, bits in zip(rows, space.basis, unit_bits):
+        row[: len(b.ints)] = [x / (1 << bits) for x in b.ints]
+    return unit_bits, rows
+
+
+def _rounded(space: SolutionSpace, unit_bits, y, bits: int) -> Polynomial:
+    """sum_k grid_k / 2^(bits + L_k) basis_k, grid the coordinates y / max |y| rounded on 2^-bits."""
+    grid = np.rint(y / float(np.max(np.abs(y))) * 2.0**bits).astype(np.int64).tolist()
+    return space.combination([Fraction(c, 1 << (bits + u)) for c, u in zip(grid, unit_bits)])
+
+
 def build_gram_slice(space: SolutionSpace) -> GramSlice:
-    """The Gram slice of the problem's residue kernel, in the dual's terms.
+    """The Gram slice of a space of polynomials of even degree ``space.degree``, in the dual's terms.
 
     K^perp is read off one complete QR factorisation of the float kernel
     basis.  An empty kernel admits no curve at all and raises
@@ -129,20 +153,18 @@ def build_gram_slice(space: SolutionSpace) -> GramSlice:
             "residue conditions admit only the zero numerator; "
             "raise the pole multiplicities"
         )
-    n = space.problem.m // 2 + 1
+    n = space.degree // 2 + 1
     weights = np.sqrt([float(math.comb(n - 1, i)) for i in range(n)])
     # ||H_w(h)||_F^2 = sum_k C(m, k) h_k^2, so the complement q_j of the kernel
     # scaled by 1/sqrt(C(m, k)), scaled back, gives orthonormal H_w(r_j)
     scale = np.sqrt([float(math.comb(2 * n - 2, k)) for k in range(2 * n - 1)])
-    unit_bits = [max(map(abs, b.ints)).bit_length() for b in space.basis]
-    rows = np.zeros((space.dimension, 2 * n - 1))
-    for row, b, bits in zip(rows, space.basis, unit_bits):
-        row[: len(b.ints)] = [x / (1 << bits) for x in b.ints]
+    unit_bits, rows = _unit_rows(space)
     q, _ = np.linalg.qr((rows / scale).T, mode="complete")
-    hankel = _hankel(weights, q[:, space.dimension :].T / scale)
+    complement = q[:, space.dimension :].T / scale
+    hankel = _hankel(weights, complement)
     offsets = np.trace(hankel, axis1=1, axis2=2) / n
     maps = hankel - offsets[:, None, None] * np.eye(n)
-    return GramSlice(n, space, unit_bits, rows, weights, maps, offsets)
+    return GramSlice(n, space, unit_bits, rows, weights, complement, maps, offsets)
 
 
 @dataclass(frozen=True)
@@ -162,7 +184,7 @@ class FeasibilityResult:
     ``optimum_bound`` is the upper bound on the optimum eigenvalue that
     proved the result's margin unreachable: the nu of a dual point whose Z
     passed Cholesky, in an unbiased search; None when no bound ruled the
-    margin out.
+    margin out, and ``moment`` its h, Z = nu*I + H_w(h), for ``certify_empty``.
     """
 
     status: str
@@ -173,6 +195,7 @@ class FeasibilityResult:
     margin: float | None = None
     relaxation_log: tuple = ()
     optimum_bound: float | None = None
+    moment: tuple | None = None
 
     @property
     def is_feasible(self) -> bool:
@@ -193,7 +216,7 @@ def _barrier_derivatives(flat, inv):
 
 
 def _dual_path(g: GramSlice, shift):
-    """Yield ``(best_gram, best_lam, bound)`` at the start and after each outer step.
+    """Yield ``(best_gram, best_lam, bound, dual)`` at the start and after each outer step.
 
     The dual point is Z(c) = I/n + shift + sum_j c_j A_j with
     nu(c) = 1/n - offsets . c, so tr Z = 1 by construction and, without a
@@ -205,17 +228,18 @@ def _dual_path(g: GramSlice, shift):
 
     ``bound`` is the least nu of any iterate so far: for every slice point
     G, nu = <Z, G> >= lambda_min(G) as Z >= 0 has trace one, so nu bounds
-    the optimum (weak duality).  A nonzero shift adds <shift, G> to <Z, G>,
-    so a shifted path bounds another objective and its ``bound`` is inf.
+    the optimum (weak duality), and ``dual`` is that iterate's c.  A nonzero
+    shift adds <shift, G> to <Z, G>, so a shifted path bounds another
+    objective, its ``bound`` is inf and its ``dual`` None.
 
     After each outer step the primal point G = (Z^-1 + yI)/t,
     y = (t - tr Z^-1)/n, which lies in the slice when Z is central, is
     projected onto the slice.  ``best_gram`` is the projected G with the
     largest least eigenvalue ``best_lam`` so far; it is replaced, never
     mutated.  A shift that leaves I/n + shift indefinite gives the one
-    snapshot (None, -inf, inf).  The path ends once the gap n/t is below
-    1e-13 or an outer step cannot be centred, which means float precision
-    has run out.
+    snapshot (None, -inf, inf, None).  The path ends once the gap n/t is
+    below 1e-13 or an outer step cannot be centred (a singular Newton
+    system, say), which means float precision has run out.
     """
     d, n, _ = g.maps.shape
     flat = g.maps.reshape(d, n * n)
@@ -236,14 +260,14 @@ def _dual_path(g: GramSlice, shift):
     try:
         inv = np.linalg.inv(np.linalg.cholesky(z0))
     except np.linalg.LinAlgError:
-        yield None, -math.inf, math.inf
+        yield None, -math.inf, math.inf, None
         return
     c = np.zeros(d)
     t = 1.0
     bounded = not shift.any()
-    bound = 1.0 / n if bounded else math.inf
+    bound, dual = (1.0 / n, c) if bounded else (math.inf, None)
     best_gram, best_lam = primal(inv, t)
-    yield best_gram, best_lam, bound
+    yield best_gram, best_lam, bound, dual
     centred = True
     while centred and n / t >= 1e-13:
         t *= PATH_GROWTH
@@ -251,7 +275,10 @@ def _dual_path(g: GramSlice, shift):
         for _ in range(MAX_NEWTON):
             grad, hess = _barrier_derivatives(flat, inv)
             grad -= t * g.offsets
-            step = np.linalg.solve(hess, -grad)
+            try:
+                step = np.linalg.solve(hess, -grad)
+            except np.linalg.LinAlgError:
+                break  # a singular Newton system: the step is not centred
             decrement = float(-grad @ step)
             if not decrement >= CENTRED:
                 # a negative or NaN decrement means the float Newton system broke down
@@ -268,12 +295,12 @@ def _dual_path(g: GramSlice, shift):
                 break  # float precision leaves no step inside the cone
             c = c + alpha * step
             inv = np.linalg.inv(factor)
-            if bounded:
-                bound = min(bound, 1.0 / n - float(g.offsets @ c))
+            if bounded and (nu := 1.0 / n - float(g.offsets @ c)) < bound:
+                bound, dual = nu, c
         gram, lam = primal(inv, t)
         if lam > best_lam:
             best_gram, best_lam = gram, lam
-        yield best_gram, best_lam, bound
+        yield best_gram, best_lam, bound, dual
 
 
 def _coordinates(g: GramSlice, gram) -> np.ndarray:
@@ -284,15 +311,46 @@ def _coordinates(g: GramSlice, gram) -> np.ndarray:
 def _gate(g: GramSlice, gram, lam) -> FeasibilityResult | None:
     """The exact gate of ``sdp_feasible_point`` at ``gram`` (least eigenvalue ``lam``), or None."""
     y = _coordinates(g, gram)
-    top = float(np.max(np.abs(y)))
     # all-zero kernel coordinates give mu = 0, which certifies nothing
-    for bits in (20, 40) if top > 0.0 else ():
-        grid = np.rint(y / top * 2.0**bits).astype(np.int64).tolist()
-        coefficients = [Fraction(c, 1 << (bits + u)) for c, u in zip(grid, g.unit_bits)]
-        mu = g.space.combination(coefficients)
-        cert = certify_regular(mu)
+    for bits in (20, 40) if np.max(np.abs(y)) > 0.0 else ():
+        mu = _rounded(g.space, g.unit_bits, y, bits)
+        cert = certify_regular(mu, g.space.degree)
         if cert:
             return FeasibilityResult(FEASIBLE, tuple(map(float, y)), mu, float(lam), cert)
+    return None
+
+
+def _positive_definite(h, n: int) -> bool:
+    """Whether the integer Hankel matrix (h_(i+l)), i, l < n, is positive definite, by Bareiss pivots."""
+    a, previous = [list(h[i : i + n]) for i in range(n)], 1
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            a[i] = [(x * a[k][k] - a[i][k] * y) // previous for x, y in zip(a[i], a[k])]
+        previous = a[k][k]
+    return True
+
+
+def certify_empty(space: SolutionSpace, moment) -> tuple | None:
+    """A primitive integer h proving that no nonzero p >= 0 lies in the space, or None.
+
+    h is orthogonal to the space and H(h) = (h_(i+l)), i, l <= degree/2, is
+    positive definite, so h . p = <H(h), G> > 0 for every nonzero sum of
+    squares p = v G v^T, v = (1, t, ..) (Nesterov 2000; Blekherman, Parrilo
+    & Thomas 2013, ch. 3).  The float ``moment`` (``FeasibilityResult``) is
+    rounded as the gate rounds, along the integer basis of the complement
+    (``linalg.nullspace``), on grids of 4, 8, .., 52 bits.
+    """
+    m = space.degree
+    perp = linalg.nullspace([[*b.ints] + [0] * (m - b.degree) for b in space.basis], m + 1)
+    complement = SolutionSpace(m, [_canonical(v, 1) for v in perp])
+    unit_bits, rows = _unit_rows(complement)
+    y = np.linalg.lstsq(rows.T, np.asarray(moment), rcond=None)[0]
+    for bits in range(4, 53, 4) if perp and np.max(np.abs(y)) > 0.0 else ():
+        h = _rounded(complement, unit_bits, y, bits)
+        if _positive_definite([*h.ints] + [0] * (m - h.degree), m // 2 + 1):
+            return tuple(_primitive(list(h.ints)))
     return None
 
 
@@ -314,13 +372,10 @@ def sdp_feasible_point(
     short of m, the bound has ruled m out.  Otherwise the exact gate runs on
     it and, if that fails or no step decided m, on the best point at the end
     of the path if that reaches m; each point is gated at most once per
-    call.  The gate divides the coordinates y of the point's numerator
-    A_w(G) along the rows of ``g.kernel_rows`` by their largest absolute
-    value and rounds them on the grid 2^-bits, bits = 20 and, if that fails,
-    40.  With basis vector k over 2^L_k as its row (L_k =
-    ``g.unit_bits[k]``), the exact numerator is one ``g.space.combination``
-    with coefficients grid_k / 2^(bits + L_k), certified by the exact root
-    count.  A margin ruled out, never reached or whose gates fail yields
+    call.  The gate rounds the coordinates of the point's numerator A_w(G)
+    along the rows of ``g.kernel_rows`` (``_rounded``), bits = 20 and, if
+    that fails, 40, and certifies the exact numerator by its root count.
+    A margin ruled out, never reached or whose gates fail yields
     ``indeterminate``, which is not a proof of infeasibility, with the best
     eigenvalue at the step that ruled it out and the bound in
     ``optimum_bound``, or else at the end of the path.  The result is the
@@ -355,22 +410,23 @@ def sdp_feasible_point(
         # each copy yields the outer steps drawn so far, then draws new ones from the path
         snapshots, walk, rest = itertools.tee(snapshots, 3)
         snapshot = next((s for s in walk if s[1] >= m or s[2] < m), None)
-        result = bound = None
+        result = bound = moment = None
         if snapshot is not None and snapshot[1] < m:
             # the bound proves m unreachable: report the best point so far
-            best_gram, best_lam, bound = snapshot
+            best_gram, best_lam, bound, dual = snapshot
+            moment = tuple((dual @ g.complement).tolist())
         else:
             if snapshot is not None and snapshot[1] not in gated:
                 gated.add(snapshot[1])
                 result = _gate(g, *snapshot[:2])
             if result is None:
-                *_, (best_gram, best_lam, _) = start, *rest  # the end of the path
+                *_, (best_gram, best_lam, *_) = start, *rest  # the end of the path
                 if best_lam >= m and best_lam not in gated:
                     gated.add(best_lam)
                     result = _gate(g, best_gram, best_lam)
         if result is None:
             result = FeasibilityResult(
-                INDETERMINATE, None, None, float(best_lam), optimum_bound=bound
+                INDETERMINATE, None, None, float(best_lam), optimum_bound=bound, moment=moment
             )
         log.append((m, result.status, result.min_eigenvalue))
         if result.is_feasible:

@@ -205,7 +205,7 @@ def sturm_real_root_count(p: Polynomial) -> int:
     """Distinct real roots of p, by Descartes' rule of signs; no Sturm chain is built.
 
     The name stays until the benchmark's check that calls it changes
-    (ROADMAP item 7).  A root at t = 0 is read off p's lowest coefficient.
+    (ROADMAP item 5).  A root at t = 0 is read off p's lowest coefficient.
     A half-line, p(t) or p(-t) on t > 0, with fewer than two sign
     variations has that many roots.  Otherwise, with q = p / gcd(p, p') and
     s = 2^k about the geometric mean of q's roots' moduli, its roots are s

@@ -80,10 +80,11 @@ class SynthesisProblem:
 
 
 class SolutionSpace:
-    """Exact kernel of the zero-residue conditions for one problem.
+    """Exact span of polynomials of degree at most ``degree``: a residue kernel, or a basis alone.
 
-    ``constraint_matrix`` holds linear forms in the numerator coefficients
-    mu_0..mu_m, integer rows whose common zeros are the mu for which every
+    ``geometry.indicatrix_space`` spans A i A*, with no ``problem``.  For a
+    residue kernel ``constraint_matrix`` holds linear forms in mu_0..mu_m,
+    integer rows whose common zeros are the mu for which every
     residue of (mu / alpha) A i A* vanishes: one row per hodograph component
     w_c and vector z of the complement of the exact-derivative numerators
     over alpha, z . (mu w_c) (``build_residue_system``).  There are 6F - 3
@@ -91,14 +92,15 @@ class SolutionSpace:
     two at each of the F root pairs for each of the three components, less
     three that the residue theorem implies, since deg(mu w_c) <=
     deg alpha - 2 makes each component's residues sum to zero.
-    ``basis`` holds primitive integer vectors, one per free column of the
-    system.
+    ``basis`` holds independent primitive integer vectors, for a residue
+    kernel one per free column of the system.
     """
 
-    def __init__(self, problem: SynthesisProblem, constraint_matrix, basis):
+    def __init__(self, degree: int, basis, problem: SynthesisProblem | None = None, constraint_matrix=()):
+        self.degree = degree
+        self.basis = tuple(basis)
         self.problem = problem
         self.constraint_matrix = tuple(tuple(row) for row in constraint_matrix)
-        self.basis = tuple(basis)
 
     @property
     def dimension(self) -> int:
@@ -106,7 +108,7 @@ class SolutionSpace:
 
     def contains(self, mu: Polynomial) -> bool:
         """Whether every residue of mu vanishes; the basis spans exactly this kernel."""
-        if mu.degree > self.problem.m:
+        if mu.degree > self.degree:
             return False
         return all(sum(a * v for a, v in zip(row, mu.ints)) == 0 for row in self.constraint_matrix)
 
@@ -187,7 +189,7 @@ def build_residue_system(p: SynthesisProblem) -> SolutionSpace:
         for z in complement:
             rows.append([sum(map(mul, w, z[k : k + n])) for k in range(p.m + 1)])
     basis = [_canonical(v, 1) for v in linalg.nullspace(rows, p.m + 1)]
-    return SolutionSpace(p, rows, basis)
+    return SolutionSpace(p.m, basis, p, rows)
 
 
 class RationalCurve:

@@ -436,6 +436,116 @@ def ref_gcd(a: P, b: P) -> P:
     return P([c / a.leading() for c in a.coeffs])
 
 
+def finite_or_str(x: float):
+    """x, or "inf" / "-inf" for an infinite x, as the JSON writers write a parameter."""
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return x
+
+
+def ref_min_norm_point(points: np.ndarray, tolerance: float = 1e-12):
+    """Wolfe's algorithm: min-norm point of conv(points), its active set and weights."""
+    npts = len(points)
+    start = int(np.argmin(np.einsum("ij,ij->i", points, points)))
+    active = [start]
+    weights = np.array([1.0])
+    x = points[start].copy()
+    for _ in range(8 * npts + 64):
+        dots = points @ x
+        j = int(np.argmin(dots))
+        if dots[j] > float(x @ x) - tolerance * (1.0 + float(x @ x)):
+            break
+        if j not in active:
+            active.append(j)
+            weights = np.append(weights, 0.0)
+        for _ in range(len(points) + 8):
+            sub = points[active]
+            k = len(active)
+            kkt = np.zeros((k + 1, k + 1))
+            kkt[:k, :k] = sub @ sub.T
+            kkt[:k, k] = 1.0
+            kkt[k, :k] = 1.0
+            rhs = np.zeros(k + 1)
+            rhs[k] = 1.0
+            v = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+            if np.all(v > 1e-14):
+                weights = v
+                break
+            shrink = [w / (w - vi) if w - vi > 1e-18 else np.inf for w, vi in zip(weights, v)]
+            theta = min(1.0, min(shrink))
+            weights = (1 - theta) * weights + theta * v
+            keep = weights > 1e-14
+            active = [a for a, k_ in zip(active, keep) if k_]
+            weights = weights[keep]
+            weights = weights / weights.sum()
+        x = weights @ points[active]
+    return x, active, weights
+
+
+def ref_hull(T: RationalCurve, samples: int = 256, tolerance: float = 1e-8):
+    """The float hull test phforge used before its exact one: True, False or None.
+
+    Wolfe's min-norm point of the indicatrix at ``samples`` circle angles:
+    True when its norm is at most ``tolerance``, False when its direction
+    d has d . T_i > ``tolerance`` at every sample, None otherwise.
+    """
+    points = np.ascontiguousarray(T.eval_floats(angle_parameters(samples)))
+    x = ref_min_norm_point(points)[0]
+    residual = float(np.linalg.norm(x))
+    if residual <= tolerance:
+        return True
+    if float(np.min(points @ (x / residual))) > tolerance:
+        return False
+    return None
+
+
+def ref_leading_minors(mat) -> list[F]:
+    """The leading principal minors of a square matrix, by Gaussian elimination over Q."""
+    a = [[F(v) for v in row] for row in mat]
+    minors, det = [], F(1)
+    for k in range(len(a)):
+        if a[k][k] == 0:
+            return minors + [F(0)] * (len(a) - k)
+        det *= a[k][k]
+        minors.append(det)
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return minors
+
+
+def hull_certificate_holds(T: RationalCurve, cert) -> bool:
+    """Re-check a hull certificate of T's numerators w in exact arithmetic, positivity unused.
+
+    status False: ``direction`` d has d . w of degree m = deg T.den, a
+    positive leading coefficient and no real root.  status True:
+    ``moment`` h is orthogonal to each w_c and every leading minor of its
+    Hankel matrix (h_(i+l)), i, l <= m/2, is positive.  A certificate never
+    carries both.
+    """
+    m = T.den.degree
+    if cert.status is False and cert.moment is None:
+        dw = sum((n * d for n, d in zip(T.nums, cert.direction)), P.zero())
+        return dw.degree == m and dw.leading() > 0 and ref_sturm_count(dw) == 0
+    if cert.status is True and cert.direction is None:
+        h = cert.moment
+        if len(h) != m + 1 or any(sum(c * x for c, x in zip(n.coeffs, h)) for n in T.nums):
+            return False
+        n = m // 2 + 1
+        return all(d > 0 for d in ref_leading_minors([h[i : i + n] for i in range(n)]))
+    return False
+
+
+def random_hull_generator(rng: random.Random) -> QP:
+    """An i-reduced generator of degree 2 to 4: integer coefficients in -2..2, leading +-1."""
+    while True:
+        degree = rng.randint(2, 4)
+        coeffs = [Quaternion.of(*(rng.randint(-2, 2) for _ in range(4))) for _ in range(degree)]
+        a, _ = i_reduce(QP(coeffs + [Quaternion.of(rng.choice((-1, 1)))]))
+        if a.degree >= 1:
+            return a
+
+
 def ref_sturm_count(p: P) -> int:
     """Distinct real roots from the Euclidean Sturm chain of p's squarefree part."""
     if p.degree == 0:
@@ -456,7 +566,7 @@ def dense_positive(seed: int) -> P:
     """a^2 + b^2 + 1 for seeded a, b of degree 30 with dense 150-bit coefficients.
 
     Positive on the real line, of degree 60 with coefficients of about 300
-    bits: the size of ROADMAP item 14's bound on the root count.
+    bits: the size of ROADMAP item 15's bound on the root count.
     """
     rng = random.Random(f"dense:{seed}")
     a, b = (P([rng.randint(1 - 2**150, 2**150 - 1) for _ in range(30)] + [2**150]) for _ in range(2))
@@ -1033,7 +1143,7 @@ def ref_sample_motion(a: QP, c: RationalCurve, n: int) -> list[RefPose]:
 
 def ref_pose_dict(p: RefPose) -> dict:
     return {
-        "parameter": cli._finite_or_str(p.parameter),
+        "parameter": finite_or_str(p.parameter),
         "position": list(p.position),
         "rotation": list(p.rotation),
         "frame": [list(col) for col in p.frame],
@@ -1042,7 +1152,7 @@ def ref_pose_dict(p: RefPose) -> dict:
 
 def ref_frames_rows(poses):
     return [
-        (cli._finite_or_str(p.parameter),) + p.position + p.rotation
+        (finite_or_str(p.parameter),) + p.position + p.rotation
         + tuple(v for col in p.frame for v in col)
         for p in poses
     ]

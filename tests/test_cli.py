@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from phforge import (
+    RationalCurve,
     SynthesisProblem,
     build_residue_system,
     certify_regular,
@@ -25,6 +26,8 @@ from phforge.rationals import format_rational, parse_rational
 
 from helpers import (
     TABLE_POLES,
+    finite_or_str,
+    hull_certificate_holds,
     ref_bundle_samples,
     ref_pose_dict,
     ref_sample_motion,
@@ -71,6 +74,19 @@ def bundle_path(tmp_path_factory):
     return out
 
 
+def _report_certificate_holds(report) -> bool:
+    """Whether the hull member of a check report re-checks exactly against its indicatrix."""
+    indicatrix = report["indicatrix"]
+    nums = [cli._poly_from_rats(n, "n") for n in indicatrix["numerators"]]
+    T = RationalCurve(nums, cli._poly_from_rats(indicatrix["denominator"], "d"))
+    hull = report["hull"]
+    cert = SimpleNamespace(
+        status=hull["status"],
+        **{k: tuple(map(int, hull[k])) if k in hull else None for k in ("direction", "moment")},
+    )
+    return hull_certificate_holds(T, cert)
+
+
 class TestCheck:
     def test_reference_config_hull_true(self, tmp_path, capsys):
         cfg = write_config(tmp_path, EX2_CONFIG)
@@ -78,7 +94,7 @@ class TestCheck:
         report = json.loads(capsys.readouterr().out)
         assert report["i_reduced"] is True
         assert report["hull"]["status"] is True
-        assert report["hull"]["residual"] < 1e-6
+        assert _report_certificate_holds(report)
 
     def test_constant_generator_hull_false(self, tmp_path, capsys):
         cfg = write_config(
@@ -87,8 +103,8 @@ class TestCheck:
         )
         assert main(["check", "--config", cfg]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["hull"]["status"] is False
-        assert "separating_direction" in report["hull"]
+        assert report["hull"] == {"status": False, "direction": ["1", "0", "0"]}
+        assert _report_certificate_holds(report)
 
     def test_zero_denominator_is_parse_error(self, tmp_path, capsys):
         cfg = write_config(
@@ -163,7 +179,7 @@ class TestSynth:
     def test_success_with_certificate(self, bundle_path):
         bundle = json.loads(Path(bundle_path).read_text())
         mu = P([parse_rational(v) for v in bundle["mu"]])
-        assert certify_regular(mu)
+        assert certify_regular(mu, 4)
         diag = bundle["diagnostics"]
         assert diag["kernel_dimension"] == 2
         assert diag["regularity"]["regular"] is True
@@ -223,7 +239,7 @@ class TestSynth:
         bundle = json.loads(Path(out).read_text())
         mu = P([parse_rational(v) for v in bundle["mu"]])
         assert sturm_real_root_count(mu) == 0 and mu.leading() > 0
-        assert bundle["diagnostics"]["margin_achieved"] >= cli.MARGIN_FLOOR
+        assert bundle["diagnostics"]["margin_achieved"] >= positivity.MARGIN_FLOOR
         loaded = load_bundle(out)
         assert build_residue_system(SynthesisProblem(loaded.generator, loaded.config.poles)).contains(mu)
 
@@ -278,7 +294,7 @@ class TestSynth:
         found = re.search(r"best trace-normalized eigenvalue (\S+), optimum at most (\S+)\)", err)
         assert found
         lam, bound = map(float, found.groups())
-        assert lam <= bound < cli.MARGIN_FLOOR
+        assert lam <= bound < positivity.MARGIN_FLOOR
 
     @pytest.mark.parametrize(
         "row, reason",
@@ -332,10 +348,10 @@ class TestSynth:
         assert main(["synth", "--config", cfg, "--out", out]) == 0
         bundle = json.loads(Path(out).read_text())
         mu = P([parse_rational(v) for v in bundle["mu"]])
-        assert certify_regular(mu)
         # the averaged numerator integrates to the bundle's curve
         loaded = load_bundle(out)
         problem = SynthesisProblem(loaded.generator, loaded.config.poles)
+        assert certify_regular(mu, problem.m)
         assert synthesize_curve(problem, mu) == loaded.curve
 
 
@@ -686,14 +702,15 @@ def test_every_json_output_is_one_line(tmp_path, recorded):
             check_dumps = recorded["json"][before:]
     assert len(check_dumps) == 1
     [(members, _)] = recorded["bundle"]
-    # the bundle carries numpy floats from the hull test
-    assert type(members["diagnostics"]["hull"]["weights"][0]["weight"]) is np.float64
+    # the bundle's hull member is the check report's: the exact moment, as strings
+    assert members["diagnostics"]["hull"] == check_dumps[0]["hull"]
+    assert all(type(v) is str for v in check_dumps[0]["hull"]["moment"])
     loaded = load_bundle(bundle)
     params, positions = ref_sample_positions(loaded, 16)
     want = [
         {**members, "samples": ref_bundle_samples(loaded.generator, loaded.curve, 64)},
         check_dumps[0],
-        {"parameters": [cli._finite_or_str(t) for t in params], "positions": positions},
+        {"parameters": [finite_or_str(t) for t in params], "positions": positions},
         [ref_pose_dict(p) for p in ref_sample_motion(loaded.generator, loaded.curve, 16)],
     ]
     for argv, obj in zip(argvs, want):
@@ -711,7 +728,7 @@ def test_non_finite_float_raises_value_error(tmp_path, monkeypatch, bad):
         with pytest.raises(ValueError):
             cli._json(obj)
     # main encodes the whole output before it opens --out
-    monkeypatch.setattr(cli, "_hull_report", lambda cert: {"residual": bad})
+    monkeypatch.setattr(cli, "_hull_report", lambda cert: {"status": bad})
     out = tmp_path / "o.json"
     with pytest.raises(ValueError):
         main(["check", "--config", write_config(tmp_path, EX2_CONFIG), "--out", str(out)])
@@ -791,7 +808,7 @@ def test_non_finite_sample_raises_before_out(bundle_path, tmp_path, capsys, monk
         text = out.read_text()
         assert cli._json(json.loads(text)) == text, command
         if field == "parameters":
-            assert row_1_parameter[command](json.loads(text)) == cli._finite_or_str(bad), command
+            assert row_1_parameter[command](json.loads(text)) == finite_or_str(bad), command
     # CSV writes every value as its repr; sample writes no parameter
     for command, fields in (("sample", ("positions",)), ("frames", SAMPLED_FIELDS["frames"])):
         if field in fields:
@@ -820,9 +837,17 @@ def _large_generator_config():
     return raw
 
 
+def _scaled_generator_config(exponent):
+    # every nonzero generator coefficient times 10^exponent: the same indicatrix,
+    # but |A|^2 and the curve leave the float range only synth samples in
+    raw = json.loads(json.dumps(EX2_CONFIG))
+    raw["quaternion"] = [[v if v == "0" else f"{v}e{exponent}" for v in q] for q in raw["quaternion"]]
+    return raw
+
+
 def _small_generator_config(entry=3):
-    # 1e-400 is 0 as a float: a leading coefficient of 1e-400 leaves A A* without
-    # its leading coefficient in the float hull test
+    # 1e-400 is 0 as a float: a leading coefficient of 1e-400 leaves the float
+    # values of A without their leading coefficient
     raw = json.loads(json.dumps(EX2_CONFIG))
     raw["quaternion"][entry][0] = "1e-400"
     return raw
@@ -878,10 +903,7 @@ FAILURES = {
     "non-ph-curve": ("sample", _non_ph_bundle, ["--format", "svg"], 4),
     "unreadable-bundle": ("frames", lambda b, tmp: str(tmp / "missing.json"), [], 4),
     "unwritable-out": ("check", lambda b, tmp: write_config(tmp, EX2_CONFIG), [], 4),
-    **{
-        f"generator-overflow-{command}": (command, lambda b, tmp: write_config(tmp, _large_generator_config()), [], 4)
-        for command in ("check", "synth")
-    },
+    "generator-overflow-synth": ("synth", lambda b, tmp: write_config(tmp, _scaled_generator_config(200)), [], 4),
     "generator-empty-array": ("frames", _generator_bundle([]), [], 4),
     "generator-zero": ("frames", _generator_bundle(0), [], 4),
     "generator-false": ("frames", _generator_bundle(False), [], 4),
@@ -911,10 +933,7 @@ FAILURES = {
         f"curve-non-finite-{command}-json": (command, _large_curve_bundle(F(17, 10) * 10**308), ["--format", "json"], 4)
         for command in ("sample", "frames")
     },
-    **{
-        f"generator-underflow-{command}": (command, lambda b, tmp: write_config(tmp, _small_generator_config()), [], 4)
-        for command in ("check", "synth")
-    },
+    "generator-underflow-synth": ("synth", lambda b, tmp: write_config(tmp, _scaled_generator_config(-400)), [], 4),
     # every float value of A is 0, so its norm vanishes at every parameter
     **{
         f"generator-underflow-frames-{fmt}": (
@@ -949,9 +968,9 @@ def test_failure_prints_one_error_line_and_writes_nothing(bundle_path, tmp_path,
     [("curve-overflow-frames-csv", "curve"), ("speed-overflow-sample-svg", "curve"),
      ("speed-non-finite-sample-svg", "curve"), ("non-ph-curve", "curve"),
      ("generator-overflow-frames-json", "generator.coefficients"),
-     ("generator-overflow-check", "quaternion"),
+     ("generator-overflow-synth", "quaternion"),
      ("curve-non-finite-sample-json", "curve"), ("curve-non-finite-frames-json", "curve"),
-     ("generator-underflow-check", "quaternion"), ("generator-underflow-synth", "quaternion"),
+     ("generator-underflow-synth", "quaternion"),
      ("generator-underflow-frames-json", "generator.coefficients"),
      ("generator-underflow-frames-csv", "generator.coefficients")],
 )
@@ -1017,7 +1036,8 @@ BUNDLE_EDITS = {
     "mu-missing": (lambda d: d.pop("mu"), "mu"),
     "mu-negated": (lambda d: d.update(mu=[format_rational(-parse_rational(v)) for v in d["mu"]]), "mu"),
     "denominator-not-dividing-lift": (_times_t2_plus_1, "curve"),
-    "numerator-degree-above-denominator": (_add_alpha_to_mu, "curve"),
+    # mu + alpha has degree deg alpha > m, so it is no positive form of degree m
+    "numerator-degree-above-denominator": (_add_alpha_to_mu, "mu"),
     "curve-translated": (_translate_x, "curve"),
 }
 
@@ -1028,8 +1048,8 @@ def test_bundle_failing_its_identity_exits_4(two_factor_bundle, tmp_path, capsys
 
     Each edit leaves every field parseable and in float range, so only
     the load checks can catch it; the last two keep r' = (mu/alpha) A i A*
-    itself, so only the curve that ``synthesize_curve`` integrates from mu,
-    with its degree bound and r(0) = 0, does.
+    itself, so only mu's degree, which must be m, and the curve that
+    ``synthesize_curve`` integrates from mu with r(0) = 0, do.
     """
     corrupt, field = BUNDLE_EDITS[edit]
     data = json.loads(Path(two_factor_bundle).read_text())
@@ -1055,6 +1075,81 @@ def test_large_curve_csv_and_obj_write_inf(bundle_path, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == "", fmt
         assert "inf" in captured.out, fmt
+
+
+# generator configs beyond the float range, and the exit code of synth on each:
+# scaled as a whole, the generator reaches synth's sampling, which refuses it with
+# exit 4 unless its floats stay in range; a lone coefficient of 10^155, or a
+# leading one of 1e-400, leaves the float slices too ill-conditioned to decide
+# the hull or to find a positive numerator, which is exit 3
+BEYOND_FLOAT_RANGE = {
+    "generator-overflow-check": (_large_generator_config, 3),
+    "generator-underflow-check": (_small_generator_config, 3),
+    "scaled-1e200": (lambda: _scaled_generator_config(200), 4),
+    "scaled-1e-200": (lambda: _scaled_generator_config(-200), 0),
+    "scaled-1e-400": (lambda: _scaled_generator_config(-400), 4),
+}
+
+
+@pytest.mark.parametrize("case", BEYOND_FLOAT_RANGE)
+def test_check_is_exact_beyond_the_float_range(tmp_path, capsys, case):
+    """``check`` reads no float: beyond the float range it exits 0, and a decision re-checks exactly.
+
+    A generator scaled as a whole gets the unscaled generator's hull member,
+    since the indicatrix is scale-free.  ``synth`` exits with the case's
+    code, with one ``error: `` line and no ``--out`` unless it succeeds.
+    """
+    config, synth_code = BEYOND_FLOAT_RANGE[case]
+    capsys.readouterr()
+    assert main(["check", "--config", write_config(tmp_path, EX2_CONFIG)]) == 0
+    unscaled = json.loads(capsys.readouterr().out)
+    path = write_config(tmp_path, config())
+    assert main(["check", "--config", path]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert captured.err == ""
+    assert report["hull"]["status"] == "indeterminate" or _report_certificate_holds(report)
+    if case.startswith("scaled"):
+        assert report["hull"] == unscaled["hull"]
+    out = tmp_path / "out.json"
+    assert main(["synth", "--config", path, "--out", str(out)]) == synth_code
+    lines = capsys.readouterr().err.splitlines()
+    if synth_code:
+        assert len(lines) == 1 and lines[0].startswith("error: ") and not out.exists(), lines
+    else:
+        assert lines == [] and load_bundle(str(out)).curve.mu
+
+
+def test_mu_below_degree_m_exits_4(bundle_path, tmp_path, capsys):
+    """A bundle whose mu is positive on the real line, but of degree below m, fails its load check.
+
+    8316 + 121 t^2 = 11 (756 + 11 t^2) lies in the (0,4)^6 residue kernel,
+    whose m is 4, and the bundle holds the curve ``synthesize_curve``
+    integrates from it.  As a quartic form it vanishes at t = infinity, so
+    the curve's speed does too, at the closure point: all six exports exit
+    4 with one ``error: mu: `` line and write no ``--out``.
+    """
+    data = json.loads(Path(bundle_path).read_text())
+    loaded = load_bundle(bundle_path)
+    problem = SynthesisProblem(loaded.generator, loaded.config.poles)
+    mu = P([8316, 0, 121])
+    assert problem.m == 4 and build_residue_system(problem).contains(mu)
+    assert sturm_real_root_count(mu) == 0
+    curve = synthesize_curve(problem, mu)
+    data["mu"] = cli._poly_to_rats(mu)
+    data["curve"] = {
+        "numerators": [cli._poly_to_rats(n) for n in curve.nums],
+        "denominator": cli._poly_to_rats(curve.den),
+    }
+    config = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    for command, fmt in EXPORTS:
+        capsys.readouterr()
+        assert main([command, "--config", config, "--format", fmt, "--out", str(out)]) == 4, (command, fmt)
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists(), (command, fmt)
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: mu: "), (command, fmt, captured.err)
 
 
 def test_tiny_coefficient_below_the_lead_still_works(tmp_path, capsys):

@@ -21,7 +21,7 @@ from phforge import (
     synthesize_curve,
     tangent_indicatrix,
 )
-from phforge.geometry import angle_parameters
+from phforge.geometry import angle_parameters, indicatrix_space
 from phforge.polynomial import two_chart_quotients
 from phforge.quaternion import QJ, QONE
 
@@ -30,6 +30,7 @@ from helpers import (
     circle_curve,
     example1_curve,
     generator_deg3,
+    hull_certificate_holds,
     poles_single,
     ref_closure_integral,
     ref_curve_from_components,
@@ -116,44 +117,36 @@ class TestSpeedFunction:
 class TestConvexHull:
     def test_reference_indicatrix_contains_origin(self):
         T = tangent_indicatrix(generator_deg3())
-        cert = convex_hull_contains_origin(T, 256)
-        assert cert.status is True
-        assert cert.residual < 1e-6
-        assert all(w > 1e-12 for _, w in cert.support)
-        assert abs(sum(w for _, w in cert.support) - 1) < 1e-9
-        # the support's parameters are distinct samples, in sample order
-        params = angle_parameters(256)
-        indices = [params.index(t) for t, _ in cert.support]
-        assert indices == sorted(set(indices))
-        # each weight sits on its own sample: the combination is the min-norm point
-        ts, ws = zip(*cert.support)
-        points = two_chart_quotients(T.nums, T.den, T.den.degree, list(ts)).T
-        assert np.linalg.norm(np.array(ws) @ points) <= 1e-9
+        cert = convex_hull_contains_origin(T)
+        assert cert.status is True and cert.direction is None
+        assert hull_certificate_holds(T, cert)
+        # the moment is a primitive integer vector of length 2 deg A + 1
+        assert len(cert.moment) == 7 and math.gcd(*cert.moment) == 1
 
     def test_constant_indicatrix_separated(self):
-        cert = convex_hull_contains_origin(tangent_indicatrix(QP([QONE])), 64)
-        assert cert.status is False
-        assert cert.gap > 0.5
-        d = np.array(cert.direction)
-        assert np.allclose(d, [1.0, 0.0, 0.0], atol=1e-9)
+        T = tangent_indicatrix(QP([QONE]))
+        cert = convex_hull_contains_origin(T)
+        assert cert.status is False and cert.moment is None
+        assert cert.direction == (1, 0, 0)
+        assert hull_certificate_holds(T, cert)
 
     def test_great_circle_generator(self):
-        # A = t + j sweeps a great circle through +/- i; the hull is a disk
-        # through the origin, certified by near-antipodal weights
-        cert = convex_hull_contains_origin(tangent_indicatrix(QP([QJ, QONE])), 64)
+        # A = t + j sweeps a great circle through +/- i: the hull is a disk
+        # through the origin, and the planar indicatrix spans two components
+        T = tangent_indicatrix(QP([QJ, QONE]))
+        assert indicatrix_space(T).dimension == 2
+        cert = convex_hull_contains_origin(T)
         assert cert.status is True
-        assert cert.residual < 1e-9
-        heavy = [(p, w) for p, w in cert.support if w > 1e-6]
-        assert len(heavy) >= 2
+        assert hull_certificate_holds(T, cert)
 
-    def test_monotone_in_samples(self):
-        T = tangent_indicatrix(generator_deg3())
-        for n in (256, 512):
-            assert convex_hull_contains_origin(T, n).status is True
-
-    def test_minimum_sample_count(self):
-        with pytest.raises(ValueError):
-            convex_hull_contains_origin(tangent_indicatrix(generator_deg3()), 8)
+    def test_decision_is_scale_invariant(self):
+        # every coefficient times 10^-200 or 10^200: the same exact decision,
+        # though |A|^2's coefficients leave the float range
+        a = generator_deg3()
+        want = convex_hull_contains_origin(tangent_indicatrix(a))
+        for scale in (F(1, 10**200), F(10**200)):
+            scaled = QP([Quaternion(*(v * scale for v in (q.w, q.x, q.y, q.z))) for q in a.coeffs])
+            assert convex_hull_contains_origin(tangent_indicatrix(scaled)) == want
 
 
 class TestPoses:

@@ -10,6 +10,7 @@ from phforge import (
     PoleStructure,
     Polynomial as P,
     QuadraticFactor,
+    Quaternion,
     QuaternionPolynomial as QP,
     SynthesisProblem,
     average_solutions,
@@ -19,12 +20,14 @@ from phforge import (
     sdp_feasible_point,
     sturm_real_root_count,
     synthesize_curve,
+    tangent_indicatrix,
 )
 from phforge import positivity
-from phforge.positivity import _barrier_derivatives, _dual_path, _gate, _hankel, _numerator
+from phforge.geometry import indicatrix_space
+from phforge.positivity import _barrier_derivatives, _dual_path, _gate, _hankel, _numerator, certify_empty
 from phforge.quaternion import QJ, QONE
 
-from helpers import MU0, MU2, antidiagonal_sums, generator_deg3, poles_single
+from helpers import MU0, MU2, antidiagonal_sums, generator_deg3, poles_single, ref_leading_minors
 
 # the three symmetric matrices spanning the residue-compatible Gram slice
 # for the degree-3 generator with denominator (t^2+4)^6
@@ -202,7 +205,7 @@ class TestFeasibility:
         mat = combine((SLICE_M0, SLICE_M1, SLICE_M2), FEASIBLE_X)
         assert eigvals(mat)[0] > 0
         assert antidiagonal_sums(mat) == MU0
-        assert certify_regular(MU0)
+        assert certify_regular(MU0, 4)
 
     def test_known_ray_is_infeasible(self):
         for chi in (-1.0, -0.1, 0.1, 1.0):
@@ -225,7 +228,7 @@ class TestFeasibility:
         res = sdp_feasible_point(slice_, margin=1e-4)
         assert res.is_feasible
         assert res.min_eigenvalue >= 1e-4
-        assert certify_regular(res.witness_mu)
+        assert certify_regular(res.witness_mu, slice_.space.degree)
         assert sturm_real_root_count(res.witness_mu) == 0
 
     def test_margin_beyond_optimum_is_indeterminate(self):
@@ -255,8 +258,8 @@ class TestFeasibility:
             )
             if mu.is_zero:
                 continue
-            assert not certify_regular(mu)
-            assert not certify_regular(mu * -1)
+            assert not certify_regular(mu, space.degree)
+            assert not certify_regular(mu * -1, space.degree)
 
     def test_thin_feasible_case(self):
         # denominator (t^2-2t+2)^9: feasible, with tiny eigenvalue margin
@@ -265,7 +268,7 @@ class TestFeasibility:
         slice_ = build_gram_slice(space)
         res = sdp_feasible_point(slice_, margin=1e-8)
         assert res.is_feasible
-        assert certify_regular(res.witness_mu)
+        assert certify_regular(res.witness_mu, space.degree)
         curve = synthesize_curve(prob, res.witness_mu)
         assert curve.den.degree <= 16
 
@@ -307,8 +310,8 @@ def without_bounds(path):
     """The dual path with every bound replaced by inf: nothing is ruled out."""
 
     def steps(*args):
-        for best_gram, best_lam, _ in path(*args):
-            yield best_gram, best_lam, math.inf
+        for best_gram, best_lam, *_ in path(*args):
+            yield best_gram, best_lam, math.inf, None
 
     return steps
 
@@ -342,7 +345,7 @@ def ladder_reference(path, margins, gate):
         # the deciding step, then the end of the path; a point gated before failed
         for j in ([] if k is None else [k]) + [len(path) - 1]:
             needed = max(needed, j + 1)
-            gram, lam, _ = path[j]
+            gram, lam, *_ = path[j]
             if lam >= m and lam not in gated:
                 gated.append(lam)
                 if gate(gram, lam) is not None:
@@ -384,7 +387,7 @@ class TestRelaxationLadder:
     def test_two_factor_slice_certifies_on_grid(self, two_factor_slice):
         res = sdp_feasible_point(two_factor_slice, LADDER)
         assert res.status == "feasible"
-        assert certify_regular(res.witness_mu)
+        assert certify_regular(res.witness_mu, two_factor_slice.space.degree)
         # mu is the gated point's kernel coordinates, over their largest
         # absolute value, rounded on the grid 2^-20 or else 2^-40
         assert len(res.witness_x) == two_factor_slice.space.dimension
@@ -426,7 +429,7 @@ class TestRelaxationLadder:
         monkeypatch.setattr(positivity, "MAX_NEWTON", 1)
         short = full_path(single_factor_slice)
         assert len(short) == 2
-        assert all(best_lam <= bound < math.inf for _, _, bound in short)
+        assert all(best_lam <= bound < math.inf for _, _, bound, _ in short)
         res = sdp_feasible_point(single_factor_slice, 1e-3)
         assert res.optimum_bound is None or res.optimum_bound >= best_lam
 
@@ -492,7 +495,7 @@ class TestRelaxationLadder:
         needed, ref_gated = ladder_reference(path, LADDER, lambda gram, lam: gate(slice_, gram, lam))
         # snapshots up to the one deciding the last margin read, the whole path
         # only when a gate failed or nothing decided, and no point gated twice
-        assert drawn == [lam for _, lam, _ in path[:needed]]
+        assert drawn == [lam for _, lam, *_ in path[:needed]]
         assert gated == ref_gated
         assert len(set(gated)) == len(gated)
 
@@ -532,9 +535,14 @@ class TestDualPath:
         path = full_path(slice_)
         best_lam = path[-1][1]
         hankel = hankel_constraints(slice_)
-        for gram, lam, bound in path:
+        n = slice_.dimension
+        for gram, lam, bound, dual in path:
             # weak duality: the nu of every dual iterate lies above every primal lambda
             assert bound >= best_lam >= lam
+            # the bound is the nu of the dual point c = dual, Z = nu I + H_w(c . r) >= 0
+            assert bound == 1.0 / n - float(slice_.offsets @ dual)
+            z = bound * np.eye(n) + _hankel(slice_.weights, dual @ slice_.complement)
+            assert np.linalg.eigvalsh(z)[0] >= -1e-12
             assert lam == np.linalg.eigvalsh(gram)[0]
             # trace one, and the weighted antidiagonal sums lie in the kernel
             assert abs(np.trace(gram) - 1.0) <= 1e-12
@@ -545,6 +553,53 @@ class TestDualPath:
             rows = slice_.kernel_rows
             y = np.linalg.lstsq(rows.T, sums, rcond=None)[0]
             assert np.abs(y @ rows - sums).max() <= 1e-12 * (np.abs(y) @ np.abs(rows)).max()
+
+
+    def test_singular_newton_system_ends_the_path(self):
+        # the hull slice of the generator whose leading w coefficient is 10^155:
+        # its components span some 310 decimal orders, and its float Newton
+        # system turns singular part of the way along the path
+        a = generator_deg3()
+        lead = a.coeffs[-1]
+        a = QP([*a.coeffs[:-1], Quaternion(lead.w * 10**155, lead.x, lead.y, lead.z)])
+        slice_ = build_gram_slice(indicatrix_space(tangent_indicatrix(a)))
+        n = slice_.dimension
+        singular = []
+        solve = np.linalg.solve
+
+        def recorded_solve(*args):
+            try:
+                return solve(*args)
+            except np.linalg.LinAlgError:
+                singular.append(len(singular))
+                raise
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "solve", recorded_solve)
+            path = list(_dual_path(slice_, np.zeros((n, n))))
+        assert singular == [0]
+        assert len(path) >= 2
+        assert sdp_feasible_point(slice_, LADDER).status == "indeterminate"
+
+
+class TestCertifyEmpty:
+    def test_reference_indicatrix_span_holds_no_nonnegative_form(self):
+        T = tangent_indicatrix(generator_deg3())
+        space = indicatrix_space(T)
+        res = sdp_feasible_point(build_gram_slice(space), LADDER)
+        assert res.status == "indeterminate" and res.optimum_bound < 0
+        h = certify_empty(space, res.moment)
+        assert math.gcd(*h) == 1
+        assert all(sum(a * b for a, b in zip(w.ints, h)) == 0 for w in space.basis)
+        n = space.degree // 2 + 1
+        assert all(d > 0 for d in ref_leading_minors([h[i : i + n] for i in range(n)]))
+
+    def test_no_proof_where_a_positive_form_exists(self):
+        # (0,4)^6's kernel holds MU0 > 0, so no h can prove it empty, whatever the start
+        space, _ = reference_slice()
+        rng = random.Random(5)
+        for _ in range(20):
+            assert certify_empty(space, [rng.gauss(0.0, 1.0) for _ in range(space.degree + 1)]) is None
 
 
 # ROADMAP table rows that exited 3 before the dual path: (0,4)^6 divides every
@@ -573,7 +628,7 @@ class TestTableRows:
             assert f.discriminant < 0
             quotient = quotient * f.poly() ** f.multiplicity
         assert quotient * P([4, 0, 1]) ** 6 == problem.alpha
-        assert certify_regular(MU0)
+        assert certify_regular(MU0, 4)
         lift = MU0 * quotient
         assert space.contains(lift)
         # a certificate exists, so the optimum is positive and no bound may say otherwise
@@ -582,22 +637,30 @@ class TestTableRows:
 
 
 class TestCertificates:
+    def test_degree_below_m_vanishes_at_infinity(self):
+        # 11 (756 + 11 t^2), a kernel element of (0,4)^6 with no t^4 term, is
+        # positive on the real line but vanishes at t = infinity as a quartic
+        mu = P([8316, 0, 121])
+        assert sturm_real_root_count(mu) == 0
+        assert not certify_regular(mu, 4)
+        assert certify_regular(mu, 2)
+
     def test_cusped_numerator_rejected(self):
-        assert not certify_regular(P([7036, 0, -89]))
+        assert not certify_regular(P([7036, 0, -89]), 2)
 
     def test_obviously_positive(self):
-        cert = certify_regular(P([1, 0, 0, 0, 1]))
+        cert = certify_regular(P([1, 0, 0, 0, 1]), 4)
         assert cert and cert.real_root_count == 0
 
     def test_feasible_numerator_certified(self):
-        cert = certify_regular(MU0)
+        cert = certify_regular(MU0, 4)
         assert cert.regular and cert.leading_coefficient == F(11, 53264)
 
     def test_negative_leading_rejected(self):
-        assert not certify_regular(P([-1, 0, -1]))
+        assert not certify_regular(P([-1, 0, -1]), 2)
 
     def test_zero_rejected(self):
-        assert not certify_regular(P([0]))
+        assert not certify_regular(P([0]), 0)
 
 
 class TestAverageSolutions:
@@ -619,13 +682,13 @@ class TestAverageSolutions:
                 hi = mid
         eps = lo / 2
         assert eps > 0
-        assert certify_regular(average_solutions([MU0, MU2], [F(1), eps]))
+        assert certify_regular(average_solutions([MU0, MU2], [F(1), eps]), 4)
 
     def test_equal_weights_of_regular_curves_regular(self):
         other = MU0 + MU2 * F(1, 100)
-        assert certify_regular(other)
+        assert certify_regular(other, 4)
         out = average_solutions([MU0, other], [F(1), F(1)])
-        assert certify_regular(out)
+        assert certify_regular(out, 4)
         assert out == MU0 * 2 + MU2 * F(1, 100)
 
     def test_one_weight_per_numerator_required(self):

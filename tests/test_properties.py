@@ -23,8 +23,11 @@ from phforge.synthesis import _core_and_lift
 from helpers import (
     batch_problems,
     generator_deg3,
+    hull_certificate_holds,
     mu_speed_matches,
+    random_hull_generator,
     random_quaternion_poly,
+    ref_hull,
     ref_curve,
     ref_curve_from_components,
     ref_reparameterize,
@@ -101,13 +104,11 @@ def test_regular_solutions_imply_hull_not_separated(synthesized_problems):
 
     candidates = [(SynthesisProblem(generator_deg3(), poles_single(0, 4, 6)), MU0)]
     for problem, _space, mu, _curve in synthesized_problems:
-        if certify_regular(mu) or certify_regular(mu * -1):
+        if certify_regular(mu, problem.m) or certify_regular(mu * -1, problem.m):
             candidates.append((problem, mu))
     assert candidates
     for problem, _mu in candidates:
-        cert = convex_hull_contains_origin(
-            tangent_indicatrix(problem.a_poly), samples=128
-        )
+        cert = convex_hull_contains_origin(tangent_indicatrix(problem.a_poly))
         assert cert.status is not False
 
 
@@ -131,8 +132,26 @@ def test_kernel_dimension_nondecreasing_random_generators():
     assert tried >= 5
 
 
-def test_hull_certificate_monotone_in_samples():
-    T = tangent_indicatrix(generator_deg3())
-    assert convex_hull_contains_origin(T, 64).status is True
-    assert convex_hull_contains_origin(T, 128).status is True
-    assert convex_hull_contains_origin(T, 256).status is True
+def test_exact_hull_matches_float_oracle_on_random_generators():
+    """On 60 seeded random generators the exact hull decision is the float oracle's where that decides.
+
+    Each certificate is re-checked in exact arithmetic without ``positivity``
+    (``hull_certificate_holds``): a direction d with d . w of degree m and no
+    real root, or a moment h orthogonal to w whose Hankel minors are all
+    positive; no generator gets both.
+    """
+    rng = random.Random(7)
+    decided = {True: 0, False: 0}
+    for _ in range(60):
+        T = tangent_indicatrix(random_hull_generator(rng))
+        cert = convex_hull_contains_origin(T)
+        want = ref_hull(T)
+        if cert.status is None:
+            assert cert.direction is None and cert.moment is None
+        else:
+            assert hull_certificate_holds(T, cert)
+            decided[cert.status] += 1
+        if want is not None:
+            assert cert.status is want
+    # both outcomes occur, so each certificate kind is exercised
+    assert min(decided.values()) >= 10, decided

@@ -91,7 +91,7 @@ def test_every_public_name_has_a_non_test_caller():
 
 # public methods with no caller yet, and why each stays
 UNCALLED_METHODS = {
-    "SolutionSpace.contains": "perfbench's residue check may move onto it (ROADMAP items 1 and 7)",
+    "SolutionSpace.contains": "perfbench's residue check may move onto it (ROADMAP item 5)",
 }
 
 
