@@ -934,6 +934,10 @@ FAILURES = {
         for command in ("sample", "frames")
     },
     "generator-underflow-synth": ("synth", lambda b, tmp: write_config(tmp, _scaled_generator_config(-400)), [], 4),
+    # check reads the generator exactly, so the only range it refuses is the
+    # parser's: a decimal exponent above 4300 in magnitude
+    "generator-overflow-check": ("check", lambda b, tmp: write_config(tmp, _scaled_generator_config(4301)), [], 4),
+    "generator-underflow-check": ("check", lambda b, tmp: write_config(tmp, _scaled_generator_config(-4301)), [], 4),
     # every float value of A is 0, so its norm vanishes at every parameter
     **{
         f"generator-underflow-frames-{fmt}": (
@@ -972,7 +976,10 @@ def test_failure_prints_one_error_line_and_writes_nothing(bundle_path, tmp_path,
      ("curve-non-finite-sample-json", "curve"), ("curve-non-finite-frames-json", "curve"),
      ("generator-underflow-synth", "quaternion"),
      ("generator-underflow-frames-json", "generator.coefficients"),
-     ("generator-underflow-frames-csv", "generator.coefficients")],
+     ("generator-underflow-frames-csv", "generator.coefficients"),
+     # the first nonzero coefficient of the generator is the one refused
+     pytest.param("generator-overflow-check", "quaternion[0][3]", id="generator-overflow-check-quaternion"),
+     pytest.param("generator-underflow-check", "quaternion[0][3]", id="generator-underflow-check-quaternion")],
 )
 def test_overflow_names_the_field(bundle_path, tmp_path, capsys, case, field):
     command, config, extra, _ = FAILURES[case]
