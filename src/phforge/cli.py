@@ -418,17 +418,18 @@ def _bundle_samples(a: QuaternionPolynomial, alpha: Polynomial, curve: RationalC
     written once and its text used in both places.  The speed is
     ``_mu_speed`` of ``curve.mu``: ``synthesize_curve`` has checked
     r' = (mu/alpha) A i A* exactly and the gate has certified mu > 0.  These
-    are the only floats ``synth`` reads: generator, curve or speed floats
-    beyond the float range raise ParseError at ``quaternion``, and a NaN or
-    inf position, rotation or speed at ``curve``.
+    are the only floats ``synth`` reads: a generator, curve or speed that
+    ``_float_range`` refuses, or whose float values of A are all 0, raises
+    ParseError at ``quaternion``, and a NaN or inf sample at ``curve``.
     """
-    try:  # converting a generator, curve or speed coefficient to float
+    speed = _mu_speed(a, alpha, curve.mu)
+    for polys in a.component_polys(), curve.nums, (curve.den,), (speed.numerator, speed.denominator):
+        _float_range(polys, "quaternion")
+    try:
         motion = sample_motion(a, curve, n)
-        speed = _mu_speed(a, alpha, curve.mu).eval_floats(motion.parameters)
-    except OverflowError:
-        raise ParseError("coefficients exceed the float range", "quaternion") from None
     except ZeroDivisionError:  # A has no real root: its float values underflow
         raise ParseError("coefficients underflow the float range", "quaternion") from None
+    speed = speed.eval_floats(motion.parameters)
     _finite(motion.positions, motion.rotations, speed)
     positions = _rows("[%r,%r,%r]", motion.positions.T.tolist())
     poses = _rows(
@@ -505,17 +506,19 @@ def load_bundle(path: str) -> Bundle:
         curve = None
     if curve is None or (curve.nums, curve.den) != (nums, den):
         raise ParseError("not the curve with r' = (mu/alpha) A i A* and r(0) = 0", "curve")
-    _float_range((*curve.nums, curve.den), "curve")
+    _float_range(curve.nums, "curve")
+    _float_range((curve.den,), "curve")
     return Bundle(cfg, curve, gen)
 
 
 def _float_range(polys, where: str) -> None:
-    """Raise ParseError at where unless every coefficient of polys is within float range."""
+    """Raise ParseError at where if polys' coefficients overflow floats, or all underflow, not all 0."""
     try:
-        for p in polys:
-            p.float_coeffs()
+        top = max((abs(x) for p in polys for x in p.float_coeffs()), default=0.0)
     except OverflowError:
         raise ParseError("coefficients exceed the float range", where) from None
+    if top < sys.float_info.min and any(polys):
+        raise ParseError("coefficients underflow the float range", where)
 
 
 def _sample_positions(bundle: Bundle, n: int):

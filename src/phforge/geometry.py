@@ -27,6 +27,7 @@ from .quaternion import QI, QuaternionPolynomial, rotate_vector
 from .ratfunc import RationalFunction
 from .synthesis import RationalCurve, SolutionSpace
 
+
 def angle_parameters(n: int) -> list[float]:
     """n parameters equidistant in circle angle, starting at t = infinity.
 
@@ -108,14 +109,15 @@ class HullCertificate:
 
 
 def indicatrix_space(T: RationalCurve) -> SolutionSpace:
-    """The span of T's numerators, of degree deg T.den: the independent ones, as primitive vectors.
+    """The span of T's numerators, of degree deg T.den, with the integer rows of its complement.
 
-    A kernel vector of the numerators' columns ends at a dependent one, which is left out.
+    A kernel vector of the columns ends at a dependent numerator; the rest, primitive, are the basis.
     """
-    columns = [[*n.ints] + [0] * (T.den.degree - n.degree) for n in T.nums]
+    m = T.den.degree
+    columns = [[*n.ints] + [0] * (m - n.degree) for n in T.nums]
     dependent = {max(c for c, x in enumerate(v) if x) for v in linalg.nullspace(list(zip(*columns)), 3)}
-    basis = [_canonical(_primitive(v), 1) for c, v in enumerate(columns) if c not in dependent]
-    return SolutionSpace(T.den.degree, basis)
+    basis = [_primitive(v) for c, v in enumerate(columns) if c not in dependent]
+    return SolutionSpace(m, linalg.nullspace(basis, m + 1), [_canonical(v, 1) for v in basis])
 
 
 def convex_hull_contains_origin(T: RationalCurve) -> HullCertificate:

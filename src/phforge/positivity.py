@@ -30,7 +30,6 @@ from numbers import Real
 
 import numpy as np
 
-from . import linalg
 from .errors import EmptyKernelError
 from .polynomial import Polynomial, _canonical, _primitive
 from .ratfunc import sturm_real_root_count
@@ -74,10 +73,7 @@ def certify_regular(mu: Polynomial, degree: int) -> RegularityCertificate:
 
 def relaxation_margins(margin: float = 1e-3) -> list[float]:
     """The ladder margin, margin/10, ... down to MARGIN_FLOOR."""
-    out = [margin]
-    while out[-1] / 10.0 >= MARGIN_FLOOR:
-        out.append(out[-1] / 10.0)
-    return out
+    return [margin] + (relaxation_margins(margin / 10.0) if margin / 10.0 >= MARGIN_FLOOR else [])
 
 
 class GramSlice:
@@ -94,13 +90,16 @@ class GramSlice:
     ``offsets[j]`` = tr H_w(r_j) / n.  Since <H_w(h), G> = h . A_w(G), where
     A_w(G)_k = sum_{i+l=k} w_i w_l G_il is G's numerator, G lies in the
     slice exactly when tr G = 1 and <H_w(r_j), G> = 0 for every j.  The
-    arrays are read-only.
+    arrays are read-only.  ``underflow``: a nonzero basis coefficient is 0
+    or subnormal in ``kernel_rows``, so no bound on this float slice is K's.
     """
 
     def __init__(self, dimension, space, unit_bits, kernel_rows, weights, complement, maps, offsets):
         self.dimension = dimension
         self.space = space
         self.unit_bits = tuple(unit_bits)
+        nonzero = sum(x != 0 for b in space.basis for x in b.ints)
+        self.underflow = np.count_nonzero(np.abs(kernel_rows) >= np.finfo(float).tiny) < nonzero
         self.kernel_rows, self.weights, self.complement = kernel_rows, weights, complement
         self.maps, self.offsets = maps, offsets
         for array in (kernel_rows, weights, complement, maps, offsets):
@@ -339,15 +338,15 @@ def certify_empty(space: SolutionSpace, moment) -> tuple | None:
     positive definite, so h . p = <H(h), G> > 0 for every nonzero sum of
     squares p = v G v^T, v = (1, t, ..) (Nesterov 2000; Blekherman, Parrilo
     & Thomas 2013, ch. 3).  The float ``moment`` (``FeasibilityResult``) is
-    rounded as the gate rounds, along the integer basis of the complement
-    (``linalg.nullspace``), on grids of 4, 8, .., 52 bits.
+    rounded as the gate rounds, along the rows of ``space.constraint_matrix``,
+    which span the complement, on grids of 4, 8, .., 52 bits.
     """
     m = space.degree
-    perp = linalg.nullspace([[*b.ints] + [0] * (m - b.degree) for b in space.basis], m + 1)
-    complement = SolutionSpace(m, [_canonical(v, 1) for v in perp])
+    perp = [_canonical([*r], 1) for r in space.constraint_matrix]
+    complement = SolutionSpace(m, [b.ints for b in space.basis], perp)
     unit_bits, rows = _unit_rows(complement)
     y = np.linalg.lstsq(rows.T, np.asarray(moment), rcond=None)[0]
-    for bits in range(4, 53, 4) if perp and np.max(np.abs(y)) > 0.0 else ():
+    for bits in range(4, 53, 4) if complement.basis and np.max(np.abs(y)) > 0.0 else ():
         h = _rounded(complement, unit_bits, y, bits)
         if _positive_definite([*h.ints] + [0] * (m - h.degree), m // 2 + 1):
             return tuple(_primitive(list(h.ints)))
@@ -378,9 +377,9 @@ def sdp_feasible_point(
     A margin ruled out, never reached or whose gates fail yields
     ``indeterminate``, which is not a proof of infeasibility, with the best
     eigenvalue at the step that ruled it out and the bound in
-    ``optimum_bound``, or else at the end of the path.  The result is the
-    first feasible margin's, else the last margin's, with the log of every
-    margin tried.
+    ``optimum_bound`` (None if ``g.underflow``), or else at the end of the
+    path.  The result is the first feasible margin's, else the last
+    margin's, with the log of every margin tried.
 
     ``objective_bias`` b, one entry per kernel coordinate, steers the solver
     to other interior points, as other cost functions would: the search
@@ -414,7 +413,7 @@ def sdp_feasible_point(
         if snapshot is not None and snapshot[1] < m:
             # the bound proves m unreachable: report the best point so far
             best_gram, best_lam, bound, dual = snapshot
-            moment = tuple((dual @ g.complement).tolist())
+            bound, moment = None if g.underflow else bound, tuple((dual @ g.complement).tolist())
         else:
             if snapshot is not None and snapshot[1] not in gated:
                 gated.add(snapshot[1])

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .polynomial import (
     Polynomial,
-    poly_gcd,
+    poly_gcd,  # noqa: F401  kept: perfbench's traced run patches this name here
 )
 
 
@@ -229,8 +229,6 @@ def i_reduce(a: QuaternionPolynomial) -> tuple[QuaternionPolynomial, QuaternionP
     if a.is_zero:
         raise ValueError("zero polynomial cannot be reduced")
     w, x, y, z = a.component_polys()
-    if poly_gcd(w * w + x * x, y * y + z * z).degree <= 0:  # |R|^2 divides |p|^2 and |q|^2
-        return a, QuaternionPolynomial.constant(QONE)
     g, h = (w, x), (y, -z)
     while h[0] or h[1]:
         g, h = h, _gdivmod(g, h)[1]

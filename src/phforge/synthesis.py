@@ -80,34 +80,31 @@ class SynthesisProblem:
 
 
 class SolutionSpace:
-    """Exact span of polynomials of degree at most ``degree``: a residue kernel, or a basis alone.
+    """Exact span K of polynomials of degree at most ``degree``, such as A i A*'s or a residue kernel.
 
-    ``geometry.indicatrix_space`` spans A i A*, with no ``problem``.  For a
-    residue kernel ``constraint_matrix`` holds linear forms in mu_0..mu_m,
-    integer rows whose common zeros are the mu for which every
-    residue of (mu / alpha) A i A* vanishes: one row per hodograph component
-    w_c and vector z of the complement of the exact-derivative numerators
-    over alpha, z . (mu w_c) (``build_residue_system``).  There are 6F - 3
-    of them for F pole factors, as many as there are residue coordinates:
-    two at each of the F root pairs for each of the three components, less
-    three that the residue theorem implies, since deg(mu w_c) <=
-    deg alpha - 2 makes each component's residues sum to zero.
-    ``basis`` holds independent primitive integer vectors, for a residue
-    kernel one per free column of the system.
+    ``constraint_matrix`` holds integer rows in mu_0..mu_m that span K^perp,
+    so their common zeros are K; ``basis`` independent primitive integer
+    vectors that span K.  In the residue kernel, the mu for which every
+    residue of (mu / alpha) A i A* vanishes, each row is z . (mu w_c), for a
+    hodograph component w_c and a vector z of the complement of the
+    exact-derivative numerators over alpha (``build_residue_system``).
+    There are 6F - 3 rows for F pole factors, as many as there are residue
+    coordinates: two at each of the F root pairs for each of the three
+    components, less three that the residue theorem implies, since
+    deg(mu w_c) <= deg alpha - 2 makes each component's residues sum to zero.
     """
 
-    def __init__(self, degree: int, basis, problem: SynthesisProblem | None = None, constraint_matrix=()):
+    def __init__(self, degree: int, constraint_matrix, basis):
         self.degree = degree
-        self.basis = tuple(basis)
-        self.problem = problem
         self.constraint_matrix = tuple(tuple(row) for row in constraint_matrix)
+        self.basis = tuple(basis)
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
     def contains(self, mu: Polynomial) -> bool:
-        """Whether every residue of mu vanishes; the basis spans exactly this kernel."""
+        """Whether mu lies in K: every row vanishes on it; the basis spans exactly this set."""
         if mu.degree > self.degree:
             return False
         return all(sum(a * v for a, v in zip(row, mu.ints)) == 0 for row in self.constraint_matrix)
@@ -189,7 +186,7 @@ def build_residue_system(p: SynthesisProblem) -> SolutionSpace:
         for z in complement:
             rows.append([sum(map(mul, w, z[k : k + n])) for k in range(p.m + 1)])
     basis = [_canonical(v, 1) for v in linalg.nullspace(rows, p.m + 1)]
-    return SolutionSpace(p.m, basis, p, rows)
+    return SolutionSpace(p.m, rows, basis)
 
 
 class RationalCurve:

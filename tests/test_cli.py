@@ -779,7 +779,10 @@ def test_non_finite_sample_raises_before_out(bundle_path, tmp_path, capsys, monk
     def mu_speed(*args):
         speed = speed_of(*args)
         if field == "speed":
-            return SimpleNamespace(eval_floats=lambda ts: _bad_at_row_1(speed.eval_floats(ts), bad))
+            return SimpleNamespace(
+                numerator=speed.numerator, denominator=speed.denominator,
+                eval_floats=lambda ts: _bad_at_row_1(speed.eval_floats(ts), bad),
+            )
         return speed
 
     monkeypatch.setattr(cli, "sample_motion", sample_motion)
@@ -915,6 +918,14 @@ FAILURES = {
         for command, fmt in EXPORTS
     },
     "speed-overflow-sample-svg": ("sample", _large_curve_bundle(10**308), ["--format", "svg"], 4),
+    # the curve and mu times 1e-400, so r' = (mu/alpha) A i A* holds: every float
+    # numerator coefficient is 0, and every position would be the origin
+    **{
+        f"curve-underflow-{command}-{fmt}": (
+            command, lambda b, tmp: _scaled_curve_bundle(b, tmp, F(1, 10**400), "mu"), ["--format", fmt], 4
+        )
+        for command, fmt in EXPORTS
+    },
     # every coefficient converts, but some speeds are inf, and speed / max speed NaN
     "speed-non-finite-sample-svg": (
         "sample", lambda b, tmp: _scaled_curve_bundle(b, tmp, F(2) ** 1023, "mu"), ["--format", "svg"], 4
@@ -975,6 +986,7 @@ def test_failure_prints_one_error_line_and_writes_nothing(bundle_path, tmp_path,
      ("generator-overflow-synth", "quaternion"),
      ("curve-non-finite-sample-json", "curve"), ("curve-non-finite-frames-json", "curve"),
      ("generator-underflow-synth", "quaternion"),
+     ("curve-underflow-sample-json", "curve"), ("curve-underflow-frames-csv", "curve"),
      ("generator-underflow-frames-json", "generator.coefficients"),
      ("generator-underflow-frames-csv", "generator.coefficients"),
      # the first nonzero coefficient of the generator is the one refused
@@ -1084,17 +1096,19 @@ def test_large_curve_csv_and_obj_write_inf(bundle_path, tmp_path, capsys):
         assert "inf" in captured.out, fmt
 
 
-# generator configs beyond the float range, and the exit code of synth on each:
-# scaled as a whole, the generator reaches synth's sampling, which refuses it with
-# exit 4 unless its floats stay in range; a lone coefficient of 10^155, or a
-# leading one of 1e-400, leaves the float slices too ill-conditioned to decide
-# the hull or to find a positive numerator, which is exit 3
+# generator configs beyond the float range, and synth's exit code and error line on
+# each: scaled as a whole, the generator reaches synth's sampling, which refuses
+# it with exit 4, since its curve (scaled by the square) or A itself leaves the
+# float range; a lone coefficient of 10^155 leaves the hull slice too
+# ill-conditioned to decide, and the residue kernel of the generator whose
+# leading coefficient is 1e-400 holds no positive numerator
+# (test_positivity.TestCertifyEmpty), both exit 3
 BEYOND_FLOAT_RANGE = {
-    "generator-overflow-check": (_large_generator_config, 3),
-    "generator-underflow-check": (_small_generator_config, 3),
-    "scaled-1e200": (lambda: _scaled_generator_config(200), 4),
-    "scaled-1e-200": (lambda: _scaled_generator_config(-200), 0),
-    "scaled-1e-400": (lambda: _scaled_generator_config(-400), 4),
+    "generator-overflow-check": (_large_generator_config, 3, "error: hull test indeterminate: "),
+    "generator-underflow-check": (_small_generator_config, 3, "error: no strictly positive numerator"),
+    "scaled-1e200": (lambda: _scaled_generator_config(200), 4, "error: quaternion: coefficients exceed"),
+    "scaled-1e-200": (lambda: _scaled_generator_config(-200), 4, "error: quaternion: coefficients underflow"),
+    "scaled-1e-400": (lambda: _scaled_generator_config(-400), 4, "error: quaternion: coefficients underflow"),
 }
 
 
@@ -1104,9 +1118,9 @@ def test_check_is_exact_beyond_the_float_range(tmp_path, capsys, case):
 
     A generator scaled as a whole gets the unscaled generator's hull member,
     since the indicatrix is scale-free.  ``synth`` exits with the case's
-    code, with one ``error: `` line and no ``--out`` unless it succeeds.
+    code and one error line, and writes no ``--out``.
     """
-    config, synth_code = BEYOND_FLOAT_RANGE[case]
+    config, synth_code, error = BEYOND_FLOAT_RANGE[case]
     capsys.readouterr()
     assert main(["check", "--config", write_config(tmp_path, EX2_CONFIG)]) == 0
     unscaled = json.loads(capsys.readouterr().out)
@@ -1121,10 +1135,7 @@ def test_check_is_exact_beyond_the_float_range(tmp_path, capsys, case):
     out = tmp_path / "out.json"
     assert main(["synth", "--config", path, "--out", str(out)]) == synth_code
     lines = capsys.readouterr().err.splitlines()
-    if synth_code:
-        assert len(lines) == 1 and lines[0].startswith("error: ") and not out.exists(), lines
-    else:
-        assert lines == [] and load_bundle(str(out)).curve.mu
+    assert len(lines) == 1 and lines[0].startswith(error) and not out.exists(), lines
 
 
 def test_mu_below_degree_m_exits_4(bundle_path, tmp_path, capsys):

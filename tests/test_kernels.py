@@ -707,7 +707,7 @@ def test_contains_matches_residue_oracle(poles):
 def test_kept_residue_rows_have_full_rank(poles):
     structure = PoleStructure(tuple(QuadraticFactor(b, c, m) for b, c, m in poles))
     space = build_residue_system(SynthesisProblem(generator_deg3(), structure))
-    assert len(space.constraint_matrix) == 6 * len(poles) - 3 == space.problem.m + 1 - space.dimension
+    assert len(space.constraint_matrix) == 6 * len(poles) - 3 == space.degree + 1 - space.dimension
 
 
 def hermite_case(rng, chosen, multiplicities):

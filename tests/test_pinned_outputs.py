@@ -147,8 +147,9 @@ def test_speed_from_mu_matches_speed_function(synth_bundles):
         assert speed == speed_function(bundle.curve), path.name
     cases = [(problem, curve) for problem, _, _, curve in random_synthesized_problems(10)]
     for factors in (((0, 4, 6), (1, 3, 4)), ((0, 4, 6), (1, 3, 4), (1, 2, 4))):
-        space, _, curve = _fixture(*factors)
-        cases.append((space.problem, curve))
+        _, _, curve = _fixture(*factors)
+        poles = PoleStructure(tuple(QuadraticFactor(b, c, m) for b, c, m in factors))
+        cases.append((SynthesisProblem(generator_deg3(), poles), curve))
     for problem, curve in cases:
         assert mu_speed_matches(problem, curve), problem
 

@@ -25,7 +25,7 @@ from phforge import (
 from phforge import positivity
 from phforge.geometry import indicatrix_space
 from phforge.positivity import _barrier_derivatives, _dual_path, _gate, _hankel, _numerator, certify_empty
-from phforge.quaternion import QJ, QONE
+from phforge.quaternion import QJ, QONE, i_reduce
 
 from helpers import MU0, MU2, antidiagonal_sums, generator_deg3, poles_single, ref_leading_minors
 
@@ -600,6 +600,37 @@ class TestCertifyEmpty:
         rng = random.Random(5)
         for _ in range(20):
             assert certify_empty(space, [rng.gauss(0.0, 1.0) for _ in range(space.degree + 1)]) is None
+
+
+def _leading_coefficient(w):
+    """The running example's generator with leading coefficient w in place of 1, i-reduced."""
+    *rest, _ = generator_deg3().coeffs
+    return i_reduce(QP([*rest, Quaternion.of(w)]))[0]
+
+
+class TestUnderflow:
+    def test_underflowed_rows_report_no_bound(self):
+        # a leading coefficient of 10^155: the indicatrix basis spans over 1000
+        # bits, so its small entries are 0 as floats in the slice's rows, and
+        # the bound that rules every margin out holds for another slice
+        g = build_gram_slice(indicatrix_space(tangent_indicatrix(_leading_coefficient(10**155))))
+        assert g.underflow
+        res = sdp_feasible_point(g, LADDER)
+        assert res.status == "indeterminate" and res.moment is not None and res.optimum_bound is None
+
+    def test_bound_of_a_normal_slice_is_backed_by_an_exact_proof(self):
+        # a leading coefficient of 1e-400: the residue basis spans 2661 bits but
+        # each vector has its own scale, so every row entry stays a normal float;
+        # the bound stands, and an exact h proves the kernel holds no form >= 0
+        space = build_residue_system(SynthesisProblem(_leading_coefficient(F(1, 10**400)), poles_single(0, 4, 6)))
+        g = build_gram_slice(space)
+        assert not g.underflow
+        res = sdp_feasible_point(g, LADDER)
+        assert res.status == "indeterminate" and res.optimum_bound < 0
+        h = certify_empty(space, res.moment)
+        assert all(sum(a * b for a, b in zip(w.ints, h)) == 0 for w in space.basis)
+        n = space.degree // 2 + 1
+        assert all(d > 0 for d in ref_leading_minors([h[i : i + n] for i in range(n)]))
 
 
 # ROADMAP table rows that exited 3 before the dual path: (0,4)^6 divides every

@@ -70,12 +70,12 @@ KERNEL_PLANAR_44_33 = (
 class TestResidueSystem:
     def test_multiplicity_four_only_trivial(self):
         space = build_residue_system(problem(4))
-        assert space.problem.m == 0
+        assert space.degree == 0
         assert space.dimension == 0
 
     def test_multiplicity_five_exact_system(self):
         space = build_residue_system(problem(5))
-        assert space.problem.m == 2
+        assert space.degree == 2
         reduced, pivots = ref_rref([list(r) for r in space.constraint_matrix])
         assert pivots == [0, 1]
         # {c0 + (7036/89) c2 = 0, c1 = 0}, i.e. 89 c0 + 7036 c2 = 0 up to scaling
@@ -88,7 +88,7 @@ class TestResidueSystem:
 
     def test_multiplicity_six_relations(self):
         space = build_residue_system(problem(6))
-        assert space.problem.m == 4
+        assert space.degree == 4
         # the relations c1 = c3 = 0 and c4 = (11/53264) c0 - (189/13316) c2
         # leave exactly the two stated free directions
         assert space.dimension == 2
