@@ -235,7 +235,12 @@ def _write_out(path: str, text: str) -> None:
 
 
 def _poly_to_rats(p: Polynomial) -> list[str]:
-    return [format_rational(c) for c in p.coeffs]
+    """Each coefficient as ``format_rational`` writes it, read off the canonical pair (ints, den)."""
+    den, out = p.den, []
+    for x in p.ints:
+        g = math.gcd(x, den)
+        out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+    return out
 
 
 def _generator_rats(a: QuaternionPolynomial) -> list[list[str]]:

@@ -201,16 +201,16 @@ class FeasibilityResult:
         return self.status == FEASIBLE
 
 
-def _barrier_derivatives(flat, inv):
+def _barrier_derivatives(maps, inv):
     """Gradient and Hessian of -log det Z along the maps, from L^-1, L Z's Cholesky factor.
 
-    ``flat`` holds the symmetric n x n maps A_j as rows of length n*n.  With
+    ``maps`` holds the symmetric n x n maps A_j, d x n x n.  With
     M_j = L^-1 A_j L^-T, tr(Z^-1 A_j) = tr M_j and
     tr(Z^-1 A_j Z^-1 A_l) = <M_j, M_l>, so the gradient is -tr M_j and the
     Hessian is the Gram matrix of the M_j.
     """
-    d, n = len(flat), len(inv)
-    white = (inv @ flat.reshape(d, n, n) @ inv.T).reshape(d, n * n)
+    d, n = len(maps), len(inv)
+    white = (inv @ maps @ inv.T).reshape(d, n * n)
     return -white[:, :: n + 1].sum(axis=1), white @ white.T
 
 
@@ -272,27 +272,29 @@ def _dual_path(g: GramSlice, shift):
         t *= PATH_GROWTH
         centred = False
         for _ in range(MAX_NEWTON):
-            grad, hess = _barrier_derivatives(flat, inv)
+            grad, hess = _barrier_derivatives(g.maps, inv)
             grad -= t * g.offsets
+            descent = -grad
             try:
-                step = np.linalg.solve(hess, -grad)
+                step = np.linalg.solve(hess, descent)
             except np.linalg.LinAlgError:
                 break  # a singular Newton system: the step is not centred
-            decrement = float(-grad @ step)
+            decrement = float(descent @ step)
             if not decrement >= CENTRED:
                 # a negative or NaN decrement means the float Newton system broke down
                 centred = decrement >= 0.0
                 break
             alpha = 1.0 / (1.0 + math.sqrt(decrement))
             for _ in range(60):
+                trial = c + alpha * step
                 try:
-                    factor = np.linalg.cholesky(z0 + ((c + alpha * step) @ flat).reshape(n, n))
+                    factor = np.linalg.cholesky(z0 + (trial @ flat).reshape(n, n))
                     break
                 except np.linalg.LinAlgError:
                     alpha /= 2.0
             else:
                 break  # float precision leaves no step inside the cone
-            c = c + alpha * step
+            c = trial
             inv = np.linalg.inv(factor)
             if bounded and (nu := 1.0 / n - float(g.offsets @ c)) < bound:
                 bound, dual = nu, c

@@ -33,6 +33,7 @@ from phforge import (
 from phforge import cli, linalg
 from phforge.geometry import _motion, _mu_speed, angle_parameters, speed_function
 from phforge.polynomial import _canonical, _int_add, _int_mul
+from phforge.quaternion import _gdivmod, _gmonic
 from phforge.ratfunc import _scaled
 
 
@@ -988,6 +989,30 @@ def ref_qmul(a: QP, b: QP) -> QP:
 def ref_conjugate(a: QP) -> QP:
     """The conjugate w - x i - y j - z k of a = w + x i + y j + z k."""
     return QP.from_component_polys(a.w, -a.x, -a.y, -a.z)
+
+
+def ref_i_reduce(a: QP) -> tuple[QP, QP]:
+    """``i_reduce`` by Euclid alone: the right factor gcd(p, conj(q)) over Q(i), A = p + q j.
+
+    Every generator runs the Euclid loop on (re, im) pairs, with no gcd
+    test first, then divides the monic factor out exactly.
+    """
+    if a.is_zero:
+        raise ValueError("zero polynomial cannot be reduced")
+    w, x, y, z = a.component_polys()
+    g, h = (w, x), (y, -z)
+    while h[0] or h[1]:
+        g, h = h, _gdivmod(g, h)[1]
+        if h[0] or h[1]:
+            h = _gmonic(h)
+    if max(g[0].degree, g[1].degree) <= 0:
+        return a, QP.constant(Quaternion.of(1))
+    r = _gmonic(g)
+    (pr, pi), p_rem = _gdivmod((w, x), r)
+    (qr, qi), q_rem = _gdivmod((y, z), (r[0], -r[1]))
+    assert not any(p_rem + q_rem), "right factor does not divide exactly"
+    zero = P.zero()
+    return QP.from_component_polys(pr, pi, qr, qi), QP.from_component_polys(*r, zero, zero)
 
 
 # -- Reference helpers outside the pipeline ---------------------------------------

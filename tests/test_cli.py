@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 import re
 import time
 from fractions import Fraction as F
@@ -21,7 +22,7 @@ from phforge import (
 from phforge import cli, geometry, positivity, synthesis
 from phforge.cli import load_bundle, main
 from phforge.polynomial import Polynomial as P
-from phforge.quaternion import QI, rotate_vector
+from phforge.quaternion import QI, QONE, QuaternionPolynomial as QP, rotate_vector
 from phforge.rationals import format_rational, parse_rational
 
 from helpers import (
@@ -95,6 +96,20 @@ class TestCheck:
         assert report["i_reduced"] is True
         assert report["hull"]["status"] is True
         assert _report_certificate_holds(report)
+
+    def test_right_factor_is_stripped_before_the_hull_test(self, tmp_path, capsys):
+        # the README generator times t + i runs i_reduce's Euclid path
+        a = cli._generator(EX2_CONFIG["quaternion"], "quaternion") * QP([QI, QONE])
+        reports = []
+        for name, quaternion in (("readme", EX2_CONFIG["quaternion"]), ("factor", cli._generator_rats(a))):
+            cfg = write_config(tmp_path, {**EX2_CONFIG, "quaternion": quaternion}, f"{name}.json")
+            assert main(["check", "--config", cfg]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        readme, report = reports
+        assert report["i_reduced"] is False
+        assert report["right_factor_degree"] == 1
+        assert report["hull"] == readme["hull"]
+        assert report["indicatrix"] == readme["indicatrix"]
 
     def test_constant_generator_hull_false(self, tmp_path, capsys):
         cfg = write_config(
@@ -660,6 +675,22 @@ def test_config_round_trip(tmp_path):
     canon = canonical_config(cfg)
     again = parse_config(canon)
     assert canonical_config(again) == canon
+
+
+def test_poly_to_rats_matches_format_rational():
+    polys = [
+        P.zero(),
+        P([0, -3, 0, 5]),  # zero and negative coefficients over den 1
+        P([F(4, 6), F(-2), F(0), F(7, 3)]),  # integer values over den 3
+        P([F(1, 2**200), F(-(2**200) + 1, 2**200), F(-6), F(3, 2**199)]),
+    ]
+    # denominators up to 999 * 2^200; some numerators are multiples of den
+    rng = random.Random(42)
+    for _ in range(200):
+        den = rng.randint(1, 999) << rng.randint(0, 200)
+        polys.append(P([F(rng.randint(-50, 50) * rng.choice((1, den, 3**40)), den) for _ in range(5)]))
+    for poly in polys:
+        assert cli._poly_to_rats(poly) == [format_rational(c) for c in poly.coeffs]
 
 
 @pytest.fixture

@@ -292,7 +292,7 @@ class TestNewtonSystem:
             a = rng.standard_normal((n, n))
             z = a @ a.T + 0.1 * np.eye(n)  # a positive definite dual point
             inv = np.linalg.inv(np.linalg.cholesky(z))
-            grad, hess = _barrier_derivatives(maps.reshape(d, n * n), inv)
+            grad, hess = _barrier_derivatives(maps, inv)
             ref_grad, ref_hess = einsum_barrier_derivatives(maps, z)
             # against the largest entry: summation order moves single entries
             # that cancel, not the system

@@ -12,7 +12,7 @@ from phforge import (
 )
 from phforge.quaternion import QI, QJ, QK, QONE
 
-from helpers import generator_deg3, ref_conjugate, ref_qmul
+from helpers import generator_deg3, ref_conjugate, ref_i_reduce, ref_qmul
 
 
 def norm_sq(q):
@@ -258,3 +258,57 @@ def test_i_reduce_recovers_constructed_right_factors():
         assert right.coeffs[-1] == QONE
         assert right.degree >= r.degree
         assert i_reduce(reduced)[1].degree == 0
+
+
+# right factors in span{1, i}: t + i, t^2 + 1, (t + i)^2, t + 2i and the constant 2 + i
+RIGHT_FACTORS = (
+    QP([QI, QONE]),
+    QP([QONE, 0, QONE]),
+    QP([-QONE, QI * 2, QONE]),
+    QP([QI * 2, QONE]),
+    QP([Quaternion.of(2, 1)]),
+)
+
+
+def small_generators(rng, count):
+    """``count`` integer generators of degree 1 to 4, components in -2..2, leading coefficient nonzero."""
+    out = []
+    while len(out) < count:
+        cs = [Quaternion.of(*(rng.randint(-2, 2) for _ in range(4))) for _ in range(rng.randint(2, 5))]
+        if cs[-1]:
+            out.append(QP(cs))
+    return out
+
+
+def test_i_reduce_matches_euclid_oracle():
+    rng = random.Random(42)
+    for a in small_generators(rng, 200):
+        for b in (a, *(a * r for r in RIGHT_FACTORS)):
+            reduced, right = i_reduce(b)
+            assert (reduced, right) == ref_i_reduce(b)
+            assert reduced * right == b
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        QP([QJ, QK, QJ * 2]),  # p = 0
+        QP([QONE, QI, QONE]) * QP([QI, QONE]),  # q = 0
+        QP([QK, QJ]) * QP([QI, QONE]),  # p = 0 with a right factor
+        QP([QI * 3]),  # q = 0, constant
+    ],
+)
+def test_i_reduce_with_a_zero_half(a):
+    reduced, right = i_reduce(a)
+    assert (reduced, right) == ref_i_reduce(a)
+    assert reduced * right == a
+
+
+@pytest.mark.parametrize("left", [QONE, QK])  # QK: the rotation perfbench draws for seed 1
+def test_i_reduce_skips_euclid_without_a_right_factor(left, monkeypatch):
+    def no_euclid(*args):
+        raise AssertionError("_gdivmod called")
+
+    monkeypatch.setattr("phforge.quaternion._gdivmod", no_euclid)
+    a = QP([left * c for c in generator_deg3().coeffs])
+    assert i_reduce(a) == (a, QP.constant(QONE))
