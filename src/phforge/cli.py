@@ -6,7 +6,8 @@ one ``error: `` line on stderr and the ``exit_code`` of its error class:
 2 empty residue kernel or impossible degree bookkeeping (a negative
 numerator degree), 3 no certificate (a failed hull gate, an indeterminate
 positivity search, a failed regularity check), 4 parse/usage errors, an
-unreadable input, coefficients that a sampling command (``check`` reads no
+unreadable input (missing, not UTF-8, or JSON nested too deeply for the
+decoder), coefficients that a sampling command (``check`` reads no
 float) cannot evaluate in the float range, a NaN or infinite sample in a JSON
 or SVG output and an unwritable ``--out`` included.
 ``check`` and ``synth`` take their options only from the config, so outputs
@@ -217,7 +218,8 @@ def _read_json(path: str, what: str):
         with open(path, encoding="utf-8") as fh:
             # an integer within parse_rational's digit bound, whatever Python's int limit
             return json.load(fh, parse_int=lambda digits: int(_rational(digits, what)))
-    except OSError as exc:
+    # a file that is not UTF-8, or JSON nested beyond the decoder's recursion limit
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot read {what}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from None
@@ -244,7 +246,10 @@ def _poly_to_rats(p: Polynomial) -> list[str]:
 
 
 def _generator_rats(a: QuaternionPolynomial) -> list[list[str]]:
-    return [[format_rational(v) for v in (q.w, q.x, q.y, q.z)] for q in a.coeffs]
+    """Each coefficient's [w, x, y, z]: ``_poly_to_rats`` of each component, padded with "0"."""
+    n = a.degree + 1
+    comps = [_poly_to_rats(p) + ["0"] * (n - 1 - p.degree) for p in a.component_polys()]
+    return [list(q) for q in zip(*comps)]
 
 
 def _poly_from_rats(values, where: str) -> Polynomial:

@@ -12,10 +12,10 @@ by Kronecker substitution: ``_pack`` puts a vector at 2^k, ``_unpack``
 reads the balanced 2^k-adic digits back (Schoenhage 1982).  ``poly_gcd``
 is the heuristic GCDHEU on the same pair of helpers, proved by trial
 division, with the primitive polynomial remainder sequence (Collins 1967;
-Brown & Traub 1971) as its fallback.  ``Fraction`` values
-are built only at the edges: ``coeffs``, ``leading``, ``coefficient`` and
-evaluation.  Degrees in this package stay small (tens), so the dense
-representation is the right tool.
+Brown & Traub 1971) as its fallback.  The pair is the only stored form:
+``Fraction`` values are built only at the edges, when ``coeffs``,
+``leading``, ``coefficient`` or evaluation is called.  Degrees in this
+package stay small (tens), so the dense representation is the right tool.
 """
 
 from __future__ import annotations
@@ -196,11 +196,11 @@ class Polynomial:
     """Immutable dense polynomial over Q; the zero polynomial has degree -1.
 
     It is the canonical pair (``ints``, ``den``) described in the module
-    docstring, and ``coeffs`` is the tuple of canonical ``Fraction``
-    coefficients, built on first read.
+    docstring and nothing else: ``coeffs`` and ``coefficient`` build their
+    canonical ``Fraction`` values from the pair at each call.
     """
 
-    __slots__ = ("ints", "den", "_coeffs")
+    __slots__ = ("ints", "den")
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
@@ -214,7 +214,7 @@ class Polynomial:
         object.__setattr__(self, "ints", tuple([c.numerator * (den // c.denominator) for c in cs]))
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, name, value):  # pragma: no cover
+    def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     # -- constructors ------------------------------------------------------
@@ -236,13 +236,8 @@ class Polynomial:
     @property
     def coeffs(self) -> tuple:
         """Coefficients ascending by degree, as canonical Fractions over Q."""
-        try:
-            return self._coeffs
-        except AttributeError:
-            den = self.den
-            cs = tuple([Fraction(x, den) for x in self.ints])
-            object.__setattr__(self, "_coeffs", cs)
-            return cs
+        den = self.den
+        return tuple([Fraction(x, den) for x in self.ints])
 
     @property
     def degree(self) -> int:
@@ -258,8 +253,8 @@ class Polynomial:
         return Fraction(self.ints[-1], self.den)
 
     def coefficient(self, k: int):
-        cs = self.coeffs
-        return cs[k] if 0 <= k < len(cs) else Fraction(0)
+        ints = self.ints
+        return Fraction(ints[k], self.den) if 0 <= k < len(ints) else Fraction(0)
 
     def __bool__(self):
         return not self.is_zero

@@ -175,7 +175,7 @@ class FeasibilityResult:
     numerator they give, ``witness_mu``, is re-verified by a root count, so
     a floating solver cannot produce a false positive.  ``witness_x`` holds
     the float kernel coordinates of the numerator of the Gram matrix that
-    was gated (or of the best one found; None if the search had no start).
+    was gated; it is None unless the result is feasible.
     ``min_eigenvalue`` is that Gram matrix's least eigenvalue, at trace one
     in the weighted basis.  ``margin`` is the ladder margin that certified
     (None unless feasible); ``relaxation_log`` holds one
@@ -432,9 +432,7 @@ def sdp_feasible_point(
         log.append((m, result.status, result.min_eigenvalue))
         if result.is_feasible:
             return replace(result, margin=m, relaxation_log=tuple(log))
-    # the last margin's best point, whose coordinates only the returned result needs
-    witness = None if best_gram is None else tuple(map(float, _coordinates(g, best_gram)))
-    return replace(result, witness_x=witness, relaxation_log=tuple(log))
+    return replace(result, relaxation_log=tuple(log))
 
 
 def average_solutions(mus, weights) -> Polynomial:

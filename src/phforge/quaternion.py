@@ -80,10 +80,11 @@ class QuaternionPolynomial:
     Its state is the four component ``Polynomial``s ``w, x, y, z``, so all
     arithmetic runs on their integer pairs: conjugation component by
     component, products by the Hamilton formula.  ``coeffs``,
-    the ``Quaternion`` coefficients ascending by degree, is built on first read.
+    the ``Quaternion`` coefficients ascending by degree, is built from them
+    at each read.
     """
 
-    __slots__ = ("w", "x", "y", "z", "_coeffs")
+    __slots__ = ("w", "x", "y", "z")
 
     def __init__(self, coeffs=()):
         cs = []
@@ -96,7 +97,7 @@ class QuaternionPolynomial:
         for name in ("w", "x", "y", "z"):
             object.__setattr__(self, name, Polynomial([getattr(c, name) for c in cs]))
 
-    def __setattr__(self, name, value):  # pragma: no cover
+    def __setattr__(self, name, value):
         raise AttributeError("QuaternionPolynomial is immutable")
 
     @classmethod
@@ -113,13 +114,8 @@ class QuaternionPolynomial:
     @property
     def coeffs(self) -> tuple:
         """Coefficients ascending by degree, as Quaternions of canonical Fractions."""
-        try:
-            return self._coeffs
-        except AttributeError:
-            comps, n = self.component_polys(), self.degree + 1
-            cs = tuple(Quaternion(*(p.coefficient(k) for p in comps)) for k in range(n))
-            object.__setattr__(self, "_coeffs", cs)
-            return cs
+        comps = self.component_polys()
+        return tuple(Quaternion(*(p.coefficient(k) for p in comps)) for k in range(self.degree + 1))
 
     @property
     def degree(self) -> int:

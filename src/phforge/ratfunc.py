@@ -68,7 +68,7 @@ class RationalFunction:
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
 
-    def __setattr__(self, name, value):  # pragma: no cover
+    def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
     @classmethod

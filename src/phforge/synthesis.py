@@ -209,7 +209,7 @@ class RationalCurve:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "mu", mu)
 
-    def __setattr__(self, name, value):  # pragma: no cover
+    def __setattr__(self, name, value):
         raise AttributeError("RationalCurve is immutable")
 
     def eval_floats(self, ts) -> np.ndarray:

@@ -34,6 +34,7 @@ from phforge import cli, linalg
 from phforge.geometry import _motion, _mu_speed, angle_parameters, speed_function
 from phforge.polynomial import _canonical, _int_add, _int_mul
 from phforge.quaternion import _gdivmod, _gmonic
+from phforge.rationals import format_rational
 from phforge.ratfunc import _scaled
 
 
@@ -1013,6 +1014,11 @@ def ref_i_reduce(a: QP) -> tuple[QP, QP]:
     assert not any(p_rem + q_rem), "right factor does not divide exactly"
     zero = P.zero()
     return QP.from_component_polys(pr, pi, qr, qi), QP.from_component_polys(*r, zero, zero)
+
+
+def ref_generator_rats(a: QP) -> list[list[str]]:
+    """The bundle's generator strings as ``cli`` printed them from ``Fraction`` coefficients."""
+    return [[format_rational(v) for v in (q.w, q.x, q.y, q.z)] for q in a.coeffs]
 
 
 # -- Reference helpers outside the pipeline ---------------------------------------

@@ -22,14 +22,16 @@ from phforge import (
 from phforge import cli, geometry, positivity, synthesis
 from phforge.cli import load_bundle, main
 from phforge.polynomial import Polynomial as P
-from phforge.quaternion import QI, QONE, QuaternionPolynomial as QP, rotate_vector
+from phforge.quaternion import QI, QONE, Quaternion, QuaternionPolynomial as QP, rotate_vector
 from phforge.rationals import format_rational, parse_rational
 
 from helpers import (
     TABLE_POLES,
     finite_or_str,
+    generator_deg3,
     hull_certificate_holds,
     ref_bundle_samples,
+    ref_generator_rats,
     ref_pose_dict,
     ref_sample_motion,
     ref_sample_positions,
@@ -693,6 +695,26 @@ def test_poly_to_rats_matches_format_rational():
         assert cli._poly_to_rats(poly) == [format_rational(c) for c in poly.coeffs]
 
 
+def test_generator_rats_matches_fraction_printer():
+    a = generator_deg3()
+    units = [QONE, QI, Quaternion.of(F(3, 5), F(4, 5)), Quaternion.of(F(1, 2), F(1, 2), F(-1, 2), F(1, 2))]
+    generators = [QP([u]) * a for u in units]
+    # a zero component, and components of different degrees
+    generators.append(QP.from_component_polys(P([1, 2]), P.zero(), P([0, 0, -3]), P([F(1, 3)])))
+    # negative entries and denominators up to 2^200, some of them integral
+    rng = random.Random(43)
+    for _ in range(50):
+        comps = [
+            P([F(rng.randint(-99, 99) * rng.choice((1, 2**200)), rng.choice((1, 3, 2**200, 3 * 2**199)))
+               for _ in range(rng.randint(0, 5))])
+            for _ in range(4)
+        ]
+        generators.append(QP.from_component_polys(*comps))
+    generators.append(QP([]))
+    for a in generators:
+        assert cli._generator_rats(a) == ref_generator_rats(a)
+
+
 @pytest.fixture
 def recorded(monkeypatch):
     """The objects handed to ``cli._json`` and what ``cli._build_bundle`` returns, in call order.
@@ -925,6 +947,23 @@ def _non_ph_bundle(bundle_path, tmp_path):
     return str(path)
 
 
+def _raw_file(make):
+    # the bytes make(bundle_path) returns, written as they are
+    def write(bundle_path, tmp_path):
+        path = tmp_path / "raw.json"
+        path.write_bytes(make(bundle_path))
+        return str(path)
+
+    return write
+
+
+# a valid config or bundle saved as UTF-16, which starts with the bytes ff fe
+# (or fe ff), neither of which starts a UTF-8 sequence
+_utf16_config = _raw_file(lambda b: json.dumps(EX2_CONFIG).encode("utf-16"))
+_utf16_bundle = _raw_file(lambda b: Path(b).read_text().encode("utf-16"))
+# nested deeper than the JSON decoder's recursion limit
+_too_deep = _raw_file(lambda b: b"[" * 200_000 + b"]" * 200_000)
+
 # (command, the --config file from (bundle_path, tmp_path), extra arguments, exit code)
 FAILURES = {
     "parse-error": ("synth", lambda b, tmp: write_config(tmp, _zero_denominator_config()), [], 4),
@@ -936,6 +975,10 @@ FAILURES = {
     ),
     "non-ph-curve": ("sample", _non_ph_bundle, ["--format", "svg"], 4),
     "unreadable-bundle": ("frames", lambda b, tmp: str(tmp / "missing.json"), [], 4),
+    "not-utf8-synth": ("synth", _utf16_config, [], 4),
+    "not-utf8-sample": ("sample", _utf16_bundle, [], 4),
+    "too-deep-check": ("check", _too_deep, [], 4),
+    "too-deep-frames": ("frames", _too_deep, [], 4),
     "unwritable-out": ("check", lambda b, tmp: write_config(tmp, EX2_CONFIG), [], 4),
     "generator-overflow-synth": ("synth", lambda b, tmp: write_config(tmp, _scaled_generator_config(200)), [], 4),
     "generator-empty-array": ("frames", _generator_bundle([]), [], 4),
@@ -1022,7 +1065,10 @@ def test_failure_prints_one_error_line_and_writes_nothing(bundle_path, tmp_path,
      ("generator-underflow-frames-csv", "generator.coefficients"),
      # the first nonzero coefficient of the generator is the one refused
      pytest.param("generator-overflow-check", "quaternion[0][3]", id="generator-overflow-check-quaternion"),
-     pytest.param("generator-underflow-check", "quaternion[0][3]", id="generator-underflow-check-quaternion")],
+     pytest.param("generator-underflow-check", "quaternion[0][3]", id="generator-underflow-check-quaternion"),
+     # an unreadable file is named by its kind
+     ("not-utf8-synth", "cannot read config"), ("not-utf8-sample", "cannot read bundle"),
+     ("too-deep-check", "cannot read config"), ("too-deep-frames", "cannot read bundle")],
 )
 def test_overflow_names_the_field(bundle_path, tmp_path, capsys, case, field):
     command, config, extra, _ = FAILURES[case]

@@ -41,6 +41,7 @@ from phforge import (
     QuadraticFactor,
     Quaternion,
     QuaternionPolynomial as QP,
+    RationalCurve,
     RationalFunction as RF,
     RationalityError,
     SynthesisProblem,
@@ -942,11 +943,38 @@ def test_operations_match_fraction_reference(seed):
         for k in range(-1, len(ra) + 2):
             want = ra[k] if 0 <= k < len(ra) else F(0)
             assert type(a.coefficient(k)) is F and a.coefficient(k) == want
+            assert a.coefficient(k) == (a.coeffs[k] if 0 <= k <= a.degree else 0)
         if ra:
             assert type(a.leading()) is F and a.leading() == ra[-1]
         else:
             with pytest.raises(ValueError):
                 a.leading()
+
+
+def _assert_refuses_assignment(value, names):
+    """names is all the value stores, and assigning one, or a new name, raises AttributeError."""
+    assert type(value).__slots__ == names and not hasattr(value, "__dict__")
+    before = {name: getattr(value, name) for name in names}
+    for name in (*names, "_coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    assert {name: getattr(value, name) for name in names} == before
+
+
+def test_values_refuse_assignment_before_and_after_a_coeffs_read():
+    a = generator_deg3()
+    curve = RationalCurve(a.vector_polys(), a.norm_poly(), P([1, 2]))
+    values = [
+        (P([F(1, 6), 0, F(-7, 4)]), ("ints", "den"), lambda v: v.coeffs),
+        (a, ("w", "x", "y", "z"), lambda v: v.coeffs),
+        (RF(P([1, 2]), P([3, 0, 1])), ("numerator", "denominator"), lambda v: v.numerator.coeffs),
+        (curve, ("nums", "den", "mu"), lambda v: v.den.coeffs),
+    ]
+    for value, names, read in values:
+        _assert_refuses_assignment(value, names)
+        first = read(value)
+        _assert_refuses_assignment(value, names)
+        assert read(value) == first
 
 
 def test_float_coeffs_are_bit_identical():

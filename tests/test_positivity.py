@@ -528,6 +528,35 @@ class TestRelaxationLadder:
         assert res.min_eigenvalue == -math.inf and res.optimum_bound is None
 
 
+class TestWitnessReadOut:
+    """Only a feasible result carries kernel coordinates: those of the point its gate rounded."""
+
+    @pytest.fixture
+    def coordinates(self, monkeypatch):
+        results = []
+        coordinates = positivity._coordinates
+
+        def counted(g, gram):
+            results.append(coordinates(g, gram))
+            return results[-1]
+
+        monkeypatch.setattr(positivity, "_coordinates", counted)
+        return results
+
+    def test_indeterminate_search_reads_out_nothing(self, coordinates):
+        # the reference indicatrix: the bound rules every margin out, so nothing is gated
+        slice_ = build_gram_slice(indicatrix_space(tangent_indicatrix(generator_deg3())))
+        res = sdp_feasible_point(slice_, LADDER)
+        assert res.status == "indeterminate" and res.witness_x is None
+        assert coordinates == []
+
+    def test_feasible_search_keeps_the_gated_coordinates(self, coordinates):
+        space, slice_ = reference_slice()
+        res = sdp_feasible_point(slice_, LADDER)
+        assert res.is_feasible and len(res.witness_x) == space.dimension
+        assert res.witness_x == tuple(map(float, coordinates[-1]))
+
+
 class TestDualPath:
     @pytest.mark.parametrize("poles", POLE_CASES.values(), ids=POLE_CASES)
     def test_snapshots_lie_in_slice_and_bound_the_optimum(self, poles):
